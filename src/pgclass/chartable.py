@@ -514,29 +514,34 @@ def _rref_with_pivots(C: np.ndarray, q: int):
     from .modular import rref_mod
 
     R, piv = rref_mod(C, q)
-    assert len(piv) == C.shape[0], "subspace basis lost rank"
+    if len(piv) != C.shape[0]:
+        raise TableVerificationError("subspace basis lost rank")
     return R[: len(piv)], np.array(piv, dtype=np.int64)
 
 
-def _combination_rows(G, cls, rows_needed, pool, weights, q):
+def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
     """Rows (at the given class indices) of sum_i w_i * A_i over the pool.
 
-    Only the needed rows are materialized: each group element x in a pool
-    class K_i contributes w_i at [class(x^-1 rep_k), k]."""
+    A_i[r, c] = #{x in K_i : x^-1 rep_c in K_r} is the structure constant
+    a[i][r][c] of class_constants.  Counting the triples x y = z over
+    K_i x K_r x K_c once by z and once by y gives
+
+        A_i[r, c] = |K_r| / |K_c| * #{x in K_i : x rep_r in K_c},
+
+    so row r costs one right multiplication of the pooled members by rep_r
+    and a weighted count of the classes hit.  The division is exact over
+    the integers, and mod q it is a multiplication by inv_sizes (the
+    inverses of the class sizes mod q): class sizes are powers of p, and
+    q = 1 (mod e) with p | e, so q does not divide any of them."""
     k = cls.count
-    inv = G.inverse_table
-    slot = np.full(k, -1, dtype=np.int64)
-    slot[rows_needed] = np.arange(rows_needed.size)
-    out = np.zeros((rows_needed.size, k), dtype=np.int64)
-    ar = np.arange(k)
-    for w, i in zip(weights, pool):
-        for x in cls.members[i]:
-            ys = G.lmul_array(cls.reps.copy(), int(inv[x]))
-            sel = slot[cls.classof[ys]]
-            hit = sel >= 0
-            # the column indices are distinct, so plain fancy add is safe
-            out[sel[hit], ar[hit]] += int(w)
-    return out % q
+    X = np.concatenate([cls.members[i] for i in pool])
+    wX = np.repeat(weights, cls.sizes[pool])
+    out = np.empty((rows_needed.size, k), dtype=np.int64)
+    for t, r in enumerate(rows_needed):
+        counts = np.zeros(k, dtype=np.int64)
+        np.add.at(counts, cls.classof[G.rmul_array(X, int(cls.reps[r]))], wX)
+        out[t] = counts % q * (cls.sizes[r] % q) % q * inv_sizes % q
+    return out
 
 
 def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
@@ -553,7 +558,13 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
     class matrices, so the recursion on unsplit subspaces terminates).
     Subspace bases stay in reduced row echelon form over the block's orbit
     coordinates, so restricting the action to a subspace is a sample of
-    the block action at the pivot columns."""
+    the block action at the pivot columns; a round therefore needs only
+    the combination's rows at the pivot basepoints.  _combination_rows
+    builds each such row from the structure-constant symmetry
+    A_i[r, c] = |K_r| / |K_c| * #{x in K_i : x rep_r in K_c} with one
+    right multiplication of the pool, dividing by |K_c| through
+    inv_sizes: q = 1 (mod e) puts q != p, so q never divides a class
+    size."""
     k = cls.count
     sizes = cls.sizes.astype(np.int64)
     invclass = cls.classof[G.inverse_table[cls.reps]]
@@ -569,7 +580,8 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
         D = blk.dim
         members = by_key.get(blk.central_key, [])
         t = len(members)
-        assert t <= D, "more linear rows than block dimensions"
+        if t > D:
+            raise TableVerificationError("more linear rows than block dimensions")
         if t == D:
             continue  # the block consists entirely of known linear rows
         if t == 0:
@@ -583,7 +595,8 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
                 vals = ostar[blk.flat_supp] * blk.flat_coef % q
                 F[r] = np.add.reduceat(vals, blk.seg_starts) % q
             ker = kernel_basis_mod(F, q)
-            assert ker.shape[0] == D - t, "linear span does not fill its rank"
+            if ker.shape[0] != D - t:
+                raise TableVerificationError("linear span does not fill its rank")
             C0, J0 = _rref_with_pivots(ker, q)
         if C0.shape[0] == 1:
             finals.append(blk.expand(C0[0], k, q))
@@ -610,7 +623,7 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
                  for blk, subs in work]
             )
         )
-        Arows = _combination_rows(G, cls, rows_needed, pool, weights, q)
+        Arows = _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes)
         slot = np.full(k, -1, dtype=np.int64)
         slot[rows_needed] = np.arange(rows_needed.size)
 
@@ -839,7 +852,8 @@ def compute_table(P) -> CharacterTable:
         lin_texp, lin_keys = _linear_rows_data(G, cls, e)
         lin_omega = cls.sizes.astype(np.int64) * zpow[lin_texp] % q
         finals = _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)
-        assert len(finals) + lin_omega.shape[0] == k, "wrong number of eigenvectors"
+        if len(finals) + lin_omega.shape[0] != k:
+            raise TableVerificationError("wrong number of eigenvectors")
         finals = list(lin_omega) + finals
         sizes = cls.sizes.astype(np.int64)
         inv_sizes = _invmod_arr(sizes, q)

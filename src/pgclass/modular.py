@@ -102,25 +102,6 @@ def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
     return basis
 
 
-def solve_right_mod(C: np.ndarray, I: np.ndarray, q: int) -> np.ndarray:
-    """X with X @ C = I (mod q); C must have full row rank."""
-    d, D = C.shape
-    aug = np.concatenate([C, np.eye(d, dtype=np.int64)], axis=1)
-    R, pivots = rref_mod(aug, q)
-    assert len([c for c in pivots if c < D]) == d, "basis matrix lost rank"
-    T = R[:, D:]  # T @ C = E where E is C's echelon form restricted to pivots
-    E = R[:, :D]
-    # express each row of I in terms of E's pivot structure
-    X = np.zeros((I.shape[0], d), dtype=np.int64)
-    work = I.astype(np.int64) % q
-    for r, pc in enumerate(pivots[:d]):
-        coef = work[:, pc].copy()
-        X[:, r] = coef
-        work = (work - np.outer(coef, E[r])) % q
-    assert not work.any(), "vector outside subspace span"
-    return X @ T % q
-
-
 # ---------------------------------------------------------------------------
 # polynomials mod q (ascending coefficient lists)
 

@@ -67,6 +67,32 @@ def test_class_constants_sum_rule_heisenberg():
     assert (lhs == np.outer(sizes, sizes)).all()
 
 
+
+@pytest.mark.parametrize("label", ["heisenberg_x_heisenberg", "extraspecial_p5_exp_p"])
+def test_combination_rows_match_structure_constants(label):
+    """The splitting rows sum_i w_i A_i[r, :] built by right multiplication
+    agree with the explicit structure constants a[i][r][:] mod q."""
+    from pgclass.chartable import _combination_rows, _invmod_arr
+    from pgclass.modular import find_aux_prime
+
+    G = group_of(pg.build(label, 3))
+    cls = G.conjugacy_classes
+    q = find_aux_prime(G.exponent, G.order)
+    rng = np.random.default_rng(20)
+    central = np.flatnonzero(cls.sizes == 1)
+    noncentral = np.flatnonzero(cls.sizes > 1)
+    pool = [int(i) for i in np.sort(rng.choice(cls.count, size=16, replace=False))]
+    weights = rng.integers(1, q, size=len(pool))
+    rows = np.unique(np.concatenate([rng.choice(central, size=2, replace=False),
+                                     rng.choice(noncentral, size=5, replace=False)]))
+    a = class_constants(cls)
+    want = np.einsum("i,irc->rc", weights, a[pool][:, rows, :]) % q
+    got = _combination_rows(G, cls, rows, pool, weights, q, _invmod_arr(cls.sizes, q))
+    assert (got == want).all()
+    # the size ratio |K_r| / |K_c| is not 1 on entries that count
+    assert (want[cls.sizes[rows][:, None] != cls.sizes[None, :]] != 0).any()
+
+
 # -- small explicit tables ------------------------------------------------------
 
 
@@ -234,3 +260,20 @@ def test_verification_failure_is_loud():
     )
     with pytest.raises(TableVerificationError):
         _verify_table(hacked)
+
+
+def test_splitting_rank_loss_is_typed(monkeypatch):
+    """The splitting guards raise TableVerificationError, which survives
+    python -O and maps to CLI exit code 2."""
+    import pgclass.modular as modular
+    from pgclass.chartable import _rref_with_pivots
+
+    rref_mod = modular.rref_mod
+
+    def drop_pivot(M, q):
+        R, piv = rref_mod(M, q)
+        return R, piv[:-1]
+
+    monkeypatch.setattr(modular, "rref_mod", drop_pivot)
+    with pytest.raises(TableVerificationError, match="lost rank"):
+        _rref_with_pivots(np.eye(3, dtype=np.int64), 13)
