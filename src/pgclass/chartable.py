@@ -430,8 +430,10 @@ class _CentralBlock:
         return np.add.reduceat(weighted, self.seg_starts, axis=1) % q
 
 
-def _central_blocks(G, cls, e, q, z):
-    """Stage 1: joint eigenspaces of the central class matrices."""
+def _central_blocks(G, cls, e, zpow):
+    """Stage 1: joint eigenspaces of the central class matrices.
+
+    ``zpow[t]`` is z^t mod q for the chosen primitive e-th root z."""
     k = cls.count
     Zsub = G.center
     ZG = subgroup_as_group(Zsub)
@@ -473,12 +475,6 @@ def _central_blocks(G, cls, e, q, z):
     # lam exponents at every Z element, lifted to zeta_e scale
     lam_at = _eval_linear(ZG.group, Tz, eZ, np.arange(zo, dtype=np.int64))
     scale = e // eZ
-
-    zpow = np.empty(e, dtype=np.int64)
-    acc = 1
-    for t in range(e):
-        zpow[t] = acc
-        acc = acc * z % q
 
     stab_cache = [np.flatnonzero(zact[:, int(O[0])] == int(O[0])) for O in orbits]
     central_classes = np.flatnonzero(cls.sizes == 1)
@@ -848,7 +844,7 @@ def compute_table(P) -> CharacterTable:
         degs = [1] * G.order
         T = zpow[np.stack([r.texp for r in rows]) % e]
     else:
-        blocks = _central_blocks(G, cls, e, q, z)
+        blocks = _central_blocks(G, cls, e, zpow)
         lin_texp, lin_keys = _linear_rows_data(G, cls, e)
         lin_omega = cls.sizes.astype(np.int64) * zpow[lin_texp] % q
         finals = _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chartable import CharacterTable
 from .errors import InternalInconsistencyError
-from .group import Subgroup, group_of
+from .group import Subgroup, abelian_invariants, group_of, p_log
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +244,13 @@ class PermDegree:
 
 
 def gvz_min_perm_degree(P, T: CharacterTable) -> PermDegree:
-    from .group import abelian_invariants
-
     G = group_of(P)
     if not is_gvz(T):
         raise ValueError("the permutation-degree formula needs every row of central type")
     Z = G.center
     if len(abelian_invariants(Z)) > 1:
         raise ValueError("the permutation-degree formula needs a cyclic center")
-    a = 0
-    m = G.order // Z.order
-    while m > 1:
-        m //= G.p
-        a += 1
-    b = 0
-    m = Z.order
-    while m > 1:
-        m //= G.p
-        b += 1
-    expo = Fraction(a, 2) + b
+    expo = Fraction(p_log(G.order // Z.order, G.p), 2) + p_log(Z.order, G.p)
     integral = expo.denominator == 1
     return PermDegree(
         p=G.p,
@@ -391,12 +379,6 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
     sizes = T.classes.sizes
     distinct = _distinct_center_masks(T)
     orders = sorted({int(sizes[m].sum()) for m in distinct})
-    chain_flag = True
-    masks_sorted = sorted(distinct, key=lambda m: int(sizes[m].sum()))
-    for a, b in zip(masks_sorted, masks_sorted[1:]):
-        if (a & ~b).any():
-            chain_flag = False
-            break
 
     per_char = tuple(
         (r.degree, T.center_order(r), is_central_type(r, T)) for r in T.rows
@@ -421,6 +403,6 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
         gen_camina_pair_with_center=gcamina,
         center_order=Z.order,
         center_chain=tuple(orders),
-        center_chain_is_chain=chain_flag,
+        center_chain_is_chain=nested,
         per_character=per_char,
     )

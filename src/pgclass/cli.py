@@ -16,13 +16,9 @@ from . import corpus
 from .chartable import table_of
 from .classify import classification_report, counting_formulas
 from .errors import InternalInconsistencyError, ParseError
+from .group import p_log
 from .presentation import parse_presentation, presentation_text
-from .verify import (
-    default_threads,
-    run_ingested_census,
-    run_paper_suite,
-    suite_to_json_text,
-)
+from .verify import run_ingested_census, run_paper_suite, suite_to_json_text
 
 
 def _emit_json(payload) -> None:
@@ -43,7 +39,7 @@ def cmd_classify(args) -> int:
     if args.json:
         _emit_json(rep.to_json())
     else:
-        print(f"group {rep.label}: order {rep.order} = {rep.p}^{_plog(rep)}")
+        print(f"group {rep.label}: order {rep.order} = {rep.p}^{p_log(rep.order, rep.p)}")
         print(f"  nilpotency class : {rep.nilpotency_class}")
         print(f"  degrees          : {rep.cd}")
         print(f"  gvz              : {rep.is_gvz}")
@@ -56,14 +52,6 @@ def cmd_classify(args) -> int:
         print(f"  |Z(chi)| chain   : {list(rep.center_chain)}"
               f" (chain: {rep.center_chain_is_chain})")
     return 0
-
-
-def _plog(rep) -> int:
-    n, m = 0, rep.order
-    while m > 1:
-        m //= rep.p
-        n += 1
-    return n
 
 
 def cmd_chartable(args) -> int:
@@ -125,7 +113,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_verify(args) -> int:
     primes = tuple(int(x) for x in args.primes.split(","))
-    res = run_paper_suite(primes=primes, threads=args.threads)
+    res = run_paper_suite(primes=primes)
     if args.json:
         Path(args.json).write_text(suite_to_json_text(res), encoding="utf-8")
     print(res.render_text())
@@ -137,7 +125,6 @@ def cmd_census(args) -> int:
         args.directory,
         expected_nested_nonabelian=args.expect_nested_nonabelian,
         expected_total=args.expect_total,
-        threads=args.threads,
     )
     if args.json:
         Path(args.json).write_text(suite_to_json_text(res), encoding="utf-8")
@@ -150,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pgclass",
         description="exact classification of finite p-groups by character-vanishing structure",
     )
-    ap.add_argument("--threads", type=int, default=default_threads(),
-                    help="worker pool size for batch commands")
+    ap.add_argument("--threads", type=int, default=None,
+                    help="ignored: batch commands run serially")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify one presentation file")

@@ -740,6 +740,15 @@ def exponent(P) -> int:
     return group_of(P).exponent
 
 
+def p_log(n: int, p: int) -> int:
+    """The exponent a with n = p^a, for a power n of p."""
+    a = 0
+    while n > 1:
+        n //= p
+        a += 1
+    return a
+
+
 def abelian_invariants(H: Subgroup) -> tuple[int, ...]:
     """Invariant factors of an abelian subgroup, as a sorted multiset of
     prime powers (largest first)."""

@@ -9,11 +9,10 @@ the mathematical facts being exercised; nothing is skipped silently.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
-from threading import Lock
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .classify import (
     counting_formulas,
     gvz_min_perm_degree,
 )
-from .group import abelian_invariants, group_of, quotient, subgroup_generated
-from .presentation import parse_presentation
+from .group import abelian_invariants, group_of, p_log, quotient, subgroup_generated
+from .presentation import check_consistency, parse_presentation
 
 CLAIMS = {
     "consistency": "the relations collect to unique normal forms, so the presented group has order p^n",
@@ -125,22 +124,18 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# shared bundle cache (presentation -> group/table/report), thread-safe
+# shared bundle cache (presentation -> group/table/report)
 
 
-_bundle_lock = Lock()
 _bundles: dict[tuple[str, int], dict] = {}
 
 
 def bundle(label: str, p: int) -> dict:
     """Group, table, and report for one corpus entry, computed once."""
     key = (label, p)
-    with _bundle_lock:
-        got = _bundles.get(key)
+    got = _bundles.get(key)
     if got is not None:
         return got
-    import time
-
     P = corpus.build(label, p)
     t0 = time.perf_counter()
     G = group_of(P)
@@ -156,8 +151,7 @@ def bundle(label: str, p: int) -> dict:
         "report": rep,
         "table_seconds": t1 - t0,
     }
-    with _bundle_lock:
-        _bundles[key] = out
+    _bundles[key] = out
     return out
 
 
@@ -170,27 +164,18 @@ def _entries_for(primes) -> list[tuple[str, int]]:
     return out
 
 
-def default_threads() -> int:
-    env = os.environ.get("PGCLASS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # the paper suite
 
 
 def run_paper_suite(primes=None, threads: int | None = None) -> SuiteResult:
-    primes = sorted(primes or (3, 5, 7))
-    threads = threads or default_threads()
-    res = SuiteResult(suite="paper")
-    todo = _entries_for(primes)
+    """Run the paper's lemma-level checks over the corpus at the given primes.
 
-    # warm the caches in parallel; all checks below read from the cache,
-    # so the records are identical for every thread count
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda lp: bundle(*lp), todo))
+    The work runs serially; ``threads`` is accepted for compatibility with
+    older callers and ignored.
+    """
+    primes = sorted(primes or (3, 5, 7))
+    res = SuiteResult(suite="paper")
 
     skipped = [
         (label, p)
@@ -206,11 +191,9 @@ def run_paper_suite(primes=None, threads: int | None = None) -> SuiteResult:
         for check in per_group_checks:
             res.skip(check, label, p, "outside the entry's stated prime range")
 
-    for label, p in todo:
+    for label, p in _entries_for(primes):
         b = bundle(label, p)
         G, T, rep = b["group"], b["table"], b["report"]
-        from .presentation import check_consistency
-
         res.add("consistency", label, p, check_consistency(b["pres"]).consistent)
         sound = (
             sum(d * d for d in T.degrees()) == G.order
@@ -276,8 +259,6 @@ def _check_nested_monotonicity(res, label, p, T, rep: ClassificationReport):
 
 
 def _check_perm_degree(res, label, p, G, T, rep):
-    from fractions import Fraction
-
     if not rep.is_gvz:
         res.skip("perm-degree", label, p, "not a central-type-everywhere group")
         return
@@ -286,16 +267,8 @@ def _check_perm_degree(res, label, p, G, T, rep):
         res.skip("perm-degree", label, p, "center is not cyclic")
         return
     pd = gvz_min_perm_degree(G, T)
-    a = 0
-    m = G.order // Z.order
-    while m > 1:
-        m //= p
-        a += 1
-    b = 0
-    m = Z.order
-    while m > 1:
-        m //= p
-        b += 1
+    a = p_log(G.order // Z.order, p)
+    b = p_log(Z.order, p)
     ok = pd.exponent == Fraction(a, 2) + b and pd.is_integral == (a % 2 == 0)
     if pd.is_integral:
         ok = ok and pd.value == p ** int(pd.exponent)
@@ -446,30 +419,27 @@ def run_ingested_census(
     groups excluded); the p^5 isomorphism-type corollary instead counts
     every nested group including the abelian ones, which callers encode by
     supplying expected_total together with per-file expectations.
+
+    Files run serially; ``threads`` is accepted for compatibility with
+    older callers and ignored.  A file that cannot be read or parsed, or
+    whose group the classifier rejects as input (``ValueError``,
+    ``OSError``), is a failed ``census-file`` record; an
+    ``InternalInconsistencyError`` means a bug and propagates.
     """
     res = SuiteResult(suite="census")
     directory = Path(directory)
     files = sorted(
         f for f in directory.iterdir() if f.suffix in (".pg", ".txt") and f.is_file()
     )
-    threads = threads or default_threads()
-
-    def classify_file(f: Path):
-        try:
-            P = parse_presentation(f.read_text(encoding="utf-8"), name=f.stem)
-            rep = classification_report(P)
-            return f, rep, None
-        except Exception as exc:  # noqa: BLE001 - reported per file
-            return f, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(classify_file, files))
 
     nested_nonabelian = 0
     total = 0
-    for f, rep, err in sorted(results, key=lambda t: t[0].name):
-        if err is not None:
-            res.add("census-file", f.name, 0, False, err)
+    for f in files:
+        try:
+            P = parse_presentation(f.read_text(encoding="utf-8"), name=f.stem)
+            rep = classification_report(P)
+        except (ValueError, OSError) as exc:  # input errors, reported per file
+            res.add("census-file", f.name, 0, False, str(exc))
             continue
         total += 1
         res.add("census-file", f.name, rep.p, True)

@@ -94,6 +94,21 @@ def test_nested_verdicts():
     assert not pg.is_nested(bundle("heisenberg_x_heisenberg", 3)[1])
 
 
+def test_center_chain_flag_matches_is_nested():
+    # the report's chain flag is the is_nested walk; both must agree with
+    # pairwise inclusion of the distinct centers Z(chi)
+    for label, entry in pg.REGISTRY.items():
+        if entry.min_p > 3 or (entry.max_p is not None and entry.max_p < 3):
+            continue
+        G, T = bundle(label, 3)
+        rep = pg.classification_report(G, table=T)
+        masks = {r.center_mask.tobytes(): r.center_mask for r in T.rows}.values()
+        pairwise = all(
+            not (a & ~b).any() or not (b & ~a).any() for a in masks for b in masks
+        )
+        assert rep.center_chain_is_chain == pg.is_nested(T) == pairwise, label
+
+
 def test_vz_verdicts():
     assert pg.is_vz(bundle("heisenberg_p3", 3)[1])[0]
     assert pg.is_vz(bundle("extraspecial_p5_exp_p", 3)[1])[0]

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import pgclass as pg
 from pgclass.cli import main
 from pgclass.presentation import presentation_text
@@ -179,6 +181,22 @@ def test_census_reports_broken_file(tmp_path):
     assert res.summary["fail"] == 1  # the total still matches the parsable one
 
 
+def test_census_internal_error_propagates(tmp_path, monkeypatch):
+    import pgclass.verify as verify_mod
+
+    write_pres(tmp_path, "heisenberg_p3", 3, "h")
+
+    def boom(P, **kw):
+        raise pg.InternalInconsistencyError("forced for the census test")
+
+    monkeypatch.setattr(verify_mod, "classification_report", boom)
+    with pytest.raises(pg.InternalInconsistencyError):
+        run_ingested_census(tmp_path)
+    code, _, err = run_cli("census", str(tmp_path))
+    assert code == 2
+    assert "inconsistency" in err.lower()
+
+
 def test_census_cli(tmp_path):
     write_pres(tmp_path, "heisenberg_p3", 3, "h")
     out_json = tmp_path / "census.json"
@@ -230,3 +248,13 @@ def test_suite_determinism_across_thread_counts():
     a = suite_to_json_text(run_paper_suite(primes=(3,), threads=1))
     b = suite_to_json_text(run_paper_suite(primes=(3,), threads=4))
     assert a == b
+
+
+def test_threads_flag_accepted_and_ignored(tmp_path, monkeypatch):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    monkeypatch.setenv("PGCLASS_THREADS", "7")
+    code_a, _, _ = run_cli("--threads", "3", "verify", "--primes", "3", "--json", str(a))
+    monkeypatch.delenv("PGCLASS_THREADS")
+    code_b, _, _ = run_cli("verify", "--primes", "3", "--json", str(b))
+    assert code_a == 0 and code_b == 0
+    assert a.read_bytes() == b.read_bytes()
