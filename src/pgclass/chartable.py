@@ -708,8 +708,10 @@ def _lift_rows(G, cls, e, q, z, dlog, degs, T):
             for ci, r in enumerate(rs):
                 mr = mults[ci].T  # (k, e)
                 d = degs[r]
-                assert ((mr >= 0) & (mr <= d)).all(), "multiplicity outside [0, degree]"
-                assert (mr.sum(axis=1) == d).all(), "multiplicities do not sum to the degree"
+                if ((mr < 0) | (mr > d)).any():
+                    raise TableVerificationError("multiplicity outside [0, degree]")
+                if (mr.sum(axis=1) != d).any():
+                    raise TableVerificationError("multiplicities do not sum to the degree")
                 center = mr.max(axis=1) == d
                 zero = _zero_mask_pp(mr, e)
                 if (zero | center).all():
@@ -750,8 +752,9 @@ def _lift_rows(G, cls, e, q, z, dlog, degs, T):
             hsize = int(sizes[support].sum())
             if (geo_t[ri][cand[ri]] >= 0).all() and d * d * hsize == order:
                 central_data[r] = (support, geo_t[ri][support])
+            elif d * d * hsize > order:
+                raise TableVerificationError("support exceeds the norm bound")
             else:
-                assert d * d * hsize <= order, "support exceeds the norm bound"
                 fallback_rows.append(r)
         if fallback_rows:
             full_power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
@@ -855,10 +858,12 @@ def compute_table(P) -> CharacterTable:
         inv_sizes = _invmod_arr(sizes, q)
         invclass = cls.classof[G.inverse_table[cls.reps]]
         W = np.stack(finals) % q
-        assert (W[:, 0] != 0).all(), "eigenvector vanishes at the identity class"
+        if (W[:, 0] == 0).any():
+            raise TableVerificationError("eigenvector vanishes at the identity class")
         W = W * _invmod_arr(W[:, 0], q)[:, None] % q
         denom = (W * W[:, invclass] % q * inv_sizes[None, :] % q).sum(axis=1) % q
-        assert (denom != 0).all()
+        if (denom == 0).any():
+            raise TableVerificationError("eigenvector has zero norm mod q")
         d2 = G.order % q * _invmod_arr(denom, q) % q
         degs = []
         dcand = []
@@ -868,14 +873,18 @@ def compute_table(P) -> CharacterTable:
             d *= G.p
         for val in d2:
             matches = [d for d in dcand if d * d % q == val]
-            assert len(matches) == 1, "degree recovery ambiguous"
+            if len(matches) != 1:
+                raise TableVerificationError("degree recovery ambiguous")
             degs.append(matches[0])
         T = np.array(degs, dtype=np.int64)[:, None] * W % q * inv_sizes[None, :] % q
-        assert (T[:, 0] == np.array(degs)).all()
+        if (T[:, 0] != np.array(degs)).any():
+            raise TableVerificationError("first column differs from the degrees")
 
     degs = np.asarray(degs, dtype=np.int64)
-    assert int((degs.astype(object) ** 2).sum()) == G.order, "sum of squared degrees is off"
-    assert np.unique(T, axis=0).shape[0] == k, "duplicate character rows"
+    if int((degs.astype(object) ** 2).sum()) != G.order:
+        raise TableVerificationError("sum of squared degrees is off")
+    if np.unique(T, axis=0).shape[0] != k:
+        raise TableVerificationError("duplicate character rows")
 
     # canonical order: by degree, then lexicographically by the value row
     # (big-endian bytes compare like the nonnegative integers they encode)
@@ -890,7 +899,8 @@ def compute_table(P) -> CharacterTable:
     else:
         rows = _lift_rows(G, cls, e, q, z, dlog, [int(d) for d in degs], T)
         for r, row in enumerate(rows):
-            assert (row.tilde(q, zpow) == T[r]).all(), "lifted row disagrees mod q"
+            if (row.tilde(q, zpow) != T[r]).any():
+                raise TableVerificationError("lifted row disagrees mod q")
 
     table = CharacterTable(
         group=G, classes=cls, rows=rows, field_prime=q, exponent=e, verification={}

@@ -40,15 +40,18 @@ def is_central_type(row, T: CharacterTable) -> bool:
 
 def fully_ramified(row, N: Subgroup, T: CharacterTable) -> bool:
     """chi(g) = 0 for all g outside N."""
+    if not N.is_normal:
+        raise ValueError("N must be normal")
     nmask = _class_mask(N, T)
     return not bool((row.nonzero_mask & ~nmask).any())
 
 
 def _class_mask(N: Subgroup, T: CharacterTable) -> np.ndarray:
-    """Class mask of a normal subgroup; asserts it is a class union."""
+    """Class mask of a normal subgroup, checked to be a class union."""
     cls = T.classes
     mask = N.mask[cls.reps]
-    assert int(cls.sizes[mask].sum()) == N.order, "subgroup is not a union of classes"
+    if int(cls.sizes[mask].sum()) != N.order:
+        raise InternalInconsistencyError("subgroup is not a union of classes")
     return mask
 
 
@@ -210,16 +213,19 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
                 row.value(int(TG.classes.classof[Q.section[qcls.reps[jq]]]))
                 for jq in range(qcls.count)
             )
-            assert key not in lift_targets, "two parent rows share lift values"
+            if key in lift_targets:
+                raise InternalInconsistencyError("two parent rows share lift values")
             lift_targets[key] = gi
     mismatches = []
     for qi, qrow in enumerate(TQ.rows):
         key = tuple(qrow.value(j) for j in range(qcls.count))
         gi = lift_targets.pop(key, None)
-        assert gi is not None, "quotient row has no lift in the parent table"
+        if gi is None:
+            raise InternalInconsistencyError("quotient row has no lift in the parent table")
         if is_central_type(qrow, TQ) != is_central_type(TG.rows[gi], TG):
             mismatches.append(qi)
-    assert not lift_targets, "parent rows left unmatched by quotient rows"
+    if lift_targets:
+        raise InternalInconsistencyError("parent rows left unmatched by quotient rows")
     return mismatches
 
 

@@ -27,6 +27,7 @@ from .classify import (
     counting_formulas,
     gvz_min_perm_degree,
 )
+from .errors import InternalInconsistencyError
 from .group import abelian_invariants, group_of, p_log, quotient, subgroup_generated
 from .presentation import check_consistency, parse_presentation
 
@@ -71,6 +72,7 @@ class SuiteRecord:
             "p": self.p,
             "status": self.status,
             "citation": self.citation,
+            "detail": self.detail,
         }
 
 
@@ -235,27 +237,32 @@ def run_paper_suite(primes=None, threads: int | None = None) -> SuiteResult:
 
 
 def _check_nested_monotonicity(res, label, p, T, rep: ClassificationReport):
+    """Centers shrink exactly as the degree grows, in a nested group.
+
+    For rows of degrees a <= b: Z(chi_b) <= Z(chi_a), with |Z(chi_b)| <
+    |Z(chi_a)| exactly when a < b.  A pair's test reads only the degrees and
+    center masks of its two rows, so it runs once per pair of distinct
+    (degree, center mask) entries; at order <= p^6 a nested group has at most
+    7 centers and 4 degrees, however many rows it has.  A failure names the
+    first offending pair.
+    """
     if not rep.is_nested:
         res.skip("nested-monotonicity", label, p, "group is not nested")
         return
     sizes = T.classes.sizes
-    rows = sorted(T.rows, key=lambda r: r.degree)
-    ok = True
-    for a in range(len(rows)):
-        for b in range(a, len(rows)):
-            ra, rb = rows[a], rows[b]
-            if ra.degree > rb.degree:
-                continue
-            inc = not bool((rb.center_mask & ~ra.center_mask).any())
-            if not inc:
-                ok = False
-            za = int(sizes[ra.center_mask].sum())
-            zb = int(sizes[rb.center_mask].sum())
-            if (zb < za) != (ra.degree < rb.degree):
-                ok = False
-        if not ok:
-            break
-    res.add("nested-monotonicity", label, p, ok)
+    entries = {}
+    for r in sorted(T.rows, key=lambda r: r.degree):
+        m = r.center_mask
+        entries.setdefault((r.degree, m.tobytes()), (r.degree, m, int(sizes[m].sum())))
+    entries = list(entries.values())
+    for a, (da, ma, za) in enumerate(entries):
+        for db, mb, zb in entries[a + 1:]:
+            if (mb & ~ma).any() or (zb < za) != (da < db):
+                res.add("nested-monotonicity", label, p, False,
+                        f"degree {da} with |Z(chi)| = {za}, "
+                        f"degree {db} with |Z(chi)| = {zb}")
+                return
+    res.add("nested-monotonicity", label, p, True)
 
 
 def _check_perm_degree(res, label, p, G, T, rep):
@@ -329,7 +336,8 @@ def _check_quotient_structure(res, primes):
         G = b["group"]
         # K = <a1> is the last pc generator: central line
         K = subgroup_generated([G.element_of(1)], G)
-        assert K.order == p
+        if K.order != p:
+            raise InternalInconsistencyError(f"<a1> has order {K.order}, not {p}")
         Q = quotient(G, K)
         QG = Q.group
         ok = (

@@ -1,6 +1,10 @@
 """Classification predicates and the counting formulas."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,5 +278,35 @@ def test_report_rejects_even_prime():
 def test_class_mask_requires_class_union():
     G, T = bundle("heisenberg_p3", 3)
     a = pg.subgroup_generated([G.element_of(G.gen_index(0))], G)
-    with pytest.raises(AssertionError):
+    with pytest.raises(pg.InternalInconsistencyError, match="union of classes"):
         _class_mask(a, T)
+
+
+def test_class_mask_check_survives_optimize():
+    """Under python -O the class-union check still raises its typed error."""
+    code = (
+        "import pgclass as pg\n"
+        "from pgclass.chartable import table_of\n"
+        "from pgclass.classify import _class_mask\n"
+        "from pgclass.group import group_of\n"
+        "G = group_of(pg.build('heisenberg_p3', 3))\n"
+        "a = pg.subgroup_generated([G.element_of(G.gen_index(0))], G)\n"
+        "try:\n"
+        "    _class_mask(a, table_of(G))\n"
+        "except pg.InternalInconsistencyError:\n"
+        "    print('typed')\n"
+    )
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "typed"
+
+
+def test_fully_ramified_requires_normal_subgroup():
+    G, T = bundle("heisenberg_p3", 3)
+    a = pg.subgroup_generated([G.element_of(G.gen_index(0))], G)
+    with pytest.raises(ValueError, match="normal"):
+        pg.fully_ramified(T.rows[-1], a, T)

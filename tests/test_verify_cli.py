@@ -3,13 +3,23 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import pgclass as pg
 from pgclass.cli import main
 from pgclass.presentation import presentation_text
-from pgclass.verify import CLAIMS, run_ingested_census, run_paper_suite
+from pgclass.verify import (
+    CLAIMS,
+    SuiteResult,
+    _check_nested_monotonicity,
+    _entries_for,
+    bundle,
+    run_ingested_census,
+    run_paper_suite,
+)
 
 
 def run_cli(*args):
@@ -197,6 +207,24 @@ def test_census_internal_error_propagates(tmp_path, monkeypatch):
     assert "inconsistency" in err.lower()
 
 
+def test_census_table_check_exits_2(tmp_path, monkeypatch):
+    """A table self-check that fires while classifying a census file is an
+    internal inconsistency: exit 2, not an uncaught exception."""
+    import pgclass.chartable as chartable_mod
+
+    write_pres(tmp_path, "heisenberg_p3", 3, "h")
+    lift_rows = chartable_mod._lift_rows
+
+    def reversed_rows(*args):
+        return lift_rows(*args)[::-1]
+
+    monkeypatch.setattr(chartable_mod, "_table_cache", {})
+    monkeypatch.setattr(chartable_mod, "_lift_rows", reversed_rows)
+    code, _, err = run_cli("census", str(tmp_path))
+    assert code == 2
+    assert "lifted row disagrees mod q" in err
+
+
 def test_census_cli(tmp_path):
     write_pres(tmp_path, "heisenberg_p3", 3, "h")
     out_json = tmp_path / "census.json"
@@ -239,7 +267,7 @@ def test_paper_suite_json_schema():
     js = res.to_json()
     assert set(js) == {"suite", "records", "summary"}
     for r in js["records"]:
-        assert set(r) == {"check", "group", "p", "status", "citation"}
+        assert set(r) == {"check", "group", "p", "status", "citation", "detail"}
 
 
 def test_suite_determinism_across_thread_counts():
@@ -258,3 +286,71 @@ def test_threads_flag_accepted_and_ignored(tmp_path, monkeypatch):
     code_b, _, _ = run_cli("verify", "--primes", "3", "--json", str(b))
     assert code_a == 0 and code_b == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _pairwise_nested_monotonicity(T):
+    """The check as the paper states it, over every degree-ordered row pair."""
+    sizes = T.classes.sizes
+    rows = sorted(T.rows, key=lambda r: r.degree)
+    for a in range(len(rows)):
+        for b in range(a, len(rows)):
+            ra, rb = rows[a], rows[b]
+            if (rb.center_mask & ~ra.center_mask).any():
+                return False
+            za = int(sizes[ra.center_mask].sum())
+            zb = int(sizes[rb.center_mask].sum())
+            if (zb < za) != (ra.degree < rb.degree):
+                return False
+    return True
+
+
+def _stand_in(*rows):
+    """A table with class sizes 1, 2, 4, 8 and rows given as (degree, mask)."""
+    return SimpleNamespace(
+        classes=SimpleNamespace(sizes=np.array([1, 2, 4, 8])),
+        rows=[SimpleNamespace(degree=d, center_mask=np.array(m, dtype=bool))
+              for d, m in rows],
+    )
+
+
+def _nested_record(T):
+    res = SuiteResult(suite="paper")
+    _check_nested_monotonicity(res, "stand-in", 3, T, SimpleNamespace(is_nested=True))
+    [rec] = res.records
+    return rec
+
+
+def test_nested_monotonicity_fails_on_bad_tables():
+    everything = (1, [1, 1, 1, 1])
+    good = _stand_in(everything, everything, (3, [1, 0, 1, 0]), (3, [1, 0, 1, 0]),
+                     (9, [1, 0, 0, 0]))
+    assert _pairwise_nested_monotonicity(good)
+    assert _nested_record(good).status == "pass"
+    bad = {
+        # {0, 1} is not inside {0, 2}, although the orders do shrink (5 -> 3)
+        "not nested": (_stand_in(everything, (3, [1, 0, 1, 0]), (9, [1, 1, 0, 0])),
+                       "degree 3 with |Z(chi)| = 5, degree 9 with |Z(chi)| = 3"),
+        "one degree, two centers": (
+            _stand_in(everything, (3, [1, 1, 0, 0]), (3, [1, 0, 1, 0])),
+            "degree 3 with |Z(chi)| = 3, degree 3 with |Z(chi)| = 5"),
+        "no shrinkage": (_stand_in(everything, (3, [1, 1, 0, 0]), (9, [1, 1, 0, 0])),
+                         "degree 3 with |Z(chi)| = 3, degree 9 with |Z(chi)| = 3"),
+    }
+    for name, (T, detail) in bad.items():
+        assert not _pairwise_nested_monotonicity(T), name
+        rec = _nested_record(T)
+        assert rec.status == "fail", name
+        assert rec.detail == detail, name
+        assert rec.to_json()["detail"] == detail, name
+
+
+def test_nested_monotonicity_matches_pairwise_reference():
+    checked = 0
+    for label, p in _entries_for((3,)):
+        b = bundle(label, p)
+        if not b["report"].is_nested:
+            continue
+        want = "pass" if _pairwise_nested_monotonicity(b["table"]) else "fail"
+        assert _nested_record(b["table"]).status == want, label
+        checked += 1
+    assert checked > 0
