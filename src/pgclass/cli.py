@@ -64,9 +64,8 @@ def cmd_chartable(args) -> int:
         print(f"group {P.name}: {k} classes, field prime {T.field_prime}")
         print("degrees:", dict(T.cd_multiset()))
         if k <= 24:
-            for i, r in enumerate(T.rows):
-                vals = " ".join(str(r.value(j)) for j in range(k))
-                print(f"  X{i + 1} (deg {r.degree}): {vals}")
+            for i, (r, vals) in enumerate(zip(T.rows, T.value_strings())):
+                print(f"  X{i + 1} (deg {r.degree}): {' '.join(vals)}")
         else:
             print(f"  ({k} rows; use --json for the full table)")
     return 0

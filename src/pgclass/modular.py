@@ -1,14 +1,19 @@
 """Arithmetic over the auxiliary prime field GF(q) used by the table engine.
 
-Everything here is plain integer arithmetic on numpy int64 arrays; q stays
-small (a few tens of thousands at most), so products fit comfortably in 64
-bits and the exact-float matmul trick in chartable.py stays exact.
+Everything here is plain integer arithmetic on numpy int64 arrays of
+residues in [0, q).  q is the smallest prime = 1 (mod e) above 2 sqrt|G|,
+which at desk scale stays far below 2^31, so a product of two residues
+fits in 64 bits.  The float64 matrix products that chartable.py uses for
+exact orthogonality do not work mod q at all: they are exact because
+|G| d_max^2 < 2^53, the bound that _verify_pairs_against_block states and
+checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import TableVerificationError
 from .presentation import is_prime
 
 
@@ -42,9 +47,11 @@ def primitive_root(q: int) -> int:
 
 def root_of_unity(q: int, e: int) -> int:
     """A fixed element of multiplicative order e in GF(q); requires e | q-1."""
-    assert (q - 1) % e == 0
+    if (q - 1) % e:
+        raise TableVerificationError(f"{e} does not divide {q} - 1")
     z = pow(primitive_root(q), (q - 1) // e, q)
-    assert pow(z, e, q) == 1
+    if pow(z, e, q) != 1:
+        raise TableVerificationError("root of unity has the wrong order")
     return z
 
 
@@ -147,7 +154,8 @@ def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
 def poly_lcm(a: list[int], b: list[int], q: int) -> list[int]:
     g = poly_gcd(a, b, q)
     quo, rem = poly_divmod(poly_mul(a, b, q), g, q)
-    assert rem == [0]
+    if rem != [0]:
+        raise TableVerificationError("gcd does not divide the product")
     return quo
 
 
@@ -194,7 +202,7 @@ def _vector_annihilator(S: np.ndarray, v: np.ndarray, q: int) -> list[int]:
                 if kr[k] % q:
                     inv = pow(int(kr[k]), q - 2, q)
                     return poly_trim([int(c) * inv % q for c in kr])
-            raise AssertionError("annihilator extraction failed")
+            raise TableVerificationError("annihilator extraction failed")
         rows.append(cur)
         basis = R[: len(piv)]
         cur = S @ cur % q

@@ -1,5 +1,12 @@
 """Character table machinery, cross-checked against independent oracles."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -277,3 +284,169 @@ def test_splitting_rank_loss_is_typed(monkeypatch):
     monkeypatch.setattr(modular, "rref_mod", drop_pivot)
     with pytest.raises(TableVerificationError, match="lost rank"):
         _rref_with_pivots(np.eye(3, dtype=np.int64), 13)
+
+
+# -- table JSON -----------------------------------------------------------------
+
+# sha256 of json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n" for every
+# corpus entry at p = 3 and 5, computed with per-entry formatting
+# (str(T.value(i, j)) for every entry) before value_strings existed
+TABLE_JSON_SHA256 = {
+    ("C_p", 3): "48544a1f6735c11ca0e24c3a2d5d2d507c47775cb16dac468d34bce684ba974b",
+    ("C_p2", 3): "d72c04863d8db448332ddb618df2ec4c4df5edb9746f231894578992b6975cba",
+    ("C_p3", 3): "833cc45cb5012d334281cf73a21b1e3efe4f3bfdda6f9042a8299353126f566b",
+    ("E_p2", 3): "b39dcb056c01ead37784ff3ce0d68a108fea4384d4f985870d0193e63a588a84",
+    ("E_p3", 3): "79a082fd5eb5b6a2dceacadad03b258cea2e85b9a72b751ab906a230d2671a16",
+    ("heisenberg_p3", 3): "fca80ce6969e353781004e1f7cd82a065f68129852f275bea5e6b99d7b8c7c22",
+    ("extraspecial_p3_exp_p2", 3): "453678961c00df96d524ba96f7e24fe3131bf8ac94e3e11530f808969c66c42c",
+    ("extraspecial_p5_exp_p", 3): "d938c57f0bcc6975e0b89738d604b49caa5004f60aecb452d1d294cf0e76aa89",
+    ("heisenberg_x_Cp", 3): "b3134b2831fc47e0bc4ded3b4e3dbb790434b25aea2728edc91fd762aa0e2fcf",
+    ("heisenberg_x_heisenberg", 3): "cae96b12fcff036c70619b4c152333cb841feea9ab17289e376a6cbe6568ef90",
+    ("C_p", 5): "7f87ba92ea8e8c0937919d84c8ac014e59ddf2f934cc73957ff53d657e962e8d",
+    ("C_p2", 5): "7b6293fb9876803209421dceb1e64e0eb68e533b82a2f7ffedf8499835d1039a",
+    ("C_p3", 5): "9afdbe24e3fcd63f9631463de4d5363e09943acdad91fdede089a21915d089b1",
+    ("E_p2", 5): "a51852ef0c2346ecbad9fa6ac3a66ac5e1b25b9ef4f99c8c2a1a362eb6d19344",
+    ("E_p3", 5): "c7a7274d5e5676ce1e5e81a28cfc338a1deace29783b88fcbf1b9bd72e5bcff3",
+    ("heisenberg_p3", 5): "5d074586b6e4d7a43daa01c3c7a55e6af497600a61fad37d9680a2155b7610f9",
+    ("extraspecial_p3_exp_p2", 5): "9128cb8e22395fdf0af0edeccc934ee3462b9772680f2a95aa7a621acac52303",
+    ("extraspecial_p5_exp_p", 5): "c9801120018222dc31ac5f67d075b4c9ee75424194958bf73bc3ffbb00d82591",
+    ("heisenberg_x_Cp", 5): "70f71b13ec6a6d861b6d33975efda9ddb9819830804bfc9d35e761135d941f72",
+    ("heisenberg_x_heisenberg", 5): "4db8aa9749bdeb92027025449223bb7b0c72055ce4a6427d9eb1348a6c805015",
+    ("G_(12,1)", 5): "4c3b64bd1283bf3999e8b3574f1be7703cd56fac72f589dfbd99d4b5c2da7cba",
+    ("G_(14,3)", 5): "5a9bd0e66f9eb94321a282979c7ead7ac87229413efda3f61f232f65c0eaeace",
+    ("G_(17,1)", 5): "7291ee2c6e73e5a015877a77dbedcb8d2518fa239bf9b89f59e508aa087d05b2",
+    ("G_(18,1)", 5): "20c15fb5fe89f3c1e62ee46afd61b5848e6316170be1a54d59d5a047272c01cf",
+    ("G_(19,1)", 5): "24c28ca5d73b9cbd5e257a435bdf7807b61a29b8e605a3b80bc87d171472ced8",
+    ("G_(20,1)", 5): "d3ea9c5c70b02779a5586081db95acbe155bb6fa204ccff0e89a088ea10e912b",
+}
+
+
+def test_table_json_golden_hashes():
+    from pgclass.corpus import REGISTRY
+
+    entries = {(label, p) for p in (3, 5) for label, entry in REGISTRY.items()
+               if entry.min_p <= p and (entry.max_p is None or p <= entry.max_p)}
+    assert entries == set(TABLE_JSON_SHA256)
+    wrong = []
+    for (label, p), want in TABLE_JSON_SHA256.items():
+        text = json.dumps(table(label, p).to_json(), indent=2, sort_keys=True) + "\n"
+        if hashlib.sha256(text.encode()).hexdigest() != want:
+            wrong.append((label, p))
+    assert not wrong
+
+
+@pytest.mark.parametrize("label", ["G_(20,1)", "G_(14,3)"])
+def test_value_strings_match_values(label):
+    """Every row, on a fixed column stride: the JSON string of an entry is
+    str of its exact value."""
+    T = table(label, 5)
+    js = T.to_json()
+    cols = list(range(0, T.count, 13)) + [T.count - 1]
+    for i, row in enumerate(js["rows"]):
+        for j in cols:
+            assert row["values"][j] == str(T.value(i, j)), (i, j)
+    if label == "G_(20,1)":
+        assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
+    else:
+        assert T.exponent == 625
+
+
+def test_to_json_formats_each_distinct_value_once(monkeypatch):
+    """Cyclotomic.__str__ runs at most once per distinct stored value, far
+    fewer times than there are entries."""
+    T = table("G_(14,3)", 5)
+    e = T.exponent
+    assert {r.kind for r in T.rows} == {"unity", "central"}
+    distinct = set()
+    for r in T.rows:
+        if r.kind == "unity":
+            distinct.update(("unity", int(t)) for t in np.asarray(r.texp) % e)
+        else:
+            distinct.update((r.degree, int(t)) for t in np.asarray(r.texp_on) % e)
+            distinct.add("zero")
+    calls = 0
+    fmt = Cyclotomic.__str__
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return fmt(self)
+
+    monkeypatch.setattr(Cyclotomic, "__str__", counting_str)
+    T.to_json()
+    assert 0 < calls <= len(distinct)
+    assert len(distinct) * 1000 < T.count ** 2
+
+
+def test_float64_bound_is_checked(monkeypatch):
+    """The BLAS orthogonality check refuses a table whose |G| d_max^2 is
+    not below the float64 exact range."""
+    import pgclass.chartable as chartable_mod
+
+    T = table("G_(20,1)", 5)
+    dense = [r for r in T.rows if r.kind == "dense"]
+    d_max = max(T.degrees())
+    bound = T.group.order * d_max * d_max
+    monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound + 1)
+    chartable_mod._verify_pairs_against_block(T, dense, [])
+    monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound)
+    with pytest.raises(TableVerificationError, match="float64"):
+        chartable_mod._verify_pairs_against_block(T, dense, [])
+
+
+def test_table_guards_survive_optimize():
+    """Under python -O the exactness guards of chartable and modular still
+    raise TableVerificationError."""
+    code = (
+        "from fractions import Fraction\n"
+        "from types import SimpleNamespace\n"
+        "import numpy as np\n"
+        "import pgclass as pg\n"
+        "import pgclass.chartable as ct\n"
+        "import pgclass.modular as md\n"
+        "from pgclass import Cyclotomic\n"
+        "lce = ct.linear_character_exponents\n"
+        "def trivial_only(Z):\n"
+        "    Tz, eZ = lce(Z)\n"
+        "    return Tz[:1], eZ\n"
+        "def central_blocks():\n"
+        "    ct.linear_character_exponents = trivial_only\n"
+        "    try:\n"
+        "        ct.compute_table(pg.build('heisenberg_p3', 3))\n"
+        "    finally:\n"
+        "        ct.linear_character_exponents = lce\n"
+        "def lcm():\n"
+        "    md.poly_gcd = lambda a, b, q: [1, 1]\n"
+        "    md.poly_lcm([2], [3], 7)\n"
+        "def annihilator():\n"
+        "    md.kernel_basis_mod = lambda M, q: np.zeros((0, M.shape[1]), dtype=np.int64)\n"
+        "    md._vector_annihilator(np.eye(2, dtype=np.int64), np.array([1, 0]), 7)\n"
+        "half = ct._Row(1, 3, 1, 'sparse', values={0: Cyclotomic.rational(Fraction(1, 2))})\n"
+        "irrational = SimpleNamespace(\n"
+        "    classes=SimpleNamespace(count=1), exponent=5,\n"
+        "    rows=[ct._Row(1, 5, 1, 'sparse', values={0: 1 + Cyclotomic.root(5)})])\n"
+        "checks = {\n"
+        "    'lift_unity': lambda: ct._lift_unity(np.array([0, 1]), np.array([0, -1])),\n"
+        "    'central_blocks': central_blocks,\n"
+        "    'tilde': lambda: half.tilde(7, np.array([1, 2, 4])),\n"
+        "    'column_diagonal': lambda: ct._verify_column_diagonal(irrational),\n"
+        "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
+        "    'poly_lcm': lcm,\n"
+        "    'annihilator': annihilator,\n"
+        "}\n"
+        "for name, check in checks.items():\n"
+        "    try:\n"
+        "        check()\n"
+        "    except pg.TableVerificationError:\n"
+        "        print(name)\n"
+    )
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "lift_unity", "central_blocks", "tilde", "column_diagonal",
+        "root_of_unity", "poly_lcm", "annihilator",
+    ]

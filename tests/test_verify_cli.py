@@ -99,6 +99,34 @@ def test_cli_chartable_json(tmp_path):
     assert js["rows"][0]["values"] == ["1", "1", "1"]
 
 
+def test_cli_chartable_text(tmp_path):
+    f = write_pres(tmp_path, "heisenberg_p3", 3)
+    code, out, _ = run_cli("chartable", str(f))
+    assert code == 0
+    T = pg.compute_table(pg.build("heisenberg_p3", 3))
+    lines = out.splitlines()[2:]
+    assert len(lines) == T.count
+    for i, line in enumerate(lines):
+        vals = " ".join(str(T.value(i, j)) for j in range(T.count))
+        assert line == f"  X{i + 1} (deg {T.rows[i].degree}): {vals}"
+
+
+def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
+    """A table guard that fires under `chartable --json` is an internal
+    inconsistency: exit 2 with the error in the JSON."""
+    import pgclass.chartable as chartable_mod
+
+    f = write_pres(tmp_path, "heisenberg_p3", 3)
+    monkeypatch.setattr(chartable_mod, "_table_cache", {})
+    monkeypatch.setattr(chartable_mod, "discrete_log_table",
+                        lambda q, z, e: np.full(q, -1, dtype=np.int64))
+    code, out, _ = run_cli("chartable", str(f), "--json")
+    assert code == 2
+    js = json.loads(out)
+    assert js["internal"] is True
+    assert "root-of-unity group" in js["error"]
+
+
 def test_cli_count():
     code, out, _ = run_cli("count", "--p", "5", "--order", "p6", "--json")
     assert code == 0
