@@ -73,14 +73,14 @@ def is_flat(P) -> bool:
     G = group_of(P)
     cls = G.conjugacy_classes
     inv = G.inverse_table
+    comms = _generator_commutators(G, cls.reps)
     for c in range(cls.count):
         size = int(cls.sizes[c])
         if size == 1:
             continue
         g = int(cls.reps[c])
         commset = G.lmul_array(cls.members[c].copy(), int(inv[g]))
-        gen_comms = [G.comm(g, G.gen_index(t)) for t in range(G.n)]
-        fast = G.subgroup_closure(gen_comms)
+        fast = G.subgroup_closure(comms[c])
         if fast.size == size:
             member = np.zeros(G.order, dtype=bool)
             member[fast] = True
@@ -90,6 +90,13 @@ def is_flat(P) -> bool:
         if full.size != size:
             return False
     return True
+
+
+def _generator_commutators(G, xs: np.ndarray) -> np.ndarray:
+    """out[i, t] = [xs[i], a_t] = xs[i]^-1 (a_t^-1 xs[i] a_t), one
+    pairwise product per pc generator a_t."""
+    return np.stack([G.pairwise_mul(G.inverse_table[xs], conj[xs])
+                     for conj in G.conj_tables], axis=1)
 
 
 def is_nested(T: CharacterTable) -> bool:

@@ -14,6 +14,18 @@ conjugation that stays inside H_{t+1}.  Everything downstream (conjugacy
 classes, centralizers, subgroup closures, quotients) is numpy permutation
 work on these tables.  The collector in presentation.py is the independent
 reference; the test suite cross-checks the two.
+
+Conjugacy classes and quotient cosets are orbits, and both come from one
+kernel, _orbit_minima.  For a subgroup chain K = K_1 > ... > K_{m+1} = 1
+with K_i = U_e a_i^e K_{i+1} (e in [0, p)), the orbit of x under K_i is
+the union of the K_{i+1}-orbits of a_i^e . x, so
+
+    r_i(x) = min_e r_{i+1}(a_i^e . x),   r_{m+1} = identity,
+
+and r_1(x) is the smallest member of the K-orbit of x after m (p - 1)
+array gathers.  The suffix chain H_t is normal in G, so every K ∩ H_t is
+normal in K ∩ H_{t-1} with a factor of order 1 or p; the chain-jump
+elements of _chain_gens are therefore a pc sequence for any subgroup K.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PgclassError
+from .errors import InternalInconsistencyError, PgclassError
 from .presentation import (
     Element,
     PcPresentation,
@@ -122,7 +134,9 @@ class Group:
             if m == 1:
                 conjsuffix = np.zeros(1, dtype=np.int64)
                 w_idx = 0
-                assert not P.power_rels[t]
+                if P.power_rels[t]:
+                    raise InternalInconsistencyError(
+                        "the last generator has a nontrivial power relation")
             else:
                 conjsuffix = np.zeros(1, dtype=np.int64)
                 for j in range(t + 1, n):
@@ -300,43 +314,23 @@ class Group:
 
     @cached_property
     def conjugacy_classes(self) -> "ConjugacyClassSet":
-        order = self.order
-        seen = np.zeros(order, dtype=bool)
-        classof = np.empty(order, dtype=np.int64)
-        reps: list[int] = []
-        members: list[np.ndarray] = []
-        conj = self.conj_tables
-        central = self.center_mask
-        for x in range(order):
-            if seen[x]:
-                continue
-            cid = len(reps)
-            if central[x]:
-                seen[x] = True
-                classof[x] = cid
-                reps.append(x)
-                members.append(np.array([x], dtype=np.int64))
-                continue
-            collected = [np.array([x], dtype=np.int64)]
-            seen[x] = True
-            frontier = collected[0]
-            while frontier.size:
-                imgs = np.unique(np.concatenate([c[frontier] for c in conj]))
-                imgs = imgs[~seen[imgs]]
-                seen[imgs] = True
-                if imgs.size:
-                    collected.append(imgs)
-                frontier = imgs
-            cls = np.sort(np.concatenate(collected))
-            classof[cls] = cid
-            reps.append(x)
-            members.append(cls)
-        sizes = np.array([c.size for c in members], dtype=np.int64)
+        """Classes as orbit minima under the pc generators' conjugation.
+
+        The suffix chain G = H_0 > H_1 > ... > 1 has H_t = U_e g_t^e H_{t+1},
+        so _orbit_minima over conj_tables labels each element with the
+        smallest member of its class; one stable sort groups the labels."""
+        labels = _orbit_minima(self, self.conj_tables)
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        sizes = np.diff(np.r_[starts, self.order])
+        classof = np.empty(self.order, dtype=np.int64)
+        classof[order] = np.repeat(np.arange(starts.size, dtype=np.int64), sizes)
         return ConjugacyClassSet(
             group=self,
-            reps=np.array(reps, dtype=np.int64),
+            reps=ordered[starts],
             sizes=sizes,
-            members=members,
+            members=np.split(order, starts[1:]),
             classof=classof,
         )
 
@@ -392,7 +386,8 @@ class Group:
             for t in range(self.n):
                 seeds.append(self.pairwise_mul(inv[current], self.conj_tables[t][current]))
             nxt = self.normal_closure(np.unique(np.concatenate(seeds)))
-            assert nxt.size < current.size, "lower central series stalled"
+            if nxt.size >= current.size:
+                raise InternalInconsistencyError("lower central series stalled")
             series.append(nxt)
             current = nxt
         return series
@@ -403,8 +398,16 @@ class Group:
 
     @cached_property
     def exponent(self) -> int:
-        reps = self.conjugacy_classes.reps
-        return max(self.element_order(int(r)) for r in reps)
+        """p^k for the least k with x^(p^k) = 1 on every class rep."""
+        xs = self.conjugacy_classes.reps[1:]
+        exp = 1
+        while xs.size:
+            ys = xs
+            for _ in range(1, self.p):
+                ys = self.pairwise_mul(ys, xs)
+            xs = ys[ys != 0]
+            exp *= self.p
+        return exp
 
     def centralizer_indices(self, g: int) -> np.ndarray:
         if g == 0:
@@ -413,6 +416,23 @@ class Group:
 
     def elements(self) -> list[Element]:
         return [self.element_of(i) for i in range(self.order)]
+
+
+def _orbit_minima(G: Group, perms: list[np.ndarray]) -> np.ndarray:
+    """r[x] = the smallest point of x's orbit under a chain-adapted action.
+
+    perms[i] is the permutation of a_i, where K_i = <a_i, ..., a_m> has
+    K_i = U_{e < p} a_i^e K_{i+1}: then r_i(x) = min_e r_{i+1}(a_i^e . x),
+    taken deepest level first from r_{m+1} = identity."""
+    r = np.arange(G.order, dtype=np.int64)
+    for perm in reversed(perms):
+        shifted = r
+        best = r
+        for _ in range(1, G.p):
+            shifted = shifted[perm]
+            best = np.minimum(best, shifted)
+        r = best
+    return r
 
 
 def _chain_gens(G: Group, idxs: np.ndarray) -> tuple[int, ...]:
@@ -562,7 +582,7 @@ def _peel_digits(
             if k < p - 1 and not found.all():
                 ys[~found] = G.lmul_array(ys[~found], ginv)
         if not found.all():
-            raise AssertionError("chain digit extraction failed")
+            raise InternalInconsistencyError("chain digit extraction failed")
     return digits
 
 
@@ -571,6 +591,10 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
 
     The canonical coset representative is the lexicographically smallest
     member of Nx; membership in N*H_{i+1} is then just a bound test on it.
+    The minima come from _orbit_minima over left multiplication by the
+    chain-jump elements b_i of N: each N ∩ H_{i+1} is normal in N ∩ H_i
+    (H_{i+1} is normal in G) with a factor of order 1 or p, so
+    N ∩ H_i = U_e b_i^e (N ∩ H_{i+1}) and min(Nx) needs |b| (p - 1) gathers.
     """
     G = group_of(P)
     if N.group is not G:
@@ -581,15 +605,13 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
         raise ValueError("quotient by the whole group is not supported")
     p, n = G.p, G.n
 
-    rep = np.arange(G.order, dtype=np.int64)
-    for h in N.indices:
-        if h:
-            rep = np.minimum(rep, G.lmul_perm(int(h)))
+    rep = _orbit_minima(G, [G.lmul_perm(g) for g in _chain_gens(G, N.indices)])
 
     jumps = [i for i in range(n) if rep[G.gen_index(i)] >= p ** (n - 1 - i)]
     jump_gens = [G.gen_index(i) for i in jumps]
     m = len(jumps)
-    assert p**m * N.order == G.order, "chain jumps inconsistent with |N|"
+    if p**m * N.order != G.order:
+        raise InternalInconsistencyError("chain jumps inconsistent with |N|")
 
     bounds = [p ** (n - 1 - i) for i in jumps]
 
@@ -598,7 +620,8 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
 
     def word_from(y: int, start: int) -> Word:
         digs = _peel_digits(G, np.array([y]), jumps, jump_gens, in_next)[0]
-        assert not digs[:start].any(), "relation word escapes its chain level"
+        if digs[:start].any():
+            raise InternalInconsistencyError("relation word escapes its chain level")
         return tuple((a, int(e)) for a, e in enumerate(digs) if e and a >= start)
 
     power_rels = []
@@ -622,7 +645,8 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
     digs = _peel_digits(G, uniq, jumps, jump_gens, in_next)
     qweights = np.array([p ** (m - 1 - a) for a in range(m)], dtype=np.int64)
     qidx = digs @ qweights
-    assert np.unique(qidx).size == Qgrp.order == uniq.size
+    if not np.unique(qidx).size == Qgrp.order == uniq.size:
+        raise InternalInconsistencyError("coset minima do not index the quotient")
     proj = qidx[inverse]
     section = np.empty(Qgrp.order, dtype=np.int64)
     section[qidx] = uniq
@@ -643,7 +667,8 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
             jumps.append(i)
             jump_gens.append(int(idxs[lo]))
     m = len(jumps)
-    assert p**m == H.order, "subgroup chain has a non-prime step"
+    if p**m != H.order:
+        raise InternalInconsistencyError("subgroup chain has a non-prime step")
 
     mask = H.mask
 
@@ -653,7 +678,8 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
 
     def word_from(y: int, start: int) -> Word:
         digs = _peel_digits(G, np.array([y]), jumps, jump_gens, in_next)[0]
-        assert not digs[:start].any()
+        if digs[:start].any():
+            raise InternalInconsistencyError("relation word escapes its chain level")
         return tuple((a, int(e)) for a, e in enumerate(digs) if e and a >= start)
 
     power_rels = []
@@ -681,7 +707,8 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
             cur = G.rmul_array(cur, jump_gens[a])
             blocks.append(cur)
         to_parent = np.stack(blocks, axis=1).reshape(-1)
-    assert np.unique(to_parent).size == H.order
+    if np.unique(to_parent).size != H.order:
+        raise InternalInconsistencyError("subgroup normal forms are not distinct")
     from_parent = {int(g): s for s, g in enumerate(to_parent)}
     return SubgroupGroup(
         parent=G, group=Sgrp, presentation=SP, to_parent=to_parent, from_parent=from_parent
@@ -767,7 +794,8 @@ def abelian_invariants(H: Subgroup) -> tuple[int, ...]:
         power = 0
         while p**power < count:
             power += 1
-        assert p**power == count, "subgroup power-count is not a p-power"
+        if p**power != count:
+            raise InternalInconsistencyError("subgroup power-count is not a p-power")
         if k > 0:
             ms.append(power)
         if count == H.order:

@@ -185,14 +185,23 @@ def minimal_polynomial(S: np.ndarray, q: int, *, exhaustive: bool = False) -> li
 
 
 def _vector_annihilator(S: np.ndarray, v: np.ndarray, q: int) -> list[int]:
-    d = S.shape[0]
+    """Monic generator of {f : f(S) v = 0} over GF(q).
+
+    Each new Krylov vector S^k v is reduced against the echelon rows kept
+    from the earlier ones (row i is monic at pivot[i] and zero at the
+    pivots before it); the first that reduces to zero ends the sequence,
+    and the kernel of the stacked Krylov vectors gives the coefficients."""
     rows = []
-    basis = np.zeros((0, d), dtype=np.int64)
+    echelon: list[np.ndarray] = []
+    pivots: list[int] = []
     cur = v % q
-    while True:
-        aug = np.concatenate([basis, cur[None, :]], axis=0)
-        R, piv = rref_mod(aug, q)
-        if len(piv) < aug.shape[0]:
+    for _ in range(S.shape[0] + 1):
+        red = cur
+        for row, pc in zip(echelon, pivots):
+            if red[pc]:
+                red = (red - red[pc] * row) % q
+        nz = np.flatnonzero(red)
+        if nz.size == 0:
             # current power is dependent: solve for coefficients
             k = len(rows)
             M = np.stack(rows + [cur], axis=0)  # (k+1) x d
@@ -203,9 +212,12 @@ def _vector_annihilator(S: np.ndarray, v: np.ndarray, q: int) -> list[int]:
                     inv = pow(int(kr[k]), q - 2, q)
                     return poly_trim([int(c) * inv % q for c in kr])
             raise TableVerificationError("annihilator extraction failed")
+        pc = int(nz[0])
+        echelon.append(red * pow(int(red[pc]), q - 2, q) % q)
+        pivots.append(pc)
         rows.append(cur)
-        basis = R[: len(piv)]
         cur = S @ cur % q
+    raise TableVerificationError("Krylov vectors stay independent past the dimension")
 
 
 def poly_roots(poly: list[int], q: int) -> list[int]:

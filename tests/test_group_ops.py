@@ -1,11 +1,16 @@
 """Structural operations, cross-checked against collector-based brute force."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pgclass as pg
+from pgclass.classify import _generator_commutators
 from pgclass.group import group_of, quotient, subgroup_as_group
 from pgclass.presentation import collector
 
@@ -49,6 +54,47 @@ def naive_classes(P):
     return sorted(classes)
 
 
+def bfs_classes(G):
+    """Classes by breadth-first search over the generators' conjugation,
+    scanning elements in increasing order (so each rep is its class's
+    smallest member)."""
+    seen = np.zeros(G.order, dtype=bool)
+    classof = np.empty(G.order, dtype=np.int64)
+    reps, members = [], []
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        collected = [np.array([x], dtype=np.int64)]
+        seen[x] = True
+        frontier = collected[0]
+        while frontier.size:
+            imgs = np.unique(np.concatenate([c[frontier] for c in G.conj_tables]))
+            imgs = imgs[~seen[imgs]]
+            seen[imgs] = True
+            if imgs.size:
+                collected.append(imgs)
+            frontier = imgs
+        cls = np.sort(np.concatenate(collected))
+        classof[cls] = len(reps)
+        reps.append(x)
+        members.append(cls)
+    return reps, [m.size for m in members], members, classof
+
+
+def brute_coset_minima(G, N):
+    """min{h x : h in N} for every x, one left multiplication per h."""
+    rep = np.arange(G.order, dtype=np.int64)
+    for h in N.indices:
+        rep = np.minimum(rep, G.lmul_perm(int(h)))
+    return rep
+
+
+# every corpus entry at p = 3, plus two order-5^6 groups of class 2 and 3
+ORACLE_GROUPS = [
+    (label, 3) for label, entry in pg.REGISTRY.items() if entry.min_p <= 3
+] + [("G_(14,3)", 5), ("G_(17,1)", 5)]
+
+
 def test_center_heisenberg_vs_brute_force():
     P = heis()
     G = group_of(P)
@@ -82,6 +128,71 @@ def test_conjugacy_classes_heisenberg_vs_brute_force():
     sizes = sorted(cls.sizes.tolist())
     assert sizes == [1, 1, 1] + [3] * 8
     assert int(cls.sizes.sum()) == 27
+
+
+@pytest.mark.parametrize("label,p", ORACLE_GROUPS)
+def test_conjugacy_classes_match_bfs_reference(label, p):
+    G = group_of(pg.build(label, p))
+    cls = G.conjugacy_classes
+    reps, sizes, members, classof = bfs_classes(G)
+    assert cls.reps.tolist() == reps
+    assert cls.sizes.tolist() == sizes
+    assert (cls.classof == classof).all()
+    assert len(cls.members) == len(members)
+    for got, want in zip(cls.members, members):
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("label,p", ORACLE_GROUPS)
+def test_quotient_coset_minima_match_brute_force(label, p):
+    G = group_of(pg.build(label, p))
+    last = pg.subgroup_generated([G.gen_index(G.n - 1)], G)
+    for N in (G.derived, G.center, last):
+        if N.order == G.order:
+            continue
+        want = brute_coset_minima(G, N)
+        Q = quotient(G, N)
+        assert (Q.section[Q.proj] == want).all(), (label, p, N.order)
+        assert (np.sort(Q.section) == np.unique(want)).all(), (label, p, N.order)
+
+
+@pytest.mark.parametrize("label,p", ORACLE_GROUPS)
+def test_exponent_matches_element_orders(label, p):
+    G = group_of(pg.build(label, p))
+    assert G.exponent == max(G.element_order(int(r)) for r in G.conjugacy_classes.reps)
+
+
+@pytest.mark.parametrize("label,p", ORACLE_GROUPS)
+def test_batched_generator_commutators(label, p):
+    G = group_of(pg.build(label, p))
+    reps = G.conjugacy_classes.reps
+    comms = _generator_commutators(G, reps)
+    assert comms.shape == (reps.size, G.n)
+    for c, g in enumerate(reps.tolist()):
+        assert comms[c].tolist() == [G.comm(g, G.gen_index(t)) for t in range(G.n)]
+
+
+def test_quotient_guard_survives_optimize():
+    """Under python -O a wrong coset minimum still raises the typed error."""
+    code = (
+        "import numpy as np\n"
+        "import pgclass as pg\n"
+        "import pgclass.group as gr\n"
+        "G = gr.group_of(pg.build('heisenberg_p3', 3))\n"
+        "D = G.derived\n"
+        "gr._orbit_minima = lambda G, perms: np.arange(G.order, dtype=np.int64)\n"
+        "try:\n"
+        "    gr.quotient(G, D)\n"
+        "except pg.InternalInconsistencyError:\n"
+        "    print('typed')\n"
+    )
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "typed"
 
 
 def test_class_sizes_divide_order():
