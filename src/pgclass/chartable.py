@@ -17,14 +17,17 @@ Pipeline for a non-abelian group:
 4.  Degrees come from the norm relation d^2 = |G| / sum_j w_j w_j* / n_j;
     since distinct p-powers below sqrt|G| stay distinct mod q, the degree
     is recovered exactly.
-5.  Values lift to Q(zeta_e) through the multiplicity formula
-    m_u = (1/m) sum_s chi(g^s) z^(-us) evaluated mod q; each multiplicity
-    is an integer in [0, d] < q, so the lift is exact.  Two accelerations
-    keep this tractable: degree-1 rows are discrete logs of their mod-q
-    values, and a candidate class whose power sequence is verified to be
-    geometric mod q has multiplicity vector d*delta, i.e. value d*zeta^t.
-    A row whose certified support H satisfies d^2 |H| = |G| vanishes off H
-    because sum over G of |chi|^2 = |G| leaves nothing for the complement.
+5.  Values lift to Q(zeta_e).  Degree-1 rows are discrete logs of their
+    mod-q values.  Every other row is first offered to geometric
+    certification: a candidate class (|chi|^2 = d^2 mod q) whose power
+    sequence is verified to be geometric mod q has multiplicity vector
+    d*delta, i.e. value d*zeta^t, and a row whose certified support H
+    satisfies d^2 |H| = |G| vanishes off H because sum over G of
+    |chi|^2 = |G| leaves nothing for the complement.  The rows left over
+    take Dixon's recovery at every class: for a class of element order m
+    the multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one
+    m-point DFT along the class's power orbit, evaluated mod q.  Each
+    multiplicity is an integer in [0, d] < q, so the lift is exact.
 
 All verification (sum of squares, orthogonality, column norms, degree
 bounds) is exact; see _verify_table for how each check is grounded.
@@ -50,7 +53,6 @@ from .modular import (
 )
 
 _MAX_CLASSES = 6000
-_SMALL_E = 64
 _FLOAT64_EXACT = 2**53  # every integer below this is exact in float64
 
 
@@ -61,19 +63,18 @@ _FLOAT64_EXACT = 2**53  # every integer below this is exact in float64
 class _Row:
     """One irreducible character, stored compactly by shape."""
 
-    __slots__ = ("degree", "e", "k", "kind", "texp", "support", "texp_on", "mults", "values")
+    __slots__ = ("degree", "e", "k", "kind", "texp", "support", "texp_on", "mults")
 
     def __init__(self, degree, e, k, kind, texp=None, support=None, texp_on=None,
-                 mults=None, values=None):
+                 mults=None):
         self.degree = int(degree)
         self.e = e
         self.k = k
-        self.kind = kind          # 'unity' | 'central' | 'dense' | 'sparse'
+        self.kind = kind          # 'unity' | 'central' | 'dense'
         self.texp = texp          # unity: (k,) exponents of zeta_e
         self.support = support    # central: sorted class indices with nonzero value
         self.texp_on = texp_on    # central: exponents on the support
-        self.mults = mults        # dense: (k, e) eigenvalue multiplicities
-        self.values = values      # sparse: dict class -> Cyclotomic (nonzero)
+        self.mults = mults        # dense: (k, e) int32 eigenvalue multiplicities
 
     # -- exact values --------------------------------------------------------
 
@@ -85,9 +86,7 @@ class _Row:
             if pos < self.support.size and self.support[pos] == j:
                 return self.degree * Cyclotomic.root(self.e, int(self.texp_on[pos]))
             return Cyclotomic.zero()
-        if self.kind == "dense":
-            return root_sum(self.e, self.mults[j])
-        return self.values.get(j, Cyclotomic.zero())
+        return root_sum(self.e, self.mults[j])
 
     def value_strings(self, memo: dict) -> list[str]:
         """str(self.value(j)) for every class j, formatting each distinct
@@ -97,10 +96,7 @@ class _Row:
         value(j) is a function of that key alone: the exponent t of zeta_e
         (unity), the degree with t or the zero off the support (central),
         or the multiplicity vector (dense).  The exponent e is not in the
-        key, so one memo serves the rows of one table only.  Sparse rows
-        store their values as Cyclotomic objects and format each entry."""
-        if self.kind == "sparse":
-            return [str(self.value(j)) for j in range(self.k)]
+        key, so one memo serves the rows of one table only."""
         if self.kind == "unity":
             uniq, first, inv = np.unique(
                 np.asarray(self.texp) % self.e, return_index=True, return_inverse=True
@@ -135,11 +131,7 @@ class _Row:
             m = np.zeros(self.k, dtype=bool)
             m[self.support] = True
             return m
-        if self.kind == "dense":
-            return ~_zero_mask_pp(self.mults, self.e)
-        m = np.zeros(self.k, dtype=bool)
-        m[list(self.values)] = True
-        return m
+        return ~_zero_mask_pp(self.mults, self.e)
 
     @property
     def center_mask(self) -> np.ndarray:
@@ -150,14 +142,8 @@ class _Row:
             m = np.zeros(self.k, dtype=bool)
             m[self.support] = True
             return m
-        if self.kind == "dense":
-            # |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
-            return self.mults.max(axis=1) == self.degree
-        m = np.zeros(self.k, dtype=bool)
-        d2 = Fraction(self.degree * self.degree)
-        for j, v in self.values.items():
-            m[j] = v.abs_squared().equals_rational(d2)
-        return m
+        # dense: |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
+        return self.mults.max(axis=1) == self.degree
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -167,31 +153,17 @@ class _Row:
             m = np.zeros(self.k, dtype=bool)
             m[self.support[np.asarray(self.texp_on) == 0]] = True
             return m
-        if self.kind == "dense":
-            return self.mults[:, 0] == self.degree
-        m = np.zeros(self.k, dtype=bool)
-        for j, v in self.values.items():
-            m[j] = v.equals_rational(self.degree)
-        return m
+        return self.mults[:, 0] == self.degree
 
     def tilde(self, q: int, zpow: np.ndarray) -> np.ndarray:
         """The row reduced mod q (for sorting and cross-checks)."""
-        out = np.zeros(self.k, dtype=np.int64)
         if self.kind == "unity":
             return zpow[np.asarray(self.texp) % self.e]
         if self.kind == "central":
+            out = np.zeros(self.k, dtype=np.int64)
             out[self.support] = self.degree * zpow[np.asarray(self.texp_on) % self.e] % q
             return out
-        if self.kind == "dense":
-            return self.mults.astype(np.int64) @ zpow % q
-        for j, v in self.values.items():
-            acc = 0
-            for kk, c in v.coeffs.items():
-                if c.denominator != 1:
-                    raise TableVerificationError("character value is not integral")
-                acc += c.numerator * int(zpow[kk * (self.e // v.order) % self.e])
-            out[j] = acc % q
-        return out
+        return self.mults.astype(np.int64) @ zpow % q
 
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
@@ -306,7 +278,7 @@ def class_constants(C: ConjugacyClassSet) -> np.ndarray:
     """Class-algebra structure constants a[i][j][k] (explicit, small groups).
 
     a[i][j][k] counts pairs (x, y) in K_i x K_j with x*y = rep_k; the
-    identity sum_k a[i][j][k] |K_k| = |K_i| |K_j| is asserted.
+    identity sum_k a[i][j][k] |K_k| = |K_i| |K_j| is checked.
     """
     G = C.group
     k = C.count
@@ -321,7 +293,8 @@ def class_constants(C: ConjugacyClassSet) -> np.ndarray:
             a[i, :, kk] += np.bincount(C.classof[ys], minlength=k)
     sizes = C.sizes
     lhs = (a * sizes[None, None, :]).sum(axis=2)
-    assert (lhs == np.outer(sizes, sizes)).all(), "structure constant sum rule failed"
+    if not (lhs == np.outer(sizes, sizes)).all():
+        raise TableVerificationError("structure constant sum rule failed")
     return a
 
 
@@ -332,26 +305,30 @@ def class_constants(C: ConjugacyClassSet) -> np.ndarray:
 def linear_character_exponents(G: Group) -> tuple[np.ndarray, int]:
     """All |G| homomorphisms G -> <zeta_eA> for abelian G, as exponent rows
     over the pc generators (with respect to zeta_eA)."""
-    assert G.is_abelian
+    if not G.is_abelian:
+        raise TableVerificationError("linear character exponents need an abelian group")
     eA = G.exponent
     p, n = G.p, G.n
     T = np.zeros((1, n), dtype=np.int64)
     for i in range(n - 1, -1, -1):
         y = G.pow(G.gen_index(i), p)
         digs = [y // G._weights[j] % p for j in range(n)]
-        assert all(digs[j] == 0 for j in range(i + 1))
+        if any(digs[j] for j in range(i + 1)):
+            raise TableVerificationError("power of a pc generator leaves its tail")
         u = np.zeros(T.shape[0], dtype=np.int64)
         for j in range(i + 1, n):
             if digs[j]:
                 u = (u + digs[j] * T[:, j]) % eA
-        assert (u % p == 0).all(), "abelian power chain inconsistent"
+        if (u % p).any():
+            raise TableVerificationError("abelian power chain inconsistent")
         blocks = []
         for b in range(p):
             Tb = T.copy()
             Tb[:, i] = (u // p + b * (eA // p)) % eA
             blocks.append(Tb)
         T = np.concatenate(blocks, axis=0)
-    assert T.shape[0] == G.order
+    if T.shape[0] != G.order:
+        raise TableVerificationError("linear character count differs from |G|")
     return T, eA
 
 
@@ -369,33 +346,29 @@ def _eval_linear(G: Group, T: np.ndarray, eA: int, idxs: np.ndarray) -> np.ndarr
 
 
 class _PowerData:
-    """Class indices of rep_j^s for s = 0..ord(rep_j)-1, batched."""
+    """Power orbits of the classes cols (a nonempty index array, which the
+    identity class always joins): mat[s, i] is the class of rep^s for
+    rep = reps[cols[i]] and s < ords[i], the order of rep, and -1 past it."""
 
     def __init__(self, G: Group, cls: ConjugacyClassSet, cols: np.ndarray, e: int):
         self.cols = cols
         reps = cls.reps[cols].astype(np.int64)
         X = np.zeros(cols.size, dtype=np.int64)
-        rows = [cls.classof[X].copy()]
+        rows = [cls.classof[X]]
         ords = np.zeros(cols.size, dtype=np.int64)
         active = np.arange(cols.size)
-        s = 0
         while active.size:
+            if len(rows) > e:
+                raise TableVerificationError("element order exceeded the group exponent")
             X[active] = G.pairwise_mul(X[active], reps[active])
-            s += 1
             done = X[active] == 0
-            ords[active[done]] = s
+            ords[active[done]] = len(rows)
             active = active[~done]
-            if active.size:
-                rows.append(None)  # placeholder, filled below
-                rows[-1] = np.full(cols.size, -1, dtype=np.int64)
-                rows[-1][active] = cls.classof[X[active]]
-            assert s <= e, "element order exceeded the group exponent"
+            row = np.full(cols.size, -1, dtype=np.int64)
+            row[active] = cls.classof[X[active]]
+            rows.append(row)
         self.ords = ords
-        mat = np.full((s, cols.size), -1, dtype=np.int64)
-        mat[0] = rows[0]
-        for t in range(1, len(rows)):
-            mat[t] = rows[t]
-        self.mat = mat
+        self.mat = np.stack(rows[:-1])
         self.pos = {int(c): i for i, c in enumerate(cols)}
 
     def orbit(self, class_index: int) -> np.ndarray:
@@ -411,25 +384,13 @@ def _linear_rows_data(G: Group, cls: ConjugacyClassSet, e: int):
     D = G.derived
     Q = quotient(G, D)
     TQ, eQ = linear_character_exponents(Q.group)
-    assert e % eQ == 0
+    if e % eQ:
+        raise TableVerificationError("exponent of G/G' does not divide e")
     proj_reps = Q.proj[cls.reps]
     vals = _eval_linear(Q.group, TQ, eQ, proj_reps) * (e // eQ) % e
     centidx = np.flatnonzero(cls.sizes == 1)
     keys = [tuple(int(x) for x in row[centidx]) for row in vals]
     return vals, keys
-
-
-def _full_power_table(G: Group, cls: ConjugacyClassSet, e: int) -> np.ndarray:
-    """PC[s, j] = class of rep_j^s for all s in [0, e) (small e only)."""
-    k = cls.count
-    reps = cls.reps.astype(np.int64)
-    X = np.zeros(k, dtype=np.int64)
-    out = np.empty((e, k), dtype=np.int64)
-    out[0] = cls.classof[X]
-    for s in range(1, e):
-        X = G.pairwise_mul(X, reps)
-        out[s] = cls.classof[X]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +445,8 @@ def _central_blocks(G, cls, e, zpow):
     Zsub = G.center
     ZG = subgroup_as_group(Zsub)
     Tz, eZ = linear_character_exponents(ZG.group)
-    assert e % eZ == 0
+    if e % eZ:
+        raise TableVerificationError("exponent of Z(G) does not divide e")
 
     zo = ZG.to_parent.size
     zact = np.empty((zo, k), dtype=np.int64)
@@ -724,132 +686,117 @@ def _lift_unity(tilde_row, dlog) -> np.ndarray:
     return texp
 
 
-def _lift_rows(G, cls, e, q, z, dlog, degs, T):
-    """Exact cyclotomic rows from the mod-q table T (one row per character)."""
+def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
+    """Exact cyclotomic rows of a non-abelian group from its mod-q table T
+    (one row per character, degrees degs); zpow[t] is z^t mod q.
+
+    A degree-1 row is the discrete log of its values.  Every other row is
+    first certified central-type where it can be.  Its candidate classes
+    are those with chi(g) chi(g^-1) = d^2 mod q.  At a candidate whose power
+    sequence is geometric mod q, chi(g^s) = d w^s, the multiplicities mod q
+    are d*delta, hence exactly d*delta: the value is d*zeta^t.  A row whose
+    candidates are all certified and whose certified support H has
+    d^2 |H| = |G| vanishes off H.  The rows left over take
+    _orbit_dft_mults at every class, then the range and sum checks; one
+    whose every value is 0 or of absolute value d is stored central-type,
+    any other dense."""
     k = cls.count
     sizes = cls.sizes
     order = G.order
-    rows: list[_Row] = []
-    nl = [r for r in range(len(degs)) if degs[r] > 1]
-    unity_rows = {r: _lift_unity(T[r], dlog) for r in range(len(degs)) if degs[r] == 1}
+    rows = {r: _Row(1, e, k, "unity", texp=_lift_unity(T[r], dlog))
+            for r in range(len(degs)) if degs[r] == 1}
+    nl = np.array([r for r in range(len(degs)) if degs[r] > 1], dtype=np.int64)
 
-    small = e <= _SMALL_E and e * k * k <= 2 * 10**8
     invclass = cls.classof[G.inverse_table[cls.reps]]
-
-    dense_mults: dict[int, np.ndarray] = {}
-    central_data: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    sparse_data: dict[int, dict] = {}
-
-    if nl and small:
-        PC = _full_power_table(G, cls, e)
-        dft = np.empty((e, e), dtype=np.int64)
-        for u in range(e):
-            for s in range(e):
-                dft[u, s] = pow(z, (-u * s) % e, q)
-        inv_e = pow(e, q - 2, q)
-        chunk = max(1, 4_000_000 // (e * k))
-        for c0 in range(0, len(nl), chunk):
-            rs = nl[c0:c0 + chunk]
-            Vals = T[np.asarray(rs)[:, None, None], PC[None, :, :]]  # (C, e, k)
-            mults = np.einsum("us,csk->cuk", dft, Vals, optimize=True) * inv_e % q
-            for ci, r in enumerate(rs):
-                mr = mults[ci].T  # (k, e)
-                d = degs[r]
-                if ((mr < 0) | (mr > d)).any():
-                    raise TableVerificationError("multiplicity outside [0, degree]")
-                if (mr.sum(axis=1) != d).any():
-                    raise TableVerificationError("multiplicities do not sum to the degree")
-                center = mr.max(axis=1) == d
-                zero = _zero_mask_pp(mr, e)
-                if (zero | center).all():
-                    support = np.flatnonzero(center)
-                    texp_on = mr[support].argmax(axis=1)
-                    central_data[r] = (support, texp_on.astype(np.int64))
-                else:
-                    dense_mults[r] = mr.astype(np.int32)
-    elif nl:
-        # big exponent: candidate classes + geometric certification
-        d_arr = np.array([degs[r] for r in nl], dtype=np.int64)
-        cand = np.zeros((len(nl), k), dtype=bool)
-        for ri, r in enumerate(nl):
-            cand[ri] = (T[r] * T[r][invclass] % q) == (d_arr[ri] * d_arr[ri] % q)
-            cand[ri, 0] = True
-        needed = np.flatnonzero(cand.any(axis=0))
-        power = _PowerData(G, cls, needed, e)
-        geo_t = np.full((len(nl), k), -1, dtype=np.int64)
-        for j in needed:
-            orb = power.orbit(j)
-            m = orb.size
-            rows_here = np.flatnonzero(cand[:, int(j)])
-            if not rows_here.size:
-                continue
-            w = T[np.asarray(nl)[rows_here], j] * _invmod_arr(d_arr[rows_here], q) % q
-            tw = dlog[w]
-            okroot = (tw >= 0) & (tw * m % e == 0)
-            V = T[np.ix_(np.asarray(nl)[rows_here], orb)]
-            geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1) if m > 1 else np.ones(
-                rows_here.size, dtype=bool)
-            good = okroot & geom
-            sel = rows_here[good]
-            geo_t[sel, int(j)] = tw[good]
-        fallback_rows = []
-        for ri, r in enumerate(nl):
-            d = degs[r]
-            support = np.flatnonzero(geo_t[ri] >= 0)
-            hsize = int(sizes[support].sum())
-            if (geo_t[ri][cand[ri]] >= 0).all() and d * d * hsize == order:
-                central_data[r] = (support, geo_t[ri][support])
-            elif d * d * hsize > order:
-                raise TableVerificationError("support exceeds the norm bound")
-            else:
-                fallback_rows.append(r)
-        if fallback_rows:
-            full_power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
-            for r in fallback_rows:
-                sparse_data[r] = _full_dft_row(T[r], degs[r], full_power, e, q, z, cls)
-
-    for r in range(len(degs)):
-        if r in unity_rows:
-            rows.append(_Row(1, e, k, "unity", texp=unity_rows[r]))
-        elif r in central_data:
-            support, texp_on = central_data[r]
-            rows.append(_Row(degs[r], e, k, "central", support=support, texp_on=texp_on))
-        elif r in dense_mults:
-            rows.append(_Row(degs[r], e, k, "dense", mults=dense_mults[r]))
+    Tn = T[nl]
+    d_arr = np.asarray(degs, dtype=np.int64)[nl]
+    inv_d = _invmod_arr(d_arr, q)
+    cand = Tn * Tn[:, invclass] % q == (d_arr * d_arr % q)[:, None]
+    cand[:, 0] = True
+    needed = np.flatnonzero(cand.any(axis=0))
+    power = _PowerData(G, cls, needed, e)
+    geo_t = np.full((nl.size, k), -1, dtype=np.int64)
+    for j in needed:
+        orb = power.orbit(j)
+        m = orb.size
+        rows_here = np.flatnonzero(cand[:, int(j)])
+        if not rows_here.size:
+            continue
+        w = Tn[rows_here, j] * inv_d[rows_here] % q
+        tw = dlog[w]
+        okroot = (tw >= 0) & (tw * m % e == 0)
+        V = Tn[np.ix_(rows_here, orb)]
+        geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1)
+        good = okroot & geom
+        geo_t[rows_here[good], int(j)] = tw[good]
+    left = []
+    for ri, r in enumerate(nl.tolist()):
+        d = degs[r]
+        support = np.flatnonzero(geo_t[ri] >= 0)
+        hsize = int(sizes[support].sum())
+        if (geo_t[ri][cand[ri]] >= 0).all() and d * d * hsize == order:
+            rows[r] = _Row(d, e, k, "central", support=support,
+                           texp_on=geo_t[ri][support])
+        elif d * d * hsize > order:
+            raise TableVerificationError("support exceeds the norm bound")
         else:
-            rows.append(_Row(degs[r], e, k, "sparse", values=sparse_data[r]))
-    return rows
+            left.append(r)
+
+    if left:
+        power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
+        for r, mr in zip(left, _orbit_dft_mults(T[left], power, e, q, zpow)):
+            d = degs[r]
+            if (mr > d).any():
+                raise TableVerificationError("multiplicity outside [0, degree]")
+            if (mr.sum(axis=1) != d).any():
+                raise TableVerificationError("multiplicities do not sum to the degree")
+            center = mr.max(axis=1) == d
+            if (_zero_mask_pp(mr, e) | center).all():
+                support = np.flatnonzero(center)
+                rows[r] = _Row(d, e, k, "central", support=support,
+                               texp_on=mr[support].argmax(axis=1))
+            else:
+                rows[r] = _Row(d, e, k, "dense", mults=mr)
+    return [rows[r] for r in range(len(degs))]
+
+
+def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
+    """Eigenvalue multiplicities of the mod-q rows Trows at the classes
+    power.cols, as an (R, cols, e) int32 array: Dixon's recovery.
+
+    If g has order m, then chi(g^s) = sum_u mult_u zeta_m^(us), where
+    mult_u counts the eigenvalues zeta_m^u = zeta_e^(u e/m) of g.  The
+    m-point DFT along the power orbit of g, (1/m) sum_s chi(g^s) z_m^(-us)
+    mod q with z_m = z^(e/m) = zpow[e/m], is mult_u mod q, which is mult_u
+    itself whenever 0 <= mult_u <= chi(1) < q (the caller checks the
+    range).  It is written at exponent u e/m; every other exponent has
+    multiplicity 0.
+    The classes are batched by element order, with one m x m DFT matrix
+    per order m.  The integer sums are exact in int64: each of the m terms
+    is below (q-1)^2, and m (q-1)^2 <= e (q-1)^2 < 2^63 (at e = 2401,
+    q = 14407, the bound is 5.0e11), which is checked before the first
+    product."""
+    if e * (q - 1) ** 2 >= 2**63:
+        raise TableVerificationError("e (q-1)^2 exceeds the int64 range")
+    R = Trows.shape[0]
+    out = np.zeros((R, power.cols.size, e), dtype=np.int32)
+    for m in np.unique(power.ords).tolist():
+        at = np.flatnonzero(power.ords == m)
+        orbits = power.mat[:m, at]  # (m, n): class of rep^s
+        s = np.arange(m)
+        stride = e // m
+        dft = zpow[np.outer(s, -s) * stride % e]  # dft[u, s] = z_m^(-us)
+        inv_m = pow(m, q - 2, q)
+        chunk = max(1, 4_000_000 // (m * at.size))
+        for r0 in range(0, R, chunk):
+            V = Trows[r0:r0 + chunk][:, orbits]  # (c, m, n)
+            mults = np.einsum("us,csn->cun", dft, V) % q * inv_m % q
+            out[r0:r0 + chunk, at[:, None], s * stride] = mults.transpose(0, 2, 1)
+    return out
 
 
 def _invmod_arr(a: np.ndarray, q: int) -> np.ndarray:
     return np.array([pow(int(x), q - 2, q) for x in a], dtype=np.int64)
-
-
-def _full_dft_row(trow, d, power, e, q, z, cls) -> dict:
-    """Slow exact path: per-class multiplicity DFT for one character row."""
-    values: dict[int, Cyclotomic] = {}
-    for j in range(cls.count):
-        orb = power.orbit(j)
-        m = orb.size
-        zm = pow(z, e // m, q)
-        inv_m = pow(m, q - 2, q)
-        f = trow[orb]
-        mults = []
-        for u in range(m):
-            acc = 0
-            wu = pow(zm, (-u) % m, q)
-            cur = 1
-            for s in range(m):
-                acc = (acc + f[s] * cur) % q
-                cur = cur * wu % q
-            mu = acc * inv_m % q
-            assert mu <= d, "multiplicity outside [0, degree]"
-            mults.append(int(mu))
-        assert sum(mults) == d
-        val = Cyclotomic(e, {u * (e // m) % e: Fraction(mu) for u, mu in enumerate(mults) if mu})
-        if not val.is_zero():
-            values[j] = val
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +891,7 @@ def compute_table(P) -> CharacterTable:
     if G.is_abelian:
         rows = [rows[int(i)] for i in perm]
     else:
-        rows = _lift_rows(G, cls, e, q, z, dlog, [int(d) for d in degs], T)
+        rows = _lift_rows(G, cls, e, q, zpow, dlog, [int(d) for d in degs], T)
         for r, row in enumerate(rows):
             if (row.tilde(q, zpow) != T[r]).any():
                 raise TableVerificationError("lifted row disagrees mod q")
@@ -976,15 +923,18 @@ def _class_union_subgroup(T: CharacterTable, mask: np.ndarray) -> Subgroup:
 def character_kernel(row, T: CharacterTable) -> Subgroup:
     """ker(chi) as a verified normal subgroup."""
     sub = _class_union_subgroup(T, row.kernel_mask)
-    assert sub.is_normal
+    if not sub.is_normal:
+        raise TableVerificationError("character kernel is not normal")
     return sub
 
 
 def character_center(row, T: CharacterTable) -> Subgroup:
     """Z(chi) = {g : |chi(g)| = chi(1)}, verified to contain the kernel."""
     sub = _class_union_subgroup(T, row.center_mask)
-    assert sub.is_normal
-    assert sub.mask[character_kernel(row, T).indices].all()
+    if not sub.is_normal:
+        raise TableVerificationError("character center is not normal")
+    if not sub.mask[character_kernel(row, T).indices].all():
+        raise TableVerificationError("character center does not contain the kernel")
     return sub
 
 
@@ -1041,7 +991,6 @@ def _verify_table(T: CharacterTable) -> None:
 
     central = [r for r in T.rows if r.kind == "central"]
     dense = [r for r in T.rows if r.kind == "dense"]
-    sparse = [r for r in T.rows if r.kind == "sparse"]
 
     # row norms
     for r in central:
@@ -1059,19 +1008,11 @@ def _verify_table(T: CharacterTable) -> None:
         ok, val = _rational_of_coeffvec(c, e)
         if not (ok.all() and (val == order).all()):
             raise TableVerificationError("row norm != 1")
-    for r in sparse:
-        acc = Cyclotomic.zero()
-        nz = np.flatnonzero(r.nonzero_mask)
-        for j in nz:
-            v = r.value(int(j))
-            acc = acc + int(sizes[j]) * v.abs_squared()
-        if not acc.equals_rational(order):
-            raise TableVerificationError("row norm != 1")
 
     _verify_structural_pairs(T, lin, central)
     mode = "structural"
-    if dense or sparse:
-        _verify_pairs_against_block(T, dense, sparse)
+    if dense:
+        _verify_pairs_against_block(T, dense)
         mode = "structural+block"
     _verify_column_diagonal(T)
 
@@ -1084,7 +1025,7 @@ def _verify_table(T: CharacterTable) -> None:
             raise TableVerificationError("|Z(chi)| does not divide |G|")
         if r.kind in ("unity", "central"):
             acc = Fraction(r.degree * r.degree)
-        elif r.kind == "dense":
+        else:
             m = r.mults.astype(np.int64)[hmask]
             w = m * sizes[hmask, None]
             c = np.array(
@@ -1094,11 +1035,6 @@ def _verify_table(T: CharacterTable) -> None:
             if not ok:
                 raise TableVerificationError("restriction norm is irrational")
             acc = Fraction(int(val), h)
-        else:
-            tot = Cyclotomic.zero()
-            for j in np.flatnonzero(hmask & r.nonzero_mask):
-                tot = tot + int(sizes[j]) * r.value(int(j)).abs_squared()
-            acc = tot.rational_value() / h
         bound = Fraction(order, h)
         if acc > bound:
             raise TableVerificationError("restriction norm exceeds |G:H|")
@@ -1155,7 +1091,8 @@ def _verify_structural_pairs(T: CharacterTable, lin, central) -> None:
             raise TableVerificationError("two central rows coincide on their overlap")
         for sb, tb in glist[a + 1:]:
             common, ia, ib = np.intersect1d(sa, sb, return_indices=True)
-            assert common.size, "supports are subgroups through the identity"
+            if not common.size:
+                raise TableVerificationError("central-type supports miss the identity")
             A = Ma[:, ia]
             B = np.stack(tb)[:, ib]
             # any row of A equal to any row of B means a forbidden overlap
@@ -1172,14 +1109,12 @@ def _row_tensor(rows, ks, e) -> np.ndarray:
             out[i, np.arange(ks), np.asarray(r.texp) % e] = 1.0
         elif r.kind == "central":
             out[i, r.support, np.asarray(r.texp_on) % e] = float(r.degree)
-        elif r.kind == "dense":
-            out[i] = r.mults
         else:
-            raise AssertionError("sparse rows take the direct path")
+            out[i] = r.mults
     return out
 
 
-def _verify_pairs_against_block(T: CharacterTable, dense, sparse) -> None:
+def _verify_pairs_against_block(T: CharacterTable, dense) -> None:
     """Exact orthogonality for every pair involving a non-central-type row.
 
     The pairs of a dense row a with a unity, central or dense row b are
@@ -1199,22 +1134,6 @@ def _verify_pairs_against_block(T: CharacterTable, dense, sparse) -> None:
     k = cls.count
     order = T.group.order
     sizes = cls.sizes.astype(np.float64)
-
-    if sparse:
-        # rare fallback shape: direct exact sums
-        for r in sparse:
-            for other in T.rows:
-                if other is r:
-                    continue
-                acc = Cyclotomic.zero()
-                for j in np.flatnonzero(r.nonzero_mask & other.nonzero_mask):
-                    acc = acc + int(cls.sizes[j]) * (
-                        r.value(int(j)) * other.value(int(j)).conjugate()
-                    )
-                if not acc.is_zero():
-                    raise TableVerificationError("sparse row fails orthogonality")
-    if not dense:
-        return
     d_max = max(r.degree for r in T.rows)
     if order * d_max * d_max >= _FLOAT64_EXACT:
         raise TableVerificationError("|G| d_max^2 exceeds the float64 exact range")
@@ -1223,7 +1142,7 @@ def _verify_pairs_against_block(T: CharacterTable, dense, sparse) -> None:
     dense_pos = np.array(
         [i for i, r in enumerate(T.rows) if r.kind == "dense"], dtype=np.int64
     )
-    others = [(i, r) for i, r in enumerate(T.rows) if r.kind != "sparse"]
+    others = list(enumerate(T.rows))
     chunk = max(1, 20_000_000 // max(1, k * e))
     for start in range(0, len(others), chunk):
         part = others[start:start + chunk]
@@ -1255,16 +1174,10 @@ def _verify_column_diagonal(T: CharacterTable) -> None:
             n_lin += 1
         elif r.kind == "central":
             col[r.support, 0] += r.degree * r.degree
-        elif r.kind == "dense":
+        else:
             m = r.mults.astype(np.int64)
             for tau in range(e):
                 col[:, tau] += (m * np.roll(m, -tau, axis=1)).sum(axis=1)
-        else:
-            for j, v in r.values.items():
-                a2 = v.abs_squared()
-                if not a2.is_rational():
-                    raise TableVerificationError("|value|^2 is irrational")
-                col[j, 0] += int(a2.rational_value())
     col[:, 0] += n_lin
     ok, val = _rational_of_coeffvec(col, e)
     if not ok.all():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pgclass as pg
 from pgclass import Cyclotomic, TableVerificationError
 from pgclass.chartable import class_constants, table_of
 from pgclass.group import group_of
-from pgclass.presentation import collector
+from pgclass.presentation import collector, parse_presentation
 
 
 def table(label, p):
@@ -388,23 +389,21 @@ def test_float64_bound_is_checked(monkeypatch):
     d_max = max(T.degrees())
     bound = T.group.order * d_max * d_max
     monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound + 1)
-    chartable_mod._verify_pairs_against_block(T, dense, [])
+    chartable_mod._verify_pairs_against_block(T, dense)
     monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound)
     with pytest.raises(TableVerificationError, match="float64"):
-        chartable_mod._verify_pairs_against_block(T, dense, [])
+        chartable_mod._verify_pairs_against_block(T, dense)
 
 
 def test_table_guards_survive_optimize():
     """Under python -O the exactness guards of chartable and modular still
     raise TableVerificationError."""
     code = (
-        "from fractions import Fraction\n"
         "from types import SimpleNamespace\n"
         "import numpy as np\n"
         "import pgclass as pg\n"
         "import pgclass.chartable as ct\n"
         "import pgclass.modular as md\n"
-        "from pgclass import Cyclotomic\n"
         "lce = ct.linear_character_exponents\n"
         "def trivial_only(Z):\n"
         "    Tz, eZ = lce(Z)\n"
@@ -421,15 +420,18 @@ def test_table_guards_survive_optimize():
         "def annihilator():\n"
         "    md.kernel_basis_mod = lambda M, q: np.zeros((0, M.shape[1]), dtype=np.int64)\n"
         "    md._vector_annihilator(np.eye(2, dtype=np.int64), np.array([1, 0]), 7)\n"
-        "half = ct._Row(1, 3, 1, 'sparse', values={0: Cyclotomic.rational(Fraction(1, 2))})\n"
         "irrational = SimpleNamespace(\n"
         "    classes=SimpleNamespace(count=1), exponent=5,\n"
-        "    rows=[ct._Row(1, 5, 1, 'sparse', values={0: 1 + Cyclotomic.root(5)})])\n"
+        "    rows=[ct._Row(2, 5, 1, 'dense', mults=np.array([[1, 1, 0, 0, 0]]))])\n"
+        "def power_data():\n"
+        "    G = pg.group_of(pg.build('heisenberg_p3', 3))\n"
+        "    cls = G.conjugacy_classes\n"
+        "    ct._PowerData(G, cls, np.arange(cls.count), 1)\n"
         "checks = {\n"
         "    'lift_unity': lambda: ct._lift_unity(np.array([0, 1]), np.array([0, -1])),\n"
         "    'central_blocks': central_blocks,\n"
-        "    'tilde': lambda: half.tilde(7, np.array([1, 2, 4])),\n"
         "    'column_diagonal': lambda: ct._verify_column_diagonal(irrational),\n"
+        "    'power_data': power_data,\n"
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
         "    'poly_lcm': lcm,\n"
         "    'annihilator': annihilator,\n"
@@ -447,6 +449,99 @@ def test_table_guards_survive_optimize():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "lift_unity", "central_blocks", "tilde", "column_diagonal",
+        "lift_unity", "central_blocks", "column_diagonal", "power_data",
         "root_of_unity", "poly_lcm", "annihilator",
     ]
+
+
+# -- lifting by power-orbit DFT --------------------------------------------------
+
+# A non-GVZ group of order 3^6, nilpotency class 3 and exponent 81 (x1 has
+# order 81).  It is a regression group, not a corpus entry: it has no
+# published form.  Its degree-3 rows that are not of central type are
+# lifted by the power-orbit DFT at e = 81.
+EXP81_CLASS3 = """group exp81_class3 prime 3
+gens y x1 z x2 x3 x4
+pow x1^p = x2
+pow x2^p = x3
+pow x3^p = x4
+comm [x1,y] = z
+comm [z,y] = x4
+"""
+
+
+def test_exp81_class3_table():
+    """Same table bytes as the scalar per-class DFT gave, within the
+    criterion-01 time limit for order <= 3^6."""
+    from pgclass.classify import classification_report
+
+    P = parse_presentation(EXP81_CLASS3)
+    t0 = time.perf_counter()
+    G = group_of(P)
+    T = pg.compute_table(G)
+    seconds = time.perf_counter() - t0
+    text = json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "93cd0cf9956df06fdf829a3b72eb4747c498d876264d340891e9196c31508e42"
+    )
+    assert (G.order, T.count, T.exponent) == (3**6, 153, 81)
+    assert T.cd_multiset() == {1: 81, 3: 72}
+    assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
+    assert T.verification["row_orthogonality"] == "structural+block"
+    rep = classification_report(G, table=T)
+    assert rep.nilpotency_class == 3
+    assert rep.is_gvz is False and rep.is_flat is False
+    assert seconds <= 2.0, seconds
+
+
+def scalar_dft_mults(Trows, G, cls, e, q, z):
+    """Reference multiplicities, one class at a time: the power orbit of
+    the class by repeated multiplication, then for each u the sum
+    (1/m) sum_s chi(rep^s) z_m^(-us) with z_m = z^(e/m), placed at exponent
+    u e/m.  The rows are batched; the classes and the shifts u are not."""
+    R, k = Trows.shape
+    out = np.zeros((R, k, e), dtype=np.int64)
+    for j in range(k):
+        rep = int(cls.reps[j])
+        orb = [0]
+        x = rep
+        while x != 0:
+            orb.append(cls.class_of(x))
+            x = G.mul(x, rep)
+        m = len(orb)
+        zm = pow(z, e // m, q)
+        inv_m = pow(m, q - 2, q)
+        f = Trows[:, orb]
+        for u in range(m):
+            wu = pow(zm, (-u) % m, q)
+            cur = 1
+            ws = []
+            for _ in range(m):
+                ws.append(cur)
+                cur = cur * wu % q
+            out[:, j, u * (e // m) % e] = f @ np.array(ws, dtype=np.int64) % q * inv_m % q
+    return out
+
+
+@pytest.mark.parametrize("label,p", [("G_(20,1)", 5), ("G_(17,1)", 5), ("exp81_class3", 3)])
+def test_orbit_dft_matches_scalar_dft(label, p):
+    """_orbit_dft_mults agrees with the scalar per-class DFT on every
+    non-linear row, central-type and dense alike."""
+    from pgclass.chartable import _orbit_dft_mults, _PowerData
+    from pgclass.modular import root_of_unity
+
+    P = parse_presentation(EXP81_CLASS3) if label == "exp81_class3" else pg.build(label, p)
+    T = table_of(P)
+    G, cls, e, q = T.group, T.classes, T.exponent, T.field_prime
+    z = root_of_unity(q, e)
+    zpow = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
+    nl = [r for r in T.rows if r.degree > 1]
+    assert {r.kind for r in nl} == {"central", "dense"}
+    Trows = np.stack([r.tilde(q, zpow) for r in nl])
+    power = _PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
+    got = _orbit_dft_mults(Trows, power, e, q, zpow)
+    want = scalar_dft_mults(Trows, G, cls, e, q, z)
+    assert (got == want).all()
+    for r, mr in zip(nl, got):
+        if r.kind == "dense":
+            assert (mr == r.mults).all()

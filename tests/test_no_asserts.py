@@ -7,7 +7,8 @@ import pytest
 
 import pgclass
 
-ASSERT_FREE = ("group.py", "modular.py", "verify.py", "cli.py", "errors.py", "__init__.py")
+ASSERT_FREE = ("group.py", "modular.py", "chartable.py", "verify.py", "cli.py", "errors.py",
+               "__init__.py")
 
 
 @pytest.mark.parametrize("name", ASSERT_FREE)
