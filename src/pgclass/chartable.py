@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import Cyclotomic, root_sum
 from .errors import TableVerificationError
@@ -877,7 +878,7 @@ def compute_table(P) -> CharacterTable:
     degs = np.asarray(degs, dtype=np.int64)
     if int((degs.astype(object) ** 2).sum()) != G.order:
         raise TableVerificationError("sum of squared degrees is off")
-    if np.unique(T, axis=0).shape[0] != k:
+    if _distinct_rows(T) != k:
         raise TableVerificationError("duplicate character rows")
 
     # canonical order: by degree, then lexicographically by the value row
@@ -947,7 +948,6 @@ def _verify_table(T: CharacterTable) -> None:
     cls = T.classes
     k = cls.count
     e = T.exponent
-    q = T.field_prime
     sizes = cls.sizes.astype(np.int64)
     order = G.order
 
@@ -970,24 +970,9 @@ def _verify_table(T: CharacterTable) -> None:
     lin = [r for r in T.rows if r.degree == 1]
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
-
-    # linear rows are homomorphisms (pins the structural orthogonality proof)
-    prodclass = {}
-    for i in range(G.n):
-        for j in range(G.n):
-            prodclass[(i, j)] = cls.class_of(G.mul(G.gen_index(i), G.gen_index(j)))
-    genclass = [cls.class_of(G.gen_index(i)) for i in range(G.n)]
-    powclass = [cls.class_of(G.pow(G.gen_index(i), G.p)) for i in range(G.n)]
-    for r in lin:
-        t = np.asarray(r.texp)
-        if t[0] != 0:
-            raise TableVerificationError("linear row not 1 at the identity")
-        for i in range(G.n):
-            if (G.p * t[genclass[i]] - t[powclass[i]]) % e:
-                raise TableVerificationError("linear row breaks a power relation")
-            for j in range(G.n):
-                if (t[genclass[i]] + t[genclass[j]] - t[prodclass[(i, j)]]) % e:
-                    raise TableVerificationError("linear row is not multiplicative")
+    lin_texp = np.stack([r.texp for r in lin])
+    lin_texp %= e
+    _verify_linear_rows(T, lin_texp)
 
     central = [r for r in T.rows if r.kind == "central"]
     dense = [r for r in T.rows if r.kind == "dense"]
@@ -997,27 +982,30 @@ def _verify_table(T: CharacterTable) -> None:
         h = int(sizes[r.support].sum())
         if r.degree * r.degree * h != order:
             raise TableVerificationError("central-type row has wrong norm")
+    central_groups = [
+        (sup, np.stack(tons)) for sup, tons in
+        _group_by_key((r.support, np.asarray(r.texp_on) % e) for r in central)
+    ]
+    _verify_central_rows(T, central_groups)
+    ac = _self_correlation(dense, k, e)
     if dense:
-        M = np.stack([r.mults for r in dense]).astype(np.int64)
-        weighted = M * sizes[None, :, None]
-        c = np.empty((len(dense), e), dtype=np.int64)
-        for tau in range(e):
-            c[:, tau] = np.einsum(
-                "rku,rku->r", weighted, np.roll(M, -tau, axis=2), optimize=True
-            )
-        ok, val = _rational_of_coeffvec(c, e)
+        ok, val = _rational_of_coeffvec(np.einsum("k,rkt->rt", sizes, ac), e)
         if not (ok.all() and (val == order).all()):
             raise TableVerificationError("row norm != 1")
 
-    _verify_structural_pairs(T, lin, central)
+    _verify_structural_pairs(T, lin_texp, central_groups)
     mode = "structural"
     if dense:
         _verify_pairs_against_block(T, dense)
         mode = "structural+block"
-    _verify_column_diagonal(T)
+    _verify_column_diagonal(T, ac)
 
     # restriction norms: <chi|H, chi|H> <= |G:H| with equality iff the row
-    # vanishes off H = Z(chi)
+    # vanishes off H = Z(chi); a dense row's norm over H sums ac over H
+    if dense:
+        hw = np.stack([r.center_mask for r in dense]) * sizes[None, :]
+        res_ok, res_val = _rational_of_coeffvec(np.einsum("rk,rkt->rt", hw, ac), e)
+    di = 0
     for r in T.rows:
         hmask = r.center_mask
         h = int(sizes[hmask].sum())
@@ -1026,15 +1014,10 @@ def _verify_table(T: CharacterTable) -> None:
         if r.kind in ("unity", "central"):
             acc = Fraction(r.degree * r.degree)
         else:
-            m = r.mults.astype(np.int64)[hmask]
-            w = m * sizes[hmask, None]
-            c = np.array(
-                [np.einsum("ku,ku->", w, np.roll(m, -tau, axis=1)) for tau in range(e)]
-            )
-            ok, val = _rational_of_coeffvec(c, e)
-            if not ok:
+            if not res_ok[di]:
                 raise TableVerificationError("restriction norm is irrational")
-            acc = Fraction(int(val), h)
+            acc = Fraction(int(res_val[di]), h)
+            di += 1
         bound = Fraction(order, h)
         if acc > bound:
             raise TableVerificationError("restriction norm exceeds |G:H|")
@@ -1054,7 +1037,120 @@ def _verify_table(T: CharacterTable) -> None:
     )
 
 
-def _verify_structural_pairs(T: CharacterTable, lin, central) -> None:
+def _verify_linear_rows(T: CharacterTable, lin_texp: np.ndarray) -> None:
+    """Every degree-1 row is a homomorphism G -> <zeta_e>; lin_texp holds
+    their exponents, one row per character, reduced mod e.
+
+    Let t_i be a row's exponent at the pc generator a_i.  The row must
+    read sum_i digit_i(g) t_i (mod e) at every class rep g, where
+    g = a_1^digit_1 ... a_n^digit_n in normal form, and t must satisfy the
+    relations of the presentation in the abelian target: a_i^p = w_i gives
+    p t_i = digits(w_i) . t, and [a_j, a_i] = w_ij (j > i) gives
+    0 = digits(w_ij) . t.  By von Dyck's theorem t then extends to a
+    homomorphism, which takes the value the row has at every class."""
+    G = T.group
+    cls = T.classes
+    e = T.exponent
+    if lin_texp[:, 0].any():
+        raise TableVerificationError("linear row not 1 at the identity")
+
+    def digits(idxs):
+        idxs = np.asarray(idxs, dtype=np.int64)
+        return np.stack([d[idxs] for d in G.digit_arrays], axis=1)
+
+    gens = [G.gen_index(i) for i in range(G.n)]
+    t = lin_texp[:, cls.classof[gens]]
+    rep_digits = digits(cls.reps).T
+    chunk = max(1, 1_000_000 // cls.count)
+    for start in range(0, t.shape[0], chunk):
+        at_reps = t[start:start + chunk] @ rep_digits
+        at_reps -= lin_texp[start:start + chunk]
+        at_reps %= e
+        if at_reps.any():
+            raise TableVerificationError("linear row is not multiplicative")
+    powers = digits([G.pow(a, G.p) for a in gens])
+    if ((G.p * t - t @ powers.T) % e).any():
+        raise TableVerificationError("linear row breaks a power relation")
+    comms = digits([G.comm(gens[j], gens[i])
+                    for i in range(G.n) for j in range(i + 1, G.n)])
+    if ((t @ comms.T) % e).any():
+        raise TableVerificationError("linear row breaks a commutator relation")
+
+
+def _group_by_key(pairs) -> list:
+    """(array, [items]) for each distinct array among the (array, item)
+    pairs, in first-seen order; arrays are compared by their bytes."""
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
+    for arr, item in pairs:
+        groups.setdefault(arr.tobytes(), (arr, []))[1].append(item)
+    return list(groups.values())
+
+
+def _verify_central_rows(T: CharacterTable, central_groups) -> None:
+    """Every central-type row is d times a linear character of its support.
+
+    central_groups holds, for each distinct support, the support and the
+    exponents on it (reduced mod e) of the rows that share it, one row
+    each.  H (the union of the support classes) must be a subgroup,
+    generated by the chain generators _class_union_subgroup checks.  The
+    row's exponent mu must then satisfy class(x h) in the support and
+    mu(x h) = mu(x) + mu(h) (mod e) for every x in H and every generator
+    h; by induction on words in the generators mu is a homomorphism
+    H -> Z/e."""
+    G = T.group
+    cls = T.classes
+    e = T.exponent
+    at = np.empty(cls.count, dtype=np.int64)
+    for sup, mu in central_groups:
+        mask = np.zeros(cls.count, dtype=bool)
+        mask[sup] = True
+        H = _class_union_subgroup(T, mask)
+        at.fill(-1)
+        at[sup] = np.arange(sup.size)
+        mu_x = mu[:, at[cls.classof[H.indices]]]
+        for h in H.gens:
+            xh = at[cls.classof[G.rmul_array(H.indices, h)]]
+            if (xh < 0).any():
+                raise TableVerificationError("central-type support is not closed")
+            # entries lie in [0, e), so the difference is 0 mod e iff 0 or -e
+            diff = mu[:, xh] - mu_x - mu[:, at[cls.classof[h]], None]
+            if ((diff != 0) & (diff != -e)).any():
+                raise TableVerificationError(
+                    "central-type row is not a character of its support")
+
+
+def _self_correlation(dense, k: int, e: int) -> np.ndarray:
+    """ac[r, j, tau] = sum_u M[j, u + tau] M[j, u] (indices mod e) for the
+    multiplicity matrix M of each dense row, as a (rows, k, e) int64 array.
+
+    It is the coefficient vector of |chi(g_j)|^2 over the powers of
+    zeta_e, so the row norm, the column diagonal and the restriction norms
+    are all weighted sums of it over rows and classes.  The shifts are read
+    from a sliding window over two copies of M side by side."""
+    M2 = np.empty((len(dense), k, 2 * e), dtype=np.int64)
+    for i, r in enumerate(dense):
+        M2[i, :, :e] = r.mults
+    M2[:, :, e:] = M2[:, :, :e]
+    shifted = sliding_window_view(M2, e, axis=2)[:, :, :e]  # [r, j, tau, u]
+    return np.einsum("rjtu,rju->rjt", shifted, M2[:, :, :e])
+
+
+def _distinct_rows(M: np.ndarray) -> int:
+    """The number of distinct rows of a 2-d integer array.  Each row is
+    viewed as one void scalar, so sorting and comparing treat whole rows
+    as byte strings; equal rows end up adjacent."""
+    M = np.ascontiguousarray(M, dtype=np.int64)
+    rows = np.sort(M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1))
+    return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
+
+
+def _share_a_row(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether some row of A equals some row of B."""
+    return _distinct_rows(np.concatenate([A, B])) < _distinct_rows(A) + _distinct_rows(B)
+
+
+def _verify_structural_pairs(T: CharacterTable, lin_texp: np.ndarray,
+                             central_groups) -> None:
     """Exact orthogonality for unity/central pairs without arithmetic:
 
     distinct linear characters of G/G' are orthogonal; a unity row is
@@ -1062,122 +1158,139 @@ def _verify_structural_pairs(T: CharacterTable, lin, central) -> None:
     central character on its support, and two central-type rows are
     orthogonal unless their characters agree on the intersection of their
     supports.  Each dangerous coincidence is therefore checked for and
-    rejected; absence of coincidences proves orthogonality."""
-    e = T.exponent
-    if lin:
-        M = np.stack([np.asarray(r.texp) % e for r in lin])
-        if np.unique(M, axis=0).shape[0] != len(lin):
-            raise TableVerificationError("duplicate linear rows")
+    rejected; absence of coincidences proves orthogonality.  lin_texp
+    holds the unity rows' exponents and central_groups the central-type
+    rows grouped by support (see _verify_central_rows), all reduced mod e,
+    so that intersections are computed once per support pair, not once
+    per row pair."""
+    if _distinct_rows(lin_texp) != lin_texp.shape[0]:
+        raise TableVerificationError("duplicate linear rows")
 
-    # group central rows sharing a support so intersections are computed
-    # once per support pair, not once per row pair
-    groups: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
-    for r in central:
-        key = r.support.tobytes()
-        groups.setdefault(key, (r.support, []))[1].append(np.asarray(r.texp_on) % e)
+    for sup, Mc in central_groups:
+        if _share_a_row(lin_texp[:, sup], Mc):
+            raise TableVerificationError("a linear row restricts to a central row")
 
-    if lin:
-        Mlin = np.stack([np.asarray(r.texp) % e for r in lin])
-        for sup, tons in groups.values():
-            R = Mlin[:, sup]
-            for ton in tons:
-                if (R == ton[None, :]).all(axis=1).any():
-                    raise TableVerificationError("a linear row restricts to a central row")
-
-    glist = list(groups.values())
-    for a, (sa, ta) in enumerate(glist):
-        Ma = np.stack(ta)
-        if np.unique(Ma, axis=0).shape[0] != len(ta):
+    for a, (sa, Ma) in enumerate(central_groups):
+        if _distinct_rows(Ma) != Ma.shape[0]:
             raise TableVerificationError("two central rows coincide on their overlap")
-        for sb, tb in glist[a + 1:]:
+        for sb, Mb in central_groups[a + 1:]:
             common, ia, ib = np.intersect1d(sa, sb, return_indices=True)
             if not common.size:
                 raise TableVerificationError("central-type supports miss the identity")
-            A = Ma[:, ia]
-            B = np.stack(tb)[:, ib]
-            # any row of A equal to any row of B means a forbidden overlap
-            joined = np.concatenate([A, B], axis=0)
-            uniq = np.unique(joined, axis=0)
-            if uniq.shape[0] < np.unique(A, axis=0).shape[0] + np.unique(B, axis=0).shape[0]:
+            if _share_a_row(Ma[:, ia], Mb[:, ib]):
                 raise TableVerificationError("two central rows coincide on their overlap")
 
 
-def _row_tensor(rows, ks, e) -> np.ndarray:
-    out = np.zeros((len(rows), ks, e), dtype=np.float64)
+def _row_tensor(rows, cols: np.ndarray, e: int) -> np.ndarray:
+    """(rows, e, cols) float64: entry [i, u, c] is the multiplicity of
+    zeta_e^u in row i's value at class cols[c].  cols is sorted and lies
+    in the support of every central-type row."""
+    out = np.zeros((len(rows), e, cols.size), dtype=np.float64)
+    at = np.arange(cols.size)
     for i, r in enumerate(rows):
         if r.kind == "unity":
-            out[i, np.arange(ks), np.asarray(r.texp) % e] = 1.0
+            out[i, np.asarray(r.texp)[cols] % e, at] = 1.0
         elif r.kind == "central":
-            out[i, r.support, np.asarray(r.texp_on) % e] = float(r.degree)
+            texp = np.asarray(r.texp_on)[np.searchsorted(r.support, cols)]
+            out[i, texp % e, at] = float(r.degree)
         else:
-            out[i] = r.mults
+            out[i] = r.mults[cols].T
     return out
 
 
-def _verify_pairs_against_block(T: CharacterTable, dense) -> None:
-    """Exact orthogonality for every pair involving a non-central-type row.
+def _dense_pair_products(T: CharacterTable, dense):
+    """(ok, value) of |G| <chi_a, chi_b> for every dense row a (result
+    rows, in the order of dense) and every row b of T (result columns, by
+    position in T.rows), as _rational_of_coeffvec gives them.
 
-    The pairs of a dense row a with a unity, central or dense row b are
-    float64 matrix products.  Their entry for the shift tau is
+    |G| <chi_a, chi_b> = sum_tau c[tau] zeta_e^tau, where
 
-        sum_j |K_j| sum_u M_a[j, u + tau] M_b[j, u],
+        c[tau] = sum_j |K_j| sum_u M_a[j, u + tau] M_b[j, u],
 
     a sum of nonnegative integers (class sizes times multiplicities; a
-    central row has the single multiplicity d at its exponent).  Row j's
-    inner sum is at most d_a d_b, since each multiplicity vector sums to
-    the degree, so every partial sum, in whatever order BLAS adds the
-    terms, is at most |G| d_max^2.  Integers below 2^53 are exact in
-    float64, so the products are exact when |G| d_max^2 < 2^53; that
-    bound is checked before the first product."""
+    unity or central row has the single multiplicity 1 or d at its
+    exponent).  The rows are grouped by nonzero_mask, and a pair's sum runs
+    over the classes S where both rows are nonzero only.  At a class where
+    one of the two rows vanishes, its multiplicity vector has period e/p
+    (_zero_mask_pp's test; the zero vector included), so that class's term
+    is an e/p-periodic vector in tau.  _rational_of_coeffvec compares the
+    p blocks of length e/p with one another and subtracts block 1 from
+    block 0, so it returns the same (ok, value) for c and for c plus any
+    e/p-periodic vector: leaving those classes out changes no verdict.
+
+    Each c[tau] is a float64 matrix product.  Row j's inner sum is at
+    most d_a d_b, since each multiplicity vector sums to the degree, so
+    every partial sum, in whatever order BLAS adds the terms, is at most
+    |G| d_max^2.  Integers below 2^53 are exact in float64, so the
+    products are exact when |G| d_max^2 < 2^53; that bound is checked
+    before the first product.  The dense rows are held as (rows, 2e, |S|),
+    two periods of u stacked, so shift tau is the slice [:, tau:tau + e],
+    whose (rows, e |S|) reshape is a strided view, not a copy."""
     cls = T.classes
     e = T.exponent
-    k = cls.count
     order = T.group.order
     sizes = cls.sizes.astype(np.float64)
     d_max = max(r.degree for r in T.rows)
     if order * d_max * d_max >= _FLOAT64_EXACT:
         raise TableVerificationError("|G| d_max^2 exceeds the float64 exact range")
 
-    A = _row_tensor(dense, k, e) * sizes[None, :, None]
+    n = len(T.rows)
+    ok = np.zeros((len(dense), n), dtype=bool)
+    val = np.zeros((len(dense), n), dtype=np.int64)
+    row_groups = _group_by_key((r.nonzero_mask, b) for b, r in enumerate(T.rows))
+    for ma, ia in _group_by_key((r.nonzero_mask, a) for a, r in enumerate(dense)):
+        for common, ibs in _group_by_key((ma & mb, ib) for mb, ib in row_groups):
+            ib = [b for part in ibs for b in part]
+            cols = np.flatnonzero(common)
+            A = _row_tensor([dense[a] for a in ia], cols, e) * sizes[cols]
+            A = np.concatenate([A, A], axis=1)
+            chunk = max(1, 20_000_000 // (cols.size * e))
+            for start in range(0, len(ib), chunk):
+                part = ib[start:start + chunk]
+                B = _row_tensor([T.rows[b] for b in part], cols, e).reshape(len(part), -1)
+                c = np.empty((len(ia), len(part), e), dtype=np.int64)
+                for tau in range(e):
+                    c[:, :, tau] = np.rint(A[:, tau:tau + e].reshape(len(ia), -1) @ B.T)
+                o, v = _rational_of_coeffvec(c, e)
+                ok[np.ix_(ia, part)] = o
+                val[np.ix_(ia, part)] = v
+    return ok, val
+
+
+def _verify_pairs_against_block(T: CharacterTable, dense) -> None:
+    """Exact orthogonality for every pair involving a non-central-type row:
+    |G| <chi_a, chi_b> must be |G| when a and b are one position of T.rows
+    and 0 otherwise (see _dense_pair_products for why it is exact)."""
+    ok, val = _dense_pair_products(T, dense)
+    if not ok.all():
+        raise TableVerificationError("inner product is irrational")
     dense_pos = np.array(
         [i for i, r in enumerate(T.rows) if r.kind == "dense"], dtype=np.int64
     )
-    others = list(enumerate(T.rows))
-    chunk = max(1, 20_000_000 // max(1, k * e))
-    for start in range(0, len(others), chunk):
-        part = others[start:start + chunk]
-        idxs = np.array([i for i, _ in part], dtype=np.int64)
-        B = _row_tensor([r for _, r in part], k, e)
-        c = np.empty((e, len(dense), len(part)), dtype=np.int64)
-        for tau in range(e):
-            Ar = np.roll(A, -tau, axis=2)
-            prod = Ar.reshape(len(dense), -1) @ B.reshape(len(part), -1).T
-            c[tau] = np.rint(prod).astype(np.int64)
-        vec = np.moveaxis(c, 0, -1)  # (dense, chunk, e)
-        ok, val = _rational_of_coeffvec(vec, e)
-        if not ok.all():
-            raise TableVerificationError("inner product is irrational")
-        expect = np.where(dense_pos[:, None] == idxs[None, :], order, 0)
-        if not (val == expect).all():
-            raise TableVerificationError("dense row fails orthogonality")
+    expect = np.where(dense_pos[:, None] == np.arange(len(T.rows))[None, :],
+                      T.group.order, 0)
+    if not (val == expect).all():
+        raise TableVerificationError("dense row fails orthogonality")
 
 
-def _verify_column_diagonal(T: CharacterTable) -> None:
-    """Second orthogonality on the diagonal: sum |chi(g)|^2 = |C_G(g)|."""
+def _verify_column_diagonal(T: CharacterTable, ac=None) -> None:
+    """Second orthogonality on the diagonal: sum |chi(g)|^2 = |C_G(g)|.
+
+    A dense row adds its self-correlation ac (built here from T's dense
+    rows when the caller passes none), a central-type row d^2 on its
+    support and a unity row 1."""
     cls = T.classes
     k = cls.count
     e = T.exponent
-    col = np.zeros((k, e), dtype=np.int64)
+    if ac is None:
+        ac = _self_correlation([r for r in T.rows if r.kind == "dense"], k, e)
+    col = ac.sum(axis=0)
     n_lin = 0
     for r in T.rows:
         if r.kind == "unity":
             n_lin += 1
         elif r.kind == "central":
             col[r.support, 0] += r.degree * r.degree
-        else:
-            m = r.mults.astype(np.int64)
-            for tau in range(e):
-                col[:, tau] += (m * np.roll(m, -tau, axis=1)).sum(axis=1)
     col[:, 0] += n_lin
     ok, val = _rational_of_coeffvec(col, e)
     if not ok.all():

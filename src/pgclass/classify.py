@@ -309,7 +309,8 @@ def counting_formulas(p: int, order_exp: int) -> CountingResult:
             raise ValueError("the order-p^6 counts require p >= 5")
         gvz2 = 3 * p * p + 28 * p + 315 + 2 * gcd(p - 1, 3) + 2 * gcd(p - 1, 4)
         nested2 = 3 * p * p + 10 * p + 187
-        assert gvz2 % 2 == 0 and nested2 % 2 == 0, "count formulas must be even"
+        if gvz2 % 2 or nested2 % 2:
+            raise InternalInconsistencyError("count formulas must be even")
         return CountingResult(
             p=p, order_exp=6, gvz_count=gvz2 // 2, nested_count=nested2 // 2
         )

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .errors import InternalInconsistencyError
 from .group import Group, group_of, quotient
 from .presentation import PcPresentation, Word, is_prime
 
@@ -86,7 +87,8 @@ def extraspecial_p5(p: int) -> PcPresentation:
 
 
 def direct_product(P1: PcPresentation, P2: PcPresentation, name: str) -> PcPresentation:
-    assert P1.p == P2.p
+    if P1.p != P2.p:
+        raise ValueError("direct product factors need the same prime")
     g1 = tuple(f"{g}_l" for g in P1.gens)
     g2 = tuple(f"{g}_r" for g in P2.gens)
     gens = g1 + g2
@@ -375,7 +377,7 @@ def quotient_abelianization(G: Group):
 
     D = G.derived
     if D.order == G.order:
-        raise AssertionError("a p-group is never perfect")
+        raise InternalInconsistencyError("a p-group is never perfect")
     if D.order == 1:
         # already abelian; reuse the whole group as its own abelianization
         return Subgroup(group=G, indices=np.arange(G.order, dtype=np.int64),

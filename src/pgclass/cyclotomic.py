@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import InternalInconsistencyError
+
 
 @lru_cache(maxsize=None)
 def phi(e: int) -> int:
@@ -78,7 +80,8 @@ def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
         if c:
             for t, dc in enumerate(den):
                 num[k + t] -= c * dc
-    assert all(c == 0 for c in num[: len(den) - 1]), "non-exact polynomial division"
+    if any(c != 0 for c in num[: len(den) - 1]):
+        raise InternalInconsistencyError("non-exact polynomial division")
     return out
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import InternalInconsistencyError, ParseError
 
 # A word is a sequence of (generator-index, exponent) pairs, 0-based indices.
 Word = tuple[tuple[int, int], ...]
@@ -480,7 +480,8 @@ class ConsistencyReport:
     failures: tuple[tuple[str, Element, Element], ...]
 
     def __post_init__(self):
-        assert self.consistent == (len(self.failures) == 0)
+        if self.consistent != (len(self.failures) == 0):
+            raise InternalInconsistencyError("consistent flag disagrees with the failures")
 
 
 def check_consistency(P: PcPresentation) -> ConsistencyReport:

@@ -545,3 +545,170 @@ def test_orbit_dft_matches_scalar_dft(label, p):
     for r, mr in zip(nl, got):
         if r.kind == "dense":
             assert (mr == r.mults).all()
+
+
+# -- table verification: mutations and the full-tensor oracle --------------------
+
+VERIFY_LABELS = ["G_(17,1)", "G_(19,1)", "G_(20,1)"]
+MUTATIONS = ["dense_nonzero", "dense_vanishing", "dense_duplicate", "unity_entry",
+             "central_entry", "unity_duplicate"]
+
+
+def _copy_row(r, **changes):
+    from pgclass.chartable import _Row
+
+    fields = {"texp": r.texp, "support": r.support, "texp_on": r.texp_on, "mults": r.mults}
+    fields = {name: None if a is None else np.array(a) for name, a in fields.items()}
+    fields.update(changes)
+    return _Row(r.degree, r.e, r.k, r.kind, **fields)
+
+
+def _with_rows(T, rows):
+    return pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,
+                             field_prime=T.field_prime, exponent=T.exponent)
+
+
+def _move_one_eigenvalue(r, j):
+    """r with one eigenvalue zeta^u at class j moved to zeta^(u+1): the
+    value there changes by zeta^(u+1) - zeta^u, which is never 0."""
+    m = np.array(r.mults)
+    u = int(np.flatnonzero(m[j])[0])
+    m[j, u] -= 1
+    m[j, (u + 1) % r.e] += 1
+    return _copy_row(r, mults=m)
+
+
+def mutate(T, kind):
+    """A copy of T with one deliberate error of the given kind; T's own
+    rows are left as they are."""
+    rows = list(T.rows)
+    e = T.exponent
+    kinds = [r.kind for r in rows]
+    dense = [i for i, kd in enumerate(kinds) if kd == "dense"]
+    unity = [i for i, kd in enumerate(kinds) if kd == "unity"]
+    if kind in ("dense_nonzero", "dense_vanishing"):
+        i = dense[len(dense) // 2]
+        mask = rows[i].nonzero_mask
+        if kind == "dense_vanishing":
+            mask = ~mask
+        mask[0] = False
+        j = int(np.flatnonzero(mask)[-1])
+        rows[i] = _move_one_eigenvalue(rows[i], j)
+        assert rows[i].nonzero_mask[j]
+    elif kind == "dense_duplicate":
+        rows[dense[-1]] = rows[dense[0]]  # the same row object at two positions
+    elif kind == "unity_entry":
+        G = T.group
+        gen_classes = {T.classes.class_of(G.gen_index(a)) for a in range(G.n)}
+        j = max(set(range(1, T.count)) - gen_classes)
+        i = unity[3]
+        texp = np.array(rows[i].texp)
+        texp[j] = (texp[j] + 1) % e
+        rows[i] = _copy_row(rows[i], texp=texp)
+    elif kind == "central_entry":
+        i = kinds.index("central")
+        texp_on = np.array(rows[i].texp_on)
+        texp_on[-1] = (texp_on[-1] + 1) % e
+        rows[i] = _copy_row(rows[i], texp_on=texp_on)
+    else:
+        rows[unity[-1]] = rows[unity[1]]
+    return _with_rows(T, rows)
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_verify_table_rejects_mutation(label, kind):
+    """Every one-entry or one-row corruption of a table with unity,
+    central-type and dense rows is rejected, and the table itself is
+    still accepted."""
+    from pgclass.chartable import _verify_table
+
+    T = table(label, 5)
+    hacked = mutate(T, kind)
+    changed = [i for i, (a, b) in enumerate(zip(T.rows, hacked.rows)) if a is not b]
+    assert len(changed) == 1
+    i = changed[0]
+    assert any(T.value(i, j) != hacked.value(i, j) for j in range(T.count))
+    with pytest.raises(TableVerificationError):
+        _verify_table(hacked)
+    _verify_table(_with_rows(T, list(T.rows)))
+
+
+def full_tensor_pair_values(T, dense):
+    """The full-tensor orthogonality kernel: (ok, value) of
+    |G| <chi_a, chi_b> for every dense row a and every row b, over all k
+    classes, with one np.roll of the (dense, k, e) tensor per shift."""
+    from pgclass.chartable import _rational_of_coeffvec
+
+    k, e = T.count, T.exponent
+
+    def row_tensor(rows):
+        out = np.zeros((len(rows), k, e), dtype=np.float64)
+        for i, r in enumerate(rows):
+            if r.kind == "unity":
+                out[i, np.arange(k), np.asarray(r.texp) % e] = 1.0
+            elif r.kind == "central":
+                out[i, r.support, np.asarray(r.texp_on) % e] = float(r.degree)
+            else:
+                out[i] = r.mults
+        return out
+
+    A = row_tensor(dense) * T.classes.sizes.astype(np.float64)[None, :, None]
+    B = row_tensor(T.rows).reshape(T.count, -1)
+    c = np.empty((e, len(dense), T.count), dtype=np.int64)
+    for tau in range(e):
+        c[tau] = np.rint(np.roll(A, -tau, axis=2).reshape(len(dense), -1) @ B.T)
+    return _rational_of_coeffvec(np.moveaxis(c, 0, -1), e)
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+@pytest.mark.parametrize("kind", [None, "dense_nonzero", "dense_vanishing"])
+def test_common_support_products_match_full_tensor(label, kind):
+    """The products over the common support give the same (ok, value) as
+    the full-tensor kernel for every (dense, row) pair, on the table and
+    on copies with one dense entry changed."""
+    from pgclass.chartable import _dense_pair_products
+
+    T = table(label, 5)
+    if kind is not None:
+        T = mutate(T, kind)
+    dense = [r for r in T.rows if r.kind == "dense"]
+    ok, val = _dense_pair_products(T, dense)
+    ok_ref, val_ref = full_tensor_pair_values(T, dense)
+    assert ok.shape == (len(dense), T.count)
+    assert (ok == ok_ref).all()
+    assert (val == val_ref).all()
+    if kind is None:
+        assert ok.all()
+        pos = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
+        assert (val[np.arange(len(pos)), pos] == T.group.order).all()
+        assert np.count_nonzero(val) == len(pos)
+    else:
+        assert not (ok.all() and np.count_nonzero(val) == len(dense))
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_self_correlation_matches_per_shift_sum(label):
+    from pgclass.chartable import _self_correlation
+
+    T = table(label, 5)
+    e = T.exponent
+    dense = [r for r in T.rows if r.kind == "dense"]
+    ac = _self_correlation(dense, T.count, e)
+    M = np.stack([r.mults for r in dense]).astype(np.int64)
+    want = np.stack([(np.roll(M, -tau, axis=2) * M).sum(axis=2) for tau in range(e)],
+                    axis=2)
+    assert ac.dtype == np.int64
+    assert (ac == want).all()
+
+
+def test_row_coincidence_helpers():
+    from pgclass.chartable import _distinct_rows, _share_a_row
+
+    A = np.array([[1, 2, 0], [3, 4, 0], [1, 2, 0]])
+    B = np.array([[5, 6, 0], [3, 4, 0]])
+    assert _distinct_rows(A) == 2
+    assert _distinct_rows(B) == 2
+    assert _share_a_row(A, B)
+    assert not _share_a_row(A, B[:1])
+    assert not _share_a_row(A[:1], A[1:2])

@@ -7,8 +7,8 @@ import pytest
 
 import pgclass
 
-ASSERT_FREE = ("group.py", "modular.py", "chartable.py", "verify.py", "cli.py", "errors.py",
-               "__init__.py")
+ASSERT_FREE = tuple(sorted(path.name for path in
+                          Path(pgclass.__file__).resolve().parent.glob("*.py")))
 
 
 @pytest.mark.parametrize("name", ASSERT_FREE)
