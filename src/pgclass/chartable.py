@@ -976,6 +976,8 @@ def _verify_table(T: CharacterTable) -> None:
 
     central = [r for r in T.rows if r.kind == "central"]
     dense = [r for r in T.rows if r.kind == "dense"]
+    nonzero = [r.nonzero_mask for r in T.rows]
+    center = [r.center_mask for r in T.rows]
 
     # row norms
     for r in central:
@@ -996,18 +998,18 @@ def _verify_table(T: CharacterTable) -> None:
     _verify_structural_pairs(T, lin_texp, central_groups)
     mode = "structural"
     if dense:
-        _verify_pairs_against_block(T, dense)
+        _verify_pairs_against_block(T, dense, nonzero)
         mode = "structural+block"
     _verify_column_diagonal(T, ac)
 
     # restriction norms: <chi|H, chi|H> <= |G:H| with equality iff the row
     # vanishes off H = Z(chi); a dense row's norm over H sums ac over H
     if dense:
-        hw = np.stack([r.center_mask for r in dense]) * sizes[None, :]
+        hw = np.stack([m for m, r in zip(center, T.rows) if r.kind == "dense"])
+        hw = hw * sizes[None, :]
         res_ok, res_val = _rational_of_coeffvec(np.einsum("rk,rkt->rt", hw, ac), e)
     di = 0
-    for r in T.rows:
-        hmask = r.center_mask
+    for r, nzmask, hmask in zip(T.rows, nonzero, center):
         h = int(sizes[hmask].sum())
         if order % h:
             raise TableVerificationError("|Z(chi)| does not divide |G|")
@@ -1021,7 +1023,7 @@ def _verify_table(T: CharacterTable) -> None:
         bound = Fraction(order, h)
         if acc > bound:
             raise TableVerificationError("restriction norm exceeds |G:H|")
-        vanishes = bool((r.nonzero_mask & ~hmask).sum() == 0)
+        vanishes = bool((nzmask & ~hmask).sum() == 0)
         if (acc == bound) != vanishes:
             raise TableVerificationError("restriction equality out of step with vanishing")
 
@@ -1198,10 +1200,12 @@ def _row_tensor(rows, cols: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _dense_pair_products(T: CharacterTable, dense):
+def _dense_pair_products(T: CharacterTable, dense, nonzero=None):
     """(ok, value) of |G| <chi_a, chi_b> for every dense row a (result
     rows, in the order of dense) and every row b of T (result columns, by
-    position in T.rows), as _rational_of_coeffvec gives them.
+    position in T.rows), as _rational_of_coeffvec gives them.  dense holds
+    T's dense rows in table order; nonzero[b] is T.rows[b].nonzero_mask,
+    computed here when the caller passes none.
 
     |G| <chi_a, chi_b> = sum_tau c[tau] zeta_e^tau, where
 
@@ -1237,8 +1241,13 @@ def _dense_pair_products(T: CharacterTable, dense):
     n = len(T.rows)
     ok = np.zeros((len(dense), n), dtype=bool)
     val = np.zeros((len(dense), n), dtype=np.int64)
-    row_groups = _group_by_key((r.nonzero_mask, b) for b, r in enumerate(T.rows))
-    for ma, ia in _group_by_key((r.nonzero_mask, a) for a, r in enumerate(dense)):
+    if nonzero is None:
+        nonzero = [r.nonzero_mask for r in T.rows]
+    dense_pos = [b for b, r in enumerate(T.rows) if r.kind == "dense"]
+    if len(dense_pos) != len(dense):
+        raise TableVerificationError("dense rows are not the table's dense rows")
+    row_groups = _group_by_key((m, b) for b, m in enumerate(nonzero))
+    for ma, ia in _group_by_key((nonzero[b], a) for a, b in enumerate(dense_pos)):
         for common, ibs in _group_by_key((ma & mb, ib) for mb, ib in row_groups):
             ib = [b for part in ibs for b in part]
             cols = np.flatnonzero(common)
@@ -1257,11 +1266,12 @@ def _dense_pair_products(T: CharacterTable, dense):
     return ok, val
 
 
-def _verify_pairs_against_block(T: CharacterTable, dense) -> None:
+def _verify_pairs_against_block(T: CharacterTable, dense, nonzero=None) -> None:
     """Exact orthogonality for every pair involving a non-central-type row:
     |G| <chi_a, chi_b> must be |G| when a and b are one position of T.rows
-    and 0 otherwise (see _dense_pair_products for why it is exact)."""
-    ok, val = _dense_pair_products(T, dense)
+    and 0 otherwise (see _dense_pair_products for why it is exact, and for
+    dense and nonzero)."""
+    ok, val = _dense_pair_products(T, dense, nonzero)
     if not ok.all():
         raise TableVerificationError("inner product is irrational")
     dense_pos = np.array(

@@ -201,6 +201,19 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     Each irreducible row of G/N lifts to the unique row of G with the same
     values through the projection; the two must be of central type
     together.  Returns quotient row indices that mismatch (must be empty).
+
+    Rows are matched on the tuple of their value strings at the quotient
+    classes (the parent row read at the class of each quotient class
+    rep's section).  The strings are exact keys although e(G) and e(G/N)
+    may differ: Cyclotomic rewrites every value of prime-power order in
+    the smallest cyclotomic field that contains it, in that field's
+    canonical basis, so equal values have the same (order, coeffs) form
+    whichever exponent they were computed at; and __str__ is injective on
+    that form (each non-rational term names the order and its exponent,
+    the rational term stands alone, and only term boundaries carry a sign
+    or a '+').  Two values are therefore equal exactly when their strings
+    are.  Each table keeps its own value_strings memo, whose keys leave
+    out the exponent.
     """
     from .chartable import table_of
     from .group import quotient
@@ -210,22 +223,23 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     TG = table_of(G)
     TQ = table_of(Q.group)
 
-    qcls = Q.group.conjugacy_classes
+    # parent class of each quotient class rep's section, once for all rows
+    at = TG.classes.classof[Q.section[Q.group.conjugacy_classes.reps]].tolist()
+    memo_G: dict = {}
+    memo_Q: dict = {}
     lift_targets = {}
     nmask_parent = N.mask[TG.classes.reps]
     for gi, row in enumerate(TG.rows):
         kermask = row.kernel_mask
         if bool(nmask_parent[~kermask].sum() == 0):  # N inside the kernel
-            key = tuple(
-                row.value(int(TG.classes.classof[Q.section[qcls.reps[jq]]]))
-                for jq in range(qcls.count)
-            )
+            vals = row.value_strings(memo_G)
+            key = tuple(vals[j] for j in at)
             if key in lift_targets:
                 raise InternalInconsistencyError("two parent rows share lift values")
             lift_targets[key] = gi
     mismatches = []
     for qi, qrow in enumerate(TQ.rows):
-        key = tuple(qrow.value(j) for j in range(qcls.count))
+        key = tuple(qrow.value_strings(memo_Q))
         gi = lift_targets.pop(key, None)
         if gi is None:
             raise InternalInconsistencyError("quotient row has no lift in the parent table")

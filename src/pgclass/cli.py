@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus
@@ -21,8 +22,40 @@ from .presentation import parse_presentation, presentation_text
 from .verify import run_ingested_census, run_paper_suite, suite_to_json_text
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit_json(payload, rows=None) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    rows, if given, is a character table's "rows" list, which is the
+    payload's last key in sorted order and is left out of payload.  With
+    indent set, json.dumps runs the pure-Python encoder, so the rows (most
+    of a table's bytes) are written here with the same layout, each
+    distinct value string escaped once by the C string encoder."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if rows is not None:
+        text = text[:-2] + ',\n  "rows": ' + _table_rows_json(rows) + "\n}"
+    sys.stdout.write(text + "\n")
+
+
+def _table_rows_json(rows) -> str:
+    """json.dumps(rows, indent=2, sort_keys=True) at a nesting depth of
+    one, for a nonempty list of {"degree": int, "values": [str, ...]}
+    dicts with nonempty values (a table has at least one row and class)."""
+    quoted: dict[str, str] = {}
+
+    def quote(s: str) -> str:
+        q = quoted.get(s)
+        if q is None:
+            q = quoted[s] = encode_basestring_ascii(s)
+        return q
+
+    parts = [
+        '    {\n      "degree": ' + json.dumps(row["degree"])
+        + ',\n      "values": [\n        '
+        + ",\n        ".join([quote(s) for s in row["values"]])
+        + "\n      ]\n    }"
+        for row in rows
+    ]
+    return "[\n" + ",\n".join(parts) + "\n  ]"
 
 
 def _read_presentation(path: str):
@@ -58,7 +91,9 @@ def cmd_chartable(args) -> int:
     P = _read_presentation(args.file)
     T = table_of(P)
     if args.json:
-        _emit_json(T.to_json())
+        payload = T.to_json()
+        rows = payload.pop("rows")
+        _emit_json(payload, rows)
     else:
         k = T.count
         print(f"group {P.name}: {k} classes, field prime {T.field_prime}")

@@ -246,8 +246,10 @@ class Cyclotomic:
 
     def __hash__(self):
         # equal values of prime-power order share a canonical form; equal
-        # values stored at incompatible composite orders may hash apart,
-        # so only same-conductor values should be used as dict keys
+        # values stored at incompatible composite orders may hash apart.
+        # Table code keys values by their strings instead (see
+        # classify.check_lift_equivalence): __str__ is injective on the
+        # canonical form, and strings cost no object per table entry
         return hash((self.order, frozenset(self.coeffs.items())))
 
     # -- display ------------------------------------------------------------

@@ -174,6 +174,66 @@ def test_check_lift_equivalence_g18():
     assert pg.check_lift_equivalence(G, K) == []
 
 
+def test_check_lift_equivalence_across_exponents():
+    """Rows are matched on value strings, which must agree although the
+    parent and the quotient tables are over different exponents."""
+    from pgclass.group import quotient
+
+    G, T = bundle("G_(14,3)", 5)
+    TQ = table_of(quotient(G, G.center).group)
+    assert (T.exponent, TQ.exponent) == (625, 25)
+    assert pg.check_lift_equivalence(G, G.center) == []
+
+
+def _change_one_entry(T, kind):
+    """A copy of T whose first row of the given kind is changed at its last
+    nonzero class, and the position of that row."""
+    from pgclass.chartable import _Row
+
+    rows = list(T.rows)
+    i = next(i for i, r in enumerate(rows) if r.kind == kind)
+    r = rows[i]
+    if kind == "unity":
+        texp = np.array(r.texp)
+        texp[-1] = (texp[-1] + 1) % r.e
+        rows[i] = _Row(r.degree, r.e, r.k, r.kind, texp=texp)
+    else:
+        texp_on = np.array(r.texp_on)
+        texp_on[-1] = (texp_on[-1] + 1) % r.e
+        rows[i] = _Row(r.degree, r.e, r.k, r.kind, support=r.support, texp_on=texp_on)
+    hacked = pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,
+                               field_prime=T.field_prime, exponent=T.exponent)
+    return hacked, i
+
+
+@pytest.mark.parametrize("kind", ["unity", "central"])
+def test_check_lift_equivalence_rejects_changed_quotient_row(kind, monkeypatch):
+    """A quotient table with one row changed at one class has a row that
+    lifts to no parent row.  quotient() builds a new group on every call,
+    so the changed table is handed out by a wrapper around table_of."""
+    import pgclass.chartable as chartable_mod
+    from pgclass.errors import InternalInconsistencyError
+
+    G, _ = bundle("G_(18,1)", 5)
+    K = pg.subgroup_generated([G.element_of(1)], G)
+    real_table_of = chartable_mod.table_of
+    changed = []
+
+    def table_of_changed(P):
+        T = real_table_of(P)
+        if group_of(P) is G:
+            return T
+        hacked, i = _change_one_entry(T, kind)
+        assert any(T.value(i, j) != hacked.value(i, j) for j in range(T.count))
+        changed.append(i)
+        return hacked
+
+    monkeypatch.setattr(chartable_mod, "table_of", table_of_changed)
+    with pytest.raises(InternalInconsistencyError, match="no lift in the parent"):
+        pg.check_lift_equivalence(G, K)
+    assert len(changed) == 1
+
+
 def test_check_nil_le_cd():
     G, T = bundle("heisenberg_p3", 3)
     assert pg.check_nil_le_cd(G, T) == "holds"

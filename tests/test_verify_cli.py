@@ -111,6 +111,18 @@ def test_cli_chartable_text(tmp_path):
         assert line == f"  X{i + 1} (deg {T.rows[i].degree}): {vals}"
 
 
+@pytest.mark.parametrize("label,p", [("G_(14,3)", 5), ("G_(20,1)", 5),
+                                     ("heisenberg_p3", 3)])
+def test_cli_chartable_json_bytes(tmp_path, label, p):
+    """chartable --json writes exactly json.dumps(indent=2, sort_keys=True)
+    of the table's to_json, though it encodes the rows itself."""
+    f = write_pres(tmp_path, label, p)
+    code, out, _ = run_cli("chartable", str(f), "--json")
+    assert code == 0
+    T = pg.table_of(pg.parse_presentation(f.read_text(encoding="utf-8"), name=f.stem))
+    assert out == json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
     """A table guard that fires under `chartable --json` is an internal
     inconsistency: exit 2 with the error in the JSON."""
