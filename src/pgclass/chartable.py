@@ -1,23 +1,29 @@
 """Exact irreducible character tables via class-algebra eigenvectors.
 
-Pipeline for a non-abelian group:
+Pipeline, the same for every group:
 
 1.  Conjugacy classes in canonical order; exponent e; auxiliary prime q
     with q = 1 (mod e) and q > 2 sqrt|G|; a fixed e-th root of unity z in
     GF(q).
-2.  Joint eigenvectors of the size-1 (central) class matrices are written
+2.  The linear characters come straight from the pc relations: the
+    exponent vectors t over the pc generators that satisfy the power and
+    commutator relations in Z/e, |G:G'| of them (linear_character_exponents).
+    The row of t reads d . t at a class rep with normal-form digits d.  When
+    they number k (G is abelian) they are the whole table, and steps 3 and
+    4 are skipped.
+3.  Joint eigenvectors of the size-1 (central) class matrices are written
     down directly: the center acts on the class set, and for each orbit O
     and each character lam of Z(G) trivial on the orbit stabilizer the
     twisted indicator vector v[K] = lam(z_K)^-1 is an eigenvector.  This
     splits the class space into blocks indexed by central characters.
-3.  Remaining splitting uses class matrices in ascending class-size order,
+4.  Remaining splitting uses class matrices in ascending class-size order,
     restricted to each unsplit block; eigenvalues are found from the
     minimal polynomial (roots located by scanning GF(q)) and eigenspaces
     by kernel computation, recursing until every subspace is a line.
-4.  Degrees come from the norm relation d^2 = |G| / sum_j w_j w_j* / n_j;
+5.  Degrees come from the norm relation d^2 = |G| / sum_j w_j w_j* / n_j;
     since distinct p-powers below sqrt|G| stay distinct mod q, the degree
     is recovered exactly.
-5.  Values lift to Q(zeta_e).  Degree-1 rows are discrete logs of their
+6.  Values lift to Q(zeta_e).  Degree-1 rows are discrete logs of their
     mod-q values.  Every other row is first offered to geometric
     certification: a candidate class (|chi|^2 = d^2 mod q) whose power
     sequence is verified to be geometric mod q has multiplicity vector
@@ -300,46 +306,47 @@ def class_constants(C: ConjugacyClassSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear characters of an abelian pc group
+# linear characters from the pc relations
 
 
 def linear_character_exponents(G: Group) -> tuple[np.ndarray, int]:
-    """All |G| homomorphisms G -> <zeta_eA> for abelian G, as exponent rows
-    over the pc generators (with respect to zeta_eA)."""
-    if not G.is_abelian:
-        raise TableVerificationError("linear character exponents need an abelian group")
-    eA = G.exponent
-    p, n = G.p, G.n
+    """All |G:G'| homomorphisms G -> <zeta_e>, e = G.exponent, as exponent
+    rows t over the pc generators: a_i goes to zeta_e^t_i, and an element
+    with normal-form digits d to zeta_e^(d . t).
+
+    By von Dyck's theorem t extends to a homomorphism exactly when it
+    satisfies the relations of G.pres in the abelian target Z/e, each word
+    w read as its exponent-sum vector v(w): a_i^p = w_i gives
+    p t_i = v(w_i) . t and [a_j, a_i] = w_ji (j > i) gives v(w_ji) . t = 0.
+    Both words lie in <a_(i+1), ..., a_n>, so the rows are built from the
+    last generator up.  At a_i the rows that break a commutator relation
+    [a_j, a_i] are dropped, and each row left has p solutions of
+    p t_i = u (mod e), u = v(w_i) . t, when p divides u and none otherwise.
+    The count is checked against |G:G'| from the group tables."""
+    P = G.pres
+    p, n, e = G.p, G.n, G.exponent
+
+    def sums(word) -> np.ndarray:
+        v = np.zeros(n, dtype=np.int64)
+        for g, x in word:
+            v[g] += x
+        return v
+
     T = np.zeros((1, n), dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        y = G.pow(G.gen_index(i), p)
-        digs = [y // G._weights[j] % p for j in range(n)]
-        if any(digs[j] for j in range(i + 1)):
-            raise TableVerificationError("power of a pc generator leaves its tail")
-        u = np.zeros(T.shape[0], dtype=np.int64)
         for j in range(i + 1, n):
-            if digs[j]:
-                u = (u + digs[j] * T[:, j]) % eA
-        if (u % p).any():
-            raise TableVerificationError("abelian power chain inconsistent")
+            T = T[T @ sums(P.comm_rel(j, i)) % e == 0]
+        u = T @ sums(P.power_rels[i]) % e
+        T, u = T[u % p == 0], u[u % p == 0]
         blocks = []
         for b in range(p):
             Tb = T.copy()
-            Tb[:, i] = (u // p + b * (eA // p)) % eA
+            Tb[:, i] = (u // p + b * (e // p)) % e
             blocks.append(Tb)
         T = np.concatenate(blocks, axis=0)
-    if T.shape[0] != G.order:
-        raise TableVerificationError("linear character count differs from |G|")
-    return T, eA
-
-
-def _eval_linear(G: Group, T: np.ndarray, eA: int, idxs: np.ndarray) -> np.ndarray:
-    """Exponent of each hom at each element index: (homs, len(idxs)) mod eA."""
-    out = np.zeros((T.shape[0], idxs.size), dtype=np.int64)
-    for j in range(G.n):
-        digs = (idxs // G._weights[j]) % G.p
-        out = (out + T[:, j:j + 1] * digs[None, :]) % eA
-    return out
+    if T.shape[0] * G.derived.order != G.order:
+        raise TableVerificationError("linear character count differs from |G:G'|")
+    return T, e
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +384,13 @@ class _PowerData:
         return self.mat[: int(self.ords[i]), i]
 
 
-def _linear_rows_data(G: Group, cls: ConjugacyClassSet, e: int):
-    """Exponent rows (with respect to zeta_e) of all linear characters at
-    every class, plus their central-restriction keys for block matching."""
-    from .group import quotient
-
-    D = G.derived
-    Q = quotient(G, D)
-    TQ, eQ = linear_character_exponents(Q.group)
-    if e % eQ:
-        raise TableVerificationError("exponent of G/G' does not divide e")
-    proj_reps = Q.proj[cls.reps]
-    vals = _eval_linear(Q.group, TQ, eQ, proj_reps) * (e // eQ) % e
+def _linear_rows_data(G: Group, cls: ConjugacyClassSet):
+    """Exponent rows (with respect to zeta_e, e = G.exponent) of all linear
+    characters at every class rep, digits(rep) . t for each row t of
+    linear_character_exponents, plus their central-restriction keys for
+    block matching."""
+    T, e = linear_character_exponents(G)
+    vals = T @ np.stack([d[cls.reps] for d in G.digit_arrays]) % e
     centidx = np.flatnonzero(cls.sizes == 1)
     keys = [tuple(int(x) for x in row[centidx]) for row in vals]
     return vals, keys
@@ -482,7 +484,7 @@ def _central_blocks(G, cls, e, zpow):
         orbits.append(np.array(sorted(members), dtype=np.int64))
 
     # lam exponents at every Z element, lifted to zeta_e scale
-    lam_at = _eval_linear(ZG.group, Tz, eZ, np.arange(zo, dtype=np.int64))
+    lam_at = Tz @ np.stack(ZG.group.digit_arrays) % eZ
     scale = e // eZ
 
     stab_cache = [np.flatnonzero(zact[:, int(O[0])] == int(O[0])) for O in orbits]
@@ -688,8 +690,8 @@ def _lift_unity(tilde_row, dlog) -> np.ndarray:
 
 
 def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
-    """Exact cyclotomic rows of a non-abelian group from its mod-q table T
-    (one row per character, degrees degs); zpow[t] is z^t mod q.
+    """Exact cyclotomic rows of the group from its mod-q table T (one row
+    per character, degrees degs); zpow[t] is z^t mod q.
 
     A degree-1 row is the discrete log of its values.  Every other row is
     first certified central-type where it can be.  Its candidate classes
@@ -707,6 +709,8 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     rows = {r: _Row(1, e, k, "unity", texp=_lift_unity(T[r], dlog))
             for r in range(len(degs)) if degs[r] == 1}
     nl = np.array([r for r in range(len(degs)) if degs[r] > 1], dtype=np.int64)
+    if not nl.size:
+        return [rows[r] for r in range(len(degs))]
 
     invclass = cls.classof[G.inverse_table[cls.reps]]
     Tn = T[nl]
@@ -834,46 +838,39 @@ def compute_table(P) -> CharacterTable:
         zpow[t] = acc
         acc = acc * z % q
 
-    if G.is_abelian:
-        Texp, eA = linear_character_exponents(G)
-        scale = e // eA
-        vals = _eval_linear(G, Texp, eA, cls.reps.astype(np.int64)) * scale % e
-        rows = [_Row(1, e, k, "unity", texp=vals[h]) for h in range(G.order)]
-        degs = [1] * G.order
-        T = zpow[np.stack([r.texp for r in rows]) % e]
-    else:
+    sizes = cls.sizes.astype(np.int64)
+    lin_texp, lin_keys = _linear_rows_data(G, cls)
+    lin_omega = sizes * zpow[lin_texp] % q
+    finals = list(lin_omega)
+    if len(finals) < k:
         blocks = _central_blocks(G, cls, e, zpow)
-        lin_texp, lin_keys = _linear_rows_data(G, cls, e)
-        lin_omega = cls.sizes.astype(np.int64) * zpow[lin_texp] % q
-        finals = _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)
-        if len(finals) + lin_omega.shape[0] != k:
-            raise TableVerificationError("wrong number of eigenvectors")
-        finals = list(lin_omega) + finals
-        sizes = cls.sizes.astype(np.int64)
-        inv_sizes = _invmod_arr(sizes, q)
-        invclass = cls.classof[G.inverse_table[cls.reps]]
-        W = np.stack(finals) % q
-        if (W[:, 0] == 0).any():
-            raise TableVerificationError("eigenvector vanishes at the identity class")
-        W = W * _invmod_arr(W[:, 0], q)[:, None] % q
-        denom = (W * W[:, invclass] % q * inv_sizes[None, :] % q).sum(axis=1) % q
-        if (denom == 0).any():
-            raise TableVerificationError("eigenvector has zero norm mod q")
-        d2 = G.order % q * _invmod_arr(denom, q) % q
-        degs = []
-        dcand = []
-        d = 1
-        while d * d <= G.order:
-            dcand.append(d)
-            d *= G.p
-        for val in d2:
-            matches = [d for d in dcand if d * d % q == val]
-            if len(matches) != 1:
-                raise TableVerificationError("degree recovery ambiguous")
-            degs.append(matches[0])
-        T = np.array(degs, dtype=np.int64)[:, None] * W % q * inv_sizes[None, :] % q
-        if (T[:, 0] != np.array(degs)).any():
-            raise TableVerificationError("first column differs from the degrees")
+        finals += _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)
+    if len(finals) != k:
+        raise TableVerificationError("wrong number of eigenvectors")
+    inv_sizes = _invmod_arr(sizes, q)
+    invclass = cls.classof[G.inverse_table[cls.reps]]
+    W = np.stack(finals) % q
+    if (W[:, 0] == 0).any():
+        raise TableVerificationError("eigenvector vanishes at the identity class")
+    W = W * _invmod_arr(W[:, 0], q)[:, None] % q
+    denom = (W * W[:, invclass] % q * inv_sizes[None, :] % q).sum(axis=1) % q
+    if (denom == 0).any():
+        raise TableVerificationError("eigenvector has zero norm mod q")
+    d2 = G.order % q * _invmod_arr(denom, q) % q
+    degs = []
+    dcand = []
+    d = 1
+    while d * d <= G.order:
+        dcand.append(d)
+        d *= G.p
+    for val in d2:
+        matches = [d for d in dcand if d * d % q == val]
+        if len(matches) != 1:
+            raise TableVerificationError("degree recovery ambiguous")
+        degs.append(matches[0])
+    T = np.array(degs, dtype=np.int64)[:, None] * W % q * inv_sizes[None, :] % q
+    if (T[:, 0] != np.array(degs)).any():
+        raise TableVerificationError("first column differs from the degrees")
 
     degs = np.asarray(degs, dtype=np.int64)
     if int((degs.astype(object) ** 2).sum()) != G.order:
@@ -889,13 +886,10 @@ def compute_table(P) -> CharacterTable:
     T = T[perm]
     degs = degs[perm]
 
-    if G.is_abelian:
-        rows = [rows[int(i)] for i in perm]
-    else:
-        rows = _lift_rows(G, cls, e, q, zpow, dlog, [int(d) for d in degs], T)
-        for r, row in enumerate(rows):
-            if (row.tilde(q, zpow) != T[r]).any():
-                raise TableVerificationError("lifted row disagrees mod q")
+    rows = _lift_rows(G, cls, e, q, zpow, dlog, [int(d) for d in degs], T)
+    for r, row in enumerate(rows):
+        if (row.tilde(q, zpow) != T[r]).any():
+            raise TableVerificationError("lifted row disagrees mod q")
 
     table = CharacterTable(
         group=G, classes=cls, rows=rows, field_prime=q, exponent=e, verification={}

@@ -473,9 +473,6 @@ class Subgroup:
     def contains(self, idx: int) -> bool:
         return bool(self.mask[idx])
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return bool(self.mask[other.indices].all())
-
     @cached_property
     def is_normal(self) -> bool:
         return all(bool(self.mask[tab[self.indices]].all()) for tab in self.group.conj_tables)
@@ -523,9 +520,6 @@ class ConjugacyClassSet:
     def class_of(self, idx: int) -> int:
         return int(self.classof[idx])
 
-    def centralizer_order(self, class_index: int) -> int:
-        return self.group.order // int(self.sizes[class_index])
-
 
 @dataclass(frozen=True)
 class QuotientGroup:
@@ -536,9 +530,6 @@ class QuotientGroup:
     presentation: PcPresentation
     proj: np.ndarray          # parent index -> quotient index
     section: np.ndarray       # quotient index -> a parent preimage
-
-    def project_element(self, a: Element) -> Element:
-        return self.group.element_of(int(self.proj[self.parent.index_of(a)]))
 
 
 @dataclass(frozen=True)
@@ -551,9 +542,6 @@ class SubgroupGroup:
     to_parent: np.ndarray     # subgroup index -> parent index
     from_parent: dict = field(repr=False)
 
-    def parent_index(self, sub_idx: int) -> int:
-        return int(self.to_parent[sub_idx])
-
 
 # ---------------------------------------------------------------------------
 # quotients and subgroup presentations
@@ -562,7 +550,6 @@ class SubgroupGroup:
 def _peel_digits(
     G: Group,
     xs: np.ndarray,
-    jumps: list[int],
     jump_gens: list[int],
     in_next: "callable",
 ) -> np.ndarray:
@@ -570,9 +557,9 @@ def _peel_digits(
     peeled-off tail; in_next(level, ys) tests membership after level a."""
     p = G.p
     count = xs.size
-    digits = np.zeros((count, len(jumps)), dtype=np.int64)
+    digits = np.zeros((count, len(jump_gens)), dtype=np.int64)
     ys = xs.astype(np.int64).copy()
-    for a, _ in enumerate(jumps):
+    for a in range(len(jump_gens)):
         ginv = G.inv(jump_gens[a])
         found = np.zeros(count, dtype=bool)
         for k in range(p):
@@ -584,6 +571,36 @@ def _peel_digits(
         if not found.all():
             raise InternalInconsistencyError("chain digit extraction failed")
     return digits
+
+
+def _chain_presentation(G: Group, jump_gens: list[int], in_next: "callable",
+                        name: str, gens) -> PcPresentation:
+    """The pc presentation on the chain-jump elements jump_gens, named name
+    with generator names gens: every p-th power and commutator of them,
+    peeled into chain digits with the in_next test of _peel_digits."""
+    p, m = G.p, len(jump_gens)
+
+    def word_from(y: int, start: int) -> Word:
+        digs = _peel_digits(G, np.array([y]), jump_gens, in_next)[0]
+        if digs[:start].any():
+            raise InternalInconsistencyError("relation word escapes its chain level")
+        return tuple((a, int(e)) for a, e in enumerate(digs) if e)
+
+    power_rels = []
+    comm_rels = []
+    for a in range(m):
+        power_rels.append(word_from(G.pow(jump_gens[a], p), a + 1))
+        for b in range(a + 1, m):
+            w = word_from(G.comm(jump_gens[b], jump_gens[a]), b + 1)
+            if w:
+                comm_rels.append(((b, a), w))
+    return PcPresentation(
+        name=name,
+        p=p,
+        gens=tuple(gens),
+        power_rels=tuple(power_rels),
+        comm_rels=tuple(sorted(comm_rels)),
+    )
 
 
 def quotient(P, N: Subgroup) -> QuotientGroup:
@@ -618,31 +635,12 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
     def in_next(a: int, ys: np.ndarray) -> np.ndarray:
         return rep[ys] < bounds[a]
 
-    def word_from(y: int, start: int) -> Word:
-        digs = _peel_digits(G, np.array([y]), jumps, jump_gens, in_next)[0]
-        if digs[:start].any():
-            raise InternalInconsistencyError("relation word escapes its chain level")
-        return tuple((a, int(e)) for a, e in enumerate(digs) if e and a >= start)
-
-    power_rels = []
-    comm_rels = []
-    for a, i in enumerate(jumps):
-        power_rels.append(word_from(G.pow(jump_gens[a], p), a + 1))
-        for b in range(a + 1, m):
-            w = word_from(G.comm(jump_gens[b], jump_gens[a]), b + 1)
-            if w:
-                comm_rels.append(((b, a), w))
-    Q = PcPresentation(
-        name=f"{G.pres.name}/N{N.order}",
-        p=p,
-        gens=tuple(G.pres.gens[i] for i in jumps),
-        power_rels=tuple(power_rels),
-        comm_rels=tuple(sorted(comm_rels)),
-    )
-    Qgrp = Group(Q, check=True)
+    Q = _chain_presentation(G, jump_gens, in_next, f"{G.pres.name}/N{N.order}",
+                            (G.pres.gens[i] for i in jumps))
+    Qgrp = group_of(Q)
 
     uniq, inverse = np.unique(rep, return_inverse=True)
-    digs = _peel_digits(G, uniq, jumps, jump_gens, in_next)
+    digs = _peel_digits(G, uniq, jump_gens, in_next)
     qweights = np.array([p ** (m - 1 - a) for a in range(m)], dtype=np.int64)
     qidx = digs @ qweights
     if not np.unique(qidx).size == Qgrp.order == uniq.size:
@@ -676,27 +674,8 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
         bound = p ** (n - 1 - jumps[a])
         return mask[ys] & (ys < bound)
 
-    def word_from(y: int, start: int) -> Word:
-        digs = _peel_digits(G, np.array([y]), jumps, jump_gens, in_next)[0]
-        if digs[:start].any():
-            raise InternalInconsistencyError("relation word escapes its chain level")
-        return tuple((a, int(e)) for a, e in enumerate(digs) if e and a >= start)
-
-    power_rels = []
-    comm_rels = []
-    for a in range(m):
-        power_rels.append(word_from(G.pow(jump_gens[a], p), a + 1))
-        for b in range(a + 1, m):
-            w = word_from(G.comm(jump_gens[b], jump_gens[a]), b + 1)
-            if w:
-                comm_rels.append(((b, a), w))
-    SP = PcPresentation(
-        name=f"{G.pres.name}|sub{H.order}",
-        p=p,
-        gens=tuple(f"s{a + 1}" for a in range(m)),
-        power_rels=tuple(power_rels),
-        comm_rels=tuple(sorted(comm_rels)),
-    )
+    SP = _chain_presentation(G, jump_gens, in_next, f"{G.pres.name}|sub{H.order}",
+                             (f"s{a + 1}" for a in range(m)))
     Sgrp = Group(SP, check=True)
 
     to_parent = np.array([0], dtype=np.int64)

@@ -427,6 +427,10 @@ def test_table_guards_survive_optimize():
         "    G = pg.group_of(pg.build('heisenberg_p3', 3))\n"
         "    cls = G.conjugacy_classes\n"
         "    ct._PowerData(G, cls, np.arange(cls.count), 1)\n"
+        "def linear_count():\n"
+        "    G = pg.Group(pg.build('heisenberg_p3', 3))\n"
+        "    G.derived = pg.subgroup_generated([], G)\n"
+        "    ct.linear_character_exponents(G)\n"
         "checks = {\n"
         "    'lift_unity': lambda: ct._lift_unity(np.array([0, 1]), np.array([0, -1])),\n"
         "    'central_blocks': central_blocks,\n"
@@ -435,6 +439,7 @@ def test_table_guards_survive_optimize():
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
         "    'poly_lcm': lcm,\n"
         "    'annihilator': annihilator,\n"
+        "    'linear_count': linear_count,\n"
         "}\n"
         "for name, check in checks.items():\n"
         "    try:\n"
@@ -450,7 +455,7 @@ def test_table_guards_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "lift_unity", "central_blocks", "column_diagonal", "power_data",
-        "root_of_unity", "poly_lcm", "annihilator",
+        "root_of_unity", "poly_lcm", "annihilator", "linear_count",
     ]
 
 
@@ -492,6 +497,32 @@ def test_exp81_class3_table():
     assert rep.nilpotency_class == 3
     assert rep.is_gvz is False and rep.is_flat is False
     assert seconds <= 2.0, seconds
+
+
+@pytest.mark.parametrize("label", [
+    label for label, entry in pg.REGISTRY.items() if entry.min_p <= 3
+] + ["exp81_class3"])
+def test_linear_character_exponents_solve_the_relations(label):
+    """The solver gives |G:G'| distinct exponent rows t, abelian or not,
+    and each satisfies p t_i = t . digits(a_i^p) and t . digits([a_j, a_i])
+    = 0 (mod e).  The relations are read from the group tables here, not
+    from the presentation the solver reads; with |G:G'| homomorphisms in
+    all, the rows are every linear character."""
+    P = parse_presentation(EXP81_CLASS3) if label == "exp81_class3" else pg.build(label, 3)
+    G = group_of(P)
+    T, e = pg.linear_character_exponents(G)
+    assert e == G.exponent
+    assert T.shape == (G.order // G.derived.order, G.n)
+    assert len({tuple(t) for t in T.tolist()}) == T.shape[0]
+
+    def digits(x):
+        return np.array(G.element_of(x).exps, dtype=np.int64)
+
+    gens = [G.gen_index(i) for i in range(G.n)]
+    for i, a in enumerate(gens):
+        assert ((G.p * T[:, i] - T @ digits(G.pow(a, G.p))) % e == 0).all()
+        for b in gens[i + 1:]:
+            assert (T @ digits(G.comm(b, a)) % e == 0).all()
 
 
 def scalar_dft_mults(Trows, G, cls, e, q, z):

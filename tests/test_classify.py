@@ -209,8 +209,8 @@ def _change_one_entry(T, kind):
 @pytest.mark.parametrize("kind", ["unity", "central"])
 def test_check_lift_equivalence_rejects_changed_quotient_row(kind, monkeypatch):
     """A quotient table with one row changed at one class has a row that
-    lifts to no parent row.  quotient() builds a new group on every call,
-    so the changed table is handed out by a wrapper around table_of."""
+    lifts to no parent row.  The real quotient table stays in the table
+    cache, so the changed table is handed out by a wrapper around table_of."""
     import pgclass.chartable as chartable_mod
     from pgclass.errors import InternalInconsistencyError
 
@@ -232,6 +232,20 @@ def test_check_lift_equivalence_rejects_changed_quotient_row(kind, monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="no lift in the parent"):
         pg.check_lift_equivalence(G, K)
     assert len(changed) == 1
+
+
+def test_check_lift_equivalence_computes_the_quotient_table_once(monkeypatch):
+    """quotient() builds the factor group through group_of, so equal
+    quotient presentations share one Group and one cached table: three
+    calls add one table, the quotient's, to a cache that held G's."""
+    import pgclass.chartable as chartable_mod
+
+    G, T = bundle("G_(18,1)", 5)
+    K = pg.subgroup_generated([G.element_of(1)], G)
+    monkeypatch.setattr(chartable_mod, "_table_cache", {G: T})
+    for _ in range(3):
+        assert pg.check_lift_equivalence(G, K) == []
+    assert len(chartable_mod._table_cache) == 2
 
 
 def test_check_nil_le_cd():
