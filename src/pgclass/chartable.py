@@ -241,9 +241,6 @@ class CharacterTable:
     def value(self, row_index: int, class_index: int) -> Cyclotomic:
         return self.rows[row_index].value(class_index)
 
-    def center_order(self, row) -> int:
-        return int(self.classes.sizes[row.center_mask].sum())
-
     def value_strings(self) -> list[list[str]]:
         """Every value as a string, row by row: str(self.value(i, j)).
 

@@ -6,6 +6,11 @@ its center) and the character-free "flat" route (each conjugacy class is
 as large as the subgroup generated by the commutators of its
 representative).  The report construction aborts rather than emit a
 disagreement.
+
+Neither character-free route closes a subgroup: flatness tests
+C [g, a] in C for each class C = cl(g) and pc generator a, the Camina
+route x z ~ x for each x outside N and generator z of N, as one class-id
+gather per generator (is_flat and is_camina_pair say why that is exact).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .chartable import CharacterTable
 from .errors import InternalInconsistencyError
-from .group import Subgroup, abelian_invariants, group_of, p_log
+from .group import Subgroup, _chain_gens, abelian_invariants, group_of, p_log
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +32,9 @@ from .group import Subgroup, abelian_invariants, group_of, p_log
 
 def is_central_type(row, T: CharacterTable) -> bool:
     """chi vanishes off Z(chi); cross-checked against chi(1)^2 = |G:Z(chi)|."""
-    vanishing = not bool((row.nonzero_mask & ~row.center_mask).any())
-    zorder = T.center_order(row)
+    zmask = row.center_mask
+    vanishing = not bool((row.nonzero_mask & ~zmask).any())
+    zorder = int(T.classes.sizes[zmask].sum())
     index_route = row.degree * row.degree * zorder == T.group.order
     if vanishing != index_route:
         raise InternalInconsistencyError(
@@ -66,55 +72,41 @@ def is_gvz(T: CharacterTable) -> bool:
 def is_flat(P) -> bool:
     """Character-free route: |cl(g)| = |<[g, x] : x in G>| for every g.
 
-    The commutator set {[g, x] : x in G} equals g^-1 * cl(g), so each test
-    compares a class size with a closure order.  A cheap generator-level
-    subgroup is tried first and accepted only when it provably equals the
-    full closure (it contains the entire commutator set)."""
+    Tested as C [g, a] in C for each class C = cl(g) of a rep g and each pc
+    generator a: one pairwise product and class-id gather per generator
+    over the whole group (central classes pass, [g, a] = 1), no closure.
+    Exact: let S = g^-1 C = {[g, x]} and T = C g^-1 = g S g^-1; g is flat
+    iff S, equivalently T, is a subgroup.  T^a = C (g^a)^-1, so T^a = T iff
+    C [g, a] = C, and finiteness turns C [g, a] in C into equality.  T is
+    a subgroup iff T^a = T for every pc generator a.  (if) g^(xa) g^-1 =
+    (g^x g^-1)^a w_a with w_a = g^a g^-1, so T = T^a w_a = T w_a and T is
+    right-stable under the normal closure N of the w_a; induction on a
+    positive word for x gives T in N, and 1 in T gives N in T.  (only if)
+    a subgroup S is [g, G], which is normal, so T = S."""
     G = group_of(P)
     cls = G.conjugacy_classes
-    inv = G.inverse_table
+    cid = cls.classof
+    x = np.arange(G.order, dtype=np.int64)
     comms = _generator_commutators(G, cls.reps)
-    for c in range(cls.count):
-        size = int(cls.sizes[c])
-        if size == 1:
-            continue
-        g = int(cls.reps[c])
-        commset = G.lmul_array(cls.members[c].copy(), int(inv[g]))
-        fast = G.subgroup_closure(comms[c])
-        if fast.size == size:
-            member = np.zeros(G.order, dtype=bool)
-            member[fast] = True
-            if member[commset].all():
-                continue
-        full = G.subgroup_closure(commset)
-        if full.size != size:
-            return False
-    return True
+    return all((cid[G.pairwise_mul(x, comms[cid, t])] == cid).all() for t in range(G.n))
 
 
 def _generator_commutators(G, xs: np.ndarray) -> np.ndarray:
-    """out[i, t] = [xs[i], a_t] = xs[i]^-1 (a_t^-1 xs[i] a_t), one
-    pairwise product per pc generator a_t."""
-    return np.stack([G.pairwise_mul(G.inverse_table[xs], conj[xs])
-                     for conj in G.conj_tables], axis=1)
+    """out[i, t] = [xs[i], a_t] = xs[i]^-1 (a_t^-1 xs[i] a_t), from one
+    pairwise product over all pc generators a_t at once."""
+    prods = G.pairwise_mul(np.tile(G.inverse_table[xs], G.n),
+                           np.concatenate([conj[xs] for conj in G.conj_tables]))
+    return prods.reshape(G.n, -1).T
 
 
-def is_nested(T: CharacterTable) -> bool:
-    """The distinct centers Z(chi) form a chain under inclusion."""
-    distinct = _distinct_center_masks(T)
-    distinct.sort(key=lambda m: int(T.classes.sizes[m].sum()))
-    for a, b in zip(distinct, distinct[1:]):
-        if (a & ~b).any():
-            return False
-    return True
-
-
-def _distinct_center_masks(T: CharacterTable) -> list[np.ndarray]:
-    seen = {}
-    for r in T.rows:
-        m = r.center_mask
-        seen.setdefault(m.tobytes(), m)
-    return list(seen.values())
+def is_nested(T: CharacterTable, *, masks: list[np.ndarray] | None = None) -> bool:
+    """The distinct centers Z(chi) form a chain under inclusion; masks, when
+    given, are the rows' center masks in row order."""
+    if masks is None:
+        masks = [r.center_mask for r in T.rows]
+    chain = sorted({m.tobytes(): m for m in masks}.values(),
+                   key=lambda m: int(T.classes.sizes[m].sum()))
+    return not any((a & ~b).any() for a, b in zip(chain, chain[1:]))
 
 
 def is_vz(T: CharacterTable) -> tuple[bool, str | None]:
@@ -134,7 +126,13 @@ def is_vz(T: CharacterTable) -> tuple[bool, str | None]:
 
 def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     """Every g outside N is conjugate to the whole coset gN; cross-checked
-    against the character criterion (rows not trivial on N vanish off N)."""
+    against the character criterion (rows not trivial on N vanish off N).
+
+    The conjugation route tests x z ~ x for every x outside N and every
+    generator z of N, one class-id gather per generator.  That is the coset
+    condition: xN in cl(x) gives x z ~ x; conversely each n in N is a
+    positive word z_1 ... z_r, every prefix x z_1 ... z_i lies outside N,
+    so x z_1 ... z_i ~ x z_1 ... z_(i-1) ~ ... ~ x."""
     G = group_of(P)
     if not (1 < N.order < G.order):
         raise ValueError("Camina pair requires 1 < N < G")
@@ -142,15 +140,10 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
         raise ValueError("N must be normal")
     cls = T.classes
     nmask = _class_mask(N, T)
-    conj_route = True
-    for c in range(cls.count):
-        if nmask[c]:
-            continue
-        g = int(cls.reps[c])
-        coset = G.rmul_array(N.indices.copy(), g)
-        if not (cls.classof[coset] == c).all():
-            conj_route = False
-            break
+    outside = np.flatnonzero(~N.mask)
+    cid = cls.classof[outside]
+    conj_route = all((cls.classof[G.rmul_array(outside, z)] == cid).all()
+                     for z in N.gens or _chain_gens(G, N.indices))
     char_route = True
     for r in T.rows:
         kermask = r.kernel_mask
@@ -390,27 +383,21 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
     from .chartable import table_of
 
     T = table if table is not None else table_of(G)
-    gvz = is_gvz(T)
+    sizes = T.classes.sizes
+    zmasks = [r.center_mask for r in T.rows]
+    per_char = tuple((r.degree, int(sizes[m].sum()), is_central_type(r, T))
+                     for r, m in zip(T.rows, zmasks))
+    gvz = all(c for _, _, c in per_char)
     flat = is_flat(G)
     if gvz != flat:
         raise InternalInconsistencyError(
             f"character route (gvz={gvz}) and conjugation route (flat={flat}) disagree"
         )
-    nested = is_nested(T)
+    nested = is_nested(T, masks=zmasks)
     vz, vz_note = is_vz(T)
     Z = G.center
-    camina = False
-    if 1 < Z.order < G.order:
-        camina = is_camina_pair(G, Z, T)
+    camina = 1 < Z.order < G.order and is_camina_pair(G, Z, T)
     gcamina = is_gen_camina_pair(G, Z, T)
-
-    sizes = T.classes.sizes
-    distinct = _distinct_center_masks(T)
-    orders = sorted({int(sizes[m].sum()) for m in distinct})
-
-    per_char = tuple(
-        (r.degree, T.center_order(r), is_central_type(r, T)) for r in T.rows
-    )
     if vz and not (nested and gvz):
         raise InternalInconsistencyError("VZ verdict without nested GVZ structure")
     if nested and gvz and not flat:
@@ -430,7 +417,7 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
         camina_pair_with_center=camina,
         gen_camina_pair_with_center=gcamina,
         center_order=Z.order,
-        center_chain=tuple(orders),
+        center_chain=tuple(sorted({z for _, z, _ in per_char})),
         center_chain_is_chain=nested,
         per_character=per_char,
     )

@@ -281,11 +281,10 @@ class Group:
         p = self.p
         for j in range(self.n):
             dig = (B // self._weights[j]) % p
-            cur = out.copy()
-            for k in range(1, p):
+            cur = out
+            for k in range(1, int(dig.max(initial=0)) + 1):
                 cur = self.right_tables[j][cur]
-                sel = dig == k
-                out[sel] = cur[sel]
+                np.copyto(out, cur, where=dig == k)
         return out
 
     def rmul_perm(self, b: int) -> np.ndarray:

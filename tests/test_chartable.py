@@ -2,11 +2,7 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,7 +391,7 @@ def test_float64_bound_is_checked(monkeypatch):
         chartable_mod._verify_pairs_against_block(T, dense)
 
 
-def test_table_guards_survive_optimize():
+def test_table_guards_survive_optimize(run_optimized):
     """Under python -O the exactness guards of chartable and modular still
     raise TableVerificationError."""
     code = (
@@ -447,13 +443,7 @@ def test_table_guards_survive_optimize():
         "    except pg.TableVerificationError:\n"
         "        print(name)\n"
     )
-    src = str(Path(pg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    assert run_optimized(code).split() == [
         "lift_unity", "central_blocks", "column_diagonal", "power_data",
         "root_of_unity", "poly_lcm", "annihilator", "linear_count",
     ]

@@ -1,10 +1,6 @@
 """Classification predicates and the counting formulas."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +74,44 @@ def test_flat_oracle_small():
     assert not pg.is_flat(pg.build("G_(19,1)", 5))
 
 
+def _flat_by_closure(G):
+    """The definition: |<g^-1 cl(g)>| = |cl(g)| for every class rep g."""
+    cls = G.conjugacy_classes
+    for c, g in enumerate(cls.reps.tolist()):
+        commset = G.lmul_array(cls.members[c], G.inv(g))
+        if G.subgroup_closure(commset).size != int(cls.sizes[c]):
+            return False
+    return True
+
+
+def test_flat_matches_closure_definition_on_corpus():
+    nonflat = []
+    for p in (3, 5):
+        for label, entry in pg.REGISTRY.items():
+            if entry.min_p > p or (entry.max_p is not None and entry.max_p < p):
+                continue
+            G = group_of(pg.build(label, p))
+            want = _flat_by_closure(G)
+            assert pg.is_flat(G) == want, (label, p)
+            if not want:
+                nonflat.append((label, p))
+    assert nonflat == [("G_(17,1)", 5), ("G_(19,1)", 5), ("G_(20,1)", 5)]
+
+
+def test_report_aborts_when_the_flat_route_disagrees(monkeypatch):
+    """Both routes run on every report: a wrong flat verdict must abort it."""
+    import pgclass.classify as classify_mod
+
+    real = classify_mod.is_flat
+    for label, p in [("heisenberg_p3", 3), ("G_(17,1)", 5)]:
+        G, T = bundle(label, p)
+        monkeypatch.setattr(classify_mod, "is_flat", lambda P: not real(P))
+        with pytest.raises(pg.InternalInconsistencyError, match="disagree"):
+            pg.classification_report(G, table=T)
+        monkeypatch.setattr(classify_mod, "is_flat", real)
+        assert pg.classification_report(G, table=T).is_flat == real(G)
+
+
 def test_flat_matches_gvz_everywhere_sampled():
     for label, p in [
         ("heisenberg_p3", 5),
@@ -138,6 +172,48 @@ def test_camina_pair_rejected_for_improper():
 def test_camina_pair_false_for_product():
     G, T = bundle("heisenberg_x_heisenberg", 3)
     assert not pg.is_camina_pair(G, G.center, T)
+
+
+# The Heisenberg group over F_9 (i^2 = -1): x1, x2 and y1, y2 are the
+# coordinates 1, i of two F_9 lines, [y_j, x_i] = x_i y_j in F_9 lands in the
+# center <z1, z2> = F_9, and every noncentral class is a whole coset gZ.
+# So (G, Z(G)) is a Camina pair whose Z(G) needs two generators.
+HEISENBERG_F9 = """group heisenberg_f9 prime 3
+gens x1 x2 y1 y2 z1 z2
+comm [y1,x1] = z1
+comm [y2,x1] = z2
+comm [y1,x2] = z2
+comm [y2,x2] = z1^2
+"""
+
+
+def _camina_by_cosets(G, N):
+    """The definition: gN lies in cl(g) for every class rep g outside N."""
+    cls = G.conjugacy_classes
+    return all((cls.classof[G.rmul_array(N.indices, g)] == c).all()
+               for c, g in enumerate(cls.reps.tolist()) if not N.mask[g])
+
+
+def test_camina_pair_matches_coset_definition():
+    f9 = group_of(pg.parse_presentation(HEISENBERG_F9))
+    cases = [
+        (bundle("heisenberg_p3", 3), "center", True),
+        (bundle("extraspecial_p5_exp_p", 5), "center", True),
+        ((f9, table_of(f9)), "center", True),
+        (bundle("heisenberg_x_heisenberg", 3), "center", False),
+        (bundle("G_(19,1)", 5), "center", False),
+        (bundle("heisenberg_x_Cp", 3), "center", False),    # x c_l ~ x, x c1_r is not
+        (bundle("heisenberg_x_Cp", 3), "derived", False),   # G' < Z(G)
+        (bundle("G_(18,1)", 5), "derived", False),          # Z(G) < G'
+    ]
+    for (G, T), which, want in cases:
+        N = getattr(G, which)
+        assert N.gens and (which == "center" or N != G.center)
+        bare = pg.Subgroup(group=G, indices=N.indices)  # no gens: chain gens are used
+        where = (G.pres.name, G.p, which)
+        assert _camina_by_cosets(G, N) == want, where
+        assert pg.is_camina_pair(G, N, T) == want, where
+        assert pg.is_camina_pair(G, bare, T) == want, where
 
 
 def test_gen_camina_pair():
@@ -356,7 +432,7 @@ def test_class_mask_requires_class_union():
         _class_mask(a, T)
 
 
-def test_class_mask_check_survives_optimize():
+def test_class_mask_check_survives_optimize(run_optimized):
     """Under python -O the class-union check still raises its typed error."""
     code = (
         "import pgclass as pg\n"
@@ -370,13 +446,7 @@ def test_class_mask_check_survives_optimize():
         "except pg.InternalInconsistencyError:\n"
         "    print('typed')\n"
     )
-    src = str(Path(pg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "typed"
+    assert run_optimized(code).strip() == "typed"
 
 
 def test_fully_ramified_requires_normal_subgroup():

@@ -125,3 +125,30 @@ def test_arith_dispatch():
     assert arith(x, y, "add").equals_rational(-1)
     assert arith(x, y, "mul").equals_rational(1)
     assert arith(x, x, "sub").is_zero()
+
+
+def test_cyclotomic_guards_survive_optimize(run_optimized):
+    """Under python -O an inexact polynomial division, a rational read of an
+    irrational value and a write to a value still raise."""
+    code = r"""
+from fractions import Fraction
+import pgclass as pg
+from pgclass.cyclotomic import _polydiv_exact
+
+def write():
+    pg.Cyclotomic.root(5).e = 7
+
+checks = {
+    "polydiv": (lambda: _polydiv_exact([Fraction(1), Fraction(0), Fraction(1)],
+                                       [Fraction(1), Fraction(1)]),
+                pg.InternalInconsistencyError),
+    "rational_value": (lambda: pg.Cyclotomic.root(5).rational_value(), ValueError),
+    "immutable": (write, AttributeError),
+}
+for name, (check, error) in checks.items():
+    try:
+        check()
+    except error:
+        print(name)
+"""
+    assert run_optimized(code).split() == ["polydiv", "rational_value", "immutable"]

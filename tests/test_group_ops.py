@@ -1,10 +1,6 @@
 """Structural operations, cross-checked against collector-based brute force."""
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +168,7 @@ def test_batched_generator_commutators(label, p):
         assert comms[c].tolist() == [G.comm(g, G.gen_index(t)) for t in range(G.n)]
 
 
-def test_quotient_guard_survives_optimize():
+def test_quotient_guard_survives_optimize(run_optimized):
     """Under python -O a wrong coset minimum still raises the typed error."""
     code = (
         "import numpy as np\n"
@@ -186,13 +182,7 @@ def test_quotient_guard_survives_optimize():
         "except pg.InternalInconsistencyError:\n"
         "    print('typed')\n"
     )
-    src = str(Path(pg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "typed"
+    assert run_optimized(code).strip() == "typed"
 
 
 def test_class_sizes_divide_order():

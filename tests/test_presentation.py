@@ -215,3 +215,36 @@ def test_self_referencing_weight_rejected_at_parse():
     bad = "group g prime 3\ngens a b c\ncomm [b,a] = c\ncomm [c,a] = c\n"
     with pytest.raises(ParseError):
         pg.parse_presentation(bad)
+
+
+
+def test_presentation_guards_survive_optimize(run_optimized):
+    """Under python -O the parser and the ConsistencyReport invariant still
+    raise their typed errors, and an inconsistent presentation is still
+    reported as one."""
+    code = r"""
+import pgclass as pg
+from pgclass.presentation import Element
+
+BROKEN = "group broken prime 3\ngens a b c\npow a^p = b\npow b^p = c\ncomm [b,a] = c\n"
+
+def report_flag():
+    e = Element((0, 0))
+    pg.ConsistencyReport(consistent=True, failures=(("overlap", e, e),))
+
+checks = {
+    "nonprime": (lambda: pg.parse_presentation("group g prime 4\ngens a\n"), pg.ParseError),
+    "self_weight": (lambda: pg.parse_presentation(
+        "group g prime 3\ngens a b c\ncomm [b,a] = c\ncomm [c,a] = c\n"), pg.ParseError),
+    "report_flag": (report_flag, pg.InternalInconsistencyError),
+}
+for name, (check, error) in checks.items():
+    try:
+        check()
+    except error:
+        print(name)
+if not pg.check_consistency(pg.parse_presentation(BROKEN)).consistent:
+    print("inconsistent")
+"""
+    assert run_optimized(code).split() == [
+        "nonprime", "self_weight", "report_flag", "inconsistent"]

@@ -394,3 +394,32 @@ def test_nested_monotonicity_matches_pairwise_reference():
         assert _nested_record(b["table"]).status == want, label
         checked += 1
     assert checked > 0
+
+
+def test_verify_guards_survive_optimize(run_optimized):
+    """Under python -O the quotient-structure guard still raises its typed
+    error, and a wrong counting formula still records a failure."""
+    code = r"""
+import pgclass as pg
+import pgclass.verify as vf
+
+real_counts = vf.counting_formulas
+real_subgroup = vf.subgroup_generated
+vf.subgroup_generated = lambda gens, G: G.center   # order p^2, not p
+try:
+    vf._check_quotient_structure(vf.SuiteResult("paper"), (5,))
+except pg.InternalInconsistencyError:
+    print("quotient_line")
+vf.subgroup_generated = real_subgroup
+
+def off_by_one(p, n):
+    c = real_counts(p, n)
+    return pg.CountingResult(c.p, c.order_exp, c.gvz_count + 1, c.nested_count)
+
+vf.counting_formulas = off_by_one
+res = vf.SuiteResult("paper")
+vf._check_counting(res, 5)
+print(*sorted(f"{r.check}:{r.status}" for r in res.records))
+"""
+    assert run_optimized(code).split() == [
+        "quotient_line", "counting-p5:fail", "counting-p6:fail"]
