@@ -23,7 +23,7 @@ import numpy as np
 
 from .chartable import CharacterTable
 from .errors import InternalInconsistencyError
-from .group import Subgroup, _chain_gens, abelian_invariants, group_of, p_log
+from .group import Subgroup, abelian_invariants, group_of, p_log
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +99,9 @@ def _generator_commutators(G, xs: np.ndarray) -> np.ndarray:
     return prods.reshape(G.n, -1).T
 
 
-def is_nested(T: CharacterTable, *, masks: list[np.ndarray] | None = None) -> bool:
-    """The distinct centers Z(chi) form a chain under inclusion; masks, when
-    given, are the rows' center masks in row order."""
-    if masks is None:
-        masks = [r.center_mask for r in T.rows]
-    chain = sorted({m.tobytes(): m for m in masks}.values(),
+def is_nested(T: CharacterTable) -> bool:
+    """The distinct centers Z(chi) form a chain under inclusion."""
+    chain = sorted({m.tobytes(): m for m in (r.center_mask for r in T.rows)}.values(),
                    key=lambda m: int(T.classes.sizes[m].sum()))
     return not any((a & ~b).any() for a, b in zip(chain, chain[1:]))
 
@@ -143,7 +140,7 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     outside = np.flatnonzero(~N.mask)
     cid = cls.classof[outside]
     conj_route = all((cls.classof[G.rmul_array(outside, z)] == cid).all()
-                     for z in N.gens or _chain_gens(G, N.indices))
+                     for z in N.generators)
     char_route = True
     for r in T.rows:
         kermask = r.kernel_mask
@@ -384,16 +381,15 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
 
     T = table if table is not None else table_of(G)
     sizes = T.classes.sizes
-    zmasks = [r.center_mask for r in T.rows]
-    per_char = tuple((r.degree, int(sizes[m].sum()), is_central_type(r, T))
-                     for r, m in zip(T.rows, zmasks))
+    per_char = tuple((r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
+                     for r in T.rows)
     gvz = all(c for _, _, c in per_char)
     flat = is_flat(G)
     if gvz != flat:
         raise InternalInconsistencyError(
             f"character route (gvz={gvz}) and conjugation route (flat={flat}) disagree"
         )
-    nested = is_nested(T, masks=zmasks)
+    nested = is_nested(T)
     vz, vz_note = is_vz(T)
     Z = G.center
     camina = 1 < Z.order < G.order and is_camina_pair(G, Z, T)

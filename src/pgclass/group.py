@@ -477,8 +477,13 @@ class Subgroup:
         return all(bool(self.mask[tab[self.indices]].all()) for tab in self.group.conj_tables)
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """gens, or the chain-jump elements of indices when none were given."""
+        return self.gens or _chain_gens(self.group, self.indices)
+
+    @cached_property
     def is_abelian(self) -> bool:
-        gens = self.gens or _chain_gens(self.group, self.indices)
+        gens = self.generators
         return all(
             self.group.comm(a, b) == 0 for ai, a in enumerate(gens) for b in gens[ai + 1:]
         )
