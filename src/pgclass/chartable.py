@@ -12,10 +12,16 @@ Pipeline, the same for every group:
     they number k (G is abelian) they are the whole table, and steps 3 and
     4 are skipped.
 3.  Joint eigenvectors of the size-1 (central) class matrices are written
-    down directly: the center acts on the class set, and for each orbit O
-    and each character lam of Z(G) trivial on the orbit stabilizer the
-    twisted indicator vector v[K] = lam(z_K)^-1 is an eigenvector.  This
-    splits the class space into blocks indexed by central characters.
+    down directly: Z(G) acts on the class set, and for each orbit O with
+    basepoint g and each character mu of Z(G) trivial on the orbit
+    stabilizer, the twisted indicator v[cl(z g)] = mu(z) is an
+    eigenvector.  This splits the class space into blocks indexed by
+    central characters.  Z(G) is enumerated once in the normal form of its
+    chain-jump elements b_a, and its characters solve its power relations
+    in Z/e, as in step 2.  The orbits and their transporters come from
+    orbit-minimum gathers along b_m, ..., b_1 that carry the transporters'
+    digits, and every stabilizer Z(G) ∩ g^-1 cl(g) from one pairwise
+    product over the basepoint classes (_central_blocks).
 4.  Remaining splitting uses class matrices in ascending class-size order,
     restricted to each unsplit block; eigenvalues are found from the
     minimal polynomial (roots located by scanning GF(q)) and eigenspaces
@@ -49,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import Cyclotomic, root_sum
 from .errors import TableVerificationError
-from .group import ConjugacyClassSet, Group, Subgroup, group_of, subgroup_as_group
+from .group import ConjugacyClassSet, Group, Subgroup, _chain_gens, group_of
 from .modular import (
     discrete_log_table,
     find_aux_prime,
@@ -70,10 +76,11 @@ _FLOAT64_EXACT = 2**53  # every integer below this is exact in float64
 class _Row:
     """One irreducible character, stored compactly by shape."""
 
-    __slots__ = ("degree", "e", "k", "kind", "texp", "support", "texp_on", "mults")
+    __slots__ = ("degree", "e", "k", "kind", "texp", "support", "texp_on", "mults",
+                 "_nonzero", "_center")
 
     def __init__(self, degree, e, k, kind, texp=None, support=None, texp_on=None,
-                 mults=None):
+                 mults=None, ones=None):
         self.degree = int(degree)
         self.e = e
         self.k = k
@@ -82,6 +89,9 @@ class _Row:
         self.support = support    # central: sorted class indices with nonzero value
         self.texp_on = texp_on    # central: exponents on the support
         self.mults = mults        # dense: (k, e) int32 eigenvalue multiplicities
+        # nonzero and center masks, built on first use; ones (unity rows
+        # only) is a read-only all-True array that a table's unity rows share
+        self._nonzero = self._center = ones
 
     # -- exact values --------------------------------------------------------
 
@@ -129,28 +139,34 @@ class _Row:
         return [strs[c] for c in inv.reshape(-1).tolist()]
 
     # -- class masks (exact by construction) ---------------------------------
+    # The nonzero and center masks, which the report reads several times per
+    # row, are built once and kept read-only.  The kernel mask is read once
+    # per row, so keeping it would only hold k bytes per row for the table's
+    # life.
 
     @property
     def nonzero_mask(self) -> np.ndarray:
-        if self.kind == "unity":
-            return np.ones(self.k, dtype=bool)
-        if self.kind == "central":
-            m = np.zeros(self.k, dtype=bool)
-            m[self.support] = True
-            return m
-        return ~_zero_mask_pp(self.mults, self.e)
+        if self._nonzero is None:
+            if self.kind == "dense":
+                self._nonzero = _read_only(~_zero_mask_pp(self.mults, self.e))
+            else:
+                self._nonzero = self.center_mask  # all True, or the support
+        return self._nonzero
 
     @property
     def center_mask(self) -> np.ndarray:
         """Classes where |value| equals the degree."""
-        if self.kind == "unity":
-            return np.ones(self.k, dtype=bool)
-        if self.kind == "central":
-            m = np.zeros(self.k, dtype=bool)
-            m[self.support] = True
-            return m
-        # dense: |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
-        return self.mults.max(axis=1) == self.degree
+        if self._center is None:
+            if self.kind == "unity":
+                m = np.ones(self.k, dtype=bool)
+            elif self.kind == "central":
+                m = np.zeros(self.k, dtype=bool)
+                m[self.support] = True
+            else:
+                # dense: |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
+                m = self.mults.max(axis=1) == self.degree
+            self._center = _read_only(m)
+        return self._center
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -171,6 +187,11 @@ class _Row:
             out[self.support] = self.degree * zpow[np.asarray(self.texp_on) % self.e] % q
             return out
         return self.mults.astype(np.int64) @ zpow % q
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
@@ -329,21 +350,37 @@ def linear_character_exponents(G: Group) -> tuple[np.ndarray, int]:
             v[g] += x
         return v
 
-    T = np.zeros((1, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            T = T[T @ sums(P.comm_rel(j, i)) % e == 0]
-        u = T @ sums(P.power_rels[i]) % e
-        T, u = T[u % p == 0], u[u % p == 0]
-        blocks = []
-        for b in range(p):
-            Tb = T.copy()
-            Tb[:, i] = (u // p + b * (e // p)) % e
-            blocks.append(Tb)
-        T = np.concatenate(blocks, axis=0)
+    powers = np.stack([sums(w) for w in P.power_rels])
+    comms = [np.array([sums(P.comm_rel(j, i)) for j in range(i + 1, n)],
+                      dtype=np.int64).reshape(-1, n) for i in range(n)]
+    T = _relation_solutions(powers, comms, p, e)
     if T.shape[0] * G.derived.order != G.order:
         raise TableVerificationError("linear character count differs from |G:G'|")
     return T, e
+
+
+def _relation_solutions(powers: np.ndarray, comms: list, p: int, e: int) -> np.ndarray:
+    """Every t in (Z/e)^n with p t_i = powers[i] . t and comms[i] t = 0 for
+    each i, where powers[i] and the rows of comms[i] are supported on the
+    coordinates after i.
+
+    The rows are built from the last coordinate up.  At i the rows that
+    break a row of comms[i] are dropped, and each row left has the p
+    solutions t_i = u/p + b e/p (b < p) of p t_i = u (mod e),
+    u = powers[i] . t, when p divides u and none otherwise; b is the most
+    significant digit of the row index so far.  So when no row is ever
+    dropped, row s has t_i = u/p + b_i e/p with s = sum_i b_i p^(n-1-i)
+    (_CenterChain.code reads s back)."""
+    n = powers.shape[0]
+    T = np.zeros((1, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        if comms[i].size:
+            T = T[(T @ comms[i].T % e == 0).all(axis=1)]
+        u = T @ powers[i] % e
+        T, u = T[u % p == 0], u[u % p == 0]
+        T = np.tile(T, (p, 1))
+        T[:, i] = (np.tile(u // p, p) + np.repeat(np.arange(p), u.size) * (e // p)) % e
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +418,126 @@ class _PowerData:
         return self.mat[: int(self.ords[i]), i]
 
 
-def _linear_rows_data(G: Group, cls: ConjugacyClassSet):
+def _linear_rows_data(G: Group, cls: ConjugacyClassSet, zc: "_CenterChain"):
     """Exponent rows (with respect to zeta_e, e = G.exponent) of all linear
     characters at every class rep, digits(rep) . t for each row t of
-    linear_character_exponents, plus their central-restriction keys for
-    block matching."""
+    linear_character_exponents, plus one block key per row: the code
+    (_CenterChain.code) of its restriction to Z(G), read at the classes of
+    the chain elements b_a."""
     T, e = linear_character_exponents(G)
     vals = T @ np.stack([d[cls.reps] for d in G.digit_arrays]) % e
-    centidx = np.flatnonzero(cls.sizes == 1)
-    keys = [tuple(int(x) for x in row[centidx]) for row in vals]
-    return vals, keys
+    return vals, zc.code(vals[:, cls.classof[list(zc.gens)]])
 
 
 # ---------------------------------------------------------------------------
 # the eigenvector stages
 
 
+class _CenterChain:
+    """Z(G) on its chain-jump elements b_1, ..., b_m (_chain_gens), and its
+    characters.
+
+    b_a jumps at the suffix subgroup H_i (b_a in H_i, not in H_(i+1)), and
+    K_a = Z(G) ∩ H_i has K_a = U_(j<p) b_a^j K_(a+1).  So every z in Z(G)
+    is b_1^d_1 ... b_m^d_m for exactly one digit vector d, read as the
+    base-p digits (d_1 most significant) of the position of z; positions
+    and digits convert.  b_a^p lies in K_(a+1), and powers[a] holds its
+    digits.  Z(G) is abelian, so these power relations present it, and by
+    von Dyck's theorem its characters Z(G) -> <zeta_e> are the t with
+    p t_a = powers[a] . t in Z/e (_relation_solutions with no commutator
+    relations), t_a being the exponent at b_a.  The exponent of Z(G)
+    divides e, so they number |Z(G)|, which is checked.  No row was then
+    dropped, so row s of chars has code s."""
+
+    def __init__(self, G: Group, e: int):
+        p = G.p
+        Z = G.center
+        gens = _chain_gens(G, Z.indices)
+        m = len(gens)
+        elems = np.zeros(1, dtype=np.int64)  # elems[s]: the element at position s
+        for b in reversed(gens):
+            blocks = [elems]
+            for _ in range(1, p):
+                blocks.append(G.rmul_array(blocks[-1], b))
+            elems = np.concatenate(blocks)
+        self.sorted_pos = np.argsort(elems)
+        self.sorted = elems[self.sorted_pos]
+        if not np.array_equal(self.sorted, Z.indices):
+            raise TableVerificationError("chain normal forms do not enumerate Z(G)")
+        self.p, self.e, self.m = p, e, m
+        self.gens = gens
+        self.powers = self.digits(self.positions([G.pow(b, p) for b in gens]))
+        if np.tril(self.powers).any():
+            raise TableVerificationError("a power b_a^p escapes its chain level")
+        self.chars = _relation_solutions(
+            self.powers, [np.zeros((0, m), dtype=np.int64)] * m, p, e)
+        if self.chars.shape[0] != Z.order:
+            raise TableVerificationError("character count of Z(G) differs from |Z(G)|")
+
+    def positions(self, x) -> np.ndarray:
+        """The position of each element x, -1 off Z(G)."""
+        i = np.minimum(np.searchsorted(self.sorted, x), self.sorted.size - 1)
+        return np.where(self.sorted[i] == x, self.sorted_pos[i], -1)
+
+    def digits(self, s) -> np.ndarray:
+        """Chain digits of the elements at positions s, one row each."""
+        return np.asarray(s)[:, None] // self.p ** np.arange(self.m - 1, -1, -1) % self.p
+
+    def code(self, t: np.ndarray) -> np.ndarray:
+        """The row of chars equal to each row of t, a character of Z(G)
+        given by its exponents at b_1, ..., b_m: the digits of the row
+        index, b_a = ((t_a - u/p) mod e) / (e/p) with u = powers[a] . t
+        (_relation_solutions)."""
+        p, e = self.p, self.e
+        t = t % e
+        code = np.zeros(t.shape[0], dtype=np.int64)
+        for a in range(self.m):
+            u = t @ self.powers[a] % e
+            code = code * p + (t[:, a] - u // p) % e // (e // p)
+        return code
+
+
+def _center_orbits(perms: list, p: int):
+    """(base, digits): for each class c, base[c] is the smallest class of
+    c's orbit under Z(G), and digits[c] the chain digits of an element w
+    of Z(G) with cl(w rep_c) = base[c].  perms[a][c] is the class of
+    b_a rep_c; the recursion is _orbit_minima's, and _central_blocks says
+    why the digits concatenate."""
+    k = perms[0].size
+    r = np.arange(k)
+    digits = np.zeros((k, len(perms)), dtype=np.int64)
+    for a in range(len(perms) - 1, -1, -1):
+        best, best_digits = r, digits
+        img = np.arange(k)
+        for j in range(1, p):
+            img = perms[a][img]
+            cand = r[img]
+            better = cand < best
+            best = np.where(better, cand, best)
+            best_digits = np.where(better[:, None], digits[img], best_digits)
+            best_digits[better, a] = j
+        r, digits = best, best_digits
+    return r, digits
+
+
+@dataclass(frozen=True, eq=False)
 class _CentralBlock:
     """One joint eigenspace of the central class matrices.
 
     The basis vectors are the twisted orbit indicators of one character of
     Z(G); they have pairwise disjoint supports, so a vector's coordinates
-    are its entries at the orbit basepoints.  Stored sparsely: per orbit a
-    (support, coefficient) pair."""
+    are its entries at the orbit basepoints.  Stored flat, one orbit after
+    another: flat_supp, flat_coef and flat_oid give each support class,
+    its coefficient and its orbit's position in the block, and seg_starts
+    where each orbit starts.  central_key is the code (_CenterChain.code)
+    of the central character of the block's rows."""
 
-    __slots__ = ("basepoints", "supports", "coeffs", "flat_supp", "flat_coef",
-                 "flat_oid", "seg_starts", "central_key")
-
-    def __init__(self, basepoints, supports, coeffs, central_key=()):
-        self.basepoints = basepoints
-        self.supports = supports
-        self.coeffs = coeffs
-        self.central_key = central_key
-        self.flat_supp = np.concatenate(supports)
-        self.flat_coef = np.concatenate(coeffs)
-        self.flat_oid = np.concatenate(
-            [np.full(s.size, o, dtype=np.int64) for o, s in enumerate(supports)]
-        )
-        sizes = np.array([s.size for s in supports], dtype=np.int64)
-        self.seg_starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    basepoints: np.ndarray
+    flat_supp: np.ndarray
+    flat_coef: np.ndarray
+    flat_oid: np.ndarray
+    seg_starts: np.ndarray
+    central_key: int
 
     @property
     def dim(self) -> int:
@@ -437,80 +555,88 @@ class _CentralBlock:
         return np.add.reduceat(weighted, self.seg_starts, axis=1) % q
 
 
-def _central_blocks(G, cls, e, zpow):
-    """Stage 1: joint eigenspaces of the central class matrices.
+def _central_blocks(G, cls, zc, zpow):
+    """Stage 3: the joint eigenspaces of the central class matrices, one
+    block per character mu of Z(G), from array kernels.  zc is the
+    _CenterChain of Z(G), and ``zpow[t]`` is z^t mod q for the chosen
+    primitive e-th root z.
 
-    ``zpow[t]`` is z^t mod q for the chosen primitive e-th root z."""
+    - Vectors.  A row chi with chi = chi(1) mu on Z(G) has the eigenvector
+      w[c] = |K_c| chi(g_c) / chi(1), and chi(z g) = mu(z) chi(g), so
+      w[cl(z g)] = mu(z) w[cl(g)].  Let O be an orbit of Z(G) on the
+      classes with basepoint g, and Stab = {z : cl(z g) = cl(g)}
+      = Z(G) ∩ g^-1 cl(g).  The twisted indicator v[cl(z g)] = mu(z) is
+      well defined iff mu is trivial on Stab.  Those mu number
+      |Z(G):Stab| = |O|, so the blocks together have dimension k.
+    - Orbits.  K_a = <b_a, ..., b_m> has K_a = U_(j<p) b_a^j K_(a+1), so
+      the smallest class of the K_a-orbit of c is the least over j of that
+      of the K_(a+1)-orbit of b_a^j c.  _center_orbits takes these
+      min-gathers from b_m up to b_1.  Each carries the digits of a
+      transporter w with cl(w g_c) = base[c]: the winning j, then the
+      digits held for b_a^j c, those of an element of K_(a+1).  Z(G) is
+      abelian, so b_a^j times that element is in normal form: the digits
+      concatenate.  Then v[c] = mu(w)^-1 = zeta_e^(-t . digits) for the
+      exponents t of mu.
+    - Stabilizers.  One pairwise product g^-1 x over the members x of
+      every basepoint class g; the products that lie in Z(G) are the
+      stabilizers.  |Stab| |O| = |Z(G)| is checked, mu is tested once per
+      distinct stabilizer, and the mu trivial on it must number |O|.
+    - Blocks.  The kept (mu, class) pairs, sum over O of |O|^2 <= k |Z(G)|
+      of them, are sorted once by (mu, basepoint, class), and every
+      block's flat arrays are slices of the result."""
     k = cls.count
-    Zsub = G.center
-    ZG = subgroup_as_group(Zsub)
-    Tz, eZ = linear_character_exponents(ZG.group)
-    if e % eZ:
-        raise TableVerificationError("exponent of Z(G) does not divide e")
+    e, zorder = zc.e, zc.sorted.size
+    perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in zc.gens]
+    base, digits = _center_orbits(perms, G.p)
+    isbase = base == np.arange(k)
 
-    zo = ZG.to_parent.size
-    zact = np.empty((zo, k), dtype=np.int64)
-    for s in range(zo):
-        h = int(ZG.to_parent[s])
-        zact[s] = cls.classof[G.lmul_array(cls.reps.copy(), h)]
+    xs = np.flatnonzero(isbase[cls.classof])
+    owner = cls.classof[xs]
+    zs = zc.positions(G.pairwise_mul(G.inverse_table[cls.reps[owner]], xs))
+    owner, zs = owner[zs >= 0], zs[zs >= 0]
+    stab_size = np.bincount(owner, minlength=k)
+    if (np.bincount(base, minlength=k)[isbase] * stab_size[isbase] != zorder).any():
+        raise TableVerificationError("center orbit and stabilizer sizes disagree")
 
-    # orbits of the center on classes, with a transversal in Z-indices
-    orbit_id = np.full(k, -1, dtype=np.int64)
-    transv = np.zeros(k, dtype=np.int64)
-    orbits = []
-    gen_zidx = [ZG.group.gen_index(a) for a in range(ZG.group.n)]
-    for k0 in range(k):
-        if orbit_id[k0] >= 0:
-            continue
-        oid = len(orbits)
-        orbit_id[k0] = oid
-        transv[k0] = 0
-        frontier = [k0]
-        members = [k0]
-        while frontier:
-            nxt = []
-            for kk in frontier:
-                for a in gen_zidx:
-                    img = int(zact[a, kk])
-                    if orbit_id[img] < 0:
-                        orbit_id[img] = oid
-                        transv[img] = ZG.group.mul(a, int(transv[kk]))
-                        nxt.append(img)
-                        members.append(img)
-            frontier = nxt
-        orbits.append(np.array(sorted(members), dtype=np.int64))
+    # distinct stabilizers, as sorted position rows grouped by size
+    order = np.lexsort((zs, owner, stab_size[owner]))
+    owner, zs = owner[order], zs[order]
+    stab_id = np.empty(k, dtype=np.int64)
+    mus = []
+    start = 0
+    sizes, counts = np.unique(stab_size[isbase], return_counts=True)
+    for s, n in zip(sizes.tolist(), counts.tolist()):
+        stabs, inv = np.unique(zs[start:start + n * s].reshape(n, s), axis=0,
+                               return_inverse=True)
+        stab_id[owner[start:start + n * s:s]] = len(mus) + inv.reshape(-1)
+        for S in stabs:
+            trivial = np.flatnonzero(~(zc.chars @ zc.digits(S).T % e).any(axis=1))
+            if trivial.size * s != zorder:
+                raise TableVerificationError("characters trivial on a stabilizer miscounted")
+            mus.append(trivial)
+        start += n * s
 
-    # lam exponents at every Z element, lifted to zeta_e scale
-    lam_at = Tz @ np.stack(ZG.group.digit_arrays) % eZ
-    scale = e // eZ
+    cls_stab = stab_id[base]
+    pair_cls = [np.flatnonzero(cls_stab == i) for i in range(len(mus))]
+    mu = np.concatenate([np.repeat(m, c.size) for m, c in zip(mus, pair_cls)])
+    cl = np.concatenate([np.tile(c, m.size) for m, c in zip(mus, pair_cls)])
+    order = np.lexsort((cl, base[cl], mu))
+    mu, cl = mu[order], cl[order]
+    coef = zpow[-np.einsum("ia,ia->i", zc.chars[mu], digits[cl]) % e]
 
-    stab_cache = [np.flatnonzero(zact[:, int(O[0])] == int(O[0])) for O in orbits]
-    central_classes = np.flatnonzero(cls.sizes == 1)
-    cent_zidx = np.array(
-        [ZG.from_parent[int(cls.reps[c])] for c in central_classes], dtype=np.int64
-    )
-    blocks = []
-    for lam in range(Tz.shape[0]):
-        vals = lam_at[lam]
-        basepoints, supports, coeffs = [], [], []
-        for oid, O in enumerate(orbits):
-            if vals[stab_cache[oid]].any():
-                continue  # lam not trivial on the stabilizer
-            texp = (-vals[transv[O]] * scale) % e
-            basepoints.append(int(O[0]))
-            supports.append(O)
-            coeffs.append(zpow[texp])
-        if basepoints:
-            # eigen-exponent of every central class matrix on this block,
-            # which is also the central character of its member rows
-            key = tuple(int(x) for x in (-vals[cent_zidx] * scale) % e)
-            blocks.append(
-                _CentralBlock(
-                    np.array(basepoints, dtype=np.int64), supports, coeffs, key
-                )
-            )
-    if sum(b.dim for b in blocks) != k:
+    new_block = np.r_[True, mu[1:] != mu[:-1]]
+    new_orbit = new_block | np.r_[True, base[cl][1:] != base[cl][:-1]]
+    oid = np.cumsum(new_orbit) - 1
+    orbit_starts = np.flatnonzero(new_orbit)
+    if orbit_starts.size != k:
         raise TableVerificationError("central splitting lost dimensions")
+    starts = np.flatnonzero(new_block).tolist()
+    blocks = []
+    for lo, hi in zip(starts, starts[1:] + [mu.size]):
+        o0 = oid[lo]
+        seg = orbit_starts[o0:oid[hi - 1] + 1]
+        blocks.append(_CentralBlock(cl[seg], cl[lo:hi], coef[lo:hi], oid[lo:hi] - o0,
+                                    seg - lo, int(mu[lo])))
     return blocks
 
 
@@ -549,7 +675,7 @@ def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
 
 
 def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
-    """Stage 2: refine the central blocks until every subspace is a line.
+    """Stage 4: refine the central blocks until every subspace is a line.
 
     The block of a central character first sheds the span of its linear
     rows, whose eigenvectors are already known exactly: inside a block the
@@ -574,16 +700,18 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
     invclass = cls.classof[G.inverse_table[cls.reps]]
     inv_sizes = _invmod_arr(sizes, q)
 
-    by_key: dict[tuple, list[int]] = {}
-    for i, key in enumerate(lin_keys):
-        by_key.setdefault(key, []).append(i)
+    by_key = np.argsort(lin_keys, kind="stable")
+    sorted_keys = lin_keys[by_key]
+    keys = np.array([blk.central_key for blk in blocks], dtype=np.int64)
+    lo = np.searchsorted(sorted_keys, keys, side="left")
+    hi = np.searchsorted(sorted_keys, keys, side="right")
 
     finals = []
     work = []  # per block: [block, [(C_rref, pivots), ...]]
-    for blk in blocks:
+    for blk, a, b in zip(blocks, lo.tolist(), hi.tolist()):
         D = blk.dim
-        members = by_key.get(blk.central_key, [])
-        t = len(members)
+        members = by_key[a:b]
+        t = members.size
         if t > D:
             raise TableVerificationError("more linear rows than block dimensions")
         if t == D:
@@ -593,11 +721,9 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
             J0 = np.arange(D, dtype=np.int64)
         else:
             # annihilator of the linear rows under the pairing
-            F = np.empty((t, D), dtype=np.int64)
-            for r, li in enumerate(members):
-                ostar = lin_omega[li][invclass] * inv_sizes % q
-                vals = ostar[blk.flat_supp] * blk.flat_coef % q
-                F[r] = np.add.reduceat(vals, blk.seg_starts) % q
+            w = inv_sizes[blk.flat_supp] * blk.flat_coef % q
+            F = lin_omega[np.ix_(members, invclass[blk.flat_supp])] * w % q
+            F = np.add.reduceat(F, blk.seg_starts, axis=1) % q
             ker = kernel_basis_mod(F, q)
             if ker.shape[0] != D - t:
                 raise TableVerificationError("linear span does not fill its rank")
@@ -703,7 +829,8 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     k = cls.count
     sizes = cls.sizes
     order = G.order
-    rows = {r: _Row(1, e, k, "unity", texp=_lift_unity(T[r], dlog))
+    ones = _read_only(np.ones(k, dtype=bool))
+    rows = {r: _Row(1, e, k, "unity", texp=_lift_unity(T[r], dlog), ones=ones)
             for r in range(len(degs)) if degs[r] == 1}
     nl = np.array([r for r in range(len(degs)) if degs[r] > 1], dtype=np.int64)
     if not nl.size:
@@ -836,11 +963,12 @@ def compute_table(P) -> CharacterTable:
         acc = acc * z % q
 
     sizes = cls.sizes.astype(np.int64)
-    lin_texp, lin_keys = _linear_rows_data(G, cls)
+    zc = _CenterChain(G, e)
+    lin_texp, lin_keys = _linear_rows_data(G, cls, zc)
     lin_omega = sizes * zpow[lin_texp] % q
     finals = list(lin_omega)
     if len(finals) < k:
-        blocks = _central_blocks(G, cls, e, zpow)
+        blocks = _central_blocks(G, cls, zc, zpow)
         finals += _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)
     if len(finals) != k:
         raise TableVerificationError("wrong number of eigenvectors")
@@ -903,8 +1031,6 @@ def _class_union_subgroup(T: CharacterTable, mask: np.ndarray) -> Subgroup:
     cls = T.classes
     idxs = np.sort(np.concatenate([cls.members[i] for i in np.flatnonzero(mask)]))
     G = T.group
-    from .group import _chain_gens
-
     gens = _chain_gens(G, idxs)
     closure = G.subgroup_closure(gens)
     if closure.size != idxs.size or not (closure == idxs).all():

@@ -10,7 +10,7 @@ import pytest
 import pgclass as pg
 from pgclass import Cyclotomic, TableVerificationError
 from pgclass.chartable import class_constants, table_of
-from pgclass.group import group_of
+from pgclass.group import abelian_invariants, group_of
 from pgclass.presentation import collector, parse_presentation
 
 
@@ -400,16 +400,16 @@ def test_table_guards_survive_optimize(run_optimized):
         "import pgclass as pg\n"
         "import pgclass.chartable as ct\n"
         "import pgclass.modular as md\n"
-        "lce = ct.linear_character_exponents\n"
-        "def trivial_only(Z):\n"
-        "    Tz, eZ = lce(Z)\n"
-        "    return Tz[:1], eZ\n"
+        "solve = ct._relation_solutions\n"
         "def central_blocks():\n"
-        "    ct.linear_character_exponents = trivial_only\n"
+        "    ct._relation_solutions = lambda *args: solve(*args)[:-1]\n"
         "    try:\n"
         "        ct.compute_table(pg.build('heisenberg_p3', 3))\n"
+        "    except pg.TableVerificationError as exc:\n"
+        "        if 'Z(G)' in str(exc):\n"
+        "            raise\n"
         "    finally:\n"
-        "        ct.linear_character_exponents = lce\n"
+        "        ct._relation_solutions = solve\n"
         "def lcm():\n"
         "    md.poly_gcd = lambda a, b, q: [1, 1]\n"
         "    md.poly_lcm([2], [3], 7)\n"
@@ -447,6 +447,172 @@ def test_table_guards_survive_optimize(run_optimized):
         "lift_unity", "central_blocks", "column_diagonal", "power_data",
         "root_of_unity", "poly_lcm", "annihilator", "linear_count",
     ]
+
+
+# -- central blocks: the array kernels against the orbit walk --------------------
+
+
+def _center_setup(G):
+    """(cls, e, q, zpow) as compute_table chooses them."""
+    from pgclass.modular import find_aux_prime, root_of_unity
+
+    e = G.exponent
+    q = find_aux_prime(e, G.order)
+    z = root_of_unity(q, e)
+    return G.conjugacy_classes, e, q, np.array([pow(z, t, q) for t in range(e)])
+
+
+def _orbit_vector(support, coef, q):
+    """An orbit's support with its coefficients scaled to 1 at the
+    basepoint, the smallest support class."""
+    inv = pow(int(coef[0]), q - 2, q)
+    return tuple(support.tolist()), tuple((coef * inv % q).tolist())
+
+
+def walked_central_blocks(G, cls, e, q, zpow):
+    """The construction that _central_blocks replaced: Z(G) as a checked
+    Group of its own, one lmul_array per element of Z(G) for its action on
+    the classes, a BFS over every class and generator for the orbits and
+    transversals, Z(G)'s characters at its own exponent scaled up to e,
+    and a stabilizer test of every character on every orbit.  Returns the
+    blocks as {central character at the central classes: set of orbit
+    vectors}."""
+    from pgclass.group import subgroup_as_group
+
+    k = cls.count
+    ZG = subgroup_as_group(G.center)
+    Tz, eZ = pg.linear_character_exponents(ZG.group)
+    zact = np.stack([cls.classof[G.lmul_array(cls.reps.copy(), int(h))]
+                     for h in ZG.to_parent])
+    orbit_id = np.full(k, -1, dtype=np.int64)
+    transv = np.zeros(k, dtype=np.int64)
+    orbits = []
+    gen_zidx = [ZG.group.gen_index(a) for a in range(ZG.group.n)]
+    for k0 in range(k):
+        if orbit_id[k0] >= 0:
+            continue
+        orbit_id[k0] = len(orbits)
+        frontier, members = [k0], [k0]
+        while frontier:
+            nxt = []
+            for kk in frontier:
+                for a in gen_zidx:
+                    img = int(zact[a, kk])
+                    if orbit_id[img] < 0:
+                        orbit_id[img] = len(orbits)
+                        transv[img] = ZG.group.mul(a, int(transv[kk]))
+                        nxt.append(img)
+                        members.append(img)
+            frontier = nxt
+        orbits.append(np.array(sorted(members), dtype=np.int64))
+    lam_at = Tz @ np.stack(ZG.group.digit_arrays) % eZ
+    scale = e // eZ
+    cent_zidx = [ZG.from_parent[int(cls.reps[c])] for c in np.flatnonzero(cls.sizes == 1)]
+    blocks = {}
+    for vals in lam_at:
+        vectors = {_orbit_vector(O, zpow[(-vals[transv[O]] * scale) % e], q)
+                   for O in orbits if not vals[np.flatnonzero(zact[:, O[0]] == O[0])].any()}
+        blocks[tuple(((-vals[cent_zidx] * scale) % e).tolist())] = vectors
+    return blocks
+
+
+def kernel_central_blocks(G, cls, e, q, zpow):
+    """_central_blocks in the form walked_central_blocks returns, with
+    each block's integer key decoded to its character at the central
+    classes, and the orbit sizes under Z(G)."""
+    import pgclass.chartable as ct
+
+    zc = ct._CenterChain(G, e)
+    zdig = zc.digits(zc.positions(cls.reps[cls.sizes == 1]))
+    blocks = {}
+    for blk in ct._central_blocks(G, cls, zc, zpow):
+        ends = np.r_[blk.seg_starts[1:], blk.flat_supp.size]
+        key = tuple((zc.chars[blk.central_key] @ zdig.T % e).tolist())
+        assert key not in blocks
+        blocks[key] = {_orbit_vector(blk.flat_supp[a:b], blk.flat_coef[a:b], q)
+                       for a, b in zip(blk.seg_starts, ends)}
+    base, _ = ct._center_orbits([cls.classof[G.rmul_array(cls.reps, b)] for b in zc.gens],
+                                G.p)
+    return blocks, np.bincount(base)[np.unique(base)]
+
+
+def _center_groups():
+    from test_classify import HEISENBERG_F9
+
+    out = [(f"{label}@{p}", pg.build(label, p))
+           for label, entry in pg.REGISTRY.items() for p in (3, 5) if entry.min_p <= p]
+    return out + [("heisenberg_f9@3", parse_presentation(HEISENBERG_F9))]
+
+
+def test_central_blocks_match_the_orbit_walk():
+    """On every corpus group at p = 3, 5 with fewer linear rows than
+    classes, and on the Heisenberg group over F_9, the array kernels give
+    the blocks of the zact + BFS construction: the same central characters,
+    each spanned by the same orbit vectors (support and coefficients scaled
+    at the basepoint).  The cases include centers on two generators, the
+    cyclic center of order 25 of G_(14,3)@5 (b_1^5 = b_2), and orbits whose
+    stabilizer is neither trivial nor all of Z(G)."""
+    seen = {}
+    for name, P in _center_groups():
+        G = group_of(P)
+        if G.order // G.derived.order == G.conjugacy_classes.count:
+            continue
+        setup = _center_setup(G)
+        got, orbit_sizes = kernel_central_blocks(G, *setup)
+        assert got == walked_central_blocks(G, *setup), name
+        zorder = G.center.order
+        seen[name] = (zorder, len(G.center.gens), bool(((orbit_sizes > 1)
+                                                        & (orbit_sizes < zorder)).any()))
+    assert seen["heisenberg_x_heisenberg@3"][:2] == (9, 2)
+    assert seen["heisenberg_f9@3"][:2] == (9, 2)
+    assert seen["G_(14,3)@5"][:2] == (25, 2)
+    assert abelian_invariants(group_of(pg.build("G_(14,3)", 5)).center) == (25,)
+    proper = {name for name, (_, _, has_proper) in seen.items() if has_proper}
+    assert {"heisenberg_x_Cp@3", "heisenberg_x_heisenberg@3", "G_(14,3)@5"} <= proper
+    assert "heisenberg_f9@3" not in proper  # a Camina pair: Stab = Z(G) off the center
+
+
+def _alter_center_character(monkeypatch, G):
+    """The last character row of Z(G) with one exponent moved by e/p; the
+    chain still returns |Z(G)| rows."""
+    import pgclass.chartable as ct
+
+    class Altered(ct._CenterChain):
+        def __init__(self, G, e):
+            super().__init__(G, e)
+            self.chars[-1, -1] = (self.chars[-1, -1] + e // G.p) % e
+
+    monkeypatch.setattr(ct, "_CenterChain", Altered)
+
+
+def _shift_transporter_digit(monkeypatch, G):
+    """One transporter digit of the last central class moved by one: its
+    transporter changes by a generator b_a of Z(G), which the trivial
+    stabilizer of the central orbit does not absorb."""
+    import pgclass.chartable as ct
+
+    c = int(np.flatnonzero(G.conjugacy_classes.sizes == 1)[-1])
+    orbits = ct._center_orbits
+
+    def shifted(perms, p):
+        base, digits = orbits(perms, p)
+        digits[c, 0] = (digits[c, 0] + 1) % p
+        return base, digits
+
+    monkeypatch.setattr(ct, "_center_orbits", shifted)
+
+
+@pytest.mark.parametrize("corrupt", [_alter_center_character, _shift_transporter_digit])
+@pytest.mark.parametrize("label,p", [("heisenberg_p3", 3), ("heisenberg_x_Cp", 3),
+                                     ("heisenberg_x_heisenberg", 3), ("G_(14,3)", 5)])
+def test_corrupted_center_data_fails_the_table(monkeypatch, corrupt, label, p):
+    """Nothing checks Z(G)'s presentation for consistency any more: a wrong
+    character of Z(G) or a wrong transporter gives wrong candidate vectors,
+    and compute_table must end in TableVerificationError."""
+    G = pg.Group(pg.build(label, p))
+    corrupt(monkeypatch, G)
+    with pytest.raises(TableVerificationError):
+        pg.compute_table(G)
 
 
 # -- lifting by power-orbit DFT --------------------------------------------------
@@ -609,7 +775,7 @@ def mutate(T, kind):
     unity = [i for i, kd in enumerate(kinds) if kd == "unity"]
     if kind in ("dense_nonzero", "dense_vanishing"):
         i = dense[len(dense) // 2]
-        mask = rows[i].nonzero_mask
+        mask = rows[i].nonzero_mask.copy()
         if kind == "dense_vanishing":
             mask = ~mask
         mask[0] = False

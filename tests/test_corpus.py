@@ -152,3 +152,35 @@ def test_isoclinic_invariance_of_verdicts():
     ra, rb = pg.classification_report(A), pg.classification_report(B)
     assert ra.is_gvz == rb.is_gvz
     assert ra.is_nested == rb.is_nested
+
+
+def test_corpus_guards_survive_optimize(run_optimized):
+    """Under python -O the corpus builders still reject bad input with
+    ValueError, a perfect group still raises InternalInconsistencyError
+    in quotient_abelianization, and an exhausted isoclinism budget still
+    returns None."""
+    code = """
+import pgclass as pg
+from pgclass.corpus import direct_product, isoclinic_brute, quotient_abelianization
+
+for args in [("nope", 5), ("heisenberg_p3", 4), ("G_(17,1)", 3)]:
+    try:
+        pg.build(*args)
+    except ValueError:
+        print("build")
+try:
+    direct_product(pg.build("C_p", 3), pg.build("C_p", 5), "mixed")
+except ValueError:
+    print("product")
+G = pg.Group(pg.build("heisenberg_p3", 3))
+G.derived = pg.subgroup_generated([G.gen_index(0), G.gen_index(1)], G)
+try:
+    quotient_abelianization(G)
+except pg.InternalInconsistencyError:
+    print("perfect")
+C = pg.group_of(pg.build("heisenberg_p3", 3))
+D = pg.group_of(pg.build("heisenberg_x_Cp", 3))
+print(isoclinic_brute(C, D, budget=3))
+"""
+    assert run_optimized(code).split() == [
+        "build", "build", "build", "product", "perfect", "None"]

@@ -423,3 +423,31 @@ print(*sorted(f"{r.check}:{r.status}" for r in res.records))
 """
     assert run_optimized(code).split() == [
         "quotient_line", "counting-p5:fail", "counting-p6:fail"]
+
+
+def test_cli_exit_codes_survive_optimize(run_optimized, tmp_path):
+    """Under python -O the CLI still maps its errors to exit codes: a
+    parse error and a missing file are input errors (1), and a table guard
+    that fires under `chartable --json` is an internal inconsistency (2)
+    with the error in the JSON."""
+    good = write_pres(tmp_path, "heisenberg_p3", 3)
+    bad = tmp_path / "bad.pg"
+    bad.write_text("group bad prime 4\ngens a\n", encoding="utf-8")
+    code = f"""
+import contextlib, io, json
+import numpy as np
+import pgclass.chartable as ct
+from pgclass.cli import main
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(args))
+    return code, out.getvalue()
+
+print(run("classify", {str(bad)!r})[0], run("classify", {str(tmp_path / "missing.pg")!r})[0])
+ct.discrete_log_table = lambda q, z, e: np.full(q, -1, dtype=np.int64)
+code, out = run("chartable", {str(good)!r}, "--json")
+print(code, json.loads(out)["internal"])
+"""
+    assert run_optimized(code).split() == ["1", "1", "2", "True"]
