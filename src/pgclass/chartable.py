@@ -35,23 +35,29 @@ Pipeline, the same for every group:
     sequence is verified to be geometric mod q has multiplicity vector
     d*delta, i.e. value d*zeta^t, and a row whose certified support H
     satisfies d^2 |H| = |G| vanishes off H because sum over G of
-    |chi|^2 = |G| leaves nothing for the complement.  The rows left over
-    take Dixon's recovery at every class: for a class of element order m
-    the multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one
-    m-point DFT along the class's power orbit, evaluated mod q.  Each
-    multiplicity is an integer in [0, d] < q, so the lift is exact.
+    |chi|^2 = |G| leaves nothing for the complement.  Certification
+    catches every central-type row (_lift_rows says why), so the rows left
+    over are stored dense.  They take Dixon's recovery at every class: for
+    a class of element order m the multiplicities
+    m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point DFT along the
+    class's power orbit, evaluated mod q.  Each multiplicity is an integer
+    in [0, d] < q, so the lift is exact.
 
-All verification (sum of squares, orthogonality, column norms, degree
-bounds) is exact; see _verify_table for how each check is grounded.
+All verification is exact.  First orthogonality of every pair of rows
+rests on one argument: the linear rows are distinct homomorphisms, the
+non-linear rows are closed under the Galois group of Q(zeta_e), and their
+Gram matrix is checked modulo a few primes q' = 1 (mod e) other than q
+whose product exceeds a bound on every conjugate of every entry.  The same
+residues give the column diagonal, and the restriction norms need no
+arithmetic; _verify_table has the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import Cyclotomic, root_sum
 from .errors import TableVerificationError
@@ -64,9 +70,9 @@ from .modular import (
     poly_roots,
     root_of_unity,
 )
+from .presentation import is_prime
 
 _MAX_CLASSES = 6000
-_FLOAT64_EXACT = 2**53  # every integer below this is exact in float64
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +201,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
-    """Exact zero test for multiplicity matrices over prime-power e."""
-    if e == 1:
-        return mults[:, 0] == 0
+    """Exact zero test for multiplicity matrices over prime-power e > 1:
+    only dense rows use it, and a dense row needs a non-abelian G, so
+    e >= p."""
     r = _least_prime_factor(e)
     m = e // r
     resh = mults.reshape(mults.shape[0], r, m)
@@ -211,21 +217,6 @@ def _least_prime_factor(e: int) -> int:
             return f
         f += 1
     return e
-
-
-def _rational_of_coeffvec(c: np.ndarray, e: int):
-    """(is_rational mask, value) for integer coefficient vectors over
-    zeta_e powers, prime-power e; shapes (..., e)."""
-    if e == 1:
-        return np.ones(c.shape[:-1], dtype=bool), c[..., 0]
-    r = _least_prime_factor(e)
-    m = e // r
-    resh = c.reshape(*c.shape[:-1], r, m)
-    ref = resh[..., 1, :]
-    ok_tail = (resh[..., 1:, :] == ref[..., None, :]).all(axis=(-1, -2))
-    ok_head = (resh[..., 0, 1:] == ref[..., 1:]).all(axis=-1)
-    value = resh[..., 0, 0] - ref[..., 0]
-    return ok_tail & ok_head, value
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +814,19 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     are d*delta, hence exactly d*delta: the value is d*zeta^t.  A row whose
     candidates are all certified and whose certified support H has
     d^2 |H| = |G| vanishes off H.  The rows left over take
-    _orbit_dft_mults at every class, then the range and sum checks; one
-    whose every value is 0 or of absolute value d is stored central-type,
-    any other dense."""
+    _orbit_dft_mults at every class, then the range and sum checks, and are
+    stored dense.
+
+    Certification catches every central-type row chi (every value 0 or of
+    absolute value d), so a dense row is never of central type:
+    - off Z(chi) the value is 0, and 0 != d^2 (mod q) because q > d, so
+      the candidate classes are exactly those of Z(chi);
+    - on Z(chi), chi = d lambda for a linear character lambda of the
+      subgroup Z(chi), so chi(g^s) = d omega^s is geometric;
+    - chi vanishes off Z(chi), so d^2 |Z(chi)| = |G|.
+    Being of central type is a Galois invariant, so a row's stored kind is
+    one too.  The closure check of _verify_structural_pairs, which compares
+    the rows kind by kind, relies on this to pass a correct table."""
     k = cls.count
     sizes = cls.sizes
     order = G.order
@@ -879,13 +880,7 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
                 raise TableVerificationError("multiplicity outside [0, degree]")
             if (mr.sum(axis=1) != d).any():
                 raise TableVerificationError("multiplicities do not sum to the degree")
-            center = mr.max(axis=1) == d
-            if (_zero_mask_pp(mr, e) | center).all():
-                support = np.flatnonzero(center)
-                rows[r] = _Row(d, e, k, "central", support=support,
-                               texp_on=mr[support].argmax(axis=1))
-            else:
-                rows[r] = _Row(d, e, k, "dense", mults=mr)
+            rows[r] = _Row(d, e, k, "dense", mults=mr)
     return [rows[r] for r in range(len(degs))]
 
 
@@ -956,11 +951,7 @@ def compute_table(P) -> CharacterTable:
     q = find_aux_prime(e, G.order)
     z = root_of_unity(q, e)
     dlog = discrete_log_table(q, z, e)
-    zpow = np.empty(e, dtype=np.int64)
-    acc = 1
-    for t in range(e):
-        zpow[t] = acc
-        acc = acc * z % q
+    zpow = _root_powers(q, z, e)
 
     sizes = cls.sizes.astype(np.int64)
     zc = _CenterChain(G, e)
@@ -1061,6 +1052,50 @@ def character_center(row, T: CharacterTable) -> Subgroup:
 
 
 def _verify_table(T: CharacterTable) -> None:
+    """Exact checks of a computed table; any failure raises
+    TableVerificationError.
+
+    Shapes.  k rows; p-power degrees with sum d^2 = |G| and
+    d^2 | |G:Z(G)|; unity rows exactly the degree-1 rows, |G:G'| of them,
+    each a homomorphism (_verify_linear_rows); central-type rows d times a
+    character of their support (_verify_central_rows); dense multiplicities
+    nonnegative, summing to d.  So every value of a degree-d row is a sum
+    of d roots of unity, and |sigma(chi(g))| <= d under every embedding
+    sigma of Q(zeta_e).
+
+    First orthogonality.  For a non-linear row a (the set N) and any row b,
+    y_ab = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) - |G| delta_ab lies in
+    Z[zeta_e], and |sigma(y_ab)| <= B = |G| (d_max^2 + 1) for every sigma.
+    - The linear rows are distinct (_verify_structural_pairs), so they are
+      orthogonal, and as they are all |G:G'| homomorphisms G -> C^x, every
+      Galois automorphism permutes them.
+    - N is closed under sigma_s: zeta_e -> zeta_e^s for generators s of
+      (Z/e)^x (_verify_structural_pairs; one s, as e is an odd prime
+      power).  So every sigma permutes N, and since sigma commutes with
+      complex conjugation, it permutes the y_ab.
+    - For a prime q' = 1 (mod e) and z' of order e in GF(q'), q' splits
+      completely: q' Z[zeta_e] is the product of the primes
+      P_s = ker(zeta_e -> z'^s), s a unit mod e, and y is in P_s iff
+      sigma_s(y) is in P_1.  _verify_pairs_against_block checks that the
+      Gram matrix reduced at zeta_e -> z' is |G| I, i.e. every y_ab is in
+      P_1; as the sigma_s(y_ab) are y_ab's too, every y_ab is in every P_s,
+      hence in q' Z[zeta_e].
+    - Over primes q' != q with product Q > B, y_ab is in Q Z[zeta_e].  If
+      y_ab != 0, the norm of y_ab / Q is a nonzero rational integer, so the
+      product of |sigma(y_ab)| over the phi(e) embeddings is at least
+      Q^phi(e) > B^phi(e), against the bound.  So every y_ab = 0.
+
+    Column diagonal.  sum over N of |chi(g_j)|^2 is Galois-fixed, a
+    rational integer in [0, |G| - |G:G'|] by the sum of squares, and
+    |C_G(g_j)| - |G:G'| lies in [1 - |G:G'|, |G| - |G:G'|].  They differ by
+    less than |G| < Q and agree mod every q' (from the Gram residues), so
+    they are equal.  The off-diagonal relations follow from the square
+    table's orthonormal rows.  With no non-linear row the sum is |G:G'|.
+
+    Restriction norms.  On H = Z(chi) every value has absolute value d, so
+    <chi|H, chi|H> = d^2 exactly.  |H| must divide |G| and d^2 |H| <= |G|,
+    with equality iff the row vanishes off H, as |G| = d^2 |H| + the sum
+    of |chi|^2 off H."""
     G = T.group
     cls = T.classes
     k = cls.count
@@ -1083,71 +1118,46 @@ def _verify_table(T: CharacterTable) -> None:
             dd //= G.p
         if (order // zorder) % (d * d):
             raise TableVerificationError("degree bound d^2 | |G/Z(G)| fails")
+        if (r.kind == "unity") != (d == 1):
+            raise TableVerificationError("row kind does not match its degree (unity iff degree 1)")
+        if r.kind == "dense" and (r.mults.shape != (k, e) or (r.mults < 0).any()
+                                  or (r.mults.sum(axis=1) != d).any()):
+            raise TableVerificationError("dense multiplicities are not d roots of unity")
 
-    lin = [r for r in T.rows if r.degree == 1]
+    lin = [r for r in T.rows if r.kind == "unity"]
+    nonlin = [r for r in T.rows if r.kind != "unity"]
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
     lin_texp = np.stack([r.texp for r in lin])
     lin_texp %= e
-    _verify_linear_rows(T, lin_texp)
-
-    central = [r for r in T.rows if r.kind == "central"]
-    dense = [r for r in T.rows if r.kind == "dense"]
-    nonzero = [r.nonzero_mask for r in T.rows]
-    center = [r.center_mask for r in T.rows]
-
-    # row norms
-    for r in central:
-        h = int(sizes[r.support].sum())
-        if r.degree * r.degree * h != order:
-            raise TableVerificationError("central-type row has wrong norm")
-    central_groups = [
+    gen_texp = _verify_linear_rows(T, lin_texp)
+    _verify_central_rows(T, [
         (sup, np.stack(tons)) for sup, tons in
-        _group_by_key((r.support, np.asarray(r.texp_on) % e) for r in central)
-    ]
-    _verify_central_rows(T, central_groups)
-    ac = _self_correlation(dense, k, e)
-    if dense:
-        ok, val = _rational_of_coeffvec(np.einsum("k,rkt->rt", sizes, ac), e)
-        if not (ok.all() and (val == order).all()):
-            raise TableVerificationError("row norm != 1")
+        _group_by_key((r.support, np.asarray(r.texp_on) % e)
+                      for r in nonlin if r.kind == "central")
+    ])
+    _verify_structural_pairs(T, gen_texp, nonlin)
+    if nonlin:
+        _verify_pairs_against_block(T, lin_texp, nonlin)
+    elif (order // sizes != len(lin)).any():
+        raise TableVerificationError("column norm != centralizer order")
 
-    _verify_structural_pairs(T, lin_texp, central_groups)
-    mode = "structural"
-    if dense:
-        _verify_pairs_against_block(T, dense, nonzero)
-        mode = "structural+block"
-    _verify_column_diagonal(T, ac)
-
-    # restriction norms: <chi|H, chi|H> <= |G:H| with equality iff the row
-    # vanishes off H = Z(chi); a dense row's norm over H sums ac over H
-    if dense:
-        hw = np.stack([m for m, r in zip(center, T.rows) if r.kind == "dense"])
-        hw = hw * sizes[None, :]
-        res_ok, res_val = _rational_of_coeffvec(np.einsum("rk,rkt->rt", hw, ac), e)
-    di = 0
-    for r, nzmask, hmask in zip(T.rows, nonzero, center):
-        h = int(sizes[hmask].sum())
-        if order % h:
+    if nonlin:
+        hmask = np.stack([r.center_mask for r in nonlin])
+        vanishes = ~(np.stack([r.nonzero_mask for r in nonlin]) & ~hmask).any(axis=1)
+        h = hmask @ sizes
+        norm = np.array([r.degree * r.degree for r in nonlin], dtype=np.int64) * h
+        if (h < 1).any() or (order % np.maximum(h, 1)).any():
             raise TableVerificationError("|Z(chi)| does not divide |G|")
-        if r.kind in ("unity", "central"):
-            acc = Fraction(r.degree * r.degree)
-        else:
-            if not res_ok[di]:
-                raise TableVerificationError("restriction norm is irrational")
-            acc = Fraction(int(res_val[di]), h)
-            di += 1
-        bound = Fraction(order, h)
-        if acc > bound:
+        if (norm > order).any():
             raise TableVerificationError("restriction norm exceeds |G:H|")
-        vanishes = bool((nzmask & ~hmask).sum() == 0)
-        if (acc == bound) != vanishes:
+        if ((norm == order) != vanishes).any():
             raise TableVerificationError("restriction equality out of step with vanishing")
 
     T.verification.update(
         {
             "sum_of_squares": "exact",
-            "row_orthogonality": mode,
+            "row_orthogonality": "structural+gram" if nonlin else "structural",
             "column_diagonal": "exact",
             "column_offdiagonal": "implied by row orthogonality of a square table",
             "degree_bound": "exact",
@@ -1156,9 +1166,11 @@ def _verify_table(T: CharacterTable) -> None:
     )
 
 
-def _verify_linear_rows(T: CharacterTable, lin_texp: np.ndarray) -> None:
+def _verify_linear_rows(T: CharacterTable, lin_texp: np.ndarray) -> np.ndarray:
     """Every degree-1 row is a homomorphism G -> <zeta_e>; lin_texp holds
-    their exponents, one row per character, reduced mod e.
+    their exponents, one row per character, reduced mod e.  Returns their
+    exponents t at the pc generators, one row per character: a row is the
+    homomorphism its t defines, so two rows are equal iff their t are.
 
     Let t_i be a row's exponent at the pc generator a_i.  The row must
     read sum_i digit_i(g) t_i (mod e) at every class rep g, where
@@ -1194,6 +1206,7 @@ def _verify_linear_rows(T: CharacterTable, lin_texp: np.ndarray) -> None:
                     for i in range(G.n) for j in range(i + 1, G.n)])
     if ((t @ comms.T) % e).any():
         raise TableVerificationError("linear row breaks a commutator relation")
+    return t
 
 
 def _group_by_key(pairs) -> list:
@@ -1221,6 +1234,8 @@ def _verify_central_rows(T: CharacterTable, central_groups) -> None:
     e = T.exponent
     at = np.empty(cls.count, dtype=np.int64)
     for sup, mu in central_groups:
+        if not sup.size or sup[0] < 0 or sup[-1] >= cls.count or (np.diff(sup) <= 0).any():
+            raise TableVerificationError("central-type support is not a sorted set of classes")
         mask = np.zeros(cls.count, dtype=bool)
         mask[sup] = True
         H = _class_union_subgroup(T, mask)
@@ -1238,190 +1253,172 @@ def _verify_central_rows(T: CharacterTable, central_groups) -> None:
                     "central-type row is not a character of its support")
 
 
-def _self_correlation(dense, k: int, e: int) -> np.ndarray:
-    """ac[r, j, tau] = sum_u M[j, u + tau] M[j, u] (indices mod e) for the
-    multiplicity matrix M of each dense row, as a (rows, k, e) int64 array.
-
-    It is the coefficient vector of |chi(g_j)|^2 over the powers of
-    zeta_e, so the row norm, the column diagonal and the restriction norms
-    are all weighted sums of it over rows and classes.  The shifts are read
-    from a sliding window over two copies of M side by side."""
-    M2 = np.empty((len(dense), k, 2 * e), dtype=np.int64)
-    for i, r in enumerate(dense):
-        M2[i, :, :e] = r.mults
-    M2[:, :, e:] = M2[:, :, :e]
-    shifted = sliding_window_view(M2, e, axis=2)[:, :, :e]  # [r, j, tau, u]
-    return np.einsum("rjtu,rju->rjt", shifted, M2[:, :, :e])
+def _sorted_rows(M: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array, each viewed as one void scalar, sorted.
+    Sorting and comparing treat whole rows as byte strings, so equal rows
+    end up adjacent, and two arrays of one dtype and shape hold the same
+    rows, counted with multiplicity, iff their results are equal."""
+    M = np.ascontiguousarray(M)
+    return np.sort(M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1))
 
 
 def _distinct_rows(M: np.ndarray) -> int:
-    """The number of distinct rows of a 2-d integer array.  Each row is
-    viewed as one void scalar, so sorting and comparing treat whole rows
-    as byte strings; equal rows end up adjacent."""
-    M = np.ascontiguousarray(M, dtype=np.int64)
-    rows = np.sort(M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1))
+    """The number of distinct rows of a 2-d array."""
+    rows = _sorted_rows(M)
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
 
 
-def _share_a_row(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether some row of A equals some row of B."""
-    return _distinct_rows(np.concatenate([A, B])) < _distinct_rows(A) + _distinct_rows(B)
-
-
-def _verify_structural_pairs(T: CharacterTable, lin_texp: np.ndarray,
-                             central_groups) -> None:
-    """Exact orthogonality for unity/central pairs without arithmetic:
-
-    distinct linear characters of G/G' are orthogonal; a unity row is
-    orthogonal to a central-type row unless it restricts to the row's
-    central character on its support, and two central-type rows are
-    orthogonal unless their characters agree on the intersection of their
-    supports.  Each dangerous coincidence is therefore checked for and
-    rejected; absence of coincidences proves orthogonality.  lin_texp
-    holds the unity rows' exponents and central_groups the central-type
-    rows grouped by support (see _verify_central_rows), all reduced mod e,
-    so that intersections are computed once per support pair, not once
-    per row pair."""
-    if _distinct_rows(lin_texp) != lin_texp.shape[0]:
+def _verify_structural_pairs(T: CharacterTable, gen_texp: np.ndarray, nonlin) -> None:
+    """The checks of _verify_table's proof that need no arithmetic.  The
+    linear rows must be distinct on gen_texp, their exponents at the pc
+    generators, which determine them (_verify_linear_rows).  The rows
+    nonlin must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
+    of _unit_gens(e), which multiplies a central-type row's exponents by s
+    and moves a dense row's multiplicity at u to s u.  Each kind's exact
+    keys (degree, then exponents with -1 off the support; multiplicities)
+    must be the same multiset as their images.  Equal keys mean equal rows,
+    and compute_table's rows pass kind by kind, since a row's stored kind
+    is a Galois invariant (_lift_rows says why)."""
+    if _distinct_rows(gen_texp) != gen_texp.shape[0]:
         raise TableVerificationError("duplicate linear rows")
-
-    for sup, Mc in central_groups:
-        if _share_a_row(lin_texp[:, sup], Mc):
-            raise TableVerificationError("a linear row restricts to a central row")
-
-    for a, (sa, Ma) in enumerate(central_groups):
-        if _distinct_rows(Ma) != Ma.shape[0]:
-            raise TableVerificationError("two central rows coincide on their overlap")
-        for sb, Mb in central_groups[a + 1:]:
-            common, ia, ib = np.intersect1d(sa, sb, return_indices=True)
-            if not common.size:
-                raise TableVerificationError("central-type supports miss the identity")
-            if _share_a_row(Ma[:, ia], Mb[:, ib]):
-                raise TableVerificationError("two central rows coincide on their overlap")
-
-
-def _row_tensor(rows, cols: np.ndarray, e: int) -> np.ndarray:
-    """(rows, e, cols) float64: entry [i, u, c] is the multiplicity of
-    zeta_e^u in row i's value at class cols[c].  cols is sorted and lies
-    in the support of every central-type row."""
-    out = np.zeros((len(rows), e, cols.size), dtype=np.float64)
-    at = np.arange(cols.size)
-    for i, r in enumerate(rows):
-        if r.kind == "unity":
-            out[i, np.asarray(r.texp)[cols] % e, at] = 1.0
-        elif r.kind == "central":
-            texp = np.asarray(r.texp_on)[np.searchsorted(r.support, cols)]
-            out[i, texp % e, at] = float(r.degree)
-        else:
-            out[i] = r.mults[cols].T
-    return out
-
-
-def _dense_pair_products(T: CharacterTable, dense, nonzero=None):
-    """(ok, value) of |G| <chi_a, chi_b> for every dense row a (result
-    rows, in the order of dense) and every row b of T (result columns, by
-    position in T.rows), as _rational_of_coeffvec gives them.  dense holds
-    T's dense rows in table order; nonzero[b] is T.rows[b].nonzero_mask,
-    computed here when the caller passes none.
-
-    |G| <chi_a, chi_b> = sum_tau c[tau] zeta_e^tau, where
-
-        c[tau] = sum_j |K_j| sum_u M_a[j, u + tau] M_b[j, u],
-
-    a sum of nonnegative integers (class sizes times multiplicities; a
-    unity or central row has the single multiplicity 1 or d at its
-    exponent).  The rows are grouped by nonzero_mask, and a pair's sum runs
-    over the classes S where both rows are nonzero only.  At a class where
-    one of the two rows vanishes, its multiplicity vector has period e/p
-    (_zero_mask_pp's test; the zero vector included), so that class's term
-    is an e/p-periodic vector in tau.  _rational_of_coeffvec compares the
-    p blocks of length e/p with one another and subtracts block 1 from
-    block 0, so it returns the same (ok, value) for c and for c plus any
-    e/p-periodic vector: leaving those classes out changes no verdict.
-
-    Each c[tau] is a float64 matrix product.  Row j's inner sum is at
-    most d_a d_b, since each multiplicity vector sums to the degree, so
-    every partial sum, in whatever order BLAS adds the terms, is at most
-    |G| d_max^2.  Integers below 2^53 are exact in float64, so the
-    products are exact when |G| d_max^2 < 2^53; that bound is checked
-    before the first product.  The dense rows are held as (rows, 2e, |S|),
-    two periods of u stacked, so shift tau is the slice [:, tau:tau + e],
-    whose (rows, e |S|) reshape is a strided view, not a copy."""
-    cls = T.classes
     e = T.exponent
-    order = T.group.order
-    sizes = cls.sizes.astype(np.float64)
-    d_max = max(r.degree for r in T.rows)
-    if order * d_max * d_max >= _FLOAT64_EXACT:
-        raise TableVerificationError("|G| d_max^2 exceeds the float64 exact range")
-
-    n = len(T.rows)
-    ok = np.zeros((len(dense), n), dtype=bool)
-    val = np.zeros((len(dense), n), dtype=np.int64)
-    if nonzero is None:
-        nonzero = [r.nonzero_mask for r in T.rows]
-    dense_pos = [b for b, r in enumerate(T.rows) if r.kind == "dense"]
-    if len(dense_pos) != len(dense):
-        raise TableVerificationError("dense rows are not the table's dense rows")
-    row_groups = _group_by_key((m, b) for b, m in enumerate(nonzero))
-    for ma, ia in _group_by_key((nonzero[b], a) for a, b in enumerate(dense_pos)):
-        for common, ibs in _group_by_key((ma & mb, ib) for mb, ib in row_groups):
-            ib = [b for part in ibs for b in part]
-            cols = np.flatnonzero(common)
-            A = _row_tensor([dense[a] for a in ia], cols, e) * sizes[cols]
-            A = np.concatenate([A, A], axis=1)
-            chunk = max(1, 20_000_000 // (cols.size * e))
-            for start in range(0, len(ib), chunk):
-                part = ib[start:start + chunk]
-                B = _row_tensor([T.rows[b] for b in part], cols, e).reshape(len(part), -1)
-                c = np.empty((len(ia), len(part), e), dtype=np.int64)
-                for tau in range(e):
-                    c[:, :, tau] = np.rint(A[:, tau:tau + e].reshape(len(ia), -1) @ B.T)
-                o, v = _rational_of_coeffvec(c, e)
-                ok[np.ix_(ia, part)] = o
-                val[np.ix_(ia, part)] = v
-    return ok, val
+    k = T.classes.count
+    central = [r for r in nonlin if r.kind == "central"]
+    dense = [r for r in nonlin if r.kind == "dense"]
+    C = np.full((len(central), k + 1), -1, dtype=np.int32)
+    for i, r in enumerate(central):
+        C[i, 0] = r.degree
+        C[i, 1 + r.support] = np.asarray(r.texp_on) % e
+    # the multiplicities lie in [0, d] (checked by _verify_table), so the
+    # narrow dtype keeps them exactly
+    D = np.empty((len(dense), k, e),
+                 dtype=np.min_scalar_type(max([r.degree for r in dense], default=0)))
+    for i, r in enumerate(dense):
+        D[i] = r.mults
+    keys_c, keys_d = _sorted_rows(C), _sorted_rows(D.reshape(len(dense), k * e))
+    for s in _unit_gens(e):
+        img_c = C.copy()
+        img_c[:, 1:] = np.where(C[:, 1:] >= 0, C[:, 1:] * s % e, -1)
+        img_d = D[:, :, np.arange(e) * pow(s, -1, e) % e]
+        if ((_sorted_rows(img_c) != keys_c).any()
+                or (_sorted_rows(img_d.reshape(len(dense), k * e)) != keys_d).any()):
+            raise TableVerificationError(
+                "the non-linear rows are not closed under the Galois group")
 
 
-def _verify_pairs_against_block(T: CharacterTable, dense, nonzero=None) -> None:
-    """Exact orthogonality for every pair involving a non-central-type row:
-    |G| <chi_a, chi_b> must be |G| when a and b are one position of T.rows
-    and 0 otherwise (see _dense_pair_products for why it is exact, and for
-    dense and nonzero)."""
-    ok, val = _dense_pair_products(T, dense, nonzero)
-    if not ok.all():
-        raise TableVerificationError("inner product is irrational")
-    dense_pos = np.array(
-        [i for i, r in enumerate(T.rows) if r.kind == "dense"], dtype=np.int64
-    )
-    expect = np.where(dense_pos[:, None] == np.arange(len(T.rows))[None, :],
-                      T.group.order, 0)
-    if not (val == expect).all():
-        raise TableVerificationError("dense row fails orthogonality")
+def _unit_gens(e: int) -> tuple:
+    """Generators of (Z/e)^x, other than 1, for a prime power e: -1 and 5
+    when e = 2^a, as the group is {+-1} x <5>, and otherwise the least s
+    of order phi(e), as the group is cyclic."""
+    if e % 2 == 0:
+        return tuple(s for s in (e - 1, 5 % e) if s != 1)
+    phi = e - e // _least_prime_factor(e)
+    for s in range(2, e):
+        x, n = s, 1
+        while x != 1 and n < phi:
+            x, n = x * s % e, n + 1
+        if x == 1 and n == phi:
+            return (s,)
+    return ()
 
 
-def _verify_column_diagonal(T: CharacterTable, ac=None) -> None:
-    """Second orthogonality on the diagonal: sum |chi(g)|^2 = |C_G(g)|.
+def _root_powers(q: int, z: int, e: int) -> np.ndarray:
+    """zp[t] = z^t mod q for t < e."""
+    zp = np.empty(e, dtype=np.int64)
+    acc = 1
+    for t in range(e):
+        zp[t] = acc
+        acc = acc * z % q
+    return zp
 
-    A dense row adds its self-correlation ac (built here from T's dense
-    rows when the caller passes none), a central-type row d^2 on its
-    support and a unity row 1."""
+
+@lru_cache(maxsize=32)
+def _check_primes(e: int) -> tuple:
+    """(q', _root_powers(q', z', e)) for the largest primes q' = 1 (mod e)
+    below 2^20, largest first, until their product exceeds 2^64 (far above
+    |G| (d_max^2 + 1) at desk scale) or they run out; z' has order e.  As
+    k <= _MAX_CLASSES = 6000, k (q'-1)^2 < 6000 * 2^40 < 2^53 for all of
+    them.  The cache is keyed by the exponent alone and keeps the last 32,
+    a few length-e arrays each, for the life of the process."""
+    out = []
+    product = 1
+    m = (2**20 - 2) // e
+    while m > 0 and product <= 2**64:
+        qq = m * e + 1
+        if is_prime(qq):
+            out.append((qq, _read_only(_root_powers(qq, root_of_unity(qq, e), e))))
+            product *= qq
+        m -= 1
+    return tuple(out)
+
+
+def _gram_mod(T: CharacterTable, lin_texp: np.ndarray, nonlin, qq: int, zp: np.ndarray):
+    """(gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t mod qq:
+    gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) mod qq for a in
+    nonlin and b over the linear rows (exponents lin_texp), then nonlin;
+    diag[j] = sum over nonlin of |chi(g_j)|^2 mod qq.  zeta_e^t reduces to
+    zp[t] and its conjugate to zp[-t], so a unity row to zp[texp], a
+    central-type row to d zp[texp_on] on its support, a dense row to
+    mults @ zp.  The float64 products, chunked over the rows b, add k terms
+    below (qq-1)^2 each: exact while k (qq-1)^2 < 2^53."""
     cls = T.classes
     k = cls.count
     e = T.exponent
-    if ac is None:
-        ac = _self_correlation([r for r in T.rows if r.kind == "dense"], k, e)
-    col = ac.sum(axis=0)
-    n_lin = 0
-    for r in T.rows:
-        if r.kind == "unity":
-            n_lin += 1
-        elif r.kind == "central":
-            col[r.support, 0] += r.degree * r.degree
-    col[:, 0] += n_lin
-    ok, val = _rational_of_coeffvec(col, e)
-    if not ok.all():
-        raise TableVerificationError("column norm is irrational")
-    cen = T.group.order // cls.sizes
-    if not (val == cen).all():
-        raise TableVerificationError("column norm != centralizer order")
+    both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
+    RR = np.zeros((len(nonlin), k, 2), dtype=np.int64)
+    for i, r in enumerate(nonlin):
+        if r.kind == "central":
+            RR[i, r.support] = r.degree * both[np.asarray(r.texp_on) % e]
+        else:
+            RR[i] = r.mults @ both
+    RR %= qq
+    R, Rc = RR[..., 0], RR[..., 1]
+    A = (R * cls.sizes.astype(np.int64) % qq).astype(np.float64)
+    n_lin = lin_texp.shape[0]
+    gram = np.empty((len(nonlin), n_lin + len(nonlin)), dtype=np.int64)
+    lin_part, nonlin_part = gram[:, :n_lin], gram[:, n_lin:]
+    zc_f = both[:, 1].astype(np.float64)
+    # OpenBLAS keeps a product of at most 2^18 multiply-adds on one thread,
+    # and after a threaded one its threads spin for a while, which costs a
+    # small table more CPU time than its products; so when m k <= 2^18
+    # (m = len(nonlin)) the chunks stay on one thread, and otherwise they
+    # hold about 2 * 10^6 entries
+    chunk = 2**18 // (len(nonlin) * k) or 2_000_000 // k
+    for b0 in range(0, n_lin, chunk):
+        lin_part[:, b0:b0 + chunk] = A @ zc_f[lin_texp[b0:b0 + chunk]].T % qq
+    for b0 in range(0, len(nonlin), chunk):
+        nonlin_part[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T.astype(np.float64) % qq
+    return gram, (R * Rc % qq).sum(axis=0) % qq
+
+
+def _verify_pairs_against_block(T: CharacterTable, lin_texp: np.ndarray, nonlin) -> None:
+    """First orthogonality of every pair (a, b) with a in nonlin, and the
+    column diagonal, at the fewest primes of _check_primes(e), less q, whose
+    product exceeds B = |G| (d_max^2 + 1); _verify_table has the proof.
+    The product and _gram_mod's float64 range are checked first."""
+    cls = T.classes
+    k = cls.count
+    order = T.group.order
+    d_max = max(r.degree for r in nonlin)
+    bound = order * (d_max * d_max + 1)
+    primes, product = [], 1
+    for qq, zp in _check_primes(T.exponent):
+        if product > bound:
+            break
+        if qq != T.field_prime:
+            primes.append((qq, zp))
+            product *= qq
+    if product <= bound:
+        raise TableVerificationError("the check primes' product does not exceed |G| (d_max^2 + 1)")
+    if any(k * (qq - 1) ** 2 >= 2**53 for qq, _ in primes):
+        raise TableVerificationError("k (q'-1)^2 exceeds the float64 exact range")
+    n_lin = lin_texp.shape[0]
+    at = np.arange(len(nonlin))
+    cen = order // cls.sizes.astype(np.int64) - n_lin
+    for qq, zp in primes:
+        gram, diag = _gram_mod(T, lin_texp, nonlin, qq, zp)
+        gram[at, n_lin + at] -= order % qq
+        if gram.any():
+            raise TableVerificationError("a non-linear row fails orthogonality")
+        if ((diag - cen) % qq).any():
+            raise TableVerificationError("column norm != centralizer order")

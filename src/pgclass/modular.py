@@ -4,8 +4,8 @@ Everything here is plain integer arithmetic on numpy int64 arrays of
 residues in [0, q).  q is the smallest prime = 1 (mod e) above 2 sqrt|G|,
 which at desk scale stays far below 2^31, so a product of two residues
 fits in 64 bits.  The float64 matrix products that chartable.py uses for
-exact orthogonality do not work mod q at all: they are exact because
-|G| d_max^2 < 2^53, the bound that _verify_pairs_against_block states and
+exact orthogonality work modulo other primes q' below 2^20; they are exact
+because k (q'-1)^2 < 2^53, the bound that _verify_pairs_against_block
 checks.
 """
 

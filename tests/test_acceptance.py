@@ -43,7 +43,7 @@ def test_criterion_01_table_soundness():
         assert sum(d * d for d in T.degrees()) == G.order, (label, p)
         v = T.verification
         assert v["sum_of_squares"] == "exact"
-        assert v["row_orthogonality"] in ("structural", "structural+block")
+        assert v["row_orthogonality"] in ("structural", "structural+gram")
         assert v["column_diagonal"] == "exact"
         zorder = G.center.order
         for d in T.degrees():
@@ -128,7 +128,7 @@ REPORT_JSON_SHA256 = {
     ("heisenberg_x_heisenberg", 7): "106c82d29001dcba80b8fec6af4fe661ba1b25ff1d25945e6b428857065e0865",
 }
 
-SUITE_35_JSON_SHA256 = "e399d5cd37116b3aca9e536e608add6614bd8bbd8dd1133758f27acdda6e434e"
+SUITE_35_JSON_SHA256 = "e3e86e11b054f2dfce01ee0b457783308f429a14fa0747bd5a8a701dfac2f2ce"
 
 
 def _sha256(text: str) -> str:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ import pgclass as pg
 from pgclass import Cyclotomic, TableVerificationError
 from pgclass.chartable import class_constants, table_of
 from pgclass.group import abelian_invariants, group_of
-from pgclass.presentation import collector, parse_presentation
+from pgclass.presentation import collector, is_prime, parse_presentation
 
 
 def table(label, p):
@@ -375,27 +376,92 @@ def test_to_json_formats_each_distinct_value_once(monkeypatch):
     assert len(distinct) * 1000 < T.count ** 2
 
 
-def test_float64_bound_is_checked(monkeypatch):
-    """The BLAS orthogonality check refuses a table whose |G| d_max^2 is
-    not below the float64 exact range."""
-    import pgclass.chartable as chartable_mod
+def _gram_guard_setup():
+    """(T, primes): the G_(20,1) table at p = 5 and, largest first, the
+    check primes that verifying it uses, whose product just exceeds
+    B = |G| (d_max^2 + 1)."""
+    from pgclass.chartable import _check_primes
 
     T = table("G_(20,1)", 5)
-    dense = [r for r in T.rows if r.kind == "dense"]
-    d_max = max(T.degrees())
-    bound = T.group.order * d_max * d_max
-    monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound + 1)
-    chartable_mod._verify_pairs_against_block(T, dense)
-    monkeypatch.setattr(chartable_mod, "_FLOAT64_EXACT", bound)
-    with pytest.raises(TableVerificationError, match="float64"):
-        chartable_mod._verify_pairs_against_block(T, dense)
+    bound = T.group.order * (max(T.degrees()) ** 2 + 1)
+    primes, product = [], 1
+    for qq, zp in _check_primes(T.exponent):
+        if product > bound:
+            break
+        primes.append((qq, zp))
+        product *= qq
+    assert product > bound and len(primes) >= 2
+    return T, primes
+
+
+def _prime_with_root(e, start, step):
+    """The first prime q' = 1 (mod e) from start on, stepping by step (e
+    or -e), and the powers z'^t of an element z' of order e mod q'."""
+    from pgclass.chartable import _root_powers
+    from pgclass.modular import root_of_unity
+
+    qq = start - (start - 1) % e
+    if qq < start and step > 0:
+        qq += e
+    while not is_prime(qq):
+        qq += step
+    return qq, _root_powers(qq, root_of_unity(qq, e), e)
+
+
+def test_prime_product_bound_is_checked(monkeypatch):
+    """The Gram check refuses check primes whose product does not exceed
+    B = |G| (d_max^2 + 1), and leaves out the table's own prime q: the
+    primes that just exceed B pass, each one reducing the Gram matrix, and
+    without the last one they fail, also with q put in front."""
+    import pgclass.chartable as chartable_mod
+
+    T, primes = _gram_guard_setup()
+    e, q = T.exponent, T.field_prime
+    own = _prime_with_root(e, q, e)
+    assert own[0] == q
+    gram_mod = chartable_mod._gram_mod
+    used = []
+
+    def spy(T, lin_texp, nonlin, qq, zp):
+        used.append(qq)
+        return gram_mod(T, lin_texp, nonlin, qq, zp)
+
+    monkeypatch.setattr(chartable_mod, "_gram_mod", spy)
+    monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(primes))
+    chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+    assert used == [qq for qq, _ in primes]
+    for short in (primes[:-1], [own] + primes[:-1]):
+        monkeypatch.setattr(chartable_mod, "_check_primes", lambda e, short=short: tuple(short))
+        with pytest.raises(TableVerificationError, match="product"):
+            chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+
+
+def test_float64_bound_is_checked(monkeypatch):
+    """The Gram check refuses a check prime q' with k (q'-1)^2 not below
+    2^53, the float64 exact range: the largest prime q' = 1 (mod e) below
+    it passes, the smallest one above fails."""
+    import pgclass.chartable as chartable_mod
+
+    T, primes = _gram_guard_setup()
+    k, e = T.count, T.exponent
+    x = math.isqrt((2**53 - 1) // k)  # the largest x with k x^2 < 2^53
+    below = _prime_with_root(e, x + 1, -e)
+    above = _prime_with_root(e, x + 2, e)
+    assert k * (below[0] - 1) ** 2 < 2**53 <= k * (above[0] - 1) ** 2
+    for first, ok in ((below, True), (above, False)):
+        monkeypatch.setattr(chartable_mod, "_check_primes",
+                            lambda e, first=first: (first,) + tuple(primes))
+        if ok:
+            chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+        else:
+            with pytest.raises(TableVerificationError, match="float64"):
+                chartable_mod._verify_table(_with_rows(T, list(T.rows)))
 
 
 def test_table_guards_survive_optimize(run_optimized):
     """Under python -O the exactness guards of chartable and modular still
     raise TableVerificationError."""
     code = (
-        "from types import SimpleNamespace\n"
         "import numpy as np\n"
         "import pgclass as pg\n"
         "import pgclass.chartable as ct\n"
@@ -416,9 +482,21 @@ def test_table_guards_survive_optimize(run_optimized):
         "def annihilator():\n"
         "    md.kernel_basis_mod = lambda M, q: np.zeros((0, M.shape[1]), dtype=np.int64)\n"
         "    md._vector_annihilator(np.eye(2, dtype=np.int64), np.array([1, 0]), 7)\n"
-        "irrational = SimpleNamespace(\n"
-        "    classes=SimpleNamespace(count=1), exponent=5,\n"
-        "    rows=[ct._Row(2, 5, 1, 'dense', mults=np.array([[1, 1, 0, 0, 0]]))])\n"
+        "T = ct.compute_table(pg.build('heisenberg_p3', 3))\n"
+        "check_primes = ct._check_primes\n"
+        "def with_primes(primes):\n"
+        "    ct._check_primes = lambda e: primes\n"
+        "    try:\n"
+        "        ct._verify_table(T)\n"
+        "    finally:\n"
+        "        ct._check_primes = check_primes\n"
+        "def prime_product():\n"
+        "    with_primes(())\n"
+        "def float64_range():\n"
+        "    qq = 2**27 + 2  # = 1 (mod 3), and 11 (qq - 1)^2 >= 2^53\n"
+        "    while not md.is_prime(qq):\n"
+        "        qq += 3\n"
+        "    with_primes(((qq, np.zeros(3, dtype=np.int64)),))\n"
         "def power_data():\n"
         "    G = pg.group_of(pg.build('heisenberg_p3', 3))\n"
         "    cls = G.conjugacy_classes\n"
@@ -430,7 +508,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "checks = {\n"
         "    'lift_unity': lambda: ct._lift_unity(np.array([0, 1]), np.array([0, -1])),\n"
         "    'central_blocks': central_blocks,\n"
-        "    'column_diagonal': lambda: ct._verify_column_diagonal(irrational),\n"
+        "    'prime_product': prime_product,\n"
+        "    'float64_range': float64_range,\n"
         "    'power_data': power_data,\n"
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
         "    'poly_lcm': lcm,\n"
@@ -444,7 +523,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "        print(name)\n"
     )
     assert run_optimized(code).split() == [
-        "lift_unity", "central_blocks", "column_diagonal", "power_data",
+        "lift_unity", "central_blocks", "prime_product", "float64_range", "power_data",
         "root_of_unity", "poly_lcm", "annihilator", "linear_count",
     ]
 
@@ -648,7 +727,7 @@ def test_exp81_class3_table():
     assert (G.order, T.count, T.exponent) == (3**6, 153, 81)
     assert T.cd_multiset() == {1: 81, 3: 72}
     assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
-    assert T.verification["row_orthogonality"] == "structural+block"
+    assert T.verification["row_orthogonality"] == "structural+gram"
     rep = classification_report(G, table=T)
     assert rep.nilpotency_class == 3
     assert rep.is_gvz is False and rep.is_flat is False
@@ -821,12 +900,100 @@ def test_verify_table_rejects_mutation(label, kind):
     _verify_table(_with_rows(T, list(T.rows)))
 
 
-def full_tensor_pair_values(T, dense):
-    """The full-tensor orthogonality kernel: (ok, value) of
-    |G| <chi_a, chi_b> for every dense row a and every row b, over all k
-    classes, with one np.roll of the (dense, k, e) tensor per shift."""
-    from pgclass.chartable import _rational_of_coeffvec
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+@pytest.mark.parametrize("kind", ["central", "dense"])
+def test_verify_table_rejects_galois_image(label, kind):
+    """One central-type or dense row replaced by its image under
+    sigma_s: zeta_e -> zeta_e^s, s the generator of (Z/e)^x that the
+    verifier uses.  Every row is still a well-formed row of its kind, but
+    the non-linear rows are no longer closed under sigma_s, and the
+    closure check rejects the table."""
+    from pgclass.chartable import _unit_gens, _verify_table
 
+    T = table(label, 5)
+    e = T.exponent
+    (s,) = _unit_gens(e)
+
+    def image(r):
+        if r.kind == "central":
+            return _copy_row(r, texp_on=np.asarray(r.texp_on) * s % e)
+        return _copy_row(r, mults=np.asarray(r.mults)[:, np.arange(e) * pow(s, -1, e) % e])
+
+    def stored(r):
+        return r.texp_on if r.kind == "central" else r.mults
+
+    def galois(x):
+        return Cyclotomic(x.order, {t * s % x.order: c for t, c in x.coeffs.items()})
+
+    rows = list(T.rows)
+    i = next(i for i, r in enumerate(rows)
+             if r.kind == kind and not np.array_equal(stored(image(r)), stored(r)))
+    rows[i] = image(rows[i])
+    assert all(rows[i].value(j) == galois(T.rows[i].value(j)) for j in range(T.count))
+    assert any(rows[i].value(j) != T.rows[i].value(j) for j in range(T.count))
+    with pytest.raises(TableVerificationError, match="Galois"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_verify_table_rejects_galois_closed_change(label):
+    """A change that keeps the non-linear rows closed under the Galois
+    group is left to the Gram check.  At a class j where a dense row
+    vanishes (e = p, so its multiplicities there are all d/p), the
+    multiplicities move to d/p + p - 1 at zeta^0 and d/p - 1 elsewhere,
+    turning the value 0 into p; the same change, which every sigma_s
+    fixes, is made in every row of the row's orbit under sigma_s."""
+    from pgclass.chartable import _unit_gens, _verify_table
+
+    T = table(label, 5)
+    e, p = T.exponent, T.group.p
+    assert e == p
+    (s,) = _unit_gens(e)
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
+    orbit = []
+    m = np.asarray(T.rows[i].mults)
+    while not any(np.array_equal(m, o) for o in orbit):
+        orbit.append(m)
+        m = m[:, np.arange(e) * pow(s, -1, e) % e]
+    rows = list(T.rows)
+    changed = 0
+    for b, r in enumerate(rows):
+        if r.kind == "dense" and any(np.array_equal(r.mults, o) for o in orbit):
+            mults = np.array(r.mults)
+            assert (mults[j] == r.degree // p).all()
+            mults[j] += np.r_[p - 1, np.full(e - 1, -1)].astype(mults.dtype)
+            rows[b] = _copy_row(r, mults=mults)
+            assert rows[b].value(j) == p
+            changed += 1
+    assert changed == len(orbit)
+    with pytest.raises(TableVerificationError, match="orthogonality"):
+        _verify_table(_with_rows(T, rows))
+
+
+def _rational_of_coeffvec(c, e):
+    """(is_rational mask, value) for integer coefficient vectors over the
+    powers of zeta_e, e a prime power r^a > 1; shapes (..., e).  The
+    relations among the powers are the sums over cosets of the subgroup of
+    order r, so sum_tau c[tau] zeta^tau is rational iff c is constant on
+    each coset but the one of 0, where it may exceed the others by the
+    value."""
+    r = next(f for f in range(2, e + 1) if e % f == 0)
+    m = e // r
+    resh = c.reshape(*c.shape[:-1], r, m)
+    ref = resh[..., 1, :]
+    ok_tail = (resh[..., 1:, :] == ref[..., None, :]).all(axis=(-1, -2))
+    ok_head = (resh[..., 0, 1:] == ref[..., 1:]).all(axis=-1)
+    value = resh[..., 0, 0] - ref[..., 0]
+    return ok_tail & ok_head, value
+
+
+def full_tensor_pair_values(T, dense):
+    """The full-tensor orthogonality oracle: c[a, b, tau] is the
+    coefficient of zeta_e^tau in |G| <chi_a, chi_b>
+    = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) for every dense row a and
+    every row b, summed over all k classes, with one np.roll of the
+    (dense, k, e) tensor per shift."""
     k, e = T.count, T.exponent
 
     def row_tensor(rows):
@@ -845,57 +1012,110 @@ def full_tensor_pair_values(T, dense):
     c = np.empty((e, len(dense), T.count), dtype=np.int64)
     for tau in range(e):
         c[tau] = np.rint(np.roll(A, -tau, axis=2).reshape(len(dense), -1) @ B.T)
-    return _rational_of_coeffvec(np.moveaxis(c, 0, -1), e)
+    return np.moveaxis(c, 0, -1)
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
 @pytest.mark.parametrize("kind", [None, "dense_nonzero", "dense_vanishing"])
 def test_common_support_products_match_full_tensor(label, kind):
-    """The products over the common support give the same (ok, value) as
-    the full-tensor kernel for every (dense, row) pair, on the table and
-    on copies with one dense entry changed."""
-    from pgclass.chartable import _dense_pair_products
+    """The Gram entries of every dense row against every row, at each check
+    prime q', are the full-tensor oracle's exact values reduced at
+    zeta_e -> z', on the table and on copies with one dense entry changed;
+    and on the table the oracle's values are |G| delta_ab."""
+    from pgclass.chartable import _check_primes, _gram_mod
 
     T = table(label, 5)
     if kind is not None:
         T = mutate(T, kind)
-    dense = [r for r in T.rows if r.kind == "dense"]
-    ok, val = _dense_pair_products(T, dense)
-    ok_ref, val_ref = full_tensor_pair_values(T, dense)
-    assert ok.shape == (len(dense), T.count)
-    assert (ok == ok_ref).all()
-    assert (val == val_ref).all()
+    e = T.exponent
+    lin = [i for i, r in enumerate(T.rows) if r.kind == "unity"]
+    nonlin = [i for i, r in enumerate(T.rows) if r.kind != "unity"]
+    dense = [i for i in nonlin if T.rows[i].kind == "dense"]
+    lin_texp = np.stack([T.rows[i].texp for i in lin]) % e
+    c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
+    for qq, zp in _check_primes(e)[:2]:
+        gram, _ = _gram_mod(T, lin_texp, [T.rows[i] for i in nonlin], qq, zp)
+        want = (c % qq) @ zp % qq
+        assert (gram[[nonlin.index(i) for i in dense]] == want[:, lin + nonlin]).all()
+    ok, val = _rational_of_coeffvec(c, e)
     if kind is None:
         assert ok.all()
-        pos = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
-        assert (val[np.arange(len(pos)), pos] == T.group.order).all()
-        assert np.count_nonzero(val) == len(pos)
+        assert (val[np.arange(len(dense)), dense] == T.group.order).all()
+        assert np.count_nonzero(val) == len(dense)
     else:
         assert not (ok.all() and np.count_nonzero(val) == len(dense))
 
 
-@pytest.mark.parametrize("label", VERIFY_LABELS)
-def test_self_correlation_matches_per_shift_sum(label):
-    from pgclass.chartable import _self_correlation
+@pytest.mark.parametrize("e", [3, 9, 27, 81, 5, 25, 625, 7, 49, 2401, 4, 8, 16])
+def test_unit_gens_generate_the_units(e):
+    """The generators that the closure check uses reach every unit mod e,
+    one of them when e is odd."""
+    from pgclass.chartable import _unit_gens
 
-    T = table(label, 5)
-    e = T.exponent
-    dense = [r for r in T.rows if r.kind == "dense"]
-    ac = _self_correlation(dense, T.count, e)
-    M = np.stack([r.mults for r in dense]).astype(np.int64)
-    want = np.stack([(np.roll(M, -tau, axis=2) * M).sum(axis=2) for tau in range(e)],
-                    axis=2)
-    assert ac.dtype == np.int64
-    assert (ac == want).all()
+    gens = _unit_gens(e)
+    reached = {1}
+    while True:
+        more = reached | {x * s % e for x in reached for s in gens}
+        if more == reached:
+            break
+        reached = more
+    assert reached == {x for x in range(1, e) if math.gcd(x, e) == 1}
+    assert len(gens) == 1 or e % 2 == 0
+
+
+def test_two_group_table_closes_under_two_generators():
+    """(Z/8)^x = {+-1} x <5> is not cyclic, so the closure check of a
+    2-group of exponent 8 runs over sigma_-1 and sigma_5.  M16 = <x, y>,
+    x of order 8 and [y, x] = x^4, has two degree-2 rows that complex
+    conjugation swaps; with the second replaced by the first, only
+    sigma_-1 sees the rows are not closed."""
+    from pgclass.chartable import _unit_gens, _verify_table
+
+    P = parse_presentation("""group M16 prime 2
+gens x y a b
+pow x^p = a
+pow a^p = b
+comm [y,x] = b
+""")
+    T = pg.compute_table(P)
+    assert (T.exponent, T.cd_multiset()) == (8, {1: 8, 2: 2})
+    assert T.verification["row_orthogonality"] == "structural+gram"
+    assert sorted(_unit_gens(8)) == [5, 7]
+    a, b = [i for i, r in enumerate(T.rows) if r.degree == 2]
+    rows = list(T.rows)
+    rows[b] = rows[a]
+    with pytest.raises(TableVerificationError, match="Galois"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("e", [3, 25, 49, 625, 2401])
+def test_check_primes_are_the_largest_below_the_ceiling(e):
+    """_check_primes gives the largest primes q' = 1 (mod e) below 2^20,
+    none skipped, until their product exceeds 2^64, each with the powers
+    of an element of order e mod q'."""
+    from pgclass.chartable import _check_primes
+
+    primes = _check_primes(e)
+    qs = [qq for qq, _ in primes]
+    want = []
+    qq = (2**20 - 2) // e * e + 1
+    while math.prod(want) <= 2**64:
+        if is_prime(qq):
+            want.append(qq)
+        qq -= e
+    assert qs == want
+    for qq, zp in primes:
+        z = int(zp[1])
+        assert [int(x) for x in zp] == [pow(z, t, qq) for t in range(e)]
+        assert all(pow(z, e // r, qq) != 1 for r in {f for f in (2, 3, 5, 7) if e % f == 0})
 
 
 def test_row_coincidence_helpers():
-    from pgclass.chartable import _distinct_rows, _share_a_row
+    from pgclass.chartable import _distinct_rows, _sorted_rows
 
     A = np.array([[1, 2, 0], [3, 4, 0], [1, 2, 0]])
     B = np.array([[5, 6, 0], [3, 4, 0]])
     assert _distinct_rows(A) == 2
     assert _distinct_rows(B) == 2
-    assert _share_a_row(A, B)
-    assert not _share_a_row(A, B[:1])
-    assert not _share_a_row(A[:1], A[1:2])
+    assert (_sorted_rows(A[[2, 1, 0]]) == _sorted_rows(A)).all()
+    assert (_sorted_rows(A[[0, 1, 1]]) != _sorted_rows(A)).any()
