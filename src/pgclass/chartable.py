@@ -8,9 +8,10 @@ Pipeline, the same for every group:
 2.  The linear characters come straight from the pc relations: the
     exponent vectors t over the pc generators that satisfy the power and
     commutator relations in Z/e, |G:G'| of them (linear_character_exponents).
-    The row of t reads d . t at a class rep with normal-form digits d.  When
-    they number k (G is abelian) they are the whole table, and steps 3 and
-    4 are skipped.
+    The row of t reads d . t at a class rep with normal-form digits d; it
+    is stored so, never enters steps 5 and 6, and the linear rows head the
+    table (_linear_order).  When they number k (G is abelian) they are the
+    whole table, and steps 3 and 4 are skipped.
 3.  Joint eigenvectors of the size-1 (central) class matrices are written
     down directly: Z(G) acts on the class set, and for each orbit O with
     basepoint g and each character mu of Z(G) trivial on the orbit
@@ -26,16 +27,15 @@ Pipeline, the same for every group:
     restricted to each unsplit block; eigenvalues are found from the
     minimal polynomial (roots located by scanning GF(q)) and eigenspaces
     by kernel computation, recursing until every subspace is a line.
-5.  Degrees come from the norm relation d^2 = |G| / sum_j w_j w_j* / n_j;
-    since distinct p-powers below sqrt|G| stay distinct mod q, the degree
-    is recovered exactly.
-6.  Values lift to Q(zeta_e).  Degree-1 rows are discrete logs of their
-    mod-q values.  Every other row is first offered to geometric
-    certification: a candidate class (|chi|^2 = d^2 mod q) whose power
-    sequence is verified to be geometric mod q has multiplicity vector
-    d*delta, i.e. value d*zeta^t, and a row whose certified support H
-    satisfies d^2 |H| = |G| vanishes off H because sum over G of
-    |chi|^2 = |G| leaves nothing for the complement.  Certification
+5.  Degrees of the non-linear rows (stage 4) come from the norm relation
+    d^2 = |G| / sum_j w_j w_j* / n_j; since the p-powers from p to sqrt|G|
+    stay distinct mod q, and none is 1, the degree is recovered exactly.
+6.  The non-linear values lift to Q(zeta_e).  Every row is first offered
+    to geometric certification: a candidate class (|chi|^2 = d^2 mod q)
+    whose power sequence is verified to be geometric mod q has
+    multiplicity vector d*delta, i.e. value d*zeta^t, and a row whose
+    certified support H satisfies d^2 |H| = |G| vanishes off H because
+    sum over G of |chi|^2 = |G| leaves nothing for the complement.  Certification
     catches every central-type row (_lift_rows says why), so the rows left
     over are stored dense.  They take Dixon's recovery at every class: for
     a class of element order m the multiplicities
@@ -416,7 +416,8 @@ def _linear_rows_data(G: Group, cls: ConjugacyClassSet, zc: "_CenterChain"):
     (_CenterChain.code) of its restriction to Z(G), read at the classes of
     the chain elements b_a."""
     T, e = linear_character_exponents(G)
-    vals = T @ np.stack([d[cls.reps] for d in G.digit_arrays]) % e
+    vals = T @ np.stack([d[cls.reps] for d in G.digit_arrays])
+    vals %= e
     return vals, zc.code(vals[:, cls.classof[list(zc.gens)]])
 
 
@@ -665,18 +666,21 @@ def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
     return out
 
 
-def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
-    """Stage 4: refine the central blocks until every subspace is a line.
+def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
+    """Stage 4: refine the central blocks until every subspace is a line,
+    and return the eigenvectors of the non-linear rows.
 
     The block of a central character first sheds the span of its linear
-    rows, whose eigenvectors are already known exactly: inside a block the
+    rows (exponents lin_texp, block keys lin_keys), whose eigenvectors
+    w[c] = |K_c| lambda(g_c) are already known exactly: inside a block the
     nonlinear span is the annihilator of the known rows under the class
     algebra pairing B(u, v) = sum_j u_j v_j* / n_j, under which distinct
-    rows are orthogonal.  Splitting matrices for what remains are
-    deterministic random combinations of class matrices drawn from a pool
-    that grows in ascending class-size order (one combination separates
-    everything the pool can separate, and growing the pool recruits more
-    class matrices, so the recursion on unsplit subspaces terminates).
+    rows are orthogonal; B(v_O, w) is the sum over O of v_O[c]
+    lambda(g_c^-1).  Splitting matrices for what remains are deterministic
+    random combinations of class matrices drawn from a pool that grows in
+    ascending class-size order (one combination separates everything the
+    pool can separate, and growing the pool recruits more class matrices,
+    so the recursion on unsplit subspaces terminates).
     Subspace bases stay in reduced row echelon form over the block's orbit
     coordinates, so restricting the action to a subspace is a sample of
     the block action at the pivot columns; a round therefore needs only
@@ -687,9 +691,7 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
     inv_sizes: q = 1 (mod e) puts q != p, so q never divides a class
     size."""
     k = cls.count
-    sizes = cls.sizes.astype(np.int64)
     invclass = cls.classof[G.inverse_table[cls.reps]]
-    inv_sizes = _invmod_arr(sizes, q)
 
     by_key = np.argsort(lin_keys, kind="stable")
     sorted_keys = lin_keys[by_key]
@@ -712,8 +714,7 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
             J0 = np.arange(D, dtype=np.int64)
         else:
             # annihilator of the linear rows under the pairing
-            w = inv_sizes[blk.flat_supp] * blk.flat_coef % q
-            F = lin_omega[np.ix_(members, invclass[blk.flat_supp])] * w % q
+            F = zpow[lin_texp[np.ix_(members, invclass[blk.flat_supp])]] * blk.flat_coef % q
             F = np.add.reduceat(F, blk.seg_starts, axis=1) % q
             ker = kernel_basis_mod(F, q)
             if ker.shape[0] != D - t:
@@ -796,26 +797,20 @@ def _split_blocks(G, cls, q, blocks, lin_omega, lin_keys):
 # lifting
 
 
-def _lift_unity(tilde_row, dlog) -> np.ndarray:
-    texp = dlog[tilde_row]
-    if (texp < 0).any():
-        raise TableVerificationError("degree-1 value outside the root-of-unity group")
-    return texp
+def _lift_rows(G, cls, e, q, zpow, dlog, lin_texp, lin_order, degs, T):
+    """Exact cyclotomic rows of the group: the linear rows, which store
+    the rows lin_order of their exponents lin_texp as they are, then one
+    row per row of T, the mod-q table of the non-linear characters
+    (degrees degs); zpow[t] is z^t mod q.
 
-
-def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
-    """Exact cyclotomic rows of the group from its mod-q table T (one row
-    per character, degrees degs); zpow[t] is z^t mod q.
-
-    A degree-1 row is the discrete log of its values.  Every other row is
-    first certified central-type where it can be.  Its candidate classes
-    are those with chi(g) chi(g^-1) = d^2 mod q.  At a candidate whose power
-    sequence is geometric mod q, chi(g^s) = d w^s, the multiplicities mod q
-    are d*delta, hence exactly d*delta: the value is d*zeta^t.  A row whose
-    candidates are all certified and whose certified support H has
-    d^2 |H| = |G| vanishes off H.  The rows left over take
-    _orbit_dft_mults at every class, then the range and sum checks, and are
-    stored dense.
+    Every non-linear row is first certified central-type where it can be.
+    Its candidate classes are those with chi(g) chi(g^-1) = d^2 mod q.  At
+    a candidate whose power sequence is geometric mod q, chi(g^s) = d w^s,
+    the multiplicities mod q are d*delta, hence exactly d*delta: the value
+    is d*zeta^t.  A row whose candidates are all certified and whose
+    certified support H has d^2 |H| = |G| vanishes off H.  The rows left
+    over take _orbit_dft_mults at every class, then the range and sum
+    checks, and are stored dense.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -831,42 +826,39 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     sizes = cls.sizes
     order = G.order
     ones = _read_only(np.ones(k, dtype=bool))
-    rows = {r: _Row(1, e, k, "unity", texp=_lift_unity(T[r], dlog), ones=ones)
-            for r in range(len(degs)) if degs[r] == 1}
-    nl = np.array([r for r in range(len(degs)) if degs[r] > 1], dtype=np.int64)
-    if not nl.size:
-        return [rows[r] for r in range(len(degs))]
+    lin = [_Row(1, e, k, "unity", texp=lin_texp[i], ones=ones) for i in lin_order.tolist()]
+    if not degs:
+        return lin
 
     invclass = cls.classof[G.inverse_table[cls.reps]]
-    Tn = T[nl]
-    d_arr = np.asarray(degs, dtype=np.int64)[nl]
+    d_arr = np.asarray(degs, dtype=np.int64)
     inv_d = _invmod_arr(d_arr, q)
-    cand = Tn * Tn[:, invclass] % q == (d_arr * d_arr % q)[:, None]
+    cand = T * T[:, invclass] % q == (d_arr * d_arr % q)[:, None]
     cand[:, 0] = True
     needed = np.flatnonzero(cand.any(axis=0))
     power = _PowerData(G, cls, needed, e)
-    geo_t = np.full((nl.size, k), -1, dtype=np.int64)
+    geo_t = np.full((len(degs), k), -1, dtype=np.int64)
     for j in needed:
         orb = power.orbit(j)
         m = orb.size
         rows_here = np.flatnonzero(cand[:, int(j)])
         if not rows_here.size:
             continue
-        w = Tn[rows_here, j] * inv_d[rows_here] % q
+        w = T[rows_here, j] * inv_d[rows_here] % q
         tw = dlog[w]
         okroot = (tw >= 0) & (tw * m % e == 0)
-        V = Tn[np.ix_(rows_here, orb)]
+        V = T[np.ix_(rows_here, orb)]
         geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1)
         good = okroot & geom
         geo_t[rows_here[good], int(j)] = tw[good]
+    rows = [None] * len(degs)
     left = []
-    for ri, r in enumerate(nl.tolist()):
-        d = degs[r]
-        support = np.flatnonzero(geo_t[ri] >= 0)
+    for r, d in enumerate(degs):
+        support = np.flatnonzero(geo_t[r] >= 0)
         hsize = int(sizes[support].sum())
-        if (geo_t[ri][cand[ri]] >= 0).all() and d * d * hsize == order:
+        if (geo_t[r][cand[r]] >= 0).all() and d * d * hsize == order:
             rows[r] = _Row(d, e, k, "central", support=support,
-                           texp_on=geo_t[ri][support])
+                           texp_on=geo_t[r][support])
         elif d * d * hsize > order:
             raise TableVerificationError("support exceeds the norm bound")
         else:
@@ -881,7 +873,7 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
             if (mr.sum(axis=1) != d).any():
                 raise TableVerificationError("multiplicities do not sum to the degree")
             rows[r] = _Row(d, e, k, "dense", mults=mr)
-    return [rows[r] for r in range(len(degs))]
+    return lin + rows
 
 
 def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
@@ -919,6 +911,15 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
     return out
 
 
+def _linear_order(lin_texp: np.ndarray, zpow: np.ndarray) -> np.ndarray:
+    """The lexicographic order of the rows zpow[lin_texp], taken on ranks:
+    rank[t], the rank of zpow[t] among the e distinct powers, is stored
+    big-endian in one byte when e <= 256 and two when e <= 65536."""
+    e = zpow.size
+    rank = np.argsort(np.argsort(zpow)).astype(np.min_scalar_type(e - 1).newbyteorder(">"))
+    return np.argsort(_row_keys(rank[lin_texp]), kind="stable")
+
+
 def _invmod_arr(a: np.ndarray, q: int) -> np.ndarray:
     return np.array([pow(int(x), q - 2, q) for x in a], dtype=np.int64)
 
@@ -953,19 +954,20 @@ def compute_table(P) -> CharacterTable:
     dlog = discrete_log_table(q, z, e)
     zpow = _root_powers(q, z, e)
 
-    sizes = cls.sizes.astype(np.int64)
+    inv_sizes = _invmod_arr(cls.sizes, q)
     zc = _CenterChain(G, e)
     lin_texp, lin_keys = _linear_rows_data(G, cls, zc)
-    lin_omega = sizes * zpow[lin_texp] % q
-    finals = list(lin_omega)
-    if len(finals) < k:
+    n_lin = lin_texp.shape[0]
+    finals = []
+    if n_lin < k:
         blocks = _central_blocks(G, cls, zc, zpow)
-        finals += _split_blocks(G, cls, q, blocks, lin_omega, lin_keys)
-    if len(finals) != k:
+        finals = _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)
+    if n_lin + len(finals) != k:
         raise TableVerificationError("wrong number of eigenvectors")
-    inv_sizes = _invmod_arr(sizes, q)
+
+    # the non-linear rows mod q: normalise, then recover the degrees
     invclass = cls.classof[G.inverse_table[cls.reps]]
-    W = np.stack(finals) % q
+    W = np.array(finals, dtype=np.int64).reshape(-1, k) % q
     if (W[:, 0] == 0).any():
         raise TableVerificationError("eigenvector vanishes at the identity class")
     W = W * _invmod_arr(W[:, 0], q)[:, None] % q
@@ -973,38 +975,32 @@ def compute_table(P) -> CharacterTable:
     if (denom == 0).any():
         raise TableVerificationError("eigenvector has zero norm mod q")
     d2 = G.order % q * _invmod_arr(denom, q) % q
-    degs = []
-    dcand = []
-    d = 1
-    while d * d <= G.order:
-        dcand.append(d)
-        d *= G.p
-    for val in d2:
-        matches = [d for d in dcand if d * d % q == val]
-        if len(matches) != 1:
-            raise TableVerificationError("degree recovery ambiguous")
-        degs.append(matches[0])
-    T = np.array(degs, dtype=np.int64)[:, None] * W % q * inv_sizes[None, :] % q
-    if (T[:, 0] != np.array(degs)).any():
+    # p <= d <= sqrt|G| < q/2, so the d^2 are distinct mod q and none is 1
+    deg_of = {d * d % q: d for d in (G.p ** i for i in range(1, G.n // 2 + 1))}
+    if (d2 == 1).any():
+        raise TableVerificationError("a non-linear eigenvector has degree 1")
+    degs = np.array([deg_of.get(int(v), 0) for v in d2], dtype=np.int64)
+    if (degs == 0).any():
+        raise TableVerificationError("degree recovery failed")
+    T = degs[:, None] * W % q * inv_sizes[None, :] % q
+    if (T[:, 0] != degs).any():
         raise TableVerificationError("first column differs from the degrees")
-
-    degs = np.asarray(degs, dtype=np.int64)
-    if int((degs.astype(object) ** 2).sum()) != G.order:
+    if n_lin + int((degs.astype(object) ** 2).sum()) != G.order:
         raise TableVerificationError("sum of squared degrees is off")
-    if _distinct_rows(T) != k:
+    if _distinct_rows(T) != T.shape[0]:
         raise TableVerificationError("duplicate character rows")
 
-    # canonical order: by degree, then lexicographically by the value row
-    # (big-endian bytes compare like the nonnegative integers they encode)
-    rows_be = np.ascontiguousarray(T.astype(">i8"))
-    void = rows_be.view(np.dtype((np.void, rows_be.dtype.itemsize * k))).reshape(-1)
-    perm = np.lexsort((void, degs))
+    # canonical order: by degree, then lexicographically by the mod-q value
+    # row, so the linear rows come first (_linear_order); big-endian bytes
+    # compare like the nonnegative integers they encode
+    perm = np.lexsort((_row_keys(T.astype(">i8")), degs))
     T = T[perm]
     degs = degs[perm]
 
-    rows = _lift_rows(G, cls, e, q, zpow, dlog, [int(d) for d in degs], T)
-    for r, row in enumerate(rows):
-        if (row.tilde(q, zpow) != T[r]).any():
+    rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_texp, _linear_order(lin_texp, zpow),
+                      degs.tolist(), T)
+    for row, t in zip(rows[n_lin:], T):
+        if (row.tilde(q, zpow) != t).any():
             raise TableVerificationError("lifted row disagrees mod q")
 
     table = CharacterTable(
@@ -1253,13 +1249,17 @@ def _verify_central_rows(T: CharacterTable, central_groups) -> None:
                     "central-type row is not a character of its support")
 
 
-def _sorted_rows(M: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array, each viewed as one void scalar, sorted.
-    Sorting and comparing treat whole rows as byte strings, so equal rows
-    end up adjacent, and two arrays of one dtype and shape hold the same
-    rows, counted with multiplicity, iff their results are equal."""
+def _row_keys(M: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as void scalars, which compare as bytes."""
     M = np.ascontiguousarray(M)
-    return np.sort(M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1))
+    return M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1)
+
+
+def _sorted_rows(M: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as _row_keys, sorted: equal rows end up
+    adjacent, and two arrays of one dtype and shape hold the same rows,
+    counted with multiplicity, iff their results are equal."""
+    return np.sort(_row_keys(M))
 
 
 def _distinct_rows(M: np.ndarray) -> int:

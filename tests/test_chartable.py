@@ -482,6 +482,17 @@ def test_table_guards_survive_optimize(run_optimized):
         "def annihilator():\n"
         "    md.kernel_basis_mod = lambda M, q: np.zeros((0, M.shape[1]), dtype=np.int64)\n"
         "    md._vector_annihilator(np.eye(2, dtype=np.int64), np.array([1, 0]), 7)\n"
+        "split = ct._split_blocks\n"
+        "def degree_one():\n"
+        "    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):\n"
+        "        finals = split(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)\n"
+        "        finals[0] = cls.sizes * zpow[lin_texp[1]] % q\n"
+        "        return finals\n"
+        "    ct._split_blocks = with_linear\n"
+        "    try:\n"
+        "        ct.compute_table(pg.build('heisenberg_p3', 3))\n"
+        "    finally:\n"
+        "        ct._split_blocks = split\n"
         "T = ct.compute_table(pg.build('heisenberg_p3', 3))\n"
         "check_primes = ct._check_primes\n"
         "def with_primes(primes):\n"
@@ -506,7 +517,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "    G.derived = pg.subgroup_generated([], G)\n"
         "    ct.linear_character_exponents(G)\n"
         "checks = {\n"
-        "    'lift_unity': lambda: ct._lift_unity(np.array([0, 1]), np.array([0, -1])),\n"
+        "    'degree_one': degree_one,\n"
         "    'central_blocks': central_blocks,\n"
         "    'prime_product': prime_product,\n"
         "    'float64_range': float64_range,\n"
@@ -523,9 +534,47 @@ def test_table_guards_survive_optimize(run_optimized):
         "        print(name)\n"
     )
     assert run_optimized(code).split() == [
-        "lift_unity", "central_blocks", "prime_product", "float64_range", "power_data",
+        "degree_one", "central_blocks", "prime_product", "float64_range", "power_data",
         "root_of_unity", "poly_lcm", "annihilator", "linear_count",
     ]
+
+
+def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
+    """A splitting vector that is a linear row's eigenvector recovers
+    degree 1 and fails with its own error."""
+    import pgclass.chartable as ct
+
+    split = ct._split_blocks
+
+    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
+        finals = split(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)
+        finals[0] = cls.sizes * zpow[lin_texp[1]] % q
+        return finals
+
+    monkeypatch.setattr(ct, "_split_blocks", with_linear)
+    with pytest.raises(TableVerificationError, match="non-linear eigenvector has degree 1"):
+        ct.compute_table(pg.build("heisenberg_p3", 3))
+
+
+@pytest.mark.parametrize("label, p, e", [("heisenberg_p3", 7, 7),
+                                         ("extraspecial_p3_exp_p2", 7, 49),
+                                         ("G_(14,3)", 5, 625)])
+def test_linear_order_matches_value_lexsort(label, p, e):
+    """The rank-key order of the linear rows (uint8 keys at e = 7 and 49,
+    uint16 at e = 625) is the lexicographic order of their mod-q rows as
+    int64, and the table stores them in it."""
+    from pgclass.chartable import _CenterChain, _linear_order, _linear_rows_data
+
+    G = group_of(pg.build(label, p))
+    cls, e_G, q, zpow = _center_setup(G)
+    assert e_G == e
+    lin_texp, _ = _linear_rows_data(G, cls, _CenterChain(G, e))
+    values = zpow[lin_texp]
+    want = np.lexsort(values.T[::-1])
+    assert (_linear_order(lin_texp, zpow) == want).all()
+    T = table_of(G)
+    stored = np.stack([r.texp for r in T.rows[:want.size]])
+    assert (stored == lin_texp[want]).all()
 
 
 # -- central blocks: the array kernels against the orbit walk --------------------

@@ -125,18 +125,25 @@ def test_cli_chartable_json_bytes(tmp_path, label, p):
 
 def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
     """A table guard that fires under `chartable --json` is an internal
-    inconsistency: exit 2 with the error in the JSON."""
+    inconsistency: exit 2 with the error in the JSON.  Here one exponent
+    of one linear row is off, which table verification catches."""
     import pgclass.chartable as chartable_mod
 
     f = write_pres(tmp_path, "heisenberg_p3", 3)
+    linear_rows_data = chartable_mod._linear_rows_data
+
+    def corrupted(G, cls, zc):
+        vals, keys = linear_rows_data(G, cls, zc)
+        vals[1, -1] = (vals[1, -1] + 1) % G.exponent
+        return vals, keys
+
     monkeypatch.setattr(chartable_mod, "_table_cache", {})
-    monkeypatch.setattr(chartable_mod, "discrete_log_table",
-                        lambda q, z, e: np.full(q, -1, dtype=np.int64))
+    monkeypatch.setattr(chartable_mod, "_linear_rows_data", corrupted)
     code, out, _ = run_cli("chartable", str(f), "--json")
     assert code == 2
     js = json.loads(out)
     assert js["internal"] is True
-    assert "root-of-unity group" in js["error"]
+    assert "linear row is not multiplicative" in js["error"]
 
 
 def test_cli_count():
@@ -435,7 +442,6 @@ def test_cli_exit_codes_survive_optimize(run_optimized, tmp_path):
     bad.write_text("group bad prime 4\ngens a\n", encoding="utf-8")
     code = f"""
 import contextlib, io, json
-import numpy as np
 import pgclass.chartable as ct
 from pgclass.cli import main
 
@@ -446,8 +452,14 @@ def run(*args):
     return code, out.getvalue()
 
 print(run("classify", {str(bad)!r})[0], run("classify", {str(tmp_path / "missing.pg")!r})[0])
-ct.discrete_log_table = lambda q, z, e: np.full(q, -1, dtype=np.int64)
+linear_rows_data = ct._linear_rows_data
+def corrupted(G, cls, zc):
+    vals, keys = linear_rows_data(G, cls, zc)
+    vals[1, -1] = (vals[1, -1] + 1) % G.exponent
+    return vals, keys
+ct._linear_rows_data = corrupted
 code, out = run("chartable", {str(good)!r}, "--json")
-print(code, json.loads(out)["internal"])
+js = json.loads(out)
+print(code, js["internal"], js["error"] == "linear row is not multiplicative")
 """
-    assert run_optimized(code).split() == ["1", "1", "2", "True"]
+    assert run_optimized(code).split() == ["1", "1", "2", "True", "True"]
