@@ -23,10 +23,12 @@ Pipeline, the same for every group:
     orbit-minimum gathers along b_m, ..., b_1 that carry the transporters'
     digits, and every stabilizer Z(G) ∩ g^-1 cl(g) from one pairwise
     product over the basepoint classes (_central_blocks).
-4.  Remaining splitting uses class matrices in ascending class-size order,
-    restricted to each unsplit block; eigenvalues are found from the
-    minimal polynomial (roots located by scanning GF(q)) and eigenspaces
-    by kernel computation, recursing until every subspace is a line.
+4.  A block sheds the span of its linear rows by a written-down
+    annihilator (_linear_annihilator).  Remaining splitting uses class
+    matrices in ascending class-size order, restricted to each unsplit
+    subspace; each eigenspace is the row space of an idempotent built from
+    the minimal polynomial (modular.eigenspaces), recursing until every
+    subspace is a line.
 5.  Degrees of the non-linear rows (stage 4) come from the norm relation
     d^2 = |G| / sum_j w_j w_j* / n_j; since the p-powers from p to sqrt|G|
     stay distinct mod q, and none is 1, the degree is recovered exactly.
@@ -62,14 +64,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, root_sum
 from .errors import TableVerificationError
 from .group import ConjugacyClassSet, Group, Subgroup, _chain_gens, group_of
-from .modular import (
-    discrete_log_table,
-    find_aux_prime,
-    kernel_basis_mod,
-    minimal_polynomial,
-    poly_roots,
-    root_of_unity,
-)
+from .modular import discrete_log_table, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
 _MAX_CLASSES = 6000
@@ -632,15 +627,6 @@ def _central_blocks(G, cls, zc, zpow):
     return blocks
 
 
-def _rref_with_pivots(C: np.ndarray, q: int):
-    from .modular import rref_mod
-
-    R, piv = rref_mod(C, q)
-    if len(piv) != C.shape[0]:
-        raise TableVerificationError("subspace basis lost rank")
-    return R[: len(piv)], np.array(piv, dtype=np.int64)
-
-
 def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
     """Rows (at the given class indices) of sum_i w_i * A_i over the pool.
 
@@ -666,6 +652,36 @@ def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
     return out
 
 
+def _linear_annihilator(blk: _CentralBlock, tb: np.ndarray, q: int, zpow: np.ndarray):
+    """(RREF basis, pivots) of the annihilator of blk's t linear rows under
+    the pairing of _split_blocks; tb[i, O] is row i's exponent at g_O.
+
+    At c = cl(z g_O), z in Z(G), v_O[c] = mu(z) = lambda(z), so
+    F[lambda, O] = sum over O of v_O[c] lambda(g_c^-1) = |O| lambda(g_O)^-1.
+    The rows are lambda_0 psi with psi over the characters of
+    A = G/Z(G)G', so F[lambda_0 psi, O] = psi(g_O)^-1 a_O with
+    a_O = |O| lambda_0(g_O)^-1.  The column of (tb - tb[0]) mod e at O
+    keys the image of g_O in A; characters of A separate its elements and
+    their table is invertible, so F x = 0 iff sum a_O x_O = 0 over each
+    key.  With t keys the RREF basis is e_O - (a_O / a_L) e_L for every O
+    but the last orbit L of its key, and L is no row's pivot."""
+    e = zpow.size
+    t, D = tb.shape
+    grp = np.unique(((tb - tb[0]) % e).T, axis=0, return_inverse=True)[1].reshape(-1)
+    if grp.max() + 1 != t:
+        raise TableVerificationError("linear span does not fill its rank")
+    last = np.zeros(t, dtype=np.int64)
+    np.maximum.at(last, grp, np.arange(D))
+    piv = np.flatnonzero(last[grp] != np.arange(D))
+    L = last[grp[piv]]
+    sizes = np.diff(np.r_[blk.seg_starts, blk.flat_supp.size])
+    a = sizes % q * zpow[-tb[0] % e] % q
+    C = np.zeros((piv.size, D), dtype=np.int64)
+    C[np.arange(piv.size), piv] = 1
+    C[np.arange(piv.size), L] = -(a[piv] * _invmod_arr(a[L], q) % q) % q
+    return C, piv
+
+
 def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
     """Stage 4: refine the central blocks until every subspace is a line,
     and return the eigenvectors of the non-linear rows.
@@ -675,12 +691,12 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
     w[c] = |K_c| lambda(g_c) are already known exactly: inside a block the
     nonlinear span is the annihilator of the known rows under the class
     algebra pairing B(u, v) = sum_j u_j v_j* / n_j, under which distinct
-    rows are orthogonal; B(v_O, w) is the sum over O of v_O[c]
-    lambda(g_c^-1).  Splitting matrices for what remains are deterministic
-    random combinations of class matrices drawn from a pool that grows in
-    ascending class-size order (one combination separates everything the
-    pool can separate, and growing the pool recruits more class matrices,
-    so the recursion on unsplit subspaces terminates).
+    rows are orthogonal; _linear_annihilator writes it down.  Splitting
+    matrices for what remains are deterministic random combinations of
+    class matrices drawn from a pool that grows in ascending class-size
+    order (one combination separates everything the pool can separate,
+    and growing the pool recruits more class matrices, so the recursion
+    on unsplit subspaces terminates), and modular.eigenspaces splits.
     Subspace bases stay in reduced row echelon form over the block's orbit
     coordinates, so restricting the action to a subspace is a sample of
     the block action at the pivot columns; a round therefore needs only
@@ -691,7 +707,6 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
     inv_sizes: q = 1 (mod e) puts q != p, so q never divides a class
     size."""
     k = cls.count
-    invclass = cls.classof[G.inverse_table[cls.reps]]
 
     by_key = np.argsort(lin_keys, kind="stable")
     sorted_keys = lin_keys[by_key]
@@ -713,13 +728,8 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
             C0 = np.eye(D, dtype=np.int64)
             J0 = np.arange(D, dtype=np.int64)
         else:
-            # annihilator of the linear rows under the pairing
-            F = zpow[lin_texp[np.ix_(members, invclass[blk.flat_supp])]] * blk.flat_coef % q
-            F = np.add.reduceat(F, blk.seg_starts, axis=1) % q
-            ker = kernel_basis_mod(F, q)
-            if ker.shape[0] != D - t:
-                raise TableVerificationError("linear span does not fill its rank")
-            C0, J0 = _rref_with_pivots(ker, q)
+            C0, J0 = _linear_annihilator(
+                blk, lin_texp[np.ix_(members, blk.basepoints)], q, zpow)
         if C0.shape[0] == 1:
             finals.append(blk.expand(C0[0], k, q))
         else:
@@ -754,39 +764,19 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
             blk, subspaces = entry
             J_union = np.unique(np.concatenate([J for _, J in subspaces]))
             Mrows = blk.restrict_rows(Arows[slot[blk.basepoints[J_union]], :], q)
-            pos_of = {int(j): t for t, j in enumerate(J_union)}
             still = []
             for C, J in subspaces:
-                rows = np.array([pos_of[int(j)] for j in J], dtype=np.int64)
-                S = C @ Mrows[rows, :].T % q  # (d, d): coords of images
+                S = C @ Mrows[np.searchsorted(J_union, J), :].T % q  # (d, d): coords of images
                 if (S == np.diag(np.full(S.shape[0], S[0, 0]))).all():
                     still.append((C, J))  # scalar action, no refinement here
                     continue
-                for attempt in range(2):
-                    poly = minimal_polynomial(S, q, exhaustive=attempt == 1)
-                    roots = poly_roots(poly, q)
-                    pieces = []
-                    dims = 0
-                    for mu in roots:
-                        ker = kernel_basis_mod(
-                            (S.T - mu * np.eye(S.shape[0], dtype=np.int64)) % q, q
-                        )
-                        dims += ker.shape[0]
-                        if ker.shape[0]:
-                            pieces.append(ker)
-                    if dims == S.shape[0]:
-                        break
-                else:
-                    raise TableVerificationError(
-                        "splitting matrix action was not diagonalizable"
-                    )
                 progressed = True
-                for ker in pieces:
-                    Cnew = ker @ C % q
-                    if ker.shape[0] == 1:
+                for piece in eigenspaces(S, q):
+                    Cnew = piece @ C % q
+                    if piece.shape[0] == 1:
                         finals.append(blk.expand(Cnew[0], k, q))
-                    else:
-                        still.append(_rref_with_pivots(Cnew, q))
+                    else:  # echelon times echelon: pivots J at the piece's
+                        still.append((Cnew, J[(piece != 0).argmax(axis=1)]))
             entry[1] = still
         if not progressed and pool_end >= len(order_i):
             retries += 1

@@ -1,12 +1,13 @@
 """Arithmetic over the auxiliary prime field GF(q) used by the table engine.
 
-Everything here is plain integer arithmetic on numpy int64 arrays of
-residues in [0, q).  q is the smallest prime = 1 (mod e) above 2 sqrt|G|,
-which at desk scale stays far below 2^31, so a product of two residues
-fits in 64 bits.  The float64 matrix products that chartable.py uses for
-exact orthogonality work modulo other primes q' below 2^20; they are exact
-because k (q'-1)^2 < 2^53, the bound that _verify_pairs_against_block
-checks.
+Everything here works on numpy int64 arrays of residues in [0, q).  q is
+the smallest prime = 1 (mod e) above 2 sqrt|G|, which at desk scale stays
+far below 2^31, so a product of two residues fits in 64 bits.
+
+eigenspaces splits a space under a matrix S from idempotents that are
+polynomials in S, with no elimination per eigenvalue.  Large products
+run in float64 BLAS while every partial sum stays an exact integer below
+2^53, the bound _gram_mod in chartable.py checks for its primes q'.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def rref_mod(M: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
-    """Basis (rows) of the right kernel of M over GF(q)."""
+    """Basis (rows) of the right kernel of M over GF(q); tests use it as
+    the reference for eigenspaces."""
     R, pivots = rref_mod(M, q)
     cols = M.shape[1]
     free = [c for c in range(cols) if c not in pivots]
@@ -110,114 +112,55 @@ def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polynomials mod q (ascending coefficient lists)
+# eigenspaces mod q
 
 
-def poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
+def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """A @ B mod q for residue matrices with inner dimension n.  A product
+    of at least 2^18 multiply-adds runs in float64 BLAS when
+    n (q-1)^2 < 2^53, so every partial sum is an exact integer; smaller
+    ones, which OpenBLAS would keep on one thread, stay in int64."""
+    n = A.shape[-1]
+    if A.size * B.shape[-1] >= 2**18 and n * (q - 1) ** 2 < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64) % q).astype(np.int64)
+    return A @ B % q
 
 
-def poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    a = [x % q for x in a]
-    b = poly_trim([x % q for x in b])
-    inv = pow(b[-1], q - 2, q)
-    quo = [0] * max(1, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv % q
-        quo[k] = c
-        if c:
-            for t in range(len(b)):
-                a[k + t] = (a[k + t] - c * b[t]) % q
-    return poly_trim(quo), poly_trim(a[: len(b) - 1] or [0])
+def minimal_polynomial(S: np.ndarray, q: int, powers: list | None = None) -> list[int]:
+    """Minimal polynomial of S over GF(q), ascending coefficients, monic.
 
-
-def poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while b != [0]:
-        _, r = poly_divmod(a, b, q)
-        a, b = b, r
-    inv = pow(a[-1], q - 2, q)
-    return [c * inv % q for c in a]
-
-
-def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    return poly_trim(out)
-
-
-def poly_lcm(a: list[int], b: list[int], q: int) -> list[int]:
-    g = poly_gcd(a, b, q)
-    quo, rem = poly_divmod(poly_mul(a, b, q), g, q)
-    if rem != [0]:
-        raise TableVerificationError("gcd does not divide the product")
-    return quo
-
-
-def minimal_polynomial(S: np.ndarray, q: int, *, exhaustive: bool = False) -> list[int]:
-    """Divisor of the minimal polynomial of S over GF(q) containing every
-    eigenvalue found from the seed vectors.
-
-    The lcm of per-vector annihilators over all standard basis vectors is
-    the minimal polynomial exactly; by default the loop stops early once
-    two extra seeds add nothing (callers cross-check via eigenspace
-    dimensions and can re-run with exhaustive=True)."""
+    The flattened powers I, S, S^2, ... are reduced against the earlier
+    ones, kept in fully reduced echelon form with the coefficients that
+    write each kept row in the powers.  The first power S^r that reduces
+    to zero gives the monic relation of least degree.  A list passed as
+    powers receives the flattened I, ..., S^(r-1)."""
     d = S.shape[0]
-    poly = [1]
-    stable = 0
-    for seed in range(d):
-        if len(poly) - 1 == d:
-            break
-        if not exhaustive and stable >= 2 and len(poly) > 1:
-            break
-        v = np.zeros(d, dtype=np.int64)
-        v[seed] = 1
-        ann = _vector_annihilator(S, v, q)
-        new = poly_lcm(poly, ann, q)
-        stable = stable + 1 if len(new) == len(poly) else 0
-        poly = new
-    return poly
-
-
-def _vector_annihilator(S: np.ndarray, v: np.ndarray, q: int) -> list[int]:
-    """Monic generator of {f : f(S) v = 0} over GF(q).
-
-    Each new Krylov vector S^k v is reduced against the echelon rows kept
-    from the earlier ones (row i is monic at pivot[i] and zero at the
-    pivots before it); the first that reduces to zero ends the sequence,
-    and the kernel of the stacked Krylov vectors gives the coefficients."""
-    rows = []
-    echelon: list[np.ndarray] = []
+    R = np.zeros((0, d * d), dtype=np.int64)
+    coef = np.zeros((0, d + 1), dtype=np.int64)
     pivots: list[int] = []
-    cur = v % q
-    for _ in range(S.shape[0] + 1):
-        red = cur
-        for row, pc in zip(echelon, pivots):
-            if red[pc]:
-                red = (red - red[pc] * row) % q
+    P = np.eye(d, dtype=np.int64)
+    for j in range(d + 1):
+        flat = P.reshape(-1)
+        c = np.zeros(d + 1, dtype=np.int64)
+        c[j] = 1
+        f = flat[pivots]
+        red = (flat - _matmul_mod(f, R, q)) % q
+        c = (c - f @ coef) % q
         nz = np.flatnonzero(red)
         if nz.size == 0:
-            # current power is dependent: solve for coefficients
-            k = len(rows)
-            M = np.stack(rows + [cur], axis=0)  # (k+1) x d
-            ker = kernel_basis_mod(M.T, q)
-            # pick the kernel row with nonzero last coefficient
-            for kr in ker:
-                if kr[k] % q:
-                    inv = pow(int(kr[k]), q - 2, q)
-                    return poly_trim([int(c) * inv % q for c in kr])
-            raise TableVerificationError("annihilator extraction failed")
+            return [int(x) for x in c[: j + 1]]
         pc = int(nz[0])
-        echelon.append(red * pow(int(red[pc]), q - 2, q) % q)
+        inv = pow(int(red[pc]), q - 2, q)
+        red = red * inv % q
+        c = c * inv % q
+        g = R[:, pc].copy()
+        R = np.vstack([(R - g[:, None] * red[None, :]) % q, red])
+        coef = np.vstack([(coef - g[:, None] * c[None, :]) % q, c])
         pivots.append(pc)
-        rows.append(cur)
-        cur = S @ cur % q
-    raise TableVerificationError("Krylov vectors stay independent past the dimension")
+        if powers is not None:
+            powers.append(flat)
+        P = _matmul_mod(P, S, q)
+    raise TableVerificationError("matrix powers stay independent past the dimension")
 
 
 def poly_roots(poly: list[int], q: int) -> list[int]:
@@ -227,3 +170,55 @@ def poly_roots(poly: list[int], q: int) -> list[int]:
     for c in reversed(poly):
         vals = (vals * xs + c) % q
     return [int(x) for x in np.nonzero(vals == 0)[0]]
+
+
+def eigenspaces(S: np.ndarray, q: int) -> list[np.ndarray]:
+    """Bases of the left eigenspaces {x : x S = mu x} of a d x d matrix S
+    diagonalizable over GF(q), by ascending mu: one nonzero row for a
+    line, the reduced row echelon form for a larger space.
+
+    With m the minimal polynomial and q_mu = m / (x - mu), S is
+    diagonalizable iff m has deg m distinct roots in GF(q); then q_mu(S)
+    is m'(mu) times the projection onto the mu-eigenspace, so its rows
+    span it and trace q_mu(S) / m'(mu) is its dimension, exact as d < q.
+    One product of the synthetic-division coefficients with the stacked
+    powers from minimal_polynomial gives every q_mu(S).
+
+    In the table engine S acts by an element of Z(F_q G), which is
+    semisimple as q does not divide |G| and split as q = 1 (mod e); so m
+    has distinct roots in GF(q).  A split subspace holds only non-linear
+    rows, so d <= |G:Z(G)|/p^2 <= p^(n-3), below 2 sqrt|G| < q for n <= 6.
+    Both d < q and the int64 range of the products (at most d+1 terms
+    below (q-1)^2) are checked before the first product."""
+    d = S.shape[0]
+    if d >= q or (d + 1) * (q - 1) ** 2 >= 2**63:
+        raise TableVerificationError("eigenspace dimension or int64 range exceeded")
+    powers: list[np.ndarray] = []
+    m = minimal_polynomial(S, q, powers)
+    r = len(m) - 1
+    mus = np.array(poly_roots(m, q), dtype=np.int64)
+    if mus.size != r:
+        raise TableVerificationError("splitting matrix action was not diagonalizable")
+    # quo[:, i] is the x^i coefficient of m / (x - mu), one row per root
+    quo = np.zeros((r, r), dtype=np.int64)
+    quo[:, r - 1] = 1
+    for i in range(r - 1, 0, -1):
+        quo[:, i - 1] = (m[i] + mus * quo[:, i]) % q
+    deriv = np.zeros(r, dtype=np.int64)  # m'(mu) = q_mu(mu), by Horner
+    for i in range(r - 1, -1, -1):
+        deriv = (deriv * mus + quo[:, i]) % q
+    idem = _matmul_mod(quo, np.stack(powers), q).reshape(r, d, d)
+    trace = idem.trace(axis1=1, axis2=2) % q
+    dims = trace * np.array([pow(int(x), q - 2, q) for x in deriv], dtype=np.int64) % q
+    if (dims == 0).any() or int(dims.sum()) != d:
+        raise TableVerificationError("eigenspace dimensions do not add up")
+    pieces = []
+    for E, dim in zip(idem, dims.tolist()):
+        if dim == 1:
+            pieces.append(E[np.flatnonzero(E.any(axis=1))[:1]])
+            continue
+        R, piv = rref_mod(E, q)
+        if len(piv) != dim:
+            raise TableVerificationError("eigenspace lost rank")
+        pieces.append(R[:dim])
+    return pieces

@@ -271,7 +271,6 @@ def test_splitting_rank_loss_is_typed(monkeypatch):
     """The splitting guards raise TableVerificationError, which survives
     python -O and maps to CLI exit code 2."""
     import pgclass.modular as modular
-    from pgclass.chartable import _rref_with_pivots
 
     rref_mod = modular.rref_mod
 
@@ -281,7 +280,7 @@ def test_splitting_rank_loss_is_typed(monkeypatch):
 
     monkeypatch.setattr(modular, "rref_mod", drop_pivot)
     with pytest.raises(TableVerificationError, match="lost rank"):
-        _rref_with_pivots(np.eye(3, dtype=np.int64), 13)
+        modular.eigenspaces(np.diag([1, 1, 2]).astype(np.int64), 13)
 
 
 # -- table JSON -----------------------------------------------------------------
@@ -476,12 +475,10 @@ def test_table_guards_survive_optimize(run_optimized):
         "            raise\n"
         "    finally:\n"
         "        ct._relation_solutions = solve\n"
-        "def lcm():\n"
-        "    md.poly_gcd = lambda a, b, q: [1, 1]\n"
-        "    md.poly_lcm([2], [3], 7)\n"
-        "def annihilator():\n"
-        "    md.kernel_basis_mod = lambda M, q: np.zeros((0, M.shape[1]), dtype=np.int64)\n"
-        "    md._vector_annihilator(np.eye(2, dtype=np.int64), np.array([1, 0]), 7)\n"
+        "def jordan_block():\n"
+        "    md.eigenspaces(np.array([[2, 1], [0, 2]]), 7)\n"
+        "def eigen_range():\n"
+        "    md.eigenspaces(np.eye(7, dtype=np.int64), 7)\n"
         "split = ct._split_blocks\n"
         "def degree_one():\n"
         "    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):\n"
@@ -523,8 +520,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'float64_range': float64_range,\n"
         "    'power_data': power_data,\n"
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
-        "    'poly_lcm': lcm,\n"
-        "    'annihilator': annihilator,\n"
+        "    'jordan_block': jordan_block,\n"
+        "    'eigen_range': eigen_range,\n"
         "    'linear_count': linear_count,\n"
         "}\n"
         "for name, check in checks.items():\n"
@@ -535,8 +532,46 @@ def test_table_guards_survive_optimize(run_optimized):
     )
     assert run_optimized(code).split() == [
         "degree_one", "central_blocks", "prime_product", "float64_range", "power_data",
-        "root_of_unity", "poly_lcm", "annihilator", "linear_count",
+        "root_of_unity", "jordan_block", "eigen_range", "linear_count",
     ]
+
+
+def _scalar_rounds(monkeypatch, scalar_pool_rounds):
+    """Make _combination_rows return zero rows, a scalar action on every
+    subspace, while scalar_pool_rounds(pool sizes so far, full pool size)
+    holds; returns the list of pool sizes, one per round."""
+    import pgclass.chartable as ct
+
+    combination_rows = ct._combination_rows
+    pools = []
+
+    def patched(G, cls, rows_needed, pool, weights, q, inv_sizes):
+        pools.append(len(pool))
+        if scalar_pool_rounds(pools, int((cls.sizes > 1).sum())):
+            return np.zeros((rows_needed.size, cls.count), dtype=np.int64)
+        return combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes)
+
+    monkeypatch.setattr(ct, "_combination_rows", patched)
+    return pools
+
+
+def test_split_retries_after_a_scalar_full_pool_round(monkeypatch):
+    """A full-pool round that separates nothing is retried with new
+    weights, and the table comes out byte-identical."""
+    P = pg.build("heisenberg_x_heisenberg", 3)
+    want = json.dumps(pg.compute_table(pg.Group(P)).to_json(), sort_keys=True)
+    pools = _scalar_rounds(monkeypatch, lambda pools, full: pools.count(full) <= 1)
+    got = json.dumps(pg.compute_table(pg.Group(P)).to_json(), sort_keys=True)
+    assert pools[:5] == [16, 32, 64, 112, 112]
+    assert got == want
+
+
+def test_split_that_never_separates_fails(monkeypatch):
+    """Four retries on the full pool, then a typed error."""
+    pools = _scalar_rounds(monkeypatch, lambda pools, full: True)
+    with pytest.raises(TableVerificationError, match="eigenspace splitting did not complete"):
+        pg.compute_table(pg.Group(pg.build("heisenberg_x_heisenberg", 3)))
+    assert pools == [16, 32, 64] + [112] * 4
 
 
 def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
@@ -700,6 +735,47 @@ def test_central_blocks_match_the_orbit_walk():
     assert "heisenberg_f9@3" not in proper  # a Camina pair: Stab = Z(G) off the center
 
 
+def _eliminated_annihilator(G, cls, blk, lin, q, zpow):
+    """The elimination that _linear_annihilator replaced: the pairing
+    matrix F[lambda, O] = sum over c in O of v_O[c] lambda(g_c^-1) of the
+    block's linear rows (exponents lin), its kernel from kernel_basis_mod,
+    then the reduced row echelon form."""
+    from pgclass.modular import kernel_basis_mod, rref_mod
+
+    invclass = cls.classof[G.inverse_table[cls.reps]]
+    F = zpow[lin[:, invclass[blk.flat_supp]]] * blk.flat_coef % q
+    F = np.add.reduceat(F, blk.seg_starts, axis=1) % q
+    R, piv = rref_mod(kernel_basis_mod(F, q), q)
+    return R[:len(piv)], np.array(piv, dtype=np.int64)
+
+
+def test_linear_annihilator_matches_elimination():
+    """On every block of a corpus group at p = 3, 5, 7 that holds linear
+    rows but is not filled by them, the written-down annihilator basis and
+    its pivots equal those of the elimination."""
+    import pgclass.chartable as ct
+
+    checked = []
+    for p in (3, 5, 7):
+        for label, entry in pg.REGISTRY.items():
+            if entry.min_p > p:
+                continue
+            G = group_of(pg.build(label, p))
+            cls, e, q, zpow = _center_setup(G)
+            zc = ct._CenterChain(G, e)
+            lin_texp, lin_keys = ct._linear_rows_data(G, cls, zc)
+            if lin_texp.shape[0] == cls.count:
+                continue
+            for blk in ct._central_blocks(G, cls, zc, zpow):
+                lin = lin_texp[lin_keys == blk.central_key]
+                if 0 < lin.shape[0] < blk.dim:
+                    C, J = ct._linear_annihilator(blk, lin[:, blk.basepoints], q, zpow)
+                    want_C, want_J = _eliminated_annihilator(G, cls, blk, lin, q, zpow)
+                    assert (C == want_C).all() and (J == want_J).all(), (label, p)
+                    checked.append((label, p, blk.dim, lin.shape[0]))
+    assert len(checked) == 8, checked
+
+
 def _alter_center_character(monkeypatch, G):
     """The last character row of Z(G) with one exponent moved by e/p; the
     chain still returns |Z(G)| rows."""
@@ -781,6 +857,39 @@ def test_exp81_class3_table():
     assert rep.nilpotency_class == 3
     assert rep.is_gvz is False and rep.is_flat is False
     assert seconds <= 2.0, seconds
+
+
+# The maximal-class group of order p^6 with [b_i, a] = b_(i+1).  It is a
+# regression group, not a corpus entry.  At p = 5 its splitting meets a
+# subspace of 125 dimensions, whose eigenspace products run in float64.
+MAXCLASS_5_6 = """group maxclass_5_6 prime 5
+gens a b1 b2 b3 b4 b5
+comm [b1,a] = b2
+comm [b2,a] = b3
+comm [b3,a] = b4
+comm [b4,a] = b5
+"""
+
+
+def test_maxclass_5_6_table(monkeypatch):
+    """G' = <b2, ..., b5> has index 25, and Z(G) = <b5> has order 5.  The
+    abelian normal subgroup B = <b1, ..., b5> has index 5, so every degree
+    is 1 or 5, and p^6 = 25 + 25 n gives n = 624 rows of degree 5."""
+    import pgclass.chartable as ct
+
+    dims = []
+    eigenspaces = ct.eigenspaces
+
+    def recorded(S, q):
+        dims.append(S.shape[0])
+        return eigenspaces(S, q)
+
+    monkeypatch.setattr(ct, "eigenspaces", recorded)
+    G = group_of(parse_presentation(MAXCLASS_5_6))
+    T = pg.compute_table(G)
+    assert (G.order, G.center.order, T.count) == (5**6, 5, 649)
+    assert T.cd_multiset() == {1: 25, 5: 624}
+    assert max(dims) == 125
 
 
 @pytest.mark.parametrize("label", [

@@ -1,9 +1,10 @@
-"""Linear algebra and polynomials mod q against straightforward references."""
+"""Linear algebra and eigenspaces mod q against straightforward references."""
 
 import numpy as np
 import pytest
 
-from pgclass.modular import _vector_annihilator, minimal_polynomial, poly_divmod, rref_mod
+from pgclass.errors import TableVerificationError
+from pgclass.modular import eigenspaces, kernel_basis_mod, minimal_polynomial, rref_mod
 
 
 def first_dependency(vectors, q):
@@ -20,14 +21,6 @@ def first_dependency(vectors, q):
             coeffs[k - 1] = 1
             return coeffs
     raise ValueError("no dependency")
-
-
-def reference_annihilator(S, v, q):
-    d = S.shape[0]
-    krylov = [v % q]
-    for _ in range(d):
-        krylov.append(S @ krylov[-1] % q)
-    return first_dependency(krylov, q)
 
 
 def reference_minimal_polynomial(S, q):
@@ -67,24 +60,58 @@ def _inverse_mod(B, q):
 
 
 @pytest.mark.parametrize("q,seed", [(7, 1), (31, 2), (211, 3), (4733, 4)])
-def test_vector_annihilator_matches_reference(q, seed):
-    rng = np.random.default_rng(seed + 100)
+def test_minimal_polynomial_matches_reference(q, seed):
     for S in seeded_matrices(q, seed):
-        d = S.shape[0]
-        seeds = [np.eye(d, dtype=np.int64)[i] for i in range(d)]
-        seeds.append(rng.integers(0, q, size=d))
-        for v in seeds:
-            if not v.any():
-                continue
-            assert _vector_annihilator(S, v, q) == reference_annihilator(S, v, q)
+        assert minimal_polynomial(S, q) == reference_minimal_polynomial(S, q)
+
+
+def _similar_diagonal(eigenvalues, q, rng):
+    """B diag(eigenvalues) B^-1 for a random invertible B mod q."""
+    d = len(eigenvalues)
+    while True:
+        B = rng.integers(0, q, size=(d, d))
+        if len(rref_mod(B, q)[1]) == d:
+            break
+    return B @ np.diag(np.asarray(eigenvalues) % q) % q @ _inverse_mod(B, q) % q
 
 
 @pytest.mark.parametrize("q,seed", [(7, 1), (31, 2), (211, 3), (4733, 4)])
-def test_minimal_polynomial_matches_reference(q, seed):
-    for S in seeded_matrices(q, seed):
-        want = reference_minimal_polynomial(S, q)
-        assert minimal_polynomial(S, q, exhaustive=True) == want
-        # the early-stopping default returns a monic divisor of it
-        got = minimal_polynomial(S, q)
-        assert got[-1] == 1
-        assert poly_divmod(want, got, q)[1] == [0]
+def test_eigenspaces_match_kernels(q, seed):
+    """On diagonalizable matrices with repeated eigenvalues, the pieces
+    come in ascending eigenvalue order, each spans the kernel of S^T - mu I
+    from rref_mod, a line is one vector and a larger space is in reduced
+    row echelon form."""
+    rng = np.random.default_rng(seed + 200)
+    for d in (d for d in (2, 3, 6, 9) if d < q):
+        for _ in range(3):
+            mus = rng.integers(0, min(q, 4), size=d)
+            S = _similar_diagonal(mus, q, rng)
+            pieces = eigenspaces(S, q)
+            want = sorted(set(mus.tolist()))
+            assert len(pieces) == len(want)
+            for mu, piece in zip(want, pieces):
+                ker = kernel_basis_mod((S.T - mu * np.eye(d, dtype=np.int64)) % q, q)
+                R, piv = rref_mod(ker, q)
+                assert piece.shape[0] == len(piv)
+                assert not (piece @ S % q - mu * piece % q).any()
+                if len(piv) == 1:
+                    assert len(rref_mod(np.vstack([R[:1], piece]), q)[1]) == 1
+                else:
+                    assert (piece == R[:len(piv)]).all()
+
+
+def test_eigenspaces_reject_a_jordan_block():
+    rng = np.random.default_rng(7)
+    J = np.array([[3, 1, 0], [0, 3, 0], [0, 0, 5]], dtype=np.int64)
+    B = _similar_diagonal([1, 2, 4], 31, rng)  # invertible
+    S = B @ J % 31 @ _inverse_mod(B, 31) % 31
+    with pytest.raises(TableVerificationError, match="not diagonalizable"):
+        eigenspaces(S, 31)
+
+
+def test_eigenspaces_check_dimension_and_int64_range():
+    with pytest.raises(TableVerificationError, match="int64 range"):
+        eigenspaces(np.eye(7, dtype=np.int64), 7)  # d = q
+    q = 2**31 + 11  # 3 (q - 1)^2 >= 2^63; the range is checked before primality matters
+    with pytest.raises(TableVerificationError, match="int64 range"):
+        eigenspaces(np.eye(2, dtype=np.int64), q)
