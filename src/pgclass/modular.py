@@ -99,7 +99,7 @@ def rref_mod(M: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
     """Basis (rows) of the right kernel of M over GF(q); tests use it as
-    the reference for eigenspaces."""
+    the reference for the splitting code."""
     R, pivots = rref_mod(M, q)
     cols = M.shape[1]
     free = [c for c in range(cols) if c not in pivots]
