@@ -775,7 +775,7 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
                     Cnew = piece @ C % q
                     if piece.shape[0] == 1:
                         finals.append(blk.expand(Cnew[0], k, q))
-                    else:  # echelon times echelon: pivots J at the piece's
+                    else:  # RREF times RREF is RREF, pivots J at the piece's pivots
                         still.append((Cnew, J[(piece != 0).argmax(axis=1)]))
             entry[1] = still
         if not progressed and pool_end >= len(order_i):

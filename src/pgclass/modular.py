@@ -126,39 +126,42 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     return A @ B % q
 
 
-def minimal_polynomial(S: np.ndarray, q: int, powers: list | None = None) -> list[int]:
-    """Minimal polynomial of S over GF(q), ascending coefficients, monic.
+def minimal_polynomial(S: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
+    """Minimal polynomial m of S over GF(q), ascending coefficients,
+    monic, and the flattened powers I, S, ..., S^(deg m - 1) as rows.
 
-    The flattened powers I, S, S^2, ... are reduced against the earlier
-    ones, kept in fully reduced echelon form with the coefficients that
-    write each kept row in the powers.  The first power S^r that reduces
-    to zero gives the monic relation of least degree.  A list passed as
-    powers receives the flattened I, ..., S^(r-1)."""
+    The flattened powers are reduced against the earlier ones, kept in
+    fully reduced echelon form with the coefficients that write each kept
+    row in the powers.  The first power S^r that reduces to zero gives the
+    monic relation of least degree.  The arrays are allocated for d + 1
+    rows and filled in place; np.zeros maps the pages of a large array
+    lazily, so memory grows with deg m, about 2 deg(m) d^2 int64 here."""
     d = S.shape[0]
-    R = np.zeros((0, d * d), dtype=np.int64)
-    coef = np.zeros((0, d + 1), dtype=np.int64)
+    R = np.zeros((d + 1, d * d), dtype=np.int64)
+    powers = np.zeros((d + 1, d * d), dtype=np.int64)
+    coef = np.zeros((d + 1, d + 1), dtype=np.int64)
     pivots: list[int] = []
     P = np.eye(d, dtype=np.int64)
     for j in range(d + 1):
         flat = P.reshape(-1)
-        c = np.zeros(d + 1, dtype=np.int64)
-        c[j] = 1
         f = flat[pivots]
-        red = (flat - _matmul_mod(f, R, q)) % q
-        c = (c - f @ coef) % q
+        red = (flat - _matmul_mod(f, R[:j], q)) % q
+        c = -(f @ coef[:j]) % q
+        c[j] = 1
         nz = np.flatnonzero(red)
         if nz.size == 0:
-            return [int(x) for x in c[: j + 1]]
+            return [int(x) for x in c[: j + 1]], powers[:j]
         pc = int(nz[0])
         inv = pow(int(red[pc]), q - 2, q)
         red = red * inv % q
         c = c * inv % q
-        g = R[:, pc].copy()
-        R = np.vstack([(R - g[:, None] * red[None, :]) % q, red])
-        coef = np.vstack([(coef - g[:, None] * c[None, :]) % q, c])
+        g = R[:j, pc].copy()
+        R[:j] -= g[:, None] * red[None, :]
+        R[:j] %= q
+        coef[:j] -= g[:, None] * c[None, :]
+        coef[:j] %= q
+        R[j], coef[j], powers[j] = red, c, flat
         pivots.append(pc)
-        if powers is not None:
-            powers.append(flat)
         P = _matmul_mod(P, S, q)
     raise TableVerificationError("matrix powers stay independent past the dimension")
 
@@ -174,27 +177,31 @@ def poly_roots(poly: list[int], q: int) -> list[int]:
 
 def eigenspaces(S: np.ndarray, q: int) -> list[np.ndarray]:
     """Bases of the left eigenspaces {x : x S = mu x} of a d x d matrix S
-    diagonalizable over GF(q), by ascending mu: one nonzero row for a
-    line, the reduced row echelon form for a larger space.
+    diagonalizable over GF(q), by ascending mu, each in reduced row
+    echelon form (a line may come as any one nonzero row).
 
     With m the minimal polynomial and q_mu = m / (x - mu), S is
     diagonalizable iff m has deg m distinct roots in GF(q); then q_mu(S)
     is m'(mu) times the projection onto the mu-eigenspace, so its rows
-    span it and trace q_mu(S) / m'(mu) is its dimension, exact as d < q.
-    One product of the synthetic-division coefficients with the stacked
-    powers from minimal_polynomial gives every q_mu(S).
+    span it.  One product of the synthetic-division coefficients with the
+    stacked powers from minimal_polynomial gives every q_mu(S).  For
+    d < q, trace q_mu(S) / m'(mu), the dimension mod q, is the dimension,
+    so a line needs no elimination; for d >= q each q_mu(S) is
+    row-reduced and its rank is the dimension.
 
     In the table engine S acts by an element of Z(F_q G), which is
     semisimple as q does not divide |G| and split as q = 1 (mod e); so m
     has distinct roots in GF(q).  A split subspace holds only non-linear
-    rows, so d <= |G:Z(G)|/p^2 <= p^(n-3), below 2 sqrt|G| < q for n <= 6.
-    Both d < q and the int64 range of the products (at most d+1 terms
-    below (q-1)^2) are checked before the first product."""
+    rows, so d <= |G:Z(G)|/p^2 <= p^(n-3), below 2 sqrt|G| < q for
+    |G| = p^n with n <= 6; larger groups can reach d >= q.  The int64
+    range of the products (at most d+1 terms below (q-1)^2) is checked
+    before the first product.  Memory peaks at about 4 deg(m) d^2 words,
+    the powers and the idempotents with their float64 copies; deg m is at
+    most min(d, q)."""
     d = S.shape[0]
-    if d >= q or (d + 1) * (q - 1) ** 2 >= 2**63:
-        raise TableVerificationError("eigenspace dimension or int64 range exceeded")
-    powers: list[np.ndarray] = []
-    m = minimal_polynomial(S, q, powers)
+    if (d + 1) * (q - 1) ** 2 >= 2**63:
+        raise TableVerificationError("eigenspace products exceed the int64 range")
+    m, powers = minimal_polynomial(S, q)
     r = len(m) - 1
     mus = np.array(poly_roots(m, q), dtype=np.int64)
     if mus.size != r:
@@ -204,21 +211,24 @@ def eigenspaces(S: np.ndarray, q: int) -> list[np.ndarray]:
     quo[:, r - 1] = 1
     for i in range(r - 1, 0, -1):
         quo[:, i - 1] = (m[i] + mus * quo[:, i]) % q
-    deriv = np.zeros(r, dtype=np.int64)  # m'(mu) = q_mu(mu), by Horner
-    for i in range(r - 1, -1, -1):
-        deriv = (deriv * mus + quo[:, i]) % q
-    idem = _matmul_mod(quo, np.stack(powers), q).reshape(r, d, d)
-    trace = idem.trace(axis1=1, axis2=2) % q
-    dims = trace * np.array([pow(int(x), q - 2, q) for x in deriv], dtype=np.int64) % q
-    if (dims == 0).any() or int(dims.sum()) != d:
-        raise TableVerificationError("eigenspace dimensions do not add up")
+    idem = _matmul_mod(quo, powers, q).reshape(r, d, d)
+    dims = [None] * r
+    if d < q:
+        deriv = np.zeros(r, dtype=np.int64)  # m'(mu) = q_mu(mu), by Horner
+        for i in range(r - 1, -1, -1):
+            deriv = (deriv * mus + quo[:, i]) % q
+        trace = idem.trace(axis1=1, axis2=2) % q
+        inv = np.array([pow(int(x), q - 2, q) for x in deriv], dtype=np.int64)
+        dims = (trace * inv % q).tolist()
     pieces = []
-    for E, dim in zip(idem, dims.tolist()):
+    for E, dim in zip(idem, dims):
         if dim == 1:
             pieces.append(E[np.flatnonzero(E.any(axis=1))[:1]])
             continue
         R, piv = rref_mod(E, q)
-        if len(piv) != dim:
+        if dim is not None and len(piv) != dim:
             raise TableVerificationError("eigenspace lost rank")
-        pieces.append(R[:dim])
+        pieces.append(R[: len(piv)])
+    if min(map(len, pieces)) == 0 or sum(map(len, pieces)) != d:
+        raise TableVerificationError("eigenspace dimensions do not add up")
     return pieces

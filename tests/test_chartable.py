@@ -478,7 +478,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "def jordan_block():\n"
         "    md.eigenspaces(np.array([[2, 1], [0, 2]]), 7)\n"
         "def eigen_range():\n"
-        "    md.eigenspaces(np.eye(7, dtype=np.int64), 7)\n"
+        "    md.eigenspaces(np.eye(2, dtype=np.int64), 2**31 + 11)\n"
         "split = ct._split_blocks\n"
         "def degree_one():\n"
         "    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):\n"
@@ -890,6 +890,49 @@ def test_maxclass_5_6_table(monkeypatch):
     assert (G.order, G.center.order, T.count) == (5**6, 5, 649)
     assert T.cd_multiset() == {1: 25, 5: 624}
     assert max(dims) == 125
+
+
+# A = Z[zeta_3] / (1 - zeta)^7 extended by a of order 3 acting as zeta,
+# with b_i = pi^(i-1) for pi = zeta - 1: [b_i, a] = b_(i+1), and
+# 3 = 2 pi^2 + pi^3 gives b_i^3 = b_(i+2)^2 b_(i+3).
+ZETA3_8 = """group zeta3_8 prime 3
+gens a b1 b2 b3 b4 b5 b6 b7
+pow b1^p = b3^2 b4
+pow b2^p = b4^2 b5
+pow b3^p = b5^2 b6
+pow b4^p = b6^2 b7
+pow b5^p = b7^2
+comm [b1,a] = b2
+comm [b2,a] = b3
+comm [b3,a] = b4
+comm [b4,a] = b5
+comm [b5,a] = b6
+comm [b6,a] = b7
+"""
+
+
+def test_zeta3_8_table_splits_subspaces_above_q(monkeypatch):
+    """At order 3^8 a split subspace can have dimension d >= q, where a
+    trace no longer gives the dimension.  Here q = 163 and the two
+    faithful central blocks each split a 243-dimensional subspace.  A has
+    index 3, so every degree is 1 or 3, and G' = <b2, ..., b7> has index
+    9: 3^8 = 9 + 9 n gives n = 728.  compute_table verifies the table
+    exactly before it returns."""
+    import pgclass.chartable as ct
+
+    calls = []
+    eigenspaces = ct.eigenspaces
+
+    def recorded(S, q):
+        calls.append((S.shape[0], q))
+        return eigenspaces(S, q)
+
+    monkeypatch.setattr(ct, "eigenspaces", recorded)
+    G = group_of(parse_presentation(ZETA3_8))
+    T = pg.compute_table(G)
+    assert (G.order, G.center.order, T.count, T.exponent) == (3**8, 3, 737, 81)
+    assert T.cd_multiset() == {1: 9, 3: 728}
+    assert max(calls) == (243, 163)
 
 
 @pytest.mark.parametrize("label", [

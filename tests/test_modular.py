@@ -62,7 +62,13 @@ def _inverse_mod(B, q):
 @pytest.mark.parametrize("q,seed", [(7, 1), (31, 2), (211, 3), (4733, 4)])
 def test_minimal_polynomial_matches_reference(q, seed):
     for S in seeded_matrices(q, seed):
-        assert minimal_polynomial(S, q) == reference_minimal_polynomial(S, q)
+        m, powers = minimal_polynomial(S, q)
+        assert m == reference_minimal_polynomial(S, q)
+        P = np.eye(S.shape[0], dtype=np.int64)
+        assert powers.shape == (len(m) - 1, S.size)
+        for row in powers:
+            assert (row == P.reshape(-1)).all()
+            P = P @ S % q
 
 
 def _similar_diagonal(eigenvalues, q, rng):
@@ -75,29 +81,43 @@ def _similar_diagonal(eigenvalues, q, rng):
     return B @ np.diag(np.asarray(eigenvalues) % q) % q @ _inverse_mod(B, q) % q
 
 
+def _check_pieces(S, mus, q, pieces):
+    """The pieces come in ascending eigenvalue order, each spans the kernel
+    of S^T - mu I from rref_mod, a line is one vector and a larger space
+    is in reduced row echelon form."""
+    d = S.shape[0]
+    want = sorted(set(mus))
+    assert len(pieces) == len(want)
+    for mu, piece in zip(want, pieces):
+        ker = kernel_basis_mod((S.T - mu * np.eye(d, dtype=np.int64)) % q, q)
+        R, piv = rref_mod(ker, q)
+        assert piece.shape[0] == len(piv) == mus.count(mu)
+        assert not (piece @ S % q - mu * piece % q).any()
+        if len(piv) == 1:
+            assert len(rref_mod(np.vstack([R[:1], piece]), q)[1]) == 1
+        else:
+            assert (piece == R[:len(piv)]).all()
+
+
 @pytest.mark.parametrize("q,seed", [(7, 1), (31, 2), (211, 3), (4733, 4)])
 def test_eigenspaces_match_kernels(q, seed):
-    """On diagonalizable matrices with repeated eigenvalues, the pieces
-    come in ascending eigenvalue order, each spans the kernel of S^T - mu I
-    from rref_mod, a line is one vector and a larger space is in reduced
-    row echelon form."""
+    """Diagonalizable matrices with repeated eigenvalues; at q = 7 the
+    dimension 9 is above q."""
     rng = np.random.default_rng(seed + 200)
-    for d in (d for d in (2, 3, 6, 9) if d < q):
+    for d in (2, 3, 6, 9):
         for _ in range(3):
-            mus = rng.integers(0, min(q, 4), size=d)
+            mus = rng.integers(0, min(q, 4), size=d).tolist()
             S = _similar_diagonal(mus, q, rng)
-            pieces = eigenspaces(S, q)
-            want = sorted(set(mus.tolist()))
-            assert len(pieces) == len(want)
-            for mu, piece in zip(want, pieces):
-                ker = kernel_basis_mod((S.T - mu * np.eye(d, dtype=np.int64)) % q, q)
-                R, piv = rref_mod(ker, q)
-                assert piece.shape[0] == len(piv)
-                assert not (piece @ S % q - mu * piece % q).any()
-                if len(piv) == 1:
-                    assert len(rref_mod(np.vstack([R[:1], piece]), q)[1]) == 1
-                else:
-                    assert (piece == R[:len(piv)]).all()
+            _check_pieces(S, mus, q, eigenspaces(S, q))
+
+
+def test_eigenspaces_with_multiplicities_of_q_and_q_plus_one():
+    """With d >= q a trace gives the dimension only mod q: here it would
+    read 0 for the 7-dimensional space and 1 for the 8-dimensional one."""
+    rng = np.random.default_rng(11)
+    mus = [2] * 7 + [5] * 8 + [3]
+    S = _similar_diagonal(mus, 7, rng)
+    _check_pieces(S, mus, 7, eigenspaces(S, 7))
 
 
 def test_eigenspaces_reject_a_jordan_block():
@@ -109,9 +129,7 @@ def test_eigenspaces_reject_a_jordan_block():
         eigenspaces(S, 31)
 
 
-def test_eigenspaces_check_dimension_and_int64_range():
-    with pytest.raises(TableVerificationError, match="int64 range"):
-        eigenspaces(np.eye(7, dtype=np.int64), 7)  # d = q
+def test_eigenspaces_check_the_int64_range():
     q = 2**31 + 11  # 3 (q - 1)^2 >= 2^63; the range is checked before primality matters
     with pytest.raises(TableVerificationError, match="int64 range"):
         eigenspaces(np.eye(2, dtype=np.int64), q)
