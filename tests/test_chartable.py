@@ -890,6 +890,8 @@ def test_maxclass_5_6_table(monkeypatch):
     assert (G.order, G.center.order, T.count) == (5**6, 5, 649)
     assert T.cd_multiset() == {1: 25, 5: 624}
     assert max(dims) == 125
+    assert hashlib.sha256(json.dumps(T.to_json(), sort_keys=True).encode()).hexdigest() == (
+        "73dd6f0b38416e6b0e0a623767690800e5e17b293ce4059939bd15cbfe8072de")
 
 
 # A = Z[zeta_3] / (1 - zeta)^7 extended by a of order 3 acting as zeta,
@@ -933,6 +935,8 @@ def test_zeta3_8_table_splits_subspaces_above_q(monkeypatch):
     assert (G.order, G.center.order, T.count, T.exponent) == (3**8, 3, 737, 81)
     assert T.cd_multiset() == {1: 9, 3: 728}
     assert max(calls) == (243, 163)
+    assert hashlib.sha256(json.dumps(T.to_json(), sort_keys=True).encode()).hexdigest() == (
+        "03f6bc4738e2eb0c86c4decd8ba79e0b2c617891819f06c0c64064fa8b14bf89")
 
 
 @pytest.mark.parametrize("label", [
