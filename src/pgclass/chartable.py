@@ -8,10 +8,14 @@ Pipeline, the same for every group:
 2.  The linear characters come straight from the pc relations: the
     exponent vectors t over the pc generators that satisfy the power and
     commutator relations in Z/e, |G:G'| of them (linear_character_exponents).
-    The row of t reads d . t at a class rep with normal-form digits d; it
-    is stored so, never enters steps 5 and 6, and the linear rows head the
-    table (_linear_order).  When they number k (G is abelian) they are the
-    whole table, and steps 3 and 4 are skipped.
+    The row of t reads zeta_e^(d . t) at a class rep with normal-form
+    digits d.  It is stored as t, n integers, with a reference to the
+    table's one n x k matrix of class-rep digits; its values are read from
+    them on demand and never stored.  It never enters steps 5 and 6, and
+    the linear rows head the table in the order of their mod-q values,
+    which a prefix of the columns decides (_linear_order).  When they
+    number k (G is abelian) they are the whole table, and steps 3 and 4
+    are skipped.
 3.  Joint eigenvectors of the size-1 (central) class matrices are written
     down directly: Z(G) acts on the class set, and for each orbit O with
     basepoint g and each character mu of Z(G) trivial on the orbit
@@ -42,16 +46,21 @@ Pipeline, the same for every group:
     over are stored dense.  They take Dixon's recovery at every class: for
     a class of element order m the multiplicities
     m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point DFT along the
-    class's power orbit, evaluated mod q.  Each multiplicity is an integer
-    in [0, d] < q, so the lift is exact.
+    class's power orbit, evaluated mod q, in chunks of about 5 * 10^5
+    entries (_orbit_dft_mults).  Each multiplicity is an integer in
+    [0, d] < q, so the lift is exact.
 
 All verification is exact.  First orthogonality of every pair of rows
-rests on one argument: the linear rows are distinct homomorphisms, the
-non-linear rows are closed under the Galois group of Q(zeta_e), and their
-Gram matrix is checked modulo a few primes q' = 1 (mod e) other than q
-whose product exceeds a bound on every conjugate of every entry.  The same
-residues give the column diagonal, and the restriction norms need no
-arithmetic; _verify_table has the proof.
+rests on one argument: the linear rows are distinct homomorphisms, each
+t checked against the relations (von Dyck), so each is constant on the
+cosets of G'; the non-linear rows are closed under the Galois group of
+Q(zeta_e); and modulo a few primes q' = 1 (mod e) other than q, whose
+product exceeds a bound on every conjugate of every entry, the Gram
+matrix of the non-linear rows is checked, and so are their sums of
+|K_j| chi(g_j) over the classes of each coset of G', which stand for
+their products with every linear row.  The same residues give the column
+diagonal, and the restriction norms need no arithmetic; _verify_table has
+the proof.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, root_sum
 from .errors import TableVerificationError
-from .group import ConjugacyClassSet, Group, Subgroup, _chain_gens, group_of
+from .group import ConjugacyClassSet, Group, Subgroup, _chain_gens, _orbit_minima, group_of
 from .modular import discrete_log_table, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
@@ -77,16 +86,17 @@ _MAX_CLASSES = 6000
 class _Row:
     """One irreducible character, stored compactly by shape."""
 
-    __slots__ = ("degree", "e", "k", "kind", "texp", "support", "texp_on", "mults",
+    __slots__ = ("degree", "e", "k", "kind", "t", "digits", "support", "texp_on", "mults",
                  "_nonzero", "_center")
 
-    def __init__(self, degree, e, k, kind, texp=None, support=None, texp_on=None,
+    def __init__(self, degree, e, k, kind, t=None, digits=None, support=None, texp_on=None,
                  mults=None, ones=None):
         self.degree = int(degree)
         self.e = e
         self.k = k
         self.kind = kind          # 'unity' | 'central' | 'dense'
-        self.texp = texp          # unity: (k,) exponents of zeta_e
+        self.t = t                # unity: (n,) exponents of zeta_e at the pc generators
+        self.digits = digits      # unity: (n, k) class-rep digits (_rep_digits), shared
         self.support = support    # central: sorted class indices with nonzero value
         self.texp_on = texp_on    # central: exponents on the support
         self.mults = mults        # dense: (k, e) int32 eigenvalue multiplicities
@@ -96,9 +106,18 @@ class _Row:
 
     # -- exact values --------------------------------------------------------
 
+    @property
+    def texp(self) -> np.ndarray:
+        """unity: the exponent of zeta_e at every class rep, t . digits mod e."""
+        return self._texp_at(slice(None))
+
+    def _texp_at(self, cols):
+        # the digits are stored narrow; widen them before the product
+        return self.t @ self.digits[:, cols].astype(np.int64) % self.e
+
     def value(self, j: int) -> Cyclotomic:
         if self.kind == "unity":
-            return Cyclotomic.root(self.e, int(self.texp[j]))
+            return Cyclotomic.root(self.e, int(self._texp_at(j)))
         if self.kind == "central":
             pos = np.searchsorted(self.support, j)
             if pos < self.support.size and self.support[pos] == j:
@@ -116,9 +135,7 @@ class _Row:
         or the multiplicity vector (dense).  The exponent e is not in the
         key, so one memo serves the rows of one table only."""
         if self.kind == "unity":
-            uniq, first, inv = np.unique(
-                np.asarray(self.texp) % self.e, return_index=True, return_inverse=True
-            )
+            uniq, first, inv = np.unique(self.texp, return_index=True, return_inverse=True)
             keys = [("unity", int(t)) for t in uniq]
         elif self.kind == "central":
             t_at = np.full(self.k, -1, dtype=np.int64)
@@ -172,7 +189,7 @@ class _Row:
     @property
     def kernel_mask(self) -> np.ndarray:
         if self.kind == "unity":
-            return np.asarray(self.texp) == 0
+            return self.texp == 0
         if self.kind == "central":
             m = np.zeros(self.k, dtype=bool)
             m[self.support[np.asarray(self.texp_on) == 0]] = True
@@ -182,7 +199,7 @@ class _Row:
     def tilde(self, q: int, zpow: np.ndarray) -> np.ndarray:
         """The row reduced mod q (for sorting and cross-checks)."""
         if self.kind == "unity":
-            return zpow[np.asarray(self.texp) % self.e]
+            return zpow[self.texp]
         if self.kind == "central":
             out = np.zeros(self.k, dtype=np.int64)
             out[self.support] = self.degree * zpow[np.asarray(self.texp_on) % self.e] % q
@@ -247,6 +264,22 @@ class CharacterTable:
 
     def value(self, row_index: int, class_index: int) -> Cyclotomic:
         return self.rows[row_index].value(class_index)
+
+    def kernels_contain(self, mask: np.ndarray) -> np.ndarray:
+        """For each row chi, whether ker(chi) holds every class in mask.
+        The unity rows are read at those classes alone, in one product per
+        digit matrix they share, so no unity row is evaluated k-wide."""
+        out = np.empty(self.count, dtype=bool)
+        unity: dict = {}
+        for i, r in enumerate(self.rows):
+            if r.kind == "unity":
+                unity.setdefault(id(r.digits), (r.digits, []))[1].append(i)
+            else:
+                out[i] = r.kernel_mask[mask].all()
+        for digits, at in unity.values():
+            t = np.array([self.rows[i].t for i in at], dtype=np.int64)
+            out[at] = ~(t @ digits[:, mask].astype(np.int64) % self.exponent).any(axis=1)
+        return out
 
     def value_strings(self) -> list[list[str]]:
         """Every value as a string, row by row: str(self.value(i, j)).
@@ -404,16 +437,24 @@ class _PowerData:
         return self.mat[: int(self.ords[i]), i]
 
 
-def _linear_rows_data(G: Group, cls: ConjugacyClassSet, zc: "_CenterChain"):
-    """Exponent rows (with respect to zeta_e, e = G.exponent) of all linear
-    characters at every class rep, digits(rep) . t for each row t of
-    linear_character_exponents, plus one block key per row: the code
-    (_CenterChain.code) of its restriction to Z(G), read at the classes of
-    the chain elements b_a."""
-    T, e = linear_character_exponents(G)
-    vals = T @ np.stack([d[cls.reps] for d in G.digit_arrays])
-    vals %= e
-    return vals, zc.code(vals[:, cls.classof[list(zc.gens)]])
+def _digits(G: Group, idxs) -> np.ndarray:
+    """The normal-form digits of the elements idxs, one column each."""
+    idxs = np.asarray(idxs, dtype=np.int64)
+    return np.stack([d[idxs] for d in G.digit_arrays]).reshape(G.n, idxs.size)
+
+
+def _rep_digits(G: Group, cls: ConjugacyClassSet) -> np.ndarray:
+    """The digits of the class reps, an n x k matrix in the narrowest dtype
+    that holds p - 1, read-only: the one matrix a table's unity rows share."""
+    return _read_only(_digits(G, cls.reps).astype(np.min_scalar_type(G.p - 1)))
+
+
+def _linear_rows_data(G: Group, zc: "_CenterChain"):
+    """The rows t of linear_character_exponents, one per linear character,
+    plus one block key per row: the code (_CenterChain.code) of its
+    restriction to Z(G), t at the digits of the chain elements b_a."""
+    T, _ = linear_character_exponents(G)
+    return T, zc.code(T @ _digits(G, zc.gens))
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +723,13 @@ def _linear_annihilator(blk: _CentralBlock, tb: np.ndarray, q: int, zpow: np.nda
     return C, piv
 
 
-def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
+def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     """Stage 4: refine the central blocks until every subspace is a line,
     and return the eigenvectors of the non-linear rows.
 
     The block of a central character first sheds the span of its linear
-    rows (exponents lin_texp, block keys lin_keys), whose eigenvectors
+    rows (exponents lin_t at the pc generators, so lin_t @ digits at the
+    class reps; block keys lin_keys), whose eigenvectors
     w[c] = |K_c| lambda(g_c) are already known exactly: inside a block the
     nonlinear span is the annihilator of the known rows under the class
     algebra pairing B(u, v) = sum_j u_j v_j* / n_j, under which distinct
@@ -707,6 +749,7 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
     inv_sizes: q = 1 (mod e) puts q != p, so q never divides a class
     size."""
     k = cls.count
+    e = zpow.size
 
     by_key = np.argsort(lin_keys, kind="stable")
     sorted_keys = lin_keys[by_key]
@@ -729,7 +772,7 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
             J0 = np.arange(D, dtype=np.int64)
         else:
             C0, J0 = _linear_annihilator(
-                blk, lin_texp[np.ix_(members, blk.basepoints)], q, zpow)
+                blk, lin_t[members] @ digits[:, blk.basepoints].astype(np.int64) % e, q, zpow)
         if C0.shape[0] == 1:
             finals.append(blk.expand(C0[0], k, q))
         else:
@@ -787,11 +830,11 @@ def _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
 # lifting
 
 
-def _lift_rows(G, cls, e, q, zpow, dlog, lin_texp, lin_order, degs, T):
+def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     """Exact cyclotomic rows of the group: the linear rows, which store
-    the rows lin_order of their exponents lin_texp as they are, then one
-    row per row of T, the mod-q table of the non-linear characters
-    (degrees degs); zpow[t] is z^t mod q.
+    the rows lin_order of their exponents lin_t at the pc generators and
+    share the class-rep digits, then one row per row of T, the mod-q table
+    of the non-linear characters (degrees degs); zpow[t] is z^t mod q.
 
     Every non-linear row is first certified central-type where it can be.
     Its candidate classes are those with chi(g) chi(g^-1) = d^2 mod q.  At
@@ -816,7 +859,8 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_texp, lin_order, degs, T):
     sizes = cls.sizes
     order = G.order
     ones = _read_only(np.ones(k, dtype=bool))
-    lin = [_Row(1, e, k, "unity", texp=lin_texp[i], ones=ones) for i in lin_order.tolist()]
+    lin = [_Row(1, e, k, "unity", t=lin_t[i], digits=digits, ones=ones)
+           for i in lin_order.tolist()]
     if not degs:
         return lin
 
@@ -878,7 +922,9 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
     range).  It is written at exponent u e/m; every other exponent has
     multiplicity 0.
     The classes are batched by element order, with one m x m DFT matrix
-    per order m.  The integer sums are exact in int64: each of the m terms
+    per order m, and the rows in chunks of about 5 * 10^5 gathered entries
+    (4 MB of int64; the product and its reductions take a few arrays of
+    that size).  The integer sums are exact in int64: each of the m terms
     is below (q-1)^2, and m (q-1)^2 <= e (q-1)^2 < 2^63 (at e = 2401,
     q = 14407, the bound is 5.0e11), which is checked before the first
     product."""
@@ -893,7 +939,7 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
         stride = e // m
         dft = zpow[np.outer(s, -s) * stride % e]  # dft[u, s] = z_m^(-us)
         inv_m = pow(m, q - 2, q)
-        chunk = max(1, 4_000_000 // (m * at.size))
+        chunk = max(1, 500_000 // (m * at.size))
         for r0 in range(0, R, chunk):
             V = Trows[r0:r0 + chunk][:, orbits]  # (c, m, n)
             mults = np.einsum("us,csn->cun", dft, V) % q * inv_m % q
@@ -901,13 +947,28 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
     return out
 
 
-def _linear_order(lin_texp: np.ndarray, zpow: np.ndarray) -> np.ndarray:
-    """The lexicographic order of the rows zpow[lin_texp], taken on ranks:
-    rank[t], the rank of zpow[t] among the e distinct powers, is stored
-    big-endian in one byte when e <= 256 and two when e <= 65536."""
+def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np.ndarray:
+    """The lexicographic order of the linear rows mod q, zpow[lin_t @ digits
+    mod e], taken on ranks: rank[t], the rank of zpow[t] among the e
+    distinct powers, is stored big-endian in one byte when e <= 256 and two
+    when e <= 65536.
+
+    Only a prefix of the k columns is formed: the first c, c doubling from
+    8, until the rows are distinct on it (or c = k).  Two distinct rows
+    compare at their first differing column; when the prefix separates
+    them, that column lies in the prefix, so the order on the prefix is the
+    order on all k columns.  The linear rows are distinct characters, so
+    some prefix separates them all (_verify_structural_pairs checks the
+    distinctness)."""
     e = zpow.size
+    k = digits.shape[1]
     rank = np.argsort(np.argsort(zpow)).astype(np.min_scalar_type(e - 1).newbyteorder(">"))
-    return np.argsort(_row_keys(rank[lin_texp]), kind="stable")
+    c = min(8, k)
+    while True:
+        ranks = rank[lin_t @ digits[:, :c].astype(np.int64) % e]
+        if c == k or _distinct_rows(ranks) == ranks.shape[0]:
+            return np.argsort(_row_keys(ranks), kind="stable")
+        c = min(2 * c, k)
 
 
 def _invmod_arr(a: np.ndarray, q: int) -> np.ndarray:
@@ -946,12 +1007,13 @@ def compute_table(P) -> CharacterTable:
 
     inv_sizes = _invmod_arr(cls.sizes, q)
     zc = _CenterChain(G, e)
-    lin_texp, lin_keys = _linear_rows_data(G, cls, zc)
-    n_lin = lin_texp.shape[0]
+    digits = _rep_digits(G, cls)
+    lin_t, lin_keys = _linear_rows_data(G, zc)
+    n_lin = lin_t.shape[0]
     finals = []
     if n_lin < k:
         blocks = _central_blocks(G, cls, zc, zpow)
-        finals = _split_blocks(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)
+        finals = _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
     if n_lin + len(finals) != k:
         raise TableVerificationError("wrong number of eigenvectors")
 
@@ -987,8 +1049,8 @@ def compute_table(P) -> CharacterTable:
     T = T[perm]
     degs = degs[perm]
 
-    rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_texp, _linear_order(lin_texp, zpow),
-                      degs.tolist(), T)
+    rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits,
+                      _linear_order(lin_t, digits, zpow), degs.tolist(), T)
     for row, t in zip(rows[n_lin:], T):
         if (row.tilde(q, zpow) != t).any():
             raise TableVerificationError("lifted row disagrees mod q")
@@ -1062,9 +1124,17 @@ def _verify_table(T: CharacterTable) -> None:
     - For a prime q' = 1 (mod e) and z' of order e in GF(q'), q' splits
       completely: q' Z[zeta_e] is the product of the primes
       P_s = ker(zeta_e -> z'^s), s a unit mod e, and y is in P_s iff
-      sigma_s(y) is in P_1.  _verify_pairs_against_block checks that the
-      Gram matrix reduced at zeta_e -> z' is |G| I, i.e. every y_ab is in
-      P_1; as the sigma_s(y_ab) are y_ab's too, every y_ab is in every P_s,
+      sigma_s(y) is in P_1.
+    - Every y_ab is in P_1.  For b in N, _verify_pairs_against_block checks
+      that the Gram matrix of N reduced at zeta_e -> z' is |G| I.  For a
+      linear b = lambda: the class of g_j lies in one coset x of G', as
+      g^h = g [g, h], and lambda is trivial on G', so it takes one value
+      lambda(x) on x.  Then y_a,lambda = sum_x conj lambda(x) S_a(x) with
+      the coset sums S_a(x) = sum over the classes j in x of
+      |K_j| chi_a(g_j), and the check that every S_a(x) reduces to 0 puts
+      y_a,lambda in P_1, as lambda(x) is in Z[zeta_e].  (The cosets come
+      from the group tables, _derived_cosets, and must number |G:G'|.)
+      As the sigma_s(y_ab) are y_ab's too, every y_ab is in every P_s,
       hence in q' Z[zeta_e].
     - Over primes q' != q with product Q > B, y_ab is in Q Z[zeta_e].  If
       y_ab != 0, the norm of y_ab / Q is a nonzero rational integer, so the
@@ -1114,17 +1184,15 @@ def _verify_table(T: CharacterTable) -> None:
     nonlin = [r for r in T.rows if r.kind != "unity"]
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
-    lin_texp = np.stack([r.texp for r in lin])
-    lin_texp %= e
-    gen_texp = _verify_linear_rows(T, lin_texp)
+    lin_t = _verify_linear_rows(T, lin)
     _verify_central_rows(T, [
         (sup, np.stack(tons)) for sup, tons in
         _group_by_key((r.support, np.asarray(r.texp_on) % e)
                       for r in nonlin if r.kind == "central")
     ])
-    _verify_structural_pairs(T, gen_texp, nonlin)
+    _verify_structural_pairs(T, lin_t, nonlin)
     if nonlin:
-        _verify_pairs_against_block(T, lin_texp, nonlin)
+        _verify_pairs_against_block(T, len(lin), nonlin)
     elif (order // sizes != len(lin)).any():
         raise TableVerificationError("column norm != centralizer order")
 
@@ -1152,45 +1220,39 @@ def _verify_table(T: CharacterTable) -> None:
     )
 
 
-def _verify_linear_rows(T: CharacterTable, lin_texp: np.ndarray) -> np.ndarray:
-    """Every degree-1 row is a homomorphism G -> <zeta_e>; lin_texp holds
-    their exponents, one row per character, reduced mod e.  Returns their
-    exponents t at the pc generators, one row per character: a row is the
-    homomorphism its t defines, so two rows are equal iff their t are.
+def _verify_linear_rows(T: CharacterTable, lin) -> np.ndarray:
+    """Every degree-1 row of lin is a homomorphism G -> <zeta_e>.  Returns
+    their exponents t at the pc generators, reduced mod e, one row per
+    character: a row is the homomorphism its t defines, so two rows are
+    equal iff their t are.
 
-    Let t_i be a row's exponent at the pc generator a_i.  The row must
-    read sum_i digit_i(g) t_i (mod e) at every class rep g, where
-    g = a_1^digit_1 ... a_n^digit_n in normal form, and t must satisfy the
-    relations of the presentation in the abelian target: a_i^p = w_i gives
-    p t_i = digits(w_i) . t, and [a_j, a_i] = w_ij (j > i) gives
-    0 = digits(w_ij) . t.  By von Dyck's theorem t then extends to a
-    homomorphism, which takes the value the row has at every class."""
+    A unity row stores t, t_i being its exponent at the pc generator a_i,
+    and reads zeta_e^(sum_i digit_i(g) t_i) at a class rep
+    g = a_1^digit_1 ... a_n^digit_n in normal form; its digits must be
+    the class reps' own (_rep_digits).  t must satisfy the relations of
+    the presentation in the abelian target, read from the group tables:
+    a_i^p = w_i gives p t_i = digits(w_i) . t, and [a_j, a_i] = w_ij
+    (j > i) gives 0 = digits(w_ij) . t.  By von Dyck's theorem t then
+    extends to a homomorphism G -> <zeta_e> with a_i -> zeta_e^t_i, whose
+    value at the normal-form element g is zeta_e^(digits(g) . t): the
+    value the row reads there.  So the row is that homomorphism at every
+    class by construction, and no class is checked one by one."""
     G = T.group
-    cls = T.classes
     e = T.exponent
-    if lin_texp[:, 0].any():
-        raise TableVerificationError("linear row not 1 at the identity")
-
-    def digits(idxs):
-        idxs = np.asarray(idxs, dtype=np.int64)
-        return np.stack([d[idxs] for d in G.digit_arrays], axis=1)
-
+    want = _rep_digits(G, T.classes)
+    for d in {id(r.digits): r.digits for r in lin}.values():
+        if not np.array_equal(d, want):
+            raise TableVerificationError("a linear row reads other digits than the class reps'")
+    if any(np.shape(r.t) != (G.n,) for r in lin):
+        raise TableVerificationError("a linear row has no exponent per pc generator")
+    t = np.array([r.t for r in lin], dtype=np.int64) % e
     gens = [G.gen_index(i) for i in range(G.n)]
-    t = lin_texp[:, cls.classof[gens]]
-    rep_digits = digits(cls.reps).T
-    chunk = max(1, 1_000_000 // cls.count)
-    for start in range(0, t.shape[0], chunk):
-        at_reps = t[start:start + chunk] @ rep_digits
-        at_reps -= lin_texp[start:start + chunk]
-        at_reps %= e
-        if at_reps.any():
-            raise TableVerificationError("linear row is not multiplicative")
-    powers = digits([G.pow(a, G.p) for a in gens])
-    if ((G.p * t - t @ powers.T) % e).any():
+    powers = _digits(G, [G.pow(a, G.p) for a in gens])
+    if ((G.p * t - t @ powers) % e).any():
         raise TableVerificationError("linear row breaks a power relation")
-    comms = digits([G.comm(gens[j], gens[i])
-                    for i in range(G.n) for j in range(i + 1, G.n)])
-    if ((t @ comms.T) % e).any():
+    comms = _digits(G, [G.comm(gens[j], gens[i])
+                        for i in range(G.n) for j in range(i + 1, G.n)])
+    if ((t @ comms) % e).any():
         raise TableVerificationError("linear row breaks a commutator relation")
     return t
 
@@ -1258,9 +1320,9 @@ def _distinct_rows(M: np.ndarray) -> int:
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
 
 
-def _verify_structural_pairs(T: CharacterTable, gen_texp: np.ndarray, nonlin) -> None:
+def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, nonlin) -> None:
     """The checks of _verify_table's proof that need no arithmetic.  The
-    linear rows must be distinct on gen_texp, their exponents at the pc
+    linear rows must be distinct on lin_t, their exponents at the pc
     generators, which determine them (_verify_linear_rows).  The rows
     nonlin must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
     of _unit_gens(e), which multiplies a central-type row's exponents by s
@@ -1269,7 +1331,7 @@ def _verify_structural_pairs(T: CharacterTable, gen_texp: np.ndarray, nonlin) ->
     must be the same multiset as their images.  Equal keys mean equal rows,
     and compute_table's rows pass kind by kind, since a row's stored kind
     is a Galois invariant (_lift_rows says why)."""
-    if _distinct_rows(gen_texp) != gen_texp.shape[0]:
+    if _distinct_rows(lin_t) != lin_t.shape[0]:
         raise TableVerificationError("duplicate linear rows")
     e = T.exponent
     k = T.classes.count
@@ -1342,20 +1404,33 @@ def _check_primes(e: int) -> tuple:
     return tuple(out)
 
 
-def _gram_mod(T: CharacterTable, lin_texp: np.ndarray, nonlin, qq: int, zp: np.ndarray):
-    """(gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t mod qq:
-    gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) mod qq for a in
-    nonlin and b over the linear rows (exponents lin_texp), then nonlin;
-    diag[j] = sum over nonlin of |chi(g_j)|^2 mod qq.  zeta_e^t reduces to
-    zp[t] and its conjugate to zp[-t], so a unity row to zp[texp], a
-    central-type row to d zp[texp_on] on its support, a dense row to
-    mults @ zp.  The float64 products, chunked over the rows b, add k terms
-    below (qq-1)^2 each: exact while k (qq-1)^2 < 2^53."""
+def _derived_cosets(T: CharacterTable) -> np.ndarray:
+    """The coset of G' that holds each class, numbered from 0 in the order
+    of the cosets' least elements.  The least elements come from
+    _orbit_minima over left multiplication by the chain-jump elements of
+    G', as in group.quotient."""
+    G = T.group
+    least = _orbit_minima(G, [G.lmul_perm(g) for g in _chain_gens(G, G.derived.indices)])
+    return np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
+
+
+def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.ndarray):
+    """(sums, gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t
+    mod qq, for a, b in nonlin: the coset sums sums[a, x] = sum over the
+    classes j with cosets[j] = x of |K_j| chi_a(g_j); the Gram block
+    gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
+    sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
+    zp[t] and its conjugate to zp[-t], so a central-type row to
+    d zp[texp_on] on its support, a dense row to mults @ zp.  The coset
+    sums add at most k int64 terms below qq each.  The float64 products,
+    chunked over the rows b, add k terms below (qq-1)^2 each: exact while
+    k (qq-1)^2 < 2^53."""
     cls = T.classes
     k = cls.count
     e = T.exponent
+    m = len(nonlin)
     both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
-    RR = np.zeros((len(nonlin), k, 2), dtype=np.int64)
+    RR = np.zeros((m, k, 2), dtype=np.int64)
     for i, r in enumerate(nonlin):
         if r.kind == "central":
             RR[i, r.support] = r.degree * both[np.asarray(r.texp_on) % e]
@@ -1363,29 +1438,29 @@ def _gram_mod(T: CharacterTable, lin_texp: np.ndarray, nonlin, qq: int, zp: np.n
             RR[i] = r.mults @ both
     RR %= qq
     R, Rc = RR[..., 0], RR[..., 1]
-    A = (R * cls.sizes.astype(np.int64) % qq).astype(np.float64)
-    n_lin = lin_texp.shape[0]
-    gram = np.empty((len(nonlin), n_lin + len(nonlin)), dtype=np.int64)
-    lin_part, nonlin_part = gram[:, :n_lin], gram[:, n_lin:]
-    zc_f = both[:, 1].astype(np.float64)
+    A = R * cls.sizes.astype(np.int64) % qq
+    by = np.argsort(cosets, kind="stable")
+    starts = np.flatnonzero(np.r_[True, cosets[by][1:] != cosets[by][:-1]])
+    sums = np.add.reduceat(A[:, by], starts, axis=1) % qq
+    A = A.astype(np.float64)
+    gram = np.empty((m, m), dtype=np.int64)
     # OpenBLAS keeps a product of at most 2^18 multiply-adds on one thread,
     # and after a threaded one its threads spin for a while, which costs a
     # small table more CPU time than its products; so when m k <= 2^18
-    # (m = len(nonlin)) the chunks stay on one thread, and otherwise they
-    # hold about 2 * 10^6 entries
-    chunk = 2**18 // (len(nonlin) * k) or 2_000_000 // k
-    for b0 in range(0, n_lin, chunk):
-        lin_part[:, b0:b0 + chunk] = A @ zc_f[lin_texp[b0:b0 + chunk]].T % qq
-    for b0 in range(0, len(nonlin), chunk):
-        nonlin_part[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T.astype(np.float64) % qq
-    return gram, (R * Rc % qq).sum(axis=0) % qq
+    # the chunks stay on one thread, and otherwise they hold about
+    # 2 * 10^6 entries
+    chunk = 2**18 // (m * k) or 2_000_000 // k
+    for b0 in range(0, m, chunk):
+        gram[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T.astype(np.float64) % qq
+    return sums, gram, (R * Rc % qq).sum(axis=0) % qq
 
 
-def _verify_pairs_against_block(T: CharacterTable, lin_texp: np.ndarray, nonlin) -> None:
+def _verify_pairs_against_block(T: CharacterTable, n_lin: int, nonlin) -> None:
     """First orthogonality of every pair (a, b) with a in nonlin, and the
     column diagonal, at the fewest primes of _check_primes(e), less q, whose
     product exceeds B = |G| (d_max^2 + 1); _verify_table has the proof.
-    The product and _gram_mod's float64 range are checked first."""
+    The product, _gram_mod's float64 range and the number of G'-cosets,
+    which must equal n_lin, the number of linear rows, are checked first."""
     cls = T.classes
     k = cls.count
     order = T.group.order
@@ -1402,12 +1477,17 @@ def _verify_pairs_against_block(T: CharacterTable, lin_texp: np.ndarray, nonlin)
         raise TableVerificationError("the check primes' product does not exceed |G| (d_max^2 + 1)")
     if any(k * (qq - 1) ** 2 >= 2**53 for qq, _ in primes):
         raise TableVerificationError("k (q'-1)^2 exceeds the float64 exact range")
-    n_lin = lin_texp.shape[0]
+    cosets = _derived_cosets(T)
+    if cosets.max() + 1 != n_lin:
+        raise TableVerificationError("the G'-cosets do not number the linear rows")
     at = np.arange(len(nonlin))
     cen = order // cls.sizes.astype(np.int64) - n_lin
     for qq, zp in primes:
-        gram, diag = _gram_mod(T, lin_texp, nonlin, qq, zp)
-        gram[at, n_lin + at] -= order % qq
+        sums, gram, diag = _gram_mod(T, cosets, nonlin, qq, zp)
+        if sums.any():
+            raise TableVerificationError(
+                "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
+        gram[at, at] -= order % qq
         if gram.any():
             raise TableVerificationError("a non-linear row fails orthogonality")
         if ((diag - cen) % qq).any():

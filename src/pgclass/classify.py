@@ -124,6 +124,8 @@ def is_vz(T: CharacterTable) -> tuple[bool, str | None]:
 def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     """Every g outside N is conjugate to the whole coset gN; cross-checked
     against the character criterion (rows not trivial on N vanish off N).
+    Whether N lies in a row's kernel is read at N's classes only
+    (CharacterTable.kernels_contain).
 
     The conjugation route tests x z ~ x for every x outside N and every
     generator z of N, one class-id gather per generator.  That is the coset
@@ -142,9 +144,7 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     conj_route = all((cls.classof[G.rmul_array(outside, z)] == cid).all()
                      for z in N.generators)
     char_route = True
-    for r in T.rows:
-        kermask = r.kernel_mask
-        contains_n = bool(nmask[~kermask].sum() == 0)  # N inside ker(chi)?
+    for r, contains_n in zip(T.rows, T.kernels_contain(nmask)):
         if not contains_n and bool((r.nonzero_mask & ~nmask).any()):
             char_route = False
             break
@@ -218,10 +218,9 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     memo_G: dict = {}
     memo_Q: dict = {}
     lift_targets = {}
-    nmask_parent = N.mask[TG.classes.reps]
+    inside = TG.kernels_contain(N.mask[TG.classes.reps])
     for gi, row in enumerate(TG.rows):
-        kermask = row.kernel_mask
-        if bool(nmask_parent[~kermask].sum() == 0):  # N inside the kernel
+        if inside[gi]:
             vals = row.value_strings(memo_G)
             key = tuple(vals[j] for j in at)
             if key in lift_targets:

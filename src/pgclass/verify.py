@@ -286,11 +286,7 @@ def _check_camina_bijection(res, label, p, G, T, rep):
         return
     Z = G.center
     zmask = Z.mask[T.classes.reps]
-    nontrivial = []
-    for r in T.rows:
-        kermask = r.kernel_mask
-        if bool(zmask[~kermask].sum() != 0):
-            nontrivial.append(r)
+    nontrivial = [r for r, inside in zip(T.rows, T.kernels_contain(zmask)) if not inside]
     ok = len(nontrivial) == Z.order - 1
     half = G.order // Z.order
     for r in nontrivial:

@@ -421,9 +421,9 @@ def test_prime_product_bound_is_checked(monkeypatch):
     gram_mod = chartable_mod._gram_mod
     used = []
 
-    def spy(T, lin_texp, nonlin, qq, zp):
+    def spy(T, cosets, nonlin, qq, zp):
         used.append(qq)
-        return gram_mod(T, lin_texp, nonlin, qq, zp)
+        return gram_mod(T, cosets, nonlin, qq, zp)
 
     monkeypatch.setattr(chartable_mod, "_gram_mod", spy)
     monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(primes))
@@ -481,9 +481,9 @@ def test_table_guards_survive_optimize(run_optimized):
         "    md.eigenspaces(np.eye(2, dtype=np.int64), 2**31 + 11)\n"
         "split = ct._split_blocks\n"
         "def degree_one():\n"
-        "    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):\n"
-        "        finals = split(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)\n"
-        "        finals[0] = cls.sizes * zpow[lin_texp[1]] % q\n"
+        "    def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):\n"
+        "        finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)\n"
+        "        finals[0] = cls.sizes * zpow[lin_t[1] @ digits.astype(np.int64) % zpow.size] % q\n"
         "        return finals\n"
         "    ct._split_blocks = with_linear\n"
         "    try:\n"
@@ -500,6 +500,17 @@ def test_table_guards_survive_optimize(run_optimized):
         "        ct._check_primes = check_primes\n"
         "def prime_product():\n"
         "    with_primes(())\n"
+        "cosets = ct._derived_cosets\n"
+        "def with_cosets(wrong):\n"
+        "    ct._derived_cosets = wrong\n"
+        "    try:\n"
+        "        ct._verify_table(T)\n"
+        "    finally:\n"
+        "        ct._derived_cosets = cosets\n"
+        "def coset_count():\n"
+        "    with_cosets(lambda T: np.arange(T.count))\n"
+        "def coset_sum():\n"
+        "    with_cosets(lambda T: np.roll(cosets(T), 1))\n"
         "def float64_range():\n"
         "    qq = 2**27 + 2  # = 1 (mod 3), and 11 (qq - 1)^2 >= 2^53\n"
         "    while not md.is_prime(qq):\n"
@@ -517,6 +528,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'degree_one': degree_one,\n"
         "    'central_blocks': central_blocks,\n"
         "    'prime_product': prime_product,\n"
+        "    'coset_count': coset_count,\n"
+        "    'coset_sum': coset_sum,\n"
         "    'float64_range': float64_range,\n"
         "    'power_data': power_data,\n"
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
@@ -531,7 +544,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "        print(name)\n"
     )
     assert run_optimized(code).split() == [
-        "degree_one", "central_blocks", "prime_product", "float64_range", "power_data",
+        "degree_one", "central_blocks", "prime_product", "coset_count", "coset_sum",
+        "float64_range", "power_data",
         "root_of_unity", "jordan_block", "eigen_range", "linear_count",
     ]
 
@@ -581,9 +595,9 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
 
     split = ct._split_blocks
 
-    def with_linear(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes):
-        finals = split(G, cls, q, blocks, lin_texp, lin_keys, zpow, inv_sizes)
-        finals[0] = cls.sizes * zpow[lin_texp[1]] % q
+    def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
+        finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
+        finals[0] = cls.sizes * zpow[lin_t[1] @ digits.astype(np.int64) % zpow.size] % q
         return finals
 
     monkeypatch.setattr(ct, "_split_blocks", with_linear)
@@ -596,20 +610,24 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
                                          ("G_(14,3)", 5, 625)])
 def test_linear_order_matches_value_lexsort(label, p, e):
     """The rank-key order of the linear rows (uint8 keys at e = 7 and 49,
-    uint16 at e = 625) is the lexicographic order of their mod-q rows as
-    int64, and the table stores them in it."""
-    from pgclass.chartable import _CenterChain, _linear_order, _linear_rows_data
+    uint16 at e = 625), taken on a prefix of the columns, is the
+    lexicographic order of their mod-q rows as int64 over all k columns,
+    and the table stores them in it."""
+    from pgclass.chartable import _CenterChain, _linear_order, _linear_rows_data, _rep_digits
 
     G = group_of(pg.build(label, p))
     cls, e_G, q, zpow = _center_setup(G)
     assert e_G == e
-    lin_texp, _ = _linear_rows_data(G, cls, _CenterChain(G, e))
+    lin_t, _ = _linear_rows_data(G, _CenterChain(G, e))
+    digits = _rep_digits(G, cls)
+    lin_texp = lin_t @ digits.astype(np.int64) % e
     values = zpow[lin_texp]
     want = np.lexsort(values.T[::-1])
-    assert (_linear_order(lin_texp, zpow) == want).all()
+    assert (_linear_order(lin_t, digits, zpow) == want).all()
     T = table_of(G)
     stored = np.stack([r.texp for r in T.rows[:want.size]])
     assert (stored == lin_texp[want]).all()
+    assert (np.stack([r.t for r in T.rows[:want.size]]) == lin_t[want]).all()
 
 
 # -- central blocks: the array kernels against the orbit walk --------------------
@@ -763,9 +781,10 @@ def test_linear_annihilator_matches_elimination():
             G = group_of(pg.build(label, p))
             cls, e, q, zpow = _center_setup(G)
             zc = ct._CenterChain(G, e)
-            lin_texp, lin_keys = ct._linear_rows_data(G, cls, zc)
-            if lin_texp.shape[0] == cls.count:
+            lin_t, lin_keys = ct._linear_rows_data(G, zc)
+            if lin_t.shape[0] == cls.count:
                 continue
+            lin_texp = lin_t @ ct._rep_digits(G, cls).astype(np.int64) % e
             for blk in ct._central_blocks(G, cls, zc, zpow):
                 lin = lin_texp[lin_keys == blk.central_key]
                 if 0 < lin.shape[0] < blk.dim:
@@ -1022,14 +1041,15 @@ def test_orbit_dft_matches_scalar_dft(label, p):
 
 VERIFY_LABELS = ["G_(17,1)", "G_(19,1)", "G_(20,1)"]
 MUTATIONS = ["dense_nonzero", "dense_vanishing", "dense_duplicate", "unity_entry",
-             "central_entry", "unity_duplicate"]
+             "unity_digits", "central_entry", "unity_duplicate"]
 
 
 def _copy_row(r, **changes):
     from pgclass.chartable import _Row
 
-    fields = {"texp": r.texp, "support": r.support, "texp_on": r.texp_on, "mults": r.mults}
+    fields = {"t": r.t, "support": r.support, "texp_on": r.texp_on, "mults": r.mults}
     fields = {name: None if a is None else np.array(a) for name, a in fields.items()}
+    fields["digits"] = r.digits
     fields.update(changes)
     return _Row(r.degree, r.e, r.k, r.kind, **fields)
 
@@ -1069,13 +1089,21 @@ def mutate(T, kind):
     elif kind == "dense_duplicate":
         rows[dense[-1]] = rows[dense[0]]  # the same row object at two positions
     elif kind == "unity_entry":
-        G = T.group
-        gen_classes = {T.classes.class_of(G.gen_index(a)) for a in range(G.n)}
-        j = max(set(range(1, T.count)) - gen_classes)
+        # the last pc generator lies in G', so a homomorphism has t = 0
+        # there; t = 1 breaks a relation
         i = unity[3]
-        texp = np.array(rows[i].texp)
-        texp[j] = (texp[j] + 1) % e
-        rows[i] = _copy_row(rows[i], texp=texp)
+        assert rows[i].t[-1] == 0
+        t = np.array(rows[i].t)
+        t[-1] = 1
+        rows[i] = _copy_row(rows[i], t=t)
+    elif kind == "unity_digits":
+        # one digit of the last class rep off by one, in a copy of the
+        # digit matrix that one row reads: its value there moves by t_a
+        i = unity[3]
+        a = int(np.flatnonzero(rows[i].t)[0])
+        digits = np.array(rows[i].digits)
+        digits[a, -1] = (digits[a, -1] + 1) % T.group.p
+        rows[i] = _copy_row(rows[i], digits=digits)
     elif kind == "central_entry":
         i = kinds.index("central")
         texp_on = np.array(rows[i].texp_on)
@@ -1140,22 +1168,16 @@ def test_verify_table_rejects_galois_image(label, kind):
         _verify_table(_with_rows(T, rows))
 
 
-@pytest.mark.parametrize("label", VERIFY_LABELS)
-def test_verify_table_rejects_galois_closed_change(label):
-    """A change that keeps the non-linear rows closed under the Galois
-    group is left to the Gram check.  At a class j where a dense row
-    vanishes (e = p, so its multiplicities there are all d/p), the
-    multiplicities move to d/p + p - 1 at zeta^0 and d/p - 1 elsewhere,
-    turning the value 0 into p; the same change, which every sigma_s
-    fixes, is made in every row of the row's orbit under sigma_s."""
-    from pgclass.chartable import _unit_gens, _verify_table
+def _change_galois_orbit(T, i, shifts):
+    """The rows of T with dense row i and every row of its orbit under
+    sigma_s changed by shifts[j] * p at each class j (e = p): the
+    multiplicities there move by (p - 1, -1, ..., -1) times shifts[j], a
+    rational change, which every sigma_s fixes."""
+    from pgclass.chartable import _unit_gens
 
-    T = table(label, 5)
     e, p = T.exponent, T.group.p
     assert e == p
     (s,) = _unit_gens(e)
-    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
-    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
     orbit = []
     m = np.asarray(T.rows[i].mults)
     while not any(np.array_equal(m, o) for o in orbit):
@@ -1166,14 +1188,72 @@ def test_verify_table_rejects_galois_closed_change(label):
     for b, r in enumerate(rows):
         if r.kind == "dense" and any(np.array_equal(r.mults, o) for o in orbit):
             mults = np.array(r.mults)
-            assert (mults[j] == r.degree // p).all()
-            mults[j] += np.r_[p - 1, np.full(e - 1, -1)].astype(mults.dtype)
+            for j, sign in shifts.items():
+                mults[j] += sign * np.r_[p - 1, np.full(e - 1, -1)].astype(mults.dtype)
             rows[b] = _copy_row(r, mults=mults)
-            assert rows[b].value(j) == p
+            assert (rows[b].mults >= 0).all()
+            assert all(rows[b].value(j) - r.value(j) == sign * p for j, sign in shifts.items())
             changed += 1
     assert changed == len(orbit)
-    with pytest.raises(TableVerificationError, match="orthogonality"):
+    return rows
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_verify_table_rejects_galois_closed_change(label):
+    """A change that keeps the non-linear rows closed under the Galois
+    group is left to the Gram check.  At a class j where a dense row
+    vanishes, its value and that of every row of its orbit under sigma_s
+    turns from 0 into p.  That moves one G'-coset sum by |K_j| p, so the
+    coset-sum step is the check that raises."""
+    from pgclass.chartable import _verify_table
+
+    T = table(label, 5)
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
+    rows = _change_galois_orbit(T, i, {j: 1})
+    with pytest.raises(TableVerificationError, match="G'-coset sum"):
         _verify_table(_with_rows(T, rows))
+
+
+def test_gram_block_rejects_a_change_the_coset_sums_miss():
+    """The same kind of change at two classes j, j' of one size in one
+    G'-coset, by +p at j and -p at j', leaves every coset sum as it was;
+    the Gram block of the non-linear rows still rejects it, as each
+    changed row's norm grows by 2 |K_j| p^2.  G_(19,1) at p = 5 has such
+    a pair: a dense row with every multiplicity at zeta^u, u != 0, at
+    least 1 at j, and the one at zeta^0 at least p - 1 at j'."""
+    from pgclass.chartable import _derived_cosets, _verify_table
+
+    T = table("G_(19,1)", 5)
+    p = T.group.p
+    cosets, sizes = _derived_cosets(T), T.classes.sizes
+
+    def pair(r):
+        m = np.asarray(r.mults)
+        up = np.flatnonzero((m[:, 1:] >= 1).all(axis=1))
+        down = np.flatnonzero(m[:, 0] >= p - 1)
+        return next(((int(j), int(jj)) for j in up[up > 0] for jj in down[down > 0]
+                     if j != jj and cosets[j] == cosets[jj] and sizes[j] == sizes[jj]), None)
+
+    i, (j, jj) = next((i, pair(r)) for i, r in enumerate(T.rows)
+                      if r.kind == "dense" and pair(r) is not None)
+    rows = _change_galois_orbit(T, i, {j: 1, jj: -1})
+    with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("wrong", ["finer", "coarser"])
+def test_coset_count_must_equal_the_linear_rows(monkeypatch, wrong):
+    """Coset ids that do not number |G:G'| cosets are refused before any
+    coset sum is read: one coset per class, or two cosets merged."""
+    import pgclass.chartable as ct
+
+    T = table("G_(20,1)", 5)
+    cosets = ct._derived_cosets(T)
+    ids = np.arange(T.count) if wrong == "finer" else np.minimum(cosets, cosets.max() - 1)
+    monkeypatch.setattr(ct, "_derived_cosets", lambda T: ids)
+    with pytest.raises(TableVerificationError, match="G'-cosets do not number the linear rows"):
+        ct._verify_table(_with_rows(T, list(T.rows)))
 
 
 def _rational_of_coeffvec(c, e):
@@ -1223,11 +1303,13 @@ def full_tensor_pair_values(T, dense):
 @pytest.mark.parametrize("label", VERIFY_LABELS)
 @pytest.mark.parametrize("kind", [None, "dense_nonzero", "dense_vanishing"])
 def test_common_support_products_match_full_tensor(label, kind):
-    """The Gram entries of every dense row against every row, at each check
-    prime q', are the full-tensor oracle's exact values reduced at
-    zeta_e -> z', on the table and on copies with one dense entry changed;
-    and on the table the oracle's values are |G| delta_ab."""
-    from pgclass.chartable import _check_primes, _gram_mod
+    """The Gram entries of every dense row against every non-linear row,
+    and against every linear row lambda as sum_x S(x) conj lambda(x) over
+    the G'-coset sums S(x), at each check prime q', are the full-tensor
+    oracle's exact values reduced at zeta_e -> z', on the table and on
+    copies with one dense entry changed; and on the table the oracle's
+    values are |G| delta_ab."""
+    from pgclass.chartable import _check_primes, _derived_cosets, _gram_mod
 
     T = table(label, 5)
     if kind is not None:
@@ -1236,12 +1318,18 @@ def test_common_support_products_match_full_tensor(label, kind):
     lin = [i for i, r in enumerate(T.rows) if r.kind == "unity"]
     nonlin = [i for i, r in enumerate(T.rows) if r.kind != "unity"]
     dense = [i for i in nonlin if T.rows[i].kind == "dense"]
-    lin_texp = np.stack([T.rows[i].texp for i in lin]) % e
+    at = [nonlin.index(i) for i in dense]
+    cosets = _derived_cosets(T)
+    assert cosets.max() + 1 == len(lin)
+    # a linear row is constant on each coset: read it at the coset's first class
+    first = np.unique(cosets, return_index=True)[1]
+    lin_on_cosets = np.stack([T.rows[i].texp[first] for i in lin])
     c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
     for qq, zp in _check_primes(e)[:2]:
-        gram, _ = _gram_mod(T, lin_texp, [T.rows[i] for i in nonlin], qq, zp)
+        sums, gram, _ = _gram_mod(T, cosets, [T.rows[i] for i in nonlin], qq, zp)
         want = (c % qq) @ zp % qq
-        assert (gram[[nonlin.index(i) for i in dense]] == want[:, lin + nonlin]).all()
+        assert (sums[at] @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
+        assert (gram[at] == want[:, nonlin]).all()
     ok, val = _rational_of_coeffvec(c, e)
     if kind is None:
         assert ok.all()

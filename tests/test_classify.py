@@ -262,17 +262,19 @@ def test_check_lift_equivalence_across_exponents():
 
 
 def _change_one_entry(T, kind):
-    """A copy of T whose first row of the given kind is changed at its last
-    nonzero class, and the position of that row."""
+    """A copy of T whose first row of the given kind is changed, and the
+    position of that row: a central-type row at its last nonzero class, a
+    linear row at the exponent of the last pc generator, which changes
+    its value at that generator's class."""
     from pgclass.chartable import _Row
 
     rows = list(T.rows)
     i = next(i for i, r in enumerate(rows) if r.kind == kind)
     r = rows[i]
     if kind == "unity":
-        texp = np.array(r.texp)
-        texp[-1] = (texp[-1] + 1) % r.e
-        rows[i] = _Row(r.degree, r.e, r.k, r.kind, texp=texp)
+        t = np.array(r.t)
+        t[-1] = (t[-1] + 1) % r.e
+        rows[i] = _Row(r.degree, r.e, r.k, r.kind, t=t, digits=r.digits)
     else:
         texp_on = np.array(r.texp_on)
         texp_on[-1] = (texp_on[-1] + 1) % r.e

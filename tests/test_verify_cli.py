@@ -125,17 +125,18 @@ def test_cli_chartable_json_bytes(tmp_path, label, p):
 
 def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
     """A table guard that fires under `chartable --json` is an internal
-    inconsistency: exit 2 with the error in the JSON.  Here one exponent
-    of one linear row is off, which table verification catches."""
+    inconsistency: exit 2 with the error in the JSON.  Here one linear
+    row's exponent at the central generator z = [y, x] is off, which
+    breaks that commutator relation, and table verification catches it."""
     import pgclass.chartable as chartable_mod
 
     f = write_pres(tmp_path, "heisenberg_p3", 3)
     linear_rows_data = chartable_mod._linear_rows_data
 
-    def corrupted(G, cls, zc):
-        vals, keys = linear_rows_data(G, cls, zc)
-        vals[1, -1] = (vals[1, -1] + 1) % G.exponent
-        return vals, keys
+    def corrupted(G, zc):
+        t, keys = linear_rows_data(G, zc)
+        t[1, -1] = (t[1, -1] + 1) % G.exponent
+        return t, keys
 
     monkeypatch.setattr(chartable_mod, "_table_cache", {})
     monkeypatch.setattr(chartable_mod, "_linear_rows_data", corrupted)
@@ -143,7 +144,7 @@ def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
     assert code == 2
     js = json.loads(out)
     assert js["internal"] is True
-    assert "linear row is not multiplicative" in js["error"]
+    assert js["error"] == "linear row breaks a commutator relation"
 
 
 def test_cli_count():
@@ -453,13 +454,13 @@ def run(*args):
 
 print(run("classify", {str(bad)!r})[0], run("classify", {str(tmp_path / "missing.pg")!r})[0])
 linear_rows_data = ct._linear_rows_data
-def corrupted(G, cls, zc):
-    vals, keys = linear_rows_data(G, cls, zc)
-    vals[1, -1] = (vals[1, -1] + 1) % G.exponent
-    return vals, keys
+def corrupted(G, zc):
+    t, keys = linear_rows_data(G, zc)
+    t[1, -1] = (t[1, -1] + 1) % G.exponent
+    return t, keys
 ct._linear_rows_data = corrupted
 code, out = run("chartable", {str(good)!r}, "--json")
 js = json.loads(out)
-print(code, js["internal"], js["error"] == "linear row is not multiplicative")
+print(code, js["internal"], js["error"] == "linear row breaks a commutator relation")
 """
     assert run_optimized(code).split() == ["1", "1", "2", "True", "True"]
