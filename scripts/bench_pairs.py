@@ -1,16 +1,17 @@
 """Alternating before/after runs of the benchmark, summarised as JSON.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json [--seed0 N]
 
 DIR is a checkout of each tree (from `git archive`, say).  For every
-workload, pair i runs `perfbench/run.py --workload W --seed SEED0+i
---seconds S --trace 0` once in each tree, the side that runs first
-alternating from pair to pair.  For each end-to-end metric the output
-gives each side's median and quartiles over its runs, and the number of
-pairs in which the change reads lower, which is better for every metric
-of BENCHMARK.json (ties count for neither side),
-with the `machine` line each side printed first.  Host speed drifts from
-session to session, so every file carries its own parent runs.
+workload of the change tree's BENCHMARK.json, pair i of 10 runs
+`perfbench/run.py --workload W --seed SEED0+i --trace 0`, at run.py's own
+run length, once in each tree, the side that runs first alternating from
+pair to pair.  For each end-to-end metric the output gives each side's
+median and quartiles over its runs, and the number of pairs in which the
+change reads lower, which is better for every metric of BENCHMARK.json
+(ties count for neither side), with the `machine` line each side printed
+first.  Host speed drifts from session to session, so every file carries
+its own parent runs; pass a --seed0 that no earlier file used.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("classify-p7", "census-p35", "suite-p35", "chartable-json")
+PAIRS = 10
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """(final JSON record, machine line) of one untraced run in tree."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     machine = next(json.loads(x[len("machine "):]) for x in lines if x.startswith("machine "))
@@ -46,21 +47,18 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1701)
-    ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     args = ap.parse_args(argv)
 
-    out = {"pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
-           "seconds": args.seconds, "workloads": {}}
-    for w in args.workloads.split(","):
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    out = {"pairs": PAIRS, "seeds": [args.seed0, args.seed0 + PAIRS - 1], "workloads": {}}
+    for w in (x["name"] for x in bench["workloads"]):
         runs = {"parent": [], "change": []}
         machine = {}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                rec, mach = run_once(getattr(args, side), w, args.seed0 + i, args.seconds)
+                rec, mach = run_once(getattr(args, side), w, args.seed0 + i)
                 machine.setdefault(side, mach)
                 runs[side].append(rec)
                 print(w, i, side, json.dumps(rec["metrics"]), flush=True)

@@ -52,8 +52,9 @@ Pipeline, the same for every group:
 
 All verification is exact.  First orthogonality of every pair of rows
 rests on one argument: the linear rows are distinct homomorphisms, each
-t checked against the relations (von Dyck), so each is constant on the
-cosets of G'; the non-linear rows are closed under the Galois group of
+t checked against the relations (von Dyck), each checked trivial on the
+subgroup whose cosets are summed over (that of G'), so each is constant on
+those cosets; the non-linear rows are closed under the Galois group of
 Q(zeta_e); and modulo a few primes q' = 1 (mod e) other than q, whose
 product exceeds a bound on every conjugate of every entry, the Gram
 matrix of the non-linear rows is checked, and so are their sums of
@@ -112,8 +113,7 @@ class _Row:
         return self._texp_at(slice(None))
 
     def _texp_at(self, cols):
-        # the digits are stored narrow; widen them before the product
-        return self.t @ self.digits[:, cols].astype(np.int64) % self.e
+        return self.t @ self.digits[:, cols] % self.e
 
     def value(self, j: int) -> Cyclotomic:
         if self.kind == "unity":
@@ -267,18 +267,20 @@ class CharacterTable:
 
     def kernels_contain(self, mask: np.ndarray) -> np.ndarray:
         """For each row chi, whether ker(chi) holds every class in mask.
-        The unity rows are read at those classes alone, in one product per
-        digit matrix they share, so no unity row is evaluated k-wide."""
+        The unity rows are read at those classes alone, in one product
+        with the digit matrix they share, so no unity row is evaluated
+        k-wide."""
         out = np.empty(self.count, dtype=bool)
-        unity: dict = {}
+        at = []
         for i, r in enumerate(self.rows):
             if r.kind == "unity":
-                unity.setdefault(id(r.digits), (r.digits, []))[1].append(i)
+                at.append(i)
             else:
                 out[i] = r.kernel_mask[mask].all()
-        for digits, at in unity.values():
+        if at:
             t = np.array([self.rows[i].t for i in at], dtype=np.int64)
-            out[at] = ~(t @ digits[:, mask].astype(np.int64) % self.exponent).any(axis=1)
+            digits = self.rows[at[0]].digits
+            out[at] = ~(t @ digits[:, mask] % self.exponent).any(axis=1)
         return out
 
     def value_strings(self) -> list[list[str]]:
@@ -444,9 +446,9 @@ def _digits(G: Group, idxs) -> np.ndarray:
 
 
 def _rep_digits(G: Group, cls: ConjugacyClassSet) -> np.ndarray:
-    """The digits of the class reps, an n x k matrix in the narrowest dtype
-    that holds p - 1, read-only: the one matrix a table's unity rows share."""
-    return _read_only(_digits(G, cls.reps).astype(np.min_scalar_type(G.p - 1)))
+    """The digits of the class reps, a read-only n x k matrix: the one
+    matrix a table's unity rows share."""
+    return _read_only(_digits(G, cls.reps))
 
 
 def _linear_rows_data(G: Group, zc: "_CenterChain"):
@@ -772,7 +774,7 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
             J0 = np.arange(D, dtype=np.int64)
         else:
             C0, J0 = _linear_annihilator(
-                blk, lin_t[members] @ digits[:, blk.basepoints].astype(np.int64) % e, q, zpow)
+                blk, lin_t[members] @ digits[:, blk.basepoints] % e, q, zpow)
         if C0.shape[0] == 1:
             finals.append(blk.expand(C0[0], k, q))
         else:
@@ -965,7 +967,7 @@ def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np
     rank = np.argsort(np.argsort(zpow)).astype(np.min_scalar_type(e - 1).newbyteorder(">"))
     c = min(8, k)
     while True:
-        ranks = rank[lin_t @ digits[:, :c].astype(np.int64) % e]
+        ranks = rank[lin_t @ digits[:, :c] % e]
         if c == k or _distinct_rows(ranks) == ranks.shape[0]:
             return np.argsort(_row_keys(ranks), kind="stable")
         c = min(2 * c, k)
@@ -1132,8 +1134,13 @@ def _verify_table(T: CharacterTable) -> None:
       lambda(x) on x.  Then y_a,lambda = sum_x conj lambda(x) S_a(x) with
       the coset sums S_a(x) = sum over the classes j in x of
       |K_j| chi_a(g_j), and the check that every S_a(x) reduces to 0 puts
-      y_a,lambda in P_1, as lambda(x) is in Z[zeta_e].  (The cosets come
-      from the group tables, _derived_cosets, and must number |G:G'|.)
+      y_a,lambda in P_1, as lambda(x) is in Z[zeta_e].  The cosets are
+      read from the group tables (_derived_cosets), as the cosets H g of
+      the subgroup H generated by the elements it names for G', and the
+      check does not trust that H is G': every linear row must be 1 at
+      those elements, so lambda is trivial on H and constant on each
+      H g, and summing over the classes by the coset of their rep gives
+      the same y_a,lambda.  (The cosets must also number |G:G'|.)
       As the sigma_s(y_ab) are y_ab's too, every y_ab is in every P_s,
       hence in q' Z[zeta_e].
     - Over primes q' != q with product Q > B, y_ab is in Q Z[zeta_e].  If
@@ -1192,7 +1199,7 @@ def _verify_table(T: CharacterTable) -> None:
     ])
     _verify_structural_pairs(T, lin_t, nonlin)
     if nonlin:
-        _verify_pairs_against_block(T, len(lin), nonlin)
+        _verify_pairs_against_block(T, lin_t, nonlin)
     elif (order // sizes != len(lin)).any():
         raise TableVerificationError("column norm != centralizer order")
 
@@ -1404,14 +1411,15 @@ def _check_primes(e: int) -> tuple:
     return tuple(out)
 
 
-def _derived_cosets(T: CharacterTable) -> np.ndarray:
-    """The coset of G' that holds each class, numbered from 0 in the order
-    of the cosets' least elements.  The least elements come from
-    _orbit_minima over left multiplication by the chain-jump elements of
-    G', as in group.quotient."""
+def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
+    """(gens, cosets): the chain-jump elements of G', and the coset H g of
+    H = <gens> that holds each class rep, numbered from 0 in the order of
+    the cosets' least elements.  The least elements come from _orbit_minima
+    over left multiplication by gens, as in group.quotient."""
     G = T.group
-    least = _orbit_minima(G, [G.lmul_perm(g) for g in _chain_gens(G, G.derived.indices)])
-    return np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
+    gens = _chain_gens(G, G.derived.indices)
+    least = _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+    return gens, np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
 
 
 def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.ndarray):
@@ -1455,15 +1463,20 @@ def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.nda
     return sums, gram, (R * Rc % qq).sum(axis=0) % qq
 
 
-def _verify_pairs_against_block(T: CharacterTable, n_lin: int, nonlin) -> None:
+def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin) -> None:
     """First orthogonality of every pair (a, b) with a in nonlin, and the
     column diagonal, at the fewest primes of _check_primes(e), less q, whose
     product exceeds B = |G| (d_max^2 + 1); _verify_table has the proof.
-    The product, _gram_mod's float64 range and the number of G'-cosets,
-    which must equal n_lin, the number of linear rows, are checked first."""
+    lin_t holds the linear rows' exponents at the pc generators
+    (_verify_linear_rows).  The product, _gram_mod's float64 range, the
+    number of cosets of _derived_cosets, which must equal the number of
+    linear rows, and every linear row's triviality on their subgroup are
+    checked first."""
+    G = T.group
     cls = T.classes
     k = cls.count
-    order = T.group.order
+    order = G.order
+    n_lin = len(lin_t)
     d_max = max(r.degree for r in nonlin)
     bound = order * (d_max * d_max + 1)
     primes, product = [], 1
@@ -1477,9 +1490,11 @@ def _verify_pairs_against_block(T: CharacterTable, n_lin: int, nonlin) -> None:
         raise TableVerificationError("the check primes' product does not exceed |G| (d_max^2 + 1)")
     if any(k * (qq - 1) ** 2 >= 2**53 for qq, _ in primes):
         raise TableVerificationError("k (q'-1)^2 exceeds the float64 exact range")
-    cosets = _derived_cosets(T)
+    gens, cosets = _derived_cosets(T)
     if cosets.max() + 1 != n_lin:
         raise TableVerificationError("the G'-cosets do not number the linear rows")
+    if (lin_t @ _digits(G, gens) % T.exponent).any():
+        raise TableVerificationError("a linear row is not trivial on the G'-cosets' subgroup")
     at = np.arange(len(nonlin))
     cen = order // cls.sizes.astype(np.int64) - n_lin
     for qq, zp in primes:

@@ -483,7 +483,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "def degree_one():\n"
         "    def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):\n"
         "        finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)\n"
-        "        finals[0] = cls.sizes * zpow[lin_t[1] @ digits.astype(np.int64) % zpow.size] % q\n"
+        "        finals[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q\n"
         "        return finals\n"
         "    ct._split_blocks = with_linear\n"
         "    try:\n"
@@ -508,9 +508,11 @@ def test_table_guards_survive_optimize(run_optimized):
         "    finally:\n"
         "        ct._derived_cosets = cosets\n"
         "def coset_count():\n"
-        "    with_cosets(lambda T: np.arange(T.count))\n"
+        "    with_cosets(lambda T: (cosets(T)[0], np.arange(T.count)))\n"
         "def coset_sum():\n"
-        "    with_cosets(lambda T: np.roll(cosets(T), 1))\n"
+        "    with_cosets(lambda T: (cosets(T)[0], np.roll(cosets(T)[1], 1)))\n"
+        "def coset_subgroup():\n"
+        "    with_cosets(lambda T: ((T.group.gen_index(0),), cosets(T)[1]))\n"
         "def float64_range():\n"
         "    qq = 2**27 + 2  # = 1 (mod 3), and 11 (qq - 1)^2 >= 2^53\n"
         "    while not md.is_prime(qq):\n"
@@ -530,6 +532,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'prime_product': prime_product,\n"
         "    'coset_count': coset_count,\n"
         "    'coset_sum': coset_sum,\n"
+        "    'coset_subgroup': coset_subgroup,\n"
         "    'float64_range': float64_range,\n"
         "    'power_data': power_data,\n"
         "    'root_of_unity': lambda: md.root_of_unity(7, 4),\n"
@@ -545,7 +548,7 @@ def test_table_guards_survive_optimize(run_optimized):
     )
     assert run_optimized(code).split() == [
         "degree_one", "central_blocks", "prime_product", "coset_count", "coset_sum",
-        "float64_range", "power_data",
+        "coset_subgroup", "float64_range", "power_data",
         "root_of_unity", "jordan_block", "eigen_range", "linear_count",
     ]
 
@@ -597,7 +600,7 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
 
     def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
         finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
-        finals[0] = cls.sizes * zpow[lin_t[1] @ digits.astype(np.int64) % zpow.size] % q
+        finals[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q
         return finals
 
     monkeypatch.setattr(ct, "_split_blocks", with_linear)
@@ -620,7 +623,7 @@ def test_linear_order_matches_value_lexsort(label, p, e):
     assert e_G == e
     lin_t, _ = _linear_rows_data(G, _CenterChain(G, e))
     digits = _rep_digits(G, cls)
-    lin_texp = lin_t @ digits.astype(np.int64) % e
+    lin_texp = lin_t @ digits % e
     values = zpow[lin_texp]
     want = np.lexsort(values.T[::-1])
     assert (_linear_order(lin_t, digits, zpow) == want).all()
@@ -784,7 +787,7 @@ def test_linear_annihilator_matches_elimination():
             lin_t, lin_keys = ct._linear_rows_data(G, zc)
             if lin_t.shape[0] == cls.count:
                 continue
-            lin_texp = lin_t @ ct._rep_digits(G, cls).astype(np.int64) % e
+            lin_texp = lin_t @ ct._rep_digits(G, cls) % e
             for blk in ct._central_blocks(G, cls, zc, zpow):
                 lin = lin_texp[lin_keys == blk.central_key]
                 if 0 < lin.shape[0] < blk.dim:
@@ -1226,7 +1229,7 @@ def test_gram_block_rejects_a_change_the_coset_sums_miss():
 
     T = table("G_(19,1)", 5)
     p = T.group.p
-    cosets, sizes = _derived_cosets(T), T.classes.sizes
+    cosets, sizes = _derived_cosets(T)[1], T.classes.sizes
 
     def pair(r):
         m = np.asarray(r.mults)
@@ -1249,10 +1252,34 @@ def test_coset_count_must_equal_the_linear_rows(monkeypatch, wrong):
     import pgclass.chartable as ct
 
     T = table("G_(20,1)", 5)
-    cosets = ct._derived_cosets(T)
+    gens, cosets = ct._derived_cosets(T)
     ids = np.arange(T.count) if wrong == "finer" else np.minimum(cosets, cosets.max() - 1)
-    monkeypatch.setattr(ct, "_derived_cosets", lambda T: ids)
+    monkeypatch.setattr(ct, "_derived_cosets", lambda T: (gens, ids))
     with pytest.raises(TableVerificationError, match="G'-cosets do not number the linear rows"):
+        ct._verify_table(_with_rows(T, list(T.rows)))
+
+
+def test_coset_subgroup_must_lie_in_every_linear_kernel(monkeypatch):
+    """The coset sums do not trust G.derived.  In heisenberg_p3 at p = 3,
+    the subgroup H = <x z^2> has order p = |G'| but is not G', and the
+    class reps lie in |G:G'| of its cosets H g, so coset ids of H pass the
+    count; the linear row with x -> zeta is not trivial on H, and that
+    check raises before any coset sum is read."""
+    import pgclass.chartable as ct
+    from pgclass.group import _chain_gens, _orbit_minima
+
+    T = table("heisenberg_p3", 3)
+    G = T.group
+    x, z = G.gen_index(0), G.gen_index(2)
+    h = G.mul(x, G.pow(z, 2))
+    H = pg.subgroup_generated([h], G)
+    assert H.order == G.derived.order and not G.derived.contains(h)
+    gens = _chain_gens(G, H.indices)
+    least = _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+    ids = np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
+    assert ids.max() + 1 == ct._derived_cosets(T)[1].max() + 1
+    monkeypatch.setattr(ct, "_derived_cosets", lambda T: (gens, ids))
+    with pytest.raises(TableVerificationError, match="not trivial on the G'-cosets' subgroup"):
         ct._verify_table(_with_rows(T, list(T.rows)))
 
 
@@ -1319,7 +1346,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     nonlin = [i for i, r in enumerate(T.rows) if r.kind != "unity"]
     dense = [i for i in nonlin if T.rows[i].kind == "dense"]
     at = [nonlin.index(i) for i in dense]
-    cosets = _derived_cosets(T)
+    cosets = _derived_cosets(T)[1]
     assert cosets.max() + 1 == len(lin)
     # a linear row is constant on each coset: read it at the coset's first class
     first = np.unique(cosets, return_index=True)[1]
