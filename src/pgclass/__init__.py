@@ -37,7 +37,7 @@ from .corpus import (
     fingerprint,
     isoclinic_brute,
 )
-from .cyclotomic import Cyclotomic, abs_squared, arith, conjugate, equals_rational, is_zero
+from .cyclotomic import Cyclotomic
 from .errors import InternalInconsistencyError, ParseError, PgclassError, TableVerificationError
 from .group import (
     ConjugacyClassSet,

@@ -71,10 +71,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, root_sum
+from .cyclotomic import Cyclotomic, _prime_power_split, phi, root_sum
 from .errors import TableVerificationError
-from .group import ConjugacyClassSet, Group, Subgroup, _chain_gens, _orbit_minima, group_of
-from .modular import discrete_log_table, eigenspaces, find_aux_prime, root_of_unity
+from .group import (ConjugacyClassSet, Group, Subgroup, _chain_elements, _chain_gens,
+                    _orbit_minima, group_of, p_log)
+from .modular import _invmod_arr, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
 _MAX_CLASSES = 6000
@@ -216,19 +217,9 @@ def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
     """Exact zero test for multiplicity matrices over prime-power e > 1:
     only dense rows use it, and a dense row needs a non-abelian G, so
     e >= p."""
-    r = _least_prime_factor(e)
-    m = e // r
-    resh = mults.reshape(mults.shape[0], r, m)
+    r, _ = _prime_power_split(e)
+    resh = mults.reshape(mults.shape[0], r, e // r)
     return (resh == resh[:, :1, :]).all(axis=(1, 2))
-
-
-def _least_prime_factor(e: int) -> int:
-    f = 2
-    while f * f <= e:
-        if e % f == 0:
-            return f
-        f += 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +475,7 @@ class _CenterChain:
         Z = G.center
         gens = _chain_gens(G, Z.indices)
         m = len(gens)
-        elems = np.zeros(1, dtype=np.int64)  # elems[s]: the element at position s
-        for b in reversed(gens):
-            blocks = [elems]
-            for _ in range(1, p):
-                blocks.append(G.rmul_array(blocks[-1], b))
-            elems = np.concatenate(blocks)
+        elems = _chain_elements(G, gens)
         self.sorted_pos = np.argsort(elems)
         self.sorted = elems[self.sorted_pos]
         if not np.array_equal(self.sorted, Z.indices):
@@ -973,10 +959,6 @@ def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np
         c = min(2 * c, k)
 
 
-def _invmod_arr(a: np.ndarray, q: int) -> np.ndarray:
-    return np.array([pow(int(x), q - 2, q) for x in a], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # main entry
 
@@ -1004,8 +986,9 @@ def compute_table(P) -> CharacterTable:
     e = G.exponent
     q = find_aux_prime(e, G.order)
     z = root_of_unity(q, e)
-    dlog = discrete_log_table(q, z, e)
     zpow = _root_powers(q, z, e)
+    dlog = np.full(q, -1)
+    dlog[zpow] = np.arange(e)
 
     inv_sizes = _invmod_arr(cls.sizes, q)
     zc = _CenterChain(G, e)
@@ -1174,11 +1157,8 @@ def _verify_table(T: CharacterTable) -> None:
     zorder = int(G.center.indices.size)
     for r in T.rows:
         d = r.degree
-        dd = d
-        while dd > 1:
-            if dd % G.p:
-                raise TableVerificationError("degree is not a p-power")
-            dd //= G.p
+        if G.p ** p_log(d, G.p) != d:
+            raise TableVerificationError("degree is not a p-power")
         if (order // zorder) % (d * d):
             raise TableVerificationError("degree bound d^2 | |G/Z(G)| fails")
         if (r.kind == "unity") != (d == 1):
@@ -1371,12 +1351,12 @@ def _unit_gens(e: int) -> tuple:
     of order phi(e), as the group is cyclic."""
     if e % 2 == 0:
         return tuple(s for s in (e - 1, 5 % e) if s != 1)
-    phi = e - e // _least_prime_factor(e)
+    units = phi(e)
     for s in range(2, e):
         x, n = s, 1
-        while x != 1 and n < phi:
+        while x != 1 and n < units:
             x, n = x * s % e, n + 1
-        if x == 1 and n == phi:
+        if x == 1 and n == units:
             return (s,)
     return ()
 

@@ -1,88 +1,44 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact arithmetic in cyclotomic fields Q(zeta_e), for e = 1 or a prime power.
 
 Values are sparse maps exponent -> Fraction over the canonical basis
 1, zeta, ..., zeta^(phi(e)-1), i.e. remainders modulo the e-th cyclotomic
-polynomial.  For prime-power e (the only case the p-group pipeline ever
-produces) the reduction is a sparse substitution; composite orders fall
-back to dense polynomial remainder.  No floating point anywhere: equality,
-zero tests and |x|^2 are exact decisions.
+polynomial.  The order of a p-group is a power of p, so every character
+value lies in Q(zeta_e) for a power e of p, and the reduction is a
+sparse substitution.  An order that is not 1 or a prime power raises
+ValueError.  No floating point anywhere: equality, zero tests and |x|^2
+are exact decisions.
 
-Values of different orders combine by embedding into the lcm order, and a
-normalized value is re-expressed in the smallest prime-power subfield
-containing it, so equal values of p-power orders compare (and hash) equal.
+Values of different orders of one prime combine by embedding into the
+larger order, and a normalized value is re-expressed in the smallest
+prime-power subfield containing it, so equal values have one stored form
+and compare (and hash) equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-from .errors import InternalInconsistencyError
+from math import gcd, isqrt
 
 
 @lru_cache(maxsize=None)
+def _prime_power_split(e: int) -> tuple[int, int]:
+    """(r, a) with e = r^a and r prime, for a prime power e > 1."""
+    if e > 1:
+        r = next((f for f in range(2, isqrt(e) + 1) if e % f == 0), e)
+        m, a = e, 0
+        while m % r == 0:
+            m //= r
+            a += 1
+        if m == 1:
+            return r, a
+    raise ValueError(f"order {e} is not a prime power")
+
+
 def phi(e: int) -> int:
-    """Euler totient."""
-    result = e
-    m = e
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            result -= result // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
-def _prime_power_split(e: int) -> tuple[int, int] | None:
-    """(r, a) with e = r^a if e is a prime power > 1, else None."""
-    if e < 2:
-        return None
-    m, f = e, 2
-    while f * f <= m:
-        if m % f == 0:
-            a = 0
-            while m % f == 0:
-                m //= f
-                a += 1
-            return (f, a) if m == 1 else None
-        f += 1
-    return (e, 1)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the e-th cyclotomic polynomial."""
-    if e == 1:
-        return (Fraction(-1), Fraction(1))
-    # (x^e - 1) / prod_{d | e, d < e} Phi_d
-    num = [Fraction(0)] * (e + 1)
-    num[0] = Fraction(-1)
-    num[e] = Fraction(1)
-    for d in range(1, e):
-        if e % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    dlead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / dlead
-        out[k] = c
-        if c:
-            for t, dc in enumerate(den):
-                num[k + t] -= c * dc
-    if any(c != 0 for c in num[: len(den) - 1]):
-        raise InternalInconsistencyError("non-exact polynomial division")
-    return out
+    """Euler totient of a prime power e = r^a: e - e/r."""
+    r, _ = _prime_power_split(e)
+    return e - e // r
 
 
 def _reduce(e: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -95,40 +51,23 @@ def _reduce(e: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
     if e == 1:
         out = {0: sum(work.values(), start=Fraction(0))}
         return out if out[0] else {}
-    deg = phi(e)
-    pp = _prime_power_split(e)
-    if pp is not None:
-        # zeta^phi(e)+t = -(zeta^t + zeta^(m+t) + ... + zeta^((r-2)m+t)), m = e/r
-        r, _ = pp
-        m = e // r
-        changed = True
-        while changed:
-            changed = False
-            for k in [k for k in work if k >= deg]:
-                c = work.pop(k)
-                if not c:
-                    continue
-                t = k - deg
-                for s in range(r - 1):
-                    kk = s * m + t
-                    work[kk] = work.get(kk, Fraction(0)) - c
-                changed = True
-        return {k: c for k, c in work.items() if c}
-    # general order: dense remainder modulo Phi_e
-    top = max(work, default=0)
-    if top < deg:
-        return {k: c for k, c in work.items() if c}
-    dense = [Fraction(0)] * (top + 1)
-    for k, c in work.items():
-        dense[k] = c
-    mod = cyclotomic_polynomial(e)
-    dmod = len(mod) - 1
-    for k in range(top, deg - 1, -1):
-        c = dense[k]
-        if c:
-            for t in range(dmod + 1):
-                dense[k - dmod + t] -= c * mod[t]
-    return {k: c for k, c in enumerate(dense[:deg]) if c}
+    # zeta^phi(e)+t = -(zeta^t + zeta^(m+t) + ... + zeta^((r-2)m+t)), m = e/r
+    r, _ = _prime_power_split(e)
+    m = e // r
+    deg = e - m
+    changed = True
+    while changed:
+        changed = False
+        for k in [k for k in work if k >= deg]:
+            c = work.pop(k)
+            if not c:
+                continue
+            t = k - deg
+            for s in range(r - 1):
+                kk = s * m + t
+                work[kk] = work.get(kk, Fraction(0)) - c
+            changed = True
+    return {k: c for k, c in work.items() if c}
 
 
 class Cyclotomic:
@@ -153,7 +92,7 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(order: int = 1) -> "Cyclotomic":
+    def zero() -> "Cyclotomic":
         return Cyclotomic(1, {}, _canonical=True)
 
     @staticmethod
@@ -237,17 +176,13 @@ class Cyclotomic:
             return self.equals_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        # compare in the common field; prime-power orders already descend
-        # to a unique minimal order, so this only triggers for mixed orders
-        e, a, b = self._promote(other)
-        return _reduce(e, a) == _reduce(e, b)
+        # _descend leaves every value at the least order of its prime's
+        # tower that holds it, so equal values share (order, coeffs)
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # equal values of prime-power order share a canonical form; equal
-        # values stored at incompatible composite orders may hash apart.
-        # Table code keys values by their strings instead (see
+        # equal values share (order, coeffs), as __eq__ says.  Table code
+        # keys values by their strings rather than by Cyclotomic objects (see
         # classify.check_lift_equivalence): __str__ is injective on the
         # canonical form, and strings cost no object per table entry
         return hash((self.order, frozenset(self.coeffs.items())))
@@ -288,54 +223,20 @@ def _coerce(x) -> Cyclotomic:
 
 
 def _descend(e: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Rewrite in the smallest prime-power subfield (prime-power e only)."""
+    """Rewrite in the smallest subfield Q(zeta_(e/r^j)) that holds the value."""
     if not coeffs:
         return 1, {}
     if set(coeffs) == {0}:
         return 1, dict(coeffs)
-    pp = _prime_power_split(e)
-    if pp is None:
-        return e, coeffs
-    r, _ = pp
-    while e > 1:
-        # canonical basis exponents of Q(zeta_{e/r}) inside Q(zeta_e)
-        # are exactly the multiples of r, so containment is a support test
-        if e % r == 0 and all(k % r == 0 for k in coeffs):
-            e //= r
-            coeffs = {k // r: c for k, c in coeffs.items()}
-            coeffs = _reduce(e, coeffs)
-            if not coeffs or set(coeffs) == {0}:
-                return 1, coeffs
-        else:
-            break
+    r, _ = _prime_power_split(e)
+    # canonical basis exponents of Q(zeta_{e/r}) inside Q(zeta_e) are
+    # exactly the multiples of r, so containment is a support test
+    while all(k % r == 0 for k in coeffs):
+        e //= r
+        coeffs = _reduce(e, {k // r: c for k, c in coeffs.items()})
+        if not coeffs or set(coeffs) == {0}:
+            return 1, coeffs
     return e, coeffs
-
-
-def arith(x: Cyclotomic, y: Cyclotomic, op: str) -> Cyclotomic:
-    """add / sub / mul dispatch, embedding into the lcm order."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def conjugate(x: Cyclotomic) -> Cyclotomic:
-    return x.conjugate()
-
-
-def abs_squared(x: Cyclotomic) -> Cyclotomic:
-    return x.abs_squared()
-
-
-def is_zero(x: Cyclotomic) -> bool:
-    return x.is_zero()
-
-
-def equals_rational(x: Cyclotomic, q) -> bool:
-    return x.equals_rational(q)
 
 
 def root_sum(order: int, multiplicities) -> Cyclotomic:

@@ -434,6 +434,18 @@ def _orbit_minima(G: Group, perms: list[np.ndarray]) -> np.ndarray:
     return r
 
 
+def _chain_elements(G: Group, gens) -> np.ndarray:
+    """The elements g_1^d_1 ... g_m^d_m of gens = (g_1, ..., g_m), at the
+    position whose base-p digits (d_1 most significant) are d."""
+    elems = np.zeros(1, dtype=np.int64)
+    for g in gens:
+        blocks = [elems]
+        for _ in range(1, G.p):
+            blocks.append(G.rmul_array(blocks[-1], g))
+        elems = np.stack(blocks, axis=1).reshape(-1)
+    return elems
+
+
 def _chain_gens(G: Group, idxs: np.ndarray) -> tuple[int, ...]:
     """A generating list of chain-jump elements for a subgroup index set."""
     p, n = G.p, G.n
@@ -659,15 +671,9 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
     """Re-present a subgroup on its own chain-adapted pc generators."""
     G = H.group
     p, n = G.p, G.n
-    idxs = np.sort(H.indices)
-    jumps = []
-    jump_gens = []
-    for i in range(n):
-        lo = int(np.searchsorted(idxs, p ** (n - 1 - i), side="left"))
-        hi = int(np.searchsorted(idxs, p ** (n - i), side="left"))
-        if hi > lo:
-            jumps.append(i)
-            jump_gens.append(int(idxs[lo]))
+    jump_gens = _chain_gens(G, H.indices)
+    # the level of a jump element is the place of its leading nonzero digit
+    jumps = [next(i for i, d in enumerate(G.element_of(g).exps) if d) for g in jump_gens]
     m = len(jumps)
     if p**m != H.order:
         raise InternalInconsistencyError("subgroup chain has a non-prime step")
@@ -682,14 +688,7 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
                              (f"s{a + 1}" for a in range(m)))
     Sgrp = Group(SP, check=True)
 
-    to_parent = np.array([0], dtype=np.int64)
-    for a in range(m):
-        blocks = [to_parent]
-        cur = to_parent
-        for _ in range(1, p):
-            cur = G.rmul_array(cur, jump_gens[a])
-            blocks.append(cur)
-        to_parent = np.stack(blocks, axis=1).reshape(-1)
+    to_parent = _chain_elements(G, jump_gens)
     if np.unique(to_parent).size != H.order:
         raise InternalInconsistencyError("subgroup normal forms are not distinct")
     from_parent = {int(g): s for s, g in enumerate(to_parent)}
@@ -774,9 +773,7 @@ def abelian_invariants(H: Subgroup) -> tuple[int, ...]:
     k = 0
     while True:
         count = int(np.count_nonzero(xs == 0))
-        power = 0
-        while p**power < count:
-            power += 1
+        power = p_log(count, p)
         if p**power != count:
             raise InternalInconsistencyError("subgroup power-count is not a p-power")
         if k > 0:

@@ -56,14 +56,9 @@ def root_of_unity(q: int, e: int) -> int:
     return z
 
 
-def discrete_log_table(q: int, z: int, e: int) -> np.ndarray:
-    """Array D of length q with D[z^t mod q] = t for t in [0, e), else -1."""
-    table = np.full(q, -1, dtype=np.int64)
-    acc = 1
-    for t in range(e):
-        table[acc] = t
-        acc = acc * z % q
-    return table
+def _invmod_arr(a: np.ndarray, q: int) -> np.ndarray:
+    """The inverses mod the prime q of the nonzero residues a."""
+    return np.array([pow(int(x), q - 2, q) for x in a], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +213,7 @@ def eigenspaces(S: np.ndarray, q: int) -> list[np.ndarray]:
         for i in range(r - 1, -1, -1):
             deriv = (deriv * mus + quo[:, i]) % q
         trace = idem.trace(axis1=1, axis2=2) % q
-        inv = np.array([pow(int(x), q - 2, q) for x in deriv], dtype=np.int64)
-        dims = (trace * inv % q).tolist()
+        dims = (trace * _invmod_arr(deriv, q) % q).tolist()
     pieces = []
     for E, dim in zip(idem, dims):
         if dim == 1:

@@ -77,8 +77,8 @@ def test_class_constants_sum_rule_heisenberg():
 def test_combination_rows_match_structure_constants(label):
     """The splitting rows sum_i w_i A_i[r, :] built by right multiplication
     agree with the explicit structure constants a[i][r][:] mod q."""
-    from pgclass.chartable import _combination_rows, _invmod_arr
-    from pgclass.modular import find_aux_prime
+    from pgclass.chartable import _combination_rows
+    from pgclass.modular import _invmod_arr, find_aux_prime
 
     G = group_of(pg.build(label, 3))
     cls = G.conjugacy_classes
