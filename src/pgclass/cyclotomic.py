@@ -181,10 +181,13 @@ class Cyclotomic:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # equal values share (order, coeffs), as __eq__ says.  Table code
-        # keys values by their strings rather than by Cyclotomic objects (see
-        # classify.check_lift_equivalence): __str__ is injective on the
-        # canonical form, and strings cost no object per table entry
+        # equal values share (order, coeffs), as __eq__ says, and a rational
+        # value hashes as the number it equals.  Table code keys values by
+        # their strings instead (see classify.check_lift_equivalence):
+        # __str__ is injective on the canonical form, and strings cost no
+        # object per table entry
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self.order, frozenset(self.coeffs.items())))
 
     # -- display ------------------------------------------------------------

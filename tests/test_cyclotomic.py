@@ -62,6 +62,9 @@ def test_rational_support_is_zero_exponent():
     x = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert x.equals_rational(-1)
     assert x.order == 1 and set(x.coeffs) <= {0}
+    # equal to -1, so of its hash
+    assert hash(x) == hash(-1) and -1 in {x}
+    assert Fraction(1, 2) in {Cyclotomic.rational(Fraction(1, 2))}
 
 
 def test_descent_to_smaller_prime_power_field():
