@@ -91,6 +91,40 @@ ORACLE_GROUPS = [
 ] + [("G_(14,3)", 5), ("G_(17,1)", 5)]
 
 
+# the only corpus groups whose relations carry negative exponents
+SAMPLED_GROUPS = [("G_(14,3)", 5), ("G_(17,1)", 5), ("G_(19,1)", 5), ("G_(20,1)", 5)]
+
+
+def _table_points(label, p):
+    """(group, collector, points): every element of an order-3^n oracle
+    group, 80 fixed-seed samples of an order-5^6 one."""
+    P = pg.build(label, p)
+    G = group_of(P)
+    if p == 3:
+        xs = np.arange(G.order)
+    else:
+        xs = np.random.default_rng(19).choice(G.order, size=80, replace=False)
+    return G, collector(P), [int(x) for x in xs]
+
+
+@pytest.mark.parametrize("label,p", [g for g in ORACLE_GROUPS if g[1] == 3] + SAMPLED_GROUPS)
+def test_tables_match_collector(label, p):
+    """right, left, inverse and conjugation tables, and p-th powers, each
+    entry against collection from the left."""
+    G, col, xs = _table_points(label, p)
+    n = G.n
+    pows = [G.pow(x, p) for x in xs]
+    for x, xp in zip(xs, pows):
+        syl = tuple((i, e) for i, e in enumerate(G.element_of(x).exps) if e)
+        assert G.index_of(col.collect(syl * p)) == xp
+        assert col.collect(syl + tuple((i, e) for i, e in enumerate(
+            G.element_of(int(G.inverse_table[x])).exps) if e)).is_identity()
+        for t in range(n):
+            assert G.index_of(col.collect(syl + ((t, 1),))) == G.right_tables[t][x]
+            assert G.index_of(col.collect(((t, 1),) + syl)) == G.left_tables[t][x]
+            assert G.index_of(col.collect(((t, -1),) + syl + ((t, 1),))) == G.conj_tables[t][x]
+
+
 def test_center_heisenberg_vs_brute_force():
     P = heis()
     G = group_of(P)

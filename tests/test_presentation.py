@@ -211,6 +211,46 @@ comm [b,a] = c
     assert rep.failures
 
 
+def test_inconsistent_triple_overlap_failures_pinned():
+    # [d,c] = e^2 with [b,a] = c^2 e, [c,b] = d breaks the Jacobi identity
+    text = """group jacobi prime 3
+gens a b c d e
+comm [b,a] = c^2 e
+comm [c,a] = e
+comm [c,b] = d
+comm [d,b] = e
+comm [d,c] = e^2
+"""
+    rep = pg.check_consistency(pg.parse_presentation(text))
+    E = pg.Element
+    assert rep.failures == (
+        ("c(ba) vs (cb)a", E((1, 1, 0, 1, 0)), E((1, 1, 0, 1, 2))),
+        ("d(ba) vs (db)a", E((1, 1, 2, 1, 0)), E((1, 1, 2, 1, 2))),
+    )
+
+
+def test_inconsistent_power_overlap_failures_pinned():
+    text = """group powers prime 3
+gens a b c d
+pow b^p = c
+comm [c,a] = d^-1
+comm [c,b] = d
+"""
+    rep = pg.check_consistency(pg.parse_presentation(text))
+    E = pg.Element
+    assert rep.failures == (
+        ("b^p a overlap", E((1, 0, 1, 2)), E((1, 0, 1, 0))),
+        ("b b^p overlap", E((0, 1, 1, 0)), E((0, 1, 1, 1))),
+    )
+
+
+def test_power_word_on_last_generator_rejected():
+    # the table builder of group.py relies on this: g_n^p is always trivial
+    with pytest.raises(ParseError):
+        pg.PcPresentation(name="g", p=3, gens=("a", "b"), power_rels=((), ((1, 1),)),
+                          comm_rels=())
+
+
 def test_self_referencing_weight_rejected_at_parse():
     bad = "group g prime 3\ngens a b c\ncomm [b,a] = c\ncomm [c,a] = c\n"
     with pytest.raises(ParseError):
