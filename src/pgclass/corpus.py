@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .group import Group, group_of, quotient
+from .group import Group, _chain_elements, group_of, quotient
 from .presentation import PcPresentation, Word, is_prime
 
 
@@ -220,6 +220,10 @@ class CorpusEntry:
     note: str
     expected: Optional[dict]  # keys gvz / nested / vz where established
 
+    def covers(self, p: int) -> bool:
+        """Whether p lies in the entry's stated prime range."""
+        return p >= self.min_p and (self.max_p is None or p <= self.max_p)
+
 
 def _registry() -> dict[str, CorpusEntry]:
     vz_true = {"gvz": True, "nested": True, "vz": True}
@@ -298,7 +302,7 @@ def build(label: str, p: int) -> PcPresentation:
         raise ValueError(f"unknown corpus label {label!r}")
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if p < entry.min_p or (entry.max_p is not None and p > entry.max_p):
+    if not entry.covers(p):
         raise ValueError(f"{label} is available for p >= {entry.min_p}")
     return entry.build(p)
 
@@ -451,14 +455,7 @@ def isoclinic_brute(P1, P2, budget: int = 10_000_000) -> Optional[bool]:
 
     def check_theta() -> Optional[bool]:
         # map all of Q1 through the images, digit by digit
-        theta = np.array([0], dtype=np.int64)
-        for a in range(m):
-            blocks = [theta]
-            cur = theta
-            for _ in range(1, q1.p):
-                cur = q2.rmul_array(cur, images[a])
-                blocks.append(cur)
-            theta = np.stack(blocks, axis=1).reshape(-1)
+        theta = _chain_elements(q2, images)
         if np.unique(theta).size != q1.order:
             return False  # not injective
         if not spend(q1.order * q1.order):

@@ -12,8 +12,17 @@ H_t = <g_t, ..., g_n> form a central chain, so
 splits into a digit increment (with a power-relation carry) and a
 conjugation that stays inside H_{t+1}.  Everything downstream (conjugacy
 classes, centralizers, subgroup closures, quotients) is numpy permutation
-work on these tables.  The collector in presentation.py is the independent
-reference; the test suite cross-checks the two.
+work on these tables.
+
+Every table, chain and inverse is one _normal_forms listing of
+start g_1^d_1 ... g_m^d_m in digit order, p - 1 gathers per generator:
+the conjugated suffix and the power-word carry of each right table, each
+left table (g_t times every normal form), the elements of a subgroup's
+chain, and the inverse table, which lists g_n^-d_n ... g_1^-d_1 through
+the inverse left tables.  _walk applies one element's digits as table
+gathers for mul, rmul_array and lmul_array.  The collector in
+presentation.py stays the independent reference; the test suite
+cross-checks every table against it.
 
 Conjugacy classes and quotient cosets are orbits, and both come from one
 kernel, _orbit_minima.  For a subgroup chain K = K_1 > ... > K_{m+1} = 1
@@ -97,144 +106,56 @@ class Group:
         p, n, order = self.p, self.n, self.order
         P = self.pres
         tables: list[np.ndarray | None] = [None] * n
-        inv_tables: dict[int, np.ndarray] = {}
-
-        def rinv(t: int) -> np.ndarray:
-            iv = inv_tables.get(t)
-            if iv is None:
-                iv = np.empty(order, dtype=np.int64)
-                iv[tables[t]] = np.arange(order, dtype=np.int64)
-                inv_tables[t] = iv
-            return iv
 
         def word_eval(start: int, word: Word) -> int:
             idx = start
             for g, e in word:
-                if e > 0:
-                    tab = tables[g]
-                    for _ in range(e):
-                        idx = int(tab[idx])
-                else:
-                    iv = rinv(g)
-                    for _ in range(-e):
-                        idx = int(iv[idx])
+                tab = tables[g] if e > 0 else _inverse_perm(tables[g])
+                for _ in range(abs(e)):
+                    idx = int(tab[idx])
             return idx
-
-        def apply_element(arr: np.ndarray, elem: int) -> np.ndarray:
-            # right-multiply every entry by the fixed element
-            for j in range(n):
-                d = elem // self._weights[j] % p
-                tab = tables[j]
-                for _ in range(d):
-                    arr = tab[arr]
-            return arr
 
         for t in range(n - 1, -1, -1):
             m = p ** (n - 1 - t)
-            if m == 1:
-                conjsuffix = np.zeros(1, dtype=np.int64)
-                w_idx = 0
-                if P.power_rels[t]:
-                    raise InternalInconsistencyError(
-                        "the last generator has a nontrivial power relation")
-            else:
-                conjsuffix = np.zeros(1, dtype=np.int64)
-                for j in range(t + 1, n):
-                    phi = word_eval(self._weights[j], P.comm_rel(j, t))
-                    blocks = [conjsuffix]
-                    cur = conjsuffix
-                    for _ in range(1, p):
-                        cur = apply_element(cur, phi)
-                        blocks.append(cur)
-                    conjsuffix = np.stack(blocks, axis=1).reshape(-1)
-                w_idx = word_eval(0, P.power_rels[t])
-            if w_idx:
-                hm = np.array([w_idx], dtype=np.int64)
-                for j in range(t + 1, n):
-                    tab = tables[j]
-                    blocks = [hm]
-                    cur = hm
-                    for _ in range(1, p):
-                        cur = tab[cur]
-                        blocks.append(cur)
-                    hm = np.stack(blocks, axis=1).reshape(-1)
-            else:
-                hm = None
-
+            # g_t^-1 g_j g_t = g_j [g_j, g_t] for every suffix generator g_j
+            phis = [word_eval(self._weights[j], P.comm_rel(j, t)) for j in range(t + 1, n)]
+            conjsuffix = _normal_forms(
+                0, [lambda x, phi=phi: _walk(tables, self._weights, p, x, phi) for phi in phis], p)
+            w_idx = word_eval(0, P.power_rels[t])
             x = np.arange(order, dtype=np.int64)
             A = x // m
             Bc = conjsuffix[x - A * m]
-            carry = (A % p) == (p - 1)
-            res = np.where(
-                carry,
-                (A - (p - 1)) * m + (hm[Bc] if hm is not None else Bc),
-                (A + 1) * m + Bc,
-            )
-            tables[t] = res
+            if w_idx:
+                carried = _normal_forms(w_idx, [tab.__getitem__ for tab in tables[t + 1:]], p)[Bc]
+            else:
+                carried = Bc
+            tables[t] = np.where((A % p) == (p - 1), (A - (p - 1)) * m + carried, (A + 1) * m + Bc)
         return tables  # type: ignore[return-value]
 
     @cached_property
     def left_tables(self) -> list[np.ndarray]:
         """left_tables[t][x] = index of g_t * x."""
-        p, n = self.p, self.n
-        out = []
-        for t in range(n):
-            arr = np.array([self._weights[t]], dtype=np.int64)
-            for j in range(n):
-                tab = self.right_tables[j]
-                blocks = [arr]
-                cur = arr
-                for _ in range(1, p):
-                    cur = tab[cur]
-                    blocks.append(cur)
-                arr = np.stack(blocks, axis=1).reshape(-1)
-            out.append(arr)
-        return out
+        gathers = [tab.__getitem__ for tab in self.right_tables]
+        return [_normal_forms(w, gathers, self.p) for w in self._weights]
 
     @cached_property
     def inverse_table(self) -> np.ndarray:
-        """inverse_table[x] = index of x^-1."""
-        p, n, order = self.p, self.n, self.order
-        inv = np.zeros(order, dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            iv = np.empty(order, dtype=np.int64)
-            iv[self.right_tables[j]] = np.arange(order, dtype=np.int64)
-            stack = [inv]
-            cur = inv
-            for _ in range(1, p):
-                cur = iv[cur]
-                stack.append(cur)
-            S = np.stack(stack, axis=0)
-            inv = S[self.digit_arrays[j], np.arange(order)]
-        return inv
+        """inverse_table[x] = index of x^-1, listed as g_n^-d_n ... g_1^-d_1."""
+        return _normal_forms(
+            0, (_inverse_perm(tab).__getitem__ for tab in self.left_tables), self.p)
 
     @cached_property
     def conj_tables(self) -> list[np.ndarray]:
         """conj_tables[t][x] = index of g_t^-1 x g_t."""
-        order = self.order
-        out = []
-        for t in range(self.n):
-            linv = np.empty(order, dtype=np.int64)
-            linv[self.left_tables[t]] = np.arange(order, dtype=np.int64)
-            out.append(linv[self.right_tables[t]])
-        return out
+        return [_inverse_perm(L)[R] for L, R in zip(self.left_tables, self.right_tables)]
 
     # -- scalar and array arithmetic on indices -------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        x = int(a)
-        for j in range(self.n):
-            d = int(b) // self._weights[j] % self.p
-            tab = self.right_tables[j]
-            for _ in range(d):
-                x = int(tab[x])
-        return x
+        return int(_walk(self.right_tables, self._weights, self.p, int(a), b))
 
     def inv(self, a: int) -> int:
         return int(self.inverse_table[a])
-
-    def conj(self, x: int, g: int) -> int:
-        return self.mul(self.mul(self.inv(g), x), g)
 
     def comm(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -259,21 +180,11 @@ class Group:
 
     def rmul_array(self, arr: np.ndarray, b: int) -> np.ndarray:
         """Right-multiply an index array by the fixed element b."""
-        for j in range(self.n):
-            d = int(b) // self._weights[j] % self.p
-            tab = self.right_tables[j]
-            for _ in range(d):
-                arr = tab[arr]
-        return arr
+        return _walk(self.right_tables, self._weights, self.p, arr, b)
 
     def lmul_array(self, arr: np.ndarray, a: int) -> np.ndarray:
         """Left-multiply an index array by the fixed element a."""
-        for j in range(self.n - 1, -1, -1):
-            d = int(a) // self._weights[j] % self.p
-            tab = self.left_tables[j]
-            for _ in range(d):
-                arr = tab[arr]
-        return arr
+        return _walk(self.left_tables[::-1], self._weights[::-1], self.p, arr, a)
 
     def pairwise_mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Elementwise products A[i] * B[i]."""
@@ -401,9 +312,7 @@ class Group:
         xs = self.conjugacy_classes.reps[1:]
         exp = 1
         while xs.size:
-            ys = xs
-            for _ in range(1, self.p):
-                ys = self.pairwise_mul(ys, xs)
+            ys = _pth_powers(self, xs)
             xs = ys[ys != 0]
             exp *= self.p
         return exp
@@ -434,16 +343,47 @@ def _orbit_minima(G: Group, perms: list[np.ndarray]) -> np.ndarray:
     return r
 
 
+def _normal_forms(start: int, muls, p: int) -> np.ndarray:
+    """The images of start under muls[0]^d_1, then muls[1]^d_2, ..., at the
+    position whose base-p digits (d_1 most significant) are d.  When muls[a]
+    right-multiplies an index array by g_a, that is start g_1^d_1 ... g_m^d_m."""
+    elems = np.array([start], dtype=np.int64)
+    for mul in muls:
+        blocks = [elems]
+        for _ in range(1, p):
+            blocks.append(mul(blocks[-1]))
+        elems = np.stack(blocks, axis=1).reshape(-1)
+    return elems
+
+
+def _walk(tables, weights, p: int, x, b: int):
+    """x after tables[j] is applied d_j times, in list order, where d_j is
+    the digit of b at weights[j]; x is an index or an index array."""
+    b = int(b)
+    for tab, w in zip(tables, weights):
+        for _ in range(b // w % p):
+            x = tab[x]
+    return x
+
+
+def _inverse_perm(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size, dtype=perm.dtype)
+    return inv
+
+
+def _pth_powers(G: Group, xs: np.ndarray) -> np.ndarray:
+    """x^p for every index x of xs."""
+    ys = xs
+    for _ in range(1, G.p):
+        ys = G.pairwise_mul(ys, xs)
+    return ys
+
+
 def _chain_elements(G: Group, gens) -> np.ndarray:
     """The elements g_1^d_1 ... g_m^d_m of gens = (g_1, ..., g_m), at the
     position whose base-p digits (d_1 most significant) are d."""
-    elems = np.zeros(1, dtype=np.int64)
-    for g in gens:
-        blocks = [elems]
-        for _ in range(1, G.p):
-            blocks.append(G.rmul_array(blocks[-1], g))
-        elems = np.stack(blocks, axis=1).reshape(-1)
-    return elems
+    return _normal_forms(0, [lambda x, g=g: G.rmul_array(x, g) for g in gens], G.p)
 
 
 def _chain_gens(G: Group, idxs: np.ndarray) -> tuple[int, ...]:
@@ -780,7 +720,7 @@ def abelian_invariants(H: Subgroup) -> tuple[int, ...]:
             ms.append(power)
         if count == H.order:
             break
-        xs = np.array([G.pow(int(x), p) for x in xs], dtype=np.int64)
+        xs = _pth_powers(G, xs)
         k += 1
     # parts with lambda_i >= k number m_k - m_(k-1)
     counts = [ms[k] - ms[k - 1] for k in range(1, len(ms))]

@@ -507,28 +507,28 @@ def check_consistency(P: PcPresentation) -> ConsistencyReport:
             failures.append((desc, lhs, rhs))
 
     gens = [P.generator(i) for i in range(n)]
+    # each generator's p-th and (p-1)-th power and each product g_j g_i
+    # (j > i) is collected once and shared by every overlap that uses it
+    gp = [col.power(g, p) for g in gens]
+    gpm1 = [col.power(g, p - 1) for g in gens]
+    prod = {(j, i): col.multiply(gens[j], gens[i]) for j in range(n) for i in range(j)}
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                gj_gi = col.multiply(gens[j], gens[i])
-                lhs = col.multiply(gens[k], gj_gi)
-                gk_gj = col.multiply(gens[k], gens[j])
-                rhs = col.multiply(gk_gj, gens[i])
+                lhs = col.multiply(gens[k], prod[j, i])
+                rhs = col.multiply(prod[k, j], gens[i])
                 cmp(f"{names[k]}({names[j]}{names[i]}) vs ({names[k]}{names[j]}){names[i]}", lhs, rhs)
     for j in range(n):
         for i in range(j):
-            gjp = col.power(gens[j], p)
-            lhs = col.multiply(gjp, gens[i])
-            rhs = col.multiply(col.power(gens[j], p - 1), col.multiply(gens[j], gens[i]))
+            lhs = col.multiply(gp[j], gens[i])
+            rhs = col.multiply(gpm1[j], prod[j, i])
             cmp(f"{names[j]}^p {names[i]} overlap", lhs, rhs)
-            gip = col.power(gens[i], p)
-            lhs = col.multiply(gens[j], gip)
-            rhs = col.multiply(col.multiply(gens[j], gens[i]), col.power(gens[i], p - 1))
+            lhs = col.multiply(gens[j], gp[i])
+            rhs = col.multiply(prod[j, i], gpm1[i])
             cmp(f"{names[j]} {names[i]}^p overlap", lhs, rhs)
     for i in range(n):
-        gip = col.power(gens[i], p)
-        lhs = col.multiply(gens[i], gip)
-        rhs = col.multiply(gip, gens[i])
+        lhs = col.multiply(gens[i], gp[i])
+        rhs = col.multiply(gp[i], gens[i])
         cmp(f"{names[i]} {names[i]}^p overlap", lhs, rhs)
 
     return ConsistencyReport(consistent=not failures, failures=tuple(failures))

@@ -156,12 +156,8 @@ def bundle(label: str, p: int) -> dict:
 
 
 def _entries_for(primes) -> list[tuple[str, int]]:
-    out = []
-    for label, entry in corpus.REGISTRY.items():
-        for p in primes:
-            if p >= entry.min_p and (entry.max_p is None or p <= entry.max_p):
-                out.append((label, p))
-    return out
+    return [(label, p) for label, entry in corpus.REGISTRY.items()
+            for p in primes if entry.covers(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,7 @@ def run_paper_suite(primes=None, threads: int | None = None) -> SuiteResult:
         (label, p)
         for label, entry in corpus.REGISTRY.items()
         for p in primes
-        if p < entry.min_p or (entry.max_p is not None and p > entry.max_p)
+        if not entry.covers(p)
     ]
     per_group_checks = (
         "consistency", "table-soundness", "flat-gvz", "verdict", "special-degree",

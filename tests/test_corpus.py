@@ -65,6 +65,15 @@ def test_build_rejects_bad_input():
         pg.build("G_(17,1)", 3)
 
 
+def test_entry_covers_its_prime_range():
+    import dataclasses
+
+    entry = pg.REGISTRY["G_(17,1)"]
+    assert [entry.covers(p) for p in (3, 5, 7, 11)] == [False, True, True, True]
+    capped = dataclasses.replace(entry, max_p=5)
+    assert [capped.covers(p) for p in (3, 5, 7)] == [False, True, False]
+
+
 def test_direct_product_builder():
     A = pg.build("heisenberg_p3", 3)
     B = pg.build("C_p2", 3)

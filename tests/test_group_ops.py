@@ -7,7 +7,7 @@ import pytest
 
 import pgclass as pg
 from pgclass.classify import _generator_commutators
-from pgclass.group import group_of, quotient, subgroup_as_group
+from pgclass.group import _pth_powers, group_of, quotient, subgroup_as_group
 from pgclass.presentation import collector
 
 
@@ -113,7 +113,7 @@ def test_tables_match_collector(label, p):
     entry against collection from the left."""
     G, col, xs = _table_points(label, p)
     n = G.n
-    pows = [G.pow(x, p) for x in xs]
+    pows = _pth_powers(G, np.array(xs, dtype=np.int64))
     for x, xp in zip(xs, pows):
         syl = tuple((i, e) for i, e in enumerate(G.element_of(x).exps) if e)
         assert G.index_of(col.collect(syl * p)) == xp
