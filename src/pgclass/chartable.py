@@ -32,7 +32,13 @@ Pipeline, the same for every group:
     matrices in ascending class-size order, restricted to each unsplit
     subspace; each eigenspace is the row space of an idempotent built from
     the minimal polynomial (modular.eigenspaces), recursing until every
-    subspace is a line.
+    subspace is a line.  Only one block per Galois orbit is split.
+    sigma_s (s = _galois_unit(e)) maps chi to g -> chi(g^s), which mod q
+    is the column gather by the power map pi_s, pi_s[j] the class of
+    rep_j^s.  As |K_j| = |K_pi_s(j)|, the eigenvectors gather the same way,
+    omega_(sigma chi) = omega_chi o pi_s, and the block of mu goes to that
+    of mu^s; so every other block of an orbit takes its vectors by gathers
+    (_split_blocks).
 5.  Degrees of the non-linear rows (stage 4) come from the norm relation
     d^2 = |G| / sum_j w_j w_j* / n_j; since the p-powers from p to sqrt|G|
     stay distinct mod q, and none is 1, the degree is recovered exactly.
@@ -43,12 +49,14 @@ Pipeline, the same for every group:
     certified support H satisfies d^2 |H| = |G| vanishes off H because
     sum over G of |chi|^2 = |G| leaves nothing for the complement.  Certification
     catches every central-type row (_lift_rows says why), so the rows left
-    over are stored dense.  They take Dixon's recovery at every class: for
-    a class of element order m the multiplicities
-    m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point DFT along the
-    class's power orbit, evaluated mod q, in chunks of about 5 * 10^5
-    entries (_orbit_dft_mults).  Each multiplicity is an integer in
-    [0, d] < q, so the lift is exact.
+    over are stored dense.  One row per sigma_s-orbit takes Dixon's
+    recovery at every class: for a class of element order m the
+    multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
+    DFT along the class's power orbit, evaluated mod q, in chunks of about
+    5 * 10^5 entries (_orbit_dft_mults).  Each multiplicity is an integer
+    in [0, d] < q, so the lift is exact.  The other rows of the orbit are
+    found by their mod-q rows gathered by pi_s, and take the multiplicities
+    gathered along the exponents, u -> u s^-1 (_lift_rows).
 
 All verification is exact.  First orthogonality of every pair of rows
 rests on one argument: the linear rows are distinct homomorphisms, each
@@ -430,6 +438,20 @@ class _PowerData:
         return self.mat[: int(self.ords[i]), i]
 
 
+def _power_classes(G: Group, cls: ConjugacyClassSet, s: int) -> np.ndarray:
+    """pi_s: pi_s[c] is the class of rep_c^s, by square-and-multiply over
+    the class reps."""
+    X = cls.reps.astype(np.int64)
+    Y = None
+    while s:
+        if s & 1:
+            Y = X if Y is None else G.pairwise_mul(Y, X)
+        s >>= 1
+        if s:
+            X = G.pairwise_mul(X, X)
+    return cls.classof[Y]
+
+
 def _digits(G: Group, idxs) -> np.ndarray:
     """The normal-form digits of the elements idxs, one column each."""
     idxs = np.asarray(idxs, dtype=np.int64)
@@ -546,7 +568,14 @@ class _CentralBlock:
     another: flat_supp, flat_coef and flat_oid give each support class,
     its coefficient and its orbit's position in the block, and seg_starts
     where each orbit starts.  central_key is the code (_CenterChain.code)
-    of the central character of the block's rows."""
+    of the central character mu of the block's rows.
+
+    The rest serves the Galois gathers of _split_blocks.  image is the
+    position, in the list of _central_blocks, of the block of mu^s
+    (s = _galois_unit(e)); center_values holds mu(b_a) mod q at the chain
+    generators b_a of Z(G).  Every block shares the last two arrays:
+    center_perms[a][c] is the class of b_a rep_c, and power_map[c] that of
+    rep_c^s (_power_classes)."""
 
     basepoints: np.ndarray
     flat_supp: np.ndarray
@@ -554,6 +583,10 @@ class _CentralBlock:
     flat_oid: np.ndarray
     seg_starts: np.ndarray
     central_key: int
+    image: int
+    center_values: np.ndarray
+    center_perms: list
+    power_map: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -599,7 +632,10 @@ def _central_blocks(G, cls, zc, zpow):
       distinct stabilizer, and the mu trivial on it must number |O|.
     - Blocks.  The kept (mu, class) pairs, sum over O of |O|^2 <= k |Z(G)|
       of them, are sorted once by (mu, basepoint, class), and every
-      block's flat arrays are slices of the result."""
+      block's flat arrays are slices of the result.
+    - Galois images.  sigma_s maps a row with central character mu to one
+      with mu^s, whose exponents at the b_a are s t; one code call finds
+      the image block of every block, and each must exist."""
     k = cls.count
     e, zorder = zc.e, zc.sorted.size
     perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in zc.gens]
@@ -646,13 +682,22 @@ def _central_blocks(G, cls, zc, zpow):
     orbit_starts = np.flatnonzero(new_orbit)
     if orbit_starts.size != k:
         raise TableVerificationError("central splitting lost dimensions")
-    starts = np.flatnonzero(new_block).tolist()
+    starts = np.flatnonzero(new_block)
+    keys = mu[starts]
+    s = _galois_unit(e)
+    image = zc.code(zc.chars[keys] * s % e)
+    pos = np.minimum(np.searchsorted(keys, image), keys.size - 1)
+    if (keys[pos] != image).any():
+        raise TableVerificationError("a central block has no Galois image")
+    values = zpow[zc.chars[keys]]
+    power_map = _power_classes(G, cls, s)
     blocks = []
-    for lo, hi in zip(starts, starts[1:] + [mu.size]):
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [mu.size])):
         o0 = oid[lo]
         seg = orbit_starts[o0:oid[hi - 1] + 1]
         blocks.append(_CentralBlock(cl[seg], cl[lo:hi], coef[lo:hi], oid[lo:hi] - o0,
-                                    seg - lo, int(mu[lo])))
+                                    seg - lo, int(keys[i]), int(pos[i]), values[i], perms,
+                                    power_map))
     return blocks
 
 
@@ -711,6 +756,21 @@ def _linear_annihilator(blk: _CentralBlock, tb: np.ndarray, q: int, zpow: np.nda
     return C, piv
 
 
+def _orbit_leaders(img: np.ndarray) -> np.ndarray:
+    """The mask of the least element of each cycle of the permutation img.
+    An element that img never brings back means img is no permutation,
+    which raises."""
+    ar = np.arange(img.size)
+    least, x, back = ar, img, img == ar
+    for _ in range(img.size + 1):
+        if back.all():
+            return least == ar
+        least = np.minimum(least, x)
+        x = img[x]
+        back |= x == ar
+    raise TableVerificationError("a Galois image map is not a permutation")
+
+
 def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     """Stage 4: refine the central blocks until every subspace is a line,
     and return the eigenvectors of the non-linear rows.
@@ -735,7 +795,18 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     A_i[r, c] = |K_r| / |K_c| * #{x in K_i : x rep_r in K_c} with one
     right multiplication of the pool, dividing by |K_c| through
     inv_sizes: q = 1 (mod e) puts q != p, so q never divides a class
-    size."""
+    size.
+
+    Only the least block of each orbit of <s> on the blocks (blk.image,
+    the block of mu^s) is split.  sigma_s maps chi to g -> chi(g^s), which
+    mod q is the gather by the power map pi_s (blk.power_map); since
+    |K_j| = |K_pi_s(j)|, it maps the eigenvector w of chi to w o pi_s, that
+    of sigma_s chi, and the block of mu to the block of mu^s, linear rows
+    to linear rows.  So the vectors of the block s^i steps along the orbit
+    are those of the split block gathered i times, one gather per step
+    over every vector at once.  Each gathered w is checked to lie in its
+    block: w[cl(b_a g)] = mu(b_a) w[cl(g)] mod q at every chain generator
+    b_a of Z(G) (blk.center_perms, blk.center_values)."""
     k = cls.count
     e = zpow.size
 
@@ -744,27 +815,28 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     keys = np.array([blk.central_key for blk in blocks], dtype=np.int64)
     lo = np.searchsorted(sorted_keys, keys, side="left")
     hi = np.searchsorted(sorted_keys, keys, side="right")
+    dims = np.array([blk.dim for blk in blocks])
+    if (hi - lo > dims).any():
+        raise TableVerificationError("more linear rows than block dimensions")
+    image = np.array([blk.image for blk in blocks], dtype=np.int64)
+    leader = _orbit_leaders(image)
 
-    finals = []
-    work = []  # per block: [block, [(C_rref, pivots), ...]]
-    for blk, a, b in zip(blocks, lo.tolist(), hi.tolist()):
-        D = blk.dim
-        members = by_key[a:b]
-        t = members.size
-        if t > D:
-            raise TableVerificationError("more linear rows than block dimensions")
-        if t == D:
-            continue  # the block consists entirely of known linear rows
-        if t == 0:
-            C0 = np.eye(D, dtype=np.int64)
-            J0 = np.arange(D, dtype=np.int64)
+    finals, owners = [], []  # the eigenvectors and their blocks' positions
+    work = []  # per block: [position, [(C_rref, pivots), ...]]
+    # one block per orbit, unless its linear rows fill it
+    for i in np.flatnonzero(leader & (hi - lo < dims)).tolist():
+        blk, members = blocks[i], by_key[lo[i]:hi[i]]
+        if members.size == 0:
+            C0 = np.eye(blk.dim, dtype=np.int64)
+            J0 = np.arange(blk.dim, dtype=np.int64)
         else:
             C0, J0 = _linear_annihilator(
                 blk, lin_t[members] @ digits[:, blk.basepoints] % e, q, zpow)
         if C0.shape[0] == 1:
             finals.append(blk.expand(C0[0], k, q))
+            owners.append(i)
         else:
-            work.append([blk, [(C0, J0)]])
+            work.append([i, [(C0, J0)]])
 
     order_i = [i for i in np.lexsort((np.arange(k), cls.sizes)) if cls.sizes[i] > 1]
     rng = np.random.default_rng(0x5EED)
@@ -782,8 +854,8 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
         weights = rng.integers(1, q, size=len(pool))
         rows_needed = np.unique(
             np.concatenate(
-                [blk.basepoints[np.concatenate([J for _, J in subs])]
-                 for blk, subs in work]
+                [blocks[i].basepoints[np.concatenate([J for _, J in subs])]
+                 for i, subs in work]
             )
         )
         Arows = _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes)
@@ -792,7 +864,8 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
 
         progressed = False
         for entry in work:
-            blk, subspaces = entry
+            i, subspaces = entry
+            blk = blocks[i]
             J_union = np.unique(np.concatenate([J for _, J in subspaces]))
             Mrows = blk.restrict_rows(Arows[slot[blk.basepoints[J_union]], :], q)
             still = []
@@ -806,12 +879,30 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
                     Cnew = piece @ C % q
                     if piece.shape[0] == 1:
                         finals.append(blk.expand(Cnew[0], k, q))
+                        owners.append(i)
                     else:  # RREF times RREF is RREF, pivots J at the piece's pivots
                         still.append((Cnew, J[(piece != 0).argmax(axis=1)]))
             entry[1] = still
         if not progressed and pool_end >= len(order_i):
             retries += 1
-    return finals
+
+    # the other blocks of each orbit: one gather by pi_s per orbit step,
+    # each image checked against the central character of its block
+    W = np.array(finals, dtype=np.int64).reshape(-1, k)
+    own = np.array(owners, dtype=np.int64)
+    values = np.stack([blk.center_values for blk in blocks])
+    out = [W]
+    while True:
+        nxt = image[own]
+        keep = np.flatnonzero(~leader[nxt])
+        if not keep.size:
+            return [w for W in out for w in W]
+        W, own = W[np.ix_(keep, blocks[0].power_map)], nxt[keep]
+        for a, perm in enumerate(blocks[0].center_perms):
+            if ((W[:, perm] - values[own, a, None] * W) % q).any():
+                raise TableVerificationError(
+                    "a Galois image of a split vector is not in its central block")
+        out.append(W)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +921,13 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     the multiplicities mod q are d*delta, hence exactly d*delta: the value
     is d*zeta^t.  A row whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| vanishes off H.  The rows left
-    over take _orbit_dft_mults at every class, then the range and sum
-    checks, and are stored dense.
+    over are stored dense.  Of each orbit of sigma_s (s = _galois_unit(e))
+    on them, only the first takes _orbit_dft_mults at every class.  The
+    mod-q row of sigma_s chi is that of chi gathered by the power map
+    pi_s, chi(g^s), which matches each row to its image, and as sigma_s
+    chi = sum_u m_u zeta^(us), the image's multiplicity at u is chi's at
+    u s^-1.  Every row then takes the range and sum checks, and
+    compute_table compares it with its mod-q row.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -887,14 +983,39 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
             left.append(r)
 
     if left:
+        # match each row's sigma_s image, its columns gathered by pi_s, to
+        # its row on the shortest doubling column prefix on which the rows
+        # are distinct (they are on all k, as compute_table checks); a wrong
+        # match fails compute_table's mod-q check of the lifted rows
+        s = _galois_unit(e)
+        left = np.array(left)
+        c = min(8, k)
+        while _distinct_rows(T[left, :c]) < left.size:
+            c = min(2 * c, k)
+        heads = [T[left, :c], T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
+        ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
+                        return_inverse=True)[1].reshape(-1)
+        slot = np.full(ids.max() + 1, -1, dtype=np.int64)
+        slot[ids[:left.size]] = np.arange(left.size)
+        image = slot[ids[left.size:]]
+        if (image < 0).any():
+            raise TableVerificationError("a Galois image of a dense row is not a row")
+        leader = _orbit_leaders(image)
+        at = np.flatnonzero(leader)
         power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
-        for r, mr in zip(left, _orbit_dft_mults(T[left], power, e, q, zpow)):
-            d = degs[r]
-            if (mr > d).any():
-                raise TableVerificationError("multiplicity outside [0, degree]")
-            if (mr.sum(axis=1) != d).any():
-                raise TableVerificationError("multiplicities do not sum to the degree")
-            rows[r] = _Row(d, e, k, "dense", mults=mr)
+        M = _orbit_dft_mults(T[left[at]], power, e, q, zpow)
+        u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
+        while at.size:
+            for r, mr in zip(left[at].tolist(), M):
+                d = degs[r]
+                if (mr > d).any():
+                    raise TableVerificationError("multiplicity outside [0, degree]")
+                if (mr.sum(axis=1) != d).any():
+                    raise TableVerificationError("multiplicities do not sum to the degree")
+                rows[r] = _Row(d, e, k, "dense", mults=mr)
+            nxt = image[at]
+            keep = np.flatnonzero(~leader[nxt])
+            at, M = nxt[keep], M[keep][:, :, u_from]
     return lin + rows
 
 
@@ -1359,6 +1480,14 @@ def _unit_gens(e: int) -> tuple:
         if x == 1 and n == units:
             return (s,)
     return ()
+
+
+def _galois_unit(e: int) -> int:
+    """The s of the Galois gathers in _split_blocks and _lift_rows: the
+    first of _unit_gens(e), or 1 when there is none.  For odd e it
+    generates (Z/e)^x; for e = 2^a it generates a subgroup, whose orbits
+    are as exact."""
+    return (_unit_gens(e) or (1,))[0]
 
 
 def _root_powers(q: int, z: int, e: int) -> np.ndarray:

@@ -380,7 +380,9 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
 
     T = table if table is not None else table_of(G)
     sizes = T.classes.sizes
-    per_char = tuple((r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
+    # a unity row has |chi| = 1 everywhere: Z(chi) = G, and it is of central type
+    per_char = tuple((1, G.order, True) if r.kind == "unity"
+                     else (r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
                      for r in T.rows)
     gvz = all(c for _, _, c in per_char)
     flat = is_flat(G)

@@ -841,6 +841,133 @@ def test_corrupted_center_data_fails_the_table(monkeypatch, corrupt, label, p):
         pg.compute_table(G)
 
 
+# -- Galois gathers in splitting and lifting ------------------------------------
+
+# M16 = <x, y>, x of order 8 and [y, x] = x^4: exponent 8, where the Galois
+# step s = -1 generates a subgroup of (Z/8)^x only.
+M16 = """group M16 prime 2
+gens x y a b
+pow x^p = a
+pow a^p = b
+comm [y,x] = b
+"""
+
+
+@pytest.mark.parametrize("label,p,orbit_sizes", [
+    ("G_(17,1)", 5, [1, 4, 4, 4, 4, 4, 4]),
+    ("G_(19,1)", 5, [1, 4, 4, 4, 4, 4, 4]),
+    ("extraspecial_p3_exp_p2", 7, [6]),
+    ("M16", 2, [2]),
+])
+def test_split_enters_one_block_per_galois_orbit(monkeypatch, label, p, orbit_sizes):
+    """Eigen-splitting enters exactly one block per orbit of <s>,
+    s = _galois_unit(e), on the central characters whose blocks the linear
+    rows do not fill; the other blocks take their vectors by gathers.  The
+    orbits are counted by brute force on the exponent rows of
+    _CenterChain.chars, t -> s t.  At e = 49 an orbit has phi(ord mu) = 6
+    blocks, not phi(e) = 42."""
+    import pgclass.chartable as ct
+
+    P = parse_presentation(M16) if label == "M16" else pg.build(label, p)
+    G = group_of(P)
+    cls, e, q, zpow = _center_setup(G)
+    zc = ct._CenterChain(G, e)
+    _, lin_keys = ct._linear_rows_data(G, zc)
+    need = {blk.central_key for blk in ct._central_blocks(G, cls, zc, zpow)
+            if np.count_nonzero(lin_keys == blk.central_key) < blk.dim}
+    s = ct._galois_unit(e)
+    assert s == (ct._unit_gens(e) + (1,))[0]
+    orbits = []
+    for key in sorted(need):
+        if any(key in o for o in orbits):
+            continue
+        orbit, t = set(), zc.chars[key]
+        while True:
+            (c,) = np.flatnonzero((zc.chars == t % e).all(axis=1))
+            if c in orbit:
+                break
+            orbit.add(int(c))
+            t = t * s
+        orbits.append(orbit)
+    assert sorted(len(o) for o in orbits) == orbit_sizes
+    assert set().union(*orbits) == need
+
+    entered = set()
+    expand = ct._CentralBlock.expand
+
+    def spy(blk, *args):
+        entered.add(blk.central_key)
+        return expand(blk, *args)
+
+    monkeypatch.setattr(ct._CentralBlock, "expand", spy)
+    ct.compute_table(G)
+    assert entered <= need
+    assert all(len(entered & o) == 1 for o in orbits)
+
+
+def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
+    """On G_(19,1)@5 _orbit_dft_mults sees one dense row per orbit of
+    sigma_s, and the multiplicities that every other dense row gathers
+    from its orbit's row equal _orbit_dft_mults run on all the dense rows."""
+    import pgclass.chartable as ct
+
+    seen = []
+    dft = ct._orbit_dft_mults
+
+    def spy(Trows, *args):
+        seen.append(np.array(Trows))
+        return dft(Trows, *args)
+
+    monkeypatch.setattr(ct, "_orbit_dft_mults", spy)
+    T = ct.compute_table(pg.build("G_(19,1)", 5))
+    G, cls, e, q = T.group, T.classes, T.exponent, T.field_prime
+    _, _, _, zpow = _center_setup(G)
+    dense = [r for r in T.rows if r.kind == "dense"]
+    Trows = np.stack([r.tilde(q, zpow) for r in dense])
+    (s,) = ct._unit_gens(e)
+    orbit_of = {}  # each orbit labelled by its first dense row
+    for i, r in enumerate(dense):
+        m = r.mults
+        while m.tobytes() not in orbit_of:
+            orbit_of[m.tobytes()] = i
+            m = m[:, np.arange(e) * pow(s, -1, e) % e]
+    orbit = [orbit_of[r.mults.tobytes()] for r in dense]
+    (reps,) = seen
+    at = [next(i for i, t in enumerate(Trows) if (t == row).all()) for row in reps]
+    assert (len(dense), len(set(orbit))) == (200, 50)
+    assert sorted(orbit[i] for i in at) == sorted(set(orbit))
+    power = ct._PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
+    assert (dft(Trows, power, e, q, zpow) == np.stack([r.mults for r in dense])).all()
+
+
+@pytest.mark.parametrize("stage", ["split", "lift"])
+@pytest.mark.parametrize("shift", ["s+1", "roll"])
+def test_off_by_one_power_map_fails_the_table(monkeypatch, stage, shift):
+    """pi_s off by one, as pi_(s+1) or as pi_s rolled by one class, in the
+    gathers of both stages or of the lift alone (the second call):
+    compute_table raises, at the split's central-character check, at the
+    lift's row matching or at the mod-q check of the lifted rows."""
+    import pgclass.chartable as ct
+
+    power_classes = ct._power_classes
+    calls = []
+
+    def off(G, cls, s):
+        calls.append(s)
+        if stage == "lift" and len(calls) == 1:
+            return power_classes(G, cls, s)
+        if shift == "roll":
+            return np.roll(power_classes(G, cls, s), 1)
+        return power_classes(G, cls, s + 1)
+
+    monkeypatch.setattr(ct, "_power_classes", off)
+    match = {"split": "not in its central block",
+             "lift": "lifted row disagrees mod q" if shift == "s+1" else "dense row is not a row"}
+    with pytest.raises(TableVerificationError, match=match[stage]):
+        ct.compute_table(pg.Group(pg.build("G_(17,1)", 5)))
+    assert calls == [2] * (1 if stage == "split" else 2)
+
+
 # -- lifting by power-orbit DFT --------------------------------------------------
 
 # A non-GVZ group of order 3^6, nilpotency class 3 and exponent 81 (x1 has

@@ -42,6 +42,27 @@ def test_g17_has_non_central_type_row():
             assert r.degree > 1
 
 
+def test_report_reads_unity_rows_by_kind(monkeypatch):
+    """classification_report enters each unity row as (1, |G|, True) by its
+    kind and calls is_central_type on the non-linear rows only; every
+    entry equals the per-row route over all rows."""
+    import pgclass.classify as cf
+
+    G, T = bundle("G_(17,1)", 5)
+    sizes = T.classes.sizes
+    want = tuple((r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
+                 for r in T.rows)
+    calls = []
+
+    def spy(row, T):
+        calls.append(row.kind)
+        return is_central_type(row, T)
+
+    monkeypatch.setattr(cf, "is_central_type", spy)
+    assert cf.classification_report(G, table=T).per_character == want
+    assert calls and "unity" not in calls
+
+
 def test_fully_ramified():
     G, T = bundle("heisenberg_p3", 3)
     Z = G.center
