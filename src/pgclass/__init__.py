@@ -3,8 +3,6 @@ structure of their irreducible characters."""
 
 from .chartable import (
     CharacterTable,
-    character_center,
-    character_kernel,
     class_constants,
     compute_table,
     linear_character_exponents,

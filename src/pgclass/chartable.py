@@ -81,8 +81,8 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, _prime_power_split, phi, root_sum
 from .errors import TableVerificationError
-from .group import (ConjugacyClassSet, Group, Subgroup, _chain_elements, _chain_gens,
-                    _orbit_minima, group_of, p_log)
+from .group import (ConjugacyClassSet, Group, Subgroup, _chain_gens, _ChainIndex,
+                    _coset_minima, group_of, p_log)
 from .modular import _invmod_arr, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
@@ -476,50 +476,37 @@ def _linear_rows_data(G: Group, zc: "_CenterChain"):
 # the eigenvector stages
 
 
-class _CenterChain:
+class _CenterChain(_ChainIndex):
     """Z(G) on its chain-jump elements b_1, ..., b_m (_chain_gens), and its
     characters.
 
     b_a jumps at the suffix subgroup H_i (b_a in H_i, not in H_(i+1)), and
     K_a = Z(G) ∩ H_i has K_a = U_(j<p) b_a^j K_(a+1).  So every z in Z(G)
-    is b_1^d_1 ... b_m^d_m for exactly one digit vector d, read as the
-    base-p digits (d_1 most significant) of the position of z; positions
-    and digits convert.  b_a^p lies in K_(a+1), and powers[a] holds its
-    digits.  Z(G) is abelian, so these power relations present it, and by
-    von Dyck's theorem its characters Z(G) -> <zeta_e> are the t with
+    is b_1^d_1 ... b_m^d_m for exactly one digit vector d, the digits of
+    its position in the chain index; the p^m normal forms are distinct
+    and central, so p^m = |Z(G)| is the check that they enumerate Z(G).
+    b_a^p lies in K_(a+1), and powers[a] holds its digits.  Z(G) is
+    abelian, so these power relations present it, and by von Dyck's
+    theorem its characters Z(G) -> <zeta_e> are the t with
     p t_a = powers[a] . t in Z/e (_relation_solutions with no commutator
     relations), t_a being the exponent at b_a.  The exponent of Z(G)
     divides e, so they number |Z(G)|, which is checked.  No row was then
     dropped, so row s of chars has code s."""
 
     def __init__(self, G: Group, e: int):
-        p = G.p
         Z = G.center
-        gens = _chain_gens(G, Z.indices)
-        m = len(gens)
-        elems = _chain_elements(G, gens)
-        self.sorted_pos = np.argsort(elems)
-        self.sorted = elems[self.sorted_pos]
-        if not np.array_equal(self.sorted, Z.indices):
+        super().__init__(G, _chain_gens(G, Z.indices))
+        if self.elems.size != Z.order:
             raise TableVerificationError("chain normal forms do not enumerate Z(G)")
-        self.p, self.e, self.m = p, e, m
-        self.gens = gens
-        self.powers = self.digits(self.positions([G.pow(b, p) for b in gens]))
+        p, m = self.p, self.m
+        self.e = e
+        self.powers = self.digits(self.positions([G.pow(b, p) for b in self.gens]))
         if np.tril(self.powers).any():
             raise TableVerificationError("a power b_a^p escapes its chain level")
         self.chars = _relation_solutions(
             self.powers, [np.zeros((0, m), dtype=np.int64)] * m, p, e)
         if self.chars.shape[0] != Z.order:
             raise TableVerificationError("character count of Z(G) differs from |Z(G)|")
-
-    def positions(self, x) -> np.ndarray:
-        """The position of each element x, -1 off Z(G)."""
-        i = np.minimum(np.searchsorted(self.sorted, x), self.sorted.size - 1)
-        return np.where(self.sorted[i] == x, self.sorted_pos[i], -1)
-
-    def digits(self, s) -> np.ndarray:
-        """Chain digits of the elements at positions s, one row each."""
-        return np.asarray(s)[:, None] // self.p ** np.arange(self.m - 1, -1, -1) % self.p
 
     def code(self, t: np.ndarray) -> np.ndarray:
         """The row of chars equal to each row of t, a character of Z(G)
@@ -637,7 +624,7 @@ def _central_blocks(G, cls, zc, zpow):
       with mu^s, whose exponents at the b_a are s t; one code call finds
       the image block of every block, and each must exist."""
     k = cls.count
-    e, zorder = zc.e, zc.sorted.size
+    e, zorder = zc.e, zc.elems.size
     perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in zc.gens]
     base, digits = _center_orbits(perms, G.p)
     isbase = base == np.arange(k)
@@ -984,15 +971,13 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
 
     if left:
         # match each row's sigma_s image, its columns gathered by pi_s, to
-        # its row on the shortest doubling column prefix on which the rows
-        # are distinct (they are on all k, as compute_table checks); a wrong
+        # its row on the columns of _separating_prefix (the rows are
+        # distinct on all k, as compute_table checks); a wrong
         # match fails compute_table's mod-q check of the lifted rows
         s = _galois_unit(e)
         left = np.array(left)
-        c = min(8, k)
-        while _distinct_rows(T[left, :c]) < left.size:
-            c = min(2 * c, k)
-        heads = [T[left, :c], T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
+        c, head = _separating_prefix(lambda c: T[left, :c], k)
+        heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
         ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
                         return_inverse=True)[1].reshape(-1)
         slot = np.full(ids.max() + 1, -1, dtype=np.int64)
@@ -1062,21 +1047,27 @@ def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np
     distinct powers, is stored big-endian in one byte when e <= 256 and two
     when e <= 65536.
 
-    Only a prefix of the k columns is formed: the first c, c doubling from
-    8, until the rows are distinct on it (or c = k).  Two distinct rows
+    Only the columns of _separating_prefix are formed.  Two distinct rows
     compare at their first differing column; when the prefix separates
     them, that column lies in the prefix, so the order on the prefix is the
     order on all k columns.  The linear rows are distinct characters, so
     some prefix separates them all (_verify_structural_pairs checks the
     distinctness)."""
     e = zpow.size
-    k = digits.shape[1]
     rank = np.argsort(np.argsort(zpow)).astype(np.min_scalar_type(e - 1).newbyteorder(">"))
+    _, ranks = _separating_prefix(lambda c: rank[lin_t @ digits[:, :c] % e], digits.shape[1])
+    return np.argsort(_row_keys(ranks), kind="stable")
+
+
+def _separating_prefix(rows_on, k: int):
+    """(c, rows_on(c)) for the first c of min(8, k), doubling up to k, at
+    which the rows rows_on(c), formed on the first c of k columns, are
+    distinct, or for c = k."""
     c = min(8, k)
     while True:
-        ranks = rank[lin_t @ digits[:, :c] % e]
-        if c == k or _distinct_rows(ranks) == ranks.shape[0]:
-            return np.argsort(_row_keys(ranks), kind="stable")
+        rows = rows_on(c)
+        if c == k or _distinct_rows(rows) == rows.shape[0]:
+            return c, rows
         c = min(2 * c, k)
 
 
@@ -1169,10 +1160,11 @@ def compute_table(P) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# kernels and centers as verified subgroups
+# class unions as verified subgroups
 
 
 def _class_union_subgroup(T: CharacterTable, mask: np.ndarray) -> Subgroup:
+    """The union of the classes in mask, checked to be a subgroup."""
     cls = T.classes
     idxs = np.sort(np.concatenate([cls.members[i] for i in np.flatnonzero(mask)]))
     G = T.group
@@ -1181,24 +1173,6 @@ def _class_union_subgroup(T: CharacterTable, mask: np.ndarray) -> Subgroup:
     if closure.size != idxs.size or not (closure == idxs).all():
         raise TableVerificationError("class union is not a subgroup")
     return Subgroup(group=G, indices=idxs, gens=gens)
-
-
-def character_kernel(row, T: CharacterTable) -> Subgroup:
-    """ker(chi) as a verified normal subgroup."""
-    sub = _class_union_subgroup(T, row.kernel_mask)
-    if not sub.is_normal:
-        raise TableVerificationError("character kernel is not normal")
-    return sub
-
-
-def character_center(row, T: CharacterTable) -> Subgroup:
-    """Z(chi) = {g : |chi(g)| = chi(1)}, verified to contain the kernel."""
-    sub = _class_union_subgroup(T, row.center_mask)
-    if not sub.is_normal:
-        raise TableVerificationError("character center is not normal")
-    if not sub.mask[character_kernel(row, T).indices].all():
-        raise TableVerificationError("character center does not contain the kernel")
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -1523,11 +1497,10 @@ def _check_primes(e: int) -> tuple:
 def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
     """(gens, cosets): the chain-jump elements of G', and the coset H g of
     H = <gens> that holds each class rep, numbered from 0 in the order of
-    the cosets' least elements.  The least elements come from _orbit_minima
-    over left multiplication by gens, as in group.quotient."""
+    the cosets' least elements (_coset_minima, as in group.quotient)."""
     G = T.group
     gens = _chain_gens(G, G.derived.indices)
-    least = _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+    least = _coset_minima(G, gens)
     return gens, np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
 
 

@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 input error, 2 internal predicate inconsistency,
 3 suite failure.  Every command honors --json with schema-stable output,
-including on error paths.
+including on error paths, where it is {"error": message, "internal": bool}.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -221,25 +222,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    wants_json = bool(getattr(args, "json", False)) and args.command in (
-        "classify",
-        "chartable",
-        "count",
-    )
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
-        if wants_json:
-            _emit_json({"error": str(exc)})
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, internal=False)
     except InternalInconsistencyError as exc:
-        if wants_json:
-            _emit_json({"error": str(exc), "internal": True})
-        else:
-            print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, internal=True)
+
+
+def _fail(args, exc: Exception, *, internal: bool) -> int:
+    """Report exc and return its exit code, 2 if internal and 1 otherwise.
+    The report is {"error": ..., "internal": ...} on stdout under a --json
+    flag; otherwise it goes to stderr, and under a --json path also into
+    that file, when the file can be written."""
+    target = getattr(args, "json", None)
+    payload = {"error": str(exc), "internal": internal}
+    if target is True:
+        _emit_json(payload)
+    else:
+        print(f"{'internal inconsistency' if internal else 'error'}: {exc}", file=sys.stderr)
+    if isinstance(target, str):
+        with contextlib.suppress(OSError):
+            Path(target).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
+    return 2 if internal else 1
 
 
 if __name__ == "__main__":

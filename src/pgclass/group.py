@@ -35,6 +35,13 @@ and r_1(x) is the smallest member of the K-orbit of x after m (p - 1)
 array gathers.  The suffix chain H_t is normal in G, so every K ∩ H_t is
 normal in K ∩ H_{t-1} with a factor of order 1 or p; the chain-jump
 elements of _chain_gens are therefore a pc sequence for any subgroup K.
+
+One _ChainIndex gives every chain digit.  It lists the normal forms
+b_1^d_1 ... b_m^d_m of chain generators once, sorted by a key (the
+element itself, or its coset minimum from _coset_minima for a quotient),
+and reads an element's digits off the position of its key.  Z(G) and its
+characters (chartable._CenterChain), the projection and relations of
+quotient, and the relations of subgroup_as_group all go through it.
 """
 
 from __future__ import annotations
@@ -399,6 +406,47 @@ def _chain_gens(G: Group, idxs: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _coset_minima(G: Group, gens) -> np.ndarray:
+    """least[x] = the least element of the coset K x, for the chain-jump
+    elements gens = (b_1, ..., b_m) of a subgroup K (_chain_gens).  Each
+    K ∩ H_(i+1) is normal in K ∩ H_i with a factor of order 1 or p, so
+    K_a = <b_a, ..., b_m> = U_e b_a^e K_(a+1), and _orbit_minima over left
+    multiplication by the b_a takes m (p - 1) gathers."""
+    return _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+
+
+class _ChainIndex:
+    """The chain normal forms of gens = (b_1, ..., b_m), and the one map
+    from elements to their chain digits.
+
+    elems[s] = b_1^d_1 ... b_m^d_m, where d are the base-p digits of the
+    position s, d_1 most significant (_chain_elements).  keys, if given,
+    maps every element of G to a key, such as its coset minimum; otherwise
+    an element is its own key.  The keys of the p^m normal forms must be
+    distinct, so a key names at most one position."""
+
+    def __init__(self, G: Group, gens, keys: np.ndarray | None = None):
+        self.p, self.m, self.gens = G.p, len(gens), tuple(gens)
+        self.elems = _chain_elements(G, gens)
+        self.keys = keys
+        own = self.elems if keys is None else keys[self.elems]
+        self._pos = np.argsort(own)
+        self._sorted = own[self._pos]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise InternalInconsistencyError("two chain normal forms share a key")
+
+    def positions(self, x) -> np.ndarray:
+        """The position of the normal form with the key of each element x,
+        -1 where there is none."""
+        x = np.asarray(x) if self.keys is None else self.keys[x]
+        i = np.minimum(np.searchsorted(self._sorted, x), self._sorted.size - 1)
+        return np.where(self._sorted[i] == x, self._pos[i], -1)
+
+    def digits(self, s) -> np.ndarray:
+        """Chain digits of the positions s, one row each."""
+        return np.asarray(s)[:, None] // self.p ** np.arange(self.m - 1, -1, -1) % self.p
+
+
 # ---------------------------------------------------------------------------
 # public structure types
 
@@ -503,53 +551,28 @@ class SubgroupGroup:
 # quotients and subgroup presentations
 
 
-def _peel_digits(
-    G: Group,
-    xs: np.ndarray,
-    jump_gens: list[int],
-    in_next: "callable",
-) -> np.ndarray:
-    """Chain normal-form digits of each x: x = prod_a gen_a^{e_a} modulo the
-    peeled-off tail; in_next(level, ys) tests membership after level a."""
-    p = G.p
-    count = xs.size
-    digits = np.zeros((count, len(jump_gens)), dtype=np.int64)
-    ys = xs.astype(np.int64).copy()
-    for a in range(len(jump_gens)):
-        ginv = G.inv(jump_gens[a])
-        found = np.zeros(count, dtype=bool)
-        for k in range(p):
-            ok = (~found) & in_next(a, ys)
-            digits[ok, a] = k
-            found |= ok
-            if k < p - 1 and not found.all():
-                ys[~found] = G.lmul_array(ys[~found], ginv)
-        if not found.all():
-            raise InternalInconsistencyError("chain digit extraction failed")
-    return digits
-
-
-def _chain_presentation(G: Group, jump_gens: list[int], in_next: "callable",
-                        name: str, gens) -> PcPresentation:
-    """The pc presentation on the chain-jump elements jump_gens, named name
-    with generator names gens: every p-th power and commutator of them,
-    peeled into chain digits with the in_next test of _peel_digits."""
-    p, m = G.p, len(jump_gens)
+def _chain_presentation(G: Group, index: _ChainIndex, name: str, gens) -> PcPresentation:
+    """The pc presentation on the chain generators b_1, ..., b_m of index,
+    named name with generator names gens: each b_a^p and [b_c, b_a] (c > a)
+    read as index.digits(index.positions(y)), which must vanish up to and
+    including its level."""
+    p, m, b = G.p, index.m, index.gens
 
     def word_from(y: int, start: int) -> Word:
-        digs = _peel_digits(G, np.array([y]), jump_gens, in_next)[0]
-        if digs[:start].any():
+        s = index.positions([y])
+        digs = index.digits(s)[0]
+        if s[0] < 0 or digs[:start].any():
             raise InternalInconsistencyError("relation word escapes its chain level")
-        return tuple((a, int(e)) for a, e in enumerate(digs) if e)
+        return tuple((a, int(d)) for a, d in enumerate(digs) if d)
 
     power_rels = []
     comm_rels = []
     for a in range(m):
-        power_rels.append(word_from(G.pow(jump_gens[a], p), a + 1))
-        for b in range(a + 1, m):
-            w = word_from(G.comm(jump_gens[b], jump_gens[a]), b + 1)
+        power_rels.append(word_from(G.pow(b[a], p), a + 1))
+        for c in range(a + 1, m):
+            w = word_from(G.comm(b[c], b[a]), c + 1)
             if w:
-                comm_rels.append(((b, a), w))
+                comm_rels.append(((c, a), w))
     return PcPresentation(
         name=name,
         p=p,
@@ -562,12 +585,12 @@ def _chain_presentation(G: Group, jump_gens: list[int], in_next: "callable",
 def quotient(P, N: Subgroup) -> QuotientGroup:
     """Quotient presentation adapted to N plus the projection map.
 
-    The canonical coset representative is the lexicographically smallest
-    member of Nx; membership in N*H_{i+1} is then just a bound test on it.
-    The minima come from _orbit_minima over left multiplication by the
-    chain-jump elements b_i of N: each N ∩ H_{i+1} is normal in N ∩ H_i
-    (H_{i+1} is normal in G) with a factor of order 1 or p, so
-    N ∩ H_i = U_e b_i^e (N ∩ H_{i+1}) and min(Nx) needs |b| (p - 1) gathers.
+    The canonical coset representative is the least member of Nx
+    (_coset_minima); g_i jumps modulo N when it lies outside N H_(i+1),
+    that is when its coset minimum is at least the weight of g_i.  The
+    jump generators' normal forms, keyed by their coset minima, index G/N:
+    the index requires their p^m keys to be distinct, and p^m |N| = |G|,
+    so every coset holds exactly one of them.
     """
     G = group_of(P)
     if N.group is not G:
@@ -578,63 +601,34 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
         raise ValueError("quotient by the whole group is not supported")
     p, n = G.p, G.n
 
-    rep = _orbit_minima(G, [G.lmul_perm(g) for g in _chain_gens(G, N.indices)])
-
+    rep = _coset_minima(G, _chain_gens(G, N.indices))
     jumps = [i for i in range(n) if rep[G.gen_index(i)] >= p ** (n - 1 - i)]
-    jump_gens = [G.gen_index(i) for i in jumps]
-    m = len(jumps)
-    if p**m * N.order != G.order:
+    if p ** len(jumps) * N.order != G.order:
         raise InternalInconsistencyError("chain jumps inconsistent with |N|")
-
-    bounds = [p ** (n - 1 - i) for i in jumps]
-
-    def in_next(a: int, ys: np.ndarray) -> np.ndarray:
-        return rep[ys] < bounds[a]
-
-    Q = _chain_presentation(G, jump_gens, in_next, f"{G.pres.name}/N{N.order}",
+    index = _ChainIndex(G, [G.gen_index(i) for i in jumps], keys=rep)
+    Q = _chain_presentation(G, index, f"{G.pres.name}/N{N.order}",
                             (G.pres.gens[i] for i in jumps))
-    Qgrp = group_of(Q)
-
-    uniq, inverse = np.unique(rep, return_inverse=True)
-    digs = _peel_digits(G, uniq, jump_gens, in_next)
-    qweights = np.array([p ** (m - 1 - a) for a in range(m)], dtype=np.int64)
-    qidx = digs @ qweights
-    if not np.unique(qidx).size == Qgrp.order == uniq.size:
+    proj = index.positions(np.arange(G.order, dtype=np.int64))
+    if (proj < 0).any():
         raise InternalInconsistencyError("coset minima do not index the quotient")
-    proj = qidx[inverse]
-    section = np.empty(Qgrp.order, dtype=np.int64)
-    section[qidx] = uniq
-    return QuotientGroup(parent=G, group=Qgrp, presentation=Q, proj=proj, section=section)
+    return QuotientGroup(parent=G, group=group_of(Q), presentation=Q, proj=proj,
+                         section=rep[index.elems])
 
 
 def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
-    """Re-present a subgroup on its own chain-adapted pc generators."""
+    """Re-present a subgroup on its own chain-adapted pc generators: their
+    p^m distinct normal forms lie in H, so they enumerate it when
+    p^m = |H|."""
     G = H.group
-    p, n = G.p, G.n
-    jump_gens = _chain_gens(G, H.indices)
-    # the level of a jump element is the place of its leading nonzero digit
-    jumps = [next(i for i, d in enumerate(G.element_of(g).exps) if d) for g in jump_gens]
-    m = len(jumps)
-    if p**m != H.order:
+    index = _ChainIndex(G, _chain_gens(G, H.indices))
+    if index.elems.size != H.order:
         raise InternalInconsistencyError("subgroup chain has a non-prime step")
-
-    mask = H.mask
-
-    def in_next(a: int, ys: np.ndarray) -> np.ndarray:
-        bound = p ** (n - 1 - jumps[a])
-        return mask[ys] & (ys < bound)
-
-    SP = _chain_presentation(G, jump_gens, in_next, f"{G.pres.name}|sub{H.order}",
-                             (f"s{a + 1}" for a in range(m)))
-    Sgrp = Group(SP, check=True)
-
-    to_parent = _chain_elements(G, jump_gens)
-    if np.unique(to_parent).size != H.order:
-        raise InternalInconsistencyError("subgroup normal forms are not distinct")
+    SP = _chain_presentation(G, index, f"{G.pres.name}|sub{H.order}",
+                             (f"s{a + 1}" for a in range(index.m)))
+    to_parent = index.elems
     from_parent = {int(g): s for s, g in enumerate(to_parent)}
-    return SubgroupGroup(
-        parent=G, group=Sgrp, presentation=SP, to_parent=to_parent, from_parent=from_parent
-    )
+    return SubgroupGroup(parent=G, group=Group(SP, check=True), presentation=SP,
+                         to_parent=to_parent, from_parent=from_parent)
 
 
 # ---------------------------------------------------------------------------

@@ -165,12 +165,13 @@ def _entries_for(primes) -> list[tuple[str, int]]:
 
 
 def run_paper_suite(primes=None, threads: int | None = None) -> SuiteResult:
-    """Run the paper's lemma-level checks over the corpus at the given primes.
+    """Run the paper's lemma-level checks over the corpus at the given primes,
+    each distinct prime once, in increasing order.
 
     The work runs serially; ``threads`` is accepted for compatibility with
     older callers and ignored.
     """
-    primes = sorted(primes or (3, 5, 7))
+    primes = sorted(set(primes or (3, 5, 7)))
     res = SuiteResult(suite="paper")
 
     skipped = [

@@ -197,25 +197,23 @@ def test_linear_row_count():
 
 def test_character_kernel_and_center():
     T = table("heisenberg_p3", 3)
-    G = T.group
+    sizes = T.classes.sizes
     for r in T.rows:
-        ker = pg.character_kernel(r, T)
-        cen = pg.character_center(r, T)
-        assert ker.is_normal and cen.is_normal
-        assert cen.mask[ker.indices].all()
+        ker, cen = int(sizes[r.kernel_mask].sum()), int(sizes[r.center_mask].sum())
+        assert (r.center_mask | ~r.kernel_mask).all()
         if r.degree == 1:
-            assert cen.order == 27
+            assert cen == 27
         else:
             # nonlinear rows of an extraspecial group are faithful
-            assert ker.order == 1
-            assert cen.order == 3
+            assert ker == 1
+            assert cen == 3
 
 
 def test_trivial_character_kernel_is_whole_group():
     T = table("G_(18,1)", 5)
     triv = [r for r in T.rows if r.degree == 1 and r.kernel_mask.all()]
     assert len(triv) == 1
-    assert pg.character_kernel(triv[0], T).order == T.group.order
+    assert int(T.classes.sizes[triv[0].kernel_mask].sum()) == T.group.order
 
 
 def test_table_json_shape():

@@ -510,3 +510,80 @@ def test_subgroup_as_group_nonabelian():
         s, t = rng.integers(0, D.order, size=2)
         u = DG.group.mul(int(s), int(t))
         assert int(DG.to_parent[u]) == G.mul(int(DG.to_parent[s]), int(DG.to_parent[t]))
+
+
+# -- chain-digit index ------------------------------------------------------------
+
+# sha256 over the corpus at p = 3 and 5, with N = Z(G), G' and every term of the
+# lower central series: for each N < G the presentation text, proj and section
+# (as int64 bytes) of quotient(G, N), then for each N > 1 the presentation text
+# and to_parent of subgroup_as_group(N).  Pinned at the last code that peeled
+# the digits one left multiplication at a time.
+QUOTIENT_SUBGROUP_SHA256 = "a7188029dd8997251527d7e08389619016398be1e0eeccc82f945f51f2d10188"
+
+
+def test_quotients_and_subgroup_presentations_golden_hash():
+    import hashlib
+
+    from pgclass.group import Subgroup
+    from pgclass.presentation import presentation_text
+
+    h = hashlib.sha256()
+    counts = [0, 0]
+    for label, entry in pg.REGISTRY.items():
+        for p in (3, 5):
+            if entry.min_p > p:
+                continue
+            G = group_of(pg.build(label, p))
+            terms = [Subgroup(group=G, indices=idx) for idx in G.lower_central_series]
+            for N in [G.center, G.derived] + terms:
+                if N.order < G.order:
+                    Q = quotient(G, N)
+                    h.update(presentation_text(Q.presentation).encode())
+                    h.update(Q.proj.astype(np.int64).tobytes())
+                    h.update(Q.section.astype(np.int64).tobytes())
+                    counts[0] += 1
+                if N.order > 1:
+                    S = subgroup_as_group(N)
+                    h.update(presentation_text(S.presentation).encode())
+                    h.update(S.to_parent.astype(np.int64).tobytes())
+                    counts[1] += 1
+    assert counts == [88, 88]
+    assert h.hexdigest() == QUOTIENT_SUBGROUP_SHA256
+
+
+def test_chain_index_rejects_repeated_normal_forms(run_optimized):
+    """Under python -O, generators whose normal forms repeat (one chain
+    element given twice) raise the typed error, with and without keys."""
+    code = (
+        "import numpy as np\n"
+        "import pgclass as pg\n"
+        "import pgclass.group as gr\n"
+        "G = gr.group_of(pg.build('heisenberg_p3', 3))\n"
+        "b = gr._chain_gens(G, G.center.indices)[0]\n"
+        "for keys in (None, np.arange(G.order, dtype=np.int64)):\n"
+        "    try:\n"
+        "        gr._ChainIndex(G, [b, b], keys=keys)\n"
+        "    except pg.InternalInconsistencyError:\n"
+        "        print('typed')\n"
+    )
+    assert run_optimized(code).split() == ["typed", "typed"]
+
+
+def test_chain_index_positions_and_digits():
+    """positions inverts the normal-form listing, -1 off it, and digits
+    reads the position's base-p digits back as the exponents."""
+    from pgclass.group import _chain_gens, _ChainIndex
+
+    G = group_of(pg.build("G_(17,1)", 5))
+    gens = _chain_gens(G, G.derived.indices)
+    index = _ChainIndex(G, gens)
+    s = np.arange(index.elems.size)
+    assert (index.positions(index.elems) == s).all()
+    outside = np.setdiff1d(np.arange(G.order), G.derived.indices)
+    assert (index.positions(outside) == -1).all()
+    for pos in (0, 1, 7, int(s[-1])):
+        x = 0
+        for g, d in zip(gens, index.digits([pos])[0]):
+            x = G.mul(x, G.pow(g, int(d)))
+        assert x == int(index.elems[pos])

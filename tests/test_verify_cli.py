@@ -464,3 +464,21 @@ js = json.loads(out)
 print(code, js["internal"], js["error"] == "linear row breaks a commutator relation")
 """
     assert run_optimized(code).split() == ["1", "1", "2", "True", "True"]
+
+
+def test_verify_repeated_primes_run_once(tmp_path):
+    """A prime listed twice runs once: the JSON of --primes 3,3 is the
+    JSON of --primes 3, byte for byte."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("verify", "--primes", "3,3", "--json", str(a))[0] == 0
+    assert run_cli("verify", "--primes", "3", "--json", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_census_missing_directory_writes_error_json(tmp_path):
+    out = tmp_path / "census.json"
+    code, _, err = run_cli("census", str(tmp_path / "missing"), "--json", str(out))
+    assert code == 1
+    assert "error" in err
+    js = json.loads(out.read_text(encoding="utf-8"))
+    assert js["internal"] is False and "missing" in js["error"]
