@@ -69,5 +69,22 @@ from .presentation import (
 )
 from .verify import SuiteRecord, SuiteResult, run_ingested_census, run_paper_suite
 
+
+def clear_caches() -> None:
+    """Empty every module-level cache: the groups by presentation
+    (group._group_cache), the tables by group (chartable._table_cache),
+    the corpus bundles by (label, p) (verify._bundles), the collectors by
+    presentation (presentation._collectors), and the lru caches of
+    chartable._check_primes and cyclotomic._prime_power_split.  Each lives
+    until this call or the end of the process."""
+    from . import chartable, cyclotomic, group, presentation, verify
+
+    for cache in (group._group_cache, chartable._table_cache, verify._bundles,
+                  presentation._collectors):
+        cache.clear()
+    chartable._check_primes.cache_clear()
+    cyclotomic._prime_power_split.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "1.0.0"

@@ -47,16 +47,22 @@ Pipeline, the same for every group:
     whose power sequence is verified to be geometric mod q has
     multiplicity vector d*delta, i.e. value d*zeta^t, and a row whose
     certified support H satisfies d^2 |H| = |G| vanishes off H because
-    sum over G of |chi|^2 = |G| leaves nothing for the complement.  Certification
-    catches every central-type row (_lift_rows says why), so the rows left
-    over are stored dense.  One row per sigma_s-orbit takes Dixon's
+    sum over G of |chi|^2 = |G| leaves nothing for the complement.  The
+    test runs once per element order m, over every candidate pair of a row
+    and a class of that order at once (_certify).  Certification catches every
+    central-type row (_lift_rows says why), so the rows left over are
+    stored dense, in one (rows, k, e) block of the narrowest unsigned
+    dtype that holds their largest degree (_mult_dtype: one byte per
+    multiplicity at every order <= p^6 with p <= 13); each row's mults is
+    a read-only view of it.  One row per sigma_s-orbit takes Dixon's
     recovery at every class: for a class of element order m the
     multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
     DFT along the class's power orbit, evaluated mod q, in chunks of about
     5 * 10^5 entries (_orbit_dft_mults).  Each multiplicity is an integer
     in [0, d] < q, so the lift is exact.  The other rows of the orbit are
     found by their mod-q rows gathered by pi_s, and take the multiplicities
-    gathered along the exponents, u -> u s^-1 (_lift_rows).
+    gathered along the exponents, u -> u s^-1 (_lift_rows).  Both are
+    written into the block directly.
 
 All verification is exact.  First orthogonality of every pair of rows
 rests on one argument: the linear rows are distinct homomorphisms, each
@@ -109,7 +115,8 @@ class _Row:
         self.digits = digits      # unity: (n, k) class-rep digits (_rep_digits), shared
         self.support = support    # central: sorted class indices with nonzero value
         self.texp_on = texp_on    # central: exponents on the support
-        self.mults = mults        # dense: (k, e) int32 eigenvalue multiplicities
+        self.mults = mults        # dense: (k, e) eigenvalue multiplicities; compute_table's
+        #                           are read-only views of one _mult_dtype block (_lift_rows)
         # nonzero and center masks, built on first use; ones (unity rows
         # only) is a read-only all-True array that a table's unity rows share
         self._nonzero = self._center = ones
@@ -219,6 +226,41 @@ class _Row:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _mult_dtype(d_max: int) -> np.dtype:
+    """The dtype of a block of multiplicities of rows of degree at most
+    d_max: np.min_scalar_type(d_max), uint8 up to 255 and uint16 up to
+    65535.  A multiplicity lies in [0, d], so this dtype holds every one
+    exactly; a d_max that no unsigned dtype holds raises."""
+    dt = np.min_scalar_type(d_max)
+    if dt.kind != "u" or d_max > np.iinfo(dt).max:
+        raise TableVerificationError("no unsigned dtype holds the multiplicities")
+    return dt
+
+
+def _residue_chunks(mults, zp: np.ndarray, qq: int, d_max: int):
+    """(lo, mults[lo:hi] @ zp mod qq) over chunks of the dense rows mults
+    (an (n, k, e) array or n (k, e) arrays, of degree at most d_max), as
+    int64 arrays of shape (hi - lo, k) + zp.shape[1:]: for residues zp[u]
+    of zeta_e^u mod qq, a row's value at every class.  The products run in
+    float64, in chunks of rows of at most 2^18 multiply-adds, which
+    OpenBLAS keeps on one thread (_gram_mod says why that matters); each
+    sum has e terms of at most d_max (qq - 1), exact while
+    e d_max (qq - 1) < 2^53, which is checked."""
+    e = zp.shape[0]
+    if e * d_max * (qq - 1) >= 2**53:
+        raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
+    zf = zp.astype(np.float64)
+    n = len(mults)
+    if n:
+        k = np.shape(mults[0])[0]
+        chunk = max(1, 2**18 // (k * zf.size))
+        for lo in range(0, n, chunk):
+            M = np.array(mults[lo:lo + chunk], dtype=np.float64)
+            res = (M.reshape(-1, e) @ zf).astype(np.int64)
+            res %= qq
+            yield lo, res.reshape(M.shape[:2] + zp.shape[1:])
 
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
@@ -902,19 +944,20 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     share the class-rep digits, then one row per row of T, the mod-q table
     of the non-linear characters (degrees degs); zpow[t] is z^t mod q.
 
-    Every non-linear row is first certified central-type where it can be.
-    Its candidate classes are those with chi(g) chi(g^-1) = d^2 mod q.  At
-    a candidate whose power sequence is geometric mod q, chi(g^s) = d w^s,
-    the multiplicities mod q are d*delta, hence exactly d*delta: the value
-    is d*zeta^t.  A row whose candidates are all certified and whose
+    Every non-linear row is first certified central-type where it can be
+    (_certify): a row whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| vanishes off H.  The rows left
-    over are stored dense.  Of each orbit of sigma_s (s = _galois_unit(e))
-    on them, only the first takes _orbit_dft_mults at every class.  The
-    mod-q row of sigma_s chi is that of chi gathered by the power map
-    pi_s, chi(g^s), which matches each row to its image, and as sigma_s
-    chi = sum_u m_u zeta^(us), the image's multiplicity at u is chi's at
-    u s^-1.  Every row then takes the range and sum checks, and
-    compute_table compares it with its mod-q row.
+    over are stored dense, as read-only views of one (rows, k, e) block of
+    _mult_dtype of their largest degree, whose dtype is fixed before the
+    first store.  Of each orbit of sigma_s (s = _galois_unit(e)) on them,
+    only the first takes _orbit_dft_mults at every class, which writes
+    into the block and checks the range [0, d] first.  The mod-q row of
+    sigma_s chi is that of chi gathered by the power map pi_s, chi(g^s),
+    which matches each row to its image, and as sigma_s chi
+    = sum_u m_u zeta^(us), the image's multiplicity at u is chi's at
+    u s^-1; the gathers too write into the block.  The block then takes
+    the sum check, and compute_table compares every row with its mod-q
+    row.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -927,14 +970,76 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     one too.  The closure check of _verify_structural_pairs, which compares
     the rows kind by kind, relies on this to pass a correct table."""
     k = cls.count
-    sizes = cls.sizes
-    order = G.order
     ones = _read_only(np.ones(k, dtype=bool))
     lin = [_Row(1, e, k, "unity", t=lin_t[i], digits=digits, ones=ones)
            for i in lin_order.tolist()]
     if not degs:
         return lin
 
+    geo_t, central = _certify(G, cls, e, q, dlog, T, degs)
+    rows = [None] * len(degs)
+    for r in np.flatnonzero(central).tolist():
+        support = np.flatnonzero(geo_t[r] >= 0)
+        rows[r] = _Row(degs[r], e, k, "central", support=support, texp_on=geo_t[r, support])
+    left = np.flatnonzero(~central)
+    if not left.size:
+        return lin + rows
+
+    # match each row's sigma_s image, its columns gathered by pi_s, to its
+    # row on the columns of _separating_prefix (the rows are distinct on
+    # all k, as compute_table checks); a wrong match fails compute_table's
+    # mod-q check of the lifted rows
+    s = _galois_unit(e)
+    c, head = _separating_prefix(lambda c: T[left, :c], k)
+    heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
+    ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
+                    return_inverse=True)[1].reshape(-1)
+    slot = np.full(ids.max() + 1, -1, dtype=np.int64)
+    slot[ids[:left.size]] = np.arange(left.size)
+    image = slot[ids[left.size:]]
+    if (image < 0).any():
+        raise TableVerificationError("a Galois image of a dense row is not a row")
+    leader = _orbit_leaders(image)
+    at = np.flatnonzero(leader)
+    d_left = np.asarray(degs, dtype=np.int64)[left]
+    block = np.zeros((left.size, k, e), dtype=_mult_dtype(int(d_left.max())))
+    power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
+    _orbit_dft_mults(T[left[at]], power, e, q, zpow, block, at)
+    u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
+    while True:
+        nxt = image[at]
+        keep = np.flatnonzero(~leader[nxt])
+        if not keep.size:
+            break
+        block[nxt[keep]] = block[at[keep]][:, :, u_from]
+        at = nxt[keep]
+    if (block.sum(axis=2, dtype=np.int64) != d_left[:, None]).any():
+        raise TableVerificationError("multiplicities do not sum to the degree")
+    _read_only(block)
+    for i, r in enumerate(left.tolist()):
+        rows[r] = _Row(degs[r], e, k, "dense", mults=block[i])
+    return lin + rows
+
+
+def _certify(G, cls, e, q, dlog, T, degs):
+    """(geo_t, central) for the mod-q rows T of degrees degs.  The
+    candidate classes of a row are those with chi(g) chi(g^-1) = d^2 mod q
+    (and the identity); geo_t[r, j] is the exponent t of the value d zeta^t
+    at every candidate j of row r that is certified, -1 elsewhere; and
+    central marks the rows whose candidates are all certified and whose
+    certified support H has d^2 |H| = |G| (_lift_rows stores them as
+    central-type).  A support with d^2 |H| > |G| raises.
+
+    A candidate g of order m is certified when w = chi(g)/d is z^t with
+    t m = 0 (mod e) and the power sequence is geometric mod q,
+    chi(g^(s+1)) = w chi(g^s) along the power orbit; the multiplicities
+    mod q are then d*delta, hence exactly d*delta: the value is d*zeta^t.
+    The classes are batched by element order m, as in _orbit_dft_mults:
+    for the (row, class) candidate pairs with a class of order m, one
+    gather of T along the classes' power orbits and one test, over chunks
+    of about 2^16 gathered entries: a few such int64 arrays stay below the
+    per-class loop's transients on the small tables of a census, where
+    chunks of 5 * 10^5 entries raised the peak."""
     invclass = cls.classof[G.inverse_table[cls.reps]]
     d_arr = np.asarray(degs, dtype=np.int64)
     inv_d = _invmod_arr(d_arr, q)
@@ -942,78 +1047,40 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     cand[:, 0] = True
     needed = np.flatnonzero(cand.any(axis=0))
     power = _PowerData(G, cls, needed, e)
-    geo_t = np.full((len(degs), k), -1, dtype=np.int64)
-    for j in needed:
-        orb = power.orbit(j)
-        m = orb.size
-        rows_here = np.flatnonzero(cand[:, int(j)])
-        if not rows_here.size:
-            continue
-        w = T[rows_here, j] * inv_d[rows_here] % q
-        tw = dlog[w]
-        okroot = (tw >= 0) & (tw * m % e == 0)
-        V = T[np.ix_(rows_here, orb)]
-        geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1)
-        good = okroot & geom
-        geo_t[rows_here[good], int(j)] = tw[good]
-    rows = [None] * len(degs)
-    left = []
-    for r, d in enumerate(degs):
-        support = np.flatnonzero(geo_t[r] >= 0)
-        hsize = int(sizes[support].sum())
-        if (geo_t[r][cand[r]] >= 0).all() and d * d * hsize == order:
-            rows[r] = _Row(d, e, k, "central", support=support,
-                           texp_on=geo_t[r][support])
-        elif d * d * hsize > order:
-            raise TableVerificationError("support exceeds the norm bound")
-        else:
-            left.append(r)
-
-    if left:
-        # match each row's sigma_s image, its columns gathered by pi_s, to
-        # its row on the columns of _separating_prefix (the rows are
-        # distinct on all k, as compute_table checks); a wrong
-        # match fails compute_table's mod-q check of the lifted rows
-        s = _galois_unit(e)
-        left = np.array(left)
-        c, head = _separating_prefix(lambda c: T[left, :c], k)
-        heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
-        ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
-                        return_inverse=True)[1].reshape(-1)
-        slot = np.full(ids.max() + 1, -1, dtype=np.int64)
-        slot[ids[:left.size]] = np.arange(left.size)
-        image = slot[ids[left.size:]]
-        if (image < 0).any():
-            raise TableVerificationError("a Galois image of a dense row is not a row")
-        leader = _orbit_leaders(image)
-        at = np.flatnonzero(leader)
-        power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
-        M = _orbit_dft_mults(T[left[at]], power, e, q, zpow)
-        u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
-        while at.size:
-            for r, mr in zip(left[at].tolist(), M):
-                d = degs[r]
-                if (mr > d).any():
-                    raise TableVerificationError("multiplicity outside [0, degree]")
-                if (mr.sum(axis=1) != d).any():
-                    raise TableVerificationError("multiplicities do not sum to the degree")
-                rows[r] = _Row(d, e, k, "dense", mults=mr)
-            nxt = image[at]
-            keep = np.flatnonzero(~leader[nxt])
-            at, M = nxt[keep], M[keep][:, :, u_from]
-    return lin + rows
+    geo_t = np.full(T.shape, -1, dtype=np.int64)
+    for m in np.unique(power.ords).tolist():
+        at = np.flatnonzero(power.ords == m)
+        orbits = power.mat[:m, at].T  # (n, m): class of rep^s
+        rows, pos = np.nonzero(cand[:, needed[at]])
+        chunk = max(1, 2**16 // m)
+        for lo in range(0, rows.size, chunk):
+            r, c = rows[lo:lo + chunk], pos[lo:lo + chunk]
+            j = needed[at[c]]
+            w = T[r, j] * inv_d[r] % q
+            tw = dlog[w]
+            V = T[r[:, None], orbits[c]]  # (pairs, m)
+            geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1)
+            good = (tw >= 0) & (tw * m % e == 0) & geom
+            geo_t[r[good], j[good]] = tw[good]
+    geo = geo_t >= 0
+    norm = d_arr * d_arr * (geo @ cls.sizes.astype(np.int64))
+    if (norm > G.order).any():
+        raise TableVerificationError("support exceeds the norm bound")
+    return geo_t, (norm == G.order) & ~(cand & ~geo).any(axis=1)
 
 
-def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
+def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray) -> None:
     """Eigenvalue multiplicities of the mod-q rows Trows at the classes
-    power.cols, as an (R, cols, e) int32 array: Dixon's recovery.
+    power.cols, Dixon's recovery, written into the rows dest of out, an
+    array of shape (., cols, e) that holds 0 at every exponent.
 
     If g has order m, then chi(g^s) = sum_u mult_u zeta_m^(us), where
     mult_u counts the eigenvalues zeta_m^u = zeta_e^(u e/m) of g.  The
     m-point DFT along the power orbit of g, (1/m) sum_s chi(g^s) z_m^(-us)
     mod q with z_m = z^(e/m) = zpow[e/m], is mult_u mod q, which is mult_u
-    itself whenever 0 <= mult_u <= chi(1) < q (the caller checks the
-    range).  It is written at exponent u e/m; every other exponent has
+    itself whenever 0 <= mult_u <= chi(1) < q.  A residue above the degree
+    chi(1) = Trows[:, 0] raises before it is stored, so a narrow out never
+    wraps one.  It is written at exponent u e/m; every other exponent has
     multiplicity 0.
     The classes are batched by element order, with one m x m DFT matrix
     per order m, and the rows in chunks of about 5 * 10^5 gathered entries
@@ -1025,7 +1092,6 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
     if e * (q - 1) ** 2 >= 2**63:
         raise TableVerificationError("e (q-1)^2 exceeds the int64 range")
     R = Trows.shape[0]
-    out = np.zeros((R, power.cols.size, e), dtype=np.int32)
     for m in np.unique(power.ords).tolist():
         at = np.flatnonzero(power.ords == m)
         orbits = power.mat[:m, at]  # (m, n): class of rep^s
@@ -1037,8 +1103,10 @@ def _orbit_dft_mults(Trows, power, e, q, zpow) -> np.ndarray:
         for r0 in range(0, R, chunk):
             V = Trows[r0:r0 + chunk][:, orbits]  # (c, m, n)
             mults = np.einsum("us,csn->cun", dft, V) % q * inv_m % q
-            out[r0:r0 + chunk, at[:, None], s * stride] = mults.transpose(0, 2, 1)
-    return out
+            if (mults > Trows[r0:r0 + chunk, 0, None, None]).any():
+                raise TableVerificationError("multiplicity outside [0, degree]")
+            out[dest[r0:r0 + chunk, None, None], at[:, None], s * stride] = (
+                mults.transpose(0, 2, 1))
 
 
 def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np.ndarray:
@@ -1148,8 +1216,16 @@ def compute_table(P) -> CharacterTable:
 
     rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits,
                       _linear_order(lin_t, digits, zpow), degs.tolist(), T)
-    for row, t in zip(rows[n_lin:], T):
-        if (row.tilde(q, zpow) != t).any():
+    # every lifted row against its mod-q row: the dense ones in chunks
+    dense = []
+    for i, row in enumerate(rows[n_lin:n_lin + T.shape[0]]):
+        if row.kind == "dense":
+            dense.append(i)
+        elif (row.tilde(q, zpow) != T[i]).any():
+            raise TableVerificationError("lifted row disagrees mod q")
+    d_max = int(degs[dense].max(initial=0))
+    for lo, res in _residue_chunks([rows[n_lin + i].mults for i in dense], zpow, q, d_max):
+        if (res != T[dense[lo:lo + res.shape[0]]]).any():
             raise TableVerificationError("lifted row disagrees mod q")
 
     table = CharacterTable(
@@ -1187,9 +1263,10 @@ def _verify_table(T: CharacterTable) -> None:
     d^2 | |G:Z(G)|; unity rows exactly the degree-1 rows, |G:G'| of them,
     each a homomorphism (_verify_linear_rows); central-type rows d times a
     character of their support (_verify_central_rows); dense multiplicities
-    nonnegative, summing to d.  So every value of a degree-d row is a sum
-    of d roots of unity, and |sigma(chi(g))| <= d under every embedding
-    sigma of Q(zeta_e).
+    integers in [0, d], summing to d (_dense_block, which stacks them into
+    the one block that the later checks read).  So every value of a
+    degree-d row is a sum of d roots of unity, and |sigma(chi(g))| <= d
+    under every embedding sigma of Q(zeta_e).
 
     First orthogonality.  For a non-linear row a (the set N) and any row b,
     y_ab = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) - |G| delta_ab lies in
@@ -1258,12 +1335,10 @@ def _verify_table(T: CharacterTable) -> None:
             raise TableVerificationError("degree bound d^2 | |G/Z(G)| fails")
         if (r.kind == "unity") != (d == 1):
             raise TableVerificationError("row kind does not match its degree (unity iff degree 1)")
-        if r.kind == "dense" and (r.mults.shape != (k, e) or (r.mults < 0).any()
-                                  or (r.mults.sum(axis=1) != d).any()):
-            raise TableVerificationError("dense multiplicities are not d roots of unity")
 
     lin = [r for r in T.rows if r.kind == "unity"]
     nonlin = [r for r in T.rows if r.kind != "unity"]
+    D = _dense_block([r for r in nonlin if r.kind == "dense"], k, e)
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
     lin_t = _verify_linear_rows(T, lin)
@@ -1272,9 +1347,9 @@ def _verify_table(T: CharacterTable) -> None:
         _group_by_key((r.support, np.asarray(r.texp_on) % e)
                       for r in nonlin if r.kind == "central")
     ])
-    _verify_structural_pairs(T, lin_t, nonlin)
+    _verify_structural_pairs(T, lin_t, nonlin, D)
     if nonlin:
-        _verify_pairs_against_block(T, lin_t, nonlin)
+        _verify_pairs_against_block(T, lin_t, nonlin, D)
     elif (order // sizes != len(lin)).any():
         raise TableVerificationError("column norm != centralizer order")
 
@@ -1300,6 +1375,27 @@ def _verify_table(T: CharacterTable) -> None:
             "restriction_norms": "exact",
         }
     )
+
+
+def _dense_block(dense, k: int, e: int) -> np.ndarray:
+    """The multiplicities of the rows dense as one (n, k, e) array of
+    _mult_dtype of their largest degree, once each row's are checked to be
+    (k, e) integers in [0, d] that sum to d.  They are stacked in a dtype
+    that holds every row's own values and narrowed only after the range
+    check, so no value outside [0, d] is wrapped into it."""
+    if any(np.shape(r.mults) != (k, e) for r in dense):
+        raise TableVerificationError("dense multiplicities are not a (k, e) array")
+    if not dense:
+        return np.zeros((0, k, e), dtype=np.uint8)
+    D = np.stack([r.mults for r in dense])
+    d = np.array([r.degree for r in dense], dtype=np.int64)
+    if D.dtype.kind not in "ui":
+        raise TableVerificationError("dense multiplicities are not integers")
+    if D.min() < 0 or (D > d[:, None, None]).any():
+        raise TableVerificationError("dense multiplicity outside [0, degree]")
+    if (D.sum(axis=2, dtype=np.int64) != d[:, None]).any():
+        raise TableVerificationError("dense multiplicities do not sum to the degree")
+    return D.astype(_mult_dtype(int(d.max())), copy=False)
 
 
 def _verify_linear_rows(T: CharacterTable, lin) -> np.ndarray:
@@ -1402,40 +1498,36 @@ def _distinct_rows(M: np.ndarray) -> int:
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
 
 
-def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, nonlin) -> None:
+def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, nonlin,
+                             D: np.ndarray) -> None:
     """The checks of _verify_table's proof that need no arithmetic.  The
     linear rows must be distinct on lin_t, their exponents at the pc
     generators, which determine them (_verify_linear_rows).  The rows
     nonlin must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
     of _unit_gens(e), which multiplies a central-type row's exponents by s
     and moves a dense row's multiplicity at u to s u.  Each kind's exact
-    keys (degree, then exponents with -1 off the support; multiplicities)
-    must be the same multiset as their images.  Equal keys mean equal rows,
-    and compute_table's rows pass kind by kind, since a row's stored kind
-    is a Galois invariant (_lift_rows says why)."""
+    keys (degree, then exponents with -1 off the support; multiplicities,
+    the rows of the dense block D of _dense_block) must be the same
+    multiset as their images.  Equal keys mean equal rows, and
+    compute_table's rows pass kind by kind, since a row's stored kind is a
+    Galois invariant (_lift_rows says why)."""
     if _distinct_rows(lin_t) != lin_t.shape[0]:
         raise TableVerificationError("duplicate linear rows")
     e = T.exponent
     k = T.classes.count
     central = [r for r in nonlin if r.kind == "central"]
-    dense = [r for r in nonlin if r.kind == "dense"]
     C = np.full((len(central), k + 1), -1, dtype=np.int32)
     for i, r in enumerate(central):
         C[i, 0] = r.degree
         C[i, 1 + r.support] = np.asarray(r.texp_on) % e
-    # the multiplicities lie in [0, d] (checked by _verify_table), so the
-    # narrow dtype keeps them exactly
-    D = np.empty((len(dense), k, e),
-                 dtype=np.min_scalar_type(max([r.degree for r in dense], default=0)))
-    for i, r in enumerate(dense):
-        D[i] = r.mults
-    keys_c, keys_d = _sorted_rows(C), _sorted_rows(D.reshape(len(dense), k * e))
+    n = D.shape[0]
+    keys_c, keys_d = _sorted_rows(C), _sorted_rows(D.reshape(n, k * e))
     for s in _unit_gens(e):
         img_c = C.copy()
         img_c[:, 1:] = np.where(C[:, 1:] >= 0, C[:, 1:] * s % e, -1)
         img_d = D[:, :, np.arange(e) * pow(s, -1, e) % e]
         if ((_sorted_rows(img_c) != keys_c).any()
-                or (_sorted_rows(img_d.reshape(len(dense), k * e)) != keys_d).any()):
+                or (_sorted_rows(img_d.reshape(n, k * e)) != keys_d).any()):
             raise TableVerificationError(
                 "the non-linear rows are not closed under the Galois group")
 
@@ -1504,35 +1596,49 @@ def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
     return gens, np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
 
 
-def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.ndarray):
+def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.ndarray,
+              D: np.ndarray):
     """(sums, gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t
     mod qq, for a, b in nonlin: the coset sums sums[a, x] = sum over the
     classes j with cosets[j] = x of |K_j| chi_a(g_j); the Gram block
     gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
     sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
     zp[t] and its conjugate to zp[-t], so a central-type row to
-    d zp[texp_on] on its support, a dense row to mults @ zp.  The coset
-    sums add at most k int64 terms below qq each.  The float64 products,
-    chunked over the rows b, add k terms below (qq-1)^2 each: exact while
-    k (qq-1)^2 < 2^53."""
+    d zp[texp_on] on its support, and the dense rows, the rows of D
+    (_dense_block) in their order in nonlin, to D @ zp (_residue_chunks).
+    The coset sums add at most k int64 terms below qq each.  The float64
+    products, chunked over the rows b, add k terms below (qq-1)^2 each:
+    exact while k (qq-1)^2 < 2^53.  Each (m, k) array is updated in place
+    or dropped once read, so at most three live at a time."""
     cls = T.classes
     k = cls.count
     e = T.exponent
     m = len(nonlin)
     both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
-    RR = np.zeros((m, k, 2), dtype=np.int64)
+    R = np.zeros((m, k), dtype=np.int64)  # the rows' residues
+    Rc = np.zeros((m, k), dtype=np.int64)  # their conjugates'
+    dense, d_max = [], 0
     for i, r in enumerate(nonlin):
         if r.kind == "central":
-            RR[i, r.support] = r.degree * both[np.asarray(r.texp_on) % e]
+            vals = r.degree * both[np.asarray(r.texp_on) % e] % qq
+            R[i, r.support], Rc[i, r.support] = vals[:, 0], vals[:, 1]
         else:
-            RR[i] = r.mults @ both
-    RR %= qq
-    R, Rc = RR[..., 0], RR[..., 1]
-    A = R * cls.sizes.astype(np.int64) % qq
+            dense.append(i)
+            d_max = max(d_max, r.degree)
+    for lo, res in _residue_chunks(D, both, qq, d_max):
+        at = dense[lo:lo + res.shape[0]]
+        R[at], Rc[at] = res[..., 0], res[..., 1]
+    diag = R * Rc
+    diag %= qq
+    diag = diag.sum(axis=0) % qq
+    R *= cls.sizes % qq  # now |K_j| chi_a(g_j)
+    R %= qq
     by = np.argsort(cosets, kind="stable")
     starts = np.flatnonzero(np.r_[True, cosets[by][1:] != cosets[by][:-1]])
-    sums = np.add.reduceat(A[:, by], starts, axis=1) % qq
-    A = A.astype(np.float64)
+    sums = np.add.reduceat(R[:, by], starts, axis=1) % qq
+    A = R.astype(np.float64)
+    del R
+    Rc = Rc.astype(np.float64)
     gram = np.empty((m, m), dtype=np.int64)
     # OpenBLAS keeps a product of at most 2^18 multiply-adds on one thread,
     # and after a threaded one its threads spin for a while, which costs a
@@ -1541,16 +1647,18 @@ def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.nda
     # 2 * 10^6 entries
     chunk = 2**18 // (m * k) or 2_000_000 // k
     for b0 in range(0, m, chunk):
-        gram[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T.astype(np.float64) % qq
-    return sums, gram, (R * Rc % qq).sum(axis=0) % qq
+        gram[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T % qq
+    return sums, gram, diag
 
 
-def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin) -> None:
+def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin,
+                                D: np.ndarray) -> None:
     """First orthogonality of every pair (a, b) with a in nonlin, and the
     column diagonal, at the fewest primes of _check_primes(e), less q, whose
     product exceeds B = |G| (d_max^2 + 1); _verify_table has the proof.
     lin_t holds the linear rows' exponents at the pc generators
-    (_verify_linear_rows).  The product, _gram_mod's float64 range, the
+    (_verify_linear_rows), and D the dense rows' block (_dense_block).  The
+    product, _gram_mod's float64 range, the
     number of cosets of _derived_cosets, which must equal the number of
     linear rows, and every linear row's triviality on their subgroup are
     checked first."""
@@ -1580,7 +1688,7 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin) ->
     at = np.arange(len(nonlin))
     cen = order // cls.sizes.astype(np.int64) - n_lin
     for qq, zp in primes:
-        sums, gram, diag = _gram_mod(T, cosets, nonlin, qq, zp)
+        sums, gram, diag = _gram_mod(T, cosets, nonlin, qq, zp, D)
         if sums.any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
@@ -1589,3 +1697,4 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin) ->
             raise TableVerificationError("a non-linear row fails orthogonality")
         if ((diag - cen) % qq).any():
             raise TableVerificationError("column norm != centralizer order")
+        del sums, gram, diag  # before the next prime's

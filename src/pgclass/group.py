@@ -618,8 +618,11 @@ def quotient(P, N: Subgroup) -> QuotientGroup:
 def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
     """Re-present a subgroup on its own chain-adapted pc generators: their
     p^m distinct normal forms lie in H, so they enumerate it when
-    p^m = |H|."""
+    p^m = |H|.  The trivial subgroup has no pc generators, and a pc
+    presentation needs at least one, so it raises ValueError."""
     G = H.group
+    if H.order == 1:
+        raise ValueError("the trivial subgroup has no pc presentation (no generators)")
     index = _ChainIndex(G, _chain_gens(G, H.indices))
     if index.elems.size != H.order:
         raise InternalInconsistencyError("subgroup chain has a non-prime step")

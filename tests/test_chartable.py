@@ -419,9 +419,9 @@ def test_prime_product_bound_is_checked(monkeypatch):
     gram_mod = chartable_mod._gram_mod
     used = []
 
-    def spy(T, cosets, nonlin, qq, zp):
+    def spy(T, cosets, nonlin, qq, zp, D):
         used.append(qq)
-        return gram_mod(T, cosets, nonlin, qq, zp)
+        return gram_mod(T, cosets, nonlin, qq, zp, D)
 
     monkeypatch.setattr(chartable_mod, "_gram_mod", spy)
     monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(primes))
@@ -906,7 +906,8 @@ def test_split_enters_one_block_per_galois_orbit(monkeypatch, label, p, orbit_si
 def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
     """On G_(19,1)@5 _orbit_dft_mults sees one dense row per orbit of
     sigma_s, and the multiplicities that every other dense row gathers
-    from its orbit's row equal _orbit_dft_mults run on all the dense rows."""
+    from its orbit's row equal _orbit_dft_mults run on all the dense rows.
+    Every dense row's mults is a read-only uint8 view of one block."""
     import pgclass.chartable as ct
 
     seen = []
@@ -935,7 +936,144 @@ def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
     assert (len(dense), len(set(orbit))) == (200, 50)
     assert sorted(orbit[i] for i in at) == sorted(set(orbit))
     power = ct._PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
-    assert (dft(Trows, power, e, q, zpow) == np.stack([r.mults for r in dense])).all()
+    out = np.zeros((len(dense), cls.count, e), dtype=np.int64)
+    dft(Trows, power, e, q, zpow, out, np.arange(len(dense)))
+    assert (out == np.stack([r.mults for r in dense])).all()
+    block = dense[0].mults.base
+    assert block.shape == (200, cls.count, e) and not block.flags.writeable
+    for i, r in enumerate(dense):
+        assert r.mults.dtype == np.uint8 and not r.mults.flags.writeable
+        assert r.mults.base is block and np.shares_memory(r.mults, block)
+        assert (r.mults == block[i]).all()
+
+
+def test_mult_dtype_is_the_narrowest_that_holds_the_degree(run_optimized):
+    """uint8 up to degree 255, uint16 from 256; under python -O a degree
+    that no unsigned dtype holds raises the typed error."""
+    from pgclass.chartable import _mult_dtype
+
+    assert _mult_dtype(1) == np.uint8 and _mult_dtype(255) == np.uint8
+    assert _mult_dtype(256) == np.uint16 and _mult_dtype(65535) == np.uint16
+    code = (
+        "import pgclass as pg\n"
+        "from pgclass.chartable import _mult_dtype\n"
+        "for d in (2**64, -1):\n"
+        "    try:\n"
+        "        _mult_dtype(d)\n"
+        "    except pg.TableVerificationError:\n"
+        "        print(d)\n"
+    )
+    assert run_optimized(code).split() == [str(2**64), "-1"]
+
+
+# The per-class certification loop that _certify batches by element order:
+# one flatnonzero and one np.ix_ gather per candidate class.
+def reference_certify(G, cls, e, q, dlog, T, degs):
+    """(geo_t, central) as _certify defines them, one class at a time."""
+    from pgclass.chartable import _PowerData
+    from pgclass.modular import _invmod_arr
+
+    k = cls.count
+    invclass = cls.classof[G.inverse_table[cls.reps]]
+    d_arr = np.asarray(degs, dtype=np.int64)
+    inv_d = _invmod_arr(d_arr, q)
+    cand = T * T[:, invclass] % q == (d_arr * d_arr % q)[:, None]
+    cand[:, 0] = True
+    needed = np.flatnonzero(cand.any(axis=0))
+    power = _PowerData(G, cls, needed, e)
+    geo_t = np.full((len(degs), k), -1, dtype=np.int64)
+    for j in needed:
+        orb = power.orbit(j)
+        m = orb.size
+        rows_here = np.flatnonzero(cand[:, int(j)])
+        w = T[rows_here, j] * inv_d[rows_here] % q
+        tw = dlog[w]
+        okroot = (tw >= 0) & (tw * m % e == 0)
+        V = T[np.ix_(rows_here, orb)]
+        geom = (V[:, :-1] * w[:, None] % q == V[:, 1:]).all(axis=1)
+        good = okroot & geom
+        geo_t[rows_here[good], int(j)] = tw[good]
+    central = np.zeros(len(degs), dtype=bool)
+    for r, d in enumerate(degs):
+        hsize = int(cls.sizes[geo_t[r] >= 0].sum())
+        central[r] = (geo_t[r][cand[r]] >= 0).all() and d * d * hsize == G.order
+    return geo_t, central
+
+
+def _certify_inputs(T):
+    """(args of _certify, the non-linear rows) for a computed table: its
+    non-linear rows mod q, in table order, as compute_table lifts them."""
+    from pgclass.chartable import _root_powers
+    from pgclass.modular import root_of_unity
+
+    G, cls, e, q = T.group, T.classes, T.exponent, T.field_prime
+    zpow = _root_powers(q, root_of_unity(q, e), e)
+    dlog = np.full(q, -1)
+    dlog[zpow] = np.arange(e)
+    nonlin = [r for r in T.rows if r.degree > 1]
+    Trows = np.array([r.tilde(q, zpow) for r in nonlin], dtype=np.int64).reshape(-1, cls.count)
+    return (G, cls, e, q, dlog, Trows, [r.degree for r in nonlin]), nonlin
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_certification_matches_the_per_class_loop(p):
+    """On every corpus table at p, the batched certification gives the
+    per-class loop's exponents and verdicts, and the table's rows have the
+    kinds, supports and texp_on that the loop gives."""
+    from pgclass.chartable import _certify
+
+    tables = 0
+    for label, entry in pg.REGISTRY.items():
+        if not entry.covers(p):
+            continue
+        T = table(label, p)
+        args, nonlin = _certify_inputs(T)
+        if not nonlin:
+            continue
+        geo_t, central = _certify(*args)
+        want_t, want_central = reference_certify(*args)
+        assert (geo_t == want_t).all() and (central == want_central).all()
+        for r, t, c in zip(nonlin, want_t, want_central):
+            assert r.kind == ("central" if c else "dense")
+            if c:
+                assert (r.support == np.flatnonzero(t >= 0)).all()
+                assert (r.texp_on == t[t >= 0]).all()
+        tables += 1
+    assert tables == {3: 5, 5: 11}[p]
+
+
+def test_certification_sends_a_broken_power_sequence_to_dense():
+    """A central-type row of G_(17,1)@5 changed at the classes of g^2 and
+    g^-2 = g^3, for a class g of order 5 in its support, by zeta and
+    zeta^-1: every |chi|^2 stays d^2 and every value stays d times a root
+    of unity, so each candidate passes the root test, but the power
+    sequence at g is no longer geometric.  Both certifications reject it
+    there, and the row falls through to dense; the other rows keep their
+    verdicts."""
+    from pgclass.chartable import _certify, _PowerData, _root_powers
+    from pgclass.modular import root_of_unity
+
+    T = table("G_(17,1)", 5)
+    (G, cls, e, q, dlog, Trows, degs), nonlin = _certify_inputs(T)
+    zpow = _root_powers(q, root_of_unity(q, e), e)
+    r = next(i for i, row in enumerate(nonlin) if row.kind == "central")
+    power = _PowerData(G, cls, nonlin[r].support, e)
+    g = int(nonlin[r].support[np.flatnonzero(power.ords == 5)[0]])
+    orb = power.orbit(g)
+    Trows = Trows.copy()
+    Trows[r, orb[2]] = Trows[r, orb[2]] * zpow[1] % q
+    Trows[r, orb[3]] = Trows[r, orb[3]] * zpow[-1] % q
+    args = (G, cls, e, q, dlog, Trows, degs)
+    geo_t, central = _certify(*args)
+    want_t, want_central = reference_certify(*args)
+    assert (geo_t == want_t).all() and (central == want_central).all()
+    d = degs[r]
+    square = Trows[r] * Trows[r, cls.classof[G.inverse_table[cls.reps]]] % q
+    assert (square[orb] == d * d % q).all()  # every class of g's orbit is a candidate
+    assert geo_t[r, g] == -1 and not central[r]
+    for i, row in enumerate(nonlin):
+        if i != r:
+            assert central[i] == (row.kind == "central")
 
 
 @pytest.mark.parametrize("stage", ["split", "lift"])
@@ -1157,7 +1295,8 @@ def test_orbit_dft_matches_scalar_dft(label, p):
     assert {r.kind for r in nl} == {"central", "dense"}
     Trows = np.stack([r.tilde(q, zpow) for r in nl])
     power = _PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
-    got = _orbit_dft_mults(Trows, power, e, q, zpow)
+    got = np.zeros((len(nl), cls.count, e), dtype=np.int64)
+    _orbit_dft_mults(Trows, power, e, q, zpow, got, np.arange(len(nl)))
     want = scalar_dft_mults(Trows, G, cls, e, q, z)
     assert (got == want).all()
     for r, mr in zip(nl, got):
@@ -1189,8 +1328,9 @@ def _with_rows(T, rows):
 
 def _move_one_eigenvalue(r, j):
     """r with one eigenvalue zeta^u at class j moved to zeta^(u+1): the
-    value there changes by zeta^(u+1) - zeta^u, which is never 0."""
-    m = np.array(r.mults)
+    value there changes by zeta^(u+1) - zeta^u, which is never 0.  The
+    copy is int64, so no narrow dtype of the table's block wraps."""
+    m = np.array(r.mults, dtype=np.int64)
     u = int(np.flatnonzero(m[j])[0])
     m[j, u] -= 1
     m[j, (u + 1) % r.e] += 1
@@ -1261,6 +1401,25 @@ def test_verify_table_rejects_mutation(label, kind):
     _verify_table(_with_rows(T, list(T.rows)))
 
 
+@pytest.mark.parametrize("shift", ["-1", "d+1", "+256"])
+def test_verify_table_range_checks_dense_rows_before_narrowing(shift):
+    """A dense row of G_(19,1)@5 handed in as int64 with -1, d + 1 or
+    m + 256 at one entry is rejected by the range check.  A uint8 cast
+    would wrap -1 to 255, and m + 256 back to m, the table's own value."""
+    from pgclass.chartable import _verify_table
+
+    T = table("G_(19,1)", 5)
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    m = np.array(T.rows[i].mults, dtype=np.int64)
+    j = T.count // 2
+    u = int(np.flatnonzero(m[j])[0])
+    m[j, u] = {"-1": -1, "d+1": T.rows[i].degree + 1, "+256": m[j, u] + 256}[shift]
+    rows = list(T.rows)
+    rows[i] = _copy_row(rows[i], mults=m)
+    with pytest.raises(TableVerificationError, match=r"outside \[0, degree\]"):
+        _verify_table(_with_rows(T, rows))
+
+
 @pytest.mark.parametrize("label", VERIFY_LABELS)
 @pytest.mark.parametrize("kind", ["central", "dense"])
 def test_verify_table_rejects_galois_image(label, kind):
@@ -1300,7 +1459,9 @@ def _change_galois_orbit(T, i, shifts):
     """The rows of T with dense row i and every row of its orbit under
     sigma_s changed by shifts[j] * p at each class j (e = p): the
     multiplicities there move by (p - 1, -1, ..., -1) times shifts[j], a
-    rational change, which every sigma_s fixes."""
+    rational change, which every sigma_s fixes.  The changed rows are
+    int64 copies: the table's block is unsigned and narrow, where -1 has
+    no place."""
     from pgclass.chartable import _unit_gens
 
     e, p = T.exponent, T.group.p
@@ -1315,9 +1476,9 @@ def _change_galois_orbit(T, i, shifts):
     changed = 0
     for b, r in enumerate(rows):
         if r.kind == "dense" and any(np.array_equal(r.mults, o) for o in orbit):
-            mults = np.array(r.mults)
+            mults = np.array(r.mults, dtype=np.int64)
             for j, sign in shifts.items():
-                mults[j] += sign * np.r_[p - 1, np.full(e - 1, -1)].astype(mults.dtype)
+                mults[j] += sign * np.r_[p - 1, np.full(e - 1, -1)]
             rows[b] = _copy_row(r, mults=mults)
             assert (rows[b].mults >= 0).all()
             assert all(rows[b].value(j) - r.value(j) == sign * p for j, sign in shifts.items())
@@ -1461,7 +1622,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     oracle's exact values reduced at zeta_e -> z', on the table and on
     copies with one dense entry changed; and on the table the oracle's
     values are |G| delta_ab."""
-    from pgclass.chartable import _check_primes, _derived_cosets, _gram_mod
+    from pgclass.chartable import _check_primes, _dense_block, _derived_cosets, _gram_mod
 
     T = table(label, 5)
     if kind is not None:
@@ -1477,8 +1638,9 @@ def test_common_support_products_match_full_tensor(label, kind):
     first = np.unique(cosets, return_index=True)[1]
     lin_on_cosets = np.stack([T.rows[i].texp[first] for i in lin])
     c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
+    D = _dense_block([T.rows[i] for i in dense], T.count, e)
     for qq, zp in _check_primes(e)[:2]:
-        sums, gram, _ = _gram_mod(T, cosets, [T.rows[i] for i in nonlin], qq, zp)
+        sums, gram, _ = _gram_mod(T, cosets, [T.rows[i] for i in nonlin], qq, zp, D)
         want = (c % qq) @ zp % qq
         assert (sums[at] @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
         assert (gram[at] == want[:, nonlin]).all()

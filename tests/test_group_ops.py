@@ -512,6 +512,18 @@ def test_subgroup_as_group_nonabelian():
         assert int(DG.to_parent[u]) == G.mul(int(DG.to_parent[s]), int(DG.to_parent[t]))
 
 
+def test_subgroup_as_group_of_the_trivial_subgroup_is_a_value_error():
+    """The last term of the lower central series is trivial; it has no pc
+    generators to re-present it on, and the error names it instead of a
+    parse error about a file's grammar."""
+    G = group_of(pg.build("G_(17,1)", 5))
+    trivial = pg.Subgroup(group=G, indices=G.lower_central_series[-1])
+    assert trivial.order == 1
+    with pytest.raises(ValueError, match="trivial subgroup") as info:
+        subgroup_as_group(trivial)
+    assert not isinstance(info.value, pg.ParseError)
+
+
 # -- chain-digit index ------------------------------------------------------------
 
 # sha256 over the corpus at p = 3 and 5, with N = Z(G), G' and every term of the

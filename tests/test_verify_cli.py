@@ -273,6 +273,22 @@ def test_census_table_check_exits_2(tmp_path, monkeypatch):
     assert "lifted row disagrees mod q" in err
 
 
+def test_clear_caches_empties_every_cache(tmp_path):
+    """After a census and one corpus bundle every module-level cache holds
+    something, and pg.clear_caches() empties each of them."""
+    from pgclass import chartable, cyclotomic, group, presentation, verify
+
+    write_pres(tmp_path, "heisenberg_p3", 3, "h")
+    assert run_ingested_census(tmp_path).summary["fail"] == 0
+    verify.bundle("heisenberg_p3", 5)
+    dicts = (group._group_cache, chartable._table_cache, verify._bundles,
+             presentation._collectors)
+    lrus = (chartable._check_primes, cyclotomic._prime_power_split)
+    assert all(dicts) and all(f.cache_info().currsize for f in lrus)
+    pg.clear_caches()
+    assert not any(dicts) and not any(f.cache_info().currsize for f in lrus)
+
+
 def test_census_cli(tmp_path):
     write_pres(tmp_path, "heisenberg_p3", 3, "h")
     out_json = tmp_path / "census.json"
