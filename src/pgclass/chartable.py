@@ -69,13 +69,18 @@ rests on one argument: the linear rows are distinct homomorphisms, each
 t checked against the relations (von Dyck), each checked trivial on the
 subgroup whose cosets are summed over (that of G'), so each is constant on
 those cosets; the non-linear rows are closed under the Galois group of
-Q(zeta_e); and modulo a few primes q' = 1 (mod e) other than q, whose
-product exceeds a bound on every conjugate of every entry, the Gram
-matrix of the non-linear rows is checked, and so are their sums of
-|K_j| chi(g_j) over the classes of each coset of G', which stand for
-their products with every linear row.  The same residues give the column
-diagonal, and the restriction norms need no arithmetic; _verify_table has
-the proof.
+Q(zeta_e); and each has a central character mu, chi(g z) = mu(z) chi(g)
+for z in Z(G), checked exactly on the stored data.  Rows of different mu
+are orthogonal exactly.  Within one mu, the products run over one
+basepoint per orbit of Z(G) on the classes, modulo a few primes
+q' = 1 (mod e) other than q: the row norms at primes whose product
+exceeds their bound, and, once they are 1, the in-group products and the
+sums of |K_j| chi(g_j) over the classes of each coset of G' (which stand
+for the products with every linear row) at the fewest primes whose
+product exceeds |G|, the Cauchy-Schwarz bound.  A row whose mu is not 1
+at a chain generator of Z(G) in G' has all those coset sums 0 exactly.
+The same residues give the column diagonal, and the restriction norms
+need no arithmetic; _verify_table has the proof.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ class _Row:
     def nonzero_mask(self) -> np.ndarray:
         if self._nonzero is None:
             if self.kind == "dense":
-                self._nonzero = _read_only(~_zero_mask_pp(self.mults, self.e))
+                self._nonzero = _read_only(~_zero_mask_pp(self.mults.T, self.e))
             else:
                 self._nonzero = self.center_mask  # all True, or the support
         return self._nonzero
@@ -245,8 +250,8 @@ def _residue_chunks(mults, zp: np.ndarray, qq: int, d_max: int):
     int64 arrays of shape (hi - lo, k) + zp.shape[1:]: for residues zp[u]
     of zeta_e^u mod qq, a row's value at every class.  The products run in
     float64, in chunks of rows of at most 2^18 multiply-adds, which
-    OpenBLAS keeps on one thread (_gram_mod says why that matters); each
-    sum has e terms of at most d_max (qq - 1), exact while
+    OpenBLAS keeps on one thread (_group_products says why that matters);
+    each sum has e terms of at most d_max (qq - 1), exact while
     e d_max (qq - 1) < 2^53, which is checked."""
     e = zp.shape[0]
     if e * d_max * (qq - 1) >= 2**53:
@@ -264,12 +269,13 @@ def _residue_chunks(mults, zp: np.ndarray, qq: int, d_max: int):
 
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
-    """Exact zero test for multiplicity matrices over prime-power e > 1:
-    only dense rows use it, and a dense row needs a non-abelian G, so
-    e >= p."""
+    """Exact zero test for multiplicity arrays over prime-power e > 1,
+    exponent first, of shape (e, ...): only dense rows use it, and a dense
+    row needs a non-abelian G, so e >= p.  With r the prime, sum_u m_u
+    zeta_e^u is 0 iff m_u depends on u mod e/r alone."""
     r, _ = _prime_power_split(e)
-    resh = mults.reshape(mults.shape[0], r, e // r)
-    return (resh == resh[:, :1, :]).all(axis=(1, 2))
+    resh = mults.reshape((r, e // r) + mults.shape[1:])
+    return (resh == resh[:1]).all(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1270,7 +1276,7 @@ def _verify_table(T: CharacterTable) -> None:
 
     First orthogonality.  For a non-linear row a (the set N) and any row b,
     y_ab = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) - |G| delta_ab lies in
-    Z[zeta_e], and |sigma(y_ab)| <= B = |G| (d_max^2 + 1) for every sigma.
+    Z[zeta_e].
     - The linear rows are distinct (_verify_structural_pairs), so they are
       orthogonal, and as they are all |G:G'| homomorphisms G -> C^x, every
       Galois automorphism permutes them.
@@ -1278,13 +1284,39 @@ def _verify_table(T: CharacterTable) -> None:
       (Z/e)^x (_verify_structural_pairs; one s, as e is an odd prime
       power).  So every sigma permutes N, and since sigma commutes with
       complex conjugation, it permutes the y_ab.
+    - Central characters (_pair_plan, exact).  For the chain generators b_a
+      of Z(G), the translate g_j -> g_j b_a must permute the classes and
+      keep |K_j|, and every row of N must satisfy
+      chi(g b_a) = mu(b_a) chi(g) for a root of unity mu(b_a), read from
+      the data.  Then chi(g z) = mu(z) chi(g) on all of Z(G), with mu a
+      character of Z(G).  Substituting g -> g z in y_ab multiplies it by
+      mu_a(z) conj mu_b(z), so y_ab = 0 exactly when mu_a != mu_b.  Within
+      one mu, each term |K_j| chi_a(g_j) conj chi_b(g_j) is constant on an
+      orbit O of Z(G) on the classes, so the sum is one over the orbits'
+      basepoints, each term taken |O| times; so are the column sums
+      below, and |C_G(g_j)|.  And if mu_a(b_a) != 1 for a b_a whose
+      translate permutes the classes of every G'-coset, the coset sums
+      below satisfy S_a(x) = mu_a(b_a) S_a(x), so they are 0 exactly.
     - For a prime q' = 1 (mod e) and z' of order e in GF(q'), q' splits
       completely: q' Z[zeta_e] is the product of the primes
       P_s = ker(zeta_e -> z'^s), s a unit mod e, and y is in P_s iff
-      sigma_s(y) is in P_1.
-    - Every y_ab is in P_1.  For b in N, _verify_pairs_against_block checks
-      that the Gram matrix of N reduced at zeta_e -> z' is |G| I.  For a
-      linear b = lambda: the class of g_j lies in one coset x of G', as
+      sigma_s(y) is in P_1.  A y_ab that reduces to 0 at zeta_e -> z' for
+      every a, b is in P_1, and as the sigma_s(y_ab) are y_ab's too, it is
+      in every P_s, hence in q' Z[zeta_e].  Over primes q' != q with
+      product Q, y_ab is in Q Z[zeta_e]; if y_ab != 0, the norm of y_ab / Q
+      is a nonzero rational integer, so the product of |sigma(y_ab)| over
+      the phi(e) embeddings is at least Q^phi(e).  So y_ab = 0 once Q
+      exceeds every |sigma(y_ab)|.
+    - Norms.  y_aa is real, and sigma(y_aa) = y_(sigma a)(sigma a) is the
+      sum of |K_j| |psi(g_j)|^2 - |G| for a row psi of degree d, in
+      [-|G|, |G| (d^2 - 1)].  So the row norms, reduced at primes with
+      product above |G| max(1, d_max^2 - 1), prove every <chi, chi> = 1.
+    - Every other y_ab.  With every norm 1, Cauchy-Schwarz bounds each
+      |sigma(y_ab)|, a != b, and each |sigma(y_a,lambda)| by |G|, so primes
+      with product above |G| suffice: the fewest of them, a prefix of the
+      norm primes.  For b in N of the same mu, _verify_pairs_against_block
+      checks the in-group products reduced at zeta_e -> z'.  For a linear
+      b = lambda: the class of g_j lies in one coset x of G', as
       g^h = g [g, h], and lambda is trivial on G', so it takes one value
       lambda(x) on x.  Then y_a,lambda = sum_x conj lambda(x) S_a(x) with
       the coset sums S_a(x) = sum over the classes j in x of
@@ -1296,17 +1328,12 @@ def _verify_table(T: CharacterTable) -> None:
       those elements, so lambda is trivial on H and constant on each
       H g, and summing over the classes by the coset of their rep gives
       the same y_a,lambda.  (The cosets must also number |G:G'|.)
-      As the sigma_s(y_ab) are y_ab's too, every y_ab is in every P_s,
-      hence in q' Z[zeta_e].
-    - Over primes q' != q with product Q > B, y_ab is in Q Z[zeta_e].  If
-      y_ab != 0, the norm of y_ab / Q is a nonzero rational integer, so the
-      product of |sigma(y_ab)| over the phi(e) embeddings is at least
-      Q^phi(e) > B^phi(e), against the bound.  So every y_ab = 0.
 
     Column diagonal.  sum over N of |chi(g_j)|^2 is Galois-fixed, a
     rational integer in [0, |G| - |G:G'|] by the sum of squares, and
     |C_G(g_j)| - |G:G'| lies in [1 - |G:G'|, |G| - |G:G'|].  They differ by
-    less than |G| < Q and agree mod every q' (from the Gram residues), so
+    less than |G|, agree mod every off-diagonal prime q' (from the
+    residues at the basepoints, where both are taken once per orbit), so
     they are equal.  The off-diagonal relations follow from the square
     table's orthonormal rows.  With no non-linear row the sum is |G:G'|.
 
@@ -1338,18 +1365,19 @@ def _verify_table(T: CharacterTable) -> None:
 
     lin = [r for r in T.rows if r.kind == "unity"]
     nonlin = [r for r in T.rows if r.kind != "unity"]
+    central = [r for r in nonlin if r.kind == "central"]
     D = _dense_block([r for r in nonlin if r.kind == "dense"], k, e)
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
     lin_t = _verify_linear_rows(T, lin)
     _verify_central_rows(T, [
         (sup, np.stack(tons)) for sup, tons in
-        _group_by_key((r.support, np.asarray(r.texp_on) % e)
-                      for r in nonlin if r.kind == "central")
+        _group_by_key((r.support, np.asarray(r.texp_on) % e) for r in central)
     ])
-    _verify_structural_pairs(T, lin_t, nonlin, D)
+    C = _central_exponents(central, k, e)
+    _verify_structural_pairs(T, lin_t, C, D)
     if nonlin:
-        _verify_pairs_against_block(T, lin_t, nonlin, D)
+        _verify_pairs_against_block(T, lin_t, C, D)
     elif (order // sizes != len(lin)).any():
         raise TableVerificationError("column norm != centralizer order")
 
@@ -1498,38 +1526,53 @@ def _distinct_rows(M: np.ndarray) -> int:
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
 
 
-def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, nonlin,
-                             D: np.ndarray) -> None:
-    """The checks of _verify_table's proof that need no arithmetic.  The
-    linear rows must be distinct on lin_t, their exponents at the pc
-    generators, which determine them (_verify_linear_rows).  The rows
-    nonlin must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
-    of _unit_gens(e), which multiplies a central-type row's exponents by s
-    and moves a dense row's multiplicity at u to s u.  Each kind's exact
-    keys (degree, then exponents with -1 off the support; multiplicities,
-    the rows of the dense block D of _dense_block) must be the same
-    multiset as their images.  Equal keys mean equal rows, and
-    compute_table's rows pass kind by kind, since a row's stored kind is a
-    Galois invariant (_lift_rows says why)."""
-    if _distinct_rows(lin_t) != lin_t.shape[0]:
-        raise TableVerificationError("duplicate linear rows")
-    e = T.exponent
-    k = T.classes.count
-    central = [r for r in nonlin if r.kind == "central"]
+def _central_exponents(central, k: int, e: int) -> np.ndarray:
+    """The central-type rows as one (rows, k + 1) int32 block: column 0
+    holds the degree, and column 1 + j the exponent of zeta_e (mod e) at
+    class j of the support, or -1 off it.  The Galois closure check reads
+    its rows as keys, and the pair check reads the rows' values from it."""
     C = np.full((len(central), k + 1), -1, dtype=np.int32)
     for i, r in enumerate(central):
         C[i, 0] = r.degree
         C[i, 1 + r.support] = np.asarray(r.texp_on) % e
-    n = D.shape[0]
-    keys_c, keys_d = _sorted_rows(C), _sorted_rows(D.reshape(n, k * e))
+    return C
+
+
+def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, C: np.ndarray,
+                             D: np.ndarray) -> None:
+    """The checks of _verify_table's proof that need no arithmetic.  The
+    linear rows must be distinct on lin_t, their exponents at the pc
+    generators, which determine them (_verify_linear_rows).  The non-linear
+    rows must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
+    of _unit_gens(e), which multiplies a central-type row's exponents by s
+    and moves a dense row's multiplicity at u to s u.  Each kind's exact
+    keys (the rows of C, _central_exponents; the rows of the dense block D,
+    _dense_block) must be the same multiset as their images.  Equal keys
+    mean equal rows, and compute_table's rows pass kind by kind, since a
+    row's stored kind is a Galois invariant (_lift_rows says why).
+
+    D is not copied: its rows are ordered by an argsort of their keys, and
+    each image is gathered once and sorted in place, then compared in
+    chunks, so one block-sized array is live at a time."""
+    if _distinct_rows(lin_t) != lin_t.shape[0]:
+        raise TableVerificationError("duplicate linear rows")
+    e = T.exponent
+    n, k = D.shape[:2]
+    keys_c = _sorted_rows(C)
+    keys_d = _row_keys(D.reshape(n, k * e))
+    by = np.argsort(keys_d)
+    step = max(1, 2**22 // (k * e))
     for s in _unit_gens(e):
         img_c = C.copy()
         img_c[:, 1:] = np.where(C[:, 1:] >= 0, C[:, 1:] * s % e, -1)
-        img_d = D[:, :, np.arange(e) * pow(s, -1, e) % e]
+        img_d = _row_keys(np.take(D, np.arange(e) * pow(s, -1, e) % e, axis=2).reshape(n, k * e))
+        img_d.sort()
         if ((_sorted_rows(img_c) != keys_c).any()
-                or (_sorted_rows(img_d.reshape(n, k * e)) != keys_d).any()):
+                or any((img_d[lo:lo + step] != keys_d[by[lo:lo + step]]).any()
+                       for lo in range(0, n, step))):
             raise TableVerificationError(
                 "the non-linear rows are not closed under the Galois group")
+        del img_d  # before the next image
 
 
 def _unit_gens(e: int) -> tuple:
@@ -1569,11 +1612,15 @@ def _root_powers(q: int, z: int, e: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _check_primes(e: int) -> tuple:
     """(q', _root_powers(q', z', e)) for the largest primes q' = 1 (mod e)
-    below 2^20, largest first, until their product exceeds 2^64 (far above
-    |G| (d_max^2 + 1) at desk scale) or they run out; z' has order e.  As
-    k <= _MAX_CLASSES = 6000, k (q'-1)^2 < 6000 * 2^40 < 2^53 for all of
-    them.  The cache is keyed by the exponent alone and keeps the last 32,
-    a few length-e arrays each, for the life of the process."""
+    below 2^20, largest first, until their product exceeds 2^64 or they
+    run out; z' has order e.  The pair check takes a prefix of them: the
+    row norms need a product above |G| max(1, d_max^2 - 1), and everything
+    else, bounded by |G| through Cauchy-Schwarz, a product above |G|: one
+    prime while |G| is below the largest, as at every order up to 7^6.
+    2^64 is far above both at desk scale.  As k <= _MAX_CLASSES = 6000,
+    k (q'-1)^2 < 6000 * 2^40 < 2^53 for all of them.  The cache is keyed
+    by the exponent alone and keeps the last 32, a few length-e arrays
+    each, for the life of the process."""
     out = []
     product = 1
     m = (2**20 - 2) // e
@@ -1596,105 +1643,277 @@ def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
     return gens, np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
 
 
-def _gram_mod(T: CharacterTable, cosets: np.ndarray, nonlin, qq: int, zp: np.ndarray,
-              D: np.ndarray):
-    """(sums, gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t
-    mod qq, for a, b in nonlin: the coset sums sums[a, x] = sum over the
-    classes j with cosets[j] = x of |K_j| chi_a(g_j); the Gram block
-    gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
-    sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
-    zp[t] and its conjugate to zp[-t], so a central-type row to
-    d zp[texp_on] on its support, and the dense rows, the rows of D
-    (_dense_block) in their order in nonlin, to D @ zp (_residue_chunks).
-    The coset sums add at most k int64 terms below qq each.  The float64
-    products, chunked over the rows b, add k terms below (qq-1)^2 each:
-    exact while k (qq-1)^2 < 2^53.  Each (m, k) array is updated in place
-    or dropped once read, so at most three live at a time."""
+def _center_translates(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
+    """(gens, perms): the chain-jump elements b_a of Z(G) (_chain_gens), and
+    perms[a, j], the class of g_j b_a for the class rep g_j."""
+    G, cls = T.group, T.classes
+    gens = G.center.gens
+    perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in gens]
+    return gens, np.array(perms, dtype=np.int64).reshape(len(gens), cls.count)
+
+
+@dataclass(frozen=True, eq=False)
+class _PairPlan:
+    """What the pair check reads at every check prime, from _pair_plan.
+    The rows are the central-type rows (the rows of C,
+    _central_exponents), then the dense rows (of D, _dense_block).
+
+    deg holds their degrees, and chars[r, a] the exponent c with
+    mu_r(b_a) = zeta_e^c, mu_r the central character of row r; perms are
+    the translates of _center_translates.  basepoints are the least
+    classes of the orbits of <perms> on the classes, and weights[i] is
+    |O| |K_j| at basepoint j of the orbit O.  C_at holds C's exponents at
+    the basepoints, and D_at D's multiplicities there, exponent first:
+    D_at[u, r, i] = D[r, basepoints[i], u].  Each batch (rows, cols)
+    holds the groups of one size n: rows[g] are the n rows of one central
+    character, and cols[g] the basepoint positions where one of them is
+    nonzero, then positions where all of them are 0, up to the batch's
+    widest group."""
+
+    deg: np.ndarray
+    chars: np.ndarray
+    perms: np.ndarray
+    basepoints: np.ndarray
+    weights: np.ndarray
+    C_at: np.ndarray
+    D_at: np.ndarray
+    batches: list
+
+
+def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
+    """The exact first half of the pair check: every non-linear row has a
+    central character, read at the chain generators b_a of Z(G); then the
+    orbits of the translates on the classes, and the rows grouped by their
+    central character (_PairPlan).
+
+    perms[a] must be a permutation of the classes that keeps |K_j|.  A
+    central-type row is d lambda on the subgroup H of its support, for a
+    homomorphism lambda (_verify_central_rows), and 0 off H.  When every
+    b_a lies in H, g b_a is in H iff g is, so chi(g b_a) = lambda(b_a)
+    chi(g); its key c_a is its exponent at the class of b_a.  A dense row
+    must be d zeta_e^c_a at b_a, d at exactly one exponent c_a, and its
+    multiplicities must satisfy m[perms[a, j], u + c_a] = m[j, u], so that
+    chi(g_j b_a) = zeta_e^c_a chi(g_j): one gather per (a, c_a) of the
+    rows with that c_a.  So chi(g z) = mu(z) chi(g) for every z of
+    <b_a> = Z(G), where mu(z) = chi(z) / d is a character of Z(G), which
+    the c_a fix.  The key of a row is its c_a as one integer, and one
+    argsort groups the rows.  The orbits come from min-label propagation
+    along the perms to a fixpoint, where every label is constant on its
+    orbit (along each cycle of each perm it can only rise, so it stays
+    put)."""
     cls = T.classes
-    k = cls.count
-    e = T.exponent
-    m = len(nonlin)
-    both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
-    R = np.zeros((m, k), dtype=np.int64)  # the rows' residues
-    Rc = np.zeros((m, k), dtype=np.int64)  # their conjugates'
-    dense, d_max = [], 0
-    for i, r in enumerate(nonlin):
-        if r.kind == "central":
-            vals = r.degree * both[np.asarray(r.texp_on) % e] % qq
-            R[i, r.support], Rc[i, r.support] = vals[:, 0], vals[:, 1]
-        else:
-            dense.append(i)
-            d_max = max(d_max, r.degree)
-    for lo, res in _residue_chunks(D, both, qq, d_max):
-        at = dense[lo:lo + res.shape[0]]
-        R[at], Rc[at] = res[..., 0], res[..., 1]
-    diag = R * Rc
-    diag %= qq
-    diag = diag.sum(axis=0) % qq
-    R *= cls.sizes % qq  # now |K_j| chi_a(g_j)
+    k, e = cls.count, T.exponent
+    sizes = cls.sizes.astype(np.int64)
+    gens, perms = _center_translates(T)
+    m = len(gens)
+    ar = np.arange(k)
+    if not (np.sort(perms, axis=1) == ar).all():
+        raise TableVerificationError("a translate by Z(G) is not a permutation of the classes")
+    if (sizes[perms] != sizes).any():
+        raise TableVerificationError("a translate by Z(G) changes a class size")
+    zcls = cls.classof[list(gens)]
+
+    cc = C[:, 1 + zcls]
+    if (cc < 0).any():
+        raise TableVerificationError("a central-type row's support misses a class of Z(G)")
+    n_d = D.shape[0]
+    deg_d = D[:, 0].sum(axis=1, dtype=np.int64)  # each class's multiplicities sum to d
+    Dz = D[:, zcls]
+    if (Dz.max(axis=2) != deg_d[:, None]).any():
+        raise TableVerificationError("a dense row is not d times a root of unity on Z(G)")
+    cd = Dz.argmax(axis=2)
+    flat = D.reshape(n_d, k * e)
+    u = np.arange(e)
+    step = max(1, 2**22 // (k * e))
+    for code in np.unique(cd + e * np.arange(m)).tolist():
+        a, c = divmod(code, e)
+        at = (perms[a, :, None] * e + (u + c) % e).reshape(-1)  # (j, u) -> (j b_a, u + c)
+        sel = np.flatnonzero(cd[:, a] == c)
+        for lo in range(0, sel.size, step):
+            rows = flat[sel[lo:lo + step]]
+            if not np.array_equal(np.take(rows, at, axis=1), rows):
+                raise TableVerificationError("a dense row has no central character")
+
+    chars = np.concatenate([cc, cd])
+    n = chars.shape[0]
+    key, span = np.zeros(n, dtype=np.int64), 1
+    for a in range(m):
+        if span * e >= 2**62:
+            key, span = np.unique(key, return_inverse=True)[1].reshape(-1), n
+        key, span = key * e + chars[:, a], span * e
+    by = np.argsort(key, kind="stable")
+    first = np.ones(n, dtype=bool)
+    first[1:] = key[by[1:]] != key[by[:-1]]
+    gid = np.cumsum(first) - 1
+    gsize = np.bincount(gid)
+    by = by[np.argsort(gsize[gid], kind="stable")]  # by group size, then by key
+
+    moves = np.vstack([ar, perms])
+    lab = ar
+    while True:
+        nxt = lab[moves].min(axis=0)
+        nxt = nxt[nxt]  # still a class of the same orbit, and no larger
+        if (nxt == lab).all():
+            break
+        lab = nxt
+    bp = np.flatnonzero(lab == ar)
+    C_at = C[:, 1 + bp]
+    D_at = np.take(D, bp, axis=1).transpose(2, 0, 1).copy()
+    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)])
+    batches, lo = [], 0
+    groups = np.bincount(gsize)
+    for size in np.flatnonzero(groups).tolist():
+        rows = by[lo:lo + size * groups[size]].reshape(-1, size)
+        lo += rows.size
+        hits = nonzero[rows].any(axis=1)
+        cols = np.argsort(~hits, axis=1, kind="stable")[:, :hits.sum(axis=1).max()]
+        batches.append((rows, cols))
+    deg = np.concatenate([C[:, 0], deg_d])
+    return _PairPlan(deg, chars, perms, bp, np.bincount(lab)[bp] * sizes[bp], C_at, D_at,
+                     batches)
+
+
+def _basepoint_residues(plan: _PairPlan, qq: int, zp: np.ndarray) -> np.ndarray:
+    """R with R[0] every row's value at the basepoints and R[1] its
+    conjugate, reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t mod qq.
+    zeta_e^t reduces to zp[t] and its conjugate to zp[-t]; a central-type
+    row to d zp[C], 0 off the support, where C holds -1, and the dense
+    rows to zp @ D_at, as in _residue_chunks: float64 chunks of at most
+    2^18 multiply-adds, exact while e d_max (qq - 1) < 2^53, which is
+    checked."""
+    e = zp.size
+    n_c = plan.C_at.shape[0]
+    if e * int(plan.deg.max()) * (qq - 1) >= 2**53:
+        raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
+    tab = np.zeros((2, e + 1), dtype=np.int64)  # column e, the 0, is read at -1
+    tab[0, :e] = zp
+    tab[1, :e] = zp[-np.arange(e) % e]
+    R = np.empty((2, plan.deg.size, plan.basepoints.size), dtype=np.int64)
+    R[:, :n_c] = tab[:, plan.C_at] * plan.deg[:n_c, None] % qq
+    Du = plan.D_at.reshape(e, -1)
+    zf = tab[:, :e].astype(np.float64)
+    res = np.empty((2, Du.shape[1]), dtype=np.int64)
+    step = 2**18 // (2 * e) or 1
+    for lo in range(0, Du.shape[1], step):
+        res[:, lo:lo + step] = zf @ Du[:, lo:lo + step]
+    res %= qq
+    R[:, n_c:] = res.reshape(R[:, n_c:].shape)
+    return R
+
+
+def _group_products(plan: _PairPlan, A: np.ndarray, B: np.ndarray, qq: int) -> list:
+    """(rows, P) for each batch of plan.batches: P[g, a, b] is the sum over
+    the batch's columns of group g of A[ra, j] B[rb, j] mod qq, with
+    ra, rb = rows[g, a], rows[g, b], for residues A, B in [0, qq).  The
+    groups of a batch go through one np.matmul per chunk, in float64:
+    each chunk adds at most k terms below (qq-1)^2, exact while
+    k (qq-1)^2 < 2^53, and each 2-d product takes at most 2^18
+    multiply-adds, which OpenBLAS keeps on one thread (after a threaded
+    product its threads spin for a while, which costs a small table more
+    CPU time than the product)."""
+    out = []
+    for rows, cols in plan.batches:
+        X = A[rows[:, :, None], cols[:, None, :]].astype(np.float64)  # (groups, n, L)
+        Y = B[rows[:, None, :], cols[:, :, None]].astype(np.float64)  # (groups, L, n)
+        n, L = X.shape[1:]
+        rc = max(1, min(n, 2**18 // (n * L)))
+        lc = max(1, min(L, 2**18 // (rc * n)))
+        P = np.zeros((rows.shape[0], n, n), dtype=np.int64)
+        for r0 in range(0, n, rc):
+            for c0 in range(0, L, lc):
+                part = X[:, r0:r0 + rc, c0:c0 + lc] @ Y[:, c0:c0 + lc]
+                P[:, r0:r0 + rc] += part.astype(np.int64) % qq
+        P %= qq
+        out.append((rows, P))
+    return out
+
+
+def _coset_sums(T: CharacterTable, cosets: np.ndarray, C: np.ndarray, D: np.ndarray,
+                qq: int, zp: np.ndarray, d_max: int) -> np.ndarray:
+    """sums[a, x] = sum over the classes j with cosets[j] = x of
+    |K_j| chi_a(g_j), reduced at zeta_e -> z' in GF(qq), for the rows of C
+    (_central_exponents), then those of D (_dense_block, degrees at most
+    d_max), each over all k classes: k int64 terms below qq per sum."""
+    cls = T.classes
+    n_c = C.shape[0]
+    R = np.empty((n_c + D.shape[0], cls.count), dtype=np.int64)
+    R[:n_c] = C[:, :1] * np.append(zp, 0)[C[:, 1:]] % qq
+    for lo, res in _residue_chunks(D, zp, qq, d_max):
+        R[n_c + lo:n_c + lo + res.shape[0]] = res
+    R *= cls.sizes % qq
     R %= qq
     by = np.argsort(cosets, kind="stable")
-    starts = np.flatnonzero(np.r_[True, cosets[by][1:] != cosets[by][:-1]])
-    sums = np.add.reduceat(R[:, by], starts, axis=1) % qq
-    A = R.astype(np.float64)
-    del R
-    Rc = Rc.astype(np.float64)
-    gram = np.empty((m, m), dtype=np.int64)
-    # OpenBLAS keeps a product of at most 2^18 multiply-adds on one thread,
-    # and after a threaded one its threads spin for a while, which costs a
-    # small table more CPU time than its products; so when m k <= 2^18
-    # the chunks stay on one thread, and otherwise they hold about
-    # 2 * 10^6 entries
-    chunk = 2**18 // (m * k) or 2_000_000 // k
-    for b0 in range(0, m, chunk):
-        gram[:, b0:b0 + chunk] = A @ Rc[b0:b0 + chunk].T % qq
-    return sums, gram, diag
+    first = np.ones(by.size, dtype=bool)
+    first[1:] = cosets[by[1:]] != cosets[by[:-1]]
+    return np.add.reduceat(R[:, by], np.flatnonzero(first), axis=1) % qq
 
 
-def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, nonlin,
+def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndarray,
                                 D: np.ndarray) -> None:
-    """First orthogonality of every pair (a, b) with a in nonlin, and the
-    column diagonal, at the fewest primes of _check_primes(e), less q, whose
-    product exceeds B = |G| (d_max^2 + 1); _verify_table has the proof.
-    lin_t holds the linear rows' exponents at the pc generators
-    (_verify_linear_rows), and D the dense rows' block (_dense_block).  The
-    product, _gram_mod's float64 range, the
-    number of cosets of _derived_cosets, which must equal the number of
-    linear rows, and every linear row's triviality on their subgroup are
-    checked first."""
+    """First orthogonality of every pair (a, b) with a non-linear, and the
+    column diagonal; _verify_table has the proof.  lin_t holds the linear
+    rows' exponents at the pc generators (_verify_linear_rows), C the
+    central-type rows (_central_exponents) and D the dense rows
+    (_dense_block).
+
+    _pair_plan proves that every non-linear row has a central character
+    and groups the rows by it.  The check primes are those of
+    _check_primes(e), less q, largest first: the fewest whose product
+    exceeds |G| max(1, d_max^2 - 1) take the row norms, and the fewest
+    whose product exceeds |G|, a prefix of them, take everything else.
+    Their product, the float64 range k (q'-1)^2 < 2^53 of
+    _group_products, the number of cosets of _derived_cosets, which must
+    equal the number of linear rows, and every linear row's triviality on
+    their subgroup are checked before any residue.  A row whose mu is not
+    1 at some b_a whose translate keeps every coset has all its coset sums
+    0 exactly, so only the other rows take them."""
     G = T.group
     cls = T.classes
-    k = cls.count
+    k, e = cls.count, T.exponent
     order = G.order
     n_lin = len(lin_t)
-    d_max = max(r.degree for r in nonlin)
-    bound = order * (d_max * d_max + 1)
-    primes, product = [], 1
-    for qq, zp in _check_primes(T.exponent):
+    plan = _pair_plan(T, C, D)
+    d_max = int(plan.deg.max())
+    bound = order * max(1, d_max * d_max - 1)
+    primes, product, n_off = [], 1, 0
+    for qq, zp in _check_primes(e):
         if product > bound:
             break
         if qq != T.field_prime:
             primes.append((qq, zp))
             product *= qq
+            if not n_off and product > order:
+                n_off = len(primes)
     if product <= bound:
-        raise TableVerificationError("the check primes' product does not exceed |G| (d_max^2 + 1)")
+        raise TableVerificationError(
+            "the check primes' product does not exceed |G| max(1, d_max^2 - 1)")
     if any(k * (qq - 1) ** 2 >= 2**53 for qq, _ in primes):
         raise TableVerificationError("k (q'-1)^2 exceeds the float64 exact range")
     gens, cosets = _derived_cosets(T)
     if cosets.max() + 1 != n_lin:
         raise TableVerificationError("the G'-cosets do not number the linear rows")
-    if (lin_t @ _digits(G, gens) % T.exponent).any():
+    if (lin_t @ _digits(G, gens) % e).any():
         raise TableVerificationError("a linear row is not trivial on the G'-cosets' subgroup")
-    at = np.arange(len(nonlin))
-    cen = order // cls.sizes.astype(np.int64) - n_lin
-    for qq, zp in primes:
-        sums, gram, diag = _gram_mod(T, cosets, nonlin, qq, zp, D)
-        if sums.any():
+    keeps = (cosets[plan.perms] == cosets).all(axis=1)
+    summed = ~plan.chars[:, keeps].any(axis=1)
+    n_c = C.shape[0]
+    Cs, Ds = C[summed[:n_c]], D[summed[n_c:]]
+    cen = order // cls.sizes[plan.basepoints] - n_lin
+    w = plan.weights
+    for i, (qq, zp) in enumerate(primes):
+        R = _basepoint_residues(plan, qq, zp)
+        A = R[0] * (w % qq) % qq
+        if i >= n_off:
+            if (((A * R[1] % qq).sum(axis=1) - order) % qq).any():
+                raise TableVerificationError("a non-linear row fails orthogonality")
+            continue
+        if _coset_sums(T, cosets, Cs, Ds, qq, zp, d_max).any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
-        gram[at, at] -= order % qq
-        if gram.any():
-            raise TableVerificationError("a non-linear row fails orthogonality")
-        if ((diag - cen) % qq).any():
+        for rows, P in _group_products(plan, A, R[1], qq):
+            at = np.arange(rows.shape[1])
+            P[:, at, at] -= order % qq
+            if (P % qq).any():
+                raise TableVerificationError("a non-linear row fails orthogonality")
+        if (((R[0] * R[1] % qq).sum(axis=0) - cen) % qq).any():
             raise TableVerificationError("column norm != centralizer order")
-        del sums, gram, diag  # before the next prime's

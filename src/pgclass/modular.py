@@ -7,7 +7,7 @@ far below 2^31, so a product of two residues fits in 64 bits.
 eigenspaces splits a space under a matrix S from idempotents that are
 polynomials in S, with no elimination per eigenvalue.  Large products
 run in float64 BLAS while every partial sum stays an exact integer below
-2^53, the bound _gram_mod in chartable.py checks for its primes q'.
+2^53, the bound _group_products in chartable.py checks for its primes q'.
 """
 
 from __future__ import annotations

@@ -374,21 +374,28 @@ def test_to_json_formats_each_distinct_value_once(monkeypatch):
 
 
 def _gram_guard_setup():
-    """(T, primes): the G_(20,1) table at p = 5 and, largest first, the
-    check primes that verifying it uses, whose product just exceeds
-    B = |G| (d_max^2 + 1)."""
+    """(T, norm, off): the G_(20,1) table at p = 5 and, largest first, the
+    check primes that verifying it uses: norm, the fewest whose product
+    exceeds |G| max(1, d_max^2 - 1), for the row norms, and off, the fewest
+    whose product exceeds |G|, for every other residue.  off is a proper
+    prefix of norm."""
     from pgclass.chartable import _check_primes
 
     T = table("G_(20,1)", 5)
-    bound = T.group.order * (max(T.degrees()) ** 2 + 1)
-    primes, product = [], 1
-    for qq, zp in _check_primes(T.exponent):
-        if product > bound:
-            break
-        primes.append((qq, zp))
-        product *= qq
-    assert product > bound and len(primes) >= 2
-    return T, primes
+    order, d_max = T.group.order, max(T.degrees())
+    lists = []
+    for bound in (order * max(1, d_max * d_max - 1), order):
+        primes, product = [], 1
+        for qq, zp in _check_primes(T.exponent):
+            if product > bound:
+                break
+            primes.append((qq, zp))
+            product *= qq
+        assert product > bound >= product // primes[-1][0]
+        lists.append(primes)
+    norm, off = lists
+    assert len(norm) == 2 and len(off) == 1 and norm[0][0] == off[0][0]
+    return T, norm, off
 
 
 def _prime_with_root(e, start, step):
@@ -406,40 +413,46 @@ def _prime_with_root(e, start, step):
 
 
 def test_prime_product_bound_is_checked(monkeypatch):
-    """The Gram check refuses check primes whose product does not exceed
-    B = |G| (d_max^2 + 1), and leaves out the table's own prime q: the
-    primes that just exceed B pass, each one reducing the Gram matrix, and
-    without the last one they fail, also with q put in front."""
+    """The pair check refuses check primes whose product does not exceed
+    |G| max(1, d_max^2 - 1), and leaves out the table's own prime q.  With
+    the primes that just exceed it, every one gives the row norms, and the
+    prefix whose product just exceeds |G| gives everything else; without
+    the last one they fail, also with q put in front."""
     import pgclass.chartable as chartable_mod
 
-    T, primes = _gram_guard_setup()
+    T, norm, off = _gram_guard_setup()
     e, q = T.exponent, T.field_prime
     own = _prime_with_root(e, q, e)
     assert own[0] == q
-    gram_mod = chartable_mod._gram_mod
-    used = []
+    residues, coset_sums = chartable_mod._basepoint_residues, chartable_mod._coset_sums
+    used = {"norm": [], "off": []}
 
-    def spy(T, cosets, nonlin, qq, zp, D):
-        used.append(qq)
-        return gram_mod(T, cosets, nonlin, qq, zp, D)
+    def spy_residues(plan, qq, zp):
+        used["norm"].append(qq)
+        return residues(plan, qq, zp)
 
-    monkeypatch.setattr(chartable_mod, "_gram_mod", spy)
-    monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(primes))
+    def spy_coset_sums(T, cosets, C, D, qq, zp, d_max):
+        used["off"].append(qq)
+        return coset_sums(T, cosets, C, D, qq, zp, d_max)
+
+    monkeypatch.setattr(chartable_mod, "_basepoint_residues", spy_residues)
+    monkeypatch.setattr(chartable_mod, "_coset_sums", spy_coset_sums)
+    monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(norm))
     chartable_mod._verify_table(_with_rows(T, list(T.rows)))
-    assert used == [qq for qq, _ in primes]
-    for short in (primes[:-1], [own] + primes[:-1]):
+    assert used == {"norm": [qq for qq, _ in norm], "off": [qq for qq, _ in off]}
+    for short in (norm[:-1], [own] + norm[:-1]):
         monkeypatch.setattr(chartable_mod, "_check_primes", lambda e, short=short: tuple(short))
         with pytest.raises(TableVerificationError, match="product"):
             chartable_mod._verify_table(_with_rows(T, list(T.rows)))
 
 
 def test_float64_bound_is_checked(monkeypatch):
-    """The Gram check refuses a check prime q' with k (q'-1)^2 not below
+    """The pair check refuses a check prime q' with k (q'-1)^2 not below
     2^53, the float64 exact range: the largest prime q' = 1 (mod e) below
     it passes, the smallest one above fails."""
     import pgclass.chartable as chartable_mod
 
-    T, primes = _gram_guard_setup()
+    T, primes, _ = _gram_guard_setup()
     k, e = T.count, T.exponent
     x = math.isqrt((2**53 - 1) // k)  # the largest x with k x^2 < 2^53
     below = _prime_with_root(e, x + 1, -e)
@@ -524,6 +537,40 @@ def test_table_guards_survive_optimize(run_optimized):
         "    G = pg.Group(pg.build('heisenberg_p3', 3))\n"
         "    G.derived = pg.subgroup_generated([], G)\n"
         "    ct.linear_character_exponents(G)\n"
+        "translates = ct._center_translates\n"
+        "def with_translates(change):\n"
+        "    def changed(T):\n"
+        "        gens, perms = translates(T)\n"
+        "        perms = perms.copy()\n"
+        "        change(perms)\n"
+        "        return gens, perms\n"
+        "    ct._center_translates = changed\n"
+        "    try:\n"
+        "        ct._verify_table(T)\n"
+        "    finally:\n"
+        "        ct._center_translates = translates\n"
+        "def center_perm():\n"
+        "    with_translates(lambda perms: perms.__setitem__((0, 1), perms[0, 0]))\n"
+        "def center_sizes():\n"
+        "    with_translates(lambda perms: perms.__setitem__((0, [0, -1]), perms[0, [-1, 0]]))\n"
+        "def central_support():\n"
+        "    row = ct._Row(3, 3, T.count, 'central', support=np.array([0]),\n"
+        "                  texp_on=np.array([0]))\n"
+        "    rows = [r for r in T.rows if r.kind == 'unity'] + [row, row]\n"
+        "    ct._verify_table(pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,\n"
+        "                                       field_prime=T.field_prime, exponent=3))\n"
+        "TD = ct.compute_table(pg.build('G_(20,1)', 5))\n"
+        "def dense_moved(j):\n"
+        "    C = ct._central_exponents([r for r in TD.rows if r.kind == 'central'], TD.count, 5)\n"
+        "    D = ct._dense_block([r for r in TD.rows if r.kind == 'dense'], TD.count, 5).copy()\n"
+        "    u = int(D[0, j].argmax())\n"
+        "    D[0, j, u] -= 1\n"
+        "    D[0, j, (u + 1) % 5] += 1\n"
+        "    ct._pair_plan(TD, C, D)\n"
+        "def dense_center():\n"
+        "    dense_moved(int(TD.classes.classof[TD.group.center.gens[0]]))\n"
+        "def dense_character():\n"
+        "    dense_moved(TD.count - 1)\n"
         "checks = {\n"
         "    'degree_one': degree_one,\n"
         "    'central_blocks': central_blocks,\n"
@@ -537,6 +584,11 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'jordan_block': jordan_block,\n"
         "    'eigen_range': eigen_range,\n"
         "    'linear_count': linear_count,\n"
+        "    'center_perm': center_perm,\n"
+        "    'center_sizes': center_sizes,\n"
+        "    'central_support': central_support,\n"
+        "    'dense_center': dense_center,\n"
+        "    'dense_character': dense_character,\n"
         "}\n"
         "for name, check in checks.items():\n"
         "    try:\n"
@@ -547,7 +599,8 @@ def test_table_guards_survive_optimize(run_optimized):
     assert run_optimized(code).split() == [
         "degree_one", "central_blocks", "prime_product", "coset_count", "coset_sum",
         "coset_subgroup", "float64_range", "power_data",
-        "root_of_unity", "jordan_block", "eigen_range", "linear_count",
+        "root_of_unity", "jordan_block", "eigen_range", "linear_count", "center_perm",
+        "center_sizes", "central_support", "dense_center", "dense_character",
     ]
 
 
@@ -1455,80 +1508,266 @@ def test_verify_table_rejects_galois_image(label, kind):
         _verify_table(_with_rows(T, rows))
 
 
-def _change_galois_orbit(T, i, shifts):
-    """The rows of T with dense row i and every row of its orbit under
-    sigma_s changed by shifts[j] * p at each class j (e = p): the
-    multiplicities there move by (p - 1, -1, ..., -1) times shifts[j], a
-    rational change, which every sigma_s fixes.  The changed rows are
-    int64 copies: the table's block is unsigned and narrow, where -1 has
-    no place."""
-    from pgclass.chartable import _unit_gens
+def _mults_of(r, e):
+    """Row r's multiplicities as an int64 (k, e) array.  A central-type row
+    has d at its exponent on the support and d / e at every exponent off
+    it, where the value is 0 (e must divide d)."""
+    if r.kind == "dense":
+        return np.array(r.mults, dtype=np.int64)
+    assert r.degree % e == 0
+    m = np.full((r.k, e), r.degree // e, dtype=np.int64)
+    m[r.support] = 0
+    m[r.support, np.asarray(r.texp_on) % e] = r.degree
+    return m
 
-    e, p = T.exponent, T.group.p
-    assert e == p
+
+def _with_galois_orbit(T, i, mults):
+    """The rows of T with the non-linear row i replaced by a dense row of
+    the multiplicities mults, and every row sigma_s^t(chi_i) of its orbit
+    by sigma_s^t of it, moving the multiplicity at u to s u: the rows stay
+    closed under sigma_s.  The new rows are int64, so a table's narrow
+    unsigned block has no say."""
+    from pgclass.chartable import _Row, _unit_gens
+
+    e = T.exponent
     (s,) = _unit_gens(e)
-    orbit = []
-    m = np.asarray(T.rows[i].mults)
+    image = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
+    stored = {b: _mults_of(r, e) for b, r in enumerate(T.rows) if r.kind != "unity"}
+    rows = list(T.rows)
+    m, new, orbit = stored[i], np.array(mults, dtype=np.int64), []
     while not any(np.array_equal(m, o) for o in orbit):
         orbit.append(m)
-        m = m[:, np.arange(e) * pow(s, -1, e) % e]
-    rows = list(T.rows)
-    changed = 0
-    for b, r in enumerate(rows):
-        if r.kind == "dense" and any(np.array_equal(r.mults, o) for o in orbit):
-            mults = np.array(r.mults, dtype=np.int64)
-            for j, sign in shifts.items():
-                mults[j] += sign * np.r_[p - 1, np.full(e - 1, -1)]
-            rows[b] = _copy_row(r, mults=mults)
-            assert (rows[b].mults >= 0).all()
-            assert all(rows[b].value(j) - r.value(j) == sign * p for j, sign in shifts.items())
-            changed += 1
-    assert changed == len(orbit)
+        b = next(b for b, x in stored.items() if np.array_equal(x, m))
+        assert (new >= 0).all() and (new.sum(axis=1) == T.rows[b].degree).all()
+        rows[b] = _Row(T.rows[b].degree, e, T.count, "dense", mults=new)
+        m, new = m[:, image], new[:, image]
     return rows
+
+
+def _center_orbit(T, j):
+    """{class y: digits over the chain generators b_a of Z(G) of an element
+    z with y = cl(g_j z)} over the orbit of class j under Z(G)."""
+    from pgclass.chartable import _center_translates
+
+    _, perms = _center_translates(T)
+    seen, todo = {j: np.zeros(len(perms), dtype=np.int64)}, [j]
+    while todo:
+        x = todo.pop()
+        for a, perm in enumerate(perms):
+            y = int(perm[x])
+            if y not in seen:
+                seen[y] = seen[x] + np.eye(len(perms), dtype=np.int64)[a]
+                todo.append(y)
+    return seen
+
+
+def _center_exponents(T, m):
+    """The exponents c_a of the central character of a row with
+    multiplicities m (k, e) at the chain generators b_a of Z(G), where the
+    row is d zeta_e^c_a."""
+    G = T.group
+    return m[T.classes.classof[list(G.center.gens)]].argmax(axis=1)
+
+
+def _twist(T, j, c):
+    """{class y: exponent of mu(z)} over the Z(G)-orbit of class j, with
+    y = cl(g_j z) and mu the character of Z(G) with exponents c at the b_a,
+    or None when mu(z) is not well defined there: the exponent at the
+    translate of y by b_a must be that at y plus c_a."""
+    from pgclass.chartable import _center_translates
+
+    e = T.exponent
+    _, perms = _center_translates(T)
+    t = {y: int(digits @ c % e) for y, digits in _center_orbit(T, j).items()}
+    if all(t[int(perms[a, y])] == (t[y] + c[a]) % e for y in t for a in range(len(c))):
+        return t
+    return None
+
+
+def _change_center_orbits(T, i, deltas):
+    """The multiplicities of row i, with deltas[j] rolled by the exponent
+    of mu(z) added at the class of g_j z for every z in Z(G), mu the row's
+    central character: the value there moves by mu(z) times the change
+    deltas[j] makes at g_j, so the row keeps its central character.  mu(z)
+    must be well defined on each orbit (_twist)."""
+    m = _mults_of(T.rows[i], T.exponent)
+    c = _center_exponents(T, m)
+    for j, delta in deltas.items():
+        for y, t in _twist(T, j, c).items():
+            m[y] += np.roll(delta, t)
+    return m
+
+
+def _value_changes(T, rows, i, deltas):
+    """Check that row i of rows differs from T's by mu(z) sum_u
+    deltas[j][u] zeta_e^u at every class of g_j z, z in Z(G), and nowhere
+    else."""
+    e = T.exponent
+    c = _center_exponents(T, _mults_of(T.rows[i], e))
+    want = {}
+    for j, delta in deltas.items():
+        for y, t in _twist(T, j, c).items():
+            want[y] = sum((int(x) * Cyclotomic.root(e, u + t) for u, x in enumerate(delta)),
+                          Cyclotomic.zero())
+    for y in range(T.count):
+        assert rows[i].value(y) - T.rows[i].value(y) == want.get(y, Cyclotomic.zero())
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
 def test_verify_table_rejects_galois_closed_change(label):
-    """A change that keeps the non-linear rows closed under the Galois
-    group is left to the Gram check.  At a class j where a dense row
-    vanishes, its value and that of every row of its orbit under sigma_s
-    turns from 0 into p.  That moves one G'-coset sum by |K_j| p, so the
-    coset-sum step is the check that raises."""
+    """A change that keeps every row's central character mu and keeps the
+    non-linear rows closed under the Galois group is left to the residue
+    checks.  Only a row with mu = 1 at every b_a whose translate keeps the
+    G'-cosets takes coset sums; here those b_a generate Z(G), and such rows
+    are of central type.  So one such row, stored dense, and every row of
+    its orbit under sigma_s turn from 0 into p (multiplicities
+    (p - 1, -1, ..., -1) more, e = p) at every class of one Z(G)-orbit off
+    their support.  mu = 1, so each keeps its central character, and the
+    coset sums of the orbit's classes move by |K_j| p times their count;
+    the coset-sum step is the check that raises."""
     from pgclass.chartable import _verify_table
 
     T = table(label, 5)
-    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    e, p = T.exponent, T.group.p
+    assert e == p
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "central"
+             and not _center_exponents(T, _mults_of(r, e)).any())
     j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
-    rows = _change_galois_orbit(T, i, {j: 1})
+    deltas = {j: np.r_[p - 1, np.full(e - 1, -1)]}
+    rows = _with_galois_orbit(T, i, _change_center_orbits(T, i, deltas))
+    _value_changes(T, rows, i, deltas)
     with pytest.raises(TableVerificationError, match="G'-coset sum"):
         _verify_table(_with_rows(T, rows))
 
 
 def test_gram_block_rejects_a_change_the_coset_sums_miss():
-    """The same kind of change at two classes j, j' of one size in one
-    G'-coset, by +p at j and -p at j', leaves every coset sum as it was;
-    the Gram block of the non-linear rows still rejects it, as each
-    changed row's norm grows by 2 |K_j| p^2.  G_(19,1) at p = 5 has such
-    a pair: a dense row with every multiplicity at zeta^u, u != 0, at
-    least 1 at j, and the one at zeta^0 at least p - 1 at j'."""
-    from pgclass.chartable import _derived_cosets, _verify_table
+    """A change on one Z(G)-orbit off Z(G): one eigenvalue of a dense row
+    moves from zeta^u mu(z) to zeta^(u+1) mu(z) at every class of g_j z,
+    z in Z(G), mu the row's central character; the rows of its orbit under
+    sigma_s take the images.  The rows keep their central characters and
+    stay closed under the Galois group.  mu(b) != 1 for a b in Z(G) whose
+    translate keeps every G'-coset, and the change is twisted by mu, so
+    every coset sum of the row stays 0 (checked at a check prime).  The
+    in-group products still reject the change, as the changed rows' norms
+    move."""
+    from pgclass.chartable import (_check_primes, _coset_sums, _dense_block, _derived_cosets,
+                                   _verify_table)
 
     T = table("G_(19,1)", 5)
-    p = T.group.p
-    cosets, sizes = _derived_cosets(T)[1], T.classes.sizes
-
-    def pair(r):
-        m = np.asarray(r.mults)
-        up = np.flatnonzero((m[:, 1:] >= 1).all(axis=1))
-        down = np.flatnonzero(m[:, 0] >= p - 1)
-        return next(((int(j), int(jj)) for j in up[up > 0] for jj in down[down > 0]
-                     if j != jj and cosets[j] == cosets[jj] and sizes[j] == sizes[jj]), None)
-
-    i, (j, jj) = next((i, pair(r)) for i, r in enumerate(T.rows)
-                      if r.kind == "dense" and pair(r) is not None)
-    rows = _change_galois_orbit(T, i, {j: 1, jj: -1})
+    e = T.exponent
+    cosets = _derived_cosets(T)[1]
+    center = set(_center_orbit(T, 0))
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    m = np.asarray(T.rows[i].mults)
+    c = _center_exponents(T, m)
+    j = next(j for j in range(T.count) if j not in center and _twist(T, j, c) is not None)
+    u = int(m[j].argmax())
+    delta = np.zeros(e, dtype=np.int64)
+    delta[u], delta[(u + 1) % e] = -1, 1
+    rows = _with_galois_orbit(T, i, _change_center_orbits(T, i, {j: delta}))
+    _value_changes(T, rows, i, {j: delta})
+    qq, zp = _check_primes(e)[0]
+    none = np.zeros((0, T.count + 1), dtype=np.int32)
+    for r in (T.rows[i], rows[i]):
+        assert not _coset_sums(T, cosets, none, _dense_block([r], T.count, e), qq, zp,
+                               r.degree).any()
     with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
         _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_one_class_change_breaks_the_central_character(label):
+    """The change the Galois-closed test made before rows were checked for
+    a central character: a dense row and its orbit under sigma_s turn from
+    0 into p at one class j alone.  The rows stay closed under the Galois
+    group, but chi(g_j b) = mu(b) chi(g_j) fails for a chain generator b of
+    Z(G): the value at g_j b stays 0 where the translate moves j, and where
+    every translate fixes j, mu(b) != 1 for some b (every dense row here has
+    a nontrivial mu).  The exact central-character check raises before any
+    residue is formed."""
+    from pgclass.chartable import _verify_table
+
+    T = table(label, 5)
+    e, p = T.exponent, T.group.p
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    assert _center_exponents(T, _mults_of(T.rows[i], e)).any()
+    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
+    m = _mults_of(T.rows[i], e)
+    m[j] += np.r_[p - 1, np.full(e - 1, -1)]
+    rows = _with_galois_orbit(T, i, m)
+    assert rows[i].value(j) == p
+    with pytest.raises(TableVerificationError, match="^a dense row has no central character$"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_dense_row_must_be_a_root_of_unity_times_d_on_the_center(label):
+    """A dense row, and its orbit under sigma_s, with one eigenvalue at the
+    class of the first chain generator b_1 of Z(G) moved: the rows stay
+    closed and well formed, but chi(b_1) is no longer d zeta_e^c, and the
+    check of the Z(G) columns raises."""
+    from pgclass.chartable import _verify_table
+
+    T = table(label, 5)
+    e = T.exponent
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
+    b = int(T.classes.classof[T.group.center.gens[0]])
+    m = _mults_of(T.rows[i], e)
+    u = int(m[b].argmax())
+    m[b, u] -= 1
+    m[b, (u + 1) % e] += 1
+    rows = _with_galois_orbit(T, i, m)
+    with pytest.raises(TableVerificationError,
+                       match="^a dense row is not d times a root of unity on Z\\(G\\)$"):
+        _verify_table(_with_rows(T, rows))
+
+
+def test_central_type_support_must_hold_the_center():
+    """heisenberg_p3 at p = 3 with both degree-3 rows replaced by the row
+    3 at the identity and 0 elsewhere: a character of its support, the
+    trivial subgroup, twice, so the rows are closed under the Galois group
+    and the degrees still add up.  Its support misses the classes of
+    Z(G), and the central-character check raises."""
+    from pgclass.chartable import _Row, _verify_table
+
+    T = table("heisenberg_p3", 3)
+    row = _Row(3, T.exponent, T.count, "central", support=np.array([0]), texp_on=np.array([0]))
+    rows = [r for r in T.rows if r.kind == "unity"] + [row, row]
+    with pytest.raises(TableVerificationError,
+                       match="^a central-type row's support misses a class of Z\\(G\\)$"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("repeat", "not a permutation of the classes"),
+    ("swap", "changes a class size"),
+])
+def test_center_translates_must_be_size_keeping_permutations(monkeypatch, wrong, message):
+    """The verifier takes the translates g_j -> g_j b_a of the classes by
+    the chain generators of Z(G) from _center_translates and trusts no part
+    of them: a translate that hits one class twice, or one with two
+    entries swapped so that it moves a class onto one of another size, is
+    refused before any row is read."""
+    import pgclass.chartable as ct
+
+    T = table("G_(20,1)", 5)
+    translates = ct._center_translates
+    sizes = T.classes.sizes
+
+    def changed(T):
+        gens, perms = translates(T)
+        perms = perms.copy()
+        if wrong == "repeat":
+            perms[0, 1] = perms[0, 0]
+        else:
+            j = int(np.flatnonzero(sizes[perms[0]] != sizes[perms[0, 0]])[0])
+            perms[0, [0, j]] = perms[0, [j, 0]]
+            assert (np.sort(perms[0]) == np.arange(T.count)).all()
+        return gens, perms
+
+    monkeypatch.setattr(ct, "_center_translates", changed)
+    with pytest.raises(TableVerificationError, match=message):
+        ct._verify_table(_with_rows(T, list(T.rows)))
 
 
 @pytest.mark.parametrize("wrong", ["finer", "coarser"])
@@ -1613,37 +1852,76 @@ def full_tensor_pair_values(T, dense):
     return np.moveaxis(c, 0, -1)
 
 
+def _pair_inputs(T):
+    """(rows, C, D, plan): the non-linear row indices of T in the pair
+    check's order, central-type rows first, its two blocks and its
+    _pair_plan (or None, with the error, when the plan refuses T)."""
+    from pgclass.chartable import _central_exponents, _dense_block, _pair_plan
+
+    k, e = T.count, T.exponent
+    central = [i for i, r in enumerate(T.rows) if r.kind == "central"]
+    dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
+    C = _central_exponents([T.rows[i] for i in central], k, e)
+    D = _dense_block([T.rows[i] for i in dense], k, e)
+    try:
+        plan = _pair_plan(T, C, D)
+    except TableVerificationError as exc:
+        plan = exc
+    return central + dense, C, D, plan
+
+
+def _in_group_products(plan, qq, zp):
+    """The pair check's in-group products at a check prime: (rows, P) per
+    batch of plan.batches, over the basepoints with the weights |O| |K_j|."""
+    from pgclass.chartable import _basepoint_residues, _group_products
+
+    R = _basepoint_residues(plan, qq, zp)
+    return _group_products(plan, R[0] * (plan.weights % qq) % qq, R[1], qq)
+
+
 @pytest.mark.parametrize("label", VERIFY_LABELS)
 @pytest.mark.parametrize("kind", [None, "dense_nonzero", "dense_vanishing"])
 def test_common_support_products_match_full_tensor(label, kind):
-    """The Gram entries of every dense row against every non-linear row,
-    and against every linear row lambda as sum_x S(x) conj lambda(x) over
-    the G'-coset sums S(x), at each check prime q', are the full-tensor
-    oracle's exact values reduced at zeta_e -> z', on the table and on
-    copies with one dense entry changed; and on the table the oracle's
-    values are |G| delta_ab."""
-    from pgclass.chartable import _check_primes, _dense_block, _derived_cosets, _gram_mod
+    """The pair check's residues at each check prime q' are the full-tensor
+    oracle's exact values reduced at zeta_e -> z'.  Against every linear
+    row lambda, sum_x S(x) conj lambda(x) over the G'-coset sums S(x) of
+    every dense row, on the table and on copies with one dense entry
+    changed.  On the table, the in-group product of every dense row with
+    every row of its central character, over the Z(G)-orbit basepoints;
+    there the oracle's values are |G| delta_ab, so every entry between
+    rows of different central characters is 0.  Each changed copy loses
+    its dense row's central character, which _pair_plan refuses."""
+    from pgclass.chartable import _check_primes, _coset_sums, _derived_cosets
 
     T = table(label, 5)
     if kind is not None:
         T = mutate(T, kind)
     e = T.exponent
     lin = [i for i, r in enumerate(T.rows) if r.kind == "unity"]
-    nonlin = [i for i, r in enumerate(T.rows) if r.kind != "unity"]
-    dense = [i for i in nonlin if T.rows[i].kind == "dense"]
-    at = [nonlin.index(i) for i in dense]
+    dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
+    order, C, D, plan = _pair_inputs(T)
+    n_c = C.shape[0]
+    assert isinstance(plan, TableVerificationError) == (kind is not None)
+    if kind is not None:
+        assert str(plan) == "a dense row has no central character"
     cosets = _derived_cosets(T)[1]
     assert cosets.max() + 1 == len(lin)
     # a linear row is constant on each coset: read it at the coset's first class
     first = np.unique(cosets, return_index=True)[1]
     lin_on_cosets = np.stack([T.rows[i].texp[first] for i in lin])
     c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
-    D = _dense_block([T.rows[i] for i in dense], T.count, e)
     for qq, zp in _check_primes(e)[:2]:
-        sums, gram, _ = _gram_mod(T, cosets, [T.rows[i] for i in nonlin], qq, zp, D)
         want = (c % qq) @ zp % qq
-        assert (sums[at] @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
-        assert (gram[at] == want[:, nonlin]).all()
+        sums = _coset_sums(T, cosets, C[:0], D, qq, zp, max(T.degrees()))
+        assert (sums @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
+        if kind is None:
+            checked = 0
+            for rows, P in _in_group_products(plan, qq, zp):
+                for g, x in zip(*np.nonzero(rows >= n_c)):
+                    b = [order[r] for r in rows[g]]
+                    assert (P[g, x] == want[rows[g, x] - n_c, b]).all()
+                    checked += 1
+            assert checked == len(dense)
     ok, val = _rational_of_coeffvec(c, e)
     if kind is None:
         assert ok.all()
@@ -1651,6 +1929,91 @@ def test_common_support_products_match_full_tensor(label, kind):
         assert np.count_nonzero(val) == len(dense)
     else:
         assert not (ok.all() and np.count_nonzero(val) == len(dense))
+
+
+def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
+    """(sums, gram, diag) reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t
+    mod qq, for a, b in nonlin, over all k classes: the coset sums
+    sums[a, x] = sum over the classes j with cosets[j] = x of
+    |K_j| chi_a(g_j); the full Gram matrix
+    gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
+    sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
+    zp[t] and its conjugate to zp[-t], so a central-type row to
+    d zp[texp_on] on its support, and the dense rows, the rows of D
+    (_dense_block) in their order in nonlin, to D @ zp (_residue_chunks).
+    The float64 product adds k terms below (qq-1)^2: exact while
+    k (qq-1)^2 < 2^53, which holds at every check prime.  This is the check
+    the verifier made before it grouped the rows by central character."""
+    from pgclass.chartable import _residue_chunks
+
+    cls = T.classes
+    k = cls.count
+    e = T.exponent
+    m = len(nonlin)
+    assert k * (qq - 1) ** 2 < 2**53
+    both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
+    R = np.zeros((m, k), dtype=np.int64)  # the rows' residues
+    Rc = np.zeros((m, k), dtype=np.int64)  # their conjugates'
+    dense, d_max = [], 0
+    for i, r in enumerate(nonlin):
+        if r.kind == "central":
+            vals = r.degree * both[np.asarray(r.texp_on) % e] % qq
+            R[i, r.support], Rc[i, r.support] = vals[:, 0], vals[:, 1]
+        else:
+            dense.append(i)
+            d_max = max(d_max, r.degree)
+    for lo, res in _residue_chunks(D, both, qq, d_max):
+        at = dense[lo:lo + res.shape[0]]
+        R[at], Rc[at] = res[..., 0], res[..., 1]
+    diag = (R * Rc % qq).sum(axis=0) % qq
+    R = R * (cls.sizes % qq) % qq  # now |K_j| chi_a(g_j)
+    by = np.argsort(cosets, kind="stable")
+    starts = np.flatnonzero(np.r_[True, cosets[by][1:] != cosets[by][:-1]])
+    sums = np.add.reduceat(R[:, by], starts, axis=1) % qq
+    gram = (R.astype(np.float64) @ Rc.astype(np.float64).T).astype(np.int64) % qq
+    return sums, gram, diag
+
+
+NONABELIAN = [(label, p) for label in pg.corpus.labels() for p in (3, 5)
+              if pg.REGISTRY[label].covers(p) and not label.startswith(("C_", "E_"))]
+
+
+@pytest.mark.parametrize("label,p", NONABELIAN)
+def test_pair_check_matches_the_full_gram_matrix(label, p):
+    """The pair check against the full Gram matrix it replaced
+    (reference_gram_mod), at the first two check primes, on every
+    non-abelian corpus table at p = 3 and 5: the Gram entries between rows
+    of different central characters are 0; the in-group products over the
+    Z(G)-orbit basepoints are its entries; the coset sums are its coset
+    sums, and the rows that skip them (mu(b) != 1 for a chain generator b
+    of Z(G) whose translate keeps every coset) have them all 0; and the
+    column sums at the basepoints are its column sums there."""
+    from pgclass.chartable import (_basepoint_residues, _check_primes, _coset_sums,
+                                   _derived_cosets)
+
+    T = table(label, p)
+    e = T.exponent
+    order, C, D, plan = _pair_inputs(T)
+    n_c = C.shape[0]
+    nonlin = [T.rows[i] for i in order]
+    assert nonlin
+    cosets = _derived_cosets(T)[1]
+    keeps = (cosets[plan.perms] == cosets).all(axis=1)
+    summed = ~plan.chars[:, keeps].any(axis=1)
+    same = (plan.chars[:, None, :] == plan.chars[None, :, :]).all(axis=2)
+    for qq, zp in _check_primes(e)[:2]:
+        sums, gram, diag = reference_gram_mod(T, cosets, nonlin, qq, zp, D)
+        assert not gram[~same].any()
+        seen = np.zeros(gram.shape, dtype=bool)
+        for rows, P in _in_group_products(plan, qq, zp):
+            assert (P == gram[rows[:, :, None], rows[:, None, :]]).all()
+            seen[rows[:, :, None], rows[:, None, :]] = True
+        assert (seen == same).all()
+        new = _coset_sums(T, cosets, C[summed[:n_c]], D[summed[n_c:]], qq, zp, max(T.degrees()))
+        assert (new == sums[summed]).all()
+        assert not sums[~summed].any()
+        R = _basepoint_residues(plan, qq, zp)
+        assert ((R[0] * R[1] % qq).sum(axis=0) % qq == diag[plan.basepoints]).all()
 
 
 @pytest.mark.parametrize("e", [3, 9, 27, 81, 5, 25, 625, 7, 49, 2401, 4, 8, 16])
