@@ -1725,7 +1725,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
     flat = D.reshape(n_d, k * e)
     u = np.arange(e)
     step = max(1, 2**22 // (k * e))
-    for code in np.unique(cd + e * np.arange(m)).tolist():
+    for code in sorted(set((cd + e * np.arange(m)).ravel().tolist())):
         a, c = divmod(code, e)
         at = (perms[a, :, None] * e + (u + c) % e).reshape(-1)  # (j, u) -> (j b_a, u + c)
         sel = np.flatnonzero(cd[:, a] == c)
@@ -1907,7 +1907,7 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndar
             if (((A * R[1] % qq).sum(axis=1) - order) % qq).any():
                 raise TableVerificationError("a non-linear row fails orthogonality")
             continue
-        if _coset_sums(T, cosets, Cs, Ds, qq, zp, d_max).any():
+        if summed.any() and _coset_sums(T, cosets, Cs, Ds, qq, zp, d_max).any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
         for rows, P in _group_products(plan, A, R[1], qq):
