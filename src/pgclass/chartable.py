@@ -1718,21 +1718,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
         raise TableVerificationError("a central-type row's support misses a class of Z(G)")
     n_d = D.shape[0]
     deg_d = D[:, 0].sum(axis=1, dtype=np.int64)  # each class's multiplicities sum to d
-    Dz = D[:, zcls]
-    if (Dz.max(axis=2) != deg_d[:, None]).any():
-        raise TableVerificationError("a dense row is not d times a root of unity on Z(G)")
-    cd = Dz.argmax(axis=2)
-    flat = D.reshape(n_d, k * e)
-    u = np.arange(e)
-    step = max(1, 2**22 // (k * e))
-    for code in sorted(set((cd + e * np.arange(m)).ravel().tolist())):
-        a, c = divmod(code, e)
-        at = (perms[a, :, None] * e + (u + c) % e).reshape(-1)  # (j, u) -> (j b_a, u + c)
-        sel = np.flatnonzero(cd[:, a] == c)
-        for lo in range(0, sel.size, step):
-            rows = flat[sel[lo:lo + step]]
-            if not np.array_equal(np.take(rows, at, axis=1), rows):
-                raise TableVerificationError("a dense row has no central character")
+    cd = _dense_center_exponents(D, deg_d, perms, zcls) if n_d else np.zeros((0, m), np.int64)
 
     chars = np.concatenate([cc, cd])
     n = chars.shape[0]
@@ -1759,7 +1745,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
     bp = np.flatnonzero(lab == ar)
     C_at = C[:, 1 + bp]
     D_at = np.take(D, bp, axis=1).transpose(2, 0, 1).copy()
-    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)])
+    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)]) if n_d else C_at >= 0
     batches, lo = [], 0
     groups = np.bincount(gsize)
     for size in np.flatnonzero(groups).tolist():
@@ -1771,6 +1757,31 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
     deg = np.concatenate([C[:, 0], deg_d])
     return _PairPlan(deg, chars, perms, bp, np.bincount(lab)[bp] * sizes[bp], C_at, D_at,
                      batches)
+
+
+def _dense_center_exponents(D: np.ndarray, deg: np.ndarray, perms: np.ndarray,
+                            zcls: np.ndarray) -> np.ndarray:
+    """cd[r, a], the exponent c with chi_r(b_a) = d zeta_e^c for the dense
+    rows of D (degrees deg) at the classes zcls of the b_a, once each row
+    is checked to be d at exactly one exponent there and to satisfy
+    m[perms[a, j], u + c] = m[j, u] at every class j (_pair_plan)."""
+    n_d, k, e = D.shape
+    Dz = D[:, zcls]
+    if (Dz.max(axis=2) != deg[:, None]).any():
+        raise TableVerificationError("a dense row is not d times a root of unity on Z(G)")
+    cd = Dz.argmax(axis=2)
+    flat = D.reshape(n_d, k * e)
+    u = np.arange(e)
+    step = max(1, 2**22 // (k * e))
+    for code in sorted(set((cd + e * np.arange(len(zcls))).ravel().tolist())):
+        a, c = divmod(code, e)
+        at = (perms[a, :, None] * e + (u + c) % e).reshape(-1)  # (j, u) -> (j b_a, u + c)
+        sel = np.flatnonzero(cd[:, a] == c)
+        for lo in range(0, sel.size, step):
+            rows = flat[sel[lo:lo + step]]
+            if not np.array_equal(np.take(rows, at, axis=1), rows):
+                raise TableVerificationError("a dense row has no central character")
+    return cd
 
 
 def _basepoint_residues(plan: _PairPlan, qq: int, zp: np.ndarray) -> np.ndarray:
@@ -1897,7 +1908,6 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndar
     keeps = (cosets[plan.perms] == cosets).all(axis=1)
     summed = ~plan.chars[:, keeps].any(axis=1)
     n_c = C.shape[0]
-    Cs, Ds = C[summed[:n_c]], D[summed[n_c:]]
     cen = order // cls.sizes[plan.basepoints] - n_lin
     w = plan.weights
     for i, (qq, zp) in enumerate(primes):
@@ -1907,13 +1917,14 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndar
             if (((A * R[1] % qq).sum(axis=1) - order) % qq).any():
                 raise TableVerificationError("a non-linear row fails orthogonality")
             continue
-        if summed.any() and _coset_sums(T, cosets, Cs, Ds, qq, zp, d_max).any():
+        if summed.any() and _coset_sums(T, cosets, C[summed[:n_c]], D[summed[n_c:]], qq, zp,
+                                        d_max).any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
         for rows, P in _group_products(plan, A, R[1], qq):
             at = np.arange(rows.shape[1])
-            P[:, at, at] -= order % qq
-            if (P % qq).any():
+            P[:, at, at] -= order % qq  # P is reduced, so 0 iff 0 mod qq
+            if P.any():
                 raise TableVerificationError("a non-linear row fails orthogonality")
         if (((R[0] * R[1] % qq).sum(axis=0) - cen) % qq).any():
             raise TableVerificationError("column norm != centralizer order")
