@@ -1803,12 +1803,11 @@ def _basepoint_residues(plan: _PairPlan, qq: int, zp: np.ndarray) -> np.ndarray:
     R[:, :n_c] = tab[:, plan.C_at] * plan.deg[:n_c, None] % qq
     Du = plan.D_at.reshape(e, -1)
     zf = tab[:, :e].astype(np.float64)
-    res = np.empty((2, Du.shape[1]), dtype=np.int64)
+    res = R[:, n_c:].reshape(2, -1)  # a view, as R's last two axes are contiguous
     step = 2**18 // (2 * e) or 1
     for lo in range(0, Du.shape[1], step):
         res[:, lo:lo + step] = zf @ Du[:, lo:lo + step]
     res %= qq
-    R[:, n_c:] = res.reshape(R[:, n_c:].shape)
     return R
 
 

@@ -446,6 +446,30 @@ def test_prime_product_bound_is_checked(monkeypatch):
             chartable_mod._verify_table(_with_rows(T, list(T.rows)))
 
 
+def test_norms_are_checked_at_every_norm_prime(monkeypatch):
+    """The row norms are checked at every norm prime, also past the
+    off-diagonal prefix: with one row's residues doubled at the last norm
+    prime alone, its norm reads 4 |G| there, and the pair check refuses
+    it."""
+    import pgclass.chartable as chartable_mod
+
+    T, norm, off = _gram_guard_setup()
+    last = norm[-1][0]
+    assert last not in [qq for qq, _ in off]
+    residues = chartable_mod._basepoint_residues
+
+    def doubled(plan, qq, zp):
+        R = residues(plan, qq, zp)
+        if qq == last:
+            R[:, 0] = 2 * R[:, 0] % qq
+        return R
+
+    monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(norm))
+    monkeypatch.setattr(chartable_mod, "_basepoint_residues", doubled)
+    with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
+        chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+
+
 def test_float64_bound_is_checked(monkeypatch):
     """The pair check refuses a check prime q' with k (q'-1)^2 not below
     2^53, the float64 exact range: the largest prime q' = 1 (mod e) below
