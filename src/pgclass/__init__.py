@@ -3,7 +3,6 @@ structure of their irreducible characters."""
 
 from .chartable import (
     CharacterTable,
-    class_constants,
     compute_table,
     linear_character_exponents,
     table_of,
@@ -76,7 +75,9 @@ def clear_caches() -> None:
     the corpus bundles by (label, p) (verify._bundles), the collectors by
     presentation (presentation._collectors), and the lru caches of
     chartable._check_primes and cyclotomic._prime_power_split.  Each lives
-    until this call or the end of the process."""
+    until this call or the end of the process, except that
+    run_ingested_census drops each file's collector, group and table once
+    its report is made."""
     from . import chartable, cyclotomic, group, presentation, verify
 
     for cache in (group._group_cache, chartable._table_cache, verify._bundles,

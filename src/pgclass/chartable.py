@@ -49,13 +49,17 @@ Pipeline, the same for every group:
     certified support H satisfies d^2 |H| = |G| vanishes off H because
     sum over G of |chi|^2 = |G| leaves nothing for the complement.  The
     test runs once per element order m, over every candidate pair of a row
-    and a class of that order at once (_certify).  Certification catches every
-    central-type row (_lift_rows says why), so the rows left over are
-    stored dense, in one (rows, k, e) block of the narrowest unsigned
-    dtype that holds their largest degree (_mult_dtype: one byte per
-    multiplicity at every order <= p^6 with p <= 13); each row's mults is
-    a read-only view of it.  One row per sigma_s-orbit takes Dixon's
-    recovery at every class: for a class of element order m the
+    and a class of that order at once (_certify).  A certified row is
+    stored as its exponents t, -1 where the value is 0: one row of a
+    (rows, k) block of np.min_scalar_type(-e), int8 at every corpus
+    exponent, read through the linear rows' exponent path (_Row.texp).
+    Certification catches every central-type row (_lift_rows says why),
+    so the rows left over are stored dense, in one (rows, k, e) block of
+    the narrowest unsigned dtype that holds their largest degree
+    (_mult_dtype: one byte per multiplicity at every order <= p^6 with
+    p <= 13); each row's mults is a read-only view of it.  One row per
+    sigma_s-orbit takes Dixon's recovery at every class: for a class of
+    element order m the
     multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
     DFT along the class's power orbit, evaluated mod q, in chunks of about
     5 * 10^5 entries (_orbit_dft_mults).  Each multiplicity is an integer
@@ -107,19 +111,19 @@ _MAX_CLASSES = 6000
 class _Row:
     """One irreducible character, stored compactly by shape."""
 
-    __slots__ = ("degree", "e", "k", "kind", "t", "digits", "support", "texp_on", "mults",
+    __slots__ = ("degree", "e", "k", "kind", "t", "digits", "cexp", "mults",
                  "_nonzero", "_center")
 
-    def __init__(self, degree, e, k, kind, t=None, digits=None, support=None, texp_on=None,
-                 mults=None, ones=None):
+    def __init__(self, degree, e, k, kind, t=None, digits=None, cexp=None, mults=None,
+                 ones=None):
         self.degree = int(degree)
         self.e = e
         self.k = k
         self.kind = kind          # 'unity' | 'central' | 'dense'
         self.t = t                # unity: (n,) exponents of zeta_e at the pc generators
         self.digits = digits      # unity: (n, k) class-rep digits (_rep_digits), shared
-        self.support = support    # central: sorted class indices with nonzero value
-        self.texp_on = texp_on    # central: exponents on the support
+        self.cexp = cexp          # central: (k,) exponents of zeta_e, -1 where the row is 0;
+        #                           compute_table's are read-only views of one block
         self.mults = mults        # dense: (k, e) eigenvalue multiplicities; compute_table's
         #                           are read-only views of one _mult_dtype block (_lift_rows)
         # nonzero and center masks, built on first use; ones (unity rows
@@ -127,48 +131,43 @@ class _Row:
         self._nonzero = self._center = ones
 
     # -- exact values --------------------------------------------------------
+    # A unity or central row is d zeta_e^t at a class with exponent t >= 0,
+    # and 0 where t = -1 (central rows only); a dense row is the sum of its
+    # multiplicities' roots of unity.
 
     @property
     def texp(self) -> np.ndarray:
-        """unity: the exponent of zeta_e at every class rep, t . digits mod e."""
+        """unity and central: the exponent of zeta_e at every class rep."""
         return self._texp_at(slice(None))
 
     def _texp_at(self, cols):
+        if self.kind == "central":
+            return self.cexp[cols]
         return self.t @ self.digits[:, cols] % self.e
 
     def value(self, j: int) -> Cyclotomic:
-        if self.kind == "unity":
-            return Cyclotomic.root(self.e, int(self._texp_at(j)))
-        if self.kind == "central":
-            pos = np.searchsorted(self.support, j)
-            if pos < self.support.size and self.support[pos] == j:
-                return self.degree * Cyclotomic.root(self.e, int(self.texp_on[pos]))
-            return Cyclotomic.zero()
-        return root_sum(self.e, self.mults[j])
+        if self.kind == "dense":
+            return root_sum(self.e, self.mults[j])
+        t = int(self._texp_at(j))
+        return self.degree * Cyclotomic.root(self.e, t) if t >= 0 else Cyclotomic.zero()
 
     def value_strings(self, memo: dict) -> list[str]:
         """str(self.value(j)) for every class j, formatting each distinct
         stored value once per memo.
 
         The memo key of class j is the row's own exact data there, and
-        value(j) is a function of that key alone: the exponent t of zeta_e
-        (unity), the degree with t or the zero off the support (central),
-        or the multiplicity vector (dense).  The exponent e is not in the
-        key, so one memo serves the rows of one table only."""
-        if self.kind == "unity":
-            uniq, first, inv = np.unique(self.texp, return_index=True, return_inverse=True)
-            keys = [("unity", int(t)) for t in uniq]
-        elif self.kind == "central":
-            t_at = np.full(self.k, -1, dtype=np.int64)
-            t_at[self.support] = np.asarray(self.texp_on) % self.e
-            uniq, first, inv = np.unique(t_at, return_index=True, return_inverse=True)
-            keys = [("central", self.degree, int(t)) if t >= 0 else ("zero",)
-                    for t in uniq]
-        else:
+        value(j) is a function of that key alone: the degree with the
+        exponent t (unity and central), or the multiplicity vector (dense).
+        The exponent e is not in the key, so one memo serves the rows of one
+        table only."""
+        if self.kind == "dense":
             uniq, first, inv = np.unique(
                 self.mults, axis=0, return_index=True, return_inverse=True
             )
             keys = [m.tobytes() for m in uniq]
+        else:
+            uniq, first, inv = np.unique(self.texp, return_index=True, return_inverse=True)
+            keys = [(self.degree, int(t)) for t in uniq]
         strs = []
         for key, j in zip(keys, first):
             s = memo.get(key)
@@ -196,36 +195,19 @@ class _Row:
     def center_mask(self) -> np.ndarray:
         """Classes where |value| equals the degree."""
         if self._center is None:
-            if self.kind == "unity":
-                m = np.ones(self.k, dtype=bool)
-            elif self.kind == "central":
-                m = np.zeros(self.k, dtype=bool)
-                m[self.support] = True
-            else:
-                # dense: |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
+            if self.kind == "dense":
+                # |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
                 m = self.mults.max(axis=1) == self.degree
+            else:
+                m = self.texp >= 0
             self._center = _read_only(m)
         return self._center
 
     @property
     def kernel_mask(self) -> np.ndarray:
-        if self.kind == "unity":
-            return self.texp == 0
-        if self.kind == "central":
-            m = np.zeros(self.k, dtype=bool)
-            m[self.support[np.asarray(self.texp_on) == 0]] = True
-            return m
-        return self.mults[:, 0] == self.degree
-
-    def tilde(self, q: int, zpow: np.ndarray) -> np.ndarray:
-        """The row reduced mod q (for sorting and cross-checks)."""
-        if self.kind == "unity":
-            return zpow[self.texp]
-        if self.kind == "central":
-            out = np.zeros(self.k, dtype=np.int64)
-            out[self.support] = self.degree * zpow[np.asarray(self.texp_on) % self.e] % q
-            return out
-        return self.mults.astype(np.int64) @ zpow % q
+        if self.kind == "dense":
+            return self.mults[:, 0] == self.degree
+        return self.texp == 0
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -364,34 +346,6 @@ class CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# spec-level helper operation
-
-
-def class_constants(C: ConjugacyClassSet) -> np.ndarray:
-    """Class-algebra structure constants a[i][j][k] (explicit, small groups).
-
-    a[i][j][k] counts pairs (x, y) in K_i x K_j with x*y = rep_k; the
-    identity sum_k a[i][j][k] |K_k| = |K_i| |K_j| is checked.
-    """
-    G = C.group
-    k = C.count
-    if k > 160:
-        raise ValueError("explicit structure constants are limited to small groups")
-    inv = G.inverse_table
-    a = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        Xi = inv[C.members[i]]
-        for kk in range(k):
-            ys = G.rmul_array(Xi.copy(), int(C.reps[kk]))
-            a[i, :, kk] += np.bincount(C.classof[ys], minlength=k)
-    sizes = C.sizes
-    lhs = (a * sizes[None, None, :]).sum(axis=2)
-    if not (lhs == np.outer(sizes, sizes)).all():
-        raise TableVerificationError("structure constant sum rule failed")
-    return a
-
-
-# ---------------------------------------------------------------------------
 # linear characters from the pc relations
 
 
@@ -479,11 +433,6 @@ class _PowerData:
             rows.append(row)
         self.ords = ords
         self.mat = np.stack(rows[:-1])
-        self.pos = {int(c): i for i, c in enumerate(cols)}
-
-    def orbit(self, class_index: int) -> np.ndarray:
-        i = self.pos[int(class_index)]
-        return self.mat[: int(self.ords[i]), i]
 
 
 def _power_classes(G: Group, cls: ConjugacyClassSet, s: int) -> np.ndarray:
@@ -543,7 +492,7 @@ class _CenterChain(_ChainIndex):
 
     def __init__(self, G: Group, e: int):
         Z = G.center
-        super().__init__(G, _chain_gens(G, Z.indices))
+        super().__init__(G, Z.gens)
         if self.elems.size != Z.order:
             raise TableVerificationError("chain normal forms do not enumerate Z(G)")
         p, m = self.p, self.m
@@ -568,6 +517,15 @@ class _CenterChain(_ChainIndex):
             u = t @ self.powers[a] % e
             code = code * p + (t[:, a] - u // p) % e // (e // p)
         return code
+
+
+def _center_translates(G: Group, cls: ConjugacyClassSet) -> tuple[tuple[int, ...], np.ndarray]:
+    """(gens, perms): the chain-jump elements b_a of Z(G) (_chain_gens,
+    G.center.gens), and perms[a, j], the class of g_j b_a for the class rep
+    g_j.  The central blocks and the pair check both read them."""
+    gens = G.center.gens
+    perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in gens]
+    return gens, np.array(perms, dtype=np.int64).reshape(len(gens), cls.count)
 
 
 def _center_orbits(perms: list, p: int):
@@ -620,7 +578,7 @@ class _CentralBlock:
     central_key: int
     image: int
     center_values: np.ndarray
-    center_perms: list
+    center_perms: np.ndarray
     power_map: np.ndarray
 
     @property
@@ -673,7 +631,7 @@ def _central_blocks(G, cls, zc, zpow):
       the image block of every block, and each must exist."""
     k = cls.count
     e, zorder = zc.e, zc.elems.size
-    perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in zc.gens]
+    perms = _center_translates(G, cls)[1]  # zc.gens are G.center.gens
     base, digits = _center_orbits(perms, G.p)
     isbase = base == np.arange(k)
 
@@ -739,8 +697,8 @@ def _central_blocks(G, cls, zc, zpow):
 def _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes):
     """Rows (at the given class indices) of sum_i w_i * A_i over the pool.
 
-    A_i[r, c] = #{x in K_i : x^-1 rep_c in K_r} is the structure constant
-    a[i][r][c] of class_constants.  Counting the triples x y = z over
+    A_i[r, c] = #{x in K_i : x^-1 rep_c in K_r} counts the pairs (x, y) in
+    K_i x K_r with x y = rep_c.  Counting the triples x y = z over
     K_i x K_r x K_c once by z and once by y gives
 
         A_i[r, c] = |K_r| / |K_c| * #{x in K_i : x rep_r in K_c},
@@ -952,11 +910,12 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
 
     Every non-linear row is first certified central-type where it can be
     (_certify): a row whose candidates are all certified and whose
-    certified support H has d^2 |H| = |G| vanishes off H.  The rows left
-    over are stored dense, as read-only views of one (rows, k, e) block of
-    _mult_dtype of their largest degree, whose dtype is fixed before the
-    first store.  Of each orbit of sigma_s (s = _galois_unit(e)) on them,
-    only the first takes _orbit_dft_mults at every class, which writes
+    certified support H has d^2 |H| = |G| vanishes off H.  Those rows keep
+    their rows of geo_t, one read-only block, and each row's cexp is a
+    view of it.  The rows left over are stored dense, as read-only views
+    of one (rows, k, e) block of _mult_dtype of their largest degree, whose
+    dtype is fixed before the first store.  Of each orbit of sigma_s
+    (s = _galois_unit(e)) on them, only the first takes _orbit_dft_mults at every class, which writes
     into the block and checks the range [0, d] first.  The mod-q row of
     sigma_s chi is that of chi gathered by the power map pi_s, chi(g^s),
     which matches each row to its image, and as sigma_s chi
@@ -984,9 +943,9 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
 
     geo_t, central = _certify(G, cls, e, q, dlog, T, degs)
     rows = [None] * len(degs)
-    for r in np.flatnonzero(central).tolist():
-        support = np.flatnonzero(geo_t[r] >= 0)
-        rows[r] = _Row(degs[r], e, k, "central", support=support, texp_on=geo_t[r, support])
+    cexp = _read_only(geo_t[central])
+    for i, r in enumerate(np.flatnonzero(central).tolist()):
+        rows[r] = _Row(degs[r], e, k, "central", cexp=cexp[i])
     left = np.flatnonzero(~central)
     if not left.size:
         return lin + rows
@@ -1031,7 +990,8 @@ def _certify(G, cls, e, q, dlog, T, degs):
     """(geo_t, central) for the mod-q rows T of degrees degs.  The
     candidate classes of a row are those with chi(g) chi(g^-1) = d^2 mod q
     (and the identity); geo_t[r, j] is the exponent t of the value d zeta^t
-    at every candidate j of row r that is certified, -1 elsewhere; and
+    at every candidate j of row r that is certified, -1 elsewhere, in
+    np.min_scalar_type(-e), which holds -1 and every exponent; and
     central marks the rows whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| (_lift_rows stores them as
     central-type).  A support with d^2 |H| > |G| raises.
@@ -1053,7 +1013,7 @@ def _certify(G, cls, e, q, dlog, T, degs):
     cand[:, 0] = True
     needed = np.flatnonzero(cand.any(axis=0))
     power = _PowerData(G, cls, needed, e)
-    geo_t = np.full(T.shape, -1, dtype=np.int64)
+    geo_t = np.full(T.shape, -1, dtype=np.min_scalar_type(-e))
     for m in np.unique(power.ords).tolist():
         at = np.flatnonzero(power.ords == m)
         orbits = power.mat[:m, at].T  # (n, m): class of rep^s
@@ -1222,15 +1182,18 @@ def compute_table(P) -> CharacterTable:
 
     rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits,
                       _linear_order(lin_t, digits, zpow), degs.tolist(), T)
-    # every lifted row against its mod-q row: the dense ones in chunks
-    dense = []
-    for i, row in enumerate(rows[n_lin:n_lin + T.shape[0]]):
-        if row.kind == "dense":
-            dense.append(i)
-        elif (row.tilde(q, zpow) != T[i]).any():
+    # every lifted row against its mod-q row: d z^t at the exponents t of
+    # the others at once (0 at -1), the dense ones in chunks
+    nonlin = rows[n_lin:n_lin + T.shape[0]]
+    dense = [i for i, r in enumerate(nonlin) if r.kind == "dense"]
+    other = [i for i, r in enumerate(nonlin) if r.kind != "dense"]
+    if other:
+        d = np.array([nonlin[i].degree for i in other], dtype=np.int64)
+        X = np.stack([nonlin[i].texp for i in other])
+        if (d[:, None] * np.append(zpow, 0)[X] % q != T[other]).any():
             raise TableVerificationError("lifted row disagrees mod q")
     d_max = int(degs[dense].max(initial=0))
-    for lo, res in _residue_chunks([rows[n_lin + i].mults for i in dense], zpow, q, d_max):
+    for lo, res in _residue_chunks([nonlin[i].mults for i in dense], zpow, q, d_max):
         if (res != T[dense[lo:lo + res.shape[0]]]).any():
             raise TableVerificationError("lifted row disagrees mod q")
 
@@ -1267,10 +1230,12 @@ def _verify_table(T: CharacterTable) -> None:
 
     Shapes.  k rows; p-power degrees with sum d^2 = |G| and
     d^2 | |G:Z(G)|; unity rows exactly the degree-1 rows, |G:G'| of them,
-    each a homomorphism (_verify_linear_rows); central-type rows d times a
-    character of their support (_verify_central_rows); dense multiplicities
-    integers in [0, d], summing to d (_dense_block, which stacks them into
-    the one block that the later checks read).  So every value of a
+    each a homomorphism (_verify_linear_rows); central-type exponents
+    signed integers in [-1, e), not -1 at the identity (_central_exponents,
+    which stacks them into the one block C that the later checks read), and
+    each row d times a character of its support (_verify_central_rows);
+    dense multiplicities integers in [0, d], summing to d (_dense_block,
+    which stacks them into the one block D that the later checks read).  So every value of a
     degree-d row is a sum of d roots of unity, and |sigma(chi(g))| <= d
     under every embedding sigma of Q(zeta_e).
 
@@ -1366,18 +1331,16 @@ def _verify_table(T: CharacterTable) -> None:
     lin = [r for r in T.rows if r.kind == "unity"]
     nonlin = [r for r in T.rows if r.kind != "unity"]
     central = [r for r in nonlin if r.kind == "central"]
+    deg_c = np.array([r.degree for r in central], dtype=np.int64)
+    C = _central_exponents(central, k, e)
     D = _dense_block([r for r in nonlin if r.kind == "dense"], k, e)
     if len(lin) != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
     lin_t = _verify_linear_rows(T, lin)
-    _verify_central_rows(T, [
-        (sup, np.stack(tons)) for sup, tons in
-        _group_by_key((r.support, np.asarray(r.texp_on) % e) for r in central)
-    ])
-    C = _central_exponents(central, k, e)
-    _verify_structural_pairs(T, lin_t, C, D)
+    _verify_central_rows(T, C)
+    _verify_structural_pairs(T, lin_t, deg_c, C, D)
     if nonlin:
-        _verify_pairs_against_block(T, lin_t, C, D)
+        _verify_pairs_against_block(T, lin_t, deg_c, C, D)
     elif (order // sizes != len(lin)).any():
         raise TableVerificationError("column norm != centralizer order")
 
@@ -1472,36 +1435,30 @@ def _group_by_key(pairs) -> list:
     return list(groups.values())
 
 
-def _verify_central_rows(T: CharacterTable, central_groups) -> None:
+def _verify_central_rows(T: CharacterTable, C: np.ndarray) -> None:
     """Every central-type row is d times a linear character of its support.
 
-    central_groups holds, for each distinct support, the support and the
-    exponents on it (reduced mod e) of the rows that share it, one row
-    each.  H (the union of the support classes) must be a subgroup,
-    generated by the chain generators _class_union_subgroup checks.  The
-    row's exponent mu must then satisfy class(x h) in the support and
+    C holds the rows' exponents (_central_exponents), -1 off the support,
+    and the rows are grouped by their support mask C >= 0 (_group_by_key).
+    H (the union of the support classes) must be a subgroup, generated by
+    the chain generators _class_union_subgroup checks.  The row's exponent
+    mu must then satisfy class(x h) in the support and
     mu(x h) = mu(x) + mu(h) (mod e) for every x in H and every generator
     h; by induction on words in the generators mu is a homomorphism
     H -> Z/e."""
     G = T.group
     cls = T.classes
     e = T.exponent
-    at = np.empty(cls.count, dtype=np.int64)
-    for sup, mu in central_groups:
-        if not sup.size or sup[0] < 0 or sup[-1] >= cls.count or (np.diff(sup) <= 0).any():
-            raise TableVerificationError("central-type support is not a sorted set of classes")
-        mask = np.zeros(cls.count, dtype=bool)
-        mask[sup] = True
+    for mask, at in _group_by_key((m, i) for i, m in enumerate(C >= 0)):
         H = _class_union_subgroup(T, mask)
-        at.fill(-1)
-        at[sup] = np.arange(sup.size)
-        mu_x = mu[:, at[cls.classof[H.indices]]]
+        mu = C[at].astype(np.int64)
+        mu_x = mu[:, cls.classof[H.indices]]
         for h in H.gens:
-            xh = at[cls.classof[G.rmul_array(H.indices, h)]]
-            if (xh < 0).any():
+            xh = cls.classof[G.rmul_array(H.indices, h)]
+            if not mask[xh].all():
                 raise TableVerificationError("central-type support is not closed")
             # entries lie in [0, e), so the difference is 0 mod e iff 0 or -e
-            diff = mu[:, xh] - mu_x - mu[:, at[cls.classof[h]], None]
+            diff = mu[:, xh] - mu_x - mu[:, cls.classof[h], None]
             if ((diff != 0) & (diff != -e)).any():
                 raise TableVerificationError(
                     "central-type row is not a character of its support")
@@ -1527,29 +1484,40 @@ def _distinct_rows(M: np.ndarray) -> int:
 
 
 def _central_exponents(central, k: int, e: int) -> np.ndarray:
-    """The central-type rows as one (rows, k + 1) int32 block: column 0
-    holds the degree, and column 1 + j the exponent of zeta_e (mod e) at
-    class j of the support, or -1 off it.  The Galois closure check reads
-    its rows as keys, and the pair check reads the rows' values from it."""
-    C = np.full((len(central), k + 1), -1, dtype=np.int32)
-    for i, r in enumerate(central):
-        C[i, 0] = r.degree
-        C[i, 1 + r.support] = np.asarray(r.texp_on) % e
-    return C
+    """The exponents cexp of the central-type rows central as one (rows, k)
+    block of np.min_scalar_type(-e), once each row's are checked to be a
+    (k,) array of signed integers in [-1, e), -1 (the value 0) nowhere at
+    the identity class.  They are stacked in a dtype that holds every row's
+    own values and narrowed only after the range check, so no value outside
+    [-1, e) is wrapped into it."""
+    if any(np.shape(r.cexp) != (k,) for r in central):
+        raise TableVerificationError("central-type exponents are not a (k,) array")
+    if any(np.asarray(r.cexp).dtype.kind != "i" for r in central):
+        raise TableVerificationError("central-type exponents are not signed integers")
+    dt = np.min_scalar_type(-e)
+    if not central:
+        return np.zeros((0, k), dtype=dt)
+    C = np.stack([r.cexp for r in central])
+    if C.min() < -1 or C.max() >= e:
+        raise TableVerificationError("central-type exponent outside [-1, e)")
+    if (C[:, 0] < 0).any():
+        raise TableVerificationError("a central-type row is 0 at the identity class")
+    return C.astype(dt, copy=False)
 
 
-def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, C: np.ndarray,
-                             D: np.ndarray) -> None:
+def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, deg_c: np.ndarray,
+                             C: np.ndarray, D: np.ndarray) -> None:
     """The checks of _verify_table's proof that need no arithmetic.  The
     linear rows must be distinct on lin_t, their exponents at the pc
     generators, which determine them (_verify_linear_rows).  The non-linear
     rows must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
     of _unit_gens(e), which multiplies a central-type row's exponents by s
     and moves a dense row's multiplicity at u to s u.  Each kind's exact
-    keys (the rows of C, _central_exponents; the rows of the dense block D,
-    _dense_block) must be the same multiset as their images.  Equal keys
-    mean equal rows, and compute_table's rows pass kind by kind, since a
-    row's stored kind is a Galois invariant (_lift_rows says why).
+    keys (the rows of C, _central_exponents, each led by its degree in
+    deg_c; the rows of the dense block D, _dense_block) must be the same
+    multiset as their images.  Equal keys mean equal rows, and
+    compute_table's rows pass kind by kind, since a row's stored kind is a
+    Galois invariant (_lift_rows says why).
 
     D is not copied: its rows are ordered by an argsort of their keys, and
     each image is gathered once and sorted in place, then compared in
@@ -1558,16 +1526,20 @@ def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, C: np.ndarray
         raise TableVerificationError("duplicate linear rows")
     e = T.exponent
     n, k = D.shape[:2]
-    keys_c = _sorted_rows(C)
+    lead = deg_c.astype(">i8").view(np.uint8).reshape(-1, 8)
+
+    def central_keys(M):
+        return _sorted_rows(np.hstack([lead, M.view(np.uint8)]))
+
+    keys_c = central_keys(C)
     keys_d = _row_keys(D.reshape(n, k * e))
     by = np.argsort(keys_d)
     step = max(1, 2**22 // (k * e))
     for s in _unit_gens(e):
-        img_c = C.copy()
-        img_c[:, 1:] = np.where(C[:, 1:] >= 0, C[:, 1:] * s % e, -1)
+        img_c = np.append(np.arange(e) * s % e, -1).astype(C.dtype)[C]  # -1 stays -1
         img_d = _row_keys(np.take(D, np.arange(e) * pow(s, -1, e) % e, axis=2).reshape(n, k * e))
         img_d.sort()
-        if ((_sorted_rows(img_c) != keys_c).any()
+        if ((central_keys(img_c) != keys_c).any()
                 or any((img_d[lo:lo + step] != keys_d[by[lo:lo + step]]).any()
                        for lo in range(0, n, step))):
             raise TableVerificationError(
@@ -1643,20 +1615,12 @@ def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
     return gens, np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
 
 
-def _center_translates(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
-    """(gens, perms): the chain-jump elements b_a of Z(G) (_chain_gens), and
-    perms[a, j], the class of g_j b_a for the class rep g_j."""
-    G, cls = T.group, T.classes
-    gens = G.center.gens
-    perms = [cls.classof[G.rmul_array(cls.reps, b)] for b in gens]
-    return gens, np.array(perms, dtype=np.int64).reshape(len(gens), cls.count)
-
-
 @dataclass(frozen=True, eq=False)
 class _PairPlan:
     """What the pair check reads at every check prime, from _pair_plan.
     The rows are the central-type rows (the rows of C,
-    _central_exponents), then the dense rows (of D, _dense_block).
+    _central_exponents, of degrees deg_c), then the dense rows (of D,
+    _dense_block).
 
     deg holds their degrees, and chars[r, a] the exponent c with
     mu_r(b_a) = zeta_e^c, mu_r the central character of row r; perms are
@@ -1680,7 +1644,8 @@ class _PairPlan:
     batches: list
 
 
-def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
+def _pair_plan(T: CharacterTable, deg_c: np.ndarray, C: np.ndarray,
+               D: np.ndarray) -> _PairPlan:
     """The exact first half of the pair check: every non-linear row has a
     central character, read at the chain generators b_a of Z(G); then the
     orbits of the translates on the classes, and the rows grouped by their
@@ -1704,7 +1669,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
     cls = T.classes
     k, e = cls.count, T.exponent
     sizes = cls.sizes.astype(np.int64)
-    gens, perms = _center_translates(T)
+    gens, perms = _center_translates(T.group, cls)
     m = len(gens)
     ar = np.arange(k)
     if not (np.sort(perms, axis=1) == ar).all():
@@ -1713,7 +1678,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
         raise TableVerificationError("a translate by Z(G) changes a class size")
     zcls = cls.classof[list(gens)]
 
-    cc = C[:, 1 + zcls]
+    cc = C[:, zcls]
     if (cc < 0).any():
         raise TableVerificationError("a central-type row's support misses a class of Z(G)")
     n_d = D.shape[0]
@@ -1743,7 +1708,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
             break
         lab = nxt
     bp = np.flatnonzero(lab == ar)
-    C_at = C[:, 1 + bp]
+    C_at = C[:, bp]
     D_at = np.take(D, bp, axis=1).transpose(2, 0, 1).copy()
     nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)]) if n_d else C_at >= 0
     batches, lo = [], 0
@@ -1754,7 +1719,7 @@ def _pair_plan(T: CharacterTable, C: np.ndarray, D: np.ndarray) -> _PairPlan:
         hits = nonzero[rows].any(axis=1)
         cols = np.argsort(~hits, axis=1, kind="stable")[:, :hits.sum(axis=1).max()]
         batches.append((rows, cols))
-    deg = np.concatenate([C[:, 0], deg_d])
+    deg = np.concatenate([deg_c, deg_d])
     return _PairPlan(deg, chars, perms, bp, np.bincount(lab)[bp] * sizes[bp], C_at, D_at,
                      batches)
 
@@ -1838,16 +1803,17 @@ def _group_products(plan: _PairPlan, A: np.ndarray, B: np.ndarray, qq: int) -> l
     return out
 
 
-def _coset_sums(T: CharacterTable, cosets: np.ndarray, C: np.ndarray, D: np.ndarray,
-                qq: int, zp: np.ndarray, d_max: int) -> np.ndarray:
+def _coset_sums(T: CharacterTable, cosets: np.ndarray, deg_c: np.ndarray, C: np.ndarray,
+                D: np.ndarray, qq: int, zp: np.ndarray, d_max: int) -> np.ndarray:
     """sums[a, x] = sum over the classes j with cosets[j] = x of
     |K_j| chi_a(g_j), reduced at zeta_e -> z' in GF(qq), for the rows of C
-    (_central_exponents), then those of D (_dense_block, degrees at most
-    d_max), each over all k classes: k int64 terms below qq per sum."""
+    (_central_exponents, degrees deg_c), then those of D (_dense_block,
+    degrees at most d_max), each over all k classes: k int64 terms below qq
+    per sum."""
     cls = T.classes
     n_c = C.shape[0]
     R = np.empty((n_c + D.shape[0], cls.count), dtype=np.int64)
-    R[:n_c] = C[:, :1] * np.append(zp, 0)[C[:, 1:]] % qq
+    R[:n_c] = deg_c[:, None] * np.append(zp, 0)[C] % qq
     for lo, res in _residue_chunks(D, zp, qq, d_max):
         R[n_c + lo:n_c + lo + res.shape[0]] = res
     R *= cls.sizes % qq
@@ -1858,13 +1824,13 @@ def _coset_sums(T: CharacterTable, cosets: np.ndarray, C: np.ndarray, D: np.ndar
     return np.add.reduceat(R[:, by], np.flatnonzero(first), axis=1) % qq
 
 
-def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndarray,
-                                D: np.ndarray) -> None:
+def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, deg_c: np.ndarray,
+                                C: np.ndarray, D: np.ndarray) -> None:
     """First orthogonality of every pair (a, b) with a non-linear, and the
     column diagonal; _verify_table has the proof.  lin_t holds the linear
     rows' exponents at the pc generators (_verify_linear_rows), C the
-    central-type rows (_central_exponents) and D the dense rows
-    (_dense_block).
+    central-type rows' exponents (_central_exponents) and deg_c their
+    degrees, and D the dense rows (_dense_block).
 
     _pair_plan proves that every non-linear row has a central character
     and groups the rows by it.  The check primes are those of
@@ -1882,7 +1848,7 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndar
     k, e = cls.count, T.exponent
     order = G.order
     n_lin = len(lin_t)
-    plan = _pair_plan(T, C, D)
+    plan = _pair_plan(T, deg_c, C, D)
     d_max = int(plan.deg.max())
     bound = order * max(1, d_max * d_max - 1)
     primes, product, n_off = [], 1, 0
@@ -1916,8 +1882,8 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, C: np.ndar
             if (((A * R[1] % qq).sum(axis=1) - order) % qq).any():
                 raise TableVerificationError("a non-linear row fails orthogonality")
             continue
-        if summed.any() and _coset_sums(T, cosets, C[summed[:n_c]], D[summed[n_c:]], qq, zp,
-                                        d_max).any():
+        if summed.any() and _coset_sums(T, cosets, deg_c[summed[:n_c]], C[summed[:n_c]],
+                                        D[summed[n_c:]], qq, zp, d_max).any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
         for rows, P in _group_products(plan, A, R[1], qq):

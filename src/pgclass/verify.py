@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import corpus
+from . import chartable, corpus, group, presentation
 from .chartable import table_of
 from .classify import (
     ClassificationReport,
@@ -423,6 +423,10 @@ def run_ingested_census(
     whose group the classifier rejects as input (``ValueError``,
     ``OSError``), is a failed ``census-file`` record; an
     ``InternalInconsistencyError`` means a bug and propagates.
+
+    A file's presentation, group and table are cached only until its
+    report is made (or refused): then _forget drops them, so the caches do
+    not grow with the number of files.
     """
     res = SuiteResult(suite="census")
     directory = Path(directory)
@@ -433,12 +437,16 @@ def run_ingested_census(
     nested_nonabelian = 0
     total = 0
     for f in files:
+        P = None
         try:
             P = parse_presentation(f.read_text(encoding="utf-8"), name=f.stem)
             rep = classification_report(P)
         except (ValueError, OSError) as exc:  # input errors, reported per file
             res.add("census-file", f.name, 0, False, str(exc))
             continue
+        finally:
+            if P is not None:
+                _forget(P)
         total += 1
         res.add("census-file", f.name, rep.p, True)
         if rep.is_nested and rep.is_gvz and rep.cd != {1: rep.order}:
@@ -456,6 +464,15 @@ def run_ingested_census(
             f"found {nested_nonabelian}, expected {expected_nested_nonabelian}",
         )
     return res
+
+
+def _forget(P) -> None:
+    """Drop P's collector and group, and that group's table, from the
+    module caches (the report made from them holds none of them)."""
+    presentation._collectors.pop(P, None)
+    G = group._group_cache.pop(P, None)
+    if G is not None:
+        chartable._table_cache.pop(G, None)
 
 
 def suite_to_json_text(res: SuiteResult) -> str:

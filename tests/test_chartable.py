@@ -10,7 +10,7 @@ import pytest
 
 import pgclass as pg
 from pgclass import Cyclotomic, TableVerificationError
-from pgclass.chartable import class_constants, table_of
+from pgclass.chartable import table_of
 from pgclass.group import abelian_invariants, group_of
 from pgclass.presentation import collector, is_prime, parse_presentation
 
@@ -37,6 +37,35 @@ def naive_class_constants(P):
                         if prod == cls.reps[kk]:
                             a[i, j, kk] += 1
     return a
+
+
+def class_constants(C):
+    """Class-algebra structure constants a[i][j][k], the number of pairs
+    (x, y) in K_i x K_j with x y = rep_k, from one right multiplication
+    of K_i^-1 by each rep_k: y = x^-1 rep_k.  The identity
+    sum_k a[i][j][k] |K_k| = |K_i| |K_j| is checked."""
+    G = C.group
+    k = C.count
+    assert k <= 160, "explicit structure constants are limited to small groups"
+    inv = G.inverse_table
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        Xi = inv[C.members[i]]
+        for kk in range(k):
+            ys = G.rmul_array(Xi.copy(), int(C.reps[kk]))
+            a[i, :, kk] += np.bincount(C.classof[ys], minlength=k)
+    sizes = C.sizes
+    assert ((a * sizes[None, None, :]).sum(axis=2) == np.outer(sizes, sizes)).all()
+    return a
+
+
+def row_mod_q(r, q, zpow):
+    """Row r reduced mod q at zeta_e -> zpow[1]: d zpow[t] at each exponent
+    t of a unity or central row (0 at -1), and mults @ zpow for a dense
+    row."""
+    if r.kind == "dense":
+        return r.mults.astype(np.int64) @ zpow % q
+    return r.degree * np.append(zpow, 0)[r.texp] % q
 
 
 def test_class_constants_match_brute_force():
@@ -357,8 +386,7 @@ def test_to_json_formats_each_distinct_value_once(monkeypatch):
         if r.kind == "unity":
             distinct.update(("unity", int(t)) for t in np.asarray(r.texp) % e)
         else:
-            distinct.update((r.degree, int(t)) for t in np.asarray(r.texp_on) % e)
-            distinct.add("zero")
+            distinct.update((r.degree, int(t)) for t in r.cexp)
     calls = 0
     fmt = Cyclotomic.__str__
 
@@ -431,9 +459,9 @@ def test_prime_product_bound_is_checked(monkeypatch):
         used["norm"].append(qq)
         return residues(plan, qq, zp)
 
-    def spy_coset_sums(T, cosets, C, D, qq, zp, d_max):
+    def spy_coset_sums(T, cosets, deg_c, C, D, qq, zp, d_max):
         used["off"].append(qq)
-        return coset_sums(T, cosets, C, D, qq, zp, d_max)
+        return coset_sums(T, cosets, deg_c, C, D, qq, zp, d_max)
 
     monkeypatch.setattr(chartable_mod, "_basepoint_residues", spy_residues)
     monkeypatch.setattr(chartable_mod, "_coset_sums", spy_coset_sums)
@@ -563,8 +591,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "    ct.linear_character_exponents(G)\n"
         "translates = ct._center_translates\n"
         "def with_translates(change):\n"
-        "    def changed(T):\n"
-        "        gens, perms = translates(T)\n"
+        "    def changed(G, cls):\n"
+        "        gens, perms = translates(G, cls)\n"
         "        perms = perms.copy()\n"
         "        change(perms)\n"
         "        return gens, perms\n"
@@ -577,20 +605,25 @@ def test_table_guards_survive_optimize(run_optimized):
         "    with_translates(lambda perms: perms.__setitem__((0, 1), perms[0, 0]))\n"
         "def center_sizes():\n"
         "    with_translates(lambda perms: perms.__setitem__((0, [0, -1]), perms[0, [-1, 0]]))\n"
-        "def central_support():\n"
-        "    row = ct._Row(3, 3, T.count, 'central', support=np.array([0]),\n"
-        "                  texp_on=np.array([0]))\n"
+        "def with_central(cexp):\n"
+        "    row = ct._Row(3, 3, T.count, 'central', cexp=cexp)\n"
         "    rows = [r for r in T.rows if r.kind == 'unity'] + [row, row]\n"
         "    ct._verify_table(pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,\n"
         "                                       field_prime=T.field_prime, exponent=3))\n"
+        "def central_support():\n"
+        "    with_central(np.r_[0, np.full(T.count - 1, -1)].astype(np.int8))\n"
+        "def central_range():\n"
+        "    with_central(np.full(T.count, 3, dtype=np.int8))\n"
         "TD = ct.compute_table(pg.build('G_(20,1)', 5))\n"
         "def dense_moved(j):\n"
-        "    C = ct._central_exponents([r for r in TD.rows if r.kind == 'central'], TD.count, 5)\n"
+        "    central = [r for r in TD.rows if r.kind == 'central']\n"
+        "    deg_c = np.array([r.degree for r in central])\n"
+        "    C = ct._central_exponents(central, TD.count, 5)\n"
         "    D = ct._dense_block([r for r in TD.rows if r.kind == 'dense'], TD.count, 5).copy()\n"
         "    u = int(D[0, j].argmax())\n"
         "    D[0, j, u] -= 1\n"
         "    D[0, j, (u + 1) % 5] += 1\n"
-        "    ct._pair_plan(TD, C, D)\n"
+        "    ct._pair_plan(TD, deg_c, C, D)\n"
         "def dense_center():\n"
         "    dense_moved(int(TD.classes.classof[TD.group.center.gens[0]]))\n"
         "def dense_character():\n"
@@ -611,6 +644,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'center_perm': center_perm,\n"
         "    'center_sizes': center_sizes,\n"
         "    'central_support': central_support,\n"
+        "    'central_range': central_range,\n"
         "    'dense_center': dense_center,\n"
         "    'dense_character': dense_character,\n"
         "}\n"
@@ -624,7 +658,8 @@ def test_table_guards_survive_optimize(run_optimized):
         "degree_one", "central_blocks", "prime_product", "coset_count", "coset_sum",
         "coset_subgroup", "float64_range", "power_data",
         "root_of_unity", "jordan_block", "eigen_range", "linear_count", "center_perm",
-        "center_sizes", "central_support", "dense_center", "dense_character",
+        "center_sizes", "central_support", "central_range", "dense_center",
+        "dense_character",
     ]
 
 
@@ -999,7 +1034,7 @@ def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
     G, cls, e, q = T.group, T.classes, T.exponent, T.field_prime
     _, _, _, zpow = _center_setup(G)
     dense = [r for r in T.rows if r.kind == "dense"]
-    Trows = np.stack([r.tilde(q, zpow) for r in dense])
+    Trows = np.stack([row_mod_q(r, q, zpow) for r in dense])
     (s,) = ct._unit_gens(e)
     orbit_of = {}  # each orbit labelled by its first dense row
     for i, r in enumerate(dense):
@@ -1060,7 +1095,8 @@ def reference_certify(G, cls, e, q, dlog, T, degs):
     power = _PowerData(G, cls, needed, e)
     geo_t = np.full((len(degs), k), -1, dtype=np.int64)
     for j in needed:
-        orb = power.orbit(j)
+        i = int(np.searchsorted(needed, j))
+        orb = power.mat[:power.ords[i], i]
         m = orb.size
         rows_here = np.flatnonzero(cand[:, int(j)])
         w = T[rows_here, j] * inv_d[rows_here] % q
@@ -1088,7 +1124,8 @@ def _certify_inputs(T):
     dlog = np.full(q, -1)
     dlog[zpow] = np.arange(e)
     nonlin = [r for r in T.rows if r.degree > 1]
-    Trows = np.array([r.tilde(q, zpow) for r in nonlin], dtype=np.int64).reshape(-1, cls.count)
+    Trows = np.array([row_mod_q(r, q, zpow) for r in nonlin],
+                     dtype=np.int64).reshape(-1, cls.count)
     return (G, cls, e, q, dlog, Trows, [r.degree for r in nonlin]), nonlin
 
 
@@ -1096,7 +1133,7 @@ def _certify_inputs(T):
 def test_certification_matches_the_per_class_loop(p):
     """On every corpus table at p, the batched certification gives the
     per-class loop's exponents and verdicts, and the table's rows have the
-    kinds, supports and texp_on that the loop gives."""
+    kinds and exponents cexp that the loop gives."""
     from pgclass.chartable import _certify
 
     tables = 0
@@ -1113,8 +1150,7 @@ def test_certification_matches_the_per_class_loop(p):
         for r, t, c in zip(nonlin, want_t, want_central):
             assert r.kind == ("central" if c else "dense")
             if c:
-                assert (r.support == np.flatnonzero(t >= 0)).all()
-                assert (r.texp_on == t[t >= 0]).all()
+                assert (r.cexp == t).all()
         tables += 1
     assert tables == {3: 5, 5: 11}[p]
 
@@ -1134,9 +1170,11 @@ def test_certification_sends_a_broken_power_sequence_to_dense():
     (G, cls, e, q, dlog, Trows, degs), nonlin = _certify_inputs(T)
     zpow = _root_powers(q, root_of_unity(q, e), e)
     r = next(i for i, row in enumerate(nonlin) if row.kind == "central")
-    power = _PowerData(G, cls, nonlin[r].support, e)
-    g = int(nonlin[r].support[np.flatnonzero(power.ords == 5)[0]])
-    orb = power.orbit(g)
+    support = np.flatnonzero(nonlin[r].cexp >= 0)
+    power = _PowerData(G, cls, support, e)
+    i = int(np.flatnonzero(power.ords == 5)[0])
+    g = int(support[i])
+    orb = power.mat[:power.ords[i], i]
     Trows = Trows.copy()
     Trows[r, orb[2]] = Trows[r, orb[2]] * zpow[1] % q
     Trows[r, orb[3]] = Trows[r, orb[3]] * zpow[-1] % q
@@ -1370,7 +1408,7 @@ def test_orbit_dft_matches_scalar_dft(label, p):
     zpow = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
     nl = [r for r in T.rows if r.degree > 1]
     assert {r.kind for r in nl} == {"central", "dense"}
-    Trows = np.stack([r.tilde(q, zpow) for r in nl])
+    Trows = np.stack([row_mod_q(r, q, zpow) for r in nl])
     power = _PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
     got = np.zeros((len(nl), cls.count, e), dtype=np.int64)
     _orbit_dft_mults(Trows, power, e, q, zpow, got, np.arange(len(nl)))
@@ -1391,7 +1429,7 @@ MUTATIONS = ["dense_nonzero", "dense_vanishing", "dense_duplicate", "unity_entry
 def _copy_row(r, **changes):
     from pgclass.chartable import _Row
 
-    fields = {"t": r.t, "support": r.support, "texp_on": r.texp_on, "mults": r.mults}
+    fields = {"t": r.t, "cexp": r.cexp, "mults": r.mults}
     fields = {name: None if a is None else np.array(a) for name, a in fields.items()}
     fields["digits"] = r.digits
     fields.update(changes)
@@ -1451,9 +1489,10 @@ def mutate(T, kind):
         rows[i] = _copy_row(rows[i], digits=digits)
     elif kind == "central_entry":
         i = kinds.index("central")
-        texp_on = np.array(rows[i].texp_on)
-        texp_on[-1] = (texp_on[-1] + 1) % e
-        rows[i] = _copy_row(rows[i], texp_on=texp_on)
+        cexp = np.array(rows[i].cexp)
+        j = int(np.flatnonzero(cexp >= 0)[-1])
+        cexp[j] = (cexp[j] + 1) % e
+        rows[i] = _copy_row(rows[i], cexp=cexp)
     else:
         rows[unity[-1]] = rows[unity[1]]
     return _with_rows(T, rows)
@@ -1513,11 +1552,12 @@ def test_verify_table_rejects_galois_image(label, kind):
 
     def image(r):
         if r.kind == "central":
-            return _copy_row(r, texp_on=np.asarray(r.texp_on) * s % e)
+            c = r.cexp.astype(np.int64)
+            return _copy_row(r, cexp=np.where(c >= 0, c * s % e, -1).astype(r.cexp.dtype))
         return _copy_row(r, mults=np.asarray(r.mults)[:, np.arange(e) * pow(s, -1, e) % e])
 
     def stored(r):
-        return r.texp_on if r.kind == "central" else r.mults
+        return r.cexp if r.kind == "central" else r.mults
 
     def galois(x):
         return Cyclotomic(x.order, {t * s % x.order: c for t, c in x.coeffs.items()})
@@ -1540,8 +1580,9 @@ def _mults_of(r, e):
         return np.array(r.mults, dtype=np.int64)
     assert r.degree % e == 0
     m = np.full((r.k, e), r.degree // e, dtype=np.int64)
-    m[r.support] = 0
-    m[r.support, np.asarray(r.texp_on) % e] = r.degree
+    support = np.flatnonzero(r.cexp >= 0)
+    m[support] = 0
+    m[support, r.cexp[support]] = r.degree
     return m
 
 
@@ -1573,7 +1614,7 @@ def _center_orbit(T, j):
     z with y = cl(g_j z)} over the orbit of class j under Z(G)."""
     from pgclass.chartable import _center_translates
 
-    _, perms = _center_translates(T)
+    _, perms = _center_translates(T.group, T.classes)
     seen, todo = {j: np.zeros(len(perms), dtype=np.int64)}, [j]
     while todo:
         x = todo.pop()
@@ -1601,7 +1642,7 @@ def _twist(T, j, c):
     from pgclass.chartable import _center_translates
 
     e = T.exponent
-    _, perms = _center_translates(T)
+    _, perms = _center_translates(T.group, T.classes)
     t = {y: int(digits @ c % e) for y, digits in _center_orbit(T, j).items()}
     if all(t[int(perms[a, y])] == (t[y] + c[a]) % e for y in t for a in range(len(c))):
         return t
@@ -1691,10 +1732,10 @@ def test_gram_block_rejects_a_change_the_coset_sums_miss():
     rows = _with_galois_orbit(T, i, _change_center_orbits(T, i, {j: delta}))
     _value_changes(T, rows, i, {j: delta})
     qq, zp = _check_primes(e)[0]
-    none = np.zeros((0, T.count + 1), dtype=np.int32)
+    none = np.zeros((0, T.count), dtype=np.int8)
     for r in (T.rows[i], rows[i]):
-        assert not _coset_sums(T, cosets, none, _dense_block([r], T.count, e), qq, zp,
-                               r.degree).any()
+        assert not _coset_sums(T, cosets, np.zeros(0, dtype=np.int64), none,
+                               _dense_block([r], T.count, e), qq, zp, r.degree).any()
     with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
         _verify_table(_with_rows(T, rows))
 
@@ -1755,10 +1796,65 @@ def test_central_type_support_must_hold_the_center():
     from pgclass.chartable import _Row, _verify_table
 
     T = table("heisenberg_p3", 3)
-    row = _Row(3, T.exponent, T.count, "central", support=np.array([0]), texp_on=np.array([0]))
+    cexp = np.full(T.count, -1, dtype=np.int8)
+    cexp[0] = 0
+    row = _Row(3, T.exponent, T.count, "central", cexp=cexp)
     rows = [r for r in T.rows if r.kind == "unity"] + [row, row]
     with pytest.raises(TableVerificationError,
                        match="^a central-type row's support misses a class of Z\\(G\\)$"):
+        _verify_table(_with_rows(T, rows))
+
+
+@pytest.mark.parametrize("label, dtype", [("G_(17,1)", np.int8), ("G_(14,3)", np.int16)])
+def test_central_rows_are_views_of_one_exponent_block(label, dtype):
+    """Every central-type row's cexp is a read-only view of one
+    (rows, k) block of np.min_scalar_type(-e): int8 at e = 25, int16 at
+    e = 625.  The block holds -1 exactly where the row is 0."""
+    T = table(label, 5)
+    e = T.exponent
+    central = [r for r in T.rows if r.kind == "central"]
+    block = central[0].cexp.base
+    assert np.min_scalar_type(-e) == dtype
+    assert block.shape == (len(central), T.count) and block.dtype == dtype
+    assert not block.flags.writeable
+    for i, r in enumerate(central):
+        assert r.cexp.base is block and not r.cexp.flags.writeable
+        assert (r.cexp == block[i]).all()
+        assert ((r.cexp >= 0) == [r.value(j) != 0 for j in range(T.count)]).all()
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("short", r"not a \(k,\) array"),
+    ("unsigned", "not signed integers"),
+    ("float", "not signed integers"),
+    ("e", r"outside \[-1, e\)"),
+    ("-2", r"outside \[-1, e\)"),
+    ("identity", "0 at the identity class"),
+])
+def test_verify_table_refuses_malformed_central_exponents(wrong, message):
+    """One central-type row of G_(17,1)@5 handed in with exponents of the
+    wrong shape, an unsigned or float dtype, a value e or -2, or -1 at the
+    identity class is refused with the typed error.  A uint8 copy would
+    read -1 as 255, and int8 arithmetic could wrap."""
+    from pgclass.chartable import _verify_table
+
+    T = table("G_(17,1)", 5)
+    i = next(i for i, r in enumerate(T.rows) if r.kind == "central")
+    c = np.array(T.rows[i].cexp, dtype=np.int64)
+    j = int(np.flatnonzero(c >= 0)[-1])
+    if wrong == "short":
+        c = c[:-1]
+    elif wrong == "unsigned":
+        c = c.astype(np.uint8)
+    elif wrong == "float":
+        c = c.astype(np.float64)
+    elif wrong == "identity":
+        c[0] = -1
+    else:
+        c[j] = T.exponent if wrong == "e" else -2
+    rows = list(T.rows)
+    rows[i] = _copy_row(rows[i], cexp=c)
+    with pytest.raises(TableVerificationError, match=message):
         _verify_table(_with_rows(T, rows))
 
 
@@ -1778,8 +1874,8 @@ def test_center_translates_must_be_size_keeping_permutations(monkeypatch, wrong,
     translates = ct._center_translates
     sizes = T.classes.sizes
 
-    def changed(T):
-        gens, perms = translates(T)
+    def changed(G, cls):
+        gens, perms = translates(G, cls)
         perms = perms.copy()
         if wrong == "repeat":
             perms[0, 1] = perms[0, 0]
@@ -1863,7 +1959,8 @@ def full_tensor_pair_values(T, dense):
             if r.kind == "unity":
                 out[i, np.arange(k), np.asarray(r.texp) % e] = 1.0
             elif r.kind == "central":
-                out[i, r.support, np.asarray(r.texp_on) % e] = float(r.degree)
+                support = np.flatnonzero(r.cexp >= 0)
+                out[i, support, r.cexp[support]] = float(r.degree)
             else:
                 out[i] = r.mults
         return out
@@ -1877,21 +1974,23 @@ def full_tensor_pair_values(T, dense):
 
 
 def _pair_inputs(T):
-    """(rows, C, D, plan): the non-linear row indices of T in the pair
-    check's order, central-type rows first, its two blocks and its
-    _pair_plan (or None, with the error, when the plan refuses T)."""
+    """(rows, deg_c, C, D, plan): the non-linear row indices of T in the
+    pair check's order, central-type rows first, the central-type rows'
+    degrees, its two blocks and its _pair_plan (or None, with the error,
+    when the plan refuses T)."""
     from pgclass.chartable import _central_exponents, _dense_block, _pair_plan
 
     k, e = T.count, T.exponent
     central = [i for i, r in enumerate(T.rows) if r.kind == "central"]
     dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
+    deg_c = np.array([T.rows[i].degree for i in central], dtype=np.int64)
     C = _central_exponents([T.rows[i] for i in central], k, e)
     D = _dense_block([T.rows[i] for i in dense], k, e)
     try:
-        plan = _pair_plan(T, C, D)
+        plan = _pair_plan(T, deg_c, C, D)
     except TableVerificationError as exc:
         plan = exc
-    return central + dense, C, D, plan
+    return central + dense, deg_c, C, D, plan
 
 
 def _in_group_products(plan, qq, zp):
@@ -1923,7 +2022,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     e = T.exponent
     lin = [i for i, r in enumerate(T.rows) if r.kind == "unity"]
     dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
-    order, C, D, plan = _pair_inputs(T)
+    order, deg_c, C, D, plan = _pair_inputs(T)
     n_c = C.shape[0]
     assert isinstance(plan, TableVerificationError) == (kind is not None)
     if kind is not None:
@@ -1936,7 +2035,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
     for qq, zp in _check_primes(e)[:2]:
         want = (c % qq) @ zp % qq
-        sums = _coset_sums(T, cosets, C[:0], D, qq, zp, max(T.degrees()))
+        sums = _coset_sums(T, cosets, deg_c[:0], C[:0], D, qq, zp, max(T.degrees()))
         assert (sums @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
         if kind is None:
             checked = 0
@@ -1963,7 +2062,7 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
     gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
     sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
     zp[t] and its conjugate to zp[-t], so a central-type row to
-    d zp[texp_on] on its support, and the dense rows, the rows of D
+    d zp[cexp] on its support, and the dense rows, the rows of D
     (_dense_block) in their order in nonlin, to D @ zp (_residue_chunks).
     The float64 product adds k terms below (qq-1)^2: exact while
     k (qq-1)^2 < 2^53, which holds at every check prime.  This is the check
@@ -1981,8 +2080,9 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
     dense, d_max = [], 0
     for i, r in enumerate(nonlin):
         if r.kind == "central":
-            vals = r.degree * both[np.asarray(r.texp_on) % e] % qq
-            R[i, r.support], Rc[i, r.support] = vals[:, 0], vals[:, 1]
+            support = np.flatnonzero(r.cexp >= 0)
+            vals = r.degree * both[r.cexp[support]] % qq
+            R[i, support], Rc[i, support] = vals[:, 0], vals[:, 1]
         else:
             dense.append(i)
             d_max = max(d_max, r.degree)
@@ -2017,7 +2117,7 @@ def test_pair_check_matches_the_full_gram_matrix(label, p):
 
     T = table(label, p)
     e = T.exponent
-    order, C, D, plan = _pair_inputs(T)
+    order, deg_c, C, D, plan = _pair_inputs(T)
     n_c = C.shape[0]
     nonlin = [T.rows[i] for i in order]
     assert nonlin
@@ -2033,7 +2133,8 @@ def test_pair_check_matches_the_full_gram_matrix(label, p):
             assert (P == gram[rows[:, :, None], rows[:, None, :]]).all()
             seen[rows[:, :, None], rows[:, None, :]] = True
         assert (seen == same).all()
-        new = _coset_sums(T, cosets, C[summed[:n_c]], D[summed[n_c:]], qq, zp, max(T.degrees()))
+        new = _coset_sums(T, cosets, deg_c[summed[:n_c]], C[summed[:n_c]], D[summed[n_c:]],
+                          qq, zp, max(T.degrees()))
         assert (new == sums[summed]).all()
         assert not sums[~summed].any()
         R = _basepoint_residues(plan, qq, zp)

@@ -297,9 +297,10 @@ def _change_one_entry(T, kind):
         t[-1] = (t[-1] + 1) % r.e
         rows[i] = _Row(r.degree, r.e, r.k, r.kind, t=t, digits=r.digits)
     else:
-        texp_on = np.array(r.texp_on)
-        texp_on[-1] = (texp_on[-1] + 1) % r.e
-        rows[i] = _Row(r.degree, r.e, r.k, r.kind, support=r.support, texp_on=texp_on)
+        cexp = np.array(r.cexp)
+        j = int(np.flatnonzero(cexp >= 0)[-1])
+        cexp[j] = (cexp[j] + 1) % r.e
+        rows[i] = _Row(r.degree, r.e, r.k, r.kind, cexp=cexp)
     hacked = pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,
                                field_prime=T.field_prime, exponent=T.exponent)
     return hacked, i

@@ -273,9 +273,39 @@ def test_census_table_check_exits_2(tmp_path, monkeypatch):
     assert "lifted row disagrees mod q" in err
 
 
+def test_census_drops_each_file_from_the_caches(tmp_path, monkeypatch):
+    """A census caches a file's presentation, group and table only while it
+    classifies that file: each is in its cache when the report is made, and
+    after a two-file census none of the files' presentations or groups is
+    left in the collector, group or table cache."""
+    from pgclass import chartable, group, presentation, verify
+    from pgclass.presentation import parse_presentation
+
+    files = [write_pres(tmp_path, "heisenberg_p3", 3, "h"),
+             write_pres(tmp_path, "extraspecial_p3_exp_p2", 3, "x")]
+    report = verify.classification_report
+    groups, cached = [], []
+
+    def spy(P):
+        rep = report(P)
+        groups.append(group._group_cache[P])
+        cached.append((P in presentation._collectors, groups[-1] in chartable._table_cache))
+        return rep
+
+    monkeypatch.setattr(verify, "classification_report", spy)
+    assert run_ingested_census(tmp_path).summary["fail"] == 0
+    assert cached == [(True, True), (True, True)]
+    for f, G in zip(files, groups):
+        P = parse_presentation(f.read_text(encoding="utf-8"), name=f.stem)
+        assert P not in presentation._collectors and P not in group._group_cache
+        assert G not in chartable._table_cache
+
+
 def test_clear_caches_empties_every_cache(tmp_path):
     """After a census and one corpus bundle every module-level cache holds
-    something, and pg.clear_caches() empties each of them."""
+    something: the census drops its own files' entries, and the bundle
+    fills the caches on its own.  pg.clear_caches() empties each of
+    them."""
     from pgclass import chartable, cyclotomic, group, presentation, verify
 
     write_pres(tmp_path, "heisenberg_p3", 3, "h")
