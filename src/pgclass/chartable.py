@@ -9,13 +9,13 @@ Pipeline, the same for every group:
     exponent vectors t over the pc generators that satisfy the power and
     commutator relations in Z/e, |G:G'| of them (linear_character_exponents).
     The row of t reads zeta_e^(d . t) at a class rep with normal-form
-    digits d.  It is stored as t, n integers, with a reference to the
-    table's one n x k matrix of class-rep digits; its values are read from
-    them on demand and never stored.  It never enters steps 5 and 6, and
-    the linear rows head the table in the order of their mod-q values,
-    which a prefix of the columns decides (_linear_order).  When they
-    number k (G is abelian) they are the whole table, and steps 3 and 4
-    are skipped.
+    digits d.  The table stores the rows t as one block lin_t, n integers
+    a row, beside its one n x k matrix of class-rep digits; the values are
+    read from them on demand and never stored.  The linear rows never
+    enter steps 5 and 6, and they head the table in the order of their
+    mod-q values, which a prefix of the columns decides (_linear_order).
+    When they number k (G is abelian) they are the whole table, and steps
+    3 and 4 are skipped.
 3.  Joint eigenvectors of the size-1 (central) class matrices are written
     down directly: Z(G) acts on the class set, and for each orbit O with
     basepoint g and each character mu of Z(G) trivial on the orbit
@@ -50,23 +50,24 @@ Pipeline, the same for every group:
     sum over G of |chi|^2 = |G| leaves nothing for the complement.  The
     test runs once per element order m, over every candidate pair of a row
     and a class of that order at once (_certify).  A certified row is
-    stored as its exponents t, -1 where the value is 0: one row of a
-    (rows, k) block of np.min_scalar_type(-e), int8 at every corpus
-    exponent, read through the linear rows' exponent path (_Row.texp).
-    Certification catches every central-type row (_lift_rows says why),
-    so the rows left over are stored dense, in one (rows, k, e) block of
-    the narrowest unsigned dtype that holds their largest degree
-    (_mult_dtype: one byte per multiplicity at every order <= p^6 with
-    p <= 13); each row's mults is a read-only view of it.  One row per
-    sigma_s-orbit takes Dixon's recovery at every class: for a class of
-    element order m the
-    multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
+    stored as its exponents t, -1 where the value is 0: one row of the
+    table's block cexp, (rows, k) of np.min_scalar_type(-e), int8 at every
+    corpus exponent, read through the linear rows' exponent path
+    (_Row.texp).  Certification catches every central-type row (_lift_rows
+    says why), so the rows left over are stored dense, in the table's block
+    mults, (rows, k, e) of the narrowest unsigned dtype that holds their
+    largest degree (_mult_dtype: one byte per multiplicity at every order
+    <= p^6 with p <= 13).  The table owns the blocks, and each row is a
+    view of its kind's block (CharacterTable).  One row per sigma_s-orbit
+    takes Dixon's recovery at every class: for a class of element order m
+    the multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
     DFT along the class's power orbit, evaluated mod q, in chunks of about
     5 * 10^5 entries (_orbit_dft_mults).  Each multiplicity is an integer
     in [0, d] < q, so the lift is exact.  The other rows of the orbit are
     found by their mod-q rows gathered by pi_s, and take the multiplicities
     gathered along the exponents, u -> u s^-1 (_lift_rows).  Both are
-    written into the block directly.
+    written into the block directly.  compute_table then evaluates both
+    blocks mod q (_residues) and compares every row with its mod-q row.
 
 All verification is exact.  First orthogonality of every pair of rows
 rests on one argument: the linear rows are distinct homomorphisms, each
@@ -109,7 +110,7 @@ _MAX_CLASSES = 6000
 
 
 class _Row:
-    """One irreducible character, stored compactly by shape."""
+    """One irreducible character: a view of its table's data for its kind."""
 
     __slots__ = ("degree", "e", "k", "kind", "t", "digits", "cexp", "mults",
                  "_nonzero", "_center")
@@ -120,12 +121,13 @@ class _Row:
         self.e = e
         self.k = k
         self.kind = kind          # 'unity' | 'central' | 'dense'
-        self.t = t                # unity: (n,) exponents of zeta_e at the pc generators
-        self.digits = digits      # unity: (n, k) class-rep digits (_rep_digits), shared
-        self.cexp = cexp          # central: (k,) exponents of zeta_e, -1 where the row is 0;
-        #                           compute_table's are read-only views of one block
-        self.mults = mults        # dense: (k, e) eigenvalue multiplicities; compute_table's
-        #                           are read-only views of one _mult_dtype block (_lift_rows)
+        self.t = t                # unity: its row of the table's lin_t, (n,) exponents of
+        #                           zeta_e at the pc generators
+        self.digits = digits      # unity: the table's (n, k) class-rep digits (_rep_digits)
+        self.cexp = cexp          # central: its row of the table's cexp block, (k,)
+        #                           exponents of zeta_e, -1 where the row is 0
+        self.mults = mults        # dense: its row of the table's mults block, (k, e)
+        #                           eigenvalue multiplicities
         # nonzero and center masks, built on first use; ones (unity rows
         # only) is a read-only all-True array that a table's unity rows share
         self._nonzero = self._center = ones
@@ -186,7 +188,7 @@ class _Row:
     def nonzero_mask(self) -> np.ndarray:
         if self._nonzero is None:
             if self.kind == "dense":
-                self._nonzero = _read_only(~_zero_mask_pp(self.mults.T, self.e))
+                self._nonzero = _read_only(~_zero_mask_pp(self.mults, self.e))
             else:
                 self._nonzero = self.center_mask  # all True, or the support
         return self._nonzero
@@ -226,38 +228,14 @@ def _mult_dtype(d_max: int) -> np.dtype:
     return dt
 
 
-def _residue_chunks(mults, zp: np.ndarray, qq: int, d_max: int):
-    """(lo, mults[lo:hi] @ zp mod qq) over chunks of the dense rows mults
-    (an (n, k, e) array or n (k, e) arrays, of degree at most d_max), as
-    int64 arrays of shape (hi - lo, k) + zp.shape[1:]: for residues zp[u]
-    of zeta_e^u mod qq, a row's value at every class.  The products run in
-    float64, in chunks of rows of at most 2^18 multiply-adds, which
-    OpenBLAS keeps on one thread (_group_products says why that matters);
-    each sum has e terms of at most d_max (qq - 1), exact while
-    e d_max (qq - 1) < 2^53, which is checked."""
-    e = zp.shape[0]
-    if e * d_max * (qq - 1) >= 2**53:
-        raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
-    zf = zp.astype(np.float64)
-    n = len(mults)
-    if n:
-        k = np.shape(mults[0])[0]
-        chunk = max(1, 2**18 // (k * zf.size))
-        for lo in range(0, n, chunk):
-            M = np.array(mults[lo:lo + chunk], dtype=np.float64)
-            res = (M.reshape(-1, e) @ zf).astype(np.int64)
-            res %= qq
-            yield lo, res.reshape(M.shape[:2] + zp.shape[1:])
-
-
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
     """Exact zero test for multiplicity arrays over prime-power e > 1,
-    exponent first, of shape (e, ...): only dense rows use it, and a dense
+    exponent last, of shape (..., e): only dense rows use it, and a dense
     row needs a non-abelian G, so e >= p.  With r the prime, sum_u m_u
     zeta_e^u is 0 iff m_u depends on u mod e/r alone."""
     r, _ = _prime_power_split(e)
-    resh = mults.reshape((r, e // r) + mults.shape[1:])
-    return (resh == resh[:1]).all(axis=(0, 1))
+    resh = mults.reshape(mults.shape[:-1] + (r, e // r))
+    return (resh == resh[..., :1, :]).all(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +244,48 @@ def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """All irreducible characters of the group, exactly."""
+    """All irreducible characters of the group, exactly.
+
+    The table owns its rows' exact data, one array per kind, each in table
+    order: lin_t, the linear rows' exponents at the pc generators, which
+    read the one (n, k) matrix digits of class-rep digits (_rep_digits);
+    degs, the non-linear rows' degrees, and dense, the mask of those that
+    are stored dense; cexp, the central-type rows' exponents, one (rows, k)
+    block with -1 where a row is 0; and mults, the dense rows'
+    multiplicities, one (rows, k, e) block (_lift_rows).  The linear rows
+    come first, then the non-linear ones.  rows is built from these
+    whenever a table is made, dataclasses.replace included: one _Row per
+    character, whose arrays are views of them, so the rows read exactly
+    the data that _verify_table checks.  A block whose row count differs
+    from the mask's count of its kind raises."""
 
     group: Group
     classes: ConjugacyClassSet
-    rows: list
     field_prime: int
     exponent: int
+    lin_t: np.ndarray
+    digits: np.ndarray
+    degs: np.ndarray
+    dense: np.ndarray
+    cexp: np.ndarray
+    mults: np.ndarray
     verification: dict = field(default_factory=dict)
+    rows: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k, e = self.classes.count, self.exponent
+        dense = np.asarray(self.dense, dtype=bool)
+        n_d = int(np.count_nonzero(dense))
+        if (np.shape(self.degs) != dense.shape or len(self.cexp) != dense.size - n_d
+                or len(self.mults) != n_d):
+            raise TableVerificationError("a row block does not match the kind mask")
+        ones = _read_only(np.ones(k, dtype=bool))
+        rows = [_Row(1, e, k, "unity", t=t, digits=self.digits, ones=ones) for t in self.lin_t]
+        at = np.where(dense, np.cumsum(dense), np.cumsum(~dense)) - 1  # position in its block
+        for d, is_dense, i in zip(np.asarray(self.degs).tolist(), dense.tolist(), at.tolist()):
+            rows.append(_Row(d, e, k, "dense", mults=self.mults[i]) if is_dense
+                        else _Row(d, e, k, "central", cexp=self.cexp[i]))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def count(self) -> int:
@@ -296,20 +308,16 @@ class CharacterTable:
 
     def kernels_contain(self, mask: np.ndarray) -> np.ndarray:
         """For each row chi, whether ker(chi) holds every class in mask.
-        The unity rows are read at those classes alone, in one product
-        with the digit matrix they share, so no unity row is evaluated
-        k-wide."""
+        Each block is read at those classes alone: a linear row's t @ digits
+        is 0 mod e there, a central-type row's exponent 0, and a dense row's
+        multiplicity at exponent 0 its degree."""
+        n_lin = len(self.lin_t)
         out = np.empty(self.count, dtype=bool)
-        at = []
-        for i, r in enumerate(self.rows):
-            if r.kind == "unity":
-                at.append(i)
-            else:
-                out[i] = r.kernel_mask[mask].all()
-        if at:
-            t = np.array([self.rows[i].t for i in at], dtype=np.int64)
-            digits = self.rows[at[0]].digits
-            out[at] = ~(t @ digits[:, mask] % self.exponent).any(axis=1)
+        out[:n_lin] = ~(self.lin_t @ self.digits[:, mask] % self.exponent).any(axis=1)
+        nonlin = out[n_lin:]
+        nonlin[~self.dense] = (self.cexp[:, mask] == 0).all(axis=1)
+        nonlin[self.dense] = (self.mults[:, mask, 0]
+                              == self.degs[self.dense, None]).all(axis=1)
         return out
 
     def value_strings(self) -> list[list[str]]:
@@ -902,27 +910,27 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
 # lifting
 
 
-def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
-    """Exact cyclotomic rows of the group: the linear rows, which store
-    the rows lin_order of their exponents lin_t at the pc generators and
-    share the class-rep digits, then one row per row of T, the mod-q table
-    of the non-linear characters (degrees degs); zpow[t] is z^t mod q.
+def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
+    """(dense, cexp, mults): the exact non-linear rows of the group, one per
+    row of T, the mod-q table of the non-linear characters (degrees degs);
+    zpow[t] is z^t mod q.  dense marks the rows stored dense, and the two
+    read-only blocks hold the rows of each kind in T's order
+    (CharacterTable).
 
     Every non-linear row is first certified central-type where it can be
     (_certify): a row whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| vanishes off H.  Those rows keep
-    their rows of geo_t, one read-only block, and each row's cexp is a
-    view of it.  The rows left over are stored dense, as read-only views
-    of one (rows, k, e) block of _mult_dtype of their largest degree, whose
-    dtype is fixed before the first store.  Of each orbit of sigma_s
-    (s = _galois_unit(e)) on them, only the first takes _orbit_dft_mults at every class, which writes
-    into the block and checks the range [0, d] first.  The mod-q row of
-    sigma_s chi is that of chi gathered by the power map pi_s, chi(g^s),
-    which matches each row to its image, and as sigma_s chi
-    = sum_u m_u zeta^(us), the image's multiplicity at u is chi's at
-    u s^-1; the gathers too write into the block.  The block then takes
-    the sum check, and compute_table compares every row with its mod-q
-    row.
+    their rows of geo_t as the block cexp.  The rows left over are stored
+    dense, in one (rows, k, e) block mults of _mult_dtype of their largest
+    degree, whose dtype is fixed before the first store.  Of each orbit of
+    sigma_s (s = _galois_unit(e)) on them, only the first takes
+    _orbit_dft_mults at every class, which writes into the block and
+    checks the range [0, d] first.  The mod-q row of sigma_s chi is that of
+    chi gathered by the power map pi_s, chi(g^s), which matches each row to
+    its image, and as sigma_s chi = sum_u m_u zeta^(us), the image's
+    multiplicity at u is chi's at u s^-1; the gathers too write into the
+    block.  The block then takes the sum check, and compute_table compares
+    every row with its mod-q row.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -935,55 +943,41 @@ def _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits, lin_order, degs, T):
     one too.  The closure check of _verify_structural_pairs, which compares
     the rows kind by kind, relies on this to pass a correct table."""
     k = cls.count
-    ones = _read_only(np.ones(k, dtype=bool))
-    lin = [_Row(1, e, k, "unity", t=lin_t[i], digits=digits, ones=ones)
-           for i in lin_order.tolist()]
-    if not degs:
-        return lin
-
-    geo_t, central = _certify(G, cls, e, q, dlog, T, degs)
-    rows = [None] * len(degs)
-    cexp = _read_only(geo_t[central])
-    for i, r in enumerate(np.flatnonzero(central).tolist()):
-        rows[r] = _Row(degs[r], e, k, "central", cexp=cexp[i])
+    if degs.size:
+        geo_t, central = _certify(G, cls, e, q, dlog, T, degs)
+    else:
+        geo_t, central = np.zeros((0, k), dtype=np.min_scalar_type(-e)), np.zeros(0, dtype=bool)
     left = np.flatnonzero(~central)
-    if not left.size:
-        return lin + rows
-
-    # match each row's sigma_s image, its columns gathered by pi_s, to its
-    # row on the columns of _separating_prefix (the rows are distinct on
-    # all k, as compute_table checks); a wrong match fails compute_table's
-    # mod-q check of the lifted rows
-    s = _galois_unit(e)
-    c, head = _separating_prefix(lambda c: T[left, :c], k)
-    heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
-    ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
-                    return_inverse=True)[1].reshape(-1)
-    slot = np.full(ids.max() + 1, -1, dtype=np.int64)
-    slot[ids[:left.size]] = np.arange(left.size)
-    image = slot[ids[left.size:]]
-    if (image < 0).any():
-        raise TableVerificationError("a Galois image of a dense row is not a row")
-    leader = _orbit_leaders(image)
-    at = np.flatnonzero(leader)
-    d_left = np.asarray(degs, dtype=np.int64)[left]
-    block = np.zeros((left.size, k, e), dtype=_mult_dtype(int(d_left.max())))
-    power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
-    _orbit_dft_mults(T[left[at]], power, e, q, zpow, block, at)
-    u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
-    while True:
-        nxt = image[at]
-        keep = np.flatnonzero(~leader[nxt])
-        if not keep.size:
-            break
-        block[nxt[keep]] = block[at[keep]][:, :, u_from]
-        at = nxt[keep]
+    d_left = degs[left]
+    block = np.zeros((left.size, k, e), dtype=_mult_dtype(int(d_left.max(initial=0))))
+    if left.size:
+        # match each row's sigma_s image, its columns gathered by pi_s, to
+        # its row on the columns of _separating_prefix (the rows are
+        # distinct on all k, as compute_table checks); a wrong match fails
+        # compute_table's mod-q check of the lifted rows
+        s = _galois_unit(e)
+        c, head = _separating_prefix(lambda c: T[left, :c], k)
+        heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
+        ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
+                        return_inverse=True)[1].reshape(-1)
+        slot = np.full(ids.max() + 1, -1, dtype=np.int64)
+        slot[ids[:left.size]] = np.arange(left.size)
+        image = slot[ids[left.size:]]
+        if (image < 0).any():
+            raise TableVerificationError("a Galois image of a dense row is not a row")
+        leader = _orbit_leaders(image)
+        at = np.flatnonzero(leader)
+        power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
+        _orbit_dft_mults(T[left[at]], power, e, q, zpow, block, at)
+        u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
+        while at.size:
+            nxt = image[at]
+            keep = np.flatnonzero(~leader[nxt])
+            block[nxt[keep]] = block[at[keep]][:, :, u_from]
+            at = nxt[keep]
     if (block.sum(axis=2, dtype=np.int64) != d_left[:, None]).any():
         raise TableVerificationError("multiplicities do not sum to the degree")
-    _read_only(block)
-    for i, r in enumerate(left.tolist()):
-        rows[r] = _Row(degs[r], e, k, "dense", mults=block[i])
-    return lin + rows
+    return _read_only(~central), _read_only(geo_t[central]), _read_only(block)
 
 
 def _certify(G, cls, e, q, dlog, T, degs):
@@ -1180,26 +1174,15 @@ def compute_table(P) -> CharacterTable:
     T = T[perm]
     degs = degs[perm]
 
-    rows = _lift_rows(G, cls, e, q, zpow, dlog, lin_t, digits,
-                      _linear_order(lin_t, digits, zpow), degs.tolist(), T)
-    # every lifted row against its mod-q row: d z^t at the exponents t of
-    # the others at once (0 at -1), the dense ones in chunks
-    nonlin = rows[n_lin:n_lin + T.shape[0]]
-    dense = [i for i, r in enumerate(nonlin) if r.kind == "dense"]
-    other = [i for i, r in enumerate(nonlin) if r.kind != "dense"]
-    if other:
-        d = np.array([nonlin[i].degree for i in other], dtype=np.int64)
-        X = np.stack([nonlin[i].texp for i in other])
-        if (d[:, None] * np.append(zpow, 0)[X] % q != T[other]).any():
-            raise TableVerificationError("lifted row disagrees mod q")
-    d_max = int(degs[dense].max(initial=0))
-    for lo, res in _residue_chunks([nonlin[i].mults for i in dense], zpow, q, d_max):
-        if (res != T[dense[lo:lo + res.shape[0]]]).any():
-            raise TableVerificationError("lifted row disagrees mod q")
-
-    table = CharacterTable(
-        group=G, classes=cls, rows=rows, field_prime=q, exponent=e, verification={}
-    )
+    dense, cexp, mults = _lift_rows(G, cls, e, q, zpow, dlog, degs, T)
+    table = CharacterTable(group=G, classes=cls, field_prime=q, exponent=e,
+                           lin_t=_read_only(lin_t[_linear_order(lin_t, digits, zpow)]),
+                           digits=digits, degs=_read_only(degs), dense=dense, cexp=cexp,
+                           mults=mults)
+    # every lifted row against its mod-q row, the central-type rows first
+    at = np.r_[np.flatnonzero(~dense), np.flatnonzero(dense)]
+    if (_residues(degs[at], cexp, mults, zpow, q) != T[at]).any():
+        raise TableVerificationError("lifted row disagrees mod q")
     _verify_table(table)
     return table
 
@@ -1228,16 +1211,17 @@ def _verify_table(T: CharacterTable) -> None:
     """Exact checks of a computed table; any failure raises
     TableVerificationError.
 
-    Shapes.  k rows; p-power degrees with sum d^2 = |G| and
-    d^2 | |G:Z(G)|; unity rows exactly the degree-1 rows, |G:G'| of them,
-    each a homomorphism (_verify_linear_rows); central-type exponents
-    signed integers in [-1, e), not -1 at the identity (_central_exponents,
-    which stacks them into the one block C that the later checks read), and
-    each row d times a character of its support (_verify_central_rows);
-    dense multiplicities integers in [0, d], summing to d (_dense_block,
-    which stacks them into the one block D that the later checks read).  So every value of a
-    degree-d row is a sum of d roots of unity, and |sigma(chi(g))| <= d
-    under every embedding sigma of Q(zeta_e).
+    Shapes.  The table's blocks are read in place, in the dtype they are
+    handed in (CharacterTable).  k rows; p-power degrees with sum
+    d^2 = |G| and d^2 | |G:Z(G)|; the linear rows, |G:G'| of them, each a
+    homomorphism (_verify_linear_rows), and no non-linear row of degree 1;
+    central-type exponents a (rows, k) block C of signed integers in
+    [-1, e), not -1 at the identity, and dense multiplicities a
+    (rows, k, e) block D of integers in [0, d] summing to d (_verify_blocks);
+    each central-type row d times a character of its support
+    (_verify_central_rows).  So every value of a degree-d row is a sum of
+    d roots of unity, and |sigma(chi(g))| <= d under every embedding sigma
+    of Q(zeta_e).
 
     First orthogonality.  For a non-linear row a (the set N) and any row b,
     y_ab = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) - |G| delta_ab lies in
@@ -1312,43 +1296,48 @@ def _verify_table(T: CharacterTable) -> None:
     e = T.exponent
     sizes = cls.sizes.astype(np.int64)
     order = G.order
+    n_lin = len(T.lin_t)
+    degs = T.degs
 
-    if len(T.rows) != k:
+    if n_lin + degs.size != k:
         raise TableVerificationError("row count differs from class count")
-    if sum(r.degree * r.degree for r in T.rows) != order:
+    if n_lin + sum(d * d for d in degs.tolist()) != order:
         raise TableVerificationError("sum of squared degrees != |G|")
 
     zorder = int(G.center.indices.size)
-    for r in T.rows:
-        d = r.degree
+    for d in dict.fromkeys(degs.tolist()):
         if G.p ** p_log(d, G.p) != d:
             raise TableVerificationError("degree is not a p-power")
         if (order // zorder) % (d * d):
             raise TableVerificationError("degree bound d^2 | |G/Z(G)| fails")
-        if (r.kind == "unity") != (d == 1):
+        if d == 1:
             raise TableVerificationError("row kind does not match its degree (unity iff degree 1)")
 
-    lin = [r for r in T.rows if r.kind == "unity"]
-    nonlin = [r for r in T.rows if r.kind != "unity"]
-    central = [r for r in nonlin if r.kind == "central"]
-    deg_c = np.array([r.degree for r in central], dtype=np.int64)
-    C = _central_exponents(central, k, e)
-    D = _dense_block([r for r in nonlin if r.kind == "dense"], k, e)
-    if len(lin) != order // G.derived.indices.size:
+    _verify_blocks(T)
+    if n_lin != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
-    lin_t = _verify_linear_rows(T, lin)
-    _verify_central_rows(T, C)
-    _verify_structural_pairs(T, lin_t, deg_c, C, D)
-    if nonlin:
-        _verify_pairs_against_block(T, lin_t, deg_c, C, D)
-    elif (order // sizes != len(lin)).any():
+    lin_t = _verify_linear_rows(T)
+    _verify_central_rows(T)
+    _verify_structural_pairs(T, lin_t)
+    if degs.size:
+        _verify_pairs_against_block(T, lin_t)
+    elif (order // sizes != n_lin).any():
         raise TableVerificationError("column norm != centralizer order")
 
-    if nonlin:
-        hmask = np.stack([r.center_mask for r in nonlin])
-        vanishes = ~(np.stack([r.nonzero_mask for r in nonlin]) & ~hmask).any(axis=1)
+    if degs.size:
+        C, D = T.cexp, T.mults
+        n_c = len(C)
+        at = np.r_[np.flatnonzero(~T.dense), np.flatnonzero(T.dense)]  # block order
+        deg = degs[at]
+        hmask = _read_only(np.concatenate([C >= 0, D.max(axis=2) == deg[n_c:, None]]))
+        # a central-type row is nonzero exactly on hmask, so it vanishes off it
+        nonzero = _read_only(~_zero_mask_pp(D, e))
+        vanishes = np.concatenate([np.ones(n_c, dtype=bool),
+                                   ~(nonzero & ~hmask[n_c:]).any(axis=1)])
+        for i, h, nz in zip(at.tolist(), hmask, [*hmask[:n_c], *nonzero]):  # formed once
+            T.rows[n_lin + i]._center, T.rows[n_lin + i]._nonzero = h, nz
         h = hmask @ sizes
-        norm = np.array([r.degree * r.degree for r in nonlin], dtype=np.int64) * h
+        norm = deg * deg * h
         if (h < 1).any() or (order % np.maximum(h, 1)).any():
             raise TableVerificationError("|Z(chi)| does not divide |G|")
         if (norm > order).any():
@@ -1359,7 +1348,7 @@ def _verify_table(T: CharacterTable) -> None:
     T.verification.update(
         {
             "sum_of_squares": "exact",
-            "row_orthogonality": "structural+gram" if nonlin else "structural",
+            "row_orthogonality": "structural+gram" if degs.size else "structural",
             "column_diagonal": "exact",
             "column_offdiagonal": "implied by row orthogonality of a square table",
             "degree_bound": "exact",
@@ -1368,53 +1357,58 @@ def _verify_table(T: CharacterTable) -> None:
     )
 
 
-def _dense_block(dense, k: int, e: int) -> np.ndarray:
-    """The multiplicities of the rows dense as one (n, k, e) array of
-    _mult_dtype of their largest degree, once each row's are checked to be
-    (k, e) integers in [0, d] that sum to d.  They are stacked in a dtype
-    that holds every row's own values and narrowed only after the range
-    check, so no value outside [0, d] is wrapped into it."""
-    if any(np.shape(r.mults) != (k, e) for r in dense):
-        raise TableVerificationError("dense multiplicities are not a (k, e) array")
-    if not dense:
-        return np.zeros((0, k, e), dtype=np.uint8)
-    D = np.stack([r.mults for r in dense])
-    d = np.array([r.degree for r in dense], dtype=np.int64)
+def _verify_blocks(T: CharacterTable) -> None:
+    """The shapes and ranges of the non-linear blocks, read in place: cexp a
+    (rows, k) block of signed integers in [-1, e), -1 (the value 0) nowhere
+    at the identity class; mults a (rows, k, e) block of integers in [0, d]
+    that sum to d at every class, d the row's degree.  Nothing is cast, so
+    no value outside its range is wrapped into a narrower dtype."""
+    k, e = T.classes.count, T.exponent
+    C, D = T.cexp, T.mults
+    if C.shape[1:] != (k,):
+        raise TableVerificationError("central-type exponents are not a (k,) array per row")
+    if C.dtype.kind != "i":
+        raise TableVerificationError("central-type exponents are not signed integers")
+    if C.size and (C.min() < -1 or C.max() >= e):
+        raise TableVerificationError("central-type exponent outside [-1, e)")
+    if (C[:, 0] < 0).any():
+        raise TableVerificationError("a central-type row is 0 at the identity class")
+    if D.shape[1:] != (k, e):
+        raise TableVerificationError("dense multiplicities are not a (k, e) array per row")
     if D.dtype.kind not in "ui":
         raise TableVerificationError("dense multiplicities are not integers")
-    if D.min() < 0 or (D > d[:, None, None]).any():
+    d = T.degs[T.dense]
+    if D.size and (D.min() < 0 or (D > d[:, None, None]).any()):
         raise TableVerificationError("dense multiplicity outside [0, degree]")
     if (D.sum(axis=2, dtype=np.int64) != d[:, None]).any():
         raise TableVerificationError("dense multiplicities do not sum to the degree")
-    return D.astype(_mult_dtype(int(d.max())), copy=False)
 
 
-def _verify_linear_rows(T: CharacterTable, lin) -> np.ndarray:
-    """Every degree-1 row of lin is a homomorphism G -> <zeta_e>.  Returns
-    their exponents t at the pc generators, reduced mod e, one row per
+def _verify_linear_rows(T: CharacterTable) -> np.ndarray:
+    """Every linear row is a homomorphism G -> <zeta_e>.  Returns their
+    exponents t at the pc generators (lin_t), reduced mod e, one row per
     character: a row is the homomorphism its t defines, so two rows are
     equal iff their t are.
 
-    A unity row stores t, t_i being its exponent at the pc generator a_i,
+    A linear row stores t, t_i being its exponent at the pc generator a_i,
     and reads zeta_e^(sum_i digit_i(g) t_i) at a class rep
-    g = a_1^digit_1 ... a_n^digit_n in normal form; its digits must be
-    the class reps' own (_rep_digits).  t must satisfy the relations of
-    the presentation in the abelian target, read from the group tables:
-    a_i^p = w_i gives p t_i = digits(w_i) . t, and [a_j, a_i] = w_ij
-    (j > i) gives 0 = digits(w_ij) . t.  By von Dyck's theorem t then
-    extends to a homomorphism G -> <zeta_e> with a_i -> zeta_e^t_i, whose
-    value at the normal-form element g is zeta_e^(digits(g) . t): the
-    value the row reads there.  So the row is that homomorphism at every
-    class by construction, and no class is checked one by one."""
+    g = a_1^digit_1 ... a_n^digit_n in normal form; the table's digits
+    must be the class reps' own (_rep_digits).  t must satisfy the
+    relations of the presentation in the abelian target, read from the
+    group tables: a_i^p = w_i gives p t_i = digits(w_i) . t, and
+    [a_j, a_i] = w_ij (j > i) gives 0 = digits(w_ij) . t.  By von Dyck's
+    theorem t then extends to a homomorphism G -> <zeta_e> with
+    a_i -> zeta_e^t_i, whose value at the normal-form element g is
+    zeta_e^(digits(g) . t): the value the row reads there.  So the row is
+    that homomorphism at every class by construction, and no class is
+    checked one by one."""
     G = T.group
     e = T.exponent
-    want = _rep_digits(G, T.classes)
-    for d in {id(r.digits): r.digits for r in lin}.values():
-        if not np.array_equal(d, want):
-            raise TableVerificationError("a linear row reads other digits than the class reps'")
-    if any(np.shape(r.t) != (G.n,) for r in lin):
+    if not np.array_equal(T.digits, _rep_digits(G, T.classes)):
+        raise TableVerificationError("a linear row reads other digits than the class reps'")
+    if T.lin_t.shape[1:] != (G.n,):
         raise TableVerificationError("a linear row has no exponent per pc generator")
-    t = np.array([r.t for r in lin], dtype=np.int64) % e
+    t = T.lin_t.astype(np.int64) % e
     gens = [G.gen_index(i) for i in range(G.n)]
     powers = _digits(G, [G.pow(a, G.p) for a in gens])
     if ((G.p * t - t @ powers) % e).any():
@@ -1435,11 +1429,11 @@ def _group_by_key(pairs) -> list:
     return list(groups.values())
 
 
-def _verify_central_rows(T: CharacterTable, C: np.ndarray) -> None:
+def _verify_central_rows(T: CharacterTable) -> None:
     """Every central-type row is d times a linear character of its support.
 
-    C holds the rows' exponents (_central_exponents), -1 off the support,
-    and the rows are grouped by their support mask C >= 0 (_group_by_key).
+    The block C = T.cexp holds the rows' exponents, -1 off the support, and
+    the rows are grouped by their support mask C >= 0 (_group_by_key).
     H (the union of the support classes) must be a subgroup, generated by
     the chain generators _class_union_subgroup checks.  The row's exponent
     mu must then satisfy class(x h) in the support and
@@ -1449,6 +1443,7 @@ def _verify_central_rows(T: CharacterTable, C: np.ndarray) -> None:
     G = T.group
     cls = T.classes
     e = T.exponent
+    C = T.cexp
     for mask, at in _group_by_key((m, i) for i, m in enumerate(C >= 0)):
         H = _class_union_subgroup(T, mask)
         mu = C[at].astype(np.int64)
@@ -1483,41 +1478,18 @@ def _distinct_rows(M: np.ndarray) -> int:
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + (rows.size > 0)
 
 
-def _central_exponents(central, k: int, e: int) -> np.ndarray:
-    """The exponents cexp of the central-type rows central as one (rows, k)
-    block of np.min_scalar_type(-e), once each row's are checked to be a
-    (k,) array of signed integers in [-1, e), -1 (the value 0) nowhere at
-    the identity class.  They are stacked in a dtype that holds every row's
-    own values and narrowed only after the range check, so no value outside
-    [-1, e) is wrapped into it."""
-    if any(np.shape(r.cexp) != (k,) for r in central):
-        raise TableVerificationError("central-type exponents are not a (k,) array")
-    if any(np.asarray(r.cexp).dtype.kind != "i" for r in central):
-        raise TableVerificationError("central-type exponents are not signed integers")
-    dt = np.min_scalar_type(-e)
-    if not central:
-        return np.zeros((0, k), dtype=dt)
-    C = np.stack([r.cexp for r in central])
-    if C.min() < -1 or C.max() >= e:
-        raise TableVerificationError("central-type exponent outside [-1, e)")
-    if (C[:, 0] < 0).any():
-        raise TableVerificationError("a central-type row is 0 at the identity class")
-    return C.astype(dt, copy=False)
-
-
-def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, deg_c: np.ndarray,
-                             C: np.ndarray, D: np.ndarray) -> None:
+def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray) -> None:
     """The checks of _verify_table's proof that need no arithmetic.  The
     linear rows must be distinct on lin_t, their exponents at the pc
     generators, which determine them (_verify_linear_rows).  The non-linear
     rows must be closed under sigma_s: zeta_e^t -> zeta_e^(st) for each s
     of _unit_gens(e), which multiplies a central-type row's exponents by s
     and moves a dense row's multiplicity at u to s u.  Each kind's exact
-    keys (the rows of C, _central_exponents, each led by its degree in
-    deg_c; the rows of the dense block D, _dense_block) must be the same
-    multiset as their images.  Equal keys mean equal rows, and
-    compute_table's rows pass kind by kind, since a row's stored kind is a
-    Galois invariant (_lift_rows says why).
+    keys (the rows of the block C = T.cexp, each led by its degree; the
+    rows of the block D = T.mults) must be the same multiset as their
+    images.  Equal keys mean equal rows, and compute_table's rows pass
+    kind by kind, since a row's stored kind is a Galois invariant
+    (_lift_rows says why).
 
     D is not copied: its rows are ordered by an argsort of their keys, and
     each image is gathered once and sorted in place, then compared in
@@ -1525,8 +1497,9 @@ def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray, deg_c: np.nda
     if _distinct_rows(lin_t) != lin_t.shape[0]:
         raise TableVerificationError("duplicate linear rows")
     e = T.exponent
+    C, D = T.cexp, T.mults
     n, k = D.shape[:2]
-    lead = deg_c.astype(">i8").view(np.uint8).reshape(-1, 8)
+    lead = T.degs[~T.dense].astype(">i8").view(np.uint8).reshape(-1, 8)
 
     def central_keys(M):
         return _sorted_rows(np.hstack([lead, M.view(np.uint8)]))
@@ -1618,17 +1591,17 @@ def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class _PairPlan:
     """What the pair check reads at every check prime, from _pair_plan.
-    The rows are the central-type rows (the rows of C,
-    _central_exponents, of degrees deg_c), then the dense rows (of D,
-    _dense_block).
+    The rows are the central-type rows (the rows of the block C = T.cexp),
+    then the dense rows (of D = T.mults).
 
     deg holds their degrees, and chars[r, a] the exponent c with
     mu_r(b_a) = zeta_e^c, mu_r the central character of row r; perms are
     the translates of _center_translates.  basepoints are the least
     classes of the orbits of <perms> on the classes, and weights[i] is
     |O| |K_j| at basepoint j of the orbit O.  C_at holds C's exponents at
-    the basepoints, and D_at D's multiplicities there, exponent first:
-    D_at[u, r, i] = D[r, basepoints[i], u].  Each batch (rows, cols)
+    the basepoints, and D_at D's multiplicities there, in D's layout,
+    exponent last: D_at[r, i, u] = D[r, basepoints[i], u].  _residues
+    reads the two blocks.  Each batch (rows, cols)
     holds the groups of one size n: rows[g] are the n rows of one central
     character, and cols[g] the basepoint positions where one of them is
     nonzero, then positions where all of them are 0, up to the batch's
@@ -1644,8 +1617,7 @@ class _PairPlan:
     batches: list
 
 
-def _pair_plan(T: CharacterTable, deg_c: np.ndarray, C: np.ndarray,
-               D: np.ndarray) -> _PairPlan:
+def _pair_plan(T: CharacterTable) -> _PairPlan:
     """The exact first half of the pair check: every non-linear row has a
     central character, read at the chain generators b_a of Z(G); then the
     orbits of the translates on the classes, and the rows grouped by their
@@ -1668,6 +1640,7 @@ def _pair_plan(T: CharacterTable, deg_c: np.ndarray, C: np.ndarray,
     put)."""
     cls = T.classes
     k, e = cls.count, T.exponent
+    C, D = T.cexp, T.mults
     sizes = cls.sizes.astype(np.int64)
     gens, perms = _center_translates(T.group, cls)
     m = len(gens)
@@ -1709,8 +1682,8 @@ def _pair_plan(T: CharacterTable, deg_c: np.ndarray, C: np.ndarray,
         lab = nxt
     bp = np.flatnonzero(lab == ar)
     C_at = C[:, bp]
-    D_at = np.take(D, bp, axis=1).transpose(2, 0, 1).copy()
-    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)]) if n_d else C_at >= 0
+    D_at = np.take(D, bp, axis=1)
+    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)])
     batches, lo = [], 0
     groups = np.bincount(gsize)
     for size in np.flatnonzero(groups).tolist():
@@ -1719,7 +1692,7 @@ def _pair_plan(T: CharacterTable, deg_c: np.ndarray, C: np.ndarray,
         hits = nonzero[rows].any(axis=1)
         cols = np.argsort(~hits, axis=1, kind="stable")[:, :hits.sum(axis=1).max()]
         batches.append((rows, cols))
-    deg = np.concatenate([deg_c, deg_d])
+    deg = np.concatenate([T.degs[~T.dense], deg_d])
     return _PairPlan(deg, chars, perms, bp, np.bincount(lab)[bp] * sizes[bp], C_at, D_at,
                      batches)
 
@@ -1749,29 +1722,36 @@ def _dense_center_exponents(D: np.ndarray, deg: np.ndarray, perms: np.ndarray,
     return cd
 
 
-def _basepoint_residues(plan: _PairPlan, qq: int, zp: np.ndarray) -> np.ndarray:
-    """R with R[0] every row's value at the basepoints and R[1] its
-    conjugate, reduced at zeta_e -> z' in GF(qq), zp[t] = z'^t mod qq.
-    zeta_e^t reduces to zp[t] and its conjugate to zp[-t]; a central-type
-    row to d zp[C], 0 off the support, where C holds -1, and the dense
-    rows to zp @ D_at, as in _residue_chunks: float64 chunks of at most
-    2^18 multiply-adds, exact while e d_max (qq - 1) < 2^53, which is
-    checked."""
-    e = zp.size
-    n_c = plan.C_at.shape[0]
-    if e * int(plan.deg.max()) * (qq - 1) >= 2**53:
+def _residues(deg: np.ndarray, C: np.ndarray, D: np.ndarray, zp: np.ndarray,
+              qq: int) -> np.ndarray:
+    """The rows of C, central-type exponents, then those of D, dense
+    multiplicities (exponent last), of degrees deg, reduced at
+    zeta_e -> z' in GF(qq).  zp[t] is z'^t mod qq; a zp of shape (e, w)
+    holds w such maps as columns, and the pair check passes two, z'^t for
+    the values and z'^-t for their conjugates.  The result has shape
+    zp.shape[1:] + (rows, columns).  A central-type row reduces to d zp[t],
+    and to 0 where C holds -1; a dense row to sum_u D[r, j, u] zp[u], one
+    exponent-first float64 product per chunk of at most 2^18
+    multiply-adds, which OpenBLAS keeps on one thread (_group_products says
+    why that matters).  Each sum has e terms of at most d_max (qq - 1),
+    exact while e d_max (qq - 1) < 2^53 for the largest dense degree d_max,
+    which is checked.  compute_table's mod-q check, _coset_sums and the
+    pair check's basepoint residues all read the blocks here."""
+    e = zp.shape[0]
+    n_c = C.shape[0]
+    if e * int(deg[n_c:].max(initial=0)) * (qq - 1) >= 2**53:
         raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
-    tab = np.zeros((2, e + 1), dtype=np.int64)  # column e, the 0, is read at -1
-    tab[0, :e] = zp
-    tab[1, :e] = zp[-np.arange(e) % e]
-    R = np.empty((2, plan.deg.size, plan.basepoints.size), dtype=np.int64)
-    R[:, :n_c] = tab[:, plan.C_at] * plan.deg[:n_c, None] % qq
-    Du = plan.D_at.reshape(e, -1)
-    zf = tab[:, :e].astype(np.float64)
-    res = R[:, n_c:].reshape(2, -1)  # a view, as R's last two axes are contiguous
-    step = 2**18 // (2 * e) or 1
-    for lo in range(0, Du.shape[1], step):
-        res[:, lo:lo + step] = zf @ Du[:, lo:lo + step]
+    zt = zp.T  # exponent last
+    R = np.empty(zt.shape[:-1] + (deg.size, C.shape[1]), dtype=np.int64)
+    tab = np.concatenate([zt, np.zeros(zt.shape[:-1] + (1,), dtype=zt.dtype)], axis=-1)
+    R[..., :n_c, :] = tab[..., C] * deg[:n_c, None] % qq  # C's -1 reads the appended 0
+    # the dense rows of R, a view, as R's last two axes are contiguous
+    res = R[..., n_c:, :].reshape(zt.shape[:-1] + (-1,))
+    flat = D.reshape(-1, e)
+    zf = zt.astype(np.float64)
+    step = max(1, 2**18 // zp.size)
+    for lo in range(0, flat.shape[0], step):
+        res[..., lo:lo + step] = zf @ flat[lo:lo + step].T
     res %= qq
     return R
 
@@ -1803,19 +1783,15 @@ def _group_products(plan: _PairPlan, A: np.ndarray, B: np.ndarray, qq: int) -> l
     return out
 
 
-def _coset_sums(T: CharacterTable, cosets: np.ndarray, deg_c: np.ndarray, C: np.ndarray,
-                D: np.ndarray, qq: int, zp: np.ndarray, d_max: int) -> np.ndarray:
+def _coset_sums(T: CharacterTable, cosets: np.ndarray, deg: np.ndarray, C: np.ndarray,
+                D: np.ndarray, qq: int, zp: np.ndarray) -> np.ndarray:
     """sums[a, x] = sum over the classes j with cosets[j] = x of
-    |K_j| chi_a(g_j), reduced at zeta_e -> z' in GF(qq), for the rows of C
-    (_central_exponents, degrees deg_c), then those of D (_dense_block,
-    degrees at most d_max), each over all k classes: k int64 terms below qq
-    per sum."""
+    |K_j| chi_a(g_j), reduced at zeta_e -> z' in GF(qq), for the rows of C,
+    central-type exponents, then those of D, dense multiplicities, of
+    degrees deg (_residues), each over all k classes: k int64 terms below
+    qq per sum."""
     cls = T.classes
-    n_c = C.shape[0]
-    R = np.empty((n_c + D.shape[0], cls.count), dtype=np.int64)
-    R[:n_c] = deg_c[:, None] * np.append(zp, 0)[C] % qq
-    for lo, res in _residue_chunks(D, zp, qq, d_max):
-        R[n_c + lo:n_c + lo + res.shape[0]] = res
+    R = _residues(deg, C, D, zp, qq)
     R *= cls.sizes % qq
     R %= qq
     by = np.argsort(cosets, kind="stable")
@@ -1824,13 +1800,12 @@ def _coset_sums(T: CharacterTable, cosets: np.ndarray, deg_c: np.ndarray, C: np.
     return np.add.reduceat(R[:, by], np.flatnonzero(first), axis=1) % qq
 
 
-def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, deg_c: np.ndarray,
-                                C: np.ndarray, D: np.ndarray) -> None:
+def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray) -> None:
     """First orthogonality of every pair (a, b) with a non-linear, and the
     column diagonal; _verify_table has the proof.  lin_t holds the linear
-    rows' exponents at the pc generators (_verify_linear_rows), C the
-    central-type rows' exponents (_central_exponents) and deg_c their
-    degrees, and D the dense rows (_dense_block).
+    rows' exponents at the pc generators (_verify_linear_rows), and the
+    non-linear rows are read from the table's blocks, C = T.cexp and
+    D = T.mults.
 
     _pair_plan proves that every non-linear row has a central character
     and groups the rows by it.  The check primes are those of
@@ -1848,7 +1823,7 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, deg_c: np.
     k, e = cls.count, T.exponent
     order = G.order
     n_lin = len(lin_t)
-    plan = _pair_plan(T, deg_c, C, D)
+    plan = _pair_plan(T)
     d_max = int(plan.deg.max())
     bound = order * max(1, d_max * d_max - 1)
     primes, product, n_off = [], 1, 0
@@ -1872,18 +1847,20 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray, deg_c: np.
         raise TableVerificationError("a linear row is not trivial on the G'-cosets' subgroup")
     keeps = (cosets[plan.perms] == cosets).all(axis=1)
     summed = ~plan.chars[:, keeps].any(axis=1)
+    C, D = T.cexp, T.mults
     n_c = C.shape[0]
     cen = order // cls.sizes[plan.basepoints] - n_lin
     w = plan.weights
+    conj = -np.arange(e) % e
     for i, (qq, zp) in enumerate(primes):
-        R = _basepoint_residues(plan, qq, zp)
+        R = _residues(plan.deg, plan.C_at, plan.D_at, np.stack([zp, zp[conj]], axis=1), qq)
         A = R[0] * (w % qq) % qq
         if i >= n_off:
             if (((A * R[1] % qq).sum(axis=1) - order) % qq).any():
                 raise TableVerificationError("a non-linear row fails orthogonality")
             continue
-        if summed.any() and _coset_sums(T, cosets, deg_c[summed[:n_c]], C[summed[:n_c]],
-                                        D[summed[n_c:]], qq, zp, d_max).any():
+        if summed.any() and _coset_sums(T, cosets, plan.deg[summed], C[summed[:n_c]],
+                                        D[summed[n_c:]], qq, zp).any():
             raise TableVerificationError(
                 "a non-linear row fails orthogonality to the linear rows: a G'-coset sum")
         for rows, P in _group_products(plan, A, R[1], qq):

@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         return _fail(args, exc, internal=False)
     except InternalInconsistencyError as exc:
         return _fail(args, exc, internal=True)

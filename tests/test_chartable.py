@@ -1,5 +1,6 @@
 """Character table machinery, cross-checked against independent oracles."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -283,13 +284,10 @@ def test_verification_failure_is_loud():
     T = table("heisenberg_p3", 3)
     from pgclass.chartable import _verify_table
 
-    hacked = pg.CharacterTable(
-        group=T.group,
-        classes=T.classes,
-        rows=T.rows[:-1] + [T.rows[0]],  # duplicate a row
-        field_prime=T.field_prime,
-        exponent=T.exponent,
-    )
+    assert T.rows[-1].kind == "central"
+    hacked = _replace(  # the first row in place of the last: a duplicate linear row
+        T, lin_t=np.vstack([T.lin_t, T.lin_t[:1]]), degs=T.degs[:-1], dense=T.dense[:-1],
+        cexp=T.cexp[:-1])
     with pytest.raises(TableVerificationError):
         _verify_table(hacked)
 
@@ -452,26 +450,27 @@ def test_prime_product_bound_is_checked(monkeypatch):
     e, q = T.exponent, T.field_prime
     own = _prime_with_root(e, q, e)
     assert own[0] == q
-    residues, coset_sums = chartable_mod._basepoint_residues, chartable_mod._coset_sums
+    residues, coset_sums = chartable_mod._residues, chartable_mod._coset_sums
     used = {"norm": [], "off": []}
 
-    def spy_residues(plan, qq, zp):
-        used["norm"].append(qq)
-        return residues(plan, qq, zp)
+    def spy_residues(deg, C, D, zp, qq):
+        if zp.ndim == 2:  # the basepoint residues: the value and its conjugate
+            used["norm"].append(qq)
+        return residues(deg, C, D, zp, qq)
 
-    def spy_coset_sums(T, cosets, deg_c, C, D, qq, zp, d_max):
+    def spy_coset_sums(T, cosets, deg, C, D, qq, zp):
         used["off"].append(qq)
-        return coset_sums(T, cosets, deg_c, C, D, qq, zp, d_max)
+        return coset_sums(T, cosets, deg, C, D, qq, zp)
 
-    monkeypatch.setattr(chartable_mod, "_basepoint_residues", spy_residues)
+    monkeypatch.setattr(chartable_mod, "_residues", spy_residues)
     monkeypatch.setattr(chartable_mod, "_coset_sums", spy_coset_sums)
     monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(norm))
-    chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+    chartable_mod._verify_table(_replace(T))
     assert used == {"norm": [qq for qq, _ in norm], "off": [qq for qq, _ in off]}
     for short in (norm[:-1], [own] + norm[:-1]):
         monkeypatch.setattr(chartable_mod, "_check_primes", lambda e, short=short: tuple(short))
         with pytest.raises(TableVerificationError, match="product"):
-            chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+            chartable_mod._verify_table(_replace(T))
 
 
 def test_norms_are_checked_at_every_norm_prime(monkeypatch):
@@ -484,18 +483,18 @@ def test_norms_are_checked_at_every_norm_prime(monkeypatch):
     T, norm, off = _gram_guard_setup()
     last = norm[-1][0]
     assert last not in [qq for qq, _ in off]
-    residues = chartable_mod._basepoint_residues
+    residues = chartable_mod._residues
 
-    def doubled(plan, qq, zp):
-        R = residues(plan, qq, zp)
-        if qq == last:
+    def doubled(deg, C, D, zp, qq):
+        R = residues(deg, C, D, zp, qq)
+        if qq == last and zp.ndim == 2:  # the basepoint residues
             R[:, 0] = 2 * R[:, 0] % qq
         return R
 
     monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: tuple(norm))
-    monkeypatch.setattr(chartable_mod, "_basepoint_residues", doubled)
+    monkeypatch.setattr(chartable_mod, "_residues", doubled)
     with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
-        chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+        chartable_mod._verify_table(_replace(T))
 
 
 def test_float64_bound_is_checked(monkeypatch):
@@ -514,16 +513,17 @@ def test_float64_bound_is_checked(monkeypatch):
         monkeypatch.setattr(chartable_mod, "_check_primes",
                             lambda e, first=first: (first,) + tuple(primes))
         if ok:
-            chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+            chartable_mod._verify_table(_replace(T))
         else:
             with pytest.raises(TableVerificationError, match="float64"):
-                chartable_mod._verify_table(_with_rows(T, list(T.rows)))
+                chartable_mod._verify_table(_replace(T))
 
 
 def test_table_guards_survive_optimize(run_optimized):
     """Under python -O the exactness guards of chartable and modular still
     raise TableVerificationError."""
     code = (
+        "import dataclasses\n"
         "import numpy as np\n"
         "import pgclass as pg\n"
         "import pgclass.chartable as ct\n"
@@ -606,24 +606,20 @@ def test_table_guards_survive_optimize(run_optimized):
         "def center_sizes():\n"
         "    with_translates(lambda perms: perms.__setitem__((0, [0, -1]), perms[0, [-1, 0]]))\n"
         "def with_central(cexp):\n"
-        "    row = ct._Row(3, 3, T.count, 'central', cexp=cexp)\n"
-        "    rows = [r for r in T.rows if r.kind == 'unity'] + [row, row]\n"
-        "    ct._verify_table(pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,\n"
-        "                                       field_prime=T.field_prime, exponent=3))\n"
+        "    ct._verify_table(dataclasses.replace(T, cexp=np.stack([cexp, cexp])))\n"
+        "def block_count():\n"
+        "    dataclasses.replace(T, cexp=T.cexp[:1])\n"
         "def central_support():\n"
         "    with_central(np.r_[0, np.full(T.count - 1, -1)].astype(np.int8))\n"
         "def central_range():\n"
         "    with_central(np.full(T.count, 3, dtype=np.int8))\n"
         "TD = ct.compute_table(pg.build('G_(20,1)', 5))\n"
         "def dense_moved(j):\n"
-        "    central = [r for r in TD.rows if r.kind == 'central']\n"
-        "    deg_c = np.array([r.degree for r in central])\n"
-        "    C = ct._central_exponents(central, TD.count, 5)\n"
-        "    D = ct._dense_block([r for r in TD.rows if r.kind == 'dense'], TD.count, 5).copy()\n"
+        "    D = TD.mults.copy()\n"
         "    u = int(D[0, j].argmax())\n"
         "    D[0, j, u] -= 1\n"
         "    D[0, j, (u + 1) % 5] += 1\n"
-        "    ct._pair_plan(TD, deg_c, C, D)\n"
+        "    ct._pair_plan(dataclasses.replace(TD, mults=D))\n"
         "def dense_center():\n"
         "    dense_moved(int(TD.classes.classof[TD.group.center.gens[0]]))\n"
         "def dense_character():\n"
@@ -645,6 +641,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "    'center_sizes': center_sizes,\n"
         "    'central_support': central_support,\n"
         "    'central_range': central_range,\n"
+        "    'block_count': block_count,\n"
         "    'dense_center': dense_center,\n"
         "    'dense_character': dense_character,\n"
         "}\n"
@@ -658,7 +655,7 @@ def test_table_guards_survive_optimize(run_optimized):
         "degree_one", "central_blocks", "prime_product", "coset_count", "coset_sum",
         "coset_subgroup", "float64_range", "power_data",
         "root_of_unity", "jordan_block", "eigen_range", "linear_count", "center_perm",
-        "center_sizes", "central_support", "central_range", "dense_center",
+        "center_sizes", "central_support", "central_range", "block_count", "dense_center",
         "dense_character",
     ]
 
@@ -1426,76 +1423,93 @@ MUTATIONS = ["dense_nonzero", "dense_vanishing", "dense_duplicate", "unity_entry
              "unity_digits", "central_entry", "unity_duplicate"]
 
 
-def _copy_row(r, **changes):
-    from pgclass.chartable import _Row
-
-    fields = {"t": r.t, "cexp": r.cexp, "mults": r.mults}
-    fields = {name: None if a is None else np.array(a) for name, a in fields.items()}
-    fields["digits"] = r.digits
-    fields.update(changes)
-    return _Row(r.degree, r.e, r.k, r.kind, **fields)
+def _replace(T, **arrays):
+    """T with the given arrays in place of its own (dataclasses.replace,
+    which builds the rows from them) and a verification record of its
+    own."""
+    return dataclasses.replace(T, verification={}, **arrays)
 
 
-def _with_rows(T, rows):
-    return pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,
-                             field_prime=T.field_prime, exponent=T.exponent)
+def _block_of(T, i):
+    """(name, b): row i of T is row b of the array T.<name>, lin_t for a
+    linear row, cexp or mults for a non-linear one."""
+    n_lin = len(T.lin_t)
+    if i < n_lin:
+        return "lin_t", i
+    dense = T.dense[:i - n_lin + 1]
+    return ("mults" if dense[-1] else "cexp"), int(np.count_nonzero(dense == dense[-1])) - 1
+
+
+def _stored(r):
+    """The exact data row r is stored as."""
+    return {"unity": r.t, "central": r.cexp, "dense": r.mults}[r.kind]
+
+
+def _with_block_row(T, i, data):
+    """T with row i's stored data replaced by data, in a copy of its block
+    of a dtype that holds both: int64 data widens a narrow block, so none
+    of its values is wrapped."""
+    name, b = _block_of(T, i)
+    block = getattr(T, name)
+    block = block.astype(np.result_type(block, np.asarray(data)))
+    block[b] = data
+    return _replace(T, **{name: block})
 
 
 def _move_one_eigenvalue(r, j):
-    """r with one eigenvalue zeta^u at class j moved to zeta^(u+1): the
-    value there changes by zeta^(u+1) - zeta^u, which is never 0.  The
-    copy is int64, so no narrow dtype of the table's block wraps."""
+    """The multiplicities of r with one eigenvalue zeta^u at class j moved
+    to zeta^(u+1): the value there changes by zeta^(u+1) - zeta^u, which is
+    never 0.  The copy is int64, so no narrow dtype of the table's block
+    wraps."""
     m = np.array(r.mults, dtype=np.int64)
     u = int(np.flatnonzero(m[j])[0])
     m[j, u] -= 1
     m[j, (u + 1) % r.e] += 1
-    return _copy_row(r, mults=m)
+    return m
 
 
 def mutate(T, kind):
-    """A copy of T with one deliberate error of the given kind; T's own
-    rows are left as they are."""
-    rows = list(T.rows)
+    """A copy of T with one deliberate error of the given kind, in a copy
+    of one of its arrays; T's own are left as they are."""
     e = T.exponent
-    kinds = [r.kind for r in rows]
+    kinds = [r.kind for r in T.rows]
     dense = [i for i, kd in enumerate(kinds) if kd == "dense"]
     unity = [i for i, kd in enumerate(kinds) if kd == "unity"]
     if kind in ("dense_nonzero", "dense_vanishing"):
         i = dense[len(dense) // 2]
-        mask = rows[i].nonzero_mask.copy()
+        mask = T.rows[i].nonzero_mask.copy()
         if kind == "dense_vanishing":
             mask = ~mask
         mask[0] = False
         j = int(np.flatnonzero(mask)[-1])
-        rows[i] = _move_one_eigenvalue(rows[i], j)
-        assert rows[i].nonzero_mask[j]
-    elif kind == "dense_duplicate":
-        rows[dense[-1]] = rows[dense[0]]  # the same row object at two positions
-    elif kind == "unity_entry":
+        hacked = _with_block_row(T, i, _move_one_eigenvalue(T.rows[i], j))
+        assert hacked.rows[i].nonzero_mask[j]
+        return hacked
+    if kind == "dense_duplicate":
+        return _with_block_row(T, dense[-1], T.rows[dense[0]].mults)  # one block row over another
+    if kind == "unity_entry":
         # the last pc generator lies in G', so a homomorphism has t = 0
         # there; t = 1 breaks a relation
         i = unity[3]
-        assert rows[i].t[-1] == 0
-        t = np.array(rows[i].t)
+        assert T.rows[i].t[-1] == 0
+        t = np.array(T.rows[i].t)
         t[-1] = 1
-        rows[i] = _copy_row(rows[i], t=t)
-    elif kind == "unity_digits":
+        return _with_block_row(T, i, t)
+    if kind == "unity_digits":
         # one digit of the last class rep off by one, in a copy of the
-        # digit matrix that one row reads: its value there moves by t_a
-        i = unity[3]
-        a = int(np.flatnonzero(rows[i].t)[0])
-        digits = np.array(rows[i].digits)
+        # table's one digit matrix: the value there of every linear row
+        # moves by t_a times the change, that of row unity[3] among them
+        a = int(np.flatnonzero(T.rows[unity[3]].t)[0])
+        digits = np.array(T.digits)
         digits[a, -1] = (digits[a, -1] + 1) % T.group.p
-        rows[i] = _copy_row(rows[i], digits=digits)
-    elif kind == "central_entry":
+        return _replace(T, digits=digits)
+    if kind == "central_entry":
         i = kinds.index("central")
-        cexp = np.array(rows[i].cexp)
+        cexp = np.array(T.rows[i].cexp)
         j = int(np.flatnonzero(cexp >= 0)[-1])
         cexp[j] = (cexp[j] + 1) % e
-        rows[i] = _copy_row(rows[i], cexp=cexp)
-    else:
-        rows[unity[-1]] = rows[unity[1]]
-    return _with_rows(T, rows)
+        return _with_block_row(T, i, cexp)
+    return _with_block_row(T, unity[-1], T.rows[unity[1]].t)  # one block row over another
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
@@ -1508,20 +1522,26 @@ def test_verify_table_rejects_mutation(label, kind):
 
     T = table(label, 5)
     hacked = mutate(T, kind)
-    changed = [i for i, (a, b) in enumerate(zip(T.rows, hacked.rows)) if a is not b]
-    assert len(changed) == 1
+    changed = [i for i, (a, b) in enumerate(zip(T.rows, hacked.rows))
+               if not np.array_equal(a.texp if a.kind == "unity" else _stored(a),
+                                     b.texp if b.kind == "unity" else _stored(b))]
+    if kind == "unity_digits":  # every linear row reads the one digit matrix
+        assert changed and all(T.rows[i].kind == "unity" for i in changed)
+    else:
+        assert len(changed) == 1
     i = changed[0]
     assert any(T.value(i, j) != hacked.value(i, j) for j in range(T.count))
     with pytest.raises(TableVerificationError):
         _verify_table(hacked)
-    _verify_table(_with_rows(T, list(T.rows)))
+    _verify_table(_replace(T))
 
 
 @pytest.mark.parametrize("shift", ["-1", "d+1", "+256"])
 def test_verify_table_range_checks_dense_rows_before_narrowing(shift):
-    """A dense row of G_(19,1)@5 handed in as int64 with -1, d + 1 or
-    m + 256 at one entry is rejected by the range check.  A uint8 cast
-    would wrap -1 to 255, and m + 256 back to m, the table's own value."""
+    """The dense block of G_(19,1)@5 handed in as int64 with -1, d + 1 or
+    m + 256 at one entry of one row is rejected by the range check.  A
+    uint8 cast would wrap -1 to 255, and m + 256 back to m, the table's own
+    value."""
     from pgclass.chartable import _verify_table
 
     T = table("G_(19,1)", 5)
@@ -1530,10 +1550,10 @@ def test_verify_table_range_checks_dense_rows_before_narrowing(shift):
     j = T.count // 2
     u = int(np.flatnonzero(m[j])[0])
     m[j, u] = {"-1": -1, "d+1": T.rows[i].degree + 1, "+256": m[j, u] + 256}[shift]
-    rows = list(T.rows)
-    rows[i] = _copy_row(rows[i], mults=m)
+    hacked = _with_block_row(T, i, m)
+    assert hacked.mults.dtype == np.int64
     with pytest.raises(TableVerificationError, match=r"outside \[0, degree\]"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(hacked)
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
@@ -1553,23 +1573,20 @@ def test_verify_table_rejects_galois_image(label, kind):
     def image(r):
         if r.kind == "central":
             c = r.cexp.astype(np.int64)
-            return _copy_row(r, cexp=np.where(c >= 0, c * s % e, -1).astype(r.cexp.dtype))
-        return _copy_row(r, mults=np.asarray(r.mults)[:, np.arange(e) * pow(s, -1, e) % e])
-
-    def stored(r):
-        return r.cexp if r.kind == "central" else r.mults
+            return np.where(c >= 0, c * s % e, -1).astype(r.cexp.dtype)
+        return np.asarray(r.mults)[:, np.arange(e) * pow(s, -1, e) % e]
 
     def galois(x):
         return Cyclotomic(x.order, {t * s % x.order: c for t, c in x.coeffs.items()})
 
-    rows = list(T.rows)
-    i = next(i for i, r in enumerate(rows)
-             if r.kind == kind and not np.array_equal(stored(image(r)), stored(r)))
-    rows[i] = image(rows[i])
-    assert all(rows[i].value(j) == galois(T.rows[i].value(j)) for j in range(T.count))
-    assert any(rows[i].value(j) != T.rows[i].value(j) for j in range(T.count))
+    i = next(i for i, r in enumerate(T.rows)
+             if r.kind == kind and not np.array_equal(image(r), _stored(r)))
+    hacked = _with_block_row(T, i, image(T.rows[i]))
+    row = hacked.rows[i]
+    assert all(row.value(j) == galois(T.rows[i].value(j)) for j in range(T.count))
+    assert any(row.value(j) != T.rows[i].value(j) for j in range(T.count))
     with pytest.raises(TableVerificationError, match="Galois"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(hacked)
 
 
 def _mults_of(r, e):
@@ -1587,26 +1604,35 @@ def _mults_of(r, e):
 
 
 def _with_galois_orbit(T, i, mults):
-    """The rows of T with the non-linear row i replaced by a dense row of
-    the multiplicities mults, and every row sigma_s^t(chi_i) of its orbit
-    by sigma_s^t of it, moving the multiplicity at u to s u: the rows stay
-    closed under sigma_s.  The new rows are int64, so a table's narrow
-    unsigned block has no say."""
-    from pgclass.chartable import _Row, _unit_gens
+    """T with the non-linear row i replaced by a dense row of the
+    multiplicities mults, and every row sigma_s^t(chi_i) of its orbit by
+    sigma_s^t of it, moving the multiplicity at u to s u: the rows stay
+    closed under sigma_s.  The blocks are rebuilt around the new dense
+    rows, and the dense block is int64, so a table's narrow unsigned block
+    has no say."""
+    from pgclass.chartable import _unit_gens
 
     e = T.exponent
     (s,) = _unit_gens(e)
     image = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
     stored = {b: _mults_of(r, e) for b, r in enumerate(T.rows) if r.kind != "unity"}
-    rows = list(T.rows)
+    new_rows = {}
     m, new, orbit = stored[i], np.array(mults, dtype=np.int64), []
     while not any(np.array_equal(m, o) for o in orbit):
         orbit.append(m)
         b = next(b for b, x in stored.items() if np.array_equal(x, m))
         assert (new >= 0).all() and (new.sum(axis=1) == T.rows[b].degree).all()
-        rows[b] = _Row(T.rows[b].degree, e, T.count, "dense", mults=new)
+        new_rows[b] = new
         m, new = m[:, image], new[:, image]
-    return rows
+    n_lin = len(T.lin_t)
+    nonlin = T.rows[n_lin:]
+    dense = T.dense | np.isin(np.arange(len(nonlin)) + n_lin, list(new_rows))
+    cexp = [r.cexp for r, d in zip(nonlin, dense) if not d]
+    mults = [new_rows.get(b, r.mults) for b, r, d in zip(range(n_lin, T.count), nonlin, dense)
+             if d]
+    return _replace(T, dense=dense,
+                    cexp=np.array(cexp, dtype=T.cexp.dtype).reshape(-1, T.count),
+                    mults=np.array(mults, dtype=np.int64).reshape(-1, T.count, e))
 
 
 def _center_orbit(T, j):
@@ -1663,8 +1689,8 @@ def _change_center_orbits(T, i, deltas):
     return m
 
 
-def _value_changes(T, rows, i, deltas):
-    """Check that row i of rows differs from T's by mu(z) sum_u
+def _value_changes(T, hacked, i, deltas):
+    """Check that row i of the table hacked differs from T's by mu(z) sum_u
     deltas[j][u] zeta_e^u at every class of g_j z, z in Z(G), and nowhere
     else."""
     e = T.exponent
@@ -1675,7 +1701,7 @@ def _value_changes(T, rows, i, deltas):
             want[y] = sum((int(x) * Cyclotomic.root(e, u + t) for u, x in enumerate(delta)),
                           Cyclotomic.zero())
     for y in range(T.count):
-        assert rows[i].value(y) - T.rows[i].value(y) == want.get(y, Cyclotomic.zero())
+        assert hacked.value(i, y) - T.value(i, y) == want.get(y, Cyclotomic.zero())
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
@@ -1699,10 +1725,10 @@ def test_verify_table_rejects_galois_closed_change(label):
              and not _center_exponents(T, _mults_of(r, e)).any())
     j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
     deltas = {j: np.r_[p - 1, np.full(e - 1, -1)]}
-    rows = _with_galois_orbit(T, i, _change_center_orbits(T, i, deltas))
-    _value_changes(T, rows, i, deltas)
+    hacked = _with_galois_orbit(T, i, _change_center_orbits(T, i, deltas))
+    _value_changes(T, hacked, i, deltas)
     with pytest.raises(TableVerificationError, match="G'-coset sum"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(hacked)
 
 
 def test_gram_block_rejects_a_change_the_coset_sums_miss():
@@ -1715,8 +1741,7 @@ def test_gram_block_rejects_a_change_the_coset_sums_miss():
     every coset sum of the row stays 0 (checked at a check prime).  The
     in-group products still reject the change, as the changed rows' norms
     move."""
-    from pgclass.chartable import (_check_primes, _coset_sums, _dense_block, _derived_cosets,
-                                   _verify_table)
+    from pgclass.chartable import _check_primes, _coset_sums, _derived_cosets, _verify_table
 
     T = table("G_(19,1)", 5)
     e = T.exponent
@@ -1729,15 +1754,15 @@ def test_gram_block_rejects_a_change_the_coset_sums_miss():
     u = int(m[j].argmax())
     delta = np.zeros(e, dtype=np.int64)
     delta[u], delta[(u + 1) % e] = -1, 1
-    rows = _with_galois_orbit(T, i, _change_center_orbits(T, i, {j: delta}))
-    _value_changes(T, rows, i, {j: delta})
+    hacked = _with_galois_orbit(T, i, _change_center_orbits(T, i, {j: delta}))
+    _value_changes(T, hacked, i, {j: delta})
     qq, zp = _check_primes(e)[0]
     none = np.zeros((0, T.count), dtype=np.int8)
-    for r in (T.rows[i], rows[i]):
-        assert not _coset_sums(T, cosets, np.zeros(0, dtype=np.int64), none,
-                               _dense_block([r], T.count, e), qq, zp, r.degree).any()
+    for r in (T.rows[i], hacked.rows[i]):
+        assert not _coset_sums(T, cosets, np.array([r.degree]), none, r.mults[None], qq,
+                               zp).any()
     with pytest.raises(TableVerificationError, match="^a non-linear row fails orthogonality$"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(hacked)
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
@@ -1759,10 +1784,10 @@ def test_one_class_change_breaks_the_central_character(label):
     j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
     m = _mults_of(T.rows[i], e)
     m[j] += np.r_[p - 1, np.full(e - 1, -1)]
-    rows = _with_galois_orbit(T, i, m)
-    assert rows[i].value(j) == p
+    hacked = _with_galois_orbit(T, i, m)
+    assert hacked.value(i, j) == p
     with pytest.raises(TableVerificationError, match="^a dense row has no central character$"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(hacked)
 
 
 @pytest.mark.parametrize("label", VERIFY_LABELS)
@@ -1781,10 +1806,9 @@ def test_dense_row_must_be_a_root_of_unity_times_d_on_the_center(label):
     u = int(m[b].argmax())
     m[b, u] -= 1
     m[b, (u + 1) % e] += 1
-    rows = _with_galois_orbit(T, i, m)
     with pytest.raises(TableVerificationError,
                        match="^a dense row is not d times a root of unity on Z\\(G\\)$"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(_with_galois_orbit(T, i, m))
 
 
 def test_central_type_support_must_hold_the_center():
@@ -1793,16 +1817,15 @@ def test_central_type_support_must_hold_the_center():
     trivial subgroup, twice, so the rows are closed under the Galois group
     and the degrees still add up.  Its support misses the classes of
     Z(G), and the central-character check raises."""
-    from pgclass.chartable import _Row, _verify_table
+    from pgclass.chartable import _verify_table
 
     T = table("heisenberg_p3", 3)
+    assert list(T.degs) == [3, 3] and not T.dense.any()
     cexp = np.full(T.count, -1, dtype=np.int8)
     cexp[0] = 0
-    row = _Row(3, T.exponent, T.count, "central", cexp=cexp)
-    rows = [r for r in T.rows if r.kind == "unity"] + [row, row]
     with pytest.raises(TableVerificationError,
                        match="^a central-type row's support misses a class of Z\\(G\\)$"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(_replace(T, cexp=np.stack([cexp, cexp])))
 
 
 @pytest.mark.parametrize("label, dtype", [("G_(17,1)", np.int8), ("G_(14,3)", np.int16)])
@@ -1823,6 +1846,60 @@ def test_central_rows_are_views_of_one_exponent_block(label, dtype):
         assert ((r.cexp >= 0) == [r.value(j) != 0 for j in range(T.count)]).all()
 
 
+@pytest.mark.parametrize("label", ["G_(17,1)", "G_(19,1)", "G_(14,3)"])
+def test_rows_are_views_of_the_table_arrays(label):
+    """Every row of a computed table is a view of its kind's array, row
+    for row in table order: a linear row's t of lin_t, with the table's one
+    digit matrix, a central-type row's cexp of the block cexp, and a dense
+    row's mults of the block mults.  The kinds and degrees are the table's
+    own: the linear rows first, then dense as the mask says."""
+    T = table(label, 5)
+    n_lin = len(T.lin_t)
+    assert [r.kind == "unity" for r in T.rows] == [i < n_lin for i in range(T.count)]
+    assert [r.kind == "dense" for r in T.rows[n_lin:]] == T.dense.tolist()
+    assert [r.degree for r in T.rows[n_lin:]] == T.degs.tolist()
+    seen = {"unity": 0, "central": 0, "dense": 0}
+    for r in T.rows:
+        block = {"unity": T.lin_t, "central": T.cexp, "dense": T.mults}[r.kind]
+        view = _stored(r)
+        assert view.base is block and not view.flags.writeable
+        assert (view == block[seen[r.kind]]).all()
+        seen[r.kind] += 1
+        if r.kind == "unity":
+            assert r.digits is T.digits
+    assert seen == {"unity": n_lin, "central": len(T.cexp), "dense": len(T.mults)}
+
+
+def test_replace_rebuilds_the_rows_from_the_blocks():
+    """dataclasses.replace builds new rows from the arrays it is given: with
+    the central-type block reversed, the new table's central-type rows read
+    it in reverse, and the old table's rows still read the old block."""
+    T = table("G_(17,1)", 5)
+    C = T.cexp[::-1].copy()
+    hacked = _replace(T, cexp=C)
+    central = [i for i, r in enumerate(T.rows) if r.kind == "central"]
+    assert len(central) == len(C) > 1
+    for b, i in enumerate(central):
+        assert hacked.rows[i].cexp.base is C and T.rows[i].cexp.base is T.cexp
+        assert (hacked.rows[i].cexp == T.rows[central[-1 - b]].cexp).all()
+        assert hacked.rows[i] is not T.rows[i] and hacked.rows[i].degree == T.rows[i].degree
+
+
+@pytest.mark.parametrize("change", ["cexp", "mults", "dense", "degs"])
+def test_blocks_must_match_the_kind_mask(change):
+    """A table is refused when it is made if a block's row count differs
+    from the kind mask's count of its kind, or the degrees do not match the
+    mask: a central-type or dense block a row short, one central-type row
+    marked dense, or one degree missing."""
+    T = table("G_(17,1)", 5)
+    dense = T.dense.copy()
+    dense[np.flatnonzero(~dense)[0]] = True
+    arrays = {"cexp": {"cexp": T.cexp[:-1]}, "mults": {"mults": T.mults[:-1]},
+              "dense": {"dense": dense}, "degs": {"degs": T.degs[:-1]}}[change]
+    with pytest.raises(TableVerificationError, match="^a row block does not match the kind mask$"):
+        _replace(T, **arrays)
+
+
 @pytest.mark.parametrize("wrong, message", [
     ("short", r"not a \(k,\) array"),
     ("unsigned", "not signed integers"),
@@ -1832,30 +1909,30 @@ def test_central_rows_are_views_of_one_exponent_block(label, dtype):
     ("identity", "0 at the identity class"),
 ])
 def test_verify_table_refuses_malformed_central_exponents(wrong, message):
-    """One central-type row of G_(17,1)@5 handed in with exponents of the
-    wrong shape, an unsigned or float dtype, a value e or -2, or -1 at the
-    identity class is refused with the typed error.  A uint8 copy would
-    read -1 as 255, and int8 arithmetic could wrap."""
+    """The central-type block of G_(17,1)@5 handed in with rows of the
+    wrong shape, in an unsigned or float dtype, or with one row holding a
+    value e or -2, or -1 at the identity class, is refused with the typed
+    error.  A uint8 copy would read -1 as 255, and int8 arithmetic could
+    wrap."""
     from pgclass.chartable import _verify_table
 
     T = table("G_(17,1)", 5)
     i = next(i for i, r in enumerate(T.rows) if r.kind == "central")
-    c = np.array(T.rows[i].cexp, dtype=np.int64)
-    j = int(np.flatnonzero(c >= 0)[-1])
+    _, b = _block_of(T, i)
+    C = np.array(T.cexp, dtype=np.int64)
+    j = int(np.flatnonzero(C[b] >= 0)[-1])
     if wrong == "short":
-        c = c[:-1]
+        C = C[:, :-1]
     elif wrong == "unsigned":
-        c = c.astype(np.uint8)
+        C = C.astype(np.uint8)
     elif wrong == "float":
-        c = c.astype(np.float64)
+        C = C.astype(np.float64)
     elif wrong == "identity":
-        c[0] = -1
+        C[b, 0] = -1
     else:
-        c[j] = T.exponent if wrong == "e" else -2
-    rows = list(T.rows)
-    rows[i] = _copy_row(rows[i], cexp=c)
+        C[b, j] = T.exponent if wrong == "e" else -2
     with pytest.raises(TableVerificationError, match=message):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(_replace(T, cexp=C))
 
 
 @pytest.mark.parametrize("wrong, message", [
@@ -1887,7 +1964,7 @@ def test_center_translates_must_be_size_keeping_permutations(monkeypatch, wrong,
 
     monkeypatch.setattr(ct, "_center_translates", changed)
     with pytest.raises(TableVerificationError, match=message):
-        ct._verify_table(_with_rows(T, list(T.rows)))
+        ct._verify_table(_replace(T))
 
 
 @pytest.mark.parametrize("wrong", ["finer", "coarser"])
@@ -1901,7 +1978,7 @@ def test_coset_count_must_equal_the_linear_rows(monkeypatch, wrong):
     ids = np.arange(T.count) if wrong == "finer" else np.minimum(cosets, cosets.max() - 1)
     monkeypatch.setattr(ct, "_derived_cosets", lambda T: (gens, ids))
     with pytest.raises(TableVerificationError, match="G'-cosets do not number the linear rows"):
-        ct._verify_table(_with_rows(T, list(T.rows)))
+        ct._verify_table(_replace(T))
 
 
 def test_coset_subgroup_must_lie_in_every_linear_kernel(monkeypatch):
@@ -1925,7 +2002,7 @@ def test_coset_subgroup_must_lie_in_every_linear_kernel(monkeypatch):
     assert ids.max() + 1 == ct._derived_cosets(T)[1].max() + 1
     monkeypatch.setattr(ct, "_derived_cosets", lambda T: (gens, ids))
     with pytest.raises(TableVerificationError, match="not trivial on the G'-cosets' subgroup"):
-        ct._verify_table(_with_rows(T, list(T.rows)))
+        ct._verify_table(_replace(T))
 
 
 def _rational_of_coeffvec(c, e):
@@ -1974,29 +2051,36 @@ def full_tensor_pair_values(T, dense):
 
 
 def _pair_inputs(T):
-    """(rows, deg_c, C, D, plan): the non-linear row indices of T in the
-    pair check's order, central-type rows first, the central-type rows'
-    degrees, its two blocks and its _pair_plan (or None, with the error,
-    when the plan refuses T)."""
-    from pgclass.chartable import _central_exponents, _dense_block, _pair_plan
+    """(rows, deg, C, D, plan): the non-linear row indices of T in the
+    pair check's order, central-type rows first, their degrees in that
+    order, T's two blocks and its _pair_plan (or the error, when the plan
+    refuses T)."""
+    from pgclass.chartable import _pair_plan
 
-    k, e = T.count, T.exponent
     central = [i for i, r in enumerate(T.rows) if r.kind == "central"]
     dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
-    deg_c = np.array([T.rows[i].degree for i in central], dtype=np.int64)
-    C = _central_exponents([T.rows[i] for i in central], k, e)
-    D = _dense_block([T.rows[i] for i in dense], k, e)
+    deg = np.array([T.rows[i].degree for i in central + dense], dtype=np.int64)
     try:
-        plan = _pair_plan(T, deg_c, C, D)
+        plan = _pair_plan(T)
     except TableVerificationError as exc:
         plan = exc
-    return central + dense, deg_c, C, D, plan
+    return central + dense, deg, T.cexp, T.mults, plan
+
+
+def _basepoint_residues(plan, qq, zp):
+    """R with R[0] every row's value at the basepoints and R[1] its
+    conjugate, reduced at zeta_e -> z' in GF(qq): the pair check's
+    _residues call."""
+    from pgclass.chartable import _residues
+
+    both = np.stack([zp, zp[-np.arange(zp.size) % zp.size]], axis=1)
+    return _residues(plan.deg, plan.C_at, plan.D_at, both, qq)
 
 
 def _in_group_products(plan, qq, zp):
     """The pair check's in-group products at a check prime: (rows, P) per
     batch of plan.batches, over the basepoints with the weights |O| |K_j|."""
-    from pgclass.chartable import _basepoint_residues, _group_products
+    from pgclass.chartable import _group_products
 
     R = _basepoint_residues(plan, qq, zp)
     return _group_products(plan, R[0] * (plan.weights % qq) % qq, R[1], qq)
@@ -2022,7 +2106,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     e = T.exponent
     lin = [i for i, r in enumerate(T.rows) if r.kind == "unity"]
     dense = [i for i, r in enumerate(T.rows) if r.kind == "dense"]
-    order, deg_c, C, D, plan = _pair_inputs(T)
+    order, deg, C, D, plan = _pair_inputs(T)
     n_c = C.shape[0]
     assert isinstance(plan, TableVerificationError) == (kind is not None)
     if kind is not None:
@@ -2035,7 +2119,7 @@ def test_common_support_products_match_full_tensor(label, kind):
     c = full_tensor_pair_values(T, [T.rows[i] for i in dense])
     for qq, zp in _check_primes(e)[:2]:
         want = (c % qq) @ zp % qq
-        sums = _coset_sums(T, cosets, deg_c[:0], C[:0], D, qq, zp, max(T.degrees()))
+        sums = _coset_sums(T, cosets, deg[n_c:], C[:0], D, qq, zp)
         assert (sums @ zp[-lin_on_cosets % e].T % qq == want[:, lin]).all()
         if kind is None:
             checked = 0
@@ -2062,13 +2146,11 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
     gram[a, b] = sum_j |K_j| chi_a(g_j) conj chi_b(g_j); and the column
     sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
     zp[t] and its conjugate to zp[-t], so a central-type row to
-    d zp[cexp] on its support, and the dense rows, the rows of D
-    (_dense_block) in their order in nonlin, to D @ zp (_residue_chunks).
-    The float64 product adds k terms below (qq-1)^2: exact while
-    k (qq-1)^2 < 2^53, which holds at every check prime.  This is the check
-    the verifier made before it grouped the rows by central character."""
-    from pgclass.chartable import _residue_chunks
-
+    d zp[cexp] on its support, and the dense rows, the rows of D in their
+    order in nonlin, to D @ zp, in int64.  The float64 product adds k
+    terms below (qq-1)^2: exact while k (qq-1)^2 < 2^53, which holds at
+    every check prime.  This is the check the verifier made before it
+    grouped the rows by central character."""
     cls = T.classes
     k = cls.count
     e = T.exponent
@@ -2077,7 +2159,7 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
     both = np.stack([zp, zp[-np.arange(e) % e]], axis=1)
     R = np.zeros((m, k), dtype=np.int64)  # the rows' residues
     Rc = np.zeros((m, k), dtype=np.int64)  # their conjugates'
-    dense, d_max = [], 0
+    dense = []
     for i, r in enumerate(nonlin):
         if r.kind == "central":
             support = np.flatnonzero(r.cexp >= 0)
@@ -2085,10 +2167,8 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
             R[i, support], Rc[i, support] = vals[:, 0], vals[:, 1]
         else:
             dense.append(i)
-            d_max = max(d_max, r.degree)
-    for lo, res in _residue_chunks(D, both, qq, d_max):
-        at = dense[lo:lo + res.shape[0]]
-        R[at], Rc[at] = res[..., 0], res[..., 1]
+    res = np.asarray(D, dtype=np.int64) @ both % qq
+    R[dense], Rc[dense] = res[..., 0], res[..., 1]
     diag = (R * Rc % qq).sum(axis=0) % qq
     R = R * (cls.sizes % qq) % qq  # now |K_j| chi_a(g_j)
     by = np.argsort(cosets, kind="stable")
@@ -2112,12 +2192,11 @@ def test_pair_check_matches_the_full_gram_matrix(label, p):
     sums, and the rows that skip them (mu(b) != 1 for a chain generator b
     of Z(G) whose translate keeps every coset) have them all 0; and the
     column sums at the basepoints are its column sums there."""
-    from pgclass.chartable import (_basepoint_residues, _check_primes, _coset_sums,
-                                   _derived_cosets)
+    from pgclass.chartable import _check_primes, _coset_sums, _derived_cosets
 
     T = table(label, p)
     e = T.exponent
-    order, deg_c, C, D, plan = _pair_inputs(T)
+    order, deg, C, D, plan = _pair_inputs(T)
     n_c = C.shape[0]
     nonlin = [T.rows[i] for i in order]
     assert nonlin
@@ -2133,8 +2212,7 @@ def test_pair_check_matches_the_full_gram_matrix(label, p):
             assert (P == gram[rows[:, :, None], rows[:, None, :]]).all()
             seen[rows[:, :, None], rows[:, None, :]] = True
         assert (seen == same).all()
-        new = _coset_sums(T, cosets, deg_c[summed[:n_c]], C[summed[:n_c]], D[summed[n_c:]],
-                          qq, zp, max(T.degrees()))
+        new = _coset_sums(T, cosets, deg[summed], C[summed[:n_c]], D[summed[n_c:]], qq, zp)
         assert (new == sums[summed]).all()
         assert not sums[~summed].any()
         R = _basepoint_residues(plan, qq, zp)
@@ -2177,10 +2255,9 @@ comm [y,x] = b
     assert T.verification["row_orthogonality"] == "structural+gram"
     assert sorted(_unit_gens(8)) == [5, 7]
     a, b = [i for i, r in enumerate(T.rows) if r.degree == 2]
-    rows = list(T.rows)
-    rows[b] = rows[a]
+    assert T.rows[a].kind == T.rows[b].kind
     with pytest.raises(TableVerificationError, match="Galois"):
-        _verify_table(_with_rows(T, rows))
+        _verify_table(_with_block_row(T, b, _stored(T.rows[a])))
 
 
 @pytest.mark.parametrize("e", [3, 25, 49, 625, 2401])

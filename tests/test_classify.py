@@ -1,5 +1,6 @@
 """Classification predicates and the counting formulas."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -283,27 +284,20 @@ def test_check_lift_equivalence_across_exponents():
 
 
 def _change_one_entry(T, kind):
-    """A copy of T whose first row of the given kind is changed, and the
-    position of that row: a central-type row at its last nonzero class, a
-    linear row at the exponent of the last pc generator, which changes
-    its value at that generator's class."""
-    from pgclass.chartable import _Row
-
-    rows = list(T.rows)
-    i = next(i for i, r in enumerate(rows) if r.kind == kind)
-    r = rows[i]
+    """A copy of T whose first row of the given kind, the first row of its
+    block, is changed, and the position of that row: a central-type row at
+    its last nonzero class, a linear row at the exponent of the last pc
+    generator, which changes its value at that generator's class."""
+    i = next(i for i, r in enumerate(T.rows) if r.kind == kind)
+    e = T.exponent
     if kind == "unity":
-        t = np.array(r.t)
-        t[-1] = (t[-1] + 1) % r.e
-        rows[i] = _Row(r.degree, r.e, r.k, r.kind, t=t, digits=r.digits)
-    else:
-        cexp = np.array(r.cexp)
-        j = int(np.flatnonzero(cexp >= 0)[-1])
-        cexp[j] = (cexp[j] + 1) % r.e
-        rows[i] = _Row(r.degree, r.e, r.k, r.kind, cexp=cexp)
-    hacked = pg.CharacterTable(group=T.group, classes=T.classes, rows=rows,
-                               field_prime=T.field_prime, exponent=T.exponent)
-    return hacked, i
+        lin_t = np.array(T.lin_t)
+        lin_t[0, -1] = (lin_t[0, -1] + 1) % e
+        return dataclasses.replace(T, lin_t=lin_t, verification={}), i
+    cexp = np.array(T.cexp)
+    j = int(np.flatnonzero(cexp[0] >= 0)[-1])
+    cexp[0, j] = (cexp[0, j] + 1) % e
+    return dataclasses.replace(T, cexp=cexp, verification={}), i
 
 
 @pytest.mark.parametrize("kind", ["unity", "central"])

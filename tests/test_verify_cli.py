@@ -264,7 +264,8 @@ def test_census_table_check_exits_2(tmp_path, monkeypatch):
     lift_rows = chartable_mod._lift_rows
 
     def reversed_rows(*args):
-        return lift_rows(*args)[::-1]
+        dense, cexp, mults = lift_rows(*args)
+        return dense, cexp[::-1], mults
 
     monkeypatch.setattr(chartable_mod, "_table_cache", {})
     monkeypatch.setattr(chartable_mod, "_lift_rows", reversed_rows)
@@ -528,3 +529,25 @@ def test_census_missing_directory_writes_error_json(tmp_path):
     assert "error" in err
     js = json.loads(out.read_text(encoding="utf-8"))
     assert js["internal"] is False and "missing" in js["error"]
+
+
+@pytest.mark.parametrize("command", ["classify", "chartable"])
+def test_cli_directory_input_is_an_input_error(tmp_path, command):
+    """A directory where a presentation file belongs is an input error:
+    exit 1, with the error payload on stdout under --json."""
+    code, out, _ = run_cli(command, str(tmp_path), "--json")
+    assert code == 1
+    js = json.loads(out)
+    assert js["internal"] is False and js["error"]
+
+
+def test_census_of_a_file_writes_error_json(tmp_path):
+    """A census of a file, not a directory, is an input error: exit 1, and
+    the error payload goes into the --json file."""
+    f = write_pres(tmp_path, "heisenberg_p3", 3)
+    out = tmp_path / "census.json"
+    code, _, err = run_cli("census", str(f), "--json", str(out))
+    assert code == 1
+    assert "error" in err
+    js = json.loads(out.read_text(encoding="utf-8"))
+    assert js["internal"] is False and js["error"]
