@@ -91,7 +91,7 @@ need no arithmetic; _verify_table has the proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,11 +112,9 @@ _MAX_CLASSES = 6000
 class _Row:
     """One irreducible character: a view of its table's data for its kind."""
 
-    __slots__ = ("degree", "e", "k", "kind", "t", "digits", "cexp", "mults",
-                 "_nonzero", "_center")
+    __slots__ = ("degree", "e", "k", "kind", "t", "digits", "cexp", "mults")
 
-    def __init__(self, degree, e, k, kind, t=None, digits=None, cexp=None, mults=None,
-                 ones=None):
+    def __init__(self, degree, e, k, kind, t=None, digits=None, cexp=None, mults=None):
         self.degree = int(degree)
         self.e = e
         self.k = k
@@ -128,9 +126,6 @@ class _Row:
         #                           exponents of zeta_e, -1 where the row is 0
         self.mults = mults        # dense: its row of the table's mults block, (k, e)
         #                           eigenvalue multiplicities
-        # nonzero and center masks, built on first use; ones (unity rows
-        # only) is a read-only all-True array that a table's unity rows share
-        self._nonzero = self._center = ones
 
     # -- exact values --------------------------------------------------------
     # A unity or central row is d zeta_e^t at a class with exponent t >= 0,
@@ -178,32 +173,8 @@ class _Row:
             strs.append(s)
         return [strs[c] for c in inv.reshape(-1).tolist()]
 
-    # -- class masks (exact by construction) ---------------------------------
-    # The nonzero and center masks, which the report reads several times per
-    # row, are built once and kept read-only.  The kernel mask is read once
-    # per row, so keeping it would only hold k bytes per row for the table's
-    # life.
-
-    @property
-    def nonzero_mask(self) -> np.ndarray:
-        if self._nonzero is None:
-            if self.kind == "dense":
-                self._nonzero = _read_only(~_zero_mask_pp(self.mults, self.e))
-            else:
-                self._nonzero = self.center_mask  # all True, or the support
-        return self._nonzero
-
-    @property
-    def center_mask(self) -> np.ndarray:
-        """Classes where |value| equals the degree."""
-        if self._center is None:
-            if self.kind == "dense":
-                # |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
-                m = self.mults.max(axis=1) == self.degree
-            else:
-                m = self.texp >= 0
-            self._center = _read_only(m)
-        return self._center
+    # -- class masks: the kernel here, Z(chi) and the support in the table's
+    # center_masks and nonzero_masks
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -257,7 +228,15 @@ class CharacterTable:
     whenever a table is made, dataclasses.replace included: one _Row per
     character, whose arrays are views of them, so the rows read exactly
     the data that _verify_table checks.  A block whose row count differs
-    from the mask's count of its kind raises."""
+    from the mask's count of its kind raises.
+
+    center_masks and nonzero_masks are the non-linear rows' class masks,
+    (m, k) bool arrays in degs order, built from the blocks on first read
+    and kept read-only for the table's life: Z(chi), the classes where
+    |chi(g)| = chi(1), and the support, where chi(g) != 0.  A linear row is
+    all-True in both, by its kind, and is not stored.  The blocks are
+    read-only, so the masks cannot go stale, and dataclasses.replace builds
+    a table that forms its own."""
 
     group: Group
     classes: ConjugacyClassSet
@@ -279,8 +258,7 @@ class CharacterTable:
         if (np.shape(self.degs) != dense.shape or len(self.cexp) != dense.size - n_d
                 or len(self.mults) != n_d):
             raise TableVerificationError("a row block does not match the kind mask")
-        ones = _read_only(np.ones(k, dtype=bool))
-        rows = [_Row(1, e, k, "unity", t=t, digits=self.digits, ones=ones) for t in self.lin_t]
+        rows = [_Row(1, e, k, "unity", t=t, digits=self.digits) for t in self.lin_t]
         at = np.where(dense, np.cumsum(dense), np.cumsum(~dense)) - 1  # position in its block
         for d, is_dense, i in zip(np.asarray(self.degs).tolist(), dense.tolist(), at.tolist()):
             rows.append(_Row(d, e, k, "dense", mults=self.mults[i]) if is_dense
@@ -290,6 +268,25 @@ class CharacterTable:
     @property
     def count(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def center_masks(self) -> np.ndarray:
+        # |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
+        return self._class_masks(lambda D: D.max(axis=2) == self.degs[self.dense, None])
+
+    @cached_property
+    def nonzero_masks(self) -> np.ndarray:
+        return self._class_masks(lambda D: ~_zero_mask_pp(D, self.exponent))
+
+    def _class_masks(self, of_dense) -> np.ndarray:
+        """An (m, k) read-only mask over the non-linear rows: of_dense(mults)
+        on the dense rows, and cexp >= 0 on the central-type rows, which are
+        d times a root of unity there and 0 elsewhere."""
+        out = np.empty((len(self.degs), self.classes.count), dtype=bool)
+        out[~self.dense] = self.cexp >= 0
+        if len(self.mults):
+            out[self.dense] = of_dense(self.mults)
+        return _read_only(out)
 
     def degrees(self) -> list[int]:
         return [r.degree for r in self.rows]
@@ -1293,7 +1290,6 @@ def _verify_table(T: CharacterTable) -> None:
     G = T.group
     cls = T.classes
     k = cls.count
-    e = T.exponent
     sizes = cls.sizes.astype(np.int64)
     order = G.order
     n_lin = len(T.lin_t)
@@ -1325,19 +1321,10 @@ def _verify_table(T: CharacterTable) -> None:
         raise TableVerificationError("column norm != centralizer order")
 
     if degs.size:
-        C, D = T.cexp, T.mults
-        n_c = len(C)
-        at = np.r_[np.flatnonzero(~T.dense), np.flatnonzero(T.dense)]  # block order
-        deg = degs[at]
-        hmask = _read_only(np.concatenate([C >= 0, D.max(axis=2) == deg[n_c:, None]]))
-        # a central-type row is nonzero exactly on hmask, so it vanishes off it
-        nonzero = _read_only(~_zero_mask_pp(D, e))
-        vanishes = np.concatenate([np.ones(n_c, dtype=bool),
-                                   ~(nonzero & ~hmask[n_c:]).any(axis=1)])
-        for i, h, nz in zip(at.tolist(), hmask, [*hmask[:n_c], *nonzero]):  # formed once
-            T.rows[n_lin + i]._center, T.rows[n_lin + i]._nonzero = h, nz
+        hmask = T.center_masks
+        vanishes = ~(T.nonzero_masks & ~hmask).any(axis=1)
         h = hmask @ sizes
-        norm = deg * deg * h
+        norm = degs * degs * h
         if (h < 1).any() or (order % np.maximum(h, 1)).any():
             raise TableVerificationError("|Z(chi)| does not divide |G|")
         if (norm > order).any():
@@ -1683,7 +1670,8 @@ def _pair_plan(T: CharacterTable) -> _PairPlan:
     bp = np.flatnonzero(lab == ar)
     C_at = C[:, bp]
     D_at = np.take(D, bp, axis=1)
-    nonzero = np.concatenate([C_at >= 0, ~_zero_mask_pp(D_at, e)])
+    at = np.r_[np.flatnonzero(~T.dense), np.flatnonzero(T.dense)]  # the plan's row order
+    nonzero = T.nonzero_masks[np.ix_(at, bp)]
     batches, lo = [], 0
     groups = np.bincount(gsize)
     for size in np.flatnonzero(groups).tolist():

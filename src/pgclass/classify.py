@@ -7,6 +7,11 @@ as large as the subgroup generated by the commutators of its
 representative).  The report construction aborts rather than emit a
 disagreement.
 
+The character predicates read the table's class masks,
+CharacterTable.center_masks (Z(chi)) and nonzero_masks (the support),
+with one array operation each over the non-linear rows; a linear row has
+Z(chi) = G and vanishes nowhere, so it is decided by its kind.
+
 Neither character-free route closes a subgroup: flatness tests
 C [g, a] in C for each class C = cl(g) and pc generator a, the Camina
 route x z ~ x for each x outside N and generator z of N, as one class-id
@@ -21,7 +26,7 @@ from math import gcd
 
 import numpy as np
 
-from .chartable import CharacterTable
+from .chartable import CharacterTable, _row_keys
 from .errors import InternalInconsistencyError
 from .group import Subgroup, abelian_invariants, group_of, p_log
 
@@ -30,26 +35,36 @@ from .group import Subgroup, abelian_invariants, group_of, p_log
 # per-character predicates
 
 
-def is_central_type(row, T: CharacterTable) -> bool:
-    """chi vanishes off Z(chi); cross-checked against chi(1)^2 = |G:Z(chi)|."""
-    zmask = row.center_mask
-    vanishing = not bool((row.nonzero_mask & ~zmask).any())
-    zorder = int(T.classes.sizes[zmask].sum())
-    index_route = row.degree * row.degree * zorder == T.group.order
-    if vanishing != index_route:
+def is_central_type(T: CharacterTable) -> np.ndarray:
+    """One flag per row of T.rows: chi vanishes off Z(chi), cross-checked
+    against chi(1)^2 = |G:Z(chi)|.  The linear rows are of central type by
+    their kind."""
+    zmask = T.center_masks
+    vanishing = _vanishes_off(T, zmask)
+    index_route = T.degs * T.degs * (zmask @ T.classes.sizes) == T.group.order
+    bad = np.flatnonzero(vanishing != index_route)
+    if bad.size:
+        i = bad[0]
         raise InternalInconsistencyError(
-            f"central-type criteria disagree for a degree-{row.degree} row "
-            f"(vanishing={vanishing}, index={index_route})"
+            f"central-type criteria disagree for a degree-{T.degs[i]} row "
+            f"(vanishing={bool(vanishing[i])}, index={bool(index_route[i])})"
         )
-    return vanishing
+    return np.r_[np.ones(len(T.lin_t), dtype=bool), vanishing]
 
 
-def fully_ramified(row, N: Subgroup, T: CharacterTable) -> bool:
-    """chi(g) = 0 for all g outside N."""
+def fully_ramified(T: CharacterTable, N: Subgroup) -> np.ndarray:
+    """One flag per row of T.rows: chi(g) = 0 for all g outside N.  A linear
+    row vanishes nowhere, so it is fully ramified only over N = G."""
     if not N.is_normal:
         raise ValueError("N must be normal")
     nmask = _class_mask(N, T)
-    return not bool((row.nonzero_mask & ~nmask).any())
+    return np.r_[np.full(len(T.lin_t), nmask.all()), _vanishes_off(T, nmask)]
+
+
+def _vanishes_off(T: CharacterTable, masks: np.ndarray) -> np.ndarray:
+    """For each non-linear row, whether it is 0 off its row of masks (or
+    off masks, one (k,) mask for all)."""
+    return ~(T.nonzero_masks & ~masks).any(axis=1)
 
 
 def _class_mask(N: Subgroup, T: CharacterTable) -> np.ndarray:
@@ -66,7 +81,7 @@ def _class_mask(N: Subgroup, T: CharacterTable) -> np.ndarray:
 
 
 def is_gvz(T: CharacterTable) -> bool:
-    return all(is_central_type(r, T) for r in T.rows)
+    return bool(is_central_type(T).all())
 
 
 def is_flat(P) -> bool:
@@ -100,10 +115,13 @@ def _generator_commutators(G, xs: np.ndarray) -> np.ndarray:
 
 
 def is_nested(T: CharacterTable) -> bool:
-    """The distinct centers Z(chi) form a chain under inclusion."""
-    chain = sorted({m.tobytes(): m for m in (r.center_mask for r in T.rows)}.values(),
-                   key=lambda m: int(T.classes.sizes[m].sum()))
-    return not any((a & ~b).any() for a, b in zip(chain, chain[1:]))
+    """The distinct centers Z(chi) form a chain under inclusion.  A linear
+    row's Z(chi) = G holds every other, so only the non-linear rows' are
+    read."""
+    masks = T.center_masks
+    chain = masks[np.unique(_row_keys(masks), return_index=True)[1]]
+    chain = chain[np.argsort(chain @ T.classes.sizes, kind="stable")]
+    return not (chain[:-1] & ~chain[1:]).any()
 
 
 def is_vz(T: CharacterTable) -> tuple[bool, str | None]:
@@ -114,11 +132,7 @@ def is_vz(T: CharacterTable) -> tuple[bool, str | None]:
     G = T.group
     if G.is_abelian:
         return False, "abelian group: the VZ property is defined for non-abelian groups"
-    zmask = _class_mask(G.center, T)
-    for r in T.rows:
-        if r.degree > 1 and bool((r.nonzero_mask & ~zmask).any()):
-            return False, None
-    return True, None
+    return bool(_vanishes_off(T, _class_mask(G.center, T)).all()), None
 
 
 def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
@@ -143,11 +157,7 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     cid = cls.classof[outside]
     conj_route = all((cls.classof[G.rmul_array(outside, z)] == cid).all()
                      for z in N.generators)
-    char_route = True
-    for r, contains_n in zip(T.rows, T.kernels_contain(nmask)):
-        if not contains_n and bool((r.nonzero_mask & ~nmask).any()):
-            char_route = False
-            break
+    char_route = bool((T.kernels_contain(nmask) | fully_ramified(T, N)).all())
     if conj_route != char_route:
         raise InternalInconsistencyError(
             f"Camina-pair routes disagree (conjugation={conj_route}, character={char_route})"
@@ -159,10 +169,7 @@ def is_gen_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     """All nonlinear rows vanish off N (vacuously true for abelian groups)."""
     if not N.is_normal:
         raise ValueError("N must be normal")
-    nmask = _class_mask(N, T)
-    return all(
-        not bool((r.nonzero_mask & ~nmask).any()) for r in T.rows if r.degree > 1
-    )
+    return bool(_vanishes_off(T, _class_mask(N, T)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +181,11 @@ def check_special_degree(T: CharacterTable) -> list[int]:
     with Z(chi) = Z(G).  Must come back empty."""
     G = T.group
     zmask = _class_mask(G.center, T)
-    zorder = G.center.order
-    bad = []
-    for i, r in enumerate(T.rows):
-        if r.degree * r.degree * zorder != G.order:
-            continue
-        ok = is_central_type(r, T) and bool((r.center_mask == zmask).all())
-        if not ok:
-            bad.append(i)
-    return bad
+    n_lin = len(T.lin_t)
+    ok = is_central_type(T)[n_lin:] & (T.center_masks == zmask).all(axis=1)
+    # a linear row hits the degree only when G is abelian, where it is fine
+    hit = T.degs * T.degs * G.center.order == G.order
+    return (np.flatnonzero(hit & ~ok) + n_lin).tolist()
 
 
 def check_lift_equivalence(P, N: Subgroup) -> list[int]:
@@ -227,12 +230,13 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
                 raise InternalInconsistencyError("two parent rows share lift values")
             lift_targets[key] = gi
     mismatches = []
+    central_G, central_Q = is_central_type(TG), is_central_type(TQ)
     for qi, qrow in enumerate(TQ.rows):
         key = tuple(qrow.value_strings(memo_Q))
         gi = lift_targets.pop(key, None)
         if gi is None:
             raise InternalInconsistencyError("quotient row has no lift in the parent table")
-        if is_central_type(qrow, TQ) != is_central_type(TG.rows[gi], TG):
+        if central_Q[qi] != central_G[gi]:
             mismatches.append(qi)
     if lift_targets:
         raise InternalInconsistencyError("parent rows left unmatched by quotient rows")
@@ -379,12 +383,11 @@ def classification_report(P, *, table: CharacterTable | None = None) -> Classifi
     from .chartable import table_of
 
     T = table if table is not None else table_of(G)
-    sizes = T.classes.sizes
-    # a unity row has |chi| = 1 everywhere: Z(chi) = G, and it is of central type
-    per_char = tuple((1, G.order, True) if r.kind == "unity"
-                     else (r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
-                     for r in T.rows)
-    gvz = all(c for _, _, c in per_char)
+    central = is_central_type(T)
+    # a unity row has |chi| = 1 everywhere: Z(chi) = G
+    zorders = np.r_[np.full(len(T.lin_t), G.order), T.center_masks @ T.classes.sizes]
+    per_char = tuple(zip(T.degrees(), zorders.tolist(), central.tolist()))
+    gvz = bool(central.all())
     flat = is_flat(G)
     if gvz != flat:
         raise InternalInconsistencyError(

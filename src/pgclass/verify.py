@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import chartable, corpus, group, presentation
 from .chartable import table_of
 from .classify import (
@@ -237,26 +239,28 @@ def _check_nested_monotonicity(res, label, p, T, rep: ClassificationReport):
     For rows of degrees a <= b: Z(chi_b) <= Z(chi_a), with |Z(chi_b)| <
     |Z(chi_a)| exactly when a < b.  A pair's test reads only the degrees and
     center masks of its two rows, so it runs once per pair of distinct
-    (degree, center mask) entries; at order <= p^6 a nested group has at most
-    7 centers and 4 degrees, however many rows it has.  A failure names the
-    first offending pair.
+    (degree, center mask) entries, in the order of their first rows by
+    degree (every table has a linear row, and Z(chi) = G for each); at
+    order <= p^6 a nested group has at most 7 centers and 4 degrees, however
+    many rows it has.  A failure names the first offending pair.
     """
     if not rep.is_nested:
         res.skip("nested-monotonicity", label, p, "group is not nested")
         return
-    sizes = T.classes.sizes
-    entries = {}
-    for r in sorted(T.rows, key=lambda r: r.degree):
-        m = r.center_mask
-        entries.setdefault((r.degree, m.tobytes()), (r.degree, m, int(sizes[m].sum())))
-    entries = list(entries.values())
-    for a, (da, ma, za) in enumerate(entries):
-        for db, mb, zb in entries[a + 1:]:
-            if (mb & ~ma).any() or (zb < za) != (da < db):
-                res.add("nested-monotonicity", label, p, False,
-                        f"degree {da} with |Z(chi)| = {za}, "
-                        f"degree {db} with |Z(chi)| = {zb}")
-                return
+    degs = np.r_[1, T.degs]
+    masks = np.vstack([np.ones(T.classes.sizes.size, dtype=bool), T.center_masks])
+    by = np.argsort(degs, kind="stable")
+    keys = np.c_[degs[by, None].view(np.uint8), masks[by]]
+    first = np.sort(np.unique(chartable._row_keys(keys), return_index=True)[1])
+    d, m = degs[by][first], masks[by][first]
+    z = m @ T.classes.sizes
+    bad = (m[None] & ~m[:, None]).any(axis=2) | ((z[None] < z[:, None]) != (d[:, None] < d[None]))
+    pairs = np.argwhere(np.triu(bad, 1))
+    if pairs.size:
+        a, b = pairs[0]
+        res.add("nested-monotonicity", label, p, False,
+                f"degree {d[a]} with |Z(chi)| = {z[a]}, degree {d[b]} with |Z(chi)| = {z[b]}")
+        return
     res.add("nested-monotonicity", label, p, True)
 
 
@@ -283,14 +287,15 @@ def _check_camina_bijection(res, label, p, G, T, rep):
         return
     Z = G.center
     zmask = Z.mask[T.classes.reps]
-    nontrivial = [r for r, inside in zip(T.rows, T.kernels_contain(zmask)) if not inside]
-    ok = len(nontrivial) == Z.order - 1
-    half = G.order // Z.order
-    for r in nontrivial:
-        ok = ok and r.degree * r.degree == half
-        ok = ok and not bool((r.nonzero_mask & ~zmask).any())
-        ok = ok and bool((r.center_mask == zmask).all())
-    res.add("camina-bijection", label, p, ok)
+    n_lin = len(T.lin_t)
+    nontrivial = ~T.kernels_contain(zmask)
+    # a linear row has degree 1 < |G:Z|^(1/2), so none may be nontrivial
+    nl = nontrivial[n_lin:]
+    ok = (int(nontrivial.sum()) == Z.order - 1 and not nontrivial[:n_lin].any()
+          and (T.degs[nl] ** 2 == G.order // Z.order).all()
+          and not (T.nonzero_masks[nl] & ~zmask).any()
+          and (T.center_masks[nl] == zmask).all())
+    res.add("camina-bijection", label, p, bool(ok))
 
 
 def _check_counting(res, p):

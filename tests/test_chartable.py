@@ -153,12 +153,13 @@ def test_heisenberg_nonlinear_values():
     T = table("heisenberg_p3", 3)
     G = T.group
     zmask = G.center.mask[T.classes.reps]
+    # the non-linear rows vanish off the center
+    assert len(T.nonzero_masks) == 2
+    assert not (T.nonzero_masks & ~zmask).any()
     for r in T.rows:
         if r.degree == 1:
             continue
-        # vanishes off the center, value 3*zeta on the two nontrivial
-        # central classes
-        assert not (r.nonzero_mask & ~zmask).any()
+        # value 3*zeta on the two nontrivial central classes
         for j in np.flatnonzero(zmask):
             v = r.value(int(j))
             if j == 0:
@@ -228,9 +229,11 @@ def test_linear_row_count():
 def test_character_kernel_and_center():
     T = table("heisenberg_p3", 3)
     sizes = T.classes.sizes
-    for r in T.rows:
-        ker, cen = int(sizes[r.kernel_mask].sum()), int(sizes[r.center_mask].sum())
-        assert (r.center_mask | ~r.kernel_mask).all()
+    # Z(chi) = G for a linear row
+    centers = [np.ones(T.count, dtype=bool)] * len(T.lin_t) + list(T.center_masks)
+    for r, center in zip(T.rows, centers):
+        ker, cen = int(sizes[r.kernel_mask].sum()), int(sizes[center].sum())
+        assert (center | ~r.kernel_mask).all()
         if r.degree == 1:
             assert cen == 27
         else:
@@ -1468,6 +1471,65 @@ def _move_one_eigenvalue(r, j):
     return m
 
 
+def reference_class_masks(T):
+    """(center, nonzero) for every row of T from exact values: where
+    |chi(g)|^2 = chi(1)^2 and where chi(g) != 0.  Each value is formed and
+    tested once per distinct (degree, kind, stored entry), the row's exact
+    data at the class."""
+    center = np.zeros((T.count, T.count), dtype=bool)
+    nonzero = np.zeros_like(center)
+    memo = {}
+    for i, r in enumerate(T.rows):
+        data = r.mults if r.kind == "dense" else r.texp
+        for j in range(T.count):
+            key = (r.degree, r.kind, data[j].tobytes())
+            if key not in memo:
+                v = r.value(j)
+                memo[key] = (v.abs_squared().equals_rational(r.degree ** 2), not v.is_zero())
+            center[i, j], nonzero[i, j] = memo[key]
+    return center, nonzero
+
+
+@pytest.mark.parametrize("label, p", [("exp81_class3", 3), ("G_(17,1)", 5)])
+def test_class_masks_match_exact_values(label, p):
+    """The table's center and nonzero masks equal a reference from exact
+    values on tables with unity, central-type and dense rows, and the
+    linear rows, which they leave out, are all-True in both.  The masks
+    are read-only, built once per table and absent from to_json, and a
+    dataclasses.replace copy with a changed block builds its own."""
+    P = parse_presentation(EXP81_CLASS3) if label == "exp81_class3" else pg.build(label, p)
+    T = table_of(group_of(P))
+    assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
+    n_lin = len(T.lin_t)
+    center, nonzero = reference_class_masks(T)
+    assert center[:n_lin].all() and nonzero[:n_lin].all()
+    for got, want in ((T.center_masks, center), (T.nonzero_masks, nonzero)):
+        assert got.shape == (T.count - n_lin, T.count) and got.dtype == bool
+        assert np.array_equal(got, want[n_lin:])
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = not got[0, 0]
+    assert T.center_masks is T.center_masks and T.nonzero_masks is T.nonzero_masks
+    doc = T.to_json()
+    assert not any("mask" in key for key in doc)
+    assert all(set(row) == {"degree", "values"} for row in doc["rows"])
+
+    # one eigenvalue of a dense row moved where the row is 0, and a
+    # central-type row set to 0 at a class of its support other than 1
+    i = n_lin + int(np.flatnonzero(T.dense)[0])
+    j = int(np.flatnonzero(~T.nonzero_masks[i - n_lin])[0])
+    c = n_lin + int(np.flatnonzero(~T.dense)[0])
+    cj = int(np.flatnonzero(T.rows[c].cexp >= 0)[-1])
+    assert cj > 0
+    for hacked in (_with_block_row(T, i, _move_one_eigenvalue(T.rows[i], j)),
+                   _with_block_row(T, c, np.where(np.arange(T.count) == cj, -1, T.rows[c].cexp))):
+        assert hacked.nonzero_masks is not T.nonzero_masks
+        want_center, want_nonzero = reference_class_masks(hacked)
+        assert np.array_equal(hacked.center_masks, want_center[n_lin:])
+        assert np.array_equal(hacked.nonzero_masks, want_nonzero[n_lin:])
+        assert not np.array_equal(hacked.nonzero_masks, T.nonzero_masks)
+
+
 def mutate(T, kind):
     """A copy of T with one deliberate error of the given kind, in a copy
     of one of its arrays; T's own are left as they are."""
@@ -1477,13 +1539,14 @@ def mutate(T, kind):
     unity = [i for i, kd in enumerate(kinds) if kd == "unity"]
     if kind in ("dense_nonzero", "dense_vanishing"):
         i = dense[len(dense) // 2]
-        mask = T.rows[i].nonzero_mask.copy()
+        n_lin = len(T.lin_t)
+        mask = T.nonzero_masks[i - n_lin].copy()
         if kind == "dense_vanishing":
             mask = ~mask
         mask[0] = False
         j = int(np.flatnonzero(mask)[-1])
         hacked = _with_block_row(T, i, _move_one_eigenvalue(T.rows[i], j))
-        assert hacked.rows[i].nonzero_mask[j]
+        assert hacked.nonzero_masks[i - n_lin, j]
         return hacked
     if kind == "dense_duplicate":
         return _with_block_row(T, dense[-1], T.rows[dense[0]].mults)  # one block row over another
@@ -1723,7 +1786,7 @@ def test_verify_table_rejects_galois_closed_change(label):
     assert e == p
     i = next(i for i, r in enumerate(T.rows) if r.kind == "central"
              and not _center_exponents(T, _mults_of(r, e)).any())
-    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
+    j = int(np.flatnonzero(~T.nonzero_masks[i - len(T.lin_t)])[0])
     deltas = {j: np.r_[p - 1, np.full(e - 1, -1)]}
     hacked = _with_galois_orbit(T, i, _change_center_orbits(T, i, deltas))
     _value_changes(T, hacked, i, deltas)
@@ -1781,7 +1844,7 @@ def test_one_class_change_breaks_the_central_character(label):
     e, p = T.exponent, T.group.p
     i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
     assert _center_exponents(T, _mults_of(T.rows[i], e)).any()
-    j = int(np.flatnonzero(~T.rows[i].nonzero_mask)[0])
+    j = int(np.flatnonzero(~T.nonzero_masks[i - len(T.lin_t)])[0])
     m = _mults_of(T.rows[i], e)
     m[j] += np.r_[p - 1, np.full(e - 1, -1)]
     hacked = _with_galois_orbit(T, i, m)

@@ -23,19 +23,21 @@ def bundle(label, p):
 
 def test_linear_rows_are_central_type():
     G, T = bundle("G_(19,1)", 5)
-    for r in T.rows:
+    flags = is_central_type(T)
+    assert flags.shape == (T.count,)
+    for r, f in zip(T.rows, flags):
         if r.degree == 1:
-            assert is_central_type(r, T)
+            assert f
 
 
 def test_heisenberg_nonlinear_central_type():
     G, T = bundle("heisenberg_p3", 3)
-    assert all(is_central_type(r, T) for r in T.rows)
+    assert is_central_type(T).all()
 
 
 def test_g17_has_non_central_type_row():
     G, T = bundle("G_(17,1)", 5)
-    flags = [is_central_type(r, T) for r in T.rows]
+    flags = is_central_type(T)
     assert not all(flags)
     # the failures are nonlinear
     for r, f in zip(T.rows, flags):
@@ -43,25 +45,66 @@ def test_g17_has_non_central_type_row():
             assert r.degree > 1
 
 
-def test_report_reads_unity_rows_by_kind(monkeypatch):
-    """classification_report enters each unity row as (1, |G|, True) by its
-    kind and calls is_central_type on the non-linear rows only; every
-    entry equals the per-row route over all rows."""
-    import pgclass.classify as cf
+def _per_row_reference(T):
+    """(degree, |Z(chi)|, central type) for every row, from exact values:
+    Z(chi) is where |chi(g)|^2 = chi(1)^2, and chi is of central type when
+    it vanishes off Z(chi)."""
+    from test_chartable import reference_class_masks
 
-    G, T = bundle("G_(17,1)", 5)
     sizes = T.classes.sizes
-    want = tuple((r.degree, int(sizes[r.center_mask].sum()), is_central_type(r, T))
-                 for r in T.rows)
-    calls = []
+    center, nonzero = reference_class_masks(T)
+    return tuple((r.degree, int(sizes[c].sum()), not (n & ~c).any())
+                 for r, c, n in zip(T.rows, center, nonzero))
 
-    def spy(row, T):
-        calls.append(row.kind)
-        return is_central_type(row, T)
 
-    monkeypatch.setattr(cf, "is_central_type", spy)
-    assert cf.classification_report(G, table=T).per_character == want
-    assert calls and "unity" not in calls
+def test_report_reads_unity_rows_by_kind():
+    """classification_report enters each unity row as (1, |G|, True) by its
+    kind; every entry equals a per-row reference read from exact values."""
+    G, T = bundle("G_(17,1)", 5)
+    want = _per_row_reference(T)
+    assert not all(c for _, _, c in want)
+    got = pg.classification_report(G, table=T).per_character
+    assert got == want
+    assert all(got[i] == (1, G.order, True) for i in range(len(T.lin_t)))
+
+
+def _with_cached(T, **masks):
+    """A dataclasses.replace copy of T whose cached class masks are the
+    given arrays in place of the ones it would build."""
+    T2 = dataclasses.replace(T)
+    T2.__dict__.update(masks)
+    return T2
+
+
+def test_central_type_routes_disagree_on_a_tampered_center_mask():
+    """A center mask that takes one more class, where the row is 0: the row
+    still vanishes off it, but d^2 |Z(chi)| exceeds |G|, and both
+    is_central_type and the report refuse the table."""
+    G, T = bundle("heisenberg_p3", 3)
+    center = T.center_masks.copy()
+    center[0, np.flatnonzero(~T.nonzero_masks[0])[0]] = True
+    hacked = _with_cached(T, center_masks=center)
+    msg = r"^central-type criteria disagree for a degree-3 row \(vanishing=True, index=False\)$"
+    with pytest.raises(pg.InternalInconsistencyError, match=msg):
+        is_central_type(hacked)
+    with pytest.raises(pg.InternalInconsistencyError, match=msg):
+        pg.classification_report(G, table=hacked)
+    assert is_central_type(T).all()
+
+
+def test_camina_routes_disagree_on_a_tampered_nonzero_mask():
+    """(G, Z(G)) is a Camina pair of the Heisenberg group, and its faithful
+    rows vanish off Z(G).  A nonzero mask that puts one of them off Z(G)
+    breaks the character route alone."""
+    G, T = bundle("heisenberg_p3", 3)
+    Z = G.center
+    assert pg.is_camina_pair(G, Z, T)
+    nonzero = T.nonzero_masks.copy()
+    nonzero[0, np.flatnonzero(~Z.mask[T.classes.reps])[0]] = True
+    hacked = _with_cached(T, nonzero_masks=nonzero)
+    with pytest.raises(pg.InternalInconsistencyError,
+                       match=r"^Camina-pair routes disagree \(conjugation=True, character=False\)$"):
+        pg.is_camina_pair(G, Z, hacked)
 
 
 def test_fully_ramified():
@@ -69,11 +112,11 @@ def test_fully_ramified():
     Z = G.center
     triv = pg.subgroup_generated([], G)
     whole = pg.Subgroup(group=G, indices=np.arange(G.order, dtype=np.int64))
-    for r in T.rows:
-        assert pg.fully_ramified(r, whole, T)
-        if r.degree > 1:
-            assert pg.fully_ramified(r, Z, T)
-            assert not pg.fully_ramified(r, triv, T)
+    nl = np.array([r.degree > 1 for r in T.rows])
+    assert pg.fully_ramified(T, whole).shape == (T.count,)
+    assert pg.fully_ramified(T, whole).all()
+    assert pg.fully_ramified(T, Z)[nl].all()
+    assert not pg.fully_ramified(T, triv)[nl].any()
 
 
 # -- group predicates --------------------------------------------------------------
@@ -162,7 +205,8 @@ def test_center_chain_flag_matches_is_nested():
             continue
         G, T = bundle(label, 3)
         rep = pg.classification_report(G, table=T)
-        masks = {r.center_mask.tobytes(): r.center_mask for r in T.rows}.values()
+        ones = np.ones((1, T.count), dtype=bool)  # Z(chi) = G for a linear row
+        masks = {m.tobytes(): m for m in np.vstack([ones, T.center_masks])}.values()
         pairwise = all(
             not (a & ~b).any() or not (b & ~a).any() for a in masks for b in masks
         )
@@ -471,4 +515,4 @@ def test_fully_ramified_requires_normal_subgroup():
     G, T = bundle("heisenberg_p3", 3)
     a = pg.subgroup_generated([G.element_of(G.gen_index(0))], G)
     with pytest.raises(ValueError, match="normal"):
-        pg.fully_ramified(T.rows[-1], a, T)
+        pg.fully_ramified(T, a)

@@ -384,27 +384,35 @@ def test_threads_flag_accepted_and_ignored(tmp_path, monkeypatch):
 
 
 def _pairwise_nested_monotonicity(T):
-    """The check as the paper states it, over every degree-ordered row pair."""
+    """The check as the paper states it, over every degree-ordered row pair;
+    a linear row's Z(chi) is G."""
     sizes = T.classes.sizes
-    rows = sorted(T.rows, key=lambda r: r.degree)
+    ones = np.ones(sizes.size, dtype=bool)
+    rows = sorted([(1, ones)] * len(T.lin_t) + list(zip(T.degs.tolist(), T.center_masks)),
+                  key=lambda r: r[0])
     for a in range(len(rows)):
         for b in range(a, len(rows)):
-            ra, rb = rows[a], rows[b]
-            if (rb.center_mask & ~ra.center_mask).any():
+            (da, ma), (db, mb) = rows[a], rows[b]
+            if (mb & ~ma).any():
                 return False
-            za = int(sizes[ra.center_mask].sum())
-            zb = int(sizes[rb.center_mask].sum())
-            if (zb < za) != (ra.degree < rb.degree):
+            za = int(sizes[ma].sum())
+            zb = int(sizes[mb].sum())
+            if (zb < za) != (da < db):
                 return False
     return True
 
 
 def _stand_in(*rows):
-    """A table with class sizes 1, 2, 4, 8 and rows given as (degree, mask)."""
+    """A table with class sizes 1, 2, 4, 8 and rows given as (degree, mask),
+    in the table's arrays: the degree-1 rows are its linear rows, whose
+    Z(chi) is every class, and the others its non-linear rows."""
+    assert all(all(m) for d, m in rows if d == 1)
+    nonlin = [(d, m) for d, m in rows if d > 1]
     return SimpleNamespace(
         classes=SimpleNamespace(sizes=np.array([1, 2, 4, 8])),
-        rows=[SimpleNamespace(degree=d, center_mask=np.array(m, dtype=bool))
-              for d, m in rows],
+        lin_t=np.zeros((len(rows) - len(nonlin), 0), dtype=np.int64),
+        degs=np.array([d for d, _ in nonlin], dtype=np.int64),
+        center_masks=np.array([m for _, m in nonlin], dtype=bool).reshape(-1, 4),
     )
 
 
