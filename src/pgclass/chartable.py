@@ -145,42 +145,12 @@ class _Row:
     def value(self, j: int) -> Cyclotomic:
         if self.kind == "dense":
             return root_sum(self.e, self.mults[j])
-        t = int(self._texp_at(j))
-        return self.degree * Cyclotomic.root(self.e, t) if t >= 0 else Cyclotomic.zero()
+        return _scaled_root(self.degree, self.e, int(self._texp_at(j)))
 
-    def value_strings(self, memo: dict) -> list[str]:
-        """str(self.value(j)) for every class j, formatting each distinct
-        stored value once per memo.
 
-        The memo key of class j is the row's own exact data there, and
-        value(j) is a function of that key alone: the degree with the
-        exponent t (unity and central), or the multiplicity vector (dense).
-        The exponent e is not in the key, so one memo serves the rows of one
-        table only."""
-        if self.kind == "dense":
-            uniq, first, inv = np.unique(
-                self.mults, axis=0, return_index=True, return_inverse=True
-            )
-            keys = [m.tobytes() for m in uniq]
-        else:
-            uniq, first, inv = np.unique(self.texp, return_index=True, return_inverse=True)
-            keys = [(self.degree, int(t)) for t in uniq]
-        strs = []
-        for key, j in zip(keys, first):
-            s = memo.get(key)
-            if s is None:
-                s = memo[key] = str(self.value(int(j)))
-            strs.append(s)
-        return [strs[c] for c in inv.reshape(-1).tolist()]
-
-    # -- class masks: the kernel here, Z(chi) and the support in the table's
-    # center_masks and nonzero_masks
-
-    @property
-    def kernel_mask(self) -> np.ndarray:
-        if self.kind == "dense":
-            return self.mults[:, 0] == self.degree
-        return self.texp == 0
+def _scaled_root(d: int, e: int, t: int) -> Cyclotomic:
+    """d zeta_e^t, and 0 for t = -1: a unity or central-type entry."""
+    return d * Cyclotomic.root(e, t) if t >= 0 else Cyclotomic.zero()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -289,44 +259,68 @@ class CharacterTable:
         return _read_only(out)
 
     def degrees(self) -> list[int]:
-        return [r.degree for r in self.rows]
+        return [1] * len(self.lin_t) + self.degs.tolist()
 
     def cd_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.rows:
-            out[r.degree] = out.get(r.degree, 0) + 1
-        return dict(sorted(out.items()))
+        ds, counts = np.unique(self.degs, return_counts=True)
+        return {1: len(self.lin_t), **dict(zip(ds.tolist(), counts.tolist()))}
 
     def cd_set(self) -> tuple[int, ...]:
-        return tuple(sorted({r.degree for r in self.rows}))
+        return (1, *np.unique(self.degs).tolist())
 
     def value(self, row_index: int, class_index: int) -> Cyclotomic:
         return self.rows[row_index].value(class_index)
 
-    def kernels_contain(self, mask: np.ndarray) -> np.ndarray:
-        """For each row chi, whether ker(chi) holds every class in mask.
-        Each block is read at those classes alone: a linear row's t @ digits
-        is 0 mod e there, a central-type row's exponent 0, and a dense row's
+    def kernel_masks(self, cols) -> np.ndarray:
+        """A (rows, |cols|) bool array: whether each row's kernel holds
+        each of the classes cols (an index array or a class mask).  Each
+        block is read at those classes alone: a linear row's t @ digits is
+        0 mod e there, a central-type row's exponent 0, and a dense row's
         multiplicity at exponent 0 its degree."""
         n_lin = len(self.lin_t)
-        out = np.empty(self.count, dtype=bool)
-        out[:n_lin] = ~(self.lin_t @ self.digits[:, mask] % self.exponent).any(axis=1)
+        lin = self.lin_t @ self.digits[:, cols] % self.exponent == 0
+        out = np.empty((self.count, lin.shape[1]), dtype=bool)
+        out[:n_lin] = lin
         nonlin = out[n_lin:]
-        nonlin[~self.dense] = (self.cexp[:, mask] == 0).all(axis=1)
-        nonlin[self.dense] = (self.mults[:, mask, 0]
-                              == self.degs[self.dense, None]).all(axis=1)
+        nonlin[~self.dense] = self.cexp[:, cols] == 0
+        nonlin[self.dense] = self.mults[:, cols, 0] == self.degs[self.dense, None]
         return out
 
     def value_strings(self) -> list[list[str]]:
         """Every value as a string, row by row: str(self.value(i, j)).
 
         A p-group table takes few distinct values (G_(14,3) at p = 5 has
-        76 in 555,025 entries), so each distinct stored value is built and
-        formatted once per call, through a memo that lives for this call
-        only.  Its key is the row's exact data at the class, which fixes
-        the value (see _Row.value_strings)."""
-        memo: dict = {}
-        return [r.value_strings(memo) for r in self.rows]
+        76 in 555,025 entries), so each entry gets an int64 key for its
+        stored exact value, which fixes the value, and each key that occurs
+        is formatted once.  A unity or central-type entry d zeta_e^t has
+        key i (e + 1) + t, with i the index of d in cd_set() and t = e
+        standing for a 0; a dense entry has one key past those per
+        distinct multiplicity vector of the dense block.  The keys are
+        turned into strings one row at a time, which keeps the list of
+        Python ints of a whole key matrix out of memory."""
+        e, n_lin = self.exponent, len(self.lin_t)
+        cd = self.cd_set()
+        key = np.empty((self.count, self.classes.count), dtype=np.int64)
+        key[:n_lin] = self.lin_t @ self.digits % e  # degree 1 is index 0
+        nonlin = key[n_lin:]
+        at = np.searchsorted(cd, self.degs[~self.dense])
+        cexp = self.cexp.astype(np.int64)  # t = e need not fit cexp's dtype
+        nonlin[~self.dense] = at[:, None] * (e + 1) + np.where(cexp < 0, e, cexp)
+        span = len(cd) * (e + 1)
+        vecs = self.mults.reshape(-1, e)
+        _, first, inv = np.unique(_row_keys(vecs), return_index=True, return_inverse=True)
+        nonlin[self.dense] = span + inv.reshape(self.mults.shape[:2])
+
+        def formatted(x: int) -> str:
+            if x >= span:
+                return str(root_sum(e, vecs[first[x - span]]))
+            i, t = divmod(x, e + 1)
+            return str(_scaled_root(cd[i], e, t if t < e else -1))
+
+        used = np.flatnonzero(np.bincount(key.reshape(-1), minlength=span + len(first)))
+        strs = np.empty(span + len(first), dtype=object)
+        strs[used] = [formatted(x) for x in used.tolist()]
+        return [strs[row].tolist() for row in key]
 
     def to_json(self) -> dict:
         G = self.group
@@ -344,8 +338,8 @@ class CharacterTable:
                 for r, s in zip(self.classes.reps, self.classes.sizes)
             ],
             "rows": [
-                {"degree": r.degree, "values": vals}
-                for r, vals in zip(self.rows, self.value_strings())
+                {"degree": d, "values": vals}
+                for d, vals in zip(self.degrees(), self.value_strings())
             ],
         }
 

@@ -139,7 +139,7 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     """Every g outside N is conjugate to the whole coset gN; cross-checked
     against the character criterion (rows not trivial on N vanish off N).
     Whether N lies in a row's kernel is read at N's classes only
-    (CharacterTable.kernels_contain).
+    (CharacterTable.kernel_masks).
 
     The conjugation route tests x z ~ x for every x outside N and every
     generator z of N, one class-id gather per generator.  That is the coset
@@ -157,7 +157,7 @@ def is_camina_pair(P, N: Subgroup, T: CharacterTable) -> bool:
     cid = cls.classof[outside]
     conj_route = all((cls.classof[G.rmul_array(outside, z)] == cid).all()
                      for z in N.generators)
-    char_route = bool((T.kernels_contain(nmask) | fully_ramified(T, N)).all())
+    char_route = bool((T.kernel_masks(nmask).all(axis=1) | fully_ramified(T, N)).all())
     if conj_route != char_route:
         raise InternalInconsistencyError(
             f"Camina-pair routes disagree (conjugation={conj_route}, character={char_route})"
@@ -205,8 +205,7 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     that form (each non-rational term names the order and its exponent,
     the rational term stands alone, and only term boundaries carry a sign
     or a '+').  Two values are therefore equal exactly when their strings
-    are.  Each table keeps its own value_strings memo, whose keys leave
-    out the exponent.
+    are.
     """
     from .chartable import table_of
     from .group import quotient
@@ -218,22 +217,17 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
 
     # parent class of each quotient class rep's section, once for all rows
     at = TG.classes.classof[Q.section[Q.group.conjugacy_classes.reps]].tolist()
-    memo_G: dict = {}
-    memo_Q: dict = {}
+    vals_G = TG.value_strings()
     lift_targets = {}
-    inside = TG.kernels_contain(N.mask[TG.classes.reps])
-    for gi, row in enumerate(TG.rows):
-        if inside[gi]:
-            vals = row.value_strings(memo_G)
-            key = tuple(vals[j] for j in at)
-            if key in lift_targets:
-                raise InternalInconsistencyError("two parent rows share lift values")
-            lift_targets[key] = gi
+    for gi in np.flatnonzero(TG.kernel_masks(N.mask[TG.classes.reps]).all(axis=1)).tolist():
+        key = tuple(vals_G[gi][j] for j in at)
+        if key in lift_targets:
+            raise InternalInconsistencyError("two parent rows share lift values")
+        lift_targets[key] = gi
     mismatches = []
     central_G, central_Q = is_central_type(TG), is_central_type(TQ)
-    for qi, qrow in enumerate(TQ.rows):
-        key = tuple(qrow.value_strings(memo_Q))
-        gi = lift_targets.pop(key, None)
+    for qi, vals in enumerate(TQ.value_strings()):
+        gi = lift_targets.pop(tuple(vals), None)
         if gi is None:
             raise InternalInconsistencyError("quotient row has no lift in the parent table")
         if central_Q[qi] != central_G[gi]:

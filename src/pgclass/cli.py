@@ -100,8 +100,8 @@ def cmd_chartable(args) -> int:
         print(f"group {P.name}: {k} classes, field prime {T.field_prime}")
         print("degrees:", dict(T.cd_multiset()))
         if k <= 24:
-            for i, (r, vals) in enumerate(zip(T.rows, T.value_strings())):
-                print(f"  X{i + 1} (deg {r.degree}): {' '.join(vals)}")
+            for i, (d, vals) in enumerate(zip(T.degrees(), T.value_strings())):
+                print(f"  X{i + 1} (deg {d}): {' '.join(vals)}")
         else:
             print(f"  ({k} rows; use --json for the full table)")
     return 0

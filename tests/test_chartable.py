@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import pgclass as pg
 from pgclass import Cyclotomic, TableVerificationError
-from pgclass.chartable import table_of
+from pgclass.chartable import _row_keys, table_of
 from pgclass.group import abelian_invariants, group_of
 from pgclass.presentation import collector, is_prime, parse_presentation
 
@@ -229,11 +230,13 @@ def test_linear_row_count():
 def test_character_kernel_and_center():
     T = table("heisenberg_p3", 3)
     sizes = T.classes.sizes
+    kernels = T.kernel_masks(np.arange(T.count))
+    assert kernels.shape == (T.count, T.count) and kernels.dtype == bool
     # Z(chi) = G for a linear row
     centers = [np.ones(T.count, dtype=bool)] * len(T.lin_t) + list(T.center_masks)
-    for r, center in zip(T.rows, centers):
-        ker, cen = int(sizes[r.kernel_mask].sum()), int(sizes[center].sum())
-        assert (center | ~r.kernel_mask).all()
+    for r, kernel, center in zip(T.rows, kernels, centers):
+        ker, cen = int(sizes[kernel].sum()), int(sizes[center].sum())
+        assert (center | ~kernel).all()
         if r.degree == 1:
             assert cen == 27
         else:
@@ -244,9 +247,24 @@ def test_character_kernel_and_center():
 
 def test_trivial_character_kernel_is_whole_group():
     T = table("G_(18,1)", 5)
-    triv = [r for r in T.rows if r.degree == 1 and r.kernel_mask.all()]
+    kernels = T.kernel_masks(np.arange(T.count))
+    triv = [i for i, d in enumerate(T.degrees()) if d == 1 and kernels[i].all()]
     assert len(triv) == 1
-    assert int(T.classes.sizes[triv[0].kernel_mask].sum()) == T.group.order
+    assert int(T.classes.sizes[kernels[triv[0]]].sum()) == T.group.order
+
+
+def test_kernel_masks_match_exact_values():
+    """The kernel is exactly where chi(g) = chi(1), on a table with unity,
+    central-type and dense rows; the classes may come as an index array
+    or a class mask, in any order."""
+    T = table("G_(20,1)", 5)
+    assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
+    want = np.array(reference_entries(T, lambda v, d: v.equals_rational(d)).tolist(), dtype=bool)
+    assert np.array_equal(T.kernel_masks(np.arange(T.count)), want)
+    cols = np.arange(T.count)[::-7]
+    assert np.array_equal(T.kernel_masks(cols), want[:, cols])
+    mask = T.group.center.mask[T.classes.reps]
+    assert np.array_equal(T.kernel_masks(mask), want[:, mask])
 
 
 def test_table_json_shape():
@@ -374,6 +392,41 @@ def test_value_strings_match_values(label):
         assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
     else:
         assert T.exponent == 625
+
+
+# M(2^8) = <a, b | a^128 = b^2 = 1, a^b = a^65>: central-type rows at
+# e = 128, whose zero marker t = e does not fit the int8 block cexp
+MODULAR_2_8 = """group modular_2_8 prime 2
+gens b a1 a2 a3 a4 a5 a6 a7
+pow a1^p = a2
+pow a2^p = a3
+pow a3^p = a4
+pow a4^p = a5
+pow a5^p = a6
+pow a6^p = a7
+comm [a1,b] = a7
+"""
+
+
+@pytest.mark.parametrize("label", ["G_(20,1)", "E_p3", "modular_2_8"])
+def test_value_strings_match_values_at_every_entry(label):
+    """Every entry of value_strings is str of its exact value: on a table
+    with all three row kinds, whose dense rows share multiplicity vectors
+    away from the identity class; on an abelian table, whose central-type
+    and dense blocks are empty; and on central-type rows with e = 128."""
+    if label == "modular_2_8":
+        T = table_of(group_of(parse_presentation(MODULAR_2_8)))
+        assert T.exponent == 128 and T.cexp.dtype == np.int8 and (T.cexp < 0).any()
+    else:
+        T = table(label, 5)
+    if label == "G_(20,1)":
+        assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
+        seen = Counter(v for r in T.rows if r.kind == "dense"
+                       for v in set(_row_keys(r.mults[1:]).tolist()))
+        assert max(seen.values()) > 1
+    elif label == "E_p3":
+        assert T.cexp.shape == (0, T.count) and T.mults.shape[:2] == (0, T.count)
+    assert T.value_strings() == reference_entries(T, lambda v, d: str(v)).tolist()
 
 
 def test_to_json_formats_each_distinct_value_once(monkeypatch):
@@ -1471,23 +1524,29 @@ def _move_one_eigenvalue(r, j):
     return m
 
 
-def reference_class_masks(T):
-    """(center, nonzero) for every row of T from exact values: where
-    |chi(g)|^2 = chi(1)^2 and where chi(g) != 0.  Each value is formed and
-    tested once per distinct (degree, kind, stored entry), the row's exact
-    data at the class."""
-    center = np.zeros((T.count, T.count), dtype=bool)
-    nonzero = np.zeros_like(center)
+def reference_entries(T, f):
+    """f(chi(g), chi(1)) for every entry of T, as a (k, k) object array.
+    Each value is formed and f applied once per distinct (degree, kind,
+    stored entry), the row's exact data at the class."""
+    out = np.empty((T.count, T.count), dtype=object)
     memo = {}
     for i, r in enumerate(T.rows):
         data = r.mults if r.kind == "dense" else r.texp
         for j in range(T.count):
             key = (r.degree, r.kind, data[j].tobytes())
             if key not in memo:
-                v = r.value(j)
-                memo[key] = (v.abs_squared().equals_rational(r.degree ** 2), not v.is_zero())
-            center[i, j], nonzero[i, j] = memo[key]
-    return center, nonzero
+                memo[key] = f(r.value(j), r.degree)
+            out[i, j] = memo[key]
+    return out
+
+
+def reference_class_masks(T):
+    """(center, nonzero) for every row of T from exact values: where
+    |chi(g)|^2 = chi(1)^2 and where chi(g) != 0."""
+    both = np.array(reference_entries(
+        T, lambda v, d: (v.abs_squared().equals_rational(d * d), not v.is_zero())).tolist(),
+        dtype=bool)
+    return both[..., 0], both[..., 1]
 
 
 @pytest.mark.parametrize("label, p", [("exp81_class3", 3), ("G_(17,1)", 5)])
