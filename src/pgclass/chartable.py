@@ -97,8 +97,8 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, _prime_power_split, phi, root_sum
 from .errors import TableVerificationError
-from .group import (ConjugacyClassSet, Group, Subgroup, _chain_gens, _ChainIndex,
-                    _coset_minima, group_of, p_log)
+from .group import (ConjugacyClassSet, Group, _chain_gens, _ChainIndex, _coset_minima,
+                    group_of, p_log)
 from .modular import _invmod_arr, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
@@ -414,7 +414,6 @@ class _PowerData:
     rep = reps[cols[i]] and s < ords[i], the order of rep, and -1 past it."""
 
     def __init__(self, G: Group, cls: ConjugacyClassSet, cols: np.ndarray, e: int):
-        self.cols = cols
         reps = cls.reps[cols].astype(np.int64)
         X = np.zeros(cols.size, dtype=np.int64)
         rows = [cls.classof[X]]
@@ -1021,9 +1020,11 @@ def _certify(G, cls, e, q, dlog, T, degs):
 
 
 def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray) -> None:
-    """Eigenvalue multiplicities of the mod-q rows Trows at the classes
-    power.cols, Dixon's recovery, written into the rows dest of out, an
-    array of shape (., cols, e) that holds 0 at every exponent.
+    """Eigenvalue multiplicities of the mod-q rows Trows at power's columns,
+    Dixon's recovery, written into the rows dest of out, an array of shape
+    (., columns, e) that holds 0 at every exponent.  The second axis of out
+    is indexed by the position among power's columns, which are all k
+    classes in _lift_rows.
 
     If g has order m, then chi(g^s) = sum_u mult_u zeta_m^(us), where
     mult_u counts the eigenvalues zeta_m^u = zeta_e^(u e/m) of g.  The
@@ -1179,22 +1180,6 @@ def compute_table(P) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# class unions as verified subgroups
-
-
-def _class_union_subgroup(T: CharacterTable, mask: np.ndarray) -> Subgroup:
-    """The union of the classes in mask, checked to be a subgroup."""
-    cls = T.classes
-    idxs = np.sort(np.concatenate([cls.members[i] for i in np.flatnonzero(mask)]))
-    G = T.group
-    gens = _chain_gens(G, idxs)
-    closure = G.subgroup_closure(gens)
-    if closure.size != idxs.size or not (closure == idxs).all():
-        raise TableVerificationError("class union is not a subgroup")
-    return Subgroup(group=G, indices=idxs, gens=gens)
-
-
-# ---------------------------------------------------------------------------
 # verification
 
 
@@ -1208,11 +1193,10 @@ def _verify_table(T: CharacterTable) -> None:
     homomorphism (_verify_linear_rows), and no non-linear row of degree 1;
     central-type exponents a (rows, k) block C of signed integers in
     [-1, e), not -1 at the identity, and dense multiplicities a
-    (rows, k, e) block D of integers in [0, d] summing to d (_verify_blocks);
-    each central-type row d times a character of its support
-    (_verify_central_rows).  So every value of a degree-d row is a sum of
-    d roots of unity, and |sigma(chi(g))| <= d under every embedding sigma
-    of Q(zeta_e).
+    (rows, k, e) block D of integers in [0, d] summing to d
+    (_verify_blocks).  So every value of a degree-d row is d zeta_e^t or 0
+    (central-type) or a sum of d roots of unity (dense), and
+    |sigma(chi(g))| <= d under every embedding sigma of Q(zeta_e).
 
     First orthogonality.  For a non-linear row a (the set N) and any row b,
     y_ab = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) - |G| delta_ab lies in
@@ -1307,7 +1291,6 @@ def _verify_table(T: CharacterTable) -> None:
     if n_lin != order // G.derived.indices.size:
         raise TableVerificationError("number of linear rows != |G/G'|")
     lin_t = _verify_linear_rows(T)
-    _verify_central_rows(T)
     _verify_structural_pairs(T, lin_t)
     if degs.size:
         _verify_pairs_against_block(T, lin_t)
@@ -1399,45 +1382,6 @@ def _verify_linear_rows(T: CharacterTable) -> np.ndarray:
     if ((t @ comms) % e).any():
         raise TableVerificationError("linear row breaks a commutator relation")
     return t
-
-
-def _group_by_key(pairs) -> list:
-    """(array, [items]) for each distinct array among the (array, item)
-    pairs, in first-seen order; arrays are compared by their bytes."""
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    for arr, item in pairs:
-        groups.setdefault(arr.tobytes(), (arr, []))[1].append(item)
-    return list(groups.values())
-
-
-def _verify_central_rows(T: CharacterTable) -> None:
-    """Every central-type row is d times a linear character of its support.
-
-    The block C = T.cexp holds the rows' exponents, -1 off the support, and
-    the rows are grouped by their support mask C >= 0 (_group_by_key).
-    H (the union of the support classes) must be a subgroup, generated by
-    the chain generators _class_union_subgroup checks.  The row's exponent
-    mu must then satisfy class(x h) in the support and
-    mu(x h) = mu(x) + mu(h) (mod e) for every x in H and every generator
-    h; by induction on words in the generators mu is a homomorphism
-    H -> Z/e."""
-    G = T.group
-    cls = T.classes
-    e = T.exponent
-    C = T.cexp
-    for mask, at in _group_by_key((m, i) for i, m in enumerate(C >= 0)):
-        H = _class_union_subgroup(T, mask)
-        mu = C[at].astype(np.int64)
-        mu_x = mu[:, cls.classof[H.indices]]
-        for h in H.gens:
-            xh = cls.classof[G.rmul_array(H.indices, h)]
-            if not mask[xh].all():
-                raise TableVerificationError("central-type support is not closed")
-            # entries lie in [0, e), so the difference is 0 mod e iff 0 or -e
-            diff = mu[:, xh] - mu_x - mu[:, cls.classof[h], None]
-            if ((diff != 0) & (diff != -e)).any():
-                raise TableVerificationError(
-                    "central-type row is not a character of its support")
 
 
 def _row_keys(M: np.ndarray) -> np.ndarray:
@@ -1605,10 +1549,11 @@ def _pair_plan(T: CharacterTable) -> _PairPlan:
     central character (_PairPlan).
 
     perms[a] must be a permutation of the classes that keeps |K_j|.  A
-    central-type row is d lambda on the subgroup H of its support, for a
-    homomorphism lambda (_verify_central_rows), and 0 off H.  When every
-    b_a lies in H, g b_a is in H iff g is, so chi(g b_a) = lambda(b_a)
-    chi(g); its key c_a is its exponent at the class of b_a.  A dense row
+    central-type row must hold an exponent c_a at the class of b_a, and
+    its exponents C must satisfy C[perms[a, j]] = C[j] + c_a (mod e), -1
+    (the value 0) staying -1, so that chi(g_j b_a) = zeta_e^c_a chi(g_j):
+    one gather per b_a of the whole block.  perms[a, 0] is the class of
+    b_a, so the exponent at the identity is then 0.  A dense row
     must be d zeta_e^c_a at b_a, d at exactly one exponent c_a, and its
     multiplicities must satisfy m[perms[a, j], u + c_a] = m[j, u], so that
     chi(g_j b_a) = zeta_e^c_a chi(g_j): one gather per (a, c_a) of the
@@ -1635,6 +1580,10 @@ def _pair_plan(T: CharacterTable) -> _PairPlan:
     cc = C[:, zcls]
     if (cc < 0).any():
         raise TableVerificationError("a central-type row's support misses a class of Z(G)")
+    W = C.astype(np.promote_types(C.dtype, np.min_scalar_type(-2 * e)))  # holds C + c_a
+    for a in range(m):
+        if not np.array_equal(W[:, perms[a]], np.where(W < 0, -1, (W + cc[:, a, None]) % e)):
+            raise TableVerificationError("a central-type row has no central character")
     n_d = D.shape[0]
     deg_d = D[:, 0].sum(axis=1, dtype=np.int64)  # each class's multiplicities sum to d
     cd = _dense_center_exponents(D, deg_d, perms, zcls) if n_d else np.zeros((0, m), np.int64)

@@ -70,16 +70,15 @@ class InconsistentPresentationError(PgclassError, ValueError):
 class Group:
     """A finite p-group realized from a consistent pc presentation."""
 
-    def __init__(self, P: PcPresentation, *, check: bool = True):
+    def __init__(self, P: PcPresentation):
         if P.order > _MAX_ORDER:
             raise ValueError(f"group order {P.order} exceeds the desk-scale limit")
-        if check:
-            rep = check_consistency(P)
-            if not rep.consistent:
-                raise InconsistentPresentationError(
-                    f"presentation {P.name!r} is inconsistent: "
-                    f"{rep.failures[0][0]} collects two ways"
-                )
+        rep = check_consistency(P)
+        if not rep.consistent:
+            raise InconsistentPresentationError(
+                f"presentation {P.name!r} is inconsistent: "
+                f"{rep.failures[0][0]} collects two ways"
+            )
         self.pres = P
         self.p = P.p
         self.n = P.n
@@ -630,7 +629,7 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
                              (f"s{a + 1}" for a in range(index.m)))
     to_parent = index.elems
     from_parent = {int(g): s for s, g in enumerate(to_parent)}
-    return SubgroupGroup(parent=G, group=Group(SP, check=True), presentation=SP,
+    return SubgroupGroup(parent=G, group=Group(SP), presentation=SP,
                          to_parent=to_parent, from_parent=from_parent)
 
 

@@ -1935,10 +1935,10 @@ def test_dense_row_must_be_a_root_of_unity_times_d_on_the_center(label):
 
 def test_central_type_support_must_hold_the_center():
     """heisenberg_p3 at p = 3 with both degree-3 rows replaced by the row
-    3 at the identity and 0 elsewhere: a character of its support, the
-    trivial subgroup, twice, so the rows are closed under the Galois group
-    and the degrees still add up.  Its support misses the classes of
-    Z(G), and the central-character check raises."""
+    3 at the identity and 0 elsewhere: two equal rows, each its own
+    Galois image, so the rows are closed under the Galois group and the
+    degrees still add up.  Its support misses the classes of Z(G), and the
+    central-character check raises before it compares any translate."""
     from pgclass.chartable import _verify_table
 
     T = table("heisenberg_p3", 3)
@@ -1948,6 +1948,63 @@ def test_central_type_support_must_hold_the_center():
     with pytest.raises(TableVerificationError,
                        match="^a central-type row's support misses a class of Z\\(G\\)$"):
         _verify_table(_replace(T, cexp=np.stack([cexp, cexp])))
+
+
+def test_central_type_row_must_have_a_central_character():
+    """heisenberg_p3 at p = 3 with both degree-3 rows, one orbit of
+    sigma_2, multiplied by zeta on their support: the first row's exponents
+    move by 1 and its image's by 2, so the rows stay closed under the
+    Galois group and keep their support, Z(G).  But the identity's
+    translate by a chain generator b of Z(G) is b, and the exponent there
+    is no longer the identity's plus the one at b: the first row is 3 zeta
+    at the identity.  The central-character check raises."""
+    from pgclass.chartable import _unit_gens, _verify_table
+
+    T = table("heisenberg_p3", 3)
+    e = T.exponent
+    C = T.cexp.astype(np.int64)
+    assert _unit_gens(e) == (2,) and np.array_equal(np.where(C[0] >= 0, 2 * C[0] % e, -1), C[1])
+    hacked = np.where(C >= 0, (C + [[1], [2]]) % e, -1).astype(T.cexp.dtype)
+    with pytest.raises(TableVerificationError,
+                       match="^a central-type row has no central character$"):
+        _verify_table(_replace(T, cexp=hacked))
+
+
+def test_central_type_orbit_shift_fails_the_coset_sums():
+    """G_(17,1) at p = 5: a central-type row chi whose support holds a
+    Z(G)-orbit O of classes off Z(G), and each row sigma_s^t(chi) of its
+    orbit under sigma_s, has its exponents on O moved by delta s^t.  The
+    translates by Z(G) map O to itself, so every row keeps its central
+    character and its support.  The image of the row moved by delta s^t
+    is moved by delta s^(t+1), so the rows stay closed under sigma_s when
+    delta (s^L - 1) = 0 (mod e) for the orbit's length L; here
+    L = phi(e), and delta = 1 serves.  The rows are no longer d times a
+    character of their support, and the G'-coset sums raise."""
+    from pgclass.chartable import _unit_gens, _verify_table
+    from pgclass.cyclotomic import phi
+
+    T = table("G_(17,1)", 5)
+    e = T.exponent
+    (s,) = _unit_gens(e)
+    C = T.cexp.astype(np.int64)
+    central = np.zeros(T.count, dtype=bool)
+    central[T.classes.classof[T.group.center.indices]] = True
+
+    i = next(i for i in range(len(C)) if (C[i] >= 0)[~central].any())
+    rows, c = [], C[i]  # the rows sigma_s^t(chi), t = 0, 1, ...
+    while not rows or not np.array_equal(c, C[i]):
+        rows.append(next(b for b in range(len(C)) if np.array_equal(C[b], c)))
+        c = np.where(c >= 0, c * s % e, -1)
+    assert len(rows) == phi(e)
+    j = int(np.flatnonzero((C[i] >= 0) & ~central)[0])
+    O = list(_center_orbit(T, j))
+    assert (C[i, O] >= 0).all() and not central[O].any()
+    for t, b in enumerate(rows):
+        C[b, O] = (C[b, O] + pow(s, t, e)) % e
+    with pytest.raises(TableVerificationError,
+                       match="^a non-linear row fails orthogonality to the linear rows: "
+                             "a G'-coset sum$"):
+        _verify_table(_replace(T, cexp=C.astype(T.cexp.dtype)))
 
 
 @pytest.mark.parametrize("label, dtype", [("G_(17,1)", np.int8), ("G_(14,3)", np.int16)])
