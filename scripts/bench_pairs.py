@@ -1,9 +1,11 @@
 """Alternating before/after runs of the benchmark, summarised as JSON.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json [--seed0 N]
+        [--workload NAME ...]
 
 DIR is a checkout of each tree (from `git archive`, say).  For every
-workload of the change tree's BENCHMARK.json, pair i of 10 runs
+workload of the change tree's BENCHMARK.json, or for those named by
+--workload (repeatable) alone, pair i of 10 runs
 `perfbench/run.py --workload W --seed SEED0+i --trace 0`, at run.py's own
 run length, once in each tree, the side that runs first alternating from
 pair to pair.  For each end-to-end metric the output gives each side's
@@ -48,11 +50,17 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seed0", type=int, default=1701)
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run this workload's pairs only; repeatable (default: every workload)")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [x["name"] for x in bench["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        ap.error(f"no such workload: {', '.join(unknown)} (BENCHMARK.json has {', '.join(names)})")
     out = {"pairs": PAIRS, "seeds": [args.seed0, args.seed0 + PAIRS - 1], "workloads": {}}
-    for w in (x["name"] for x in bench["workloads"]):
+    for w in (n for n in names if not args.workload or n in args.workload):
         runs = {"parent": [], "change": []}
         machine = {}
         for i in range(PAIRS):

@@ -55,7 +55,7 @@ Pipeline, the same for every group:
     corpus exponent, read through the linear rows' exponent path
     (_Row.texp).  Certification catches every central-type row (_lift_rows
     says why), so the rows left over are stored dense, in the table's block
-    mults, (rows, k, e) of the narrowest unsigned dtype that holds their
+    mults, (rows, e, k) of the narrowest unsigned dtype that holds their
     largest degree (_mult_dtype: one byte per multiplicity at every order
     <= p^6 with p <= 13).  The table owns the blocks, and each row is a
     view of its kind's block (CharacterTable).  One row per sigma_s-orbit
@@ -99,7 +99,7 @@ from .cyclotomic import Cyclotomic, _prime_power_split, phi, root_sum
 from .errors import TableVerificationError
 from .group import (ConjugacyClassSet, Group, _chain_gens, _ChainIndex, _coset_minima,
                     group_of, p_log)
-from .modular import _invmod_arr, eigenspaces, find_aux_prime, root_of_unity
+from .modular import _invmod_arr, _matmul_mod, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
 _MAX_CLASSES = 6000
@@ -124,7 +124,7 @@ class _Row:
         self.digits = digits      # unity: the table's (n, k) class-rep digits (_rep_digits)
         self.cexp = cexp          # central: its row of the table's cexp block, (k,)
         #                           exponents of zeta_e, -1 where the row is 0
-        self.mults = mults        # dense: its row of the table's mults block, (k, e)
+        self.mults = mults        # dense: its row of the table's mults block, (e, k)
         #                           eigenvalue multiplicities
 
     # -- exact values --------------------------------------------------------
@@ -144,7 +144,7 @@ class _Row:
 
     def value(self, j: int) -> Cyclotomic:
         if self.kind == "dense":
-            return root_sum(self.e, self.mults[j])
+            return root_sum(self.e, self.mults[:, j])
         return _scaled_root(self.degree, self.e, int(self._texp_at(j)))
 
 
@@ -171,12 +171,12 @@ def _mult_dtype(d_max: int) -> np.dtype:
 
 def _zero_mask_pp(mults: np.ndarray, e: int) -> np.ndarray:
     """Exact zero test for multiplicity arrays over prime-power e > 1,
-    exponent last, of shape (..., e): only dense rows use it, and a dense
-    row needs a non-abelian G, so e >= p.  With r the prime, sum_u m_u
-    zeta_e^u is 0 iff m_u depends on u mod e/r alone."""
+    exponent at axis 1, of shape (n, e, ...): only dense rows use it, and
+    a dense row needs a non-abelian G, so e >= p.  With r the prime,
+    sum_u m_u zeta_e^u is 0 iff m_u depends on u mod e/r alone."""
     r, _ = _prime_power_split(e)
-    resh = mults.reshape(mults.shape[:-1] + (r, e // r))
-    return (resh == resh[..., :1, :]).all(axis=(-2, -1))
+    resh = mults.reshape((mults.shape[0], r, e // r) + mults.shape[2:])
+    return (resh == resh[:, :1]).all(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +193,13 @@ class CharacterTable:
     degs, the non-linear rows' degrees, and dense, the mask of those that
     are stored dense; cexp, the central-type rows' exponents, one (rows, k)
     block with -1 where a row is 0; and mults, the dense rows'
-    multiplicities, one (rows, k, e) block (_lift_rows).  The linear rows
-    come first, then the non-linear ones.  rows is built from these
-    whenever a table is made, dataclasses.replace included: one _Row per
-    character, whose arrays are views of them, so the rows read exactly
-    the data that _verify_table checks.  A block whose row count differs
+    multiplicities, one (rows, e, k) block (_lift_rows), exponent-major, so
+    that a row is an (e, k) view and every check of the block reads
+    contiguous class slices.  The linear rows come first, then the
+    non-linear ones.  rows is built from these whenever a table is made,
+    dataclasses.replace included: one _Row per character, whose arrays are
+    views of them, so the rows read exactly the data that _verify_table
+    checks.  A block whose row count differs
     from the mask's count of its kind raises.
 
     center_masks and nonzero_masks are the non-linear rows' class masks,
@@ -242,7 +244,7 @@ class CharacterTable:
     @cached_property
     def center_masks(self) -> np.ndarray:
         # |value| = d  <=>  all d eigenvalues coincide  <=>  max mult = d
-        return self._class_masks(lambda D: D.max(axis=2) == self.degs[self.dense, None])
+        return self._class_masks(lambda D: D.max(axis=1) == self.degs[self.dense, None])
 
     @cached_property
     def nonzero_masks(self) -> np.ndarray:
@@ -283,11 +285,12 @@ class CharacterTable:
         out[:n_lin] = lin
         nonlin = out[n_lin:]
         nonlin[~self.dense] = self.cexp[:, cols] == 0
-        nonlin[self.dense] = self.mults[:, cols, 0] == self.degs[self.dense, None]
+        nonlin[self.dense] = self.mults[:, 0, cols] == self.degs[self.dense, None]
         return out
 
-    def value_strings(self) -> list[list[str]]:
-        """Every value as a string, row by row: str(self.value(i, j)).
+    def value_strings(self, cols=slice(None)) -> list[list[str]]:
+        """The values at the classes cols (an index array, all k by default)
+        as strings, row by row: str(self.value(i, j)) for j in cols.
 
         A p-group table takes few distinct values (G_(14,3) at p = 5 has
         76 in 555,025 entries), so each entry gets an int64 key for its
@@ -295,21 +298,23 @@ class CharacterTable:
         is formatted once.  A unity or central-type entry d zeta_e^t has
         key i (e + 1) + t, with i the index of d in cd_set() and t = e
         standing for a 0; a dense entry has one key past those per
-        distinct multiplicity vector of the dense block.  The keys are
-        turned into strings one row at a time, which keeps the list of
-        Python ints of a whole key matrix out of memory."""
+        distinct multiplicity vector of the dense block at cols, read from
+        one class-major copy of it.  The keys are turned into strings one
+        row at a time, which keeps the list of Python ints of a whole key
+        matrix out of memory."""
         e, n_lin = self.exponent, len(self.lin_t)
         cd = self.cd_set()
-        key = np.empty((self.count, self.classes.count), dtype=np.int64)
-        key[:n_lin] = self.lin_t @ self.digits % e  # degree 1 is index 0
+        digits = self.digits[:, cols]
+        key = np.empty((self.count, digits.shape[1]), dtype=np.int64)
+        key[:n_lin] = self.lin_t @ digits % e  # degree 1 is index 0
         nonlin = key[n_lin:]
         at = np.searchsorted(cd, self.degs[~self.dense])
-        cexp = self.cexp.astype(np.int64)  # t = e need not fit cexp's dtype
+        cexp = self.cexp[:, cols].astype(np.int64)  # t = e need not fit cexp's dtype
         nonlin[~self.dense] = at[:, None] * (e + 1) + np.where(cexp < 0, e, cexp)
         span = len(cd) * (e + 1)
-        vecs = self.mults.reshape(-1, e)
+        vecs = self.mults[:, :, cols].transpose(0, 2, 1).reshape(-1, e)
         _, first, inv = np.unique(_row_keys(vecs), return_index=True, return_inverse=True)
-        nonlin[self.dense] = span + inv.reshape(self.mults.shape[:2])
+        nonlin[self.dense] = span + inv.reshape(len(self.mults), key.shape[1])
 
         def formatted(x: int) -> str:
             if x >= span:
@@ -861,13 +866,13 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
             Mrows = blk.restrict_rows(Arows[slot[blk.basepoints[J_union]], :], q)
             still = []
             for C, J in subspaces:
-                S = C @ Mrows[np.searchsorted(J_union, J), :].T % q  # (d, d): coords of images
+                S = _matmul_mod(C, Mrows[np.searchsorted(J_union, J), :].T, q)  # (d, d): images
                 if (S == np.diag(np.full(S.shape[0], S[0, 0]))).all():
                     still.append((C, J))  # scalar action, no refinement here
                     continue
                 progressed = True
                 for piece in eigenspaces(S, q):
-                    Cnew = piece @ C % q
+                    Cnew = _matmul_mod(piece, C, q)
                     if piece.shape[0] == 1:
                         finals.append(blk.expand(Cnew[0], k, q))
                         owners.append(i)
@@ -911,16 +916,17 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     (_certify): a row whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| vanishes off H.  Those rows keep
     their rows of geo_t as the block cexp.  The rows left over are stored
-    dense, in one (rows, k, e) block mults of _mult_dtype of their largest
+    dense, in one (rows, e, k) block mults of _mult_dtype of their largest
     degree, whose dtype is fixed before the first store.  Of each orbit of
     sigma_s (s = _galois_unit(e)) on them, only the first takes
     _orbit_dft_mults at every class, which writes into the block and
     checks the range [0, d] first.  The mod-q row of sigma_s chi is that of
     chi gathered by the power map pi_s, chi(g^s), which matches each row to
     its image, and as sigma_s chi = sum_u m_u zeta^(us), the image's
-    multiplicity at u is chi's at u s^-1; the gathers too write into the
-    block.  The block then takes the sum check, and compute_table compares
-    every row with its mod-q row.
+    multiplicity at u is chi's at u s^-1: the gathers too write into the
+    block, each a gather of whole class slices along its exponent axis.
+    The block then takes the sum check over that axis, and compute_table
+    compares every row with its mod-q row.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -939,7 +945,7 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
         geo_t, central = np.zeros((0, k), dtype=np.min_scalar_type(-e)), np.zeros(0, dtype=bool)
     left = np.flatnonzero(~central)
     d_left = degs[left]
-    block = np.zeros((left.size, k, e), dtype=_mult_dtype(int(d_left.max(initial=0))))
+    block = np.zeros((left.size, e, k), dtype=_mult_dtype(int(d_left.max(initial=0))))
     if left.size:
         # match each row's sigma_s image, its columns gathered by pi_s, to
         # its row on the columns of _separating_prefix (the rows are
@@ -963,9 +969,9 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
         while at.size:
             nxt = image[at]
             keep = np.flatnonzero(~leader[nxt])
-            block[nxt[keep]] = block[at[keep]][:, :, u_from]
+            block[nxt[keep]] = block[at[keep]][:, u_from]
             at = nxt[keep]
-    if (block.sum(axis=2, dtype=np.int64) != d_left[:, None]).any():
+    if (block.sum(axis=1, dtype=np.int64) != d_left[:, None]).any():
         raise TableVerificationError("multiplicities do not sum to the degree")
     return _read_only(~central), _read_only(geo_t[central]), _read_only(block)
 
@@ -1022,7 +1028,7 @@ def _certify(G, cls, e, q, dlog, T, degs):
 def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray) -> None:
     """Eigenvalue multiplicities of the mod-q rows Trows at power's columns,
     Dixon's recovery, written into the rows dest of out, an array of shape
-    (., columns, e) that holds 0 at every exponent.  The second axis of out
+    (., e, columns) that holds 0 at every exponent.  The last axis of out
     is indexed by the position among power's columns, which are all k
     classes in _lift_rows.
 
@@ -1032,15 +1038,18 @@ def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray
     mod q with z_m = z^(e/m) = zpow[e/m], is mult_u mod q, which is mult_u
     itself whenever 0 <= mult_u <= chi(1) < q.  A residue above the degree
     chi(1) = Trows[:, 0] raises before it is stored, so a narrow out never
-    wraps one.  It is written at exponent u e/m; every other exponent has
+    wraps one.  It is written at exponent u e/m, the strided slice
+    out[:, ::e/m], through a copy of the chunk's rows of out (a three-index
+    scatter took three times as long); every other exponent has
     multiplicity 0.
     The classes are batched by element order, with one m x m DFT matrix
-    per order m, and the rows in chunks of about 5 * 10^5 gathered entries
-    (4 MB of int64; the product and its reductions take a few arrays of
-    that size).  The integer sums are exact in int64: each of the m terms
-    is below (q-1)^2, and m (q-1)^2 <= e (q-1)^2 < 2^63 (at e = 2401,
-    q = 14407, the bound is 5.0e11), which is checked before the first
-    product."""
+    per order m, 1/m folded in, and the rows in chunks of about 5 * 10^5
+    gathered entries (4 MB of int64).  The gather and the product are the
+    only two arrays of that size alive at once: the product is reduced in
+    place and dropped before the next chunk's.  The integer sums are exact
+    in int64: each of the m terms is below (q-1)^2, and
+    m (q-1)^2 <= e (q-1)^2 < 2^63 (at e = 2401, q = 14407, the bound is
+    5.0e11), which is checked before the first product."""
     if e * (q - 1) ** 2 >= 2**63:
         raise TableVerificationError("e (q-1)^2 exceeds the int64 range")
     R = Trows.shape[0]
@@ -1049,16 +1058,17 @@ def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray
         orbits = power.mat[:m, at]  # (m, n): class of rep^s
         s = np.arange(m)
         stride = e // m
-        dft = zpow[np.outer(s, -s) * stride % e]  # dft[u, s] = z_m^(-us)
-        inv_m = pow(m, q - 2, q)
+        dft = zpow[np.outer(s, -s) * stride % e] * pow(m, q - 2, q) % q  # z_m^(-us) / m
         chunk = max(1, 500_000 // (m * at.size))
         for r0 in range(0, R, chunk):
-            V = Trows[r0:r0 + chunk][:, orbits]  # (c, m, n)
-            mults = np.einsum("us,csn->cun", dft, V) % q * inv_m % q
+            mults = np.einsum("us,csn->cun", dft, Trows[r0:r0 + chunk][:, orbits])  # (c, m, n)
+            mults %= q
             if (mults > Trows[r0:r0 + chunk, 0, None, None]).any():
                 raise TableVerificationError("multiplicity outside [0, degree]")
-            out[dest[r0:r0 + chunk, None, None], at[:, None], s * stride] = (
-                mults.transpose(0, 2, 1))
+            rows = out[dest[r0:r0 + chunk]]
+            rows[:, ::stride][:, :, at] = mults
+            out[dest[r0:r0 + chunk]] = rows
+            del mults, rows  # before the next chunk's product
 
 
 def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np.ndarray:
@@ -1193,7 +1203,7 @@ def _verify_table(T: CharacterTable) -> None:
     homomorphism (_verify_linear_rows), and no non-linear row of degree 1;
     central-type exponents a (rows, k) block C of signed integers in
     [-1, e), not -1 at the identity, and dense multiplicities a
-    (rows, k, e) block D of integers in [0, d] summing to d
+    (rows, e, k) block D of integers in [0, d] summing to d
     (_verify_blocks).  So every value of a degree-d row is d zeta_e^t or 0
     (central-type) or a sum of d roots of unity (dense), and
     |sigma(chi(g))| <= d under every embedding sigma of Q(zeta_e).
@@ -1324,9 +1334,10 @@ def _verify_table(T: CharacterTable) -> None:
 def _verify_blocks(T: CharacterTable) -> None:
     """The shapes and ranges of the non-linear blocks, read in place: cexp a
     (rows, k) block of signed integers in [-1, e), -1 (the value 0) nowhere
-    at the identity class; mults a (rows, k, e) block of integers in [0, d]
-    that sum to d at every class, d the row's degree.  Nothing is cast, so
-    no value outside its range is wrapped into a narrower dtype."""
+    at the identity class; mults a (rows, e, k) block of integers in [0, d]
+    that sum to d over the exponent axis at every class, d the row's
+    degree.  Nothing is cast, so no value outside its range is wrapped
+    into a narrower dtype."""
     k, e = T.classes.count, T.exponent
     C, D = T.cexp, T.mults
     if C.shape[1:] != (k,):
@@ -1337,14 +1348,14 @@ def _verify_blocks(T: CharacterTable) -> None:
         raise TableVerificationError("central-type exponent outside [-1, e)")
     if (C[:, 0] < 0).any():
         raise TableVerificationError("a central-type row is 0 at the identity class")
-    if D.shape[1:] != (k, e):
-        raise TableVerificationError("dense multiplicities are not a (k, e) array per row")
+    if D.shape[1:] != (e, k):
+        raise TableVerificationError("dense multiplicities are not an (e, k) array per row")
     if D.dtype.kind not in "ui":
         raise TableVerificationError("dense multiplicities are not integers")
     d = T.degs[T.dense]
     if D.size and (D.min() < 0 or (D > d[:, None, None]).any()):
         raise TableVerificationError("dense multiplicity outside [0, degree]")
-    if (D.sum(axis=2, dtype=np.int64) != d[:, None]).any():
+    if (D.sum(axis=1, dtype=np.int64) != d[:, None]).any():
         raise TableVerificationError("dense multiplicities do not sum to the degree")
 
 
@@ -1423,19 +1434,19 @@ def _verify_structural_pairs(T: CharacterTable, lin_t: np.ndarray) -> None:
         raise TableVerificationError("duplicate linear rows")
     e = T.exponent
     C, D = T.cexp, T.mults
-    n, k = D.shape[:2]
+    n, k = D.shape[0], D.shape[2]
     lead = T.degs[~T.dense].astype(">i8").view(np.uint8).reshape(-1, 8)
 
     def central_keys(M):
         return _sorted_rows(np.hstack([lead, M.view(np.uint8)]))
 
     keys_c = central_keys(C)
-    keys_d = _row_keys(D.reshape(n, k * e))
+    keys_d = _row_keys(D.reshape(n, e * k))
     by = np.argsort(keys_d)
     step = max(1, 2**22 // (k * e))
     for s in _unit_gens(e):
         img_c = np.append(np.arange(e) * s % e, -1).astype(C.dtype)[C]  # -1 stays -1
-        img_d = _row_keys(np.take(D, np.arange(e) * pow(s, -1, e) % e, axis=2).reshape(n, k * e))
+        img_d = _row_keys(np.take(D, np.arange(e) * pow(s, -1, e) % e, axis=1).reshape(n, e * k))
         img_d.sort()
         if ((central_keys(img_c) != keys_c).any()
                 or any((img_d[lo:lo + step] != keys_d[by[lo:lo + step]]).any()
@@ -1525,7 +1536,7 @@ class _PairPlan:
     classes of the orbits of <perms> on the classes, and weights[i] is
     |O| |K_j| at basepoint j of the orbit O.  C_at holds C's exponents at
     the basepoints, and D_at D's multiplicities there, in D's layout,
-    exponent last: D_at[r, i, u] = D[r, basepoints[i], u].  _residues
+    exponent-major: D_at[r, u, i] = D[r, u, basepoints[i]].  _residues
     reads the two blocks.  Each batch (rows, cols)
     holds the groups of one size n: rows[g] are the n rows of one central
     character, and cols[g] the basepoint positions where one of them is
@@ -1585,7 +1596,7 @@ def _pair_plan(T: CharacterTable) -> _PairPlan:
         if not np.array_equal(W[:, perms[a]], np.where(W < 0, -1, (W + cc[:, a, None]) % e)):
             raise TableVerificationError("a central-type row has no central character")
     n_d = D.shape[0]
-    deg_d = D[:, 0].sum(axis=1, dtype=np.int64)  # each class's multiplicities sum to d
+    deg_d = D[:, :, 0].sum(axis=1, dtype=np.int64)  # each class's multiplicities sum to d
     cd = _dense_center_exponents(D, deg_d, perms, zcls) if n_d else np.zeros((0, m), np.int64)
 
     chars = np.concatenate([cc, cd])
@@ -1612,7 +1623,7 @@ def _pair_plan(T: CharacterTable) -> _PairPlan:
         lab = nxt
     bp = np.flatnonzero(lab == ar)
     C_at = C[:, bp]
-    D_at = np.take(D, bp, axis=1)
+    D_at = np.take(D, bp, axis=2)
     at = np.r_[np.flatnonzero(~T.dense), np.flatnonzero(T.dense)]  # the plan's row order
     nonzero = T.nonzero_masks[np.ix_(at, bp)]
     batches, lo = [], 0
@@ -1634,17 +1645,17 @@ def _dense_center_exponents(D: np.ndarray, deg: np.ndarray, perms: np.ndarray,
     rows of D (degrees deg) at the classes zcls of the b_a, once each row
     is checked to be d at exactly one exponent there and to satisfy
     m[perms[a, j], u + c] = m[j, u] at every class j (_pair_plan)."""
-    n_d, k, e = D.shape
-    Dz = D[:, zcls]
-    if (Dz.max(axis=2) != deg[:, None]).any():
+    n_d, e, k = D.shape
+    Dz = D[:, :, zcls]
+    if (Dz.max(axis=1) != deg[:, None]).any():
         raise TableVerificationError("a dense row is not d times a root of unity on Z(G)")
-    cd = Dz.argmax(axis=2)
-    flat = D.reshape(n_d, k * e)
+    cd = Dz.argmax(axis=1)
+    flat = D.reshape(n_d, e * k)
     u = np.arange(e)
     step = max(1, 2**22 // (k * e))
     for code in sorted(set((cd + e * np.arange(len(zcls))).ravel().tolist())):
         a, c = divmod(code, e)
-        at = (perms[a, :, None] * e + (u + c) % e).reshape(-1)  # (j, u) -> (j b_a, u + c)
+        at = (((u + c) % e * k)[:, None] + perms[a]).reshape(-1)  # (u, j) -> (u + c, j b_a)
         sel = np.flatnonzero(cd[:, a] == c)
         for lo in range(0, sel.size, step):
             rows = flat[sel[lo:lo + step]]
@@ -1656,33 +1667,33 @@ def _dense_center_exponents(D: np.ndarray, deg: np.ndarray, perms: np.ndarray,
 def _residues(deg: np.ndarray, C: np.ndarray, D: np.ndarray, zp: np.ndarray,
               qq: int) -> np.ndarray:
     """The rows of C, central-type exponents, then those of D, dense
-    multiplicities (exponent last), of degrees deg, reduced at
+    multiplicities (rows, e, columns), of degrees deg, reduced at
     zeta_e -> z' in GF(qq).  zp[t] is z'^t mod qq; a zp of shape (e, w)
     holds w such maps as columns, and the pair check passes two, z'^t for
     the values and z'^-t for their conjugates.  The result has shape
     zp.shape[1:] + (rows, columns).  A central-type row reduces to d zp[t],
-    and to 0 where C holds -1; a dense row to sum_u D[r, j, u] zp[u], one
-    exponent-first float64 product per chunk of at most 2^18
-    multiply-adds, which OpenBLAS keeps on one thread (_group_products says
-    why that matters).  Each sum has e terms of at most d_max (qq - 1),
-    exact while e d_max (qq - 1) < 2^53 for the largest dense degree d_max,
-    which is checked.  compute_table's mod-q check, _coset_sums and the
-    pair check's basepoint residues all read the blocks here."""
+    and to 0 where C holds -1; a dense row to sum_u D[r, u, j] zp[u]: the
+    rows go through np.matmul as a stack of (e, columns) matrices, read in
+    place, in float64, in chunks of at most 2^18 multiply-adds, which
+    OpenBLAS keeps on one thread (_group_products says why that matters).
+    Each sum has e terms of at most d_max (qq - 1), exact while
+    e d_max (qq - 1) < 2^53 for the largest dense degree d_max, which is
+    checked.  compute_table's mod-q check, _coset_sums and the pair
+    check's basepoint residues all read the blocks here."""
     e = zp.shape[0]
     n_c = C.shape[0]
     if e * int(deg[n_c:].max(initial=0)) * (qq - 1) >= 2**53:
         raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
     zt = zp.T  # exponent last
-    R = np.empty(zt.shape[:-1] + (deg.size, C.shape[1]), dtype=np.int64)
+    cols = C.shape[1]
+    R = np.empty(zt.shape[:-1] + (deg.size, cols), dtype=np.int64)
     tab = np.concatenate([zt, np.zeros(zt.shape[:-1] + (1,), dtype=zt.dtype)], axis=-1)
     R[..., :n_c, :] = tab[..., C] * deg[:n_c, None] % qq  # C's -1 reads the appended 0
-    # the dense rows of R, a view, as R's last two axes are contiguous
-    res = R[..., n_c:, :].reshape(zt.shape[:-1] + (-1,))
-    flat = D.reshape(-1, e)
+    res = R[..., n_c:, :]
     zf = zt.astype(np.float64)
-    step = max(1, 2**18 // zp.size)
-    for lo in range(0, flat.shape[0], step):
-        res[..., lo:lo + step] = zf @ flat[lo:lo + step].T
+    step = max(1, 2**18 // (zp.size * cols))
+    for lo in range(0, D.shape[0], step):  # (w, e) @ (c, e, cols) is (c, w, cols)
+        res[..., lo:lo + step, :] = np.moveaxis(zf @ D[lo:lo + step], 0, -2)
     res %= qq
     return R
 

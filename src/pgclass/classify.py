@@ -216,14 +216,15 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     TQ = table_of(Q.group)
 
     # parent class of each quotient class rep's section, once for all rows
-    at = TG.classes.classof[Q.section[Q.group.conjugacy_classes.reps]].tolist()
-    vals_G = TG.value_strings()
+    at = TG.classes.classof[Q.section[Q.group.conjugacy_classes.reps]]
+    vals_G = TG.value_strings(at)
     lift_targets = {}
     for gi in np.flatnonzero(TG.kernel_masks(N.mask[TG.classes.reps]).all(axis=1)).tolist():
-        key = tuple(vals_G[gi][j] for j in at)
+        key = tuple(vals_G[gi])
         if key in lift_targets:
             raise InternalInconsistencyError("two parent rows share lift values")
         lift_targets[key] = gi
+    del vals_G  # the keys hold the strings; drop the lists before the quotient's are made
     mismatches = []
     central_G, central_Q = is_central_type(TG), is_central_type(TQ)
     for qi, vals in enumerate(TQ.value_strings()):

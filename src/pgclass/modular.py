@@ -6,8 +6,9 @@ far below 2^31, so a product of two residues fits in 64 bits.
 
 eigenspaces splits a space under a matrix S from idempotents that are
 polynomials in S, with no elimination per eigenvalue.  Large products
-run in float64 BLAS while every partial sum stays an exact integer below
-2^53, the bound _group_products in chartable.py checks for its primes q'.
+run in float64 BLAS, in blocks that OpenBLAS keeps on one thread, while
+every partial sum stays an exact integer below 2^53, the bound
+_group_products in chartable.py checks for its primes q'.
 """
 
 from __future__ import annotations
@@ -111,14 +112,26 @@ def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """A @ B mod q for residue matrices with inner dimension n.  A product
-    of at least 2^18 multiply-adds runs in float64 BLAS when
-    n (q-1)^2 < 2^53, so every partial sum is an exact integer; smaller
-    ones, which OpenBLAS would keep on one thread, stay in int64."""
-    n = A.shape[-1]
-    if A.size * B.shape[-1] >= 2**18 and n * (q - 1) ** 2 < 2**53:
-        return (A.astype(np.float64) @ B.astype(np.float64) % q).astype(np.int64)
-    return A @ B % q
+    """A @ B mod q for residue matrices with inner dimension n, A of one or
+    two dimensions.  A product of at least 2^18 multiply-adds runs in
+    float64 BLAS when n (q-1)^2 < 2^53, so every partial sum is an exact
+    integer, in blocks of A's rows and B's columns of at most 2^18
+    multiply-adds each, which OpenBLAS keeps on one thread: after a
+    threaded product its threads spin for a while, which cost a
+    classification of an order-7^6 group more CPU time than the product.
+    Smaller products stay in int64."""
+    n, w = A.shape[-1], B.shape[-1]
+    if A.size * w < 2**18 or n * (q - 1) ** 2 >= 2**53:
+        return A @ B % q
+    A2 = A.reshape(-1, n).astype(np.float64)
+    Bf = B.astype(np.float64)
+    out = np.empty((A2.shape[0], w), dtype=np.int64)
+    rc = max(1, 2**18 // (n * w))
+    cc = max(1, 2**18 // (rc * n))
+    for r0 in range(0, A2.shape[0], rc):
+        for c0 in range(0, w, cc):
+            out[r0:r0 + rc, c0:c0 + cc] = A2[r0:r0 + rc] @ Bf[:, c0:c0 + cc] % q
+    return out.reshape(A.shape[:-1] + (w,))
 
 
 def minimal_polynomial(S: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:

@@ -63,10 +63,10 @@ def class_constants(C):
 
 def row_mod_q(r, q, zpow):
     """Row r reduced mod q at zeta_e -> zpow[1]: d zpow[t] at each exponent
-    t of a unity or central row (0 at -1), and mults @ zpow for a dense
+    t of a unity or central row (0 at -1), and zpow @ mults for a dense
     row."""
     if r.kind == "dense":
-        return r.mults.astype(np.int64) @ zpow % q
+        return zpow @ r.mults.astype(np.int64) % q
     return r.degree * np.append(zpow, 0)[r.texp] % q
 
 
@@ -413,7 +413,9 @@ def test_value_strings_match_values_at_every_entry(label):
     """Every entry of value_strings is str of its exact value: on a table
     with all three row kinds, whose dense rows share multiplicity vectors
     away from the identity class; on an abelian table, whose central-type
-    and dense blocks are empty; and on central-type rows with e = 128."""
+    and dense blocks are empty; and on central-type rows with e = 128.
+    value_strings(cols) gives the same strings at the classes cols alone,
+    taken in any order."""
     if label == "modular_2_8":
         T = table_of(group_of(parse_presentation(MODULAR_2_8)))
         assert T.exponent == 128 and T.cexp.dtype == np.int8 and (T.cexp < 0).any()
@@ -422,11 +424,14 @@ def test_value_strings_match_values_at_every_entry(label):
     if label == "G_(20,1)":
         assert {r.kind for r in T.rows} == {"unity", "central", "dense"}
         seen = Counter(v for r in T.rows if r.kind == "dense"
-                       for v in set(_row_keys(r.mults[1:]).tolist()))
+                       for v in set(_row_keys(r.mults[:, 1:].T).tolist()))
         assert max(seen.values()) > 1
     elif label == "E_p3":
-        assert T.cexp.shape == (0, T.count) and T.mults.shape[:2] == (0, T.count)
-    assert T.value_strings() == reference_entries(T, lambda v, d: str(v)).tolist()
+        assert T.cexp.shape == (0, T.count) and T.mults.shape == (0, T.exponent, T.count)
+    want = reference_entries(T, lambda v, d: str(v))
+    assert T.value_strings() == want.tolist()
+    cols = np.arange(T.count)[::-7]
+    assert T.value_strings(cols) == want[:, cols].tolist()
 
 
 def test_to_json_formats_each_distinct_value_once(monkeypatch):
@@ -672,9 +677,9 @@ def test_table_guards_survive_optimize(run_optimized):
         "TD = ct.compute_table(pg.build('G_(20,1)', 5))\n"
         "def dense_moved(j):\n"
         "    D = TD.mults.copy()\n"
-        "    u = int(D[0, j].argmax())\n"
-        "    D[0, j, u] -= 1\n"
-        "    D[0, j, (u + 1) % 5] += 1\n"
+        "    u = int(D[0, :, j].argmax())\n"
+        "    D[0, u, j] -= 1\n"
+        "    D[0, (u + 1) % 5, j] += 1\n"
         "    ct._pair_plan(dataclasses.replace(TD, mults=D))\n"
         "def dense_center():\n"
         "    dense_moved(int(TD.classes.classof[TD.group.center.gens[0]]))\n"
@@ -1094,18 +1099,18 @@ def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
         m = r.mults
         while m.tobytes() not in orbit_of:
             orbit_of[m.tobytes()] = i
-            m = m[:, np.arange(e) * pow(s, -1, e) % e]
+            m = m[np.arange(e) * pow(s, -1, e) % e]
     orbit = [orbit_of[r.mults.tobytes()] for r in dense]
     (reps,) = seen
     at = [next(i for i, t in enumerate(Trows) if (t == row).all()) for row in reps]
     assert (len(dense), len(set(orbit))) == (200, 50)
     assert sorted(orbit[i] for i in at) == sorted(set(orbit))
     power = ct._PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
-    out = np.zeros((len(dense), cls.count, e), dtype=np.int64)
+    out = np.zeros((len(dense), e, cls.count), dtype=np.int64)
     dft(Trows, power, e, q, zpow, out, np.arange(len(dense)))
     assert (out == np.stack([r.mults for r in dense])).all()
     block = dense[0].mults.base
-    assert block.shape == (200, cls.count, e) and not block.flags.writeable
+    assert block.shape == (200, e, cls.count) and not block.flags.writeable
     for i, r in enumerate(dense):
         assert r.mults.dtype == np.uint8 and not r.mults.flags.writeable
         assert r.mults.base is block and np.shares_memory(r.mults, block)
@@ -1424,7 +1429,7 @@ def scalar_dft_mults(Trows, G, cls, e, q, z):
     (1/m) sum_s chi(rep^s) z_m^(-us) with z_m = z^(e/m), placed at exponent
     u e/m.  The rows are batched; the classes and the shifts u are not."""
     R, k = Trows.shape
-    out = np.zeros((R, k, e), dtype=np.int64)
+    out = np.zeros((R, e, k), dtype=np.int64)
     for j in range(k):
         rep = int(cls.reps[j])
         orb = [0]
@@ -1443,7 +1448,7 @@ def scalar_dft_mults(Trows, G, cls, e, q, z):
             for _ in range(m):
                 ws.append(cur)
                 cur = cur * wu % q
-            out[:, j, u * (e // m) % e] = f @ np.array(ws, dtype=np.int64) % q * inv_m % q
+            out[:, u * (e // m) % e, j] = f @ np.array(ws, dtype=np.int64) % q * inv_m % q
     return out
 
 
@@ -1463,7 +1468,7 @@ def test_orbit_dft_matches_scalar_dft(label, p):
     assert {r.kind for r in nl} == {"central", "dense"}
     Trows = np.stack([row_mod_q(r, q, zpow) for r in nl])
     power = _PowerData(G, cls, np.arange(cls.count, dtype=np.int64), e)
-    got = np.zeros((len(nl), cls.count, e), dtype=np.int64)
+    got = np.zeros((len(nl), e, cls.count), dtype=np.int64)
     _orbit_dft_mults(Trows, power, e, q, zpow, got, np.arange(len(nl)))
     want = scalar_dft_mults(Trows, G, cls, e, q, z)
     assert (got == want).all()
@@ -1518,9 +1523,9 @@ def _move_one_eigenvalue(r, j):
     never 0.  The copy is int64, so no narrow dtype of the table's block
     wraps."""
     m = np.array(r.mults, dtype=np.int64)
-    u = int(np.flatnonzero(m[j])[0])
-    m[j, u] -= 1
-    m[j, (u + 1) % r.e] += 1
+    u = int(np.flatnonzero(m[:, j])[0])
+    m[u, j] -= 1
+    m[(u + 1) % r.e, j] += 1
     return m
 
 
@@ -1531,7 +1536,7 @@ def reference_entries(T, f):
     out = np.empty((T.count, T.count), dtype=object)
     memo = {}
     for i, r in enumerate(T.rows):
-        data = r.mults if r.kind == "dense" else r.texp
+        data = r.mults.T if r.kind == "dense" else r.texp  # one entry per class
         for j in range(T.count):
             key = (r.degree, r.kind, data[j].tobytes())
             if key not in memo:
@@ -1670,8 +1675,8 @@ def test_verify_table_range_checks_dense_rows_before_narrowing(shift):
     i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
     m = np.array(T.rows[i].mults, dtype=np.int64)
     j = T.count // 2
-    u = int(np.flatnonzero(m[j])[0])
-    m[j, u] = {"-1": -1, "d+1": T.rows[i].degree + 1, "+256": m[j, u] + 256}[shift]
+    u = int(np.flatnonzero(m[:, j])[0])
+    m[u, j] = {"-1": -1, "d+1": T.rows[i].degree + 1, "+256": m[u, j] + 256}[shift]
     hacked = _with_block_row(T, i, m)
     assert hacked.mults.dtype == np.int64
     with pytest.raises(TableVerificationError, match=r"outside \[0, degree\]"):
@@ -1696,7 +1701,7 @@ def test_verify_table_rejects_galois_image(label, kind):
         if r.kind == "central":
             c = r.cexp.astype(np.int64)
             return np.where(c >= 0, c * s % e, -1).astype(r.cexp.dtype)
-        return np.asarray(r.mults)[:, np.arange(e) * pow(s, -1, e) % e]
+        return np.asarray(r.mults)[np.arange(e) * pow(s, -1, e) % e]
 
     def galois(x):
         return Cyclotomic(x.order, {t * s % x.order: c for t, c in x.coeffs.items()})
@@ -1712,16 +1717,16 @@ def test_verify_table_rejects_galois_image(label, kind):
 
 
 def _mults_of(r, e):
-    """Row r's multiplicities as an int64 (k, e) array.  A central-type row
+    """Row r's multiplicities as an int64 (e, k) array.  A central-type row
     has d at its exponent on the support and d / e at every exponent off
     it, where the value is 0 (e must divide d)."""
     if r.kind == "dense":
         return np.array(r.mults, dtype=np.int64)
     assert r.degree % e == 0
-    m = np.full((r.k, e), r.degree // e, dtype=np.int64)
+    m = np.full((e, r.k), r.degree // e, dtype=np.int64)
     support = np.flatnonzero(r.cexp >= 0)
-    m[support] = 0
-    m[support, r.cexp[support]] = r.degree
+    m[:, support] = 0
+    m[r.cexp[support], support] = r.degree
     return m
 
 
@@ -1743,9 +1748,9 @@ def _with_galois_orbit(T, i, mults):
     while not any(np.array_equal(m, o) for o in orbit):
         orbit.append(m)
         b = next(b for b, x in stored.items() if np.array_equal(x, m))
-        assert (new >= 0).all() and (new.sum(axis=1) == T.rows[b].degree).all()
+        assert (new >= 0).all() and (new.sum(axis=0) == T.rows[b].degree).all()
         new_rows[b] = new
-        m, new = m[:, image], new[:, image]
+        m, new = m[image], new[image]
     n_lin = len(T.lin_t)
     nonlin = T.rows[n_lin:]
     dense = T.dense | np.isin(np.arange(len(nonlin)) + n_lin, list(new_rows))
@@ -1754,7 +1759,7 @@ def _with_galois_orbit(T, i, mults):
              if d]
     return _replace(T, dense=dense,
                     cexp=np.array(cexp, dtype=T.cexp.dtype).reshape(-1, T.count),
-                    mults=np.array(mults, dtype=np.int64).reshape(-1, T.count, e))
+                    mults=np.array(mults, dtype=np.int64).reshape(-1, e, T.count))
 
 
 def _center_orbit(T, j):
@@ -1776,10 +1781,10 @@ def _center_orbit(T, j):
 
 def _center_exponents(T, m):
     """The exponents c_a of the central character of a row with
-    multiplicities m (k, e) at the chain generators b_a of Z(G), where the
+    multiplicities m (e, k) at the chain generators b_a of Z(G), where the
     row is d zeta_e^c_a."""
     G = T.group
-    return m[T.classes.classof[list(G.center.gens)]].argmax(axis=1)
+    return m[:, T.classes.classof[list(G.center.gens)]].argmax(axis=0)
 
 
 def _twist(T, j, c):
@@ -1807,7 +1812,7 @@ def _change_center_orbits(T, i, deltas):
     c = _center_exponents(T, m)
     for j, delta in deltas.items():
         for y, t in _twist(T, j, c).items():
-            m[y] += np.roll(delta, t)
+            m[:, y] += np.roll(delta, t)
     return m
 
 
@@ -1873,7 +1878,7 @@ def test_gram_block_rejects_a_change_the_coset_sums_miss():
     m = np.asarray(T.rows[i].mults)
     c = _center_exponents(T, m)
     j = next(j for j in range(T.count) if j not in center and _twist(T, j, c) is not None)
-    u = int(m[j].argmax())
+    u = int(m[:, j].argmax())
     delta = np.zeros(e, dtype=np.int64)
     delta[u], delta[(u + 1) % e] = -1, 1
     hacked = _with_galois_orbit(T, i, _change_center_orbits(T, i, {j: delta}))
@@ -1905,7 +1910,7 @@ def test_one_class_change_breaks_the_central_character(label):
     assert _center_exponents(T, _mults_of(T.rows[i], e)).any()
     j = int(np.flatnonzero(~T.nonzero_masks[i - len(T.lin_t)])[0])
     m = _mults_of(T.rows[i], e)
-    m[j] += np.r_[p - 1, np.full(e - 1, -1)]
+    m[:, j] += np.r_[p - 1, np.full(e - 1, -1)]
     hacked = _with_galois_orbit(T, i, m)
     assert hacked.value(i, j) == p
     with pytest.raises(TableVerificationError, match="^a dense row has no central character$"):
@@ -1925,9 +1930,9 @@ def test_dense_row_must_be_a_root_of_unity_times_d_on_the_center(label):
     i = next(i for i, r in enumerate(T.rows) if r.kind == "dense")
     b = int(T.classes.classof[T.group.center.gens[0]])
     m = _mults_of(T.rows[i], e)
-    u = int(m[b].argmax())
-    m[b, u] -= 1
-    m[b, (u + 1) % e] += 1
+    u = int(m[:, b].argmax())
+    m[u, b] -= 1
+    m[(u + 1) % e, b] += 1
     with pytest.raises(TableVerificationError,
                        match="^a dense row is not d times a root of unity on Z\\(G\\)$"):
         _verify_table(_with_galois_orbit(T, i, m))
@@ -2114,6 +2119,30 @@ def test_verify_table_refuses_malformed_central_exponents(wrong, message):
         _verify_table(_replace(T, cexp=C))
 
 
+def test_dense_block_is_exponent_major():
+    """The dense block of G_(19,1)@5 is one C-contiguous (rows, e, k)
+    array, and each dense row's mults is a read-only (e, k) view of it, so
+    a row's slice at one exponent is contiguous over the classes.  The same
+    block handed in the (rows, k, e) order, on this table where k != e, is
+    refused by the shape check."""
+    from pgclass.chartable import _verify_table
+
+    T = table("G_(19,1)", 5)
+    k, e = T.count, T.exponent
+    assert k != e
+    D = T.mults
+    assert D.shape == (np.count_nonzero(T.dense), e, k) and D.flags.c_contiguous
+    dense = [r for r in T.rows if r.kind == "dense"]
+    for i, r in enumerate(dense):
+        assert r.mults.shape == (e, k) and r.mults.flags.c_contiguous
+        assert r.mults.base is D and not r.mults.flags.writeable
+        assert np.shares_memory(r.mults, D[i])
+    old = np.ascontiguousarray(D.transpose(0, 2, 1))
+    with pytest.raises(TableVerificationError,
+                       match=r"^dense multiplicities are not an \(e, k\) array per row$"):
+        _verify_table(_replace(T, mults=old))
+
+
 @pytest.mark.parametrize("wrong, message", [
     ("repeat", "not a permutation of the classes"),
     ("swap", "changes a class size"),
@@ -2206,26 +2235,26 @@ def full_tensor_pair_values(T, dense):
     coefficient of zeta_e^tau in |G| <chi_a, chi_b>
     = sum_j |K_j| chi_a(g_j) conj chi_b(g_j) for every dense row a and
     every row b, summed over all k classes, with one np.roll of the
-    (dense, k, e) tensor per shift."""
+    (dense, e, k) tensor per shift."""
     k, e = T.count, T.exponent
 
     def row_tensor(rows):
-        out = np.zeros((len(rows), k, e), dtype=np.float64)
+        out = np.zeros((len(rows), e, k), dtype=np.float64)
         for i, r in enumerate(rows):
             if r.kind == "unity":
-                out[i, np.arange(k), np.asarray(r.texp) % e] = 1.0
+                out[i, np.asarray(r.texp) % e, np.arange(k)] = 1.0
             elif r.kind == "central":
                 support = np.flatnonzero(r.cexp >= 0)
-                out[i, support, r.cexp[support]] = float(r.degree)
+                out[i, r.cexp[support], support] = float(r.degree)
             else:
                 out[i] = r.mults
         return out
 
-    A = row_tensor(dense) * T.classes.sizes.astype(np.float64)[None, :, None]
+    A = row_tensor(dense) * T.classes.sizes.astype(np.float64)
     B = row_tensor(T.rows).reshape(T.count, -1)
     c = np.empty((e, len(dense), T.count), dtype=np.int64)
     for tau in range(e):
-        c[tau] = np.rint(np.roll(A, -tau, axis=2).reshape(len(dense), -1) @ B.T)
+        c[tau] = np.rint(np.roll(A, -tau, axis=1).reshape(len(dense), -1) @ B.T)
     return np.moveaxis(c, 0, -1)
 
 
@@ -2326,7 +2355,7 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
     sums diag[j] = sum over nonlin of |chi(g_j)|^2.  zeta_e^t reduces to
     zp[t] and its conjugate to zp[-t], so a central-type row to
     d zp[cexp] on its support, and the dense rows, the rows of D in their
-    order in nonlin, to D @ zp, in int64.  The float64 product adds k
+    order in nonlin, to zp @ D, in int64.  The float64 product adds k
     terms below (qq-1)^2: exact while k (qq-1)^2 < 2^53, which holds at
     every check prime.  This is the check the verifier made before it
     grouped the rows by central character."""
@@ -2346,8 +2375,8 @@ def reference_gram_mod(T, cosets, nonlin, qq, zp, D):
             R[i, support], Rc[i, support] = vals[:, 0], vals[:, 1]
         else:
             dense.append(i)
-    res = np.asarray(D, dtype=np.int64) @ both % qq
-    R[dense], Rc[dense] = res[..., 0], res[..., 1]
+    res = both.T @ np.asarray(D, dtype=np.int64) % qq  # (rows, 2, k)
+    R[dense], Rc[dense] = res[:, 0], res[:, 1]
     diag = (R * Rc % qq).sum(axis=0) % qq
     R = R * (cls.sizes % qq) % qq  # now |K_j| chi_a(g_j)
     by = np.argsort(cosets, kind="stable")
