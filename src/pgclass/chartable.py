@@ -769,7 +769,8 @@ def _orbit_leaders(img: np.ndarray) -> np.ndarray:
 
 def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     """Stage 4: refine the central blocks until every subspace is a line,
-    and return the eigenvectors of the non-linear rows.
+    and return the eigenvectors of the non-linear rows, one per row of a
+    (rows, k) int64 array.
 
     The block of a central character first sheds the span of its linear
     rows (exponents lin_t at the pc generators, so lin_t @ digits at the
@@ -783,10 +784,12 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     order (one combination separates everything the pool can separate,
     and growing the pool recruits more class matrices, so the recursion
     on unsplit subspaces terminates), and modular.eigenspaces splits.
-    Subspace bases stay in reduced row echelon form over the block's orbit
-    coordinates, so restricting the action to a subspace is a sample of
-    the block action at the pivot columns; a round therefore needs only
-    the combination's rows at the pivot basepoints.  _combination_rows
+    The unsplit subspaces form one flat list of (block position, C, J):
+    the basis C stays in reduced row echelon form over the block's orbit
+    coordinates, with pivots J, so restricting the action to a subspace is
+    a sample of the block action at the pivot columns; a round therefore
+    needs only the combination's rows at every subspace's pivot
+    basepoints, and restricts them subspace by subspace.  _combination_rows
     builds each such row from the structure-constant symmetry
     A_i[r, c] = |K_r| / |K_c| * #{x in K_i : x rep_r in K_c} with one
     right multiplication of the pool, dividing by |K_c| through
@@ -818,7 +821,7 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     leader = _orbit_leaders(image)
 
     finals, owners = [], []  # the eigenvectors and their blocks' positions
-    work = []  # per block: [position, [(C_rref, pivots), ...]]
+    subs = []  # the unsplit subspaces: (block position, C_rref, pivots)
     # one block per orbit, unless its linear rows fill it
     for i in np.flatnonzero(leader & (hi - lo < dims)).tolist():
         blk, members = blocks[i], by_key[lo[i]:hi[i]]
@@ -832,53 +835,42 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
             finals.append(blk.expand(C0[0], k, q))
             owners.append(i)
         else:
-            work.append([i, [(C0, J0)]])
+            subs.append((i, C0, J0))
 
     order_i = [i for i in np.lexsort((np.arange(k), cls.sizes)) if cls.sizes[i] > 1]
     rng = np.random.default_rng(0x5EED)
     pool_end = 0
     retries = 0
-    while True:
-        work = [w for w in work if w[1]]
-        if not work:
-            break
+    while subs:
         if pool_end < len(order_i):
             pool_end = min(max(2 * pool_end, 16), len(order_i))
         elif retries >= 4:
             raise TableVerificationError("eigenspace splitting did not complete")
         pool = order_i[:pool_end]
         weights = rng.integers(1, q, size=len(pool))
-        rows_needed = np.unique(
-            np.concatenate(
-                [blocks[i].basepoints[np.concatenate([J for _, J in subs])]
-                 for i, subs in work]
-            )
-        )
+        rows_needed = np.unique(np.concatenate([blocks[i].basepoints[J] for i, _, J in subs]))
         Arows = _combination_rows(G, cls, rows_needed, pool, weights, q, inv_sizes)
         slot = np.full(k, -1, dtype=np.int64)
         slot[rows_needed] = np.arange(rows_needed.size)
 
         progressed = False
-        for entry in work:
-            i, subspaces = entry
+        still = []
+        for i, C, J in subs:
             blk = blocks[i]
-            J_union = np.unique(np.concatenate([J for _, J in subspaces]))
-            Mrows = blk.restrict_rows(Arows[slot[blk.basepoints[J_union]], :], q)
-            still = []
-            for C, J in subspaces:
-                S = _matmul_mod(C, Mrows[np.searchsorted(J_union, J), :].T, q)  # (d, d): images
-                if (S == np.diag(np.full(S.shape[0], S[0, 0]))).all():
-                    still.append((C, J))  # scalar action, no refinement here
-                    continue
-                progressed = True
-                for piece in eigenspaces(S, q):
-                    Cnew = _matmul_mod(piece, C, q)
-                    if piece.shape[0] == 1:
-                        finals.append(blk.expand(Cnew[0], k, q))
-                        owners.append(i)
-                    else:  # RREF times RREF is RREF, pivots J at the piece's pivots
-                        still.append((Cnew, J[(piece != 0).argmax(axis=1)]))
-            entry[1] = still
+            M = blk.restrict_rows(Arows[slot[blk.basepoints[J]]], q)
+            S = _matmul_mod(C, M.T, q)  # (d, d): images
+            if (S == np.diag(np.full(S.shape[0], S[0, 0]))).all():
+                still.append((i, C, J))  # scalar action, no refinement here
+                continue
+            progressed = True
+            for piece in eigenspaces(S, q):
+                Cnew = _matmul_mod(piece, C, q)
+                if piece.shape[0] == 1:
+                    finals.append(blk.expand(Cnew[0], k, q))
+                    owners.append(i)
+                else:  # RREF times RREF is RREF, pivots J at the piece's pivots
+                    still.append((i, Cnew, J[(piece != 0).argmax(axis=1)]))
+        subs = still
         if not progressed and pool_end >= len(order_i):
             retries += 1
 
@@ -892,7 +884,7 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
         nxt = image[own]
         keep = np.flatnonzero(~leader[nxt])
         if not keep.size:
-            return [w for W in out for w in W]
+            return np.concatenate(out)
         W, own = W[np.ix_(keep, blocks[0].power_map)], nxt[keep]
         for a, perm in enumerate(blocks[0].center_perms):
             if ((W[:, perm] - values[own, a, None] * W) % q).any():
@@ -1137,16 +1129,16 @@ def compute_table(P) -> CharacterTable:
     digits = _rep_digits(G, cls)
     lin_t, lin_keys = _linear_rows_data(G, zc)
     n_lin = lin_t.shape[0]
-    finals = []
+    W = np.zeros((0, k), dtype=np.int64)  # the eigenvectors of the non-linear rows
     if n_lin < k:
         blocks = _central_blocks(G, cls, zc, zpow)
-        finals = _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
-    if n_lin + len(finals) != k:
+        W = _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
+    if n_lin + W.shape[0] != k:
         raise TableVerificationError("wrong number of eigenvectors")
 
     # the non-linear rows mod q: normalise, then recover the degrees
     invclass = cls.classof[G.inverse_table[cls.reps]]
-    W = np.array(finals, dtype=np.int64).reshape(-1, k) % q
+    W %= q
     if (W[:, 0] == 0).any():
         raise TableVerificationError("eigenvector vanishes at the identity class")
     W = W * _invmod_arr(W[:, 0], q)[:, None] % q
@@ -1162,6 +1154,7 @@ def compute_table(P) -> CharacterTable:
     if (degs == 0).any():
         raise TableVerificationError("degree recovery failed")
     T = degs[:, None] * W % q * inv_sizes[None, :] % q
+    del W  # before the lift
     if (T[:, 0] != degs).any():
         raise TableVerificationError("first column differs from the degrees")
     if n_lin + int((degs.astype(object) ** 2).sum()) != G.order:
@@ -1185,6 +1178,7 @@ def compute_table(P) -> CharacterTable:
     at = np.r_[np.flatnonzero(~dense), np.flatnonzero(dense)]
     if (_residues(degs[at], cexp, mults, zpow, q) != T[at]).any():
         raise TableVerificationError("lifted row disagrees mod q")
+    del T  # before _verify_table
     _verify_table(table)
     return table
 

@@ -219,7 +219,7 @@ def check_lift_equivalence(P, N: Subgroup) -> list[int]:
     at = TG.classes.classof[Q.section[Q.group.conjugacy_classes.reps]]
     vals_G = TG.value_strings(at)
     lift_targets = {}
-    for gi in np.flatnonzero(TG.kernel_masks(N.mask[TG.classes.reps]).all(axis=1)).tolist():
+    for gi in np.flatnonzero(TG.kernel_masks(_class_mask(N, TG)).all(axis=1)).tolist():
         key = tuple(vals_G[gi])
         if key in lift_targets:
             raise InternalInconsistencyError("two parent rows share lift values")

@@ -46,7 +46,7 @@ quotient, and the relations of subgroup_as_group all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -543,7 +543,6 @@ class SubgroupGroup:
     group: Group
     presentation: PcPresentation
     to_parent: np.ndarray     # subgroup index -> parent index
-    from_parent: dict = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +626,7 @@ def subgroup_as_group(H: Subgroup) -> SubgroupGroup:
         raise InternalInconsistencyError("subgroup chain has a non-prime step")
     SP = _chain_presentation(G, index, f"{G.pres.name}|sub{H.order}",
                              (f"s{a + 1}" for a in range(index.m)))
-    to_parent = index.elems
-    from_parent = {int(g): s for s, g in enumerate(to_parent)}
-    return SubgroupGroup(parent=G, group=Group(SP), presentation=SP,
-                         to_parent=to_parent, from_parent=from_parent)
+    return SubgroupGroup(parent=G, group=Group(SP), presentation=SP, to_parent=index.elems)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import chartable, corpus, group, presentation
 from .chartable import table_of
 from .classify import (
     ClassificationReport,
+    _class_mask,
     check_lift_equivalence,
     check_nil_le_cd,
     check_special_degree,
@@ -286,7 +287,7 @@ def _check_camina_bijection(res, label, p, G, T, rep):
         res.skip("camina-bijection", label, p, "(G, Z(G)) is not a Camina pair")
         return
     Z = G.center
-    zmask = Z.mask[T.classes.reps]
+    zmask = _class_mask(Z, T)
     n_lin = len(T.lin_t)
     nontrivial = ~T.kernel_masks(zmask).all(axis=1)
     # a linear row has degree 1 < |G:Z|^(1/2), so none may be nontrivial
@@ -356,7 +357,7 @@ def _check_quotient_structure(res, primes):
             Gb = bb["group"]
             # central classes have one element each, so counting central
             # classes in the kernel counts central elements
-            zmask = Gb.center.mask[T.classes.reps]
+            zmask = _class_mask(Gb.center, T)
             meet = T.kernel_masks(zmask)[len(T.lin_t):].sum(axis=1)
             # each non-linear kernel needs a full C_p line: identity + more
             res.add("kernel-meets-center", label, p, bool((meet >= 2).all()))

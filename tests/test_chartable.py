@@ -767,12 +767,32 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
     split = ct._split_blocks
 
     def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
-        finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
-        finals[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q
-        return finals
+        W = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
+        W[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q
+        return W
 
     monkeypatch.setattr(ct, "_split_blocks", with_linear)
     with pytest.raises(TableVerificationError, match="non-linear eigenvector has degree 1"):
+        ct.compute_table(pg.build("heisenberg_p3", 3))
+
+
+def test_duplicate_split_rows_are_rejected(monkeypatch):
+    """_split_blocks returns one (rows, k) int64 array; with the second of
+    heisenberg_p3@3's two degree-3 eigenvectors overwritten by the first,
+    the degree, norm and degree-sum checks pass and the table fails as
+    having duplicate rows."""
+    import pgclass.chartable as ct
+
+    split = ct._split_blocks
+
+    def duplicated(G, cls, *args):
+        W = split(G, cls, *args)
+        assert W.dtype == np.int64 and W.shape == (2, cls.count)
+        W[1] = W[0]
+        return W
+
+    monkeypatch.setattr(ct, "_split_blocks", duplicated)
+    with pytest.raises(TableVerificationError, match="^duplicate character rows$"):
         ct.compute_table(pg.build("heisenberg_p3", 3))
 
 
@@ -859,7 +879,8 @@ def walked_central_blocks(G, cls, e, q, zpow):
         orbits.append(np.array(sorted(members), dtype=np.int64))
     lam_at = Tz @ np.stack(ZG.group.digit_arrays) % eZ
     scale = e // eZ
-    cent_zidx = [ZG.from_parent[int(cls.reps[c])] for c in np.flatnonzero(cls.sizes == 1)]
+    zidx = {int(g): s for s, g in enumerate(ZG.to_parent)}
+    cent_zidx = [zidx[int(cls.reps[c])] for c in np.flatnonzero(cls.sizes == 1)]
     blocks = {}
     for vals in lam_at:
         vectors = {_orbit_vector(O, zpow[(-vals[transv[O]] * scale) % e], q)
