@@ -288,20 +288,22 @@ class CharacterTable:
         nonlin[self.dense] = self.mults[:, 0, cols] == self.degs[self.dense, None]
         return out
 
-    def value_strings(self, cols=slice(None)) -> list[list[str]]:
-        """The values at the classes cols (an index array, all k by default)
-        as strings, row by row: str(self.value(i, j)) for j in cols.
+    def value_keys(self, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(key, strs): the values at the classes cols (an index array, all
+        k by default) as a (rows, |cols|) array key of indices into strs,
+        an object array of the distinct strings that occur, so that
+        strs[key[i, j]] is str(self.value(i, cols[j])).  key takes the
+        narrowest unsigned dtype that indexes strs.
 
         A p-group table takes few distinct values (G_(14,3) at p = 5 has
-        76 in 555,025 entries), so each entry gets an int64 key for its
-        stored exact value, which fixes the value, and each key that occurs
-        is formatted once.  A unity or central-type entry d zeta_e^t has
-        key i (e + 1) + t, with i the index of d in cd_set() and t = e
-        standing for a 0; a dense entry has one key past those per
-        distinct multiplicity vector of the dense block at cols, read from
-        one class-major copy of it.  The keys are turned into strings one
-        row at a time, which keeps the list of Python ints of a whole key
-        matrix out of memory."""
+        76 in 555,025 entries), so each entry first gets an int64 key for
+        its stored exact value, which fixes the value, and each key that
+        occurs is formatted once.  A unity or central-type entry d zeta_e^t
+        has key i (e + 1) + t, with i the index of d in cd_set() and t = e
+        standing for a 0; a dense entry has one key past those per distinct
+        multiplicity vector of the dense block at cols, read from one
+        class-major copy of it.  Keys whose strings coincide (a 0 of each
+        degree, say) are then merged, so no string occurs twice in strs."""
         e, n_lin = self.exponent, len(self.lin_t)
         cd = self.cd_set()
         digits = self.digits[:, cols]
@@ -323,11 +325,25 @@ class CharacterTable:
             return str(_scaled_root(cd[i], e, t if t < e else -1))
 
         used = np.flatnonzero(np.bincount(key.reshape(-1), minlength=span + len(first)))
-        strs = np.empty(span + len(first), dtype=object)
-        strs[used] = [formatted(x) for x in used.tolist()]
+        index: dict[str, int] = {}
+        slot = np.empty(span + len(first), dtype=np.min_scalar_type(used.size))
+        slot[used] = [index.setdefault(formatted(x), len(index)) for x in used.tolist()]
+        strs = np.empty(len(index), dtype=object)
+        strs[:] = list(index)
+        return slot[key], strs
+
+    def value_strings(self, cols=slice(None)) -> list[list[str]]:
+        """The values at the classes cols (an index array, all k by default)
+        as strings, row by row: str(self.value(i, j)) for j in cols, read
+        from value_keys(cols) one row at a time, which keeps the list of
+        Python ints of a whole key matrix out of memory."""
+        key, strs = self.value_keys(cols)
         return [strs[row].tolist() for row in key]
 
-    def to_json(self) -> dict:
+    def json_header(self) -> dict:
+        """to_json's fields other than "rows": the group, its order and
+        prime, the table's field prime and exponent, and each class's rep
+        (its normal-form exponents, the table's digits) and size."""
         G = self.group
         return {
             "group": G.pres.name,
@@ -335,13 +351,13 @@ class CharacterTable:
             "prime": G.p,
             "field_prime": self.field_prime,
             "exponent": self.exponent,
-            "classes": [
-                {
-                    "rep": list(G.element_of(int(r)).exps),
-                    "size": int(s),
-                }
-                for r, s in zip(self.classes.reps, self.classes.sizes)
-            ],
+            "classes": [{"rep": rep, "size": size} for rep, size
+                        in zip(self.digits.T.tolist(), self.classes.sizes.tolist())],
+        }
+
+    def to_json(self) -> dict:
+        return {
+            **self.json_header(),
             "rows": [
                 {"degree": d, "values": vals}
                 for d, vals in zip(self.degrees(), self.value_strings())
@@ -1390,9 +1406,17 @@ def _verify_linear_rows(T: CharacterTable) -> np.ndarray:
 
 
 def _row_keys(M: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array as void scalars, which compare as bytes."""
+    """The rows of a 2-d array as keys that sort and compare as the rows'
+    bytes do.  A row of 1 to 8 bytes is one big-endian uint64, zero-padded
+    on the left, which numpy sorts as an integer; a row of any other width
+    is a void scalar, which numpy compares byte by byte."""
     M = np.ascontiguousarray(M)
-    return M.view(np.dtype((np.void, M.dtype.itemsize * M.shape[1]))).reshape(-1)
+    width = M.dtype.itemsize * M.shape[1]
+    if 0 < width <= 8:
+        padded = np.zeros((M.shape[0], 8), dtype=np.uint8)
+        padded[:, 8 - width:] = M.view(np.uint8).reshape(-1, width)
+        return padded.view(">u8").reshape(-1).astype(np.uint64)
+    return M.view(np.dtype((np.void, width))).reshape(-1)
 
 
 def _sorted_rows(M: np.ndarray) -> np.ndarray:

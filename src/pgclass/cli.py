@@ -14,6 +14,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus
 from .chartable import table_of
 from .classify import classification_report, counting_formulas
@@ -23,40 +25,30 @@ from .presentation import parse_presentation, presentation_text
 from .verify import run_ingested_census, run_paper_suite, suite_to_json_text
 
 
-def _emit_json(payload, rows=None) -> None:
+def _emit_json(payload, table=None) -> None:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
 
-    rows, if given, is a character table's "rows" list, which is the
-    payload's last key in sorted order and is left out of payload.  With
-    indent set, json.dumps runs the pure-Python encoder, so the rows (most
-    of a table's bytes) are written here with the same layout, each
-    distinct value string escaped once by the C string encoder."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if rows is not None:
-        text = text[:-2] + ',\n  "rows": ' + _table_rows_json(rows) + "\n}"
-    sys.stdout.write(text + "\n")
-
-
-def _table_rows_json(rows) -> str:
-    """json.dumps(rows, indent=2, sort_keys=True) at a nesting depth of
-    one, for a nonempty list of {"degree": int, "values": [str, ...]}
-    dicts with nonempty values (a table has at least one row and class)."""
-    quoted: dict[str, str] = {}
-
-    def quote(s: str) -> str:
-        q = quoted.get(s)
-        if q is None:
-            q = quoted[s] = encode_basestring_ascii(s)
-        return q
-
-    parts = [
-        '    {\n      "degree": ' + json.dumps(row["degree"])
-        + ',\n      "values": [\n        '
-        + ",\n        ".join([quote(s) for s in row["values"]])
-        + "\n      ]\n    }"
-        for row in rows
-    ]
-    return "[\n" + ",\n".join(parts) + "\n  ]"
+    With a character table, payload is its json_header() and the output is
+    json.dumps(table.to_json(), indent=2, sort_keys=True) and a newline.
+    "rows", most of a table's bytes and the last key in sorted order, is
+    written here in the same layout, since with indent set json.dumps runs
+    its pure-Python encoder once per entry.  Every value is formatted, and
+    each distinct string escaped once by the C string encoder, from the
+    table's value_keys() before anything is written, so an error leaves
+    stdout empty; then each row is one join of its escaped strings and one
+    write."""
+    if table is None:
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    key, strs = table.value_keys()
+    quoted = np.array([encode_basestring_ascii(s) for s in strs.tolist()], dtype=object)
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "rows": [')
+    sep = "\n"
+    for d, row in zip(table.degrees(), key):
+        sys.stdout.write(f'{sep}    {{\n      "degree": {d},\n      "values": [\n        '
+                         + ",\n        ".join(quoted[row].tolist()) + "\n      ]\n    }")
+        sep = ",\n"
+    sys.stdout.write("\n  ]\n}\n")
 
 
 def _read_presentation(path: str):
@@ -92,9 +84,7 @@ def cmd_chartable(args) -> int:
     P = _read_presentation(args.file)
     T = table_of(P)
     if args.json:
-        payload = T.to_json()
-        rows = payload.pop("rows")
-        _emit_json(payload, rows)
+        _emit_json(T.json_header(), T)
     else:
         k = T.count
         print(f"group {P.name}: {k} classes, field prime {T.field_prime}")

@@ -430,6 +430,8 @@ def test_value_strings_match_values_at_every_entry(label):
         assert T.cexp.shape == (0, T.count) and T.mults.shape == (0, T.exponent, T.count)
     want = reference_entries(T, lambda v, d: str(v))
     assert T.value_strings() == want.tolist()
+    strs = T.value_keys()[1].tolist()
+    assert sorted(strs) == sorted(set(want.reshape(-1).tolist()))
     cols = np.arange(T.count)[::-7]
     assert T.value_strings(cols) == want[:, cols].tolist()
 
@@ -2520,3 +2522,20 @@ def test_row_coincidence_helpers():
     assert _distinct_rows(B) == 2
     assert (_sorted_rows(A[[2, 1, 0]]) == _sorted_rows(A)).all()
     assert (_sorted_rows(A[[0, 1, 1]]) != _sorted_rows(A)).any()
+
+
+@pytest.mark.parametrize("dtype,cols", [(np.uint8, 1), (np.uint8, 7), (np.uint8, 8), (np.uint8, 9),
+                                        (np.bool_, 5), (np.uint16, 4), (np.uint16, 5),
+                                        (">i8", 1), (np.int8, 3)])
+def test_row_keys_sort_and_compare_as_bytes(dtype, cols):
+    """A row of 1 to 8 bytes packs into one uint64 and any wider row is a
+    void scalar; either way the keys sort, and are equal, exactly as the
+    rows' bytes are."""
+    rng = np.random.default_rng(cols)
+    M = rng.integers(-2, 3, size=(400, cols)).astype(dtype)
+    keys = _row_keys(M)
+    assert keys.dtype == (np.uint64 if M.itemsize * cols <= 8 else np.dtype((np.void, M.itemsize * cols)))
+    raw = M.view(np.uint8).reshape(len(M), -1)
+    by_bytes = np.lexsort(raw.T[::-1])
+    assert (np.argsort(keys, kind="stable") == by_bytes).all()
+    assert ((keys[:, None] == keys[None]) == (raw[:, None] == raw[None]).all(axis=2)).all()

@@ -1,5 +1,6 @@
 """Verification suite plumbing and the command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -111,16 +112,56 @@ def test_cli_chartable_text(tmp_path):
         assert line == f"  X{i + 1} (deg {T.rows[i].degree}): {vals}"
 
 
-@pytest.mark.parametrize("label,p", [("G_(14,3)", 5), ("G_(20,1)", 5),
-                                     ("heisenberg_p3", 3)])
-def test_cli_chartable_json_bytes(tmp_path, label, p):
+@pytest.mark.parametrize("label,p,mult_dtype", [
+    pytest.param("G_(14,3)", 5, None, id="G_(14,3)-5"),
+    pytest.param("G_(20,1)", 5, None, id="G_(20,1)-5"),
+    pytest.param("G_(20,1)", 5, np.uint16, id="G_(20,1)-5-uint16"),
+    pytest.param("heisenberg_p3", 3, None, id="heisenberg_p3-3"),
+    pytest.param("E_p3", 5, None, id="E_p3-5"),
+])
+def test_cli_chartable_json_bytes(tmp_path, monkeypatch, label, p, mult_dtype):
     """chartable --json writes exactly json.dumps(indent=2, sort_keys=True)
-    of the table's to_json, though it encodes the rows itself."""
+    of the table's to_json, though it writes the rows itself, and escapes
+    each distinct value string once.  E_p3 is abelian, so its central and
+    dense blocks are empty.  No corpus table at p = 3 or 5 has dense rows
+    whose multiplicity vectors take more than 8 bytes (e * itemsize), so
+    G_(20,1)'s block is also run widened to uint16, 10 bytes at e = 5,
+    which keeps value_keys on the void keys of _row_keys."""
+    import pgclass.cli as cli_mod
+
     f = write_pres(tmp_path, label, p)
+    T = pg.table_of(pg.parse_presentation(f.read_text(encoding="utf-8"), name=f.stem))
+    if mult_dtype is not None:
+        widened = dataclasses.replace(T, mults=T.mults.astype(mult_dtype))
+        monkeypatch.setattr(cli_mod, "table_of", lambda P: widened)
+    escape, calls = cli_mod.encode_basestring_ascii, []
+
+    def counted(s):
+        calls.append(s)
+        return escape(s)
+
+    monkeypatch.setattr(cli_mod, "encode_basestring_ascii", counted)
     code, out, _ = run_cli("chartable", str(f), "--json")
     assert code == 0
-    T = pg.table_of(pg.parse_presentation(f.read_text(encoding="utf-8"), name=f.stem))
     assert out == json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n"
+    assert 0 < len(calls) <= len({s for vals in T.value_strings() for s in vals})
+
+
+def test_cli_chartable_json_error_writes_no_table_bytes(tmp_path, monkeypatch):
+    """Every value is formatted before chartable --json writes anything, so
+    a value that fails to format leaves one JSON object on stdout: the
+    error.  G_(20,1) at p = 5 has dense rows, whose values root_sum forms."""
+    import pgclass.chartable as chartable_mod
+
+    f = write_pres(tmp_path, "G_(20,1)", 5)
+
+    def broken(order, multiplicities):
+        raise pg.InternalInconsistencyError("root_sum forced to fail")
+
+    monkeypatch.setattr(chartable_mod, "root_sum", broken)
+    code, out, _ = run_cli("chartable", str(f), "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "root_sum forced to fail", "internal": True}
 
 
 def test_cli_chartable_guard_exits_2(tmp_path, monkeypatch):
