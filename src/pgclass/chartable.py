@@ -62,7 +62,7 @@ Pipeline, the same for every group:
     takes Dixon's recovery at every class: for a class of element order m
     the multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
     DFT along the class's power orbit, evaluated mod q, in chunks of about
-    5 * 10^5 entries (_orbit_dft_mults).  Each multiplicity is an integer
+    2^18 entries (_orbit_dft_mults).  Each multiplicity is an integer
     in [0, d] < q, so the lift is exact.  The other rows of the orbit are
     found by their mod-q rows gathered by pi_s, and take the multiplicities
     gathered along the exponents, u -> u s^-1 (_lift_rows).  Both are
@@ -874,7 +874,7 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
         for i, C, J in subs:
             blk = blocks[i]
             M = blk.restrict_rows(Arows[slot[blk.basepoints[J]]], q)
-            S = _matmul_mod(C, M.T, q)  # (d, d): images
+            S = _matmul_mod(C, M.T, q)  # (d, d): images; C and M are residues
             if (S == np.diag(np.full(S.shape[0], S[0, 0]))).all():
                 still.append((i, C, J))  # scalar action, no refinement here
                 continue
@@ -1051,15 +1051,12 @@ def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray
     scatter took three times as long); every other exponent has
     multiplicity 0.
     The classes are batched by element order, with one m x m DFT matrix
-    per order m, 1/m folded in, and the rows in chunks of about 5 * 10^5
-    gathered entries (4 MB of int64).  The gather and the product are the
-    only two arrays of that size alive at once: the product is reduced in
-    place and dropped before the next chunk's.  The integer sums are exact
-    in int64: each of the m terms is below (q-1)^2, and
-    m (q-1)^2 <= e (q-1)^2 < 2^63 (at e = 2401, q = 14407, the bound is
-    5.0e11), which is checked before the first product."""
-    if e * (q - 1) ** 2 >= 2**63:
-        raise TableVerificationError("e (q-1)^2 exceeds the int64 range")
+    per order m, 1/m folded in, and the rows in chunks of about 2^18
+    gathered entries (2 MiB of int64; 5 * 10^5 took more time and memory).
+    Each chunk is one _matmul_mod of the DFT matrix, reduced mod q, and the
+    chunk's gathered rows of the mod-q table Trows, both residues.  The
+    gather and the product are the only arrays of that size alive at once,
+    and the product is dropped before the next chunk's."""
     R = Trows.shape[0]
     for m in np.unique(power.ords).tolist():
         at = np.flatnonzero(power.ords == m)
@@ -1067,10 +1064,9 @@ def _orbit_dft_mults(Trows, power, e, q, zpow, out: np.ndarray, dest: np.ndarray
         s = np.arange(m)
         stride = e // m
         dft = zpow[np.outer(s, -s) * stride % e] * pow(m, q - 2, q) % q  # z_m^(-us) / m
-        chunk = max(1, 500_000 // (m * at.size))
+        chunk = max(1, 2**18 // (m * at.size))
         for r0 in range(0, R, chunk):
-            mults = np.einsum("us,csn->cun", dft, Trows[r0:r0 + chunk][:, orbits])  # (c, m, n)
-            mults %= q
+            mults = _matmul_mod(dft, Trows[r0:r0 + chunk][:, orbits], q)  # (c, m, n)
             if (mults > Trows[r0:r0 + chunk, 0, None, None]).any():
                 raise TableVerificationError("multiplicity outside [0, degree]")
             rows = out[dest[r0:r0 + chunk]]
@@ -1516,10 +1512,10 @@ def _check_primes(e: int) -> tuple:
     row norms need a product above |G| max(1, d_max^2 - 1), and everything
     else, bounded by |G| through Cauchy-Schwarz, a product above |G|: one
     prime while |G| is below the largest, as at every order up to 7^6.
-    2^64 is far above both at desk scale.  As k <= _MAX_CLASSES = 6000,
-    k (q'-1)^2 < 6000 * 2^40 < 2^53 for all of them.  The cache is keyed
-    by the exponent alone and keeps the last 32, a few length-e arrays
-    each, for the life of the process."""
+    2^64 is far above both at desk scale.  Below 2^20, every q' meets
+    _matmul_mod's guard (q'-1)^2 < 2^53, and a product of two residues is
+    far inside int64.  The cache is keyed by the exponent alone and keeps
+    the last 32, a few length-e arrays each, for the life of the process."""
     out = []
     product = 1
     m = (2**20 - 2) // e
@@ -1690,57 +1686,34 @@ def _residues(deg: np.ndarray, C: np.ndarray, D: np.ndarray, zp: np.ndarray,
     holds w such maps as columns, and the pair check passes two, z'^t for
     the values and z'^-t for their conjugates.  The result has shape
     zp.shape[1:] + (rows, columns).  A central-type row reduces to d zp[t],
-    and to 0 where C holds -1; a dense row to sum_u D[r, u, j] zp[u]: the
-    rows go through np.matmul as a stack of (e, columns) matrices, read in
-    place, in float64, in chunks of at most 2^18 multiply-adds, which
-    OpenBLAS keeps on one thread (_group_products says why that matters).
-    Each sum has e terms of at most d_max (qq - 1), exact while
-    e d_max (qq - 1) < 2^53 for the largest dense degree d_max, which is
-    checked.  compute_table's mod-q check, _coset_sums and the pair
-    check's basepoint residues all read the blocks here."""
-    e = zp.shape[0]
+    and to 0 where C holds -1; a dense row to sum_u D[r, u, j] zp[u], by
+    _matmul_mod on chunks of D's rows.  D's multiplicities are residues:
+    they lie in [0, d], checked by _lift_rows before compute_table's mod-q
+    check and by _verify_blocks before the pair check, and
+    d <= sqrt|G| < q at the table's prime as at every check prime q'.
+    compute_table's mod-q check, _coset_sums and the pair check's
+    basepoint residues all read the blocks here."""
     n_c = C.shape[0]
-    if e * int(deg[n_c:].max(initial=0)) * (qq - 1) >= 2**53:
-        raise TableVerificationError("e d_max (q-1) exceeds the float64 exact range")
     zt = zp.T  # exponent last
     cols = C.shape[1]
     R = np.empty(zt.shape[:-1] + (deg.size, cols), dtype=np.int64)
     tab = np.concatenate([zt, np.zeros(zt.shape[:-1] + (1,), dtype=zt.dtype)], axis=-1)
     R[..., :n_c, :] = tab[..., C] * deg[:n_c, None] % qq  # C's -1 reads the appended 0
-    res = R[..., n_c:, :]
-    zf = zt.astype(np.float64)
     step = max(1, 2**18 // (zp.size * cols))
     for lo in range(0, D.shape[0], step):  # (w, e) @ (c, e, cols) is (c, w, cols)
-        res[..., lo:lo + step, :] = np.moveaxis(zf @ D[lo:lo + step], 0, -2)
-    res %= qq
+        R[..., n_c + lo:n_c + lo + step, :] = np.moveaxis(
+            _matmul_mod(zt, D[lo:lo + step], qq), 0, -2)
     return R
 
 
 def _group_products(plan: _PairPlan, A: np.ndarray, B: np.ndarray, qq: int) -> list:
     """(rows, P) for each batch of plan.batches: P[g, a, b] is the sum over
     the batch's columns of group g of A[ra, j] B[rb, j] mod qq, with
-    ra, rb = rows[g, a], rows[g, b], for residues A, B in [0, qq).  The
-    groups of a batch go through one np.matmul per chunk, in float64:
-    each chunk adds at most k terms below (qq-1)^2, exact while
-    k (qq-1)^2 < 2^53, and each 2-d product takes at most 2^18
-    multiply-adds, which OpenBLAS keeps on one thread (after a threaded
-    product its threads spin for a while, which costs a small table more
-    CPU time than the product)."""
-    out = []
-    for rows, cols in plan.batches:
-        X = A[rows[:, :, None], cols[:, None, :]].astype(np.float64)  # (groups, n, L)
-        Y = B[rows[:, None, :], cols[:, :, None]].astype(np.float64)  # (groups, L, n)
-        n, L = X.shape[1:]
-        rc = max(1, min(n, 2**18 // (n * L)))
-        lc = max(1, min(L, 2**18 // (rc * n)))
-        P = np.zeros((rows.shape[0], n, n), dtype=np.int64)
-        for r0 in range(0, n, rc):
-            for c0 in range(0, L, lc):
-                part = X[:, r0:r0 + rc, c0:c0 + lc] @ Y[:, c0:c0 + lc]
-                P[:, r0:r0 + rc] += part.astype(np.int64) % qq
-        P %= qq
-        out.append((rows, P))
-    return out
+    ra, rb = rows[g, a], rows[g, b], for residues A, B in [0, qq): one
+    _matmul_mod of two stacks per batch."""
+    return [(rows, _matmul_mod(A[rows[:, :, None], cols[:, None, :]],
+                               B[rows[:, None, :], cols[:, :, None]], qq))
+            for rows, cols in plan.batches]
 
 
 def _coset_sums(T: CharacterTable, cosets: np.ndarray, deg: np.ndarray, C: np.ndarray,
@@ -1772,15 +1745,14 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray) -> None:
     _check_primes(e), less q, largest first: the fewest whose product
     exceeds |G| max(1, d_max^2 - 1) take the row norms, and the fewest
     whose product exceeds |G|, a prefix of them, take everything else.
-    Their product, the float64 range k (q'-1)^2 < 2^53 of
-    _group_products, the number of cosets of _derived_cosets, which must
+    Their product, the number of cosets of _derived_cosets, which must
     equal the number of linear rows, and every linear row's triviality on
     their subgroup are checked before any residue.  A row whose mu is not
     1 at some b_a whose translate keeps every coset has all its coset sums
     0 exactly, so only the other rows take them."""
     G = T.group
     cls = T.classes
-    k, e = cls.count, T.exponent
+    e = T.exponent
     order = G.order
     n_lin = len(lin_t)
     plan = _pair_plan(T)
@@ -1798,8 +1770,6 @@ def _verify_pairs_against_block(T: CharacterTable, lin_t: np.ndarray) -> None:
     if product <= bound:
         raise TableVerificationError(
             "the check primes' product does not exceed |G| max(1, d_max^2 - 1)")
-    if any(k * (qq - 1) ** 2 >= 2**53 for qq, _ in primes):
-        raise TableVerificationError("k (q'-1)^2 exceeds the float64 exact range")
     gens, cosets = _derived_cosets(T)
     if cosets.max() + 1 != n_lin:
         raise TableVerificationError("the G'-cosets do not number the linear rows")

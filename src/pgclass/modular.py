@@ -1,14 +1,9 @@
 """Arithmetic over the auxiliary prime field GF(q) used by the table engine.
 
-Everything here works on numpy int64 arrays of residues in [0, q).  q is
-the smallest prime = 1 (mod e) above 2 sqrt|G|, which at desk scale stays
-far below 2^31, so a product of two residues fits in 64 bits.
-
-eigenspaces splits a space under a matrix S from idempotents that are
-polynomials in S, with no elimination per eigenvalue.  Large products
-run in float64 BLAS, in blocks that OpenBLAS keeps on one thread, while
-every partial sum stays an exact integer below 2^53, the bound
-_group_products in chartable.py checks for its primes q'.
+Everything here works on numpy int64 arrays of residues in [0, q).
+_matmul_mod is the one exact product mod q of pgclass.  eigenspaces
+splits a space under a matrix S from idempotents that are polynomials in
+S, with no elimination per eigenvalue.
 """
 
 from __future__ import annotations
@@ -112,26 +107,52 @@ def kernel_basis_mod(M: np.ndarray, q: int) -> np.ndarray:
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """A @ B mod q for residue matrices with inner dimension n, A of one or
-    two dimensions.  A product of at least 2^18 multiply-adds runs in
-    float64 BLAS when n (q-1)^2 < 2^53, so every partial sum is an exact
-    integer, in blocks of A's rows and B's columns of at most 2^18
-    multiply-adds each, which OpenBLAS keeps on one thread: after a
-    threaded product its threads spin for a while, which cost a
-    classification of an order-7^6 group more CPU time than the product.
-    Smaller products stay in int64."""
+    """A @ B mod q, exact, as int64, for an int64 A and an integer B of
+    residues in [0, q); each caller says why its operands are residues.
+    A has one to three dimensions and B two or three; a stack of matrices
+    broadcasts against one matrix as in np.matmul.  The one range guard is
+    (q-1)^2 < 2^53.
+
+    Fewer than 2^18 multiply-adds, with n (q-1)^2 < 2^63 for the inner
+    dimension n, run in int64 (2^16 saved 8 of the kernel's 41 ms in an
+    order-7^6 classification but raised its peak RSS).  Larger products
+    run in float64 BLAS, in blocks of at most 2^18 multiply-adds, which
+    OpenBLAS keeps on one thread (a threaded product's spinning threads
+    cost more CPU time than the product).  The inner axis is cut into
+    chunks of c terms with c (q-1)^2 + q - 1 < 2^53, which c = 1 meets
+    under the guard, and reduced mod q after each chunk, so every float64
+    sum is an exact integer."""
+    if (q - 1) ** 2 >= 2**53:
+        raise TableVerificationError("(q-1)^2 is not below 2^53, the float64 exact range")
     n, w = A.shape[-1], B.shape[-1]
-    if A.size * w < 2**18 or n * (q - 1) ** 2 >= 2**53:
-        return A @ B % q
-    A2 = A.reshape(-1, n).astype(np.float64)
-    Bf = B.astype(np.float64)
-    out = np.empty((A2.shape[0], w), dtype=np.int64)
-    rc = max(1, 2**18 // (n * w))
-    cc = max(1, 2**18 // (rc * n))
-    for r0 in range(0, A2.shape[0], rc):
+    m = A.shape[-2] if A.ndim > 1 else 1
+    madds = max(A.size * w, B.size * m)
+    if madds == 0 or (madds < 2**18 and n * (q - 1) ** 2 < 2**63):
+        P = A @ B
+        P %= q
+        return P
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + A.shape[-2:-1] + (w,)
+    A3 = A.reshape((1,) * (3 - A.ndim) + A.shape).astype(np.float64)
+    B3 = B.reshape((1,) * (3 - B.ndim) + B.shape)
+    g = max(A3.shape[0], B3.shape[0])
+    kc = min(n, (2**53 - q) // (q - 1) ** 2, 2**18)
+    rc = max(1, min(m, 2**18 // (kc * w)))
+    cc = max(1, min(w, 2**18 // (rc * kc)))
+    sc = max(1, min(g, 2**18 // (rc * kc * cc)))
+    out = np.empty((g, m, w), dtype=np.int64)
+    for s0 in range(0, g, sc):
+        As, Bs = (X if X.shape[0] == 1 else X[s0:s0 + sc] for X in (A3, B3))
         for c0 in range(0, w, cc):
-            out[r0:r0 + rc, c0:c0 + cc] = A2[r0:r0 + rc] @ Bf[:, c0:c0 + cc] % q
-    return out.reshape(A.shape[:-1] + (w,))
+            for k0 in range(0, n, kc):
+                Bk = Bs[:, k0:k0 + kc, c0:c0 + cc].astype(np.float64)
+                for r0 in range(0, m, rc):
+                    part = As[:, r0:r0 + rc, k0:k0 + kc] @ Bk
+                    blk = out[s0:s0 + sc, r0:r0 + rc, c0:c0 + cc]
+                    if k0:
+                        part += blk
+                    blk[...] = part
+                    blk %= q
+    return out.reshape(shape)
 
 
 def minimal_polynomial(S: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
@@ -154,7 +175,7 @@ def minimal_polynomial(S: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
         flat = P.reshape(-1)
         f = flat[pivots]
         red = (flat - _matmul_mod(f, R[:j], q)) % q
-        c = -(f @ coef[:j]) % q
+        c = -_matmul_mod(f, coef[:j], q) % q
         c[j] = 1
         nz = np.flatnonzero(red)
         if nz.size == 0:
@@ -201,14 +222,13 @@ def eigenspaces(S: np.ndarray, q: int) -> list[np.ndarray]:
     semisimple as q does not divide |G| and split as q = 1 (mod e); so m
     has distinct roots in GF(q).  A split subspace holds only non-linear
     rows, so d <= |G:Z(G)|/p^2 <= p^(n-3), below 2 sqrt|G| < q for
-    |G| = p^n with n <= 6; larger groups can reach d >= q.  The int64
-    range of the products (at most d+1 terms below (q-1)^2) is checked
-    before the first product.  Memory peaks at about 4 deg(m) d^2 words,
-    the powers and the idempotents with their float64 copies; deg m is at
-    most min(d, q)."""
+    |G| = p^n with n <= 6; larger groups can reach d >= q.  Every product
+    runs in _matmul_mod on residues (S, and the powers, rows and
+    coefficients reduced mod q); its guard runs before any other
+    arithmetic, so a product of two residues fits in int64.  Memory peaks
+    at about 2 deg(m) d^2 words, the powers and the reduced rows or the
+    idempotents; deg m is at most min(d, q)."""
     d = S.shape[0]
-    if (d + 1) * (q - 1) ** 2 >= 2**63:
-        raise TableVerificationError("eigenspace products exceed the int64 range")
     m, powers = minimal_polynomial(S, q)
     r = len(m) - 1
     mus = np.array(poly_roots(m, q), dtype=np.int64)

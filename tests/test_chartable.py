@@ -561,9 +561,12 @@ def test_norms_are_checked_at_every_norm_prime(monkeypatch):
 
 
 def test_float64_bound_is_checked(monkeypatch):
-    """The pair check refuses a check prime q' with k (q'-1)^2 not below
-    2^53, the float64 exact range: the largest prime q' = 1 (mod e) below
-    it passes, the smallest one above fails."""
+    """A check prime q' is bounded by _matmul_mod's one guard alone,
+    (q'-1)^2 < 2^53.  The primes on both sides of the pair check's former
+    bound k (q'-1)^2 < 2^53, the largest prime q' = 1 (mod e) below it and
+    the smallest one above, both verify the table exactly; the smallest
+    q' = 1 (mod e) with (q'-1)^2 >= 2^53 is refused with the kernel's
+    message."""
     import pgclass.chartable as chartable_mod
 
     T, primes, _ = _gram_guard_setup()
@@ -572,14 +575,16 @@ def test_float64_bound_is_checked(monkeypatch):
     below = _prime_with_root(e, x + 1, -e)
     above = _prime_with_root(e, x + 2, e)
     assert k * (below[0] - 1) ** 2 < 2**53 <= k * (above[0] - 1) ** 2
-    for first, ok in ((below, True), (above, False)):
+    past = _prime_with_root(e, math.isqrt(2**53 - 1) + 2, e)
+    assert (past[0] - 1) ** 2 >= 2**53
+    for first in (below, above):
         monkeypatch.setattr(chartable_mod, "_check_primes",
                             lambda e, first=first: (first,) + tuple(primes))
-        if ok:
-            chartable_mod._verify_table(_replace(T))
-        else:
-            with pytest.raises(TableVerificationError, match="float64"):
-                chartable_mod._verify_table(_replace(T))
+        chartable_mod._verify_table(_replace(T))
+    monkeypatch.setattr(chartable_mod, "_check_primes", lambda e: (past,) + tuple(primes))
+    with pytest.raises(TableVerificationError,
+                       match=r"^\(q-1\)\^2 is not below 2\^53, the float64 exact range$"):
+        chartable_mod._verify_table(_replace(T))
 
 
 def test_table_guards_survive_optimize(run_optimized):
@@ -640,10 +645,14 @@ def test_table_guards_survive_optimize(run_optimized):
         "def coset_subgroup():\n"
         "    with_cosets(lambda T: ((T.group.gen_index(0),), cosets(T)[1]))\n"
         "def float64_range():\n"
-        "    qq = 2**27 + 2  # = 1 (mod 3), and 11 (qq - 1)^2 >= 2^53\n"
+        "    qq = 2**27 + 2  # = 1 (mod 3), and (qq - 1)^2 >= 2^53\n"
         "    while not md.is_prime(qq):\n"
         "        qq += 3\n"
-        "    with_primes(((qq, np.zeros(3, dtype=np.int64)),))\n"
+        "    try:\n"
+        "        with_primes(((qq, np.zeros(3, dtype=np.int64)),))\n"
+        "    except pg.TableVerificationError as exc:\n"
+        "        if str(exc).startswith('(q-1)^2 is not below 2^53'):\n"
+        "            raise\n"
         "def power_data():\n"
         "    G = pg.group_of(pg.build('heisenberg_p3', 3))\n"
         "    cls = G.conjugacy_classes\n"

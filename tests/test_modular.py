@@ -1,10 +1,13 @@
 """Linear algebra and eigenspaces mod q against straightforward references."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pgclass.errors import TableVerificationError
-from pgclass.modular import eigenspaces, kernel_basis_mod, minimal_polynomial, rref_mod
+from pgclass.modular import (_matmul_mod, eigenspaces, kernel_basis_mod, minimal_polynomial,
+                             rref_mod)
 
 
 def first_dependency(vectors, q):
@@ -129,7 +132,51 @@ def test_eigenspaces_reject_a_jordan_block():
         eigenspaces(S, 31)
 
 
+RANGE_MESSAGE = r"^\(q-1\)\^2 is not below 2\^53, the float64 exact range$"
+
+
 def test_eigenspaces_check_the_int64_range():
-    q = 2**31 + 11  # 3 (q - 1)^2 >= 2^63; the range is checked before primality matters
-    with pytest.raises(TableVerificationError, match="int64 range"):
+    q = 2**31 + 11  # refused by _matmul_mod's guard before primality matters
+    with pytest.raises(TableVerificationError, match=RANGE_MESSAGE):
         eigenspaces(np.eye(2, dtype=np.int64), q)
+
+
+Q20 = 1048573  # 2^20 - 3, a prime: 10^4 (Q20 - 1)^2 >= 2^53
+Q_EDGE = math.isqrt(2**53 - 1) + 1  # the largest q with (q-1)^2 < 2^53
+
+
+@pytest.mark.parametrize("q,a_shape,b_shape", [
+    (7, (5,), (5, 3)),  # 1-D times 2-D
+    (4733, (6, 9), (9, 4)),
+    (4733, (70, 80), (80, 90)),  # 504,000 multiply-adds
+    (14407, (3, 4, 5), (3, 5, 2)),  # two stacks
+    (14407, (40, 12, 70), (40, 70, 30)),  # 1,008,000 multiply-adds
+    (14407, (7, 7), (30, 7, 50)), (14407, (49, 49), (40, 49, 60)),  # broadcast
+    (14407, (40, 49, 60), (60, 49)),
+    (14407, (300,), (6, 300, 200)),
+    (31, (0, 4), (4, 3)), (31, (3, 0), (0, 4)), (31, (3, 4), (4, 0)),  # empty axes
+    (31, (0,), (0, 5)), (31, (0, 2, 3), (0, 3, 4)), (31, (2, 3, 0), (2, 0, 4)),
+    (Q_EDGE, (3, 2000), (2000, 0)), (Q_EDGE, (0, 2000), (2000, 3)),  # past int64
+    (Q20, (10_000,), (10_000, 40)),  # n (q-1)^2 >= 2^53 from here on
+    (Q20, (8, 10_000), (10_000, 8)),
+    (Q20, (2, 4, 10_000), (2, 10_000, 4)),
+    (Q_EDGE, (20, 30), (30, 500)),  # one term per inner chunk
+])
+def test_matmul_mod_matches_python_integers(q, a_shape, b_shape):
+    """_matmul_mod against the product of Python integers (object arrays)
+    reduced mod q, with residues drawn from the top 1024 of [0, q), so
+    that at q' = 2^20 - 3 and an inner dimension of 10^4 the sums exceed
+    2^53 unless the inner axis is cut and reduced between chunks."""
+    rng = np.random.default_rng(q + sum(a_shape) + sum(b_shape))
+    A = q - 1 - rng.integers(0, min(q, 1024), size=a_shape)
+    B = q - 1 - rng.integers(0, min(q, 1024), size=b_shape)
+    want = (A.astype(object) @ B.astype(object)) % q
+    got = _matmul_mod(A, B, q)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got.astype(object) == want).all()
+
+
+def test_matmul_mod_refuses_q_past_the_float64_range():
+    q = Q_EDGE + 1  # (q-1)^2 >= 2^53
+    with pytest.raises(TableVerificationError, match=RANGE_MESSAGE):
+        _matmul_mod(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64), q)
