@@ -37,37 +37,42 @@ Pipeline, the same for every group:
     is the column gather by the power map pi_s, pi_s[j] the class of
     rep_j^s.  As |K_j| = |K_pi_s(j)|, the eigenvectors gather the same way,
     omega_(sigma chi) = omega_chi o pi_s, and the block of mu goes to that
-    of mu^s; so every other block of an orbit takes its vectors by gathers
-    (_split_blocks).
+    of mu^s; so every other block of an orbit takes its vectors by gathers,
+    and each gather is kept as a step (src, dst) of row indices, the
+    vectors dst being those src gathered by pi_s (_split_blocks).
 5.  Degrees of the non-linear rows (stage 4) come from the norm relation
     d^2 = |G| / sum_j w_j w_j* / n_j; since the p-powers from p to sqrt|G|
     stay distinct mod q, and none is 1, the degree is recovered exactly.
-6.  The non-linear values lift to Q(zeta_e).  Every row is first offered
-    to geometric certification: a candidate class (|chi|^2 = d^2 mod q)
-    whose power sequence is verified to be geometric mod q has
-    multiplicity vector d*delta, i.e. value d*zeta^t, and a row whose
-    certified support H satisfies d^2 |H| = |G| vanishes off H because
-    sum over G of |chi|^2 = |G| leaves nothing for the complement.  The
-    test runs once per element order m, over every candidate pair of a row
-    and a class of that order at once (_certify).  A certified row is
-    stored as its exponents t, -1 where the value is 0: one row of the
-    table's block cexp, (rows, k) of np.min_scalar_type(-e), int8 at every
-    corpus exponent, read through the linear rows' exponent path
-    (_Row.texp).  Certification catches every central-type row (_lift_rows
-    says why), so the rows left over are stored dense, in the table's block
-    mults, (rows, e, k) of the narrowest unsigned dtype that holds their
-    largest degree (_mult_dtype: one byte per multiplicity at every order
-    <= p^6 with p <= 13).  The table owns the blocks, and each row is a
-    view of its kind's block (CharacterTable).  One row per sigma_s-orbit
-    takes Dixon's recovery at every class: for a class of element order m
-    the multiplicities m_u = (1/m) sum_s chi(g^s) z^(-us e/m) are one m-point
-    DFT along the class's power orbit, evaluated mod q, in chunks of about
-    2^18 entries (_orbit_dft_mults).  Each multiplicity is an integer
-    in [0, d] < q, so the lift is exact.  The other rows of the orbit are
-    found by their mod-q rows gathered by pi_s, and take the multiplicities
-    gathered along the exponents, u -> u s^-1 (_lift_rows).  Both are
-    written into the block directly.  compute_table then evaluates both
-    blocks mod q (_residues) and compares every row with its mod-q row.
+6.  The non-linear values lift to Q(zeta_e).  Only the rows that the split
+    made itself, those in no step's dst, are lifted; every other row is
+    sigma_s of its step's source, and copies its source's kind.  Each split
+    row is first offered to geometric certification: a candidate class
+    (|chi|^2 = d^2 mod q) whose power sequence is verified to be geometric
+    mod q has multiplicity vector d*delta, i.e. value d*zeta^t, and a row
+    whose certified support H satisfies d^2 |H| = |G| vanishes off H because
+    sum over G of |chi|^2 = |G| leaves nothing for the complement.  The test
+    runs once per element order m, over every candidate pair of a row and a
+    class of that order at once (_certify).  A certified row is stored as its
+    exponents t, -1 where the value is 0: one row of the table's block cexp,
+    (rows, k) of np.min_scalar_type(-e), int8 at every corpus exponent, read
+    through the linear rows' exponent path (_Row.texp).  Certification
+    catches every central-type row (_lift_rows says why), so the rows left
+    over are stored dense, in the table's block mults, (rows, e, k) of the
+    narrowest unsigned dtype that holds their largest degree (_mult_dtype:
+    one byte per multiplicity at every order <= p^6 with p <= 13).  The
+    table owns the blocks, and each row is a view of its kind's block
+    (CharacterTable).  The split's dense rows take Dixon's recovery at every
+    class: for a class of element order m the multiplicities m_u = (1/m)
+    sum_s chi(g^s) z^(-us e/m) are one m-point DFT along the class's power
+    orbit, evaluated mod q, in chunks of about 2^18 entries
+    (_orbit_dft_mults).  Each multiplicity is an integer in [0, d] < q, so
+    the lift is exact.  Along the steps, a central-type image takes its
+    source's exponents times s, and a dense image its source's
+    multiplicities gathered along the exponents, u -> u s^-1 (_lift_rows).
+    Both are written into the blocks directly, and as every image copies its
+    source's kind, the kinds are Galois-invariant by construction.
+    compute_table then evaluates both blocks mod q (_residues) and compares
+    every row with its mod-q row.
 
 All verification is exact.  First orthogonality of every pair of rows
 rests on one argument: the linear rows are distinct homomorphisms, each
@@ -785,8 +790,10 @@ def _orbit_leaders(img: np.ndarray) -> np.ndarray:
 
 def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     """Stage 4: refine the central blocks until every subspace is a line,
-    and return the eigenvectors of the non-linear rows, one per row of a
-    (rows, k) int64 array.
+    and return (W, steps): the eigenvectors of the non-linear rows, one
+    per row of a (rows, k) int64 array W, and their Galois provenance,
+    one (src, dst) pair of row-index arrays per orbit step, with
+    W[dst] = W[src] o pi_s.  The rows in no dst are the split's own.
 
     The block of a central character first sheds the span of its linear
     rows (exponents lin_t at the pc generators, so lin_t @ digits at the
@@ -819,7 +826,8 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     of sigma_s chi, and the block of mu to the block of mu^s, linear rows
     to linear rows.  So the vectors of the block s^i steps along the orbit
     are those of the split block gathered i times, one gather per step
-    over every vector at once.  Each gathered w is checked to lie in its
+    over every vector at once, and kept as one pair (src, dst) of steps
+    for the lift (_lift_rows).  Each gathered w is checked to lie in its
     block: w[cl(b_a g)] = mu(b_a) w[cl(g)] mod q at every chain generator
     b_a of Z(G) (blk.center_perms, blk.center_values)."""
     k = cls.count
@@ -895,17 +903,20 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
     W = np.array(finals, dtype=np.int64).reshape(-1, k)
     own = np.array(owners, dtype=np.int64)
     values = np.stack([blk.center_values for blk in blocks])
-    out = [W]
+    out, steps = [W], []
+    at = np.arange(W.shape[0])  # W's rows in the output
     while True:
         nxt = image[own]
         keep = np.flatnonzero(~leader[nxt])
         if not keep.size:
-            return np.concatenate(out)
+            return np.concatenate(out), steps
         W, own = W[np.ix_(keep, blocks[0].power_map)], nxt[keep]
         for a, perm in enumerate(blocks[0].center_perms):
             if ((W[:, perm] - values[own, a, None] * W) % q).any():
                 raise TableVerificationError(
                     "a Galois image of a split vector is not in its central block")
+        steps.append((at[keep], at[-1] + 1 + np.arange(keep.size)))
+        at = steps[-1][1]
         out.append(W)
 
 
@@ -913,28 +924,31 @@ def _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
 # lifting
 
 
-def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
+def _lift_rows(G, cls, e, q, zpow, dlog, degs, T, steps):
     """(dense, cexp, mults): the exact non-linear rows of the group, one per
     row of T, the mod-q table of the non-linear characters (degrees degs);
     zpow[t] is z^t mod q.  dense marks the rows stored dense, and the two
     read-only blocks hold the rows of each kind in T's order
-    (CharacterTable).
+    (CharacterTable).  steps are the Galois steps of _split_blocks in T's
+    order: T[dst] = T[src] gathered by the power map pi_s, the mod-q row of
+    sigma_s chi (s = _galois_unit(e)) for chi at src.
 
-    Every non-linear row is first certified central-type where it can be
-    (_certify): a row whose candidates are all certified and whose
-    certified support H has d^2 |H| = |G| vanishes off H.  Those rows keep
-    their rows of geo_t as the block cexp.  The rows left over are stored
-    dense, in one (rows, e, k) block mults of _mult_dtype of their largest
-    degree, whose dtype is fixed before the first store.  Of each orbit of
-    sigma_s (s = _galois_unit(e)) on them, only the first takes
-    _orbit_dft_mults at every class, which writes into the block and
-    checks the range [0, d] first.  The mod-q row of sigma_s chi is that of
-    chi gathered by the power map pi_s, chi(g^s), which matches each row to
-    its image, and as sigma_s chi = sum_u m_u zeta^(us), the image's
-    multiplicity at u is chi's at u s^-1: the gathers too write into the
-    block, each a gather of whole class slices along its exponent axis.
-    The block then takes the sum check over that axis, and compute_table
-    compares every row with its mod-q row.
+    Only the split's own rows, those in no dst, are worked on.  Each is
+    first certified central-type where it can be (_certify): a row whose
+    candidates are all certified and whose certified support H has
+    d^2 |H| = |G| vanishes off H.  Those rows keep their rows of geo_t as
+    the block cexp.  The own rows left over are dense and take
+    _orbit_dft_mults at every class, which writes into one (rows, e, k)
+    block mults of _mult_dtype of the largest dense degree, fixed before
+    the first store, and checks the range [0, d] first.  Then the steps are
+    walked in order, so every source is done before its images: an image
+    copies its source's kind, and where chi(g) = d zeta^t, sigma_s chi(g) =
+    d zeta^(s t), so a central-type image's exponents are s t mod e (-1
+    stays -1); as sigma_s chi = sum_u m_u zeta^(us), a dense image's
+    multiplicity at u is its source's at u s^-1, one gather of whole class
+    slices along the exponent axis.  The block then takes the sum check
+    over that axis, and compute_table compares every row with its mod-q
+    row, which a wrong step fails.
 
     Certification catches every central-type row chi (every value 0 or of
     absolute value d), so a dense row is never of central type:
@@ -943,42 +957,31 @@ def _lift_rows(G, cls, e, q, zpow, dlog, degs, T):
     - on Z(chi), chi = d lambda for a linear character lambda of the
       subgroup Z(chi), so chi(g^s) = d omega^s is geometric;
     - chi vanishes off Z(chi), so d^2 |Z(chi)| = |G|.
-    Being of central type is a Galois invariant, so a row's stored kind is
-    one too.  The closure check of _verify_structural_pairs, which compares
-    the rows kind by kind, relies on this to pass a correct table."""
+    An image's kind is copied from its source, so the stored kinds are
+    Galois-invariant by construction.  The closure check of
+    _verify_structural_pairs, which compares the rows kind by kind, relies
+    on this to pass a correct table."""
     k = cls.count
-    if degs.size:
-        geo_t, central = _certify(G, cls, e, q, dlog, T, degs)
-    else:
-        geo_t, central = np.zeros((0, k), dtype=np.min_scalar_type(-e)), np.zeros(0, dtype=bool)
+    s = _galois_unit(e)
+    own = np.setdiff1d(np.arange(degs.size), [i for _, dst in steps for i in dst.tolist()])
+    geo_t = np.full(T.shape, -1, dtype=np.min_scalar_type(-e))
+    central = np.zeros(degs.size, dtype=bool)
+    geo_t[own], central[own] = _certify(G, cls, e, q, dlog, T[own], degs[own])
+    t_to = np.r_[np.arange(e) * s % e, -1]  # t -> s t mod e; t_to[-1] = -1 keeps the zeros
+    for src, dst in steps:
+        geo_t[dst], central[dst] = t_to[geo_t[src]], central[src]
     left = np.flatnonzero(~central)
     d_left = degs[left]
     block = np.zeros((left.size, e, k), dtype=_mult_dtype(int(d_left.max(initial=0))))
     if left.size:
-        # match each row's sigma_s image, its columns gathered by pi_s, to
-        # its row on the columns of _separating_prefix (the rows are
-        # distinct on all k, as compute_table checks); a wrong match fails
-        # compute_table's mod-q check of the lifted rows
-        s = _galois_unit(e)
-        c, head = _separating_prefix(lambda c: T[left, :c], k)
-        heads = [head, T[np.ix_(left, _power_classes(G, cls, s)[:c])]]
-        ids = np.unique(np.concatenate([_row_keys(h) for h in heads]),
-                        return_inverse=True)[1].reshape(-1)
-        slot = np.full(ids.max() + 1, -1, dtype=np.int64)
-        slot[ids[:left.size]] = np.arange(left.size)
-        image = slot[ids[left.size:]]
-        if (image < 0).any():
-            raise TableVerificationError("a Galois image of a dense row is not a row")
-        leader = _orbit_leaders(image)
-        at = np.flatnonzero(leader)
+        slot = np.cumsum(~central) - 1  # a dense row's position in the block
+        at = own[~central[own]]
         power = _PowerData(G, cls, np.arange(k, dtype=np.int64), e)
-        _orbit_dft_mults(T[left[at]], power, e, q, zpow, block, at)
+        _orbit_dft_mults(T[at], power, e, q, zpow, block, slot[at])
         u_from = np.arange(e) * pow(s, -1, e) % e  # an image's mult at u is at u s^-1
-        while at.size:
-            nxt = image[at]
-            keep = np.flatnonzero(~leader[nxt])
-            block[nxt[keep]] = block[at[keep]][:, u_from]
-            at = nxt[keep]
+        for src, dst in steps:
+            dense = ~central[src]
+            block[slot[dst[dense]]] = block[slot[src[dense]]][:, u_from]
     if (block.sum(axis=1, dtype=np.int64) != d_left[:, None]).any():
         raise TableVerificationError("multiplicities do not sum to the degree")
     return _read_only(~central), _read_only(geo_t[central]), _read_only(block)
@@ -992,7 +995,8 @@ def _certify(G, cls, e, q, dlog, T, degs):
     np.min_scalar_type(-e), which holds -1 and every exponent; and
     central marks the rows whose candidates are all certified and whose
     certified support H has d^2 |H| = |G| (_lift_rows stores them as
-    central-type).  A support with d^2 |H| > |G| raises.
+    central-type).  A support with d^2 |H| > |G| raises.  _lift_rows
+    offers only the split's own rows; their Galois images copy the verdict.
 
     A candidate g of order m is certified when w = chi(g)/d is z^t with
     t m = 0 (mod e) and the power sequence is geometric mod q,
@@ -1009,7 +1013,7 @@ def _certify(G, cls, e, q, dlog, T, degs):
     inv_d = _invmod_arr(d_arr, q)
     cand = T * T[:, invclass] % q == (d_arr * d_arr % q)[:, None]
     cand[:, 0] = True
-    needed = np.flatnonzero(cand.any(axis=0))
+    needed = np.flatnonzero(np.r_[True, cand[:, 1:].any(axis=0)])
     power = _PowerData(G, cls, needed, e)
     geo_t = np.full(T.shape, -1, dtype=np.min_scalar_type(-e))
     for m in np.unique(power.ords).tolist():
@@ -1141,10 +1145,10 @@ def compute_table(P) -> CharacterTable:
     digits = _rep_digits(G, cls)
     lin_t, lin_keys = _linear_rows_data(G, zc)
     n_lin = lin_t.shape[0]
-    W = np.zeros((0, k), dtype=np.int64)  # the eigenvectors of the non-linear rows
+    W, steps = np.zeros((0, k), dtype=np.int64), []  # the non-linear rows' eigenvectors
     if n_lin < k:
         blocks = _central_blocks(G, cls, zc, zpow)
-        W = _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
+        W, steps = _split_blocks(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
     if n_lin + W.shape[0] != k:
         raise TableVerificationError("wrong number of eigenvectors")
 
@@ -1180,8 +1184,10 @@ def compute_table(P) -> CharacterTable:
     perm = np.lexsort((_row_keys(T.astype(">i8")), degs))
     T = T[perm]
     degs = degs[perm]
+    rank = np.argsort(perm)
+    steps = [(rank[src], rank[dst]) for src, dst in steps]
 
-    dense, cexp, mults = _lift_rows(G, cls, e, q, zpow, dlog, degs, T)
+    dense, cexp, mults = _lift_rows(G, cls, e, q, zpow, dlog, degs, T, steps)
     table = CharacterTable(group=G, classes=cls, field_prime=q, exponent=e,
                            lin_t=_read_only(lin_t[_linear_order(lin_t, digits, zpow)]),
                            digits=digits, degs=_read_only(degs), dense=dense, cexp=cexp,

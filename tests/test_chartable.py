@@ -613,9 +613,9 @@ def test_table_guards_survive_optimize(run_optimized):
         "split = ct._split_blocks\n"
         "def degree_one():\n"
         "    def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):\n"
-        "        finals = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)\n"
-        "        finals[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q\n"
-        "        return finals\n"
+        "        W, steps = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)\n"
+        "        W[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q\n"
+        "        return W, steps\n"
         "    ct._split_blocks = with_linear\n"
         "    try:\n"
         "        ct.compute_table(pg.build('heisenberg_p3', 3))\n"
@@ -778,9 +778,9 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
     split = ct._split_blocks
 
     def with_linear(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes):
-        W = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
+        W, steps = split(G, cls, q, blocks, lin_t, lin_keys, digits, zpow, inv_sizes)
         W[0] = cls.sizes * zpow[lin_t[1] @ digits % zpow.size] % q
-        return W
+        return W, steps
 
     monkeypatch.setattr(ct, "_split_blocks", with_linear)
     with pytest.raises(TableVerificationError, match="non-linear eigenvector has degree 1"):
@@ -788,19 +788,19 @@ def test_linear_vector_among_split_rows_is_rejected(monkeypatch):
 
 
 def test_duplicate_split_rows_are_rejected(monkeypatch):
-    """_split_blocks returns one (rows, k) int64 array; with the second of
-    heisenberg_p3@3's two degree-3 eigenvectors overwritten by the first,
-    the degree, norm and degree-sum checks pass and the table fails as
-    having duplicate rows."""
+    """_split_blocks returns one (rows, k) int64 array and its Galois
+    steps; with the second of heisenberg_p3@3's two degree-3 eigenvectors
+    overwritten by the first, the degree, norm and degree-sum checks pass
+    and the table fails as having duplicate rows."""
     import pgclass.chartable as ct
 
     split = ct._split_blocks
 
     def duplicated(G, cls, *args):
-        W = split(G, cls, *args)
+        W, steps = split(G, cls, *args)
         assert W.dtype == np.int64 and W.shape == (2, cls.count)
         W[1] = W[0]
-        return W
+        return W, steps
 
     monkeypatch.setattr(ct, "_split_blocks", duplicated)
     with pytest.raises(TableVerificationError, match="^duplicate character rows$"):
@@ -1149,6 +1149,42 @@ def test_lift_dfts_one_row_per_galois_orbit(monkeypatch):
         assert (r.mults == block[i]).all()
 
 
+@pytest.mark.parametrize("label, p, rows, certified, dfts", [
+    ("G_(17,1)", 7, 666, 146, 49), ("G_(19,1)", 7, 666, 146, 98),
+    ("G_(14,3)", 5, 120, 26, 0), ("G_(17,1)", 5, 236, 74, 25), ("G_(19,1)", 5, 236, 74, 50)])
+def test_lift_works_on_the_split_rows_only(monkeypatch, label, p, rows, certified, dfts):
+    """_certify sees only the rows that _split_blocks made itself, those
+    in no step's dst, and _orbit_dft_mults only the dense ones among them.
+    The other rows take their kinds, exponents and multiplicities from
+    their steps' sources; test_certification_matches_the_per_class_loop
+    and test_lift_dfts_one_row_per_galois_orbit check those against every
+    row's own certification and DFT."""
+    import pgclass.chartable as ct
+
+    seen = {}
+
+    def spy(name):
+        wrapped = getattr(ct, name)
+
+        def call(*args):
+            out = wrapped(*args)
+            seen.setdefault(name, []).append((args, out))
+            return out
+
+        monkeypatch.setattr(ct, name, call)
+
+    for name in ("_split_blocks", "_certify", "_orbit_dft_mults"):
+        spy(name)
+    T = ct.compute_table(pg.Group(pg.build(label, p)))
+    [(_, (W, steps))] = seen["_split_blocks"]
+    assert W.shape[0] == T.count - len(T.lin_t) == rows
+    assert rows - sum(dst.size for _, dst in steps) == certified
+    [(args, _)] = seen["_certify"]
+    assert args[5].shape == (certified, T.classes.count)
+    dft_rows = [args[0].shape[0] for args, _ in seen.get("_orbit_dft_mults", [])]
+    assert dft_rows == ([dfts] if dfts else [])
+
+
 def test_mult_dtype_is_the_narrowest_that_holds_the_degree(run_optimized):
     """uint8 up to degree 255, uint16 from 256; under python -O a degree
     that no unsigned dtype holds raises the typed error."""
@@ -1284,29 +1320,43 @@ def test_certification_sends_a_broken_power_sequence_to_dense():
 @pytest.mark.parametrize("stage", ["split", "lift"])
 @pytest.mark.parametrize("shift", ["s+1", "roll"])
 def test_off_by_one_power_map_fails_the_table(monkeypatch, stage, shift):
-    """pi_s off by one, as pi_(s+1) or as pi_s rolled by one class, in the
-    gathers of both stages or of the lift alone (the second call):
-    compute_table raises, at the split's central-character check, at the
-    lift's row matching or at the mod-q check of the lifted rows."""
+    """The split's Galois gathers off by one, and compute_table raises.
+    In the split stage pi_s is off, as pi_(s+1) or as pi_s rolled by one
+    class; _power_classes runs once per table, and the split's
+    central-character check fails.  In the lift stage one orbit step of
+    _split_blocks names the wrong sources, its src rolled by one: the
+    first step ("s+1"), whose sources are split rows, or the last
+    ("roll"), whose sources are images themselves; the mod-q check of the
+    lifted rows fails."""
     import pgclass.chartable as ct
 
     power_classes = ct._power_classes
+    split = ct._split_blocks
     calls = []
 
     def off(G, cls, s):
         calls.append(s)
-        if stage == "lift" and len(calls) == 1:
+        if stage == "lift":
             return power_classes(G, cls, s)
         if shift == "roll":
             return np.roll(power_classes(G, cls, s), 1)
         return power_classes(G, cls, s + 1)
 
+    def rolled(*args):
+        W, steps = split(*args)
+        i = 0 if shift == "s+1" else -1
+        src, dst = steps[i]
+        steps[i] = (np.roll(src, 1), dst)
+        return W, steps
+
     monkeypatch.setattr(ct, "_power_classes", off)
-    match = {"split": "not in its central block",
-             "lift": "lifted row disagrees mod q" if shift == "s+1" else "dense row is not a row"}
+    if stage == "lift":
+        monkeypatch.setattr(ct, "_split_blocks", rolled)
+    match = {"split": "^a Galois image of a split vector is not in its central block$",
+             "lift": "^lifted row disagrees mod q$"}
     with pytest.raises(TableVerificationError, match=match[stage]):
         ct.compute_table(pg.Group(pg.build("G_(17,1)", 5)))
-    assert calls == [2] * (1 if stage == "split" else 2)
+    assert calls == [2]
 
 
 # -- lifting by power-orbit DFT --------------------------------------------------
