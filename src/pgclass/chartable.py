@@ -11,9 +11,11 @@ Pipeline, the same for every group:
     The row of t reads zeta_e^(d . t) at a class rep with normal-form
     digits d.  The table stores the rows t as one block lin_t, n integers
     a row, beside its one n x k matrix of class-rep digits; the values are
-    read from them on demand and never stored.  The linear rows never
-    enter steps 5 and 6, and they head the table in the order of their
-    mod-q values, which a prefix of the columns decides (_linear_order).
+    read from them on demand and never stored; the digits are computed
+    from the reps' indices, as no digit table is kept.  The linear rows
+    never enter steps 5 and 6, and they head the table in the order of
+    their mod-q values, which the columns of the classes in
+    H_2 = <g_2, ..., g_n> and of g_1's class decide (_linear_order).
     When they number k (G is abelian) they are the whole table, and steps
     3 and 4 are skipped.
 3.  Joint eigenvectors of the size-1 (central) class matrices are written
@@ -474,9 +476,11 @@ def _power_classes(G: Group, cls: ConjugacyClassSet, s: int) -> np.ndarray:
 
 
 def _digits(G: Group, idxs) -> np.ndarray:
-    """The normal-form digits of the elements idxs, one column each."""
-    idxs = np.asarray(idxs, dtype=np.int64)
-    return np.stack([d[idxs] for d in G.digit_arrays]).reshape(G.n, idxs.size)
+    """The normal-form digits of the elements idxs, one column each: digit i
+    of x is x // p^(n-1-i) mod p, p^(n-1-i) being the index of g_i."""
+    idxs = np.asarray(idxs, dtype=np.int64).reshape(1, -1)
+    weights = np.array([G.gen_index(i) for i in range(G.n)], dtype=np.int64)
+    return idxs // weights[:, None] % G.p
 
 
 def _rep_digits(G: Group, cls: ConjugacyClassSet) -> np.ndarray:
@@ -1085,28 +1089,25 @@ def _linear_order(lin_t: np.ndarray, digits: np.ndarray, zpow: np.ndarray) -> np
     distinct powers, is stored big-endian in one byte when e <= 256 and two
     when e <= 65536.
 
-    Only the columns of _separating_prefix are formed.  Two distinct rows
-    compare at their first differing column; when the prefix separates
-    them, that column lies in the prefix, so the order on the prefix is the
-    order on all k columns.  The linear rows are distinct characters, so
-    some prefix separates them all (_verify_structural_pairs checks the
-    distinctness)."""
+    Only the first c* = #{reps < p^(n-1)} + 1 columns are formed, the reps
+    below p^(n-1) being those with first digit 0, in int64 chunks of at most
+    2^16 entries, and c* is the shortest prefix that separates the rows.  H_2 = <g_2, ..., g_n> has index p, so it is normal
+    and its classes, those of the reps below p^(n-1), come first in the
+    ascending order of the reps; the next class is that of g_1.  No shorter
+    prefix separates the rows, as the p linear characters trivial on H_2
+    agree on it.  The c* columns do: each g_i's class is among them, and its
+    rep lies in g_i G', where every linear character takes its value at g_i;
+    distinct linear characters differ at some g_i.  Two distinct rows
+    compare at their first differing column, which therefore lies in the
+    prefix, so the order on the prefix is the order on all k columns."""
     e = zpow.size
     rank = np.argsort(np.argsort(zpow)).astype(np.min_scalar_type(e - 1).newbyteorder(">"))
-    _, ranks = _separating_prefix(lambda c: rank[lin_t @ digits[:, :c] % e], digits.shape[1])
+    prefix = digits[:, :int(np.count_nonzero(digits[0] == 0)) + 1]
+    ranks = np.empty((lin_t.shape[0], prefix.shape[1]), dtype=rank.dtype)
+    step = max(1, 2**16 // lin_t.shape[0])
+    for j in range(0, prefix.shape[1], step):
+        ranks[:, j:j + step] = rank[lin_t @ prefix[:, j:j + step] % e]
     return np.argsort(_row_keys(ranks), kind="stable")
-
-
-def _separating_prefix(rows_on, k: int):
-    """(c, rows_on(c)) for the first c of min(8, k), doubling up to k, at
-    which the rows rows_on(c), formed on the first c of k columns, are
-    distinct, or for c = k."""
-    c = min(8, k)
-    while True:
-        rows = rows_on(c)
-        if c == k or _distinct_rows(rows) == rows.shape[0]:
-            return c, rows
-        c = min(2 * c, k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ def _emit_json(payload, table=None) -> None:
 
     With a character table, payload is its json_header() and the output is
     json.dumps(table.to_json(), indent=2, sort_keys=True) and a newline.
-    "rows", most of a table's bytes and the last key in sorted order, is
-    written here in the same layout, since with indent set json.dumps runs
-    its pure-Python encoder once per entry.  Every value is formatted, and
+    "classes", the first key in sorted order, and "rows", most of a table's
+    bytes and the last, are written here in the same layout, since with
+    indent set json.dumps runs its pure-Python encoder once per entry; the
+    other header keys go through json.dumps.  Every value is formatted, and
     each distinct string escaped once by the C string encoder, from the
     table's value_keys() before anything is written, so an error leaves
     stdout empty; then each row is one join of its escaped strings and one
@@ -42,11 +43,16 @@ def _emit_json(payload, table=None) -> None:
         return
     key, strs = table.value_keys()
     quoted = np.array([encode_basestring_ascii(s) for s in strs.tolist()], dtype=object)
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "rows": [')
+    item = ",\n        "  # between the items of a list nested three deep
+    classes = ",".join(f'\n    {{\n      "rep": [\n        {item.join(map(str, c["rep"]))}'
+                       f'\n      ],\n      "size": {c["size"]}\n    }}' for c in payload["classes"])
+    rest = json.dumps({k: v for k, v in payload.items() if k != "classes"},
+                      indent=2, sort_keys=True)
+    sys.stdout.write(f'{{\n  "classes": [{classes}\n  ],\n{rest[2:-2]},\n  "rows": [')
     sep = "\n"
     for d, row in zip(table.degrees(), key):
         sys.stdout.write(f'{sep}    {{\n      "degree": {d},\n      "values": [\n        '
-                         + ",\n        ".join(quoted[row].tolist()) + "\n      ]\n    }")
+                         + item.join(quoted[row].tolist()) + "\n      ]\n    }")
         sep = ",\n"
     sys.stdout.write("\n  ]\n}\n")
 

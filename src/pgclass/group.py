@@ -99,11 +99,6 @@ class Group:
     def gen_index(self, i: int) -> int:
         return self._weights[i]
 
-    @cached_property
-    def digit_arrays(self) -> list[np.ndarray]:
-        x = np.arange(self.order, dtype=np.int64)
-        return [(x // w) % self.p for w in self._weights]
-
     # -- multiplication tables ----------------------------------------------
 
     @cached_property
@@ -290,9 +285,11 @@ class Group:
         idxs = self.normal_closure(seeds)
         return Subgroup(group=self, indices=idxs, gens=_chain_gens(self, idxs))
 
-    @cached_property
+    @property
     def lower_central_series(self) -> list[np.ndarray]:
-        """Index sets of G = gamma_1 > gamma_2 > ... down to the trivial term."""
+        """Index sets of G = gamma_1 > gamma_2 > ... down to the trivial term,
+        computed on each read: only nilpotency_class, which is cached, reads
+        it while classifying."""
         series = [np.arange(self.order, dtype=np.int64)]
         current = self.derived.indices
         series.append(current)

@@ -809,12 +809,15 @@ def test_duplicate_split_rows_are_rejected(monkeypatch):
 
 @pytest.mark.parametrize("label, p, e", [("heisenberg_p3", 7, 7),
                                          ("extraspecial_p3_exp_p2", 7, 49),
-                                         ("G_(14,3)", 5, 625)])
+                                         ("G_(14,3)", 5, 625),
+                                         ("G_(19,1)", 7, 7),
+                                         ("C_p3", 7, 343)])
 def test_linear_order_matches_value_lexsort(label, p, e):
     """The rank-key order of the linear rows (uint8 keys at e = 7 and 49,
-    uint16 at e = 625), taken on a prefix of the columns, is the
-    lexicographic order of their mod-q rows as int64 over all k columns,
-    and the table stores them in it."""
+    uint16 at e = 343 and 625), taken on the first c* = #{reps < p^(n-1)} + 1
+    columns, is the lexicographic order of their mod-q rows as int64 over
+    all k columns, and the table stores them in it.  c* is minimal: on its
+    first c* - 1 columns, the classes of H_2 = <g_2, ..., g_n>, two rows tie."""
     from pgclass.chartable import _CenterChain, _linear_order, _linear_rows_data, _rep_digits
 
     G = group_of(pg.build(label, p))
@@ -826,10 +829,27 @@ def test_linear_order_matches_value_lexsort(label, p, e):
     values = zpow[lin_texp]
     want = np.lexsort(values.T[::-1])
     assert (_linear_order(lin_t, digits, zpow) == want).all()
+    c_star = int(np.count_nonzero(cls.reps < p ** (G.n - 1))) + 1
+    assert np.unique(values[:, :c_star], axis=0).shape[0] == lin_t.shape[0]
+    assert np.unique(values[:, :c_star - 1], axis=0).shape[0] < lin_t.shape[0]
     T = table_of(G)
     stored = np.stack([r.texp for r in T.rows[:want.size]])
     assert (stored == lin_texp[want]).all()
     assert (np.stack([r.t for r in T.rows[:want.size]]) == lin_t[want]).all()
+
+
+def test_digits_match_element_of():
+    """_digits, computed from the pc generators' indices, agrees with
+    Group.element_of on random elements of a group of order 7^6 and on its
+    first and last elements."""
+    from pgclass.chartable import _digits
+
+    G = group_of(pg.build("G_(19,1)", 7))
+    rng = np.random.default_rng(34)
+    idxs = np.r_[0, rng.integers(0, G.order, size=200), G.order - 1]
+    D = _digits(G, idxs)
+    assert D.shape == (G.n, idxs.size)
+    assert D.T.tolist() == [list(G.element_of(int(x)).exps) for x in idxs]
 
 
 # -- central blocks: the array kernels against the orbit walk --------------------
@@ -860,6 +880,7 @@ def walked_central_blocks(G, cls, e, q, zpow):
     and a stabilizer test of every character on every orbit.  Returns the
     blocks as {central character at the central classes: set of orbit
     vectors}."""
+    from pgclass.chartable import _digits
     from pgclass.group import subgroup_as_group
 
     k = cls.count
@@ -888,7 +909,10 @@ def walked_central_blocks(G, cls, e, q, zpow):
                         members.append(img)
             frontier = nxt
         orbits.append(np.array(sorted(members), dtype=np.int64))
-    lam_at = Tz @ np.stack(ZG.group.digit_arrays) % eZ
+    digits = _digits(ZG.group, np.arange(ZG.group.order))
+    assert digits.T.tolist() == [list(ZG.group.element_of(x).exps)
+                                 for x in range(ZG.group.order)]
+    lam_at = Tz @ digits % eZ
     scale = e // eZ
     zidx = {int(g): s for s, g in enumerate(ZG.to_parent)}
     cent_zidx = [zidx[int(cls.reps[c])] for c in np.flatnonzero(cls.sizes == 1)]

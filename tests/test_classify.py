@@ -516,3 +516,34 @@ def test_fully_ramified_requires_normal_subgroup():
     a = pg.subgroup_generated([G.element_of(G.gen_index(0))], G)
     with pytest.raises(ValueError, match="normal"):
         pg.fully_ramified(T, a)
+
+
+def _held_array_bytes(G) -> int:
+    """The bytes of the numpy arrays reachable from G's attributes, through
+    lists, tuples, dicts and objects' attributes, each array counted once."""
+    seen, total, stack = set(), 0, list(vars(G).values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or x is G:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            total += x.nbytes
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return total
+
+
+def test_classified_group_holds_only_its_tables():
+    """After a report, a group holds its 3n table arrays of |G| int64 (right,
+    left and conjugation), the inverse table and the classes, and little
+    else: no digit table and no cached lower central series."""
+    P = pg.build("G_(19,1)", 7)
+    pg.classification_report(P)
+    G = group_of(P)
+    assert G.nilpotency_class == 3
+    assert _held_array_bytes(G) <= (3 * G.n + 4) * G.order * 8
