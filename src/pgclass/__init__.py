@@ -73,8 +73,9 @@ def clear_caches() -> None:
     """Empty every module-level cache: the groups by presentation
     (group._group_cache), the tables by group (chartable._table_cache),
     the corpus bundles by (label, p) (verify._bundles), the collectors by
-    presentation (presentation._collectors), and the lru caches of
-    chartable._check_primes and cyclotomic._prime_power_split.  Each lives
+    presentation with their consistency reports (presentation._collectors),
+    and the lru caches of chartable._check_primes and
+    cyclotomic._prime_power_split.  Each lives
     until this call or the end of the process, except that
     run_ingested_census drops each file's collector, group and table once
     its report is made."""

@@ -24,6 +24,15 @@ gathers for mul, rmul_array and lmul_array.  The collector in
 presentation.py stays the independent reference; the test suite
 cross-checks every table against it.
 
+Every table (right_tables, left_tables, conj_tables, inverse_table) is
+int32: an entry is an index below |G| <= _MAX_ORDER < 2^31, which halves
+the bytes a group holds.  _normal_forms starts from an int32 index, so
+its gathers stay int32.  Only two places widen.  The right tables form
+(A + 1) * m + Bc from index products in int64, and each is cast to int32
+as soon as it is made.  _orbit_minima widens each perm to np.intp once,
+since numpy would cast an int32 index array on each of its p - 1
+gathers.  Class ids (classof) and the class members stay int64.
+
 Conjugacy classes and quotient cosets are orbits, and both come from one
 kernel, _orbit_minima.  For a subgroup chain K = K_1 > ... > K_{m+1} = 1
 with K_i = U_e a_i^e K_{i+1} (e in [0, p)), the orbit of x under K_i is
@@ -130,7 +139,8 @@ class Group:
                 carried = _normal_forms(w_idx, [tab.__getitem__ for tab in tables[t + 1:]], p)[Bc]
             else:
                 carried = Bc
-            tables[t] = np.where((A % p) == (p - 1), (A - (p - 1)) * m + carried, (A + 1) * m + Bc)
+            tables[t] = np.where((A % p) == (p - 1), (A - (p - 1)) * m + carried,
+                                 (A + 1) * m + Bc).astype(np.int32)
         return tables  # type: ignore[return-value]
 
     @cached_property
@@ -337,6 +347,7 @@ def _orbit_minima(G: Group, perms: list[np.ndarray]) -> np.ndarray:
     taken deepest level first from r_{m+1} = identity."""
     r = np.arange(G.order, dtype=np.int64)
     for perm in reversed(perms):
+        perm = perm.astype(np.intp, copy=False)
         shifted = r
         best = r
         for _ in range(1, G.p):
@@ -350,7 +361,7 @@ def _normal_forms(start: int, muls, p: int) -> np.ndarray:
     """The images of start under muls[0]^d_1, then muls[1]^d_2, ..., at the
     position whose base-p digits (d_1 most significant) are d.  When muls[a]
     right-multiplies an index array by g_a, that is start g_1^d_1 ... g_m^d_m."""
-    elems = np.array([start], dtype=np.int64)
+    elems = np.array([start], dtype=np.int32)
     for mul in muls:
         blocks = [elems]
         for _ in range(1, p):

@@ -342,6 +342,7 @@ class _Collector:
         self.p = P.p
         self.n = P.n
         self._gen_inv: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.consistency: ConsistencyReport | None = None  # check_consistency(P), once made
         # generous guard; collection on this presentation shape terminates
         self._max_steps = 2_000_000
 
@@ -495,9 +496,13 @@ def check_consistency(P: PcPresentation) -> ConsistencyReport:
         g_i g_i^p      vs  g_i^p g_i
 
     and reports any pair that collects to different normal forms.  The
-    presented group has order exactly p^n iff all overlaps agree.
+    presented group has order exactly p^n iff all overlaps agree.  The
+    report is kept on P's collector, so it is made once for as long as
+    that collector is cached.
     """
     col = collector(P)
+    if col.consistency is not None:
+        return col.consistency
     p, n = P.p, P.n
     names = P.gens
     failures: list[tuple[str, Element, Element]] = []
@@ -531,4 +536,5 @@ def check_consistency(P: PcPresentation) -> ConsistencyReport:
         rhs = col.multiply(gp[i], gens[i])
         cmp(f"{names[i]} {names[i]}^p overlap", lhs, rhs)
 
-    return ConsistencyReport(consistent=not failures, failures=tuple(failures))
+    col.consistency = ConsistencyReport(consistent=not failures, failures=tuple(failures))
+    return col.consistency

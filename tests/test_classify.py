@@ -539,11 +539,14 @@ def _held_array_bytes(G) -> int:
 
 
 def test_classified_group_holds_only_its_tables():
-    """After a report, a group holds its 3n table arrays of |G| int64 (right,
-    left and conjugation), the inverse table and the classes, and little
-    else: no digit table and no cached lower central series."""
+    """After a report, a group holds its 3n table arrays of |G| int32 (right,
+    left and conjugation), the int32 inverse table and the int64 classes
+    (classof and the members), and little else: no digit table and no
+    cached lower central series."""
     P = pg.build("G_(19,1)", 7)
     pg.classification_report(P)
     G = group_of(P)
     assert G.nilpotency_class == 3
-    assert _held_array_bytes(G) <= (3 * G.n + 4) * G.order * 8
+    for tab in [*G.right_tables, *G.left_tables, *G.conj_tables, G.inverse_table]:
+        assert tab.dtype == np.int32
+    assert _held_array_bytes(G) <= (3 * G.n + 7) * G.order * 4

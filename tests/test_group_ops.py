@@ -125,6 +125,33 @@ def test_tables_match_collector(label, p):
             assert G.index_of(col.collect(((t, -1),) + syl + ((t, 1),))) == G.conj_tables[t][x]
 
 
+def test_products_match_collector_on_int32_tables():
+    """mul, pairwise_mul, rmul_array and lmul_array on a group of order 7^6,
+    whose tables are int32 because every index lies below _MAX_ORDER < 2^31,
+    each against collection: 200 seeded random pairs, plus the pairs that
+    use the first and last elements."""
+    from pgclass.group import _MAX_ORDER
+
+    assert _MAX_ORDER < 2**31
+    P = pg.build("G_(19,1)", 7)
+    G, col = group_of(P), collector(P)
+    last = G.order - 1
+    rng = np.random.default_rng(35)
+    A = np.r_[rng.integers(0, G.order, size=200), 0, last, 0, last, 5]
+    B = np.r_[rng.integers(0, G.order, size=200), last, 0, 0, last, last]
+
+    def ref(a, b):
+        return G.index_of(col.multiply(G.element_of(int(a)), G.element_of(int(b))))
+
+    want = [ref(a, b) for a, b in zip(A, B)]
+    assert [G.mul(a, b) for a, b in zip(A, B)] == want
+    assert G.pairwise_mul(A, B).tolist() == want
+    for b in (0, last, int(B[0])):
+        assert G.rmul_array(A, b).tolist() == [ref(a, b) for a in A]
+    for a in (0, last, int(A[0])):
+        assert G.lmul_array(B, a).tolist() == [ref(a, b) for b in B]
+
+
 def test_center_heisenberg_vs_brute_force():
     P = heis()
     G = group_of(P)

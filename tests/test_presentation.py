@@ -188,6 +188,22 @@ def test_g17_consistent_at_7():
     assert rep.consistent
 
 
+def test_consistency_report_made_once_per_cached_collector():
+    """Group(P) and a later check_consistency(P) share one report, kept on
+    P's collector; once the caches are cleared the overlaps are collected
+    again."""
+    P = pg.build("G_(17,1)", 5)
+    pg.clear_caches()
+    assert collector(P).consistency is None
+    pg.Group(P)
+    rep = collector(P).consistency
+    assert rep is not None and rep.consistent
+    assert pg.check_consistency(P) is rep
+    pg.clear_caches()
+    again = pg.check_consistency(P)
+    assert again is not rep and again == rep
+
+
 def test_all_corpus_presentations_consistent():
     for label, entry in pg.REGISTRY.items():
         for p in (3, 5, 7):
