@@ -7,10 +7,11 @@ checkout's src/.  For each REGISTRY entry of order p^6 that covers p, a
 fresh Python process runs classification_report and prints one line: the
 verdicts against the entry's expectations, the seconds of the report
 (group tables and classes included), the process's ru_maxrss and the
-bytes of the group tables held afterwards (the right, left and
-conjugation tables and the inverse table).  An entry whose class count
-exceeds chartable._MAX_CLASSES is printed as refused.  The exit status
-is 1 if any verdict differs from its expectation or any child fails.
+bytes of the group tables held afterwards: the right tables and the
+inverse table, and the left and conjugation tables if anything formed
+them.  An entry whose class count exceeds chartable._MAX_CLASSES is
+printed as refused.  The exit status is 1 if any verdict differs from
+its expectation or any child fails.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ def classify_entry(label: str, p: int) -> dict:
     the expected ones and the verdicts that differ from them, or the
     refusal; seconds; ru_maxrss and the held table bytes, in MiB."""
     import pgclass as pg
-    from pgclass.group import group_of
+    from pgclass.group import Group
 
     P = pg.build(label, p)
     G = None
     t0 = time.perf_counter()
     try:
-        G = group_of(P)
+        G = Group(P)  # not group_of's cached group, which may hold more tables
         rep = pg.classification_report(G)
         verdicts, refused = {"gvz": rep.is_gvz, "nested": rep.is_nested, "vz": rep.is_vz}, None
     except ValueError as exc:  # the desk-scale limits refuse, by ValueError

@@ -1536,9 +1536,9 @@ def _check_primes(e: int) -> tuple:
 
 
 def _derived_cosets(T: CharacterTable) -> tuple[tuple[int, ...], np.ndarray]:
-    """(gens, cosets): the chain-jump elements of G', and the coset H g of
-    H = <gens> that holds each class rep, numbered from 0 in the order of
-    the cosets' least elements (_coset_minima, as in group.quotient)."""
+    """(gens, cosets): the chain-jump elements of G', and the coset g H of
+    H = <gens> = G' that holds each class rep, numbered from 0 in the order
+    of the cosets' least elements (_coset_minima, as in group.quotient)."""
     G = T.group
     gens = _chain_gens(G, G.derived.indices)
     least = _coset_minima(G, gens)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chartable import CharacterTable, _row_keys
 from .errors import InternalInconsistencyError
-from .group import Subgroup, abelian_invariants, group_of, p_log
+from .group import Subgroup, _generator_commutators, abelian_invariants, group_of, p_log
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +104,6 @@ def is_flat(P) -> bool:
     x = np.arange(G.order, dtype=np.int64)
     comms = _generator_commutators(G, cls.reps)
     return all((cid[G.pairwise_mul(x, comms[cid, t])] == cid).all() for t in range(G.n))
-
-
-def _generator_commutators(G, xs: np.ndarray) -> np.ndarray:
-    """out[i, t] = [xs[i], a_t] = xs[i]^-1 (a_t^-1 xs[i] a_t), from one
-    pairwise product over all pc generators a_t at once."""
-    prods = G.pairwise_mul(np.tile(G.inverse_table[xs], G.n),
-                           np.concatenate([conj[xs] for conj in G.conj_tables]))
-    return prods.reshape(G.n, -1).T
 
 
 def is_nested(T: CharacterTable) -> bool:

@@ -14,24 +14,33 @@ conjugation that stays inside H_{t+1}.  Everything downstream (conjugacy
 classes, centralizers, subgroup closures, quotients) is numpy permutation
 work on these tables.
 
-Every table, chain and inverse is one _normal_forms listing of
-start g_1^d_1 ... g_m^d_m in digit order, p - 1 gathers per generator:
-the conjugated suffix and the power-word carry of each right table, each
-left table (g_t times every normal form), the elements of a subgroup's
-chain, and the inverse table, which lists g_n^-d_n ... g_1^-d_1 through
-the inverse left tables.  _walk applies one element's digits as table
-gathers for mul, rmul_array and lmul_array.  The collector in
+A group holds only its n right tables and its inverse table.  Every
+table, chain and inverse is one _normal_forms listing of start
+g_1^d_1 ... g_m^d_m in digit order, p - 1 gathers per generator: the
+conjugated suffix and the power-word carry of each right table, the
+elements of a subgroup's chain, and the inverse table, which lists
+g_n^-d_n ... g_1^-d_1 through the inverse right tables and then reverses
+the digit order.  Conjugation and left products are read off those two:
+
+    g_t^-1 x g_t = (x^-1 g_t)^-1 g_t,    a x = (x^-1 a^-1)^-1,
+
+four gathers for conj and two inverse gathers around rmul_array for
+lmul_array.  _walk applies one element's digits as table gathers for mul
+and rmul_array.  left_tables and conj_tables are formed the same way on
+request, for the tests; no computation reads them.  The collector in
 presentation.py stays the independent reference; the test suite
 cross-checks every table against it.
 
-Every table (right_tables, left_tables, conj_tables, inverse_table) is
-int32: an entry is an index below |G| <= _MAX_ORDER < 2^31, which halves
-the bytes a group holds.  _normal_forms starts from an int32 index, so
-its gathers stay int32.  Only two places widen.  The right tables form
-(A + 1) * m + Bc from index products in int64, and each is cast to int32
-as soon as it is made.  _orbit_minima widens each perm to np.intp once,
-since numpy would cast an int32 index array on each of its p - 1
-gathers.  Class ids (classof) and the class members stay int64.
+Every table (right_tables, inverse_table, and left_tables and
+conj_tables when asked for) is int32: an entry is an index below
+|G| <= _MAX_ORDER < 2^31, which halves the bytes a group holds.
+_normal_forms starts from an int32 index, so its gathers stay int32.
+The right tables form (A + 1) * m + Bc from index products in int64,
+and each is cast to int32 as soon as it is made.  Gathers on index
+arrays go through np.take, which reads an int32 index array faster than
+plain indexing, which first casts it to np.intp; _orbit_minima still
+widens each perm once, since it gathers by that perm p - 1 times.  Class
+ids (classof) and the class members stay int64.
 
 Conjugacy classes and quotient cosets are orbits, and both come from one
 kernel, _orbit_minima.  For a subgroup chain K = K_1 > ... > K_{m+1} = 1
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 
 import numpy as np
 
@@ -144,21 +154,25 @@ class Group:
         return tables  # type: ignore[return-value]
 
     @cached_property
-    def left_tables(self) -> list[np.ndarray]:
-        """left_tables[t][x] = index of g_t * x."""
-        gathers = [tab.__getitem__ for tab in self.right_tables]
-        return [_normal_forms(w, gathers, self.p) for w in self._weights]
+    def inverse_table(self) -> np.ndarray:
+        """inverse_table[x] = index of x^-1.  The listing of
+        g_n^-d_n ... g_1^-d_1 through the inverse right tables has d_n most
+        significant, so reversing its digit axes puts d_1 first."""
+        listed = _normal_forms(
+            0, (_inverse_perm(tab).__getitem__ for tab in reversed(self.right_tables)), self.p)
+        return np.ascontiguousarray(listed.reshape((self.p,) * self.n).transpose()).reshape(-1)
 
     @cached_property
-    def inverse_table(self) -> np.ndarray:
-        """inverse_table[x] = index of x^-1, listed as g_n^-d_n ... g_1^-d_1."""
-        return _normal_forms(
-            0, (_inverse_perm(tab).__getitem__ for tab in self.left_tables), self.p)
+    def left_tables(self) -> list[np.ndarray]:
+        """left_tables[t][x] = index of g_t * x.  Only the tests read them."""
+        return [self.lmul_perm(w) for w in self._weights]
 
     @cached_property
     def conj_tables(self) -> list[np.ndarray]:
-        """conj_tables[t][x] = index of g_t^-1 x g_t."""
-        return [_inverse_perm(L)[R] for L, R in zip(self.left_tables, self.right_tables)]
+        """conj_tables[t][x] = index of g_t^-1 x g_t.  Only the tests read
+        them; the group forms conjugates with conj."""
+        x = np.arange(self.order, dtype=np.int64)
+        return [self.conj(x, t) for t in range(self.n)]
 
     # -- scalar and array arithmetic on indices -------------------------------
 
@@ -194,8 +208,16 @@ class Group:
         return _walk(self.right_tables, self._weights, self.p, arr, b)
 
     def lmul_array(self, arr: np.ndarray, a: int) -> np.ndarray:
-        """Left-multiply an index array by the fixed element a."""
-        return _walk(self.left_tables[::-1], self._weights[::-1], self.p, arr, a)
+        """Left-multiply an index array by the fixed element a, as
+        a x = (x^-1 a^-1)^-1."""
+        inv = self.inverse_table
+        return np.take(inv, self.rmul_array(np.take(inv, arr), self.inv(a)))
+
+    def conj(self, x, t: int):
+        """g_t^-1 x g_t = (x^-1 g_t)^-1 g_t, four gathers, for an index or
+        an index array x."""
+        R, inv = self.right_tables[t], self.inverse_table
+        return np.take(R, np.take(inv, np.take(R, np.take(inv, x))))
 
     def pairwise_mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Elementwise products A[i] * B[i]."""
@@ -205,7 +227,7 @@ class Group:
             dig = (B // self._weights[j]) % p
             cur = out
             for k in range(1, int(dig.max(initial=0)) + 1):
-                cur = self.right_tables[j][cur]
+                cur = np.take(self.right_tables[j], cur)
                 np.copyto(out, cur, where=dig == k)
         return out
 
@@ -227,20 +249,20 @@ class Group:
 
     @cached_property
     def center_mask(self) -> np.ndarray:
-        x = np.arange(self.order, dtype=np.int64)
-        mask = np.ones(self.order, dtype=bool)
-        for t in range(self.n):
-            mask &= self.conj_tables[t] == x
-        return mask
+        cls = self.conjugacy_classes
+        return cls.sizes[cls.classof] == 1
 
     @cached_property
     def conjugacy_classes(self) -> "ConjugacyClassSet":
         """Classes as orbit minima under the pc generators' conjugation.
 
         The suffix chain G = H_0 > H_1 > ... > 1 has H_t = U_e g_t^e H_{t+1},
-        so _orbit_minima over conj_tables labels each element with the
-        smallest member of its class; one stable sort groups the labels."""
-        labels = _orbit_minima(self, self.conj_tables)
+        so _orbit_minima over conjugation by g_n, ..., g_1 labels each
+        element with the smallest member of its class; one stable sort
+        groups the labels.  Each conjugation perm is formed as it is
+        needed and dropped after its level."""
+        x = np.arange(self.order, dtype=np.int64)
+        labels = _orbit_minima(self, (self.conj(x, t) for t in reversed(range(self.n))))
         order = np.argsort(labels, kind="stable")
         ordered = labels[order]
         starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -272,7 +294,7 @@ class Group:
     def normal_closure(self, seed_idxs) -> np.ndarray:
         current = self.subgroup_closure(seed_idxs)
         while True:
-            imgs = np.unique(np.concatenate([tab[current] for tab in self.conj_tables]))
+            imgs = np.unique(np.concatenate([self.conj(current, t) for t in range(self.n)]))
             member = np.zeros(self.order, dtype=bool)
             member[current] = True
             new = imgs[~member[imgs]]
@@ -304,11 +326,7 @@ class Group:
         current = self.derived.indices
         series.append(current)
         while current.size > 1:
-            seeds = []
-            inv = self.inverse_table
-            for t in range(self.n):
-                seeds.append(self.pairwise_mul(inv[current], self.conj_tables[t][current]))
-            nxt = self.normal_closure(np.unique(np.concatenate(seeds)))
+            nxt = self.normal_closure(np.unique(_generator_commutators(self, current)))
             if nxt.size >= current.size:
                 raise InternalInconsistencyError("lower central series stalled")
             series.append(nxt)
@@ -339,14 +357,15 @@ class Group:
         return [self.element_of(i) for i in range(self.order)]
 
 
-def _orbit_minima(G: Group, perms: list[np.ndarray]) -> np.ndarray:
+def _orbit_minima(G: Group, perms) -> np.ndarray:
     """r[x] = the smallest point of x's orbit under a chain-adapted action.
 
-    perms[i] is the permutation of a_i, where K_i = <a_i, ..., a_m> has
-    K_i = U_{e < p} a_i^e K_{i+1}: then r_i(x) = min_e r_{i+1}(a_i^e . x),
-    taken deepest level first from r_{m+1} = identity."""
+    perms yields the permutations of a_m, ..., a_1, deepest level first,
+    where K_i = <a_i, ..., a_m> has K_i = U_{e < p} a_i^e K_{i+1}: then
+    r_i(x) = min_e r_{i+1}(a_i^e . x), taken from r_{m+1} = identity.  A
+    generator of perms lets the caller form each one as it is read."""
     r = np.arange(G.order, dtype=np.int64)
-    for perm in reversed(perms):
+    for perm in perms:
         perm = perm.astype(np.intp, copy=False)
         shifted = r
         best = r
@@ -372,11 +391,14 @@ def _normal_forms(start: int, muls, p: int) -> np.ndarray:
 
 def _walk(tables, weights, p: int, x, b: int):
     """x after tables[j] is applied d_j times, in list order, where d_j is
-    the digit of b at weights[j]; x is an index or an index array."""
+    the digit of b at weights[j]; x is an index or an index array.  An
+    index array gathers through np.take; a single index through plain
+    indexing, which is much cheaper for one entry."""
     b = int(b)
+    gather = np.take if isinstance(x, np.ndarray) else getitem
     for tab, w in zip(tables, weights):
         for _ in range(b // w % p):
-            x = tab[x]
+            x = gather(tab, x)
     return x
 
 
@@ -414,12 +436,22 @@ def _chain_gens(G: Group, idxs: np.ndarray) -> tuple[int, ...]:
 
 
 def _coset_minima(G: Group, gens) -> np.ndarray:
-    """least[x] = the least element of the coset K x, for the chain-jump
+    """least[x] = the least element of the coset x K, for the chain-jump
     elements gens = (b_1, ..., b_m) of a subgroup K (_chain_gens).  Each
     K ∩ H_(i+1) is normal in K ∩ H_i with a factor of order 1 or p, so
-    K_a = <b_a, ..., b_m> = U_e b_a^e K_(a+1), and _orbit_minima over left
-    multiplication by the b_a takes m (p - 1) gathers."""
-    return _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+    K_a = <b_a, ..., b_m> = U_e b_a^e K_(a+1), and _orbit_minima over right
+    multiplication by the b_a takes m (p - 1) gathers.  Both callers pass
+    a normal K, where x K = K x: quotient checks that N is normal, and
+    chartable._derived_cosets passes G'."""
+    return _orbit_minima(G, (G.rmul_perm(g) for g in reversed(gens)))
+
+
+def _generator_commutators(G: Group, xs: np.ndarray) -> np.ndarray:
+    """out[i, t] = [xs[i], g_t] = xs[i]^-1 (g_t^-1 xs[i] g_t), from one
+    pairwise product over all pc generators g_t at once."""
+    prods = G.pairwise_mul(np.tile(np.take(G.inverse_table, xs), G.n),
+                           np.concatenate([G.conj(xs, t) for t in range(G.n)]))
+    return prods.reshape(G.n, -1).T
 
 
 class _ChainIndex:
@@ -481,7 +513,8 @@ class Subgroup:
 
     @cached_property
     def is_normal(self) -> bool:
-        return all(bool(self.mask[tab[self.indices]].all()) for tab in self.group.conj_tables)
+        G = self.group
+        return all(bool(self.mask[G.conj(self.indices, t)].all()) for t in range(G.n))
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

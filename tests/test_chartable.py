@@ -2311,7 +2311,7 @@ def test_coset_subgroup_must_lie_in_every_linear_kernel(monkeypatch):
     H = pg.subgroup_generated([h], G)
     assert H.order == G.derived.order and not G.derived.contains(h)
     gens = _chain_gens(G, H.indices)
-    least = _orbit_minima(G, [G.lmul_perm(g) for g in gens])
+    least = _orbit_minima(G, [G.lmul_perm(g) for g in reversed(gens)])
     ids = np.unique(least[T.classes.reps], return_inverse=True)[1].reshape(-1)
     assert ids.max() + 1 == ct._derived_cosets(T)[1].max() + 1
     monkeypatch.setattr(ct, "_derived_cosets", lambda T: (gens, ids))

@@ -9,7 +9,7 @@ import pytest
 import pgclass as pg
 from pgclass.chartable import table_of
 from pgclass.classify import PermDegree, _class_mask, is_central_type
-from pgclass.group import group_of
+from pgclass.group import Group, group_of
 
 
 def bundle(label, p):
@@ -539,14 +539,15 @@ def _held_array_bytes(G) -> int:
 
 
 def test_classified_group_holds_only_its_tables():
-    """After a report, a group holds its 3n table arrays of |G| int32 (right,
-    left and conjugation), the int32 inverse table and the int64 classes
-    (classof and the members), and little else: no digit table and no
-    cached lower central series."""
-    P = pg.build("G_(19,1)", 7)
-    pg.classification_report(P)
-    G = group_of(P)
+    """After a report, a fresh group holds its n right tables and its
+    inverse table, of |G| int32 each, and the int64 classes (classof and
+    the members), and little else: no left or conjugation table, no digit
+    table and no cached lower central series.  The left and conjugation
+    tables, formed on request, are int32 too."""
+    G = Group(pg.build("G_(19,1)", 7))
+    pg.classification_report(G)
     assert G.nilpotency_class == 3
+    assert "left_tables" not in vars(G) and "conj_tables" not in vars(G)
+    assert _held_array_bytes(G) <= (G.n + 7) * G.order * 4
     for tab in [*G.right_tables, *G.left_tables, *G.conj_tables, G.inverse_table]:
         assert tab.dtype == np.int32
-    assert _held_array_bytes(G) <= (3 * G.n + 7) * G.order * 4

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import pgclass as pg
-from pgclass.classify import _generator_commutators
-from pgclass.group import _pth_powers, group_of, quotient, subgroup_as_group
+from pgclass.group import (_generator_commutators, _pth_powers, group_of, quotient,
+                           subgroup_as_group)
 from pgclass.presentation import collector
 
 
@@ -109,8 +109,8 @@ def _table_points(label, p):
 
 @pytest.mark.parametrize("label,p", [g for g in ORACLE_GROUPS if g[1] == 3] + SAMPLED_GROUPS)
 def test_tables_match_collector(label, p):
-    """right, left, inverse and conjugation tables, and p-th powers, each
-    entry against collection from the left."""
+    """right, left, inverse and conjugation tables, conj on one index, and
+    p-th powers, each entry against collection from the left."""
     G, col, xs = _table_points(label, p)
     n = G.n
     pows = _pth_powers(G, np.array(xs, dtype=np.int64))
@@ -122,7 +122,8 @@ def test_tables_match_collector(label, p):
         for t in range(n):
             assert G.index_of(col.collect(syl + ((t, 1),))) == G.right_tables[t][x]
             assert G.index_of(col.collect(((t, 1),) + syl)) == G.left_tables[t][x]
-            assert G.index_of(col.collect(((t, -1),) + syl + ((t, 1),))) == G.conj_tables[t][x]
+            assert (G.index_of(col.collect(((t, -1),) + syl + ((t, 1),)))
+                    == G.conj_tables[t][x] == G.conj(x, t))
 
 
 def test_products_match_collector_on_int32_tables():
