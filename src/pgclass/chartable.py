@@ -27,8 +27,10 @@ Pipeline, the same for every group:
     chain-jump elements b_a, and its characters solve its power relations
     in Z/e, as in step 2.  The orbits and their transporters come from
     orbit-minimum gathers along b_m, ..., b_1 that carry the transporters'
-    digits, and every stabilizer Z(G) ∩ g^-1 cl(g) from one pairwise
-    product over the basepoint classes (_central_blocks).
+    digits.  Since cl(z x) = z cl(x) for central z, the stabilizer
+    {z : cl(z g) = cl(g)} of every basepoint g is read off the translates
+    of the classes by the normal forms of Z(G), with no element product
+    (_central_blocks).
 4.  A block sheds the span of its linear rows by a written-down
     annihilator (_linear_annihilator).  Remaining splitting uses class
     matrices in ascending class-size order, restricted to each unsplit
@@ -105,7 +107,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, _prime_power_split, phi, root_sum
 from .errors import TableVerificationError
 from .group import (ConjugacyClassSet, Group, _chain_gens, _ChainIndex, _coset_minima,
-                    group_of, p_log)
+                    _normal_forms, _powers, group_of, p_log)
 from .modular import _invmod_arr, _matmul_mod, eigenspaces, find_aux_prime, root_of_unity
 from .presentation import is_prime
 
@@ -464,15 +466,7 @@ class _PowerData:
 def _power_classes(G: Group, cls: ConjugacyClassSet, s: int) -> np.ndarray:
     """pi_s: pi_s[c] is the class of rep_c^s, by square-and-multiply over
     the class reps."""
-    X = cls.reps.astype(np.int64)
-    Y = None
-    while s:
-        if s & 1:
-            Y = X if Y is None else G.pairwise_mul(Y, X)
-        s >>= 1
-        if s:
-            X = G.pairwise_mul(X, X)
-    return cls.classof[Y]
+    return cls.classof[_powers(G, cls.reps.astype(np.int64), s)]
 
 
 def _digits(G: Group, idxs) -> np.ndarray:
@@ -647,9 +641,17 @@ def _central_blocks(G, cls, zc, zpow):
       abelian, so b_a^j times that element is in normal form: the digits
       concatenate.  Then v[c] = mu(w)^-1 = zeta_e^(-t . digits) for the
       exponents t of mu.
-    - Stabilizers.  One pairwise product g^-1 x over the members x of
-      every basepoint class g; the products that lie in Z(G) are the
-      stabilizers.  |Stab| |O| = |Z(G)| is checked, mu is tested once per
+    - Stabilizers.  For central z, conjugation commutes with z, so
+      cl(z x) = z cl(x), and the translates act on class ids with no
+      element product.  _normal_forms takes the basepoints through them:
+      L[s, i] = cl(z_s g_i) for the chain normal form z_s at position s
+      (zc.positions' numbering) and the i-th basepoint g_i, so the
+      stabilizer of g_i is the positions s with L[s, i] = cl(g_i).  L holds
+      at most |G| class ids: z -> z g maps Stab into cl(g), so
+      |Stab| <= |K_g| = |K_c| for every class c of O, and the basepoints
+      times |Z(G)| is the sum over orbits of |O| |Stab| <= sum |K_c| = |G|.
+      Equal stabilizers are found by one sort of the packed columns of
+      L == cl(g_i).  |Stab| |O| = |Z(G)| is checked, mu is tested once per
       distinct stabilizer, and the mu trivial on it must number |O|.
     - Blocks.  The kept (mu, class) pairs, sum over O of |O|^2 <= k |Z(G)|
       of them, are sorted once by (mu, basepoint, class), and every
@@ -661,33 +663,25 @@ def _central_blocks(G, cls, zc, zpow):
     e, zorder = zc.e, zc.elems.size
     perms = _center_translates(G, cls)[1]  # zc.gens are G.center.gens
     base, digits = _center_orbits(perms, G.p)
-    isbase = base == np.arange(k)
-
-    xs = np.flatnonzero(isbase[cls.classof])
-    owner = cls.classof[xs]
-    zs = zc.positions(G.pairwise_mul(G.inverse_table[cls.reps[owner]], xs))
-    owner, zs = owner[zs >= 0], zs[zs >= 0]
-    stab_size = np.bincount(owner, minlength=k)
-    if (np.bincount(base, minlength=k)[isbase] * stab_size[isbase] != zorder).any():
+    bp = np.flatnonzero(base == np.arange(k))
+    L = _normal_forms(bp, [lambda c, perm=perm: np.take(perm, c)
+                           for perm in perms.astype(np.int32)], G.p)
+    in_stab = L == bp
+    if (np.bincount(base, minlength=k)[bp] * in_stab.sum(axis=0) != zorder).any():
         raise TableVerificationError("center orbit and stabilizer sizes disagree")
 
-    # distinct stabilizers, as sorted position rows grouped by size
-    order = np.lexsort((zs, owner, stab_size[owner]))
-    owner, zs = owner[order], zs[order]
+    # distinct stabilizers, as the packed columns of in_stab
+    keys = _row_keys(np.packbits(in_stab, axis=0).T)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     stab_id = np.empty(k, dtype=np.int64)
+    stab_id[bp] = inv
     mus = []
-    start = 0
-    sizes, counts = np.unique(stab_size[isbase], return_counts=True)
-    for s, n in zip(sizes.tolist(), counts.tolist()):
-        stabs, inv = np.unique(zs[start:start + n * s].reshape(n, s), axis=0,
-                               return_inverse=True)
-        stab_id[owner[start:start + n * s:s]] = len(mus) + inv.reshape(-1)
-        for S in stabs:
-            trivial = np.flatnonzero(~(zc.chars @ zc.digits(S).T % e).any(axis=1))
-            if trivial.size * s != zorder:
-                raise TableVerificationError("characters trivial on a stabilizer miscounted")
-            mus.append(trivial)
-        start += n * s
+    for i in first.tolist():
+        S = np.flatnonzero(in_stab[:, i])
+        trivial = np.flatnonzero(~(zc.chars @ zc.digits(S).T % e).any(axis=1))
+        if trivial.size * S.size != zorder:
+            raise TableVerificationError("characters trivial on a stabilizer miscounted")
+        mus.append(trivial)
 
     cls_stab = stab_id[base]
     pair_cls = [np.flatnonzero(cls_stab == i) for i in range(len(mus))]
@@ -762,7 +756,7 @@ def _linear_annihilator(blk: _CentralBlock, tb: np.ndarray, q: int, zpow: np.nda
     but the last orbit L of its key, and L is no row's pivot."""
     e = zpow.size
     t, D = tb.shape
-    grp = np.unique(((tb - tb[0]) % e).T, axis=0, return_inverse=True)[1].reshape(-1)
+    grp = np.unique(_row_keys(((tb - tb[0]) % e).T), return_inverse=True)[1]
     if grp.max() + 1 != t:
         raise TableVerificationError("linear span does not fill its rank")
     last = np.zeros(t, dtype=np.int64)

@@ -376,16 +376,18 @@ def _orbit_minima(G: Group, perms) -> np.ndarray:
     return r
 
 
-def _normal_forms(start: int, muls, p: int) -> np.ndarray:
+def _normal_forms(start, muls, p: int) -> np.ndarray:
     """The images of start under muls[0]^d_1, then muls[1]^d_2, ..., at the
     position whose base-p digits (d_1 most significant) are d.  When muls[a]
-    right-multiplies an index array by g_a, that is start g_1^d_1 ... g_m^d_m."""
-    elems = np.array([start], dtype=np.int32)
+    right-multiplies an index array by g_a, that is start g_1^d_1 ... g_m^d_m.
+    start is an index, or a 1-d index array whose entries are listed side by
+    side: then position s is row s, one column per entry."""
+    elems = np.asarray(start, dtype=np.int32)[None]
     for mul in muls:
         blocks = [elems]
         for _ in range(1, p):
             blocks.append(mul(blocks[-1]))
-        elems = np.stack(blocks, axis=1).reshape(-1)
+        elems = np.stack(blocks, axis=1).reshape((-1,) + elems.shape[1:])
     return elems
 
 
@@ -408,12 +410,22 @@ def _inverse_perm(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _powers(G: Group, xs: np.ndarray, s: int) -> np.ndarray:
+    """x^s for every index x of xs (s >= 1), by square-and-multiply:
+    about 2 log2(s) pairwise products, 4 at s = 7."""
+    ys = None
+    while s:
+        if s & 1:
+            ys = xs if ys is None else G.pairwise_mul(ys, xs)
+        s >>= 1
+        if s:
+            xs = G.pairwise_mul(xs, xs)
+    return ys
+
+
 def _pth_powers(G: Group, xs: np.ndarray) -> np.ndarray:
     """x^p for every index x of xs."""
-    ys = xs
-    for _ in range(1, G.p):
-        ys = G.pairwise_mul(ys, xs)
-    return ys
+    return _powers(G, xs, G.p)
 
 
 def _chain_elements(G: Group, gens) -> np.ndarray:

@@ -980,6 +980,128 @@ def test_central_blocks_match_the_orbit_walk():
     assert "heisenberg_f9@3" not in proper  # a Camina pair: Stab = Z(G) off the center
 
 
+HEISENBERG_X_C5_X_C5 = """group heisenberg_x_C5_x_C5 prime 5
+gens x y z u v
+comm [y,x] = z
+"""
+
+
+def element_stabilizers(G, cls, zc, basepoints):
+    """The construction that the class translates replaced in
+    _central_blocks: one pairwise product g^-1 x over the members x of
+    every basepoint class g, the products that lie in Z(G) being the
+    stabilizer.  Returns {basepoint: set of chain positions}."""
+    xs = np.flatnonzero(np.isin(cls.classof, basepoints))
+    owner = cls.classof[xs]
+    zs = zc.positions(G.pairwise_mul(G.inverse_table[cls.reps[owner]], xs))
+    return {int(g): set(zs[(owner == g) & (zs >= 0)].tolist()) for g in basepoints}
+
+
+def translate_stabilizers(monkeypatch, G, cls, e, zpow):
+    """({basepoint: set of chain positions}, key dtype kind, chain of
+    Z(G)): the stabilizers as _central_blocks finds them.  Its one
+    _row_keys call receives their masks packed along the chain positions,
+    one row per basepoint in class order."""
+    import pgclass.chartable as ct
+
+    zc = ct._CenterChain(G, e)
+    calls = []
+    row_keys = ct._row_keys
+
+    def spy(M):
+        calls.append((M, row_keys(M)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ct, "_row_keys", spy)
+    ct._central_blocks(G, cls, zc, zpow)
+    monkeypatch.setattr(ct, "_row_keys", row_keys)
+    [(packed, keys)] = calls
+    base, _ = ct._center_orbits(ct._center_translates(G, cls)[1], G.p)
+    basepoints = np.flatnonzero(base == np.arange(cls.count))
+    mask = np.unpackbits(packed, axis=1, count=zc.elems.size).astype(bool)
+    return ({int(g): set(np.flatnonzero(row).tolist()) for g, row in zip(basepoints, mask)},
+            keys.dtype.kind, zc)
+
+
+def test_central_blocks_stabilizers_match_element_products(monkeypatch):
+    """The stabilizers read off the class translates equal those of the
+    element products at every basepoint: on every non-abelian corpus group
+    at p = 3, 5, on G_(17,1) and G_(19,1) at p = 7, and on Heisenberg x
+    C_5 x C_5, whose center of order 125 packs to more than 8 bytes a
+    basepoint, so that both key forms of _row_keys are used."""
+    groups = [(f"{label}@{p}", pg.build(label, p))
+              for label, entry in pg.REGISTRY.items() for p in (3, 5) if entry.min_p <= p]
+    groups += [(f"{label}@7", pg.build(label, 7)) for label in ("G_(17,1)", "G_(19,1)")]
+    groups.append(("heisenberg_x_C5_x_C5@5", parse_presentation(HEISENBERG_X_C5_X_C5)))
+    kinds = {}
+    for name, P in groups:
+        G = group_of(P)
+        if G.derived.order == 1:
+            continue
+        cls, e, _, zpow = _center_setup(G)
+        got, kind, zc = translate_stabilizers(monkeypatch, G, cls, e, zpow)
+        assert got == element_stabilizers(G, cls, zc, list(got)), name
+        kinds.setdefault(kind, []).append((name, zc.elems.size))
+    assert kinds["V"] == [("heisenberg_x_C5_x_C5@5", 125)]
+    assert set(kinds) == {"u", "V"} and max(z for _, z in kinds["u"]) <= 64
+    assert {"G_(17,1)@7", "G_(19,1)@7"} <= {name for name, _ in kinds["u"]}
+
+
+def test_central_blocks_take_no_group_sized_products(monkeypatch):
+    """On G_(19,1)@7 (|G| = 7^6), no element product of _central_blocks
+    takes more than one entry per class: the translates and the power map
+    multiply the class reps, and the stabilizers need no product."""
+    import pgclass.chartable as ct
+    from pgclass.group import Group
+
+    G = group_of(pg.build("G_(19,1)", 7))
+    cls, e, _, zpow = _center_setup(G)
+    zc = ct._CenterChain(G, e)
+    sizes = []
+
+    def counted(name):
+        method = getattr(Group, name)
+
+        def wrapper(self, A, *args):
+            sizes.append((name, np.size(A)))
+            return method(self, A, *args)
+        return wrapper
+
+    for name in ("pairwise_mul", "rmul_array"):
+        monkeypatch.setattr(Group, name, counted(name))
+    ct._central_blocks(G, cls, zc, zpow)
+    assert {name for name, _ in sizes} == {"pairwise_mul", "rmul_array"}
+    assert max(n for _, n in sizes) <= cls.count < G.order // 20
+
+
+@pytest.mark.parametrize("a, i, message", [
+    (0, 25, "center orbit and stabilizer sizes disagree"),
+    (1, 29, "characters trivial on a stabilizer miscounted"),
+])
+def test_central_blocks_refuse_a_swapped_translate(monkeypatch, a, i, message):
+    """A translate of the classes by a chain generator b_a of Z(G) with the
+    entries of two classes of one size swapped is still a size-keeping
+    permutation, but no action of Z(G): the stabilizers read off it miss
+    the orbit-stabilizer count, or a stabilizer is no subgroup, and the
+    build refuses it before any class matrix is formed."""
+    import pgclass.chartable as ct
+
+    P = pg.build("G_(20,1)", 5)
+    cls = group_of(P).conjugacy_classes
+    translates = ct._center_translates
+
+    def changed(G, cls):
+        gens, perms = translates(G, cls)
+        perms = perms.copy()
+        perms[a, [i, i + 1]] = perms[a, [i + 1, i]]
+        return gens, perms
+
+    assert cls.sizes[i] == cls.sizes[i + 1] > 1
+    monkeypatch.setattr(ct, "_center_translates", changed)
+    with pytest.raises(TableVerificationError, match=f"^{message}$"):
+        ct.compute_table(P)
+
+
 def _eliminated_annihilator(G, cls, blk, lin, q, zpow):
     """The elimination that _linear_annihilator replaced: the pairing
     matrix F[lambda, O] = sum over c in O of v_O[c] lambda(g_c^-1) of the

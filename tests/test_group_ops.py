@@ -126,6 +126,27 @@ def test_tables_match_collector(label, p):
                     == G.conj_tables[t][x] == G.conj(x, t))
 
 
+def test_pth_powers_square_and_multiply(monkeypatch):
+    """At p = 7, x^p takes 4 pairwise products (x^2, x^3, x^4, x^7), not
+    p - 1 = 6, and agrees with Group.pow on 80 fixed-seed elements of an
+    order-7^6 group."""
+    from pgclass.group import Group
+
+    G = group_of(pg.build("G_(19,1)", 7))
+    xs = np.random.default_rng(23).choice(G.order, size=80, replace=False)
+    calls = []
+    pairwise_mul = Group.pairwise_mul
+
+    def counted(self, A, B):
+        calls.append(A.size)
+        return pairwise_mul(self, A, B)
+
+    monkeypatch.setattr(Group, "pairwise_mul", counted)
+    pows = _pth_powers(G, xs)
+    assert calls == [xs.size] * 4
+    assert pows.tolist() == [G.pow(int(x), 7) for x in xs]
+
+
 def test_products_match_collector_on_int32_tables():
     """mul, pairwise_mul, rmul_array and lmul_array on a group of order 7^6,
     whose tables are int32 because every index lies below _MAX_ORDER < 2^31,
